@@ -6,14 +6,10 @@
 //	imbench -list
 //	imbench -exp fig6a,fig6b [-quick] [-runs 10000] [-seed 1] [-csv out/]
 //	imbench -all -quick
-//	imbench -benchjson out/ [-quick]
 //
 // Each experiment prints one or more aligned ASCII tables; -csv
-// additionally writes <id>.csv files. -benchjson skips the experiments
-// and instead micro-benchmarks every selection algorithm (plus the
-// RR-sketch build/select paths) on a deterministic BA graph, writing one
-// machine-readable BENCH_<name>.json (ns/op, bytes/op) per entry so the
-// performance trajectory is trackable across PRs.
+// additionally writes <id>.csv files. Performance is measured by the
+// repo benchmark instead (bash benchmark/run.sh, see benchmark/README.md).
 package main
 
 import (
@@ -29,20 +25,16 @@ import (
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list available experiments and exit")
-		exp       = flag.String("exp", "", "comma-separated experiment ids to run")
-		all       = flag.Bool("all", false, "run every registered experiment")
-		quick     = flag.Bool("quick", false, "reduced dataset scale and Monte-Carlo budget")
-		runs      = flag.Int("runs", 0, "override Monte-Carlo evaluation runs (0 = default)")
-		seed      = flag.Uint64("seed", 1, "master random seed")
-		csv       = flag.String("csv", "", "directory to write <id>.csv files into")
-		benchJSON = flag.String("benchjson", "", "directory to write per-algorithm BENCH_*.json micro-benchmarks into")
+		list  = flag.Bool("list", false, "list available experiments and exit")
+		exp   = flag.String("exp", "", "comma-separated experiment ids to run")
+		all   = flag.Bool("all", false, "run every registered experiment")
+		quick = flag.Bool("quick", false, "reduced dataset scale and Monte-Carlo budget")
+		runs  = flag.Int("runs", 0, "override Monte-Carlo evaluation runs (0 = default)")
+		seed  = flag.Uint64("seed", 1, "master random seed")
+		csv   = flag.String("csv", "", "directory to write <id>.csv files into")
 	)
 	flag.Parse()
 
-	if *benchJSON != "" {
-		os.Exit(runBenchJSON(*benchJSON, *quick))
-	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			e := experiments.Registry[id]

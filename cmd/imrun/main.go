@@ -62,21 +62,7 @@ func main() {
 	var err error
 	switch {
 	case *graphPath != "":
-		f, ferr := os.Open(*graphPath)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		// Sniff the binary magic so both formats load transparently.
-		magic := make([]byte, 4)
-		if n, _ := f.Read(magic); n == 4 && string(magic) == "HIMG" {
-			f.Seek(0, 0)
-			g, err = holisticim.ReadBinaryGraph(f)
-		} else {
-			f.Seek(0, 0)
-			g, err = holisticim.ReadEdgeList(f)
-		}
-		f.Close()
-		if err != nil {
+		if g, err = holisticim.ReadGraphFile(*graphPath); err != nil {
 			fatal(err)
 		}
 	case *dataset != "":

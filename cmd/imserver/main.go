@@ -89,8 +89,9 @@
 //	                         Accept: text/event-stream; the final event
 //	                         carries the answer
 //
-// The /v1 routes are shims over the same planner, so both surfaces share
-// one result cache and job deduplication. Every error response uses the
+// The /v1 select/estimate/jobs routes are translations onto the /v2/query
+// execution path, so both surfaces share one result cache, one job
+// namespace and job deduplication. Every error response uses the
 // envelope {"error": {"code", "message"}}, and method mismatches answer
 // 405 with an Allow header.
 //

@@ -223,23 +223,12 @@ func mustOpen(path, flagName string) *os.File {
 	return f
 }
 
-// loadGraph reads an edge-list or binary graph file, sniffing the binary
-// magic so both formats load transparently.
+// loadGraph reads the -graph file (edge list or binary) or exits.
 func loadGraph(path string) *holisticim.Graph {
-	f := mustOpen(path, "-graph")
-	defer f.Close()
-	magic := make([]byte, 4)
-	n, _ := f.Read(magic)
-	if _, err := f.Seek(0, 0); err != nil {
-		fatal("command failed", "error", err)
+	if path == "" {
+		fatal("missing required flag", "flag", "-graph")
 	}
-	var g *holisticim.Graph
-	var err error
-	if n == 4 && string(magic) == "HIMG" {
-		g, err = holisticim.ReadBinaryGraph(f)
-	} else {
-		g, err = holisticim.ReadEdgeList(f)
-	}
+	g, err := holisticim.ReadGraphFile(path)
 	if err != nil {
 		fatal("graph read failed", "path", path, "error", err)
 	}

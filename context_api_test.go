@@ -122,20 +122,19 @@ func TestSelectSeedsProgressOption(t *testing.T) {
 // change which seeds a completed selection returns, so they must not
 // fragment the serving cache.
 func TestFingerprintIgnoresLifecycleKnobs(t *testing.T) {
-	base := Options{Seed: 7}.Fingerprint(AlgEaSyIM, 10)
-	withKnobs := Options{
+	base := Query{Algorithm: AlgEaSyIM, K: 10, Options: Options{Seed: 7}}.Fingerprint()
+	withKnobs := Query{Algorithm: AlgEaSyIM, K: 10, Options: Options{
 		Seed:     7,
 		Deadline: time.Second,
 		Progress: func(int, NodeID, time.Duration) {},
 		Workers:  8,
-	}.Fingerprint(AlgEaSyIM, 10)
+	}}.Fingerprint()
 	if base != withKnobs {
 		t.Fatalf("fingerprints differ:\n%s\n%s", base, withKnobs)
 	}
 }
 
-// TestEstimateContextVariants covers the error-returning estimators and
-// the panic-free deprecated shims.
+// TestEstimateContextVariants covers the error-returning estimators.
 func TestEstimateContextVariants(t *testing.T) {
 	g := testGraph()
 	seeds := []NodeID{0, 1, 2}
@@ -162,17 +161,4 @@ func TestEstimateContextVariants(t *testing.T) {
 		t.Fatalf("cancelled estimate still ran %d simulations", est.Runs)
 	}
 
-	// Deprecated shims: same numbers on the happy path, zero value (no
-	// panic) on configuration errors.
-	old := EstimateSpread(g, seeds, Options{MCRuns: 200, Seed: 4})
-	neu, _ := EstimateSpreadContext(context.Background(), g, seeds, Options{MCRuns: 200, Seed: 4})
-	if old != neu {
-		t.Fatalf("shim diverged: %+v vs %+v", old, neu)
-	}
-	if got := EstimateSpread(g, seeds, Options{Model: "warp"}); got != (Estimate{}) {
-		t.Fatalf("shim with bad model returned %+v, want zero Estimate", got)
-	}
-	if got := EstimateOpinionSpread(g, seeds, Options{Model: "warp"}); got != (Estimate{}) {
-		t.Fatalf("opinion shim with bad model returned %+v, want zero Estimate", got)
-	}
 }

@@ -26,7 +26,7 @@ func TestEdgelessGraphAllAlgorithms(t *testing.T) {
 		if len(res.Seeds) == 0 {
 			t.Fatalf("%s returned no seeds on edgeless graph", alg)
 		}
-		est := EstimateSpread(g, res.Seeds, Options{MCRuns: 20, Seed: 1})
+		est := mustSpread(t, g, res.Seeds, Options{MCRuns: 20, Seed: 1})
 		if est.Spread != 0 {
 			t.Fatalf("%s: edgeless spread %v", alg, est.Spread)
 		}
@@ -64,7 +64,7 @@ func TestNeutralOpinionsZeroSpread(t *testing.T) {
 	g.SetUniformProb(0.2)
 	// All opinions left at the zero value: every final opinion is 0, so
 	// opinion spread must be exactly 0 in every run.
-	est := EstimateOpinionSpread(g, []NodeID{0, 1}, Options{MCRuns: 200, Seed: 3})
+	est := mustOpinionSpread(t, g, []NodeID{0, 1}, Options{MCRuns: 200, Seed: 3})
 	if est.OpinionSpread != 0 || est.PositiveSpread != 0 || est.NegativeSpread != 0 {
 		t.Fatalf("neutral graph produced opinion spread %v", est.OpinionSpread)
 	}
@@ -81,7 +81,7 @@ func TestExtremeOpinions(t *testing.T) {
 		g.SetOpinion(v, -1)
 	}
 	g.SetUniformPhi(1) // full agreement: negativity propagates undiluted
-	est := EstimateOpinionSpread(g, []NodeID{0, 1, 2}, Options{MCRuns: 300, Seed: 5})
+	est := mustOpinionSpread(t, g, []NodeID{0, 1, 2}, Options{MCRuns: 300, Seed: 5})
 	if est.EffectiveOpinionSpread(1) > 0 {
 		t.Fatalf("all-negative graph yielded positive effective spread %v",
 			est.EffectiveOpinionSpread(1))
@@ -144,8 +144,8 @@ func TestEstimateMoreRunsLowersVariance(t *testing.T) {
 	g := GenerateBA(300, 3, 9)
 	g.SetUniformProb(0.1)
 	seeds := []NodeID{0, 1, 2}
-	small := EstimateSpread(g, seeds, Options{MCRuns: 50, Seed: 11})
-	big := EstimateSpread(g, seeds, Options{MCRuns: 5000, Seed: 11})
+	small := mustSpread(t, g, seeds, Options{MCRuns: 50, Seed: 11})
+	big := mustSpread(t, g, seeds, Options{MCRuns: 5000, Seed: 11})
 	if small.Runs != 50 || big.Runs != 5000 {
 		t.Fatalf("run counts %d/%d", small.Runs, big.Runs)
 	}

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// Every field of Options and Query must be deliberately classified:
-// either it participates in Fingerprint (it can change which result a
-// completed run yields) or it is a lifecycle knob (it changes when or
-// how a result arrives, never which result). A new field that lands in
+// Every field of Query and of the Options it carries must be deliberately
+// classified: either it participates in Query.Fingerprint (it can change
+// which result a completed run yields) or it is a lifecycle knob (it
+// changes when or how a result arrives, never which result). A new field that lands in
 // neither set fails this test, forcing the author to make the call —
 // an unclassified field silently poisons the serving layer's result
 // cache in one direction or the other.
@@ -66,7 +66,7 @@ func TestQueryFieldsClassified(t *testing.T) {
 
 // TestLifecycleFieldsDoNotChangeFingerprint pins the exclusion side
 // behaviorally: flipping every lifecycle knob at once must leave the
-// fingerprint untouched, for both surfaces.
+// fingerprint untouched, for single and batch queries.
 func TestLifecycleFieldsDoNotChangeFingerprint(t *testing.T) {
 	base := Options{Model: ModelIC, Epsilon: 0.2, Seed: 7, MCRuns: 100}
 	tuned := base
@@ -74,8 +74,9 @@ func TestLifecycleFieldsDoNotChangeFingerprint(t *testing.T) {
 	tuned.Progress = func(int, NodeID, time.Duration) {}
 	tuned.Deadline = time.Second
 	tuned.Sketch = &Sketch{}
-	if got, want := tuned.Fingerprint(AlgIMM, 10), base.Fingerprint(AlgIMM, 10); got != want {
-		t.Errorf("lifecycle knobs changed Options fingerprint:\n got %s\nwant %s", got, want)
+	single := func(o Options) string { return Query{Algorithm: AlgIMM, K: 10, Options: o}.Fingerprint() }
+	if got, want := single(tuned), single(base); got != want {
+		t.Errorf("lifecycle knobs changed the single-k fingerprint:\n got %s\nwant %s", got, want)
 	}
 
 	qbase := Query{Task: TaskSelect, Algorithm: AlgIMM, Ks: []int{5, 10}, Options: base}
@@ -92,7 +93,7 @@ func TestLifecycleFieldsDoNotChangeFingerprint(t *testing.T) {
 // must move the fingerprint.
 func TestFingerprintedFieldsChangeFingerprint(t *testing.T) {
 	base := Options{Model: ModelIC, PathLength: 2, Lambda: 2, Epsilon: 0.2, MCRuns: 100, Seed: 7, TIMThetaCap: 5}
-	fp := func(o Options) string { return o.Fingerprint(AlgIMM, 10) }
+	fp := func(o Options) string { return Query{Algorithm: AlgIMM, K: 10, Options: o}.Fingerprint() }
 	optCases := []struct {
 		field string
 		mut   func(*Options)

@@ -39,9 +39,11 @@
 package holisticim
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"github.com/holisticim/holisticim/internal/core"
@@ -95,6 +97,29 @@ func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, 
 // roughly an order of magnitude faster than the text edge-list for large
 // graphs.
 func ReadBinaryGraph(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
+
+// ReadGraphFile loads a graph file in either format, sniffing the binary
+// magic: a file that starts with it is read with ReadBinaryGraph,
+// anything else (including files shorter than the magic) with
+// ReadEdgeList.
+func ReadGraphFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("holisticim: open graph file: %w", err)
+	}
+	defer f.Close()
+	r := bufio.NewReader(f)
+	var g *Graph
+	if magic, _ := r.Peek(4); string(magic) == "HIMG" { // the binary format's magic
+		g, err = graph.ReadBinary(r)
+	} else {
+		g, err = graph.ReadEdgeList(r)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("holisticim: read %s: %w", path, err)
+	}
+	return g, nil
+}
 
 // WriteBinaryGraph saves a graph (including edge parameters, LT weights
 // and opinions) in the compact binary format.
@@ -252,14 +277,14 @@ type Options struct {
 	TIMThetaCap int
 	// Progress, when set, observes every chosen seed as selection runs.
 	// Like Workers it cannot change the selected seeds, so it is excluded
-	// from Fingerprint.
+	// from Query.Fingerprint.
 	Progress Progress
 	// Deadline, when positive, bounds the selection wall-clock time:
 	// SelectSeedsContext derives a timeout context and the selection
 	// returns a Partial result with an error wrapping
-	// context.DeadlineExceeded once it expires. Excluded from Fingerprint
-	// (a deadline changes when a result arrives, never which result a
-	// completed run yields).
+	// context.DeadlineExceeded once it expires. Excluded from
+	// Query.Fingerprint (a deadline changes when a result arrives, never
+	// which result a completed run yields).
 	Deadline time.Duration
 	// Sketch, when set, answers AlgTIMPlus/AlgIMM selections from a
 	// prebuilt RR-sketch index (see BuildSketch) instead of resampling —
@@ -268,9 +293,10 @@ type Options struct {
 	// instead of Monte Carlo. Used only when the sketch was built over
 	// the same graph content (pointer or fingerprint match) and RR
 	// semantics, and for selections only when TIMThetaCap is unset; the
-	// sketch's own ε/seed govern the sample. Excluded from Fingerprint:
-	// serving layers must key sketch-backed results separately (the
-	// bundled service's fast path bypasses its result cache).
+	// sketch's own ε/seed govern the sample. Excluded from
+	// Query.Fingerprint: serving layers must key sketch-backed results
+	// separately (the bundled service's fast path bypasses its result
+	// cache).
 	Sketch *Sketch
 }
 
@@ -307,34 +333,10 @@ func CanonicalEpsilon(eps float64) float64 { return ris.CanonicalEpsilon(eps) }
 // means the default seed 1). See CanonicalEpsilon.
 func CanonicalSeed(seed uint64) uint64 { return ris.CanonicalSeed(seed) }
 
-// Resolved returns the options with every default filled in, exactly as
-// SelectSeeds and the estimators will use them. opinionAware selects the
-// default model family (OI over IC for opinion-aware algorithms, plain IC
-// otherwise). Serving layers use this to validate effective values — e.g.
-// the Monte-Carlo budget a request will actually spend.
-func (o Options) Resolved(opinionAware bool) Options { return o.withDefaults(opinionAware) }
-
 // opinionAware reports whether alg optimizes the opinion-aware MEO
 // objective (and therefore defaults to an OI model).
 func opinionAware(alg Algorithm) bool {
 	return alg == AlgOSIM || alg == AlgModifiedGreedy
-}
-
-// Fingerprint returns a canonical string identifying the selection a
-// (alg, k, Options) triple would perform: defaults are resolved first, so
-// a zero Options and an Options spelling out the paper defaults map to the
-// same fingerprint, and fields that cannot change the result (Workers —
-// the estimators are deterministic per run regardless of parallelism —
-// and the request-lifecycle knobs Progress and Deadline) are excluded.
-// Sketch is also excluded even though a sketch-backed run may pick
-// different (equally valid) seeds than a cold run: serving layers that
-// mix the two paths must not cache them under one key.
-// Serving layers use this as a cache/deduplication key; it is stable
-// across processes but not across releases.
-func (o Options) Fingerprint(alg Algorithm, k int) string {
-	c := o.withDefaults(opinionAware(alg))
-	return fmt.Sprintf("alg=%s;k=%d;model=%s;l=%d;lambda=%g;eps=%g;mc=%d;seed=%d;thetacap=%d",
-		alg, k, c.Model, c.PathLength, c.Lambda, c.Epsilon, c.MCRuns, c.Seed, c.TIMThetaCap)
 }
 
 // SelectSeeds picks k seed nodes with the chosen algorithm, running to
@@ -488,27 +490,6 @@ func SketchServedEstimate(g *Graph, opts Options) bool {
 	}
 	o := opts.withDefaults(true)
 	return o.Model == ModelOC && opts.Sketch.Matches(g, ris.ModelOC)
-}
-
-// EstimateSpread estimates σ(S) under opts.Model.
-//
-// Deprecated: use EstimateSpreadContext, which surfaces configuration
-// errors and supports cancellation. This shim never panics: an invalid
-// opts.Model yields a zero Estimate.
-func EstimateSpread(g *Graph, seeds []NodeID, opts Options) Estimate {
-	est, _ := EstimateSpreadContext(context.Background(), g, seeds, opts)
-	return est
-}
-
-// EstimateOpinionSpread estimates the opinion-aware spreads (Defs. 6-7)
-// under opts.Model (default OI over IC).
-//
-// Deprecated: use EstimateOpinionSpreadContext, which surfaces
-// configuration errors and supports cancellation. This shim never
-// panics: an invalid opts.Model yields a zero Estimate.
-func EstimateOpinionSpread(g *Graph, seeds []NodeID, opts Options) Estimate {
-	est, _ := EstimateOpinionSpreadContext(context.Background(), g, seeds, opts)
-	return est
 }
 
 // Sketch is a reusable RR-sketch index: RR sets sampled once per

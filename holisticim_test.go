@@ -2,9 +2,32 @@ package holisticim
 
 import (
 	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// mustSpread and mustOpinionSpread run the context-first estimators to
+// completion and fail the test on a configuration error.
+func mustSpread(t *testing.T, g *Graph, seeds []NodeID, o Options) Estimate {
+	t.Helper()
+	est, err := EstimateSpreadContext(context.Background(), g, seeds, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+func mustOpinionSpread(t *testing.T, g *Graph, seeds []NodeID, o Options) Estimate {
+	t.Helper()
+	est, err := EstimateOpinionSpreadContext(context.Background(), g, seeds, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
 
 func testGraph() *Graph {
 	g := GenerateBA(400, 3, 1)
@@ -96,23 +119,26 @@ func TestDegreeDiscountHeterogeneousProbs(t *testing.T) {
 }
 
 func TestOptionsFingerprint(t *testing.T) {
-	zero := Options{}.Fingerprint(AlgEaSyIM, 10)
-	explicit := Options{
+	fp := func(alg Algorithm, k int, o Options) string {
+		return Query{Algorithm: alg, K: k, Options: o}.Fingerprint()
+	}
+	zero := fp(AlgEaSyIM, 10, Options{})
+	explicit := fp(AlgEaSyIM, 10, Options{
 		Model: ModelIC, PathLength: 3, Lambda: 1, Epsilon: 0.1, MCRuns: 10000, Seed: 1,
-	}.Fingerprint(AlgEaSyIM, 10)
+	})
 	if zero != explicit {
 		t.Fatalf("defaults not canonicalized: %q vs %q", zero, explicit)
 	}
-	if (Options{Workers: 4}).Fingerprint(AlgEaSyIM, 10) != zero {
+	if fp(AlgEaSyIM, 10, Options{Workers: 4}) != zero {
 		t.Fatal("Workers leaked into the fingerprint")
 	}
-	if (Options{}).Fingerprint(AlgOSIM, 10) == zero {
+	if fp(AlgOSIM, 10, Options{}) == zero {
 		t.Fatal("algorithm (and its default model) must separate fingerprints")
 	}
-	if (Options{Seed: 2}).Fingerprint(AlgEaSyIM, 10) == zero {
+	if fp(AlgEaSyIM, 10, Options{Seed: 2}) == zero {
 		t.Fatal("seed must separate fingerprints")
 	}
-	if (Options{}).Fingerprint(AlgEaSyIM, 11) == zero {
+	if fp(AlgEaSyIM, 11, Options{}) == zero {
 		t.Fatal("k must separate fingerprints")
 	}
 }
@@ -139,12 +165,12 @@ func TestEstimateSpreadConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := EstimateSpread(g, res.Seeds, Options{MCRuns: 2000, Seed: 9})
+	est := mustSpread(t, g, res.Seeds, Options{MCRuns: 2000, Seed: 9})
 	if est.Spread <= 0 {
 		t.Fatalf("spread %v", est.Spread)
 	}
 	deg, _ := SelectSeeds(g, 5, AlgDegree, Options{})
-	estDeg := EstimateSpread(g, deg.Seeds, Options{MCRuns: 2000, Seed: 9})
+	estDeg := mustSpread(t, g, deg.Seeds, Options{MCRuns: 2000, Seed: 9})
 	if est.Spread < 0.75*estDeg.Spread {
 		t.Fatalf("EaSyIM spread %v far below degree %v", est.Spread, estDeg.Spread)
 	}
@@ -165,8 +191,8 @@ func TestOpinionAwareBeatsObliviousOnMEO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eo := EstimateOpinionSpread(g, osim.Seeds, Options{MCRuns: 4000, Seed: 17})
-	ee := EstimateOpinionSpread(g, easy.Seeds, Options{MCRuns: 4000, Seed: 17})
+	eo := mustOpinionSpread(t, g, osim.Seeds, Options{MCRuns: 4000, Seed: 17})
+	ee := mustOpinionSpread(t, g, easy.Seeds, Options{MCRuns: 4000, Seed: 17})
 	if eo.EffectiveOpinionSpread(1) < ee.EffectiveOpinionSpread(1)-0.5 {
 		t.Fatalf("OSIM %v below EaSyIM %v on MEO",
 			eo.EffectiveOpinionSpread(1), ee.EffectiveOpinionSpread(1))
@@ -185,6 +211,54 @@ func TestGraphIOThroughFacade(t *testing.T) {
 	}
 	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
 		t.Fatal("round trip changed size")
+	}
+}
+
+// TestReadGraphFile: the one graph-file loader sniffs the binary magic
+// and falls back to the edge-list parser — including for files too short
+// to hold the magic at all.
+func TestReadGraphFile(t *testing.T) {
+	g := testGraph()
+	dir := t.TempDir()
+	write := func(name string, fill func(*bytes.Buffer) error) string {
+		var buf bytes.Buffer
+		if err := fill(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	cases := []struct {
+		name         string
+		path         string
+		nodes, edges int64 // expected shape; -1 nodes means an error
+	}{
+		{"binary", write("g.bin", func(b *bytes.Buffer) error { return WriteBinaryGraph(b, g) }),
+			int64(g.NumNodes()), g.NumEdges()},
+		{"edge list", write("g.txt", func(b *bytes.Buffer) error { return WriteEdgeList(b, g) }),
+			int64(g.NumNodes()), g.NumEdges()},
+		{"shorter than the magic", write("tiny.txt", func(b *bytes.Buffer) error { b.WriteString("0 1"); return nil }),
+			2, 1},
+		{"truncated binary", write("cut.bin", func(b *bytes.Buffer) error { b.WriteString("HIMG\x01"); return nil }),
+			-1, 0},
+		{"missing path", filepath.Join(dir, "absent"), -1, 0},
+	}
+	for _, tc := range cases {
+		got, err := ReadGraphFile(tc.path)
+		switch {
+		case tc.nodes < 0:
+			if err == nil {
+				t.Errorf("%s: loaded a graph, want an error", tc.name)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case int64(got.NumNodes()) != tc.nodes || got.NumEdges() != tc.edges:
+			t.Errorf("%s: loaded %d nodes / %d arcs, want %d / %d",
+				tc.name, got.NumNodes(), got.NumEdges(), tc.nodes, tc.edges)
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/holisticim/holisticim/internal/service"
 )
 
 func TestRingOrderIndependent(t *testing.T) {
@@ -97,5 +100,49 @@ func TestQueryKey(t *testing.T) {
 	}
 	if base != SketchIDOf("soc", "ic", 0.1, 0) {
 		t.Fatalf("QueryKey %q does not align with the sketch id family", base)
+	}
+}
+
+// TestQueryKeyOfEquivalentBodies is the router half of the v1-is-a-
+// translation contract (internal/service pins the Normalized query and
+// cache key): the v1 bodies and the /v2/query bodies spelling the same
+// request route by one key, read off the one Normalized query — and an
+// invalid query still gets a key, so a replica can be the one to refuse.
+func TestQueryKeyOfEquivalentBodies(t *testing.T) {
+	cases := []struct {
+		name   string
+		want   string
+		bodies []string // first the v1 body, then its /v2/query spellings
+	}{
+		{"select, defaults", QueryKey("g", "ic", 0.1), []string{
+			`{"graph":"g","algorithm":"imm","k":5}`,
+			`{"graph":"g","task":"select","algorithm":"imm","ks":[5],"options":{"model":"ic","epsilon":0.1,"seed":1}}`,
+		}},
+		{"select, opinion-aware default model samples IC worlds", QueryKey("g", "ic", 0.3), []string{
+			`{"graph":"g","algorithm":"osim","k":7,"options":{"epsilon":0.3,"seed":9}}`,
+			`{"graph":"g","algorithm":"osim","ks":[7],"options":{"model":"oi-ic","epsilon":0.3}}`,
+		}},
+		{"estimate, lt", QueryKey("g", "lt", 0.1), []string{
+			`{"graph":"g","seeds":[1,2,3],"options":{"model":"lt","mc_runs":200}}`,
+			`{"graph":"g","task":"estimate","objective":"spread","seed_sets":[[1,2,3]],"options":{"model":"lt"}}`,
+		}},
+		{"estimate, opinion sketch semantics", QueryKey("g", "oc", 0.3), []string{
+			`{"graph":"g","seeds":[4],"options":{"model":"oc","epsilon":0.3}}`,
+			`{"graph":"g","objective":"opinion","seed_sets":[[4]],"options":{"model":"oc","epsilon":0.3}}`,
+		}},
+		{"invalid query keys by what it did resolve", QueryKey("g", "lt", 0.1), []string{
+			`{"graph":"g","algorithm":"quantum","k":3,"options":{"model":"lt"}}`,
+		}},
+	}
+	for _, tc := range cases {
+		for _, body := range tc.bodies {
+			var req service.QueryRequest
+			if err := json.Unmarshal([]byte(body), &req); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if key, _, _ := queryKeyOf(req); key != tc.want {
+				t.Errorf("%s: %s routes by %q, want %q", tc.name, body, key, tc.want)
+			}
+		}
 	}
 }

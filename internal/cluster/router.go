@@ -186,14 +186,14 @@ func (rt *Router) routes() {
 	rt.handle("GET /v1/cluster/info", rt.handleClusterInfo)
 
 	rt.handle("POST /v2/query", rt.handleQuery)
-	rt.handle("GET /v2/jobs/{id}", rt.jobRouted("/v2/jobs/"))
-	rt.handle("DELETE /v2/jobs/{id}", rt.jobRouted("/v2/jobs/"))
+	rt.handle("GET /v2/jobs/{id}", rt.handleJob)
+	rt.handle("DELETE /v2/jobs/{id}", rt.handleJob)
 	rt.handle("GET /v2/jobs/{id}/events", rt.handleJobEvents)
 
-	rt.handle("POST /v1/select", rt.handleSelect)
-	rt.handle("POST /v1/estimate", rt.handleEstimate)
-	rt.handle("GET /v1/jobs/{id}", rt.jobRouted("/v1/jobs/"))
-	rt.handle("DELETE /v1/jobs/{id}", rt.jobRouted("/v1/jobs/"))
+	rt.handle("POST /v1/select", rt.handleV1Query)
+	rt.handle("POST /v1/estimate", rt.handleV1Query)
+	rt.handle("GET /v1/jobs/{id}", rt.handleJob)
+	rt.handle("DELETE /v1/jobs/{id}", rt.handleJob)
 
 	rt.handle("GET /v1/graphs", rt.fanListMerge("/v1/graphs", "graphs", "name"))
 	rt.handle("GET /v1/sketches", rt.fanListMerge("/v1/sketches", "sketches", "id"))
@@ -518,24 +518,23 @@ func (rt *Router) splitJobID(id string) (replica, local string, ok bool) {
 	return reps[idx], rest[cut+len(jobIDSep):], true
 }
 
-// jobRouted proxies job status/cancel to the replica encoded in the job
-// id prefix, rewriting ids in both directions.
-func (rt *Router) jobRouted(basePath string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		replica, local, ok := rt.splitJobID(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %q (router job ids look like r0-j1)", id)
-			return
-		}
-		res, err := rt.forward(r.Context(), replica, r.Method, basePath+local, nil, "")
-		if err != nil {
-			writeError(w, http.StatusBadGateway, "replica %s: %v", replica, err)
-			return
-		}
-		rt.prefixJobID(res)
-		writeUpstream(w, res, "")
+// handleJob proxies job status/cancel — on either prefix; replicas keep
+// one job namespace — to the replica encoded in the job id prefix,
+// rewriting ids in both directions.
+func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	replica, local, ok := rt.splitJobID(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job %q (router job ids look like r0-j1)", id)
+		return
 	}
+	res, err := rt.forward(r.Context(), replica, r.Method, strings.TrimSuffix(r.URL.Path, id)+local, nil, "")
+	if err != nil {
+		writeError(w, http.StatusBadGateway, "replica %s: %v", replica, err)
+		return
+	}
+	rt.prefixJobID(res)
+	writeUpstream(w, res, "")
 }
 
 // handleJobEvents streams a job's NDJSON/SSE events from the owning
@@ -616,42 +615,41 @@ func (rt *Router) routeBody(w http.ResponseWriter, r *http.Request, key string, 
 	writeUpstream(w, res, note)
 }
 
-// graphKeyOf extracts the routing key from a request body that carries
-// a graph plus options (the /v1 select/estimate shims).
-func routingKey(graph string, opts service.Options, opinionAware bool) string {
-	resolved := holisticim.Options{
-		Model:   holisticim.ModelKind(opts.Model),
-		Epsilon: opts.Epsilon,
-		Seed:    opts.Seed,
-	}.Resolved(opinionAware)
-	return QueryKey(graph, resolved.Model.RRSemantics(), resolved.Epsilon)
+// readQuery buffers a query body for replay across failover attempts and
+// decodes it as a QueryRequest. The /v1/select and /v1/estimate bodies
+// are field subsets of that type, so this one decode — and through it
+// the one Query.Normalized — keys all three query routes; strict
+// validation stays with the replica that answers.
+func readQuery(w http.ResponseWriter, r *http.Request) (body []byte, req service.QueryRequest, ok bool) {
+	if body, ok = readBody(w, r); !ok {
+		return nil, req, false
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return nil, req, false
+	}
+	return body, req, true
 }
 
-func (rt *Router) handleSelect(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+// queryKeyOf is the routing key of a request: the graph plus the RR
+// semantics and ε its normalized query runs under. An invalid query
+// (err != nil) still gets a key from as far as it normalized — some
+// replica has to be the one to refuse it.
+func queryKeyOf(req service.QueryRequest) (key string, q holisticim.Query, err error) {
+	q, err = req.Query().Normalized()
+	o := q.Options
+	return QueryKey(req.Graph, o.Model.RRSemantics(), holisticim.CanonicalEpsilon(o.Epsilon)), q, err
+}
+
+// handleV1Query routes POST /v1/select and /v1/estimate whole to the
+// owner of the query the body stands for.
+func (rt *Router) handleV1Query(w http.ResponseWriter, r *http.Request) {
+	body, req, ok := readQuery(w, r)
 	if !ok {
 		return
 	}
-	var req service.SelectRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
-	rt.routeBody(w, r, routingKey(req.Graph, req.Options, false), body)
-}
-
-func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req service.EstimateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
-	opinionAware := holisticim.ModelKind(req.Options.Model).OpinionAware()
-	rt.routeBody(w, r, routingKey(req.Graph, req.Options, opinionAware), body)
+	key, _, _ := queryKeyOf(req)
+	rt.routeBody(w, r, key, body)
 }
 
 func (rt *Router) handleGraphStats(w http.ResponseWriter, r *http.Request) {

@@ -21,35 +21,12 @@ import (
 // plan says so, and splitting it would both waste kmax-sized work per
 // member and change the plan's wording).
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, req, ok := readQuery(w, r)
 	if !ok {
 		return
 	}
-	var req service.QueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
-
-	task := req.Task
-	if task == "" {
-		if len(req.SeedSets) > 0 || req.Seeds != nil {
-			task = string(holisticim.TaskEstimate)
-		} else {
-			task = string(holisticim.TaskSelect)
-		}
-	}
-	opinionAware := task == string(holisticim.TaskEstimate) &&
-		(req.Objective == string(holisticim.ObjectiveOpinion) || holisticim.ModelKind(req.Options.Model).OpinionAware())
-	resolved := holisticim.Options{
-		Model:   holisticim.ModelKind(req.Options.Model),
-		Epsilon: req.Options.Epsilon,
-		Seed:    req.Options.Seed,
-	}.Resolved(opinionAware)
-	semantics := resolved.Model.RRSemantics()
-	key := QueryKey(req.Graph, semantics, resolved.Epsilon)
-
-	if rt.scatterEligible(req, task, semantics, resolved) {
+	key, q, err := queryKeyOf(req)
+	if err == nil && rt.scatterEligible(req.Graph, q) {
 		if rt.scatterQuery(w, r, req, key) {
 			rt.rm.scatters.Inc()
 			return
@@ -61,24 +38,25 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rt.routeBody(w, r, key, body)
 }
 
-// scatterEligible predicts whether every member of the batch will be
-// sketch-served: a select batch on an RIS algorithm with a matching
-// sketch loaded somewhere in the cluster. The prediction is cheap and
-// safe — scatterQuery verifies each member's answer really was
+// scatterEligible predicts whether every member of the (normalized)
+// batch will be sketch-served: a select batch on an RIS algorithm with a
+// matching sketch loaded somewhere in the cluster. The prediction is
+// cheap and safe — scatterQuery verifies each member's answer really was
 // sketch-served and aborts to whole-query routing otherwise.
-func (rt *Router) scatterEligible(req service.QueryRequest, task, semantics string, resolved holisticim.Options) bool {
-	if task != string(holisticim.TaskSelect) || len(req.Ks) < 2 {
+func (rt *Router) scatterEligible(graph string, q holisticim.Query) bool {
+	if q.Task != holisticim.TaskSelect || len(q.Ks) < 2 {
 		return false
 	}
-	switch holisticim.Algorithm(req.Algorithm) {
+	switch q.Algorithm {
 	case holisticim.AlgTIMPlus, holisticim.AlgIMM:
 	default:
 		return false
 	}
-	if req.Options.TIMThetaCap != 0 {
+	o := q.Options
+	if o.TIMThetaCap != 0 {
 		return false // a θ cap opts out of sketches on the replica side
 	}
-	return rt.mem.hasSketch(req.Graph, semantics, resolved.Epsilon, resolved.Seed)
+	return rt.mem.hasSketch(graph, o.Model.RRSemantics(), o.Epsilon, o.Seed)
 }
 
 // memberOutcome is one scattered member's result.

@@ -7,10 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// Cache is a thread-safe LRU over completed results — v1 selection
-// results and v2 query answers — keyed by the canonical request
-// fingerprint. Selections are deterministic given
-// the fingerprint (it includes the master seed), so entries only go
+// Cache is a thread-safe LRU over completed query answers, keyed by the
+// canonical request fingerprint. Answers are deterministic given the
+// fingerprint (it includes the master seed), so entries only go
 // stale when a graph name is rebound to different content — the server
 // then drops that graph's entries via DropPrefix; nothing else ever
 // invalidates.
@@ -25,7 +24,7 @@ type Cache struct {
 
 type cacheItem struct {
 	key string
-	res any
+	res *QueryAnswer
 }
 
 // NewCache returns an LRU holding at most capacity results. capacity <= 0
@@ -39,7 +38,7 @@ func NewCache(capacity int) *Cache {
 }
 
 // Get returns the cached result for key, marking it most recently used.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key string) (*QueryAnswer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -54,7 +53,7 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // Add inserts (or refreshes) a result, evicting the least recently used
 // entry when over capacity.
-func (c *Cache) Add(key string, res any) {
+func (c *Cache) Add(key string, res *QueryAnswer) {
 	if c.capacity <= 0 {
 		return
 	}

@@ -13,7 +13,7 @@ func TestCacheHitAndMiss(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	want := &SelectResult{Algorithm: "stub", Seeds: []int32{1, 2}}
+	want := answerOf(SelectResult{Algorithm: "stub", Seeds: []int32{1, 2}})
 	c.Add("a", want)
 	got, ok := c.Get("a")
 	if !ok || got != want {
@@ -26,10 +26,10 @@ func TestCacheHitAndMiss(t *testing.T) {
 
 func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(2)
-	c.Add("a", &SelectResult{})
-	c.Add("b", &SelectResult{})
+	c.Add("a", &QueryAnswer{})
+	c.Add("b", &QueryAnswer{})
 	c.Get("a") // a becomes most recently used
-	c.Add("c", &SelectResult{})
+	c.Add("c", &QueryAnswer{})
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted as LRU")
 	}
@@ -46,20 +46,20 @@ func TestCacheEvictsLRU(t *testing.T) {
 
 func TestCacheRefreshExistingKey(t *testing.T) {
 	c := NewCache(2)
-	c.Add("a", &SelectResult{Algorithm: "v1"})
-	c.Add("a", &SelectResult{Algorithm: "v2"})
+	c.Add("a", answerOf(SelectResult{Algorithm: "v1"}))
+	c.Add("a", answerOf(SelectResult{Algorithm: "v2"}))
 	if c.Len() != 1 {
 		t.Fatalf("Len() = %d, want 1", c.Len())
 	}
 	got, _ := c.Get("a")
-	if got.(*SelectResult).Algorithm != "v2" {
-		t.Fatalf("refresh kept old value %q", got.(*SelectResult).Algorithm)
+	if got.soleResult().Algorithm != "v2" {
+		t.Fatalf("refresh kept old value %q", got.soleResult().Algorithm)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
-	c.Add("a", &SelectResult{})
+	c.Add("a", &QueryAnswer{})
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("capacity-0 cache should never hit")
 	}
@@ -68,7 +68,7 @@ func TestCacheDisabled(t *testing.T) {
 // selectKey builds the production cache key for a one-member v1-style
 // select, through the same path prepareQuery uses.
 func selectKey(graph, alg string, k int, o Options) string {
-	q := QueryRequest{Graph: graph, Task: "select", Algorithm: alg, K: k, Options: o}.toQuery()
+	q := QueryRequest{Graph: graph, Task: "select", Algorithm: alg, K: k, Options: o}.Query()
 	return queryKey(graph, q, 0)
 }
 
@@ -94,7 +94,7 @@ func TestFingerprintStability(t *testing.T) {
 	}
 	// The rebind generation separates keys while keeping the graph prefix
 	// DropPrefix matches on.
-	genKey := queryKey("g", QueryRequest{Graph: "g", Task: "select", Algorithm: "easyim", K: 10}.toQuery(), 3)
+	genKey := queryKey("g", QueryRequest{Graph: "g", Task: "select", Algorithm: "easyim", K: 10}.Query(), 3)
 	if genKey == zero || !strings.HasPrefix(genKey, "graph=g;") {
 		t.Fatalf("generation-fenced key %q", genKey)
 	}
@@ -116,14 +116,14 @@ func TestFingerprintStability(t *testing.T) {
 }
 
 // TestFingerprintMatchesLibrary ensures the production cache key and the
-// library Options.Fingerprint produce identical canonical strings for a
+// library Query.Fingerprint produce identical canonical strings for a
 // single-k select, so out-of-process callers can precompute keys with
 // the public API — and so v1 and v2 requests share entries.
 func TestFingerprintMatchesLibrary(t *testing.T) {
 	o := Options{Model: "oi-ic", Lambda: 2, MCRuns: 300, Seed: 9}
-	libFP := holisticim.Options{
+	libFP := holisticim.Query{Algorithm: holisticim.AlgOSIM, K: 5, Options: holisticim.Options{
 		Model: "oi-ic", Lambda: 2, MCRuns: 300, Seed: 9,
-	}.Fingerprint(holisticim.AlgOSIM, 5)
+	}}.Fingerprint()
 	want := fmt.Sprintf("graph=g;%s", libFP)
 	if got := selectKey("g", "osim", 5, o); got != want {
 		t.Fatalf("key %q != %q", got, want)
@@ -131,7 +131,7 @@ func TestFingerprintMatchesLibrary(t *testing.T) {
 	// The batch form extends the same canonical family without colliding
 	// with any single-k key.
 	batch := queryKey("g", QueryRequest{Graph: "g", Task: "select", Algorithm: "osim",
-		Ks: []int{5, 10}, Options: o}.toQuery(), 0)
+		Ks: []int{5, 10}, Options: o}.Query(), 0)
 	if batch == want || !strings.HasPrefix(batch, "graph=g;") {
 		t.Fatalf("batch key %q", batch)
 	}

@@ -206,20 +206,15 @@ func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // preparedQuery is the outcome of the shared admission path every
-// selection/estimation surface (v1 select, v1 estimate, /v2/query) runs:
-// the resolved graph and rebind generation, the normalized library Query
-// with any matching registered sketch attached, the planner's routing
-// decision, and the generation-fenced cache/dedup key.
+// selection/estimation surface runs: the resolved graph and rebind
+// generation, the normalized library Query with any matching registered
+// sketch attached, the planner's routing decision, and the
+// generation-fenced cache/dedup key.
 type preparedQuery struct {
-	graph string
-	g     *holisticim.Graph
-	gen   uint64
-	q     holisticim.Query
-	task  holisticim.Task
-	ks    []int // select: normalized budgets, in member order
-	kmax  int
-	plan  Plan
-	key   string
+	g    *holisticim.Graph
+	q    holisticim.Query // normalized: task, objective, Ks and defaults resolved
+	plan Plan
+	key  string
 	// priority is the query's service class, derived from the worst
 	// backend across the plan's steps (one cold member makes the whole
 	// job batch); a client's X-Priority header may demote it further.
@@ -230,15 +225,14 @@ type preparedQuery struct {
 	// when a worker picks the job up, so time spent queued counts — and
 	// the job manager can shed jobs that would expire while queued.
 	deadline time.Time
-	lambda   float64 // resolved λ, for estimate member JSON
 }
 
 // prepareQuery validates req against the registry, attaches the matching
 // registered sketch (the planner decides whether it serves), plans the
 // query and applies the service's admission caps. estimateCap is the MC
-// budget bound for estimate tasks (the synchronous v1 path and the async
-// v2 path are capped differently); sketch-served estimates are exempt
-// from a budget they never spend.
+// budget bound for estimate tasks (the synchronous /v1/estimate and the
+// async job path are capped differently); sketch-served estimates are
+// exempt from a budget they never spend.
 func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery, *apiError) {
 	// Graph and rebind generation are read atomically: the generation is
 	// folded into the cache/dedup key, so work computed against this
@@ -252,20 +246,11 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 	if req.TimeoutMS < 0 {
 		return nil, errf(http.StatusBadRequest, "negative timeout_ms %d", req.TimeoutMS)
 	}
-	q := req.toQuery()
-
-	// Infer the task the same way the planner will, to validate seed sets
-	// and pick the sketch key's model resolution.
-	task := q.Task
-	if task == "" {
-		if len(q.SeedSets) > 0 {
-			task = holisticim.TaskEstimate
-		} else {
-			task = holisticim.TaskSelect
-		}
+	q, err := req.Query().Normalized()
+	if err != nil {
+		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
-	opinionAware := false
-	if task == holisticim.TaskEstimate {
+	if q.Task == holisticim.TaskEstimate {
 		for _, set := range q.SeedSets {
 			if len(set) == 0 {
 				return nil, errf(http.StatusBadRequest, "empty seed set")
@@ -276,20 +261,16 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 				}
 			}
 		}
-		obj := q.Objective
-		if obj == "" && q.Options.Model.OpinionAware() {
-			obj = holisticim.ObjectiveOpinion
-		}
-		opinionAware = obj == holisticim.ObjectiveOpinion
 	}
 
 	// Attach the registered sketch matching the resolved (graph, RR
-	// semantics, ε, seed) — through the same canonicalization helpers the
-	// builder resolves, so a `{}` request hits a spelled-out default
-	// sketch. Whether it actually serves is the planner's call (θ caps,
-	// objective and kind mismatches all opt out there).
-	resolved := q.Options.Resolved(opinionAware)
-	if idx := s.sketches.Lookup(req.Graph, resolved.Model.RRSemantics(), resolved.Epsilon, resolved.Seed); idx != nil {
+	// semantics, ε, seed) — the normalized options went through the same
+	// canonicalization the builder keys by, so a `{}` request hits a
+	// spelled-out default sketch. Whether it actually serves is the
+	// planner's call (θ caps, objective and kind mismatches all opt out
+	// there).
+	o := q.Options
+	if idx := s.sketches.Lookup(req.Graph, o.Model.RRSemantics(), o.Epsilon, o.Seed); idx != nil {
 		q.Options.Sketch = idx
 	}
 
@@ -304,28 +285,25 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 
 	// Validate the defaults-resolved budget, not the raw field: omitted
 	// mc_runs resolves to the paper's 10000, which must still fit.
-	switch task {
+	switch q.Task {
 	case holisticim.TaskSelect:
-		if resolved.MCRuns > s.cfg.MaxSelectRuns {
+		if o.MCRuns > s.cfg.MaxSelectRuns {
 			return nil, errf(http.StatusBadRequest,
-				"mc_runs %d exceeds the selection cap %d", resolved.MCRuns, s.cfg.MaxSelectRuns)
+				"mc_runs %d exceeds the selection cap %d", o.MCRuns, s.cfg.MaxSelectRuns)
 		}
 	case holisticim.TaskEstimate:
-		if !plan.SketchOnly() && resolved.MCRuns > estimateCap {
+		if !plan.SketchOnly() && o.MCRuns > estimateCap {
 			return nil, errf(http.StatusBadRequest,
-				"mc_runs %d exceeds the estimate cap %d", resolved.MCRuns, estimateCap)
+				"mc_runs %d exceeds the estimate cap %d", o.MCRuns, estimateCap)
 		}
 	}
 
 	p := &preparedQuery{
-		graph:   req.Graph,
 		g:       g,
-		gen:     gen,
 		q:       q,
-		task:    task,
 		plan:    plan,
+		key:     queryKey(req.Graph, q, gen),
 		timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		lambda:  resolved.Lambda,
 	}
 	for _, step := range plan.Steps {
 		p.priority = admission.Worst(p.priority, admission.ForBackend(string(step.Backend)))
@@ -333,19 +311,6 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 	if p.timeout > 0 {
 		p.deadline = time.Now().Add(p.timeout)
 	}
-	if task == holisticim.TaskSelect {
-		if len(q.Ks) > 0 {
-			p.ks = q.Ks
-		} else {
-			p.ks = []int{q.K}
-		}
-		for _, k := range p.ks {
-			if k > p.kmax {
-				p.kmax = k
-			}
-		}
-	}
-	p.key = queryKey(req.Graph, q, gen)
 	return p, nil
 }
 
@@ -362,175 +327,32 @@ func queryKey(graph string, q holisticim.Query, gen uint64) string {
 	return key
 }
 
-// runPrepared executes a prepared query synchronously under the request
-// context (plus the per-request timeout).
-func (s *Server) runPrepared(ctx context.Context, p *preparedQuery) (holisticim.Answer, error) {
+// runSync executes a prepared query on the request path, under the
+// request context plus the per-request timeout: the route of plans a
+// sketch fully serves (milliseconds instead of a sampling job) and of
+// the synchronous /v1/estimate. Sync answers stay out of the result
+// cache: a sketch-backed and a cold run may pick different (equally
+// valid) seeds, and one fingerprint must never alias the two.
+func (s *Server) runSync(ctx context.Context, p *preparedQuery) (*QueryAnswer, error) {
 	if p.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.timeout)
 		defer cancel()
 	}
-	return s.queryFn(ctx, p.g, p.q)
-}
-
-// cachedAnswer views a cache entry as a QueryAnswer, wrapping legacy
-// *SelectResult entries (sketch-build job results never enter the cache).
-func cachedAnswer(v any, p *preparedQuery) *QueryAnswer {
-	switch e := v.(type) {
-	case *QueryAnswer:
-		return e
-	case *SelectResult:
-		return &QueryAnswer{
-			Task:    string(holisticim.TaskSelect),
-			Plan:    p.plan,
-			Members: []QueryMember{{K: p.kmax, Result: e}},
-		}
-	}
-	return nil
-}
-
-// handleSelect is the v1 selection surface, a shim over the planner: the
-// request becomes a one-member select Query, PlanQuery routes it
-// (sketch-only plans answer synchronously), and everything else runs as
-// an async job keyed by the query fingerprint.
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	var req SelectRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	p, aerr := s.prepareQuery(QueryRequest{
-		Graph:     req.Graph,
-		Task:      string(holisticim.TaskSelect),
-		Algorithm: req.Algorithm,
-		K:         req.K,
-		Options:   req.Options,
-		TimeoutMS: req.TimeoutMS,
-	}, s.cfg.MaxEstimateRuns)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	p.priority = admission.Demote(p.priority, r.Header.Get(admission.PriorityHeader))
-
-	// Sketch-served plans run on the request path — milliseconds instead
-	// of a sampling job. Sketch results stay out of the LRU cache: a
-	// sketch-backed and a cold run may pick different (equally valid)
-	// seeds, and one fingerprint must never alias the two.
-	if p.plan.SketchOnly() {
-		start := time.Now()
-		ans, err := s.runPrepared(r.Context(), p)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		s.sketchHits.Add(1)
-		s.observeBackend(p.planBackend(), time.Since(start).Seconds())
-		sr := toSelectResult(*ans.Members[0].Result)
-		writeJSON(w, http.StatusOK, SelectResponse{
-			State: StateDone, Sketch: true, Result: sr,
-			SeedsDone: len(sr.Seeds), K: p.kmax,
-		})
-		return
-	}
-
-	if v, ok := s.cache.Get(p.key); ok {
-		if qa := cachedAnswer(v, p); qa != nil && len(qa.Members) == 1 && qa.Members[0].Result != nil {
-			res := qa.Members[0].Result
-			writeJSON(w, http.StatusOK, SelectResponse{
-				State: StateDone, Cached: true, Result: res, SeedsDone: len(res.Seeds), K: p.kmax,
-			})
-			return
-		}
-	}
-
-	job, created, err := s.submitSelectJob(p)
+	start := time.Now()
+	ans, err := s.queryFn(ctx, p.g, p.q)
 	if err != nil {
-		s.writeSubmitError(w, err, p.priority)
-		return
+		return nil, err
 	}
-	resp := job.Status()
-	resp.Deduped = !created
-	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// submitSelectJob enqueues a one-member v1 selection as an async job. The
-// computation goes through s.selectFn (the single-selection hook tests
-// stub), which is itself a thin wrapper over the planner's Run.
-func (s *Server) submitSelectJob(p *preparedQuery) (*Job, bool, error) {
-	g, k, alg := p.g, p.kmax, p.q.Algorithm
-	opts := p.q.Options
-	deadline := p.deadline
-	key := p.key
-	plan := p.plan
-	backend := p.planBackend()
-	spec := JobSpec{
-		Key: key, K: k, Members: 1, MemberKs: p.ks, Plan: &plan,
-		Priority:    p.priority,
-		ExpectedRun: time.Duration(s.costs.Estimate(backend) * float64(time.Second)),
-		Deadline:    deadline,
-	}
-	return s.jobs.SubmitQuery(spec, func(ctx context.Context, report func(int)) (any, error) {
-		if !deadline.IsZero() {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
+	if p.plan.SketchOnly() {
+		if p.q.Task == holisticim.TaskSelect {
+			s.sketchHits.Add(1)
+		} else {
+			s.sketchEstimates.Add(1)
 		}
-		opts := opts // per-job copy: Progress must not leak into shared state
-		opts.Progress = func(seedIdx int, seed holisticim.NodeID, elapsed time.Duration) {
-			report(seedIdx + 1)
-		}
-		start := time.Now()
-		res, err := s.selectFn(ctx, g, k, alg, opts)
-		payload := &QueryAnswer{
-			Task:    string(holisticim.TaskSelect),
-			Plan:    plan,
-			Members: []QueryMember{{K: k, Result: toSelectResult(res)}},
-			TookMS:  float64(time.Since(start)) / float64(time.Millisecond),
-		}
-		if err != nil {
-			if res.Partial {
-				// Surface whatever prefix was selected before the stop so a
-				// cancelled/timed-out job still reports useful work.
-				return payload, err
-			}
-			return nil, err
-		}
-		s.selections.Add(1)
-		s.observeBackend(backend, time.Since(start).Seconds())
-		s.cache.Add(key, payload)
-		return payload, nil
-	})
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.jobs.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
-}
-
-// handleCancelJob cancels a queued or running job. Cancelling is
-// idempotent — repeating the DELETE answers 200 with the job's current
-// state — but a job that already completed (done/failed) answers 409,
-// since its outcome can no longer be revoked.
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, accepted, ok := s.jobs.Cancel(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return
-	}
-	if !accepted {
-		writeJSON(w, http.StatusConflict, job.Status())
-		return
-	}
-	writeJSON(w, http.StatusOK, job.Status())
+	s.observeBackend(p.planBackend(), time.Since(start).Seconds())
+	return toQueryAnswer(p, ans), nil
 }
 
 func (s *Server) handleListSketches(w http.ResponseWriter, r *http.Request) {
@@ -635,7 +457,7 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 	key := "sketchbuild:" + sketchID(graphName, semantics, epsilon, seed)
 	// Sketch builds are heavyweight index construction: batch class, so
 	// a build can never queue ahead of serving work.
-	job, created, err := s.jobs.SubmitQuery(JobSpec{Key: key, Priority: admission.Batch}, func(ctx context.Context, report func(int)) (any, error) {
+	job, created, err := s.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		start := time.Now()
 		idx, err := holisticim.BuildSketch(ctx, g, opts)
 		if err != nil {
@@ -662,60 +484,29 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 			s.sketches.Evict(id)
 			return nil, fmt.Errorf("service: graph %q changed during the sketch build", graphName)
 		}
+		// A build answers as a one-member summary, so job pollers on either
+		// prefix see it like any other finished job.
 		st := idx.Stats()
-		return &SelectResult{
-			Algorithm: "sketch-build",
-			TookMS:    float64(time.Since(start)) / float64(time.Millisecond),
-			Metrics: map[string]float64{
-				"sets":         float64(st.Sets),
-				"memory_bytes": float64(st.MemoryBytes),
-			},
+		took := float64(time.Since(start)) / float64(time.Millisecond)
+		return &QueryAnswer{
+			Task: string(holisticim.TaskSelect),
+			Members: []QueryMember{{Result: &SelectResult{
+				Algorithm: "sketch-build",
+				TookMS:    took,
+				Metrics: map[string]float64{
+					"sets":         float64(st.Sets),
+					"memory_bytes": float64(st.MemoryBytes),
+				},
+			}}},
+			TookMS: took,
 		}, nil
 	})
 	if err != nil {
 		s.writeSubmitError(w, err, admission.Batch)
 		return
 	}
-	resp := job.Status()
+	snap := job.Snapshot()
+	resp := selectResponseOf(queryResponseOf(snap), snap.K)
 	resp.Deduped = !created
 	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// handleEstimate is the v1 estimate surface, a shim over the planner: a
-// one-member estimate Query runs synchronously on the request path (the
-// request context bounds it — a client that disconnects stops paying for
-// simulations it will never read), served from an opinion-weighted
-// sketch when the plan says so.
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	var req EstimateRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	p, aerr := s.prepareQuery(QueryRequest{
-		Graph:   req.Graph,
-		Task:    string(holisticim.TaskEstimate),
-		Seeds:   req.Seeds,
-		Options: req.Options,
-	}, s.cfg.MaxEstimateRuns)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	sketchServed := p.plan.SketchOnly()
-	start := time.Now()
-	ans, err := s.runPrepared(r.Context(), p)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if sketchServed {
-		s.sketchEstimates.Add(1)
-	}
-	s.observeBackend(p.planBackend(), time.Since(start).Seconds())
-	res := toEstimateResult(*ans.Members[0].Estimate, p.lambda, sketchServed)
-	res.TookMS = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, res)
 }

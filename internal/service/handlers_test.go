@@ -34,6 +34,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// selectStub adapts a single-selection stub onto queryFn, the server's
+// one computation hook: it answers one-member select queries through fn,
+// wrapping the result the way holisticim.Run wraps a selector's.
+func selectStub(fn func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error)) func(context.Context, *holisticim.Graph, holisticim.Query) (holisticim.Answer, error) {
+	return func(ctx context.Context, g *holisticim.Graph, q holisticim.Query) (holisticim.Answer, error) {
+		res, err := fn(ctx, g, q.Ks[0], q.Algorithm, q.Options)
+		return holisticim.Answer{Members: []holisticim.Member{{K: q.Ks[0], Result: &res}}}, err
+	}
+}
+
 func doJSON(t *testing.T, method, url string, body any, out any) int {
 	t.Helper()
 	var rd io.Reader
@@ -150,11 +160,11 @@ func TestSelectInflightDedup(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	release := make(chan struct{})
 	var calls atomic.Int64
-	s.selectFn = func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
+	s.queryFn = selectStub(func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
 		calls.Add(1)
 		<-release
 		return holisticim.Result{Algorithm: "stub", Seeds: make([]int32, k)}, nil
-	}
+	})
 
 	req := SelectRequest{Graph: "g", Algorithm: "degree", K: 3}
 	var first SelectResponse
@@ -242,11 +252,11 @@ func TestSelectQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	var started atomic.Int64
-	s.selectFn = func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
+	s.queryFn = selectStub(func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
 		started.Add(1)
 		<-release
 		return holisticim.Result{Seeds: make([]int32, k)}, nil
-	}
+	})
 	post := func(seed uint64) int {
 		var out map[string]any
 		return doJSON(t, "POST", ts.URL+"/v1/select",
@@ -482,19 +492,19 @@ func TestConcurrentSelects(t *testing.T) {
 	}
 }
 
-// blockingSelectFn installs a selectFn stub that signals when it starts
+// blockingSelectFn installs a selection stub that signals when it starts
 // and then blocks until its context is cancelled, returning a canonical
 // partial result — the shape every cancellation path sees.
 func blockingSelectFn(s *Server) (started chan string, unblocked *atomic.Int64) {
 	started = make(chan string, 16)
 	unblocked = &atomic.Int64{}
-	s.selectFn = func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
+	s.queryFn = selectStub(func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
 		started <- "started"
 		<-ctx.Done()
 		unblocked.Add(1)
 		return holisticim.Result{Algorithm: "stub", Seeds: []int32{0}, Partial: true},
 			fmt.Errorf("stub interrupted: %w", ctx.Err())
-	}
+	})
 	return started, unblocked
 }
 
@@ -531,12 +541,12 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("canceled job should retain the partial result: %+v", done.Result)
 	}
 	if got := unblocked.Load(); got != 1 {
-		t.Fatalf("selectFn unblocked %d times, want 1", got)
+		t.Fatalf("selection stub unblocked %d times, want 1", got)
 	}
 
 	// The freed worker slot must pick up fresh work: a different request
 	// (distinct fingerprint) completes normally.
-	s.selectFn = holisticim.SelectSeedsContext
+	s.queryFn = holisticim.Run
 	var second SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
 		SelectRequest{Graph: "g", Algorithm: "degree", K: 2}, &second); code != http.StatusAccepted {
@@ -607,11 +617,11 @@ func TestCancelQueuedJob(t *testing.T) {
 // the partial result never poisons the cache.
 func TestSelectTimeoutMS(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	s.selectFn = func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
+	s.queryFn = selectStub(func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
 		<-ctx.Done() // simulate a selection that outlives its deadline
 		return holisticim.Result{Algorithm: "stub", Seeds: []int32{0, 1}, Partial: true},
 			fmt.Errorf("stub interrupted: %w", ctx.Err())
-	}
+	})
 	req := SelectRequest{Graph: "g", Algorithm: "degree", K: 5, TimeoutMS: 30}
 	var resp SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", req, &resp); code != http.StatusAccepted {
@@ -626,8 +636,8 @@ func TestSelectTimeoutMS(t *testing.T) {
 	}
 
 	// The identical request must MISS the cache (partials are not cached)
-	// and, with a working selectFn, complete cleanly.
-	s.selectFn = holisticim.SelectSeedsContext
+	// and, with the real planner back, complete cleanly.
+	s.queryFn = holisticim.Run
 	var retry SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", req, &retry); code != http.StatusAccepted {
 		t.Fatalf("retry POST status %d (cache must not serve partials)", code)
@@ -649,7 +659,7 @@ func TestSelectTimeoutMS(t *testing.T) {
 func TestJobProgressReporting(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	release := make(chan struct{})
-	s.selectFn = func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
+	s.queryFn = selectStub(func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
 		seeds := make([]int32, 0, k)
 		for i := 0; i < k; i++ {
 			seeds = append(seeds, int32(i))
@@ -661,7 +671,7 @@ func TestJobProgressReporting(t *testing.T) {
 			}
 		}
 		return holisticim.Result{Algorithm: "stub", Seeds: seeds}, nil
-	}
+	})
 	var resp SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
 		SelectRequest{Graph: "g", Algorithm: "degree", K: 6}, &resp); code != http.StatusAccepted {

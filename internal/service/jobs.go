@@ -12,7 +12,7 @@ import (
 )
 
 // Admission errors. All three are load-shedding signals carrying a
-// retry hint (Manager.RetryAfterHint), not hard failures: handlers
+// retry hint (Manager.RetryAfterHintFor), not hard failures: handlers
 // translate ErrQueueFull to 429 and the other two to 503, each with a
 // Retry-After header, so a cluster router can tell overload (fail over
 // to another replica) from a request that is itself broken.
@@ -62,10 +62,10 @@ func (r ShedReason) String() string {
 // with the number of progress units (seeds selected, or batch members
 // estimated) completed so far to publish live progress. A cancelled or
 // failed run may still return a non-nil partial payload alongside its
-// error; the job retains it for status polling. Payloads are
-// *SelectResult (v1 selections, sketch builds) or *QueryAnswer (planner
-// queries).
-type JobFunc func(ctx context.Context, report func(seedsDone int)) (any, error)
+// error; the job retains it for status polling. Every job answers in the
+// one typed payload: planner queries return their answer, sketch builds
+// a one-member summary, repairs nil.
+type JobFunc func(ctx context.Context, report func(seedsDone int)) (*QueryAnswer, error)
 
 // Job is one asynchronous computation. Multiple requests with the same
 // fingerprint share a single Job while it is in flight.
@@ -73,7 +73,6 @@ type Job struct {
 	id     string
 	key    string
 	k      int // requested seed budget, for progress reporting
-	fn     JobFunc
 	done   chan struct{}
 	ctx    context.Context // cancelled by Cancel and by Manager.Close
 	cancel context.CancelFunc
@@ -97,9 +96,13 @@ type Job struct {
 
 	seedsDone atomic.Int64
 
-	mu          sync.Mutex
-	state       JobState
-	result      any
+	mu    sync.Mutex
+	state JobState
+	// fn is dropped the moment the job turns terminal on any path: its
+	// closure captures the graph snapshot (and sketch) the job was planned
+	// against, which the retained job record must not keep alive.
+	fn          JobFunc // guarded by mu
+	result      *QueryAnswer
 	err         error
 	cancelAsked bool // a Cancel already fired for this job
 }
@@ -119,7 +122,7 @@ type JobSnapshot struct {
 	SeedsDone   int
 	Members     int
 	MembersDone int
-	Payload     any
+	Payload     *QueryAnswer
 	Err         error
 	Plan        *Plan
 }
@@ -157,45 +160,11 @@ func (j *Job) Snapshot() JobSnapshot {
 		}
 	}
 	if j.state == StateDone {
-		if res := extractSelectResult(j.result); res != nil {
+		if res := j.result.soleResult(); res != nil {
 			s.SeedsDone = len(res.Seeds)
 		}
 	}
 	return s
-}
-
-// extractSelectResult views a job payload as a single selection result:
-// directly for *SelectResult payloads, and through the sole member of a
-// one-member select QueryAnswer — the shape every /v1/select job
-// produces — so v1 clients can poll jobs regardless of which surface
-// created them.
-func extractSelectResult(payload any) *SelectResult {
-	switch p := payload.(type) {
-	case *SelectResult:
-		return p
-	case *QueryAnswer:
-		if p != nil && p.Task == "select" && len(p.Members) == 1 {
-			return p.Members[0].Result
-		}
-	}
-	return nil
-}
-
-// Status snapshots the job as a v1 SelectResponse, including live
-// per-seed progress while the job runs.
-func (j *Job) Status() SelectResponse {
-	s := j.Snapshot()
-	resp := SelectResponse{
-		JobID:     s.ID,
-		State:     s.State,
-		K:         s.K,
-		SeedsDone: s.SeedsDone,
-		Result:    extractSelectResult(s.Payload),
-	}
-	if s.Err != nil {
-		resp.Error = s.Err.Error()
-	}
-	return resp
 }
 
 // Manager runs jobs on a bounded worker pool with a bounded queue and
@@ -294,14 +263,6 @@ func NewManager(workers, queueCap, maxJobs int) *Manager {
 	return m
 }
 
-// Submit enqueues fn under the deduplication key with the given seed
-// budget k. It returns the job and whether it was newly created (false
-// means the caller attached to an in-flight job and fn was dropped).
-// ErrQueueFull is returned when a new job cannot be queued.
-func (m *Manager) Submit(key string, k int, fn JobFunc) (*Job, bool, error) {
-	return m.SubmitQuery(JobSpec{Key: key, K: k}, fn)
-}
-
 // JobSpec describes a submission beyond its JobFunc: the dedup key, the
 // batch view (members/memberKs/plan) served by job status, the v2
 // surface and the event stream, and an optional absolute deadline that
@@ -329,10 +290,13 @@ type JobSpec struct {
 	Deadline time.Time
 }
 
-// SubmitQuery is Submit for planner queries. Deduplication is unchanged —
-// two submissions sharing a key by construction share the query, so the
-// attached batch view is identical.
-func (m *Manager) SubmitQuery(spec JobSpec, fn JobFunc) (*Job, bool, error) {
+// Submit enqueues fn under spec.Key. It returns the job and whether it
+// was newly created: false means the caller attached to an in-flight job
+// and fn was dropped — two submissions sharing a key by construction
+// share the query, so the attached batch view is identical. A new job
+// that cannot be admitted fails with ErrQueueFull, ErrPastDeadline or
+// ErrShuttingDown.
+func (m *Manager) Submit(spec JobSpec, fn JobFunc) (*Job, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if j, ok := m.inflight[spec.Key]; ok {
@@ -428,17 +392,12 @@ func (m *Manager) queueWaitLocked(p admission.Priority) time.Duration {
 	return avg * time.Duration(1+(ahead-m.workers)/m.workers)
 }
 
-// RetryAfterHint suggests how long a shed client should wait before
-// retrying: the estimated time for the full backlog to drain one slot,
-// clamped to [1s, 60s] so the header is always actionable.
-func (m *Manager) RetryAfterHint() time.Duration {
-	return m.RetryAfterHintFor(admission.Batch)
-}
-
-// RetryAfterHintFor is RetryAfterHint scoped to a service class: only
-// backlog that would dispatch ahead of class-p work counts, so an
-// interactive client shed by a batch flood is told to retry soon — the
-// flood does not block its lane.
+// RetryAfterHintFor suggests how long a shed client of service class p
+// should wait before retrying: the estimated time for the backlog that
+// would dispatch ahead of class-p work to drain one slot — so an
+// interactive client shed by a batch flood is told to retry soon, the
+// flood does not block its lane — clamped to [1s, 60s] so the header is
+// always actionable.
 func (m *Manager) RetryAfterHintFor(p admission.Priority) time.Duration {
 	m.mu.Lock()
 	wait := m.queueWaitLocked(p)
@@ -512,6 +471,7 @@ func (m *Manager) Cancel(id string) (j *Job, accepted, ok bool) {
 		j.cancelAsked = true
 		j.state = StateCanceled
 		j.err = context.Canceled
+		j.fn = nil
 		j.mu.Unlock()
 		// Free the queue slot and the dedup entry right away.
 		q := m.queues[j.priority]
@@ -609,6 +569,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		j.cancelAsked = true
 		j.state = StateCanceled
 		j.err = fmt.Errorf("%w: %w", ErrShuttingDown, context.Canceled)
+		j.fn = nil
 		j.mu.Unlock()
 		m.mu.Lock()
 		if m.inflight[j.key] == j {
@@ -690,6 +651,7 @@ func (m *Manager) run(j *Job) {
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		j.state = StateFailed
 		j.err = fmt.Errorf("%w: expired while queued", ErrPastDeadline)
+		j.fn = nil
 		j.mu.Unlock()
 		m.shed.Add(1)
 		m.shedBy[j.priority][ShedExpired].Add(1)
@@ -703,13 +665,14 @@ func (m *Manager) run(j *Job) {
 		return
 	}
 	j.state = StateRunning
+	fn := j.fn
 	j.mu.Unlock()
 	obsWait, obsRun := m.durationObservers()
 	start := time.Now()
 	if obsWait != nil {
 		obsWait(start.Sub(j.enqueuedAt).Seconds())
 	}
-	res, err := j.fn(j.ctx, func(seedsDone int) {
+	res, err := fn(j.ctx, func(seedsDone int) {
 		j.seedsDone.Store(int64(seedsDone))
 	})
 	// EWMA (α=1/4) of job runtimes feeds the queue-wait estimate. Workers
@@ -724,6 +687,7 @@ func (m *Manager) run(j *Job) {
 		m.avgRunNanos.Store(old + (sample-old)/4)
 	}
 	j.mu.Lock()
+	j.fn = nil
 	switch {
 	case err == nil:
 		j.state = StateDone

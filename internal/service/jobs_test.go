@@ -12,6 +12,18 @@ import (
 	"github.com/holisticim/holisticim/internal/admission"
 )
 
+// answerOf wraps one selection as the one-member select answer every
+// /v1/select job produces; statusOf renders a job the way GET
+// /v1/jobs/{id} does, through the production translation.
+func answerOf(res SelectResult) *QueryAnswer {
+	return &QueryAnswer{Task: "select", Members: []QueryMember{{Result: &res}}}
+}
+
+func statusOf(j *Job) SelectResponse {
+	snap := j.Snapshot()
+	return selectResponseOf(queryResponseOf(snap), snap.K)
+}
+
 func waitDone(t *testing.T, j *Job) {
 	t.Helper()
 	select {
@@ -24,14 +36,14 @@ func waitDone(t *testing.T, j *Job) {
 func TestManagerRunsJob(t *testing.T) {
 	m := NewManager(2, 8, 16)
 	defer m.Close()
-	j, created, err := m.Submit("k1", 1, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{Algorithm: "stub", Seeds: []int32{7}}, nil
+	j, created, err := m.Submit(JobSpec{Key: "k1", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{Algorithm: "stub", Seeds: []int32{7}}), nil
 	})
 	if err != nil || !created {
 		t.Fatalf("Submit: created=%v err=%v", created, err)
 	}
 	waitDone(t, j)
-	st := j.Status()
+	st := statusOf(j)
 	if st.State != StateDone || st.Result == nil || st.Result.Seeds[0] != 7 {
 		t.Fatalf("unexpected status %+v", st)
 	}
@@ -44,14 +56,14 @@ func TestManagerRunsJob(t *testing.T) {
 func TestManagerFailedJob(t *testing.T) {
 	m := NewManager(1, 8, 16)
 	defer m.Close()
-	j, _, err := m.Submit("boom", 1, func(ctx context.Context, report func(int)) (any, error) {
+	j, _, err := m.Submit(JobSpec{Key: "boom", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		return nil, errors.New("synthetic failure")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	st := j.Status()
+	st := statusOf(j)
 	if st.State != StateFailed || st.Error != "synthetic failure" {
 		t.Fatalf("unexpected status %+v", st)
 	}
@@ -62,16 +74,16 @@ func TestManagerSingleFlightDedup(t *testing.T) {
 	defer m.Close()
 	release := make(chan struct{})
 	var runs atomic.Int64
-	fn := func(ctx context.Context, report func(int)) (any, error) {
+	fn := func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		runs.Add(1)
 		<-release
-		return &SelectResult{Algorithm: "stub"}, nil
+		return answerOf(SelectResult{Algorithm: "stub"}), nil
 	}
-	j1, created1, err := m.Submit("same", 1, fn)
+	j1, created1, err := m.Submit(JobSpec{Key: "same", K: 1}, fn)
 	if err != nil || !created1 {
 		t.Fatalf("first Submit: created=%v err=%v", created1, err)
 	}
-	j2, created2, err := m.Submit("same", 1, fn)
+	j2, created2, err := m.Submit(JobSpec{Key: "same", K: 1}, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +100,8 @@ func TestManagerSingleFlightDedup(t *testing.T) {
 	}
 	// After completion the key is free again: a new submission must create
 	// a fresh job (result caching is the layer above, not the manager's).
-	j3, created3, err := m.Submit("same", 1, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	j3, created3, err := m.Submit(JobSpec{Key: "same", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	})
 	if err != nil || !created3 || j3 == j1 {
 		t.Fatalf("post-completion Submit: created=%v fresh=%v err=%v", created3, j3 != j1, err)
@@ -101,28 +113,28 @@ func TestManagerQueueFull(t *testing.T) {
 	m := NewManager(1, 1, 16)
 	defer m.Close()
 	release := make(chan struct{})
-	blocker := func(ctx context.Context, report func(int)) (any, error) {
+	blocker := func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		<-release
-		return &SelectResult{}, nil
+		return answerOf(SelectResult{}), nil
 	}
 	// First job occupies the single worker; wait until it is actually
 	// running so the queue slot is observable deterministically.
-	j1, _, err := m.Submit("a", 1, blocker)
+	j1, _, err := m.Submit(JobSpec{Key: "a", K: 1}, blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for j1.Status().State != StateRunning {
+	for statusOf(j1).State != StateRunning {
 		if time.Now().After(deadline) {
 			t.Fatal("first job never started")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	j2, _, err := m.Submit("b", 1, blocker)
+	j2, _, err := m.Submit(JobSpec{Key: "b", K: 1}, blocker)
 	if err != nil {
 		t.Fatalf("queue should hold one job: %v", err)
 	}
-	if _, _, err := m.Submit("c", 1, blocker); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := m.Submit(JobSpec{Key: "c", K: 1}, blocker); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third Submit: err=%v, want ErrQueueFull", err)
 	}
 	// A rejected submission must not poison deduplication: once the queue
@@ -131,8 +143,8 @@ func TestManagerQueueFull(t *testing.T) {
 	close(release)
 	waitDone(t, j1)
 	waitDone(t, j2)
-	j3, created, err := m.Submit("c", 1, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	j3, created, err := m.Submit(JobSpec{Key: "c", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	})
 	if err != nil || !created {
 		t.Fatalf("post-drain Submit(c): created=%v err=%v", created, err)
@@ -145,8 +157,8 @@ func TestManagerEvictsFinishedJobs(t *testing.T) {
 	defer m.Close()
 	var jobs []*Job
 	for i := 0; i < 12; i++ {
-		j, _, err := m.Submit(fmt.Sprintf("k%d", i), 1, func(ctx context.Context, report func(int)) (any, error) {
-			return &SelectResult{}, nil
+		j, _, err := m.Submit(JobSpec{Key: fmt.Sprintf("k%d", i), K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+			return answerOf(SelectResult{}), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -186,9 +198,9 @@ func TestManagerConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				key := fmt.Sprintf("key%d", (g+i)%8)
-				j, _, err := m.Submit(key, 1, func(ctx context.Context, report func(int)) (any, error) {
+				j, _, err := m.Submit(JobSpec{Key: key, K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 					runs.Add(1)
-					return &SelectResult{}, nil
+					return answerOf(SelectResult{}), nil
 				})
 				if err != nil {
 					t.Errorf("Submit: %v", err)
@@ -202,7 +214,7 @@ func TestManagerConcurrency(t *testing.T) {
 	close(jobCh)
 	for j := range jobCh {
 		waitDone(t, j)
-		if st := j.Status(); st.State != StateDone {
+		if st := statusOf(j); st.State != StateDone {
 			t.Fatalf("job %s state %s", j.ID(), st.State)
 		}
 	}
@@ -222,17 +234,17 @@ func TestManagerCancel(t *testing.T) {
 	m := NewManager(1, 8, 16)
 	defer m.Close()
 	running := make(chan struct{})
-	blocker := func(ctx context.Context, report func(int)) (any, error) {
+	blocker := func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		close(running)
 		<-ctx.Done()
-		return &SelectResult{Partial: true}, fmt.Errorf("stub: %w", ctx.Err())
+		return answerOf(SelectResult{Partial: true}), fmt.Errorf("stub: %w", ctx.Err())
 	}
-	j1, _, err := m.Submit("run", 1, blocker)
+	j1, _, err := m.Submit(JobSpec{Key: "run", K: 1}, blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-running
-	j2, _, err := m.Submit("queued", 1, func(ctx context.Context, report func(int)) (any, error) {
+	j2, _, err := m.Submit(JobSpec{Key: "queued", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		t.Error("canceled queued job must never run")
 		return nil, nil
 	})
@@ -244,7 +256,7 @@ func TestManagerCancel(t *testing.T) {
 	if _, accepted, ok := m.Cancel(j2.ID()); !accepted || !ok {
 		t.Fatalf("Cancel(queued) = accepted=%v ok=%v", accepted, ok)
 	}
-	if st := j2.Status(); st.State != StateCanceled {
+	if st := statusOf(j2); st.State != StateCanceled {
 		t.Fatalf("queued job state %q", st.State)
 	}
 	// Running: unblocks via its context, retains the partial result.
@@ -252,15 +264,15 @@ func TestManagerCancel(t *testing.T) {
 		t.Fatalf("Cancel(running) = accepted=%v ok=%v", accepted, ok)
 	}
 	waitDone(t, j1)
-	if st := j1.Status(); st.State != StateCanceled || st.Result == nil || !st.Result.Partial {
+	if st := statusOf(j1); st.State != StateCanceled || st.Result == nil || !st.Result.Partial {
 		t.Fatalf("running job after cancel: %+v", st)
 	}
 	if got := m.Canceled(); got != 2 {
 		t.Fatalf("Canceled() = %d, want 2", got)
 	}
 	// Finished jobs refuse cancellation.
-	j3, _, err := m.Submit("done", 1, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	j3, _, err := m.Submit(JobSpec{Key: "done", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +292,7 @@ func TestManagerCancel(t *testing.T) {
 func TestManagerCloseCancelsInflight(t *testing.T) {
 	m := NewManager(2, 8, 16)
 	running := make(chan struct{})
-	j, _, err := m.Submit("slow", 1, func(ctx context.Context, report func(int)) (any, error) {
+	j, _, err := m.Submit(JobSpec{Key: "slow", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		close(running)
 		<-ctx.Done() // would block forever if shutdown drained politely
 		return nil, fmt.Errorf("stub: %w", ctx.Err())
@@ -300,7 +312,7 @@ func TestManagerCloseCancelsInflight(t *testing.T) {
 		t.Fatal("Close did not cancel the in-flight job")
 	}
 	waitDone(t, j)
-	if st := j.Status(); st.State != StateCanceled {
+	if st := statusOf(j); st.State != StateCanceled {
 		t.Fatalf("job state %q after shutdown, want canceled", st.State)
 	}
 }
@@ -312,23 +324,23 @@ func TestJobProgressCounter(t *testing.T) {
 	defer m.Close()
 	mid := make(chan struct{})
 	release := make(chan struct{})
-	j, _, err := m.Submit("prog", 4, func(ctx context.Context, report func(int)) (any, error) {
+	j, _, err := m.Submit(JobSpec{Key: "prog", K: 4}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		report(2)
 		close(mid)
 		<-release
 		report(4)
-		return &SelectResult{Seeds: []int32{0, 1, 2, 3}}, nil
+		return answerOf(SelectResult{Seeds: []int32{0, 1, 2, 3}}), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-mid
-	if st := j.Status(); st.SeedsDone != 2 || st.K != 4 {
+	if st := statusOf(j); st.SeedsDone != 2 || st.K != 4 {
 		t.Fatalf("mid-run status %+v, want seeds_done=2 k=4", st)
 	}
 	close(release)
 	waitDone(t, j)
-	if st := j.Status(); st.State != StateDone || st.SeedsDone != 4 {
+	if st := statusOf(j); st.State != StateDone || st.SeedsDone != 4 {
 		t.Fatalf("final status %+v", st)
 	}
 }
@@ -342,23 +354,23 @@ func TestCancelFreesQueueSlot(t *testing.T) {
 	running := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, _, err := m.Submit("busy", 1, func(ctx context.Context, report func(int)) (any, error) {
+	if _, _, err := m.Submit(JobSpec{Key: "busy", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		close(running)
 		<-release
-		return &SelectResult{}, nil
+		return answerOf(SelectResult{}), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-running
-	queued, _, err := m.Submit("q1", 1, func(ctx context.Context, report func(int)) (any, error) {
+	queued, _, err := m.Submit(JobSpec{Key: "q1", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		t.Error("canceled queued job must never run")
 		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Submit("q2", 1, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	if _, _, err := m.Submit(JobSpec{Key: "q2", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("queue should be full before cancel: err=%v", err)
 	}
@@ -366,8 +378,8 @@ func TestCancelFreesQueueSlot(t *testing.T) {
 		t.Fatalf("Cancel(queued) accepted=%v ok=%v", accepted, ok)
 	}
 	// The slot is free right now — no worker had to drain a tombstone.
-	replacement, created, err := m.Submit("q2", 1, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	replacement, created, err := m.Submit(JobSpec{Key: "q2", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	})
 	if err != nil || !created {
 		t.Fatalf("post-cancel Submit: created=%v err=%v", created, err)
@@ -383,10 +395,10 @@ func TestManagerPriorityOrder(t *testing.T) {
 	defer m.Close()
 	running := make(chan struct{})
 	release := make(chan struct{})
-	if _, _, err := m.Submit("blocker", 1, func(ctx context.Context, report func(int)) (any, error) {
+	if _, _, err := m.Submit(JobSpec{Key: "blocker", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		close(running)
 		<-release
-		return &SelectResult{}, nil
+		return answerOf(SelectResult{}), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +407,11 @@ func TestManagerPriorityOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	record := func(name string) JobFunc {
-		return func(ctx context.Context, report func(int)) (any, error) {
+		return func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
-			return &SelectResult{}, nil
+			return answerOf(SelectResult{}), nil
 		}
 	}
 	var jobs []*Job
@@ -412,7 +424,7 @@ func TestManagerPriorityOrder(t *testing.T) {
 		{"standard1", admission.Standard},
 		{"interactive1", admission.Interactive},
 	} {
-		j, _, err := m.SubmitQuery(JobSpec{Key: sub.name, Priority: sub.prio}, record(sub.name))
+		j, _, err := m.Submit(JobSpec{Key: sub.name, Priority: sub.prio}, record(sub.name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,22 +454,22 @@ func TestManagerShedReasons(t *testing.T) {
 	running := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, _, err := m.Submit("busy", 1, func(ctx context.Context, report func(int)) (any, error) {
+	if _, _, err := m.Submit(JobSpec{Key: "busy", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		close(running)
 		<-release
-		return &SelectResult{}, nil
+		return answerOf(SelectResult{}), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-running
-	if _, _, err := m.SubmitQuery(JobSpec{Key: "fill", Priority: admission.Batch}, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	if _, _, err := m.Submit(JobSpec{Key: "fill", Priority: admission.Batch}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Queue full: the single slot is taken.
-	_, _, err := m.SubmitQuery(JobSpec{Key: "over", Priority: admission.Batch}, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	_, _, err := m.Submit(JobSpec{Key: "over", Priority: admission.Batch}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
@@ -476,12 +488,12 @@ func TestManagerShedReasons(t *testing.T) {
 func TestManagerExpectedRunShed(t *testing.T) {
 	m := NewManager(2, 8, 16)
 	defer m.Close()
-	_, _, err := m.SubmitQuery(JobSpec{
+	_, _, err := m.Submit(JobSpec{
 		Key:         "doomed",
 		Priority:    admission.Batch,
 		ExpectedRun: 10 * time.Second,
 		Deadline:    time.Now().Add(50 * time.Millisecond),
-	}, func(ctx context.Context, report func(int)) (any, error) {
+	}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		t.Error("a shed job must never run")
 		return nil, nil
 	})
@@ -493,15 +505,92 @@ func TestManagerExpectedRunShed(t *testing.T) {
 	}
 	// The same spec without the prediction is admitted: the pool is cold,
 	// so queue wait alone never sheds.
-	j, created, err := m.SubmitQuery(JobSpec{
+	j, created, err := m.Submit(JobSpec{
 		Key:      "hopeful",
 		Priority: admission.Batch,
 		Deadline: time.Now().Add(50 * time.Millisecond),
-	}, func(ctx context.Context, report func(int)) (any, error) {
-		return &SelectResult{}, nil
+	}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{}), nil
 	})
 	if err != nil || !created {
 		t.Fatalf("cold-pool submission: created=%v err=%v", created, err)
 	}
 	waitDone(t, j)
+}
+
+// TestTerminalJobDropsItsFunc is the regression test for retained job
+// records pinning graph snapshots: a JobFunc closes over the graph (and
+// sketch) its query was planned against, and up to MaxJobs finished
+// records stay pollable, so every path into a terminal state — ran,
+// canceled while queued, expired at dequeue, canceled by shutdown — must
+// drop the func.
+func TestTerminalJobDropsItsFunc(t *testing.T) {
+	noop := func(ctx context.Context, report func(int)) (*QueryAnswer, error) { return nil, nil }
+	dropped := func(j *Job) bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.fn == nil
+	}
+	// busy occupies the single worker so later submissions stay queued.
+	busy := func(m *Manager) (release chan struct{}) {
+		running, release := make(chan struct{}), make(chan struct{})
+		if _, _, err := m.Submit(JobSpec{Key: "busy"}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+			close(running)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		<-running
+		return release
+	}
+	cases := []struct {
+		name string
+		end  func(m *Manager) *Job // drives one job to a terminal state
+		want JobState
+	}{
+		{"ran", func(m *Manager) *Job {
+			j, _, _ := m.Submit(JobSpec{Key: "ran"}, noop)
+			return j
+		}, StateDone},
+		{"canceled while queued", func(m *Manager) *Job {
+			defer close(busy(m))
+			j, _, _ := m.Submit(JobSpec{Key: "queued"}, noop)
+			m.Cancel(j.ID())
+			return j
+		}, StateCanceled},
+		{"expired at dequeue", func(m *Manager) *Job {
+			release := busy(m)
+			j, _, _ := m.Submit(JobSpec{Key: "late", Deadline: time.Now().Add(20 * time.Millisecond)}, noop)
+			time.Sleep(40 * time.Millisecond)
+			close(release)
+			return j
+		}, StateFailed},
+		{"canceled by shutdown", func(m *Manager) *Job {
+			defer close(busy(m))
+			j, _, _ := m.Submit(JobSpec{Key: "drained"}, noop)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel() // no drain budget: queued jobs are canceled either way
+			_ = m.Shutdown(ctx)
+			return j
+		}, StateCanceled},
+	}
+	for _, tc := range cases {
+		m := NewManager(1, 4, 16)
+		j := tc.end(m)
+		if j == nil {
+			t.Fatalf("%s: submission refused", tc.name)
+		}
+		waitDone(t, j)
+		if st := j.Snapshot().State; st != tc.want {
+			t.Errorf("%s: state %s, want %s", tc.name, st, tc.want)
+		}
+		if !dropped(j) {
+			t.Errorf("%s: terminal job still holds its JobFunc (and everything it captured)", tc.name)
+		}
+		m.Close()
+	}
 }

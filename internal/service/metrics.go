@@ -90,7 +90,7 @@ func (s *Server) initObservability() {
 	// Selections and queries.
 	m.CounterFunc("im_selections_total", "Selections actually computed.",
 		func() float64 { return float64(s.selections.Load()) })
-	m.CounterFunc("im_queries_total", "/v2 query jobs run to completion.",
+	m.CounterFunc("im_queries_total", "Query jobs run to completion (either surface).",
 		func() float64 { return float64(s.queries.Load()) })
 	s.queryDur = m.HistogramVec("im_query_duration_seconds",
 		"End-to-end query latency in seconds, by serving backend.",

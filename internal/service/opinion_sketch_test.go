@@ -206,11 +206,11 @@ func TestInFlightJobFencedByReplacement(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var startedOnce sync.Once
-	s.selectFn = func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
+	s.queryFn = selectStub(func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error) {
 		startedOnce.Do(func() { close(started) })
 		<-release
 		return holisticim.Result{Algorithm: string(alg), Seeds: []int32{1, 2}}, nil
-	}
+	})
 
 	req := SelectRequest{Graph: "f", Algorithm: "degree", K: 2}
 	var first SelectResponse

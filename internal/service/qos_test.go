@@ -72,8 +72,8 @@ func blockWorkers(t *testing.T, s *Server, n int) chan struct{} {
 	t.Helper()
 	gate := make(chan struct{})
 	for i := 0; i < n; i++ {
-		_, created, err := s.jobs.Submit("qos-blocker-"+strconv.Itoa(i), 1,
-			func(ctx context.Context, report func(int)) (any, error) {
+		_, created, err := s.jobs.Submit(JobSpec{Key: "qos-blocker-" + strconv.Itoa(i), K: 1},
+			func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 				select {
 				case <-gate:
 				case <-ctx.Done():
@@ -118,8 +118,8 @@ func TestRejectionEnvelopeQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
 	gate := blockWorkers(t, s, 1)
 	defer close(gate)
-	if _, created, err := s.jobs.Submit("qos-filler", 1,
-		func(ctx context.Context, report func(int)) (any, error) { return nil, nil }); err != nil || !created {
+	if _, created, err := s.jobs.Submit(JobSpec{Key: "qos-filler", K: 1},
+		func(ctx context.Context, report func(int)) (*QueryAnswer, error) { return nil, nil }); err != nil || !created {
 		t.Fatalf("filler: created=%v err=%v", created, err)
 	}
 

@@ -1,10 +1,10 @@
 package service
 
-// This file implements the /v2 surface: one typed query endpoint over
-// the library's planner (POST /v2/query, single and batch, plan included
-// in every response), job status/cancel in the v2 shape and NDJSON/SSE
-// progress streaming (GET /v2/jobs/{id}/events). The /v1 routes are
-// shims over the same planner; /v2 adds batch execution and streaming.
+// This file is the one execution path of the serving stack and its
+// native /v2 surface: POST /v2/query (single and batch, plan included in
+// every response), job status/cancel and NDJSON/SSE progress streaming
+// (GET /v2/jobs/{id}/events). The /v1 routes in v1.go translate onto the
+// same path.
 
 import (
 	"context"
@@ -21,7 +21,7 @@ import (
 // members report whether their own plan step was sketch-served.
 func toQueryAnswer(p *preparedQuery, ans holisticim.Answer) *QueryAnswer {
 	qa := &QueryAnswer{
-		Task:    string(p.task),
+		Task:    string(p.q.Task),
 		Plan:    ans.Plan,
 		Members: make([]QueryMember, 0, len(ans.Members)),
 		TookMS:  float64(ans.Took) / float64(time.Millisecond),
@@ -33,7 +33,7 @@ func toQueryAnswer(p *preparedQuery, ans holisticim.Answer) *QueryAnswer {
 		}
 		if m.Estimate != nil {
 			sketchServed := i < len(ans.Plan.Steps) && ans.Plan.Steps[i].Backend == holisticim.BackendSketch
-			e := toEstimateResult(*m.Estimate, p.lambda, sketchServed)
+			e := toEstimateResult(*m.Estimate, p.q.Options.Lambda, sketchServed)
 			qm.Estimate = &e
 		}
 		qa.Members = append(qa.Members, qm)
@@ -50,95 +50,26 @@ func queryResponseOf(snap JobSnapshot) QueryResponse {
 		Members:     snap.Members,
 		MembersDone: snap.MembersDone,
 		Plan:        snap.Plan,
+		Answer:      snap.Payload,
 	}
 	if snap.Err != nil {
 		resp.Error = snap.Err.Error()
 	}
-	switch payload := snap.Payload.(type) {
-	case *QueryAnswer:
-		resp.Answer = payload
-	case *SelectResult:
-		// A job created outside the query surface (sketch builds); expose
-		// the raw result as a one-member answer so v2 pollers see it.
-		if payload != nil {
-			resp.Answer = &QueryAnswer{
-				Task:    string(holisticim.TaskSelect),
-				Members: []QueryMember{{Result: payload}},
-				TookMS:  payload.TookMS,
-			}
-			if snap.Plan != nil {
-				resp.Answer.Plan = *snap.Plan
-			}
-		}
-	}
 	return resp
 }
 
-// handleQuery serves POST /v2/query: plan → sketch-served plans answer
-// synchronously with the plan inline → cache hit → async job on the
-// shared worker pool, deduplicated and cached by Query.Fingerprint.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
+// doneResponse renders an answer that needed no job: complete, with the
+// plan it was (or would have been) served under.
+func doneResponse(p *preparedQuery, qa *QueryAnswer) QueryResponse {
+	return QueryResponse{
+		State: StateDone, Plan: &p.plan,
+		SeedsDone: seedsDoneOf(qa), Members: len(qa.Members), MembersDone: len(qa.Members),
+		Answer: qa,
 	}
-	var req QueryRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	// Async estimates run on the cancellable job path, so they get the
-	// job-sized budget cap rather than the tighter synchronous one.
-	p, aerr := s.prepareQuery(req, s.cfg.MaxSelectRuns)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	p.priority = admission.Demote(p.priority, r.Header.Get(admission.PriorityHeader))
-
-	if p.plan.SketchOnly() {
-		start := time.Now()
-		ans, err := s.runPrepared(r.Context(), p)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		if p.task == holisticim.TaskSelect {
-			s.sketchHits.Add(1)
-		} else {
-			s.sketchEstimates.Add(1)
-		}
-		s.observeBackend(p.planBackend(), time.Since(start).Seconds())
-		qa := toQueryAnswer(p, ans)
-		writeJSON(w, http.StatusOK, QueryResponse{
-			State: StateDone, Sketch: true, Plan: &p.plan,
-			SeedsDone: seedsDoneOf(qa), Members: len(qa.Members), MembersDone: len(qa.Members),
-			Answer: qa,
-		})
-		return
-	}
-
-	if v, ok := s.cache.Get(p.key); ok {
-		if qa := cachedAnswer(v, p); qa != nil {
-			writeJSON(w, http.StatusOK, QueryResponse{
-				State: StateDone, Cached: true, Plan: &p.plan,
-				SeedsDone: seedsDoneOf(qa), Members: len(qa.Members), MembersDone: len(qa.Members),
-				Answer: qa,
-			})
-			return
-		}
-	}
-
-	job, created, err := s.submitQueryJob(p)
-	if err != nil {
-		s.writeSubmitError(w, err, p.priority)
-		return
-	}
-	resp := queryResponseOf(job.Snapshot())
-	resp.Deduped = !created
-	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// seedsDoneOf sums the selected seeds across a completed answer's
-// members (estimate answers report zero).
+// seedsDoneOf is the largest seed count selected across a completed
+// answer's members (estimate answers report zero).
 func seedsDoneOf(qa *QueryAnswer) int {
 	max := 0
 	for _, m := range qa.Members {
@@ -149,26 +80,75 @@ func seedsDoneOf(qa *QueryAnswer) int {
 	return max
 }
 
+// handleQuery serves POST /v2/query.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if !s.admit(w, r) || !decodeJSON(w, r, &req) {
+		return
+	}
+	if resp, status, ok := s.answerQuery(w, r, req); ok {
+		writeJSON(w, status, resp)
+	}
+}
+
+// answerQuery is the one execution path behind every query surface:
+// prepare and plan → sketch-only plans answer synchronously with the plan
+// inline → cache hit → async job on the shared worker pool, deduplicated
+// and cached by Query.Fingerprint. It returns the response and its HTTP
+// status for the calling edge to render in its own shape; on a refusal
+// it has already written the error envelope and reports ok=false.
+func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, req QueryRequest) (resp QueryResponse, status int, ok bool) {
+	// Async estimates run on the cancellable job path, so they get the
+	// job-sized budget cap rather than the tighter synchronous one.
+	p, aerr := s.prepareQuery(req, s.cfg.MaxSelectRuns)
+	if aerr != nil {
+		s.writeAPIError(w, aerr)
+		return resp, 0, false
+	}
+	p.priority = admission.Demote(p.priority, r.Header.Get(admission.PriorityHeader))
+
+	if p.plan.SketchOnly() {
+		qa, err := s.runSync(r.Context(), p)
+		if err != nil {
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			return resp, 0, false
+		}
+		resp = doneResponse(p, qa)
+		resp.Sketch = true
+		return resp, http.StatusOK, true
+	}
+
+	if qa, hit := s.cache.Get(p.key); hit {
+		resp = doneResponse(p, qa)
+		resp.Cached = true
+		return resp, http.StatusOK, true
+	}
+
+	job, created, err := s.submitQueryJob(p)
+	if err != nil {
+		s.writeSubmitError(w, err, p.priority)
+		return resp, 0, false
+	}
+	resp = queryResponseOf(job.Snapshot())
+	resp.Deduped = !created
+	return resp, http.StatusAccepted, true
+}
+
 // submitQueryJob enqueues a prepared query as an async job running the
 // planner end to end (s.queryFn), reporting per-seed progress for select
 // tasks and per-member progress for estimates, and caching the answer on
-// success under the generation-fenced fingerprint key.
+// success under the generation-fenced fingerprint key. It is the only
+// place a query job is submitted.
 func (s *Server) submitQueryJob(p *preparedQuery) (*Job, bool, error) {
-	q := p.q
-	g := p.g
-	task := p.task
-	deadline := p.deadline
-	key := p.key
-	plan := p.plan
-	members := len(plan.Steps)
-	fn := func(ctx context.Context, report func(int)) (any, error) {
-		if !deadline.IsZero() {
+	selecting := p.q.Task == holisticim.TaskSelect
+	fn := func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		if !p.deadline.IsZero() {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
+			ctx, cancel = context.WithDeadline(ctx, p.deadline)
 			defer cancel()
 		}
-		q := q // per-job copy: callbacks must not leak into shared state
-		if task == holisticim.TaskSelect {
+		q := p.q // per-job copy: callbacks must not leak into shared state
+		if selecting {
 			q.Options.Progress = func(seedIdx int, seed holisticim.NodeID, elapsed time.Duration) {
 				report(seedIdx + 1)
 			}
@@ -178,60 +158,74 @@ func (s *Server) submitQueryJob(p *preparedQuery) (*Job, bool, error) {
 			}
 		}
 		start := time.Now()
-		ans, err := s.queryFn(ctx, g, q)
-		payload := toQueryAnswer(p, ans)
+		ans, err := s.queryFn(ctx, p.g, q)
 		if err != nil {
 			if len(ans.Members) > 0 {
 				// Retain the members completed (or partially selected)
 				// before the stop for status polling.
-				return payload, err
+				return toQueryAnswer(p, ans), err
 			}
 			return nil, err
 		}
 		s.queries.Add(1)
 		s.observeBackend(p.planBackend(), time.Since(start).Seconds())
-		if task == holisticim.TaskSelect {
+		if selecting {
 			s.selections.Add(1)
 		}
-		s.cache.Add(key, payload)
+		payload := toQueryAnswer(p, ans)
+		s.cache.Add(p.key, payload)
 		return payload, nil
 	}
-	var memberKs []int
-	if task == holisticim.TaskSelect {
-		memberKs = p.ks
-	}
+	// The job record outlives fn (it is retained for polling), so it gets
+	// its own copy of the plan: a pointer into p would pin p — and the
+	// graph snapshot it holds — for as long as the record lives.
+	plan := p.plan
 	spec := JobSpec{
-		Key: key, K: p.kmax, Members: members, MemberKs: memberKs, Plan: &plan,
+		Key: p.key, Members: len(plan.Steps), Plan: &plan,
 		Priority:    p.priority,
 		ExpectedRun: time.Duration(s.costs.Estimate(p.planBackend()) * float64(time.Second)),
 		Deadline:    p.deadline,
 	}
-	return s.jobs.SubmitQuery(spec, fn)
+	if selecting {
+		// Per-seed progress is reported against the largest budget.
+		spec.MemberKs = p.q.Ks
+		for _, k := range p.q.Ks {
+			spec.K = max(spec.K, k)
+		}
+	}
+	return s.jobs.Submit(spec, fn)
 }
 
+// jobSnapshot resolves the {id} of a job status route — both prefixes
+// address one job namespace — cancelling the job first on DELETE.
+// Cancelling is idempotent (repeating it answers 200 with the job's
+// current state), but a job that already completed answers 409: its
+// outcome can no longer be revoked. Unknown ids are answered 404 here,
+// with ok=false.
+func (s *Server) jobSnapshot(w http.ResponseWriter, r *http.Request) (snap JobSnapshot, status int, ok bool) {
+	id := r.PathValue("id")
+	var job *Job
+	status = http.StatusOK
+	if r.Method == http.MethodDelete {
+		var accepted bool
+		if job, accepted, ok = s.jobs.Cancel(id); ok && !accepted {
+			status = http.StatusConflict
+		}
+	} else {
+		job, ok = s.jobs.Get(id)
+	}
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		return snap, 0, false
+	}
+	return job.Snapshot(), status, true
+}
+
+// handleQueryJob serves GET and DELETE /v2/jobs/{id}.
 func (s *Server) handleQueryJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.jobs.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return
+	if snap, status, ok := s.jobSnapshot(w, r); ok {
+		writeJSON(w, status, queryResponseOf(snap))
 	}
-	writeJSON(w, http.StatusOK, queryResponseOf(job.Snapshot()))
-}
-
-// handleCancelQueryJob is DELETE /v1/jobs/{id} in the v2 response shape.
-func (s *Server) handleCancelQueryJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, accepted, ok := s.jobs.Cancel(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return
-	}
-	status := http.StatusOK
-	if !accepted {
-		status = http.StatusConflict
-	}
-	writeJSON(w, status, queryResponseOf(job.Snapshot()))
 }
 
 // eventsPollInterval paces the event stream's progress snapshots.

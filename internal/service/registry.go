@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -321,39 +320,12 @@ func (r *Registry) Stats(name string, samples int, seed uint64) (GraphStats, err
 	return e.stats, nil
 }
 
-// readGraphFile loads an edge-list or binary graph file, sniffing the
-// binary magic so both formats load transparently.
-func readGraphFile(path string) (*holisticim.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("service: open graph file: %w", err)
-	}
-	defer f.Close()
-	var g *holisticim.Graph
-	magic := make([]byte, 4)
-	if n, _ := f.Read(magic); n == 4 && string(magic) == "HIMG" {
-		if _, err := f.Seek(0, 0); err != nil {
-			return nil, err
-		}
-		g, err = holisticim.ReadBinaryGraph(f)
-	} else {
-		if _, err := f.Seek(0, 0); err != nil {
-			return nil, err
-		}
-		g, err = holisticim.ReadEdgeList(f)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: read %s: %w", path, err)
-	}
-	return g, nil
-}
-
 // LoadFile registers a graph read from an edge-list or binary file. A
 // name that is already registered is REBOUND to the freshly read content
 // (Replace semantics): re-running the operator's load path refreshes the
 // dataset, and the replacement hook keeps caches and sketches honest.
 func (r *Registry) LoadFile(name, path string) error {
-	g, err := readGraphFile(path)
+	g, err := holisticim.ReadGraphFile(path)
 	if err != nil {
 		return err
 	}
@@ -376,7 +348,7 @@ func (r *Registry) Build(spec GraphSpec, allowPaths bool) error {
 			return ErrPathLoadDisabled
 		}
 		var err error
-		if g, err = readGraphFile(spec.Path); err != nil {
+		if g, err = holisticim.ReadGraphFile(spec.Path); err != nil {
 			return err
 		}
 	case spec.Generator == "ba":

@@ -21,7 +21,7 @@ type Config struct {
 	// usually right.
 	Workers int
 	// QueueCap bounds queued-but-not-started jobs (default 64); beyond
-	// it POST /v1/select answers 503.
+	// it job submissions are shed with 429 + Retry-After.
 	QueueCap int
 	// CacheSize bounds the LRU result cache (default 256 entries).
 	CacheSize int
@@ -161,16 +161,13 @@ type Server struct {
 	limiter *admission.Limiter
 	costs   *admission.CostModel
 
-	// selectFn runs one v1 selection under a job-scoped context; tests
-	// substitute stubs to control timing without real computations. It is
-	// a thin wrapper over queryFn's planner (SelectSeedsContext → Run).
-	selectFn func(ctx context.Context, g *holisticim.Graph, k int, alg holisticim.Algorithm, o holisticim.Options) (holisticim.Result, error)
-	// queryFn plans and executes one query (holisticim.Run); tests may
-	// substitute stubs.
+	// queryFn plans and executes one query (holisticim.Run) — every
+	// computation the server performs goes through it; tests substitute
+	// stubs to control timing without real computations.
 	queryFn func(ctx context.Context, g *holisticim.Graph, q holisticim.Query) (holisticim.Answer, error)
 
 	selections      atomic.Int64 // actual (non-cached, non-deduped) selections run
-	queries         atomic.Int64 // /v2 query jobs run to completion
+	queries         atomic.Int64 // query jobs run to completion (either surface)
 	sketchHits      atomic.Int64 // select requests served by the sketch fast path
 	sketchEstimates atomic.Int64 // estimate requests served by an opinion sketch
 	replacements    atomic.Int64 // graph names rebound to new content
@@ -189,7 +186,6 @@ func New(cfg Config) *Server {
 		sketches: NewSketchRegistry(),
 		jobs:     NewManager(cfg.Workers, cfg.QueueCap, cfg.MaxJobs),
 		cache:    NewCache(cfg.CacheSize),
-		selectFn: holisticim.SelectSeedsContext,
 		queryFn:  holisticim.Run,
 		limiter: admission.NewLimiter(admission.LimiterConfig{
 			RPS: cfg.RateRPS, Burst: cfg.RateBurst, MaxClients: cfg.RateClients,
@@ -223,7 +219,7 @@ func New(cfg Config) *Server {
 		// storm after a mutation burst cannot delay interactive queries.
 		s.sketches.ScheduleRepair(name, g, version, dirty, s.cfg.RepairMaxHops,
 			func(key string, fn JobFunc) error {
-				_, _, err := s.jobs.SubmitQuery(JobSpec{Key: key, Priority: admission.Batch}, fn)
+				_, _, err := s.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, fn)
 				return err
 			})
 	}
@@ -413,13 +409,10 @@ func (s *Server) routes() {
 	s.handle("POST /v1/sketches", s.handleBuildSketch)
 	s.handle("GET /v1/sketches/{id}", s.handleSketchInfo)
 	s.handle("DELETE /v1/sketches/{id}", s.handleDeleteSketch)
-	s.handle("POST /v1/select", s.handleSelect)
-	s.handle("GET /v1/jobs/{id}", s.handleJob)
-	s.handle("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	s.handle("POST /v1/estimate", s.handleEstimate)
+	s.routesV1()
 	s.handle("POST /v2/query", s.handleQuery)
 	s.handle("GET /v2/jobs/{id}", s.handleQueryJob)
-	s.handle("DELETE /v2/jobs/{id}", s.handleCancelQueryJob)
+	s.handle("DELETE /v2/jobs/{id}", s.handleQueryJob)
 	s.handle("GET /v2/jobs/{id}/events", s.handleQueryEvents)
 }
 

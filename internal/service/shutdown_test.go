@@ -16,26 +16,26 @@ func TestManagerShutdownDrainsRunningCancelsQueued(t *testing.T) {
 	m := NewManager(1, 4, 16)
 	defer m.Close()
 	release := make(chan struct{})
-	blocker := func(ctx context.Context, report func(int)) (any, error) {
+	blocker := func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		select {
 		case <-release:
-			return &SelectResult{Algorithm: "stub"}, nil
+			return answerOf(SelectResult{Algorithm: "stub"}), nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	running, _, err := m.Submit("running", 1, blocker)
+	running, _, err := m.Submit(JobSpec{Key: "running", K: 1}, blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for running.Status().State != StateRunning {
+	for statusOf(running).State != StateRunning {
 		if time.Now().After(deadline) {
 			t.Fatal("first job never started")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	queued, _, err := m.Submit("queued", 1, blocker)
+	queued, _, err := m.Submit(JobSpec{Key: "queued", K: 1}, blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestManagerShutdownDrainsRunningCancelsQueued(t *testing.T) {
 
 	// The queued job is canceled without waiting for the running one.
 	waitDone(t, queued)
-	if st := queued.Status(); st.State != StateCanceled {
+	if st := statusOf(queued); st.State != StateCanceled {
 		t.Fatalf("queued job state %s, want canceled", st.State)
 	}
-	if running.Status().State != StateRunning {
+	if statusOf(running).State != StateRunning {
 		t.Fatal("running job was killed instead of drained")
 	}
-	if _, _, err := m.Submit("late", 1, blocker); !errors.Is(err, ErrShuttingDown) {
+	if _, _, err := m.Submit(JobSpec{Key: "late", K: 1}, blocker); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-shutdown Submit err = %v, want ErrShuttingDown", err)
 	}
 
@@ -64,7 +64,7 @@ func TestManagerShutdownDrainsRunningCancelsQueued(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	waitDone(t, running)
-	if st := running.Status(); st.State != StateDone {
+	if st := statusOf(running); st.State != StateDone {
 		t.Fatalf("running job state %s, want done (drained)", st.State)
 	}
 }
@@ -76,18 +76,18 @@ func TestManagerShutdownExpiredBudget(t *testing.T) {
 	defer m.Close()
 	release := make(chan struct{})
 	defer close(release)
-	j, _, err := m.Submit("slow", 1, func(ctx context.Context, report func(int)) (any, error) {
+	j, _, err := m.Submit(JobSpec{Key: "slow", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return &SelectResult{}, nil
+		return answerOf(SelectResult{}), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for j.Status().State != StateRunning {
+	for statusOf(j).State != StateRunning {
 		if time.Now().After(deadline) {
 			t.Fatal("job never started")
 		}

@@ -251,7 +251,7 @@ func (r *SketchRegistry) ScheduleRepair(graphName string, g *holisticim.Graph, v
 
 // drainFunc returns the JobFunc that drains one sketch's pending repairs.
 func (r *SketchRegistry) drainFunc(id string, e *sketchEntry, maxHops int) JobFunc {
-	return func(ctx context.Context, report func(int)) (any, error) {
+	return func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		st := &e.repair
 		total := 0
 		for {

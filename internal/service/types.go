@@ -1,25 +1,37 @@
 // Package service implements the long-lived HTTP serving layer for the
-// holisticim library: a registry of immutable, shareable graphs, an
-// asynchronous job manager that runs seed selections off the request path
-// with single-flight deduplication, and an LRU result cache keyed by a
-// canonical fingerprint of (graph, algorithm, k, Options).
+// holisticim library: a registry of immutable, shareable graphs and
+// RR-sketch indexes, an asynchronous job manager that runs work off the
+// request path with single-flight deduplication, and an LRU answer cache.
 //
-// The request flow for POST /v1/select is:
+// Query → Plan → Answer is the only thing the package executes, queues,
+// caches and snapshots. A request decodes into a QueryRequest (the wire
+// form of holisticim.Query); Query.Normalized infers its task, objective
+// and defaults; the planner routes it; and every outcome — synchronous,
+// cached, queued or polled — is a *QueryAnswer:
 //
-//	fingerprint → cache hit?  → respond synchronously (state "done")
-//	            → in-flight?  → attach to the running job (deduped)
-//	            → otherwise   → enqueue a new job, respond 202 with its id
+//	admit → prepare (normalize, attach sketch, plan, caps)
+//	      → sketch-only plan? → run on the request path (state "done")
+//	      → cache hit?        → respond synchronously (state "done")
+//	      → in-flight?        → attach to the running job (deduped)
+//	      → otherwise         → enqueue a job, respond 202 with its id
+//
+// POST /v2/query is that path's native surface. /v1/select, /v1/estimate
+// and /v1/jobs are request/response translations over it, confined to
+// v1.go; they own no execution, cache or job code. The cache and dedup
+// key is Query.Fingerprint fenced by the graph name and rebind
+// generation, so equivalent v1 and v2 requests share entries and jobs.
 //
 // Selections — even the paper's scalable EaSyIM/OSIM, let alone TIM+/IMM
 // whose RR-set indexes are expensive to build — are far too costly to run
 // per request, so nothing in this package ever blocks an HTTP handler on
-// a selection.
+// one; only plans a prebuilt sketch fully serves (and the explicitly
+// synchronous /v1/estimate) run on the request path.
 //
-// Every job runs under its own cancellable context: DELETE /v1/jobs/{id}
-// cancels a queued or running job (freeing its worker slot promptly,
-// since every selector honors context cancellation), an optional
-// timeout_ms request field bounds a job's wall-clock time, job status
-// reports live seeds_done/k progress, and server shutdown cancels
+// Every job runs under its own cancellable context: DELETE on a job
+// cancels it queued or running (freeing its worker slot promptly, since
+// every selector honors context cancellation), an optional timeout_ms
+// request field bounds a job's wall-clock time, job status reports live
+// seeds_done/members_done progress, and server shutdown cancels
 // in-flight work instead of draining it.
 package service
 
@@ -75,20 +87,6 @@ type ErrorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 
-// SelectRequest asks for a k-seed selection on a registered graph.
-// TimeoutMS, when positive, bounds the selection's wall-clock time: the
-// job fails with a deadline error — retaining the partial seed prefix —
-// once it expires. The timeout is a request-lifecycle knob, not part of
-// the result identity, so it is excluded from the fingerprint (a request
-// attaching to an in-flight job shares that job's timeout).
-type SelectRequest struct {
-	Graph     string  `json:"graph"`
-	Algorithm string  `json:"algorithm"`
-	K         int     `json:"k"`
-	Options   Options `json:"options"`
-	TimeoutMS int     `json:"timeout_ms,omitempty"`
-}
-
 // SelectResult is the JSON form of a selection. Partial marks a result
 // cut short by cancellation or a timeout: Seeds holds the prefix chosen
 // before the stop.
@@ -100,7 +98,7 @@ type SelectResult struct {
 	Partial   bool               `json:"partial,omitempty"`
 }
 
-// JobState is the lifecycle of an async selection job.
+// JobState is the lifecycle of an async job.
 type JobState string
 
 // Job lifecycle states.
@@ -111,31 +109,6 @@ const (
 	StateFailed   JobState = "failed"
 	StateCanceled JobState = "canceled"
 )
-
-// SelectResponse answers POST /v1/select, GET /v1/jobs/{id} and DELETE
-// /v1/jobs/{id}. A cache hit carries the result inline with State "done"
-// and no JobID; otherwise JobID points at the (possibly shared)
-// computation. While a job runs, SeedsDone/K report live per-seed
-// progress; a canceled or timed-out job may still carry the partial
-// result its selector returned.
-type SelectResponse struct {
-	JobID     string        `json:"job_id,omitempty"`
-	State     JobState      `json:"state"`
-	Cached    bool          `json:"cached,omitempty"`
-	Deduped   bool          `json:"deduped,omitempty"`
-	Sketch    bool          `json:"sketch,omitempty"` // served synchronously from an RR-sketch index
-	SeedsDone int           `json:"seeds_done"`
-	K         int           `json:"k,omitempty"`
-	Error     string        `json:"error,omitempty"`
-	Result    *SelectResult `json:"result,omitempty"`
-}
-
-// EstimateRequest asks for a Monte-Carlo spread estimate of a seed set.
-type EstimateRequest struct {
-	Graph   string  `json:"graph"`
-	Seeds   []int32 `json:"seeds"`
-	Options Options `json:"options"`
-}
 
 // EstimateResult is the JSON form of a spread estimate. The opinion
 // fields are meaningful under the opinion-aware models (oi-ic, oi-lt,
@@ -172,8 +145,10 @@ type QueryRequest struct {
 	TimeoutMS int       `json:"timeout_ms,omitempty"`
 }
 
-// toQuery maps the wire request onto the library's Query.
-func (r QueryRequest) toQuery() holisticim.Query {
+// Query maps the wire request onto the library's Query, un-normalized:
+// callers read the task, objective and defaults it will run under from
+// Query.Normalized, never from the raw fields.
+func (r QueryRequest) Query() holisticim.Query {
 	q := holisticim.Query{
 		Task:      holisticim.Task(r.Task),
 		Algorithm: holisticim.Algorithm(r.Algorithm),
@@ -202,11 +177,22 @@ type QueryMember struct {
 
 // QueryAnswer is the JSON form of a completed (possibly partial) query:
 // the executed plan and one member per request member, in request order.
+// It is the single payload type of jobs, job snapshots and the cache.
 type QueryAnswer struct {
 	Task    string        `json:"task"`
 	Plan    Plan          `json:"plan"`
 	Members []QueryMember `json:"members"`
 	TookMS  float64       `json:"took_ms"`
+}
+
+// soleResult is the selection of a one-member select answer — the only
+// shape with a single seed count to report as seeds_done, and the one
+// /v1 job polling renders — or nil for every other answer (or none).
+func (a *QueryAnswer) soleResult() *SelectResult {
+	if a != nil && a.Task == string(holisticim.TaskSelect) && len(a.Members) == 1 {
+		return a.Members[0].Result
+	}
+	return nil
 }
 
 // QueryResponse answers POST /v2/query, GET/DELETE /v2/jobs/{id} and
@@ -462,9 +448,10 @@ type ClusterInfo struct {
 // ServerStats reports serving counters for GET /v1/stats.
 type ServerStats struct {
 	Graphs int `json:"graphs"`
-	// QueriesRun counts /v2 query jobs run to completion (cache hits,
-	// deduplicated submissions and synchronous sketch-served queries do
-	// not count).
+	// QueriesRun counts query jobs run to completion, whichever surface
+	// submitted them — /v1/select jobs are query jobs and count too (cache
+	// hits, deduplicated submissions and synchronous sketch-served queries
+	// do not).
 	QueriesRun    int64 `json:"queries_run"`
 	CacheSize     int   `json:"cache_size"`
 	CacheHits     int64 `json:"cache_hits"`

@@ -114,11 +114,15 @@ type Answer struct {
 	Took    time.Duration
 }
 
-// normalized resolves the query's inferred fields and option defaults
-// without needing the graph: task inference, single-K promotion,
-// objective inference and Options.withDefaults. It does not validate
-// budgets or seed ids (those need n).
-func (q Query) normalized() (Query, error) {
+// Normalized resolves the query's inferred fields and option defaults
+// without needing the graph: task inference, single-K promotion into Ks,
+// objective inference and the Options defaults. It is the single owner
+// of that inference — the planner, Fingerprint, the bundled service and
+// the cluster router all read the task, objective, model, ε and seed a
+// query will run under from its result instead of re-deriving them. It
+// does not validate budgets or seed ids (those need the graph) and is
+// idempotent. On error the query comes back as far as it was resolved.
+func (q Query) Normalized() (Query, error) {
 	switch q.Task {
 	case "":
 		if len(q.SeedSets) > 0 {
@@ -137,6 +141,7 @@ func (q Query) normalized() (Query, error) {
 		} else {
 			q.Ks = append([]int(nil), q.Ks...)
 		}
+		q.K = 0 // Ks is the canonical form: equivalent spellings normalize equal
 		if _, ok := backendClass(q.Algorithm); !ok {
 			return q, fmt.Errorf("holisticim: unknown algorithm %q", q.Algorithm)
 		}
@@ -181,12 +186,14 @@ func backendClass(alg Algorithm) (Backend, bool) {
 // Fingerprint returns the canonical identity of the results this query
 // would produce: defaults are resolved first, and fields that cannot
 // change a completed result — Workers, Progress, OnMember, Deadline and
-// the attached Sketch (serving layers must never cache sketch-served
-// answers under the cold key) — are excluded. A single-k select query
-// fingerprints identically to Options.Fingerprint(alg, k), so v1 and v2
-// serving surfaces share cache entries for equivalent requests.
+// the attached Sketch (a sketch-backed run may pick different, equally
+// valid seeds than a cold run, so serving layers must never cache
+// sketch-served answers under the cold key) — are excluded. K and a
+// one-element Ks are the same query and fingerprint identically.
+// Serving layers use this as the cache/deduplication key; it is stable
+// across processes but not across releases.
 func (q Query) Fingerprint() string {
-	n, err := q.normalized()
+	n, err := q.Normalized()
 	if err != nil {
 		return "invalid;" + err.Error()
 	}
@@ -196,9 +203,6 @@ func (q Query) Fingerprint() string {
 		return fmt.Sprintf("task=estimate;obj=%s;sets=%s;model=%s;lambda=%g;mc=%d;seed=%d",
 			n.Objective, hashSeedSets(n.SeedSets), c.Model, c.Lambda, c.MCRuns, c.Seed)
 	default:
-		if len(n.Ks) == 1 {
-			return n.Options.Fingerprint(n.Algorithm, n.Ks[0])
-		}
 		return fmt.Sprintf("alg=%s;ks=%s;model=%s;l=%d;lambda=%g;eps=%g;mc=%d;seed=%d;thetacap=%d",
 			n.Algorithm, joinInts(n.Ks), c.Model, c.PathLength, c.Lambda, c.Epsilon, c.MCRuns, c.Seed, c.TIMThetaCap)
 	}
@@ -244,7 +248,7 @@ func planQuery(g *Graph, q Query) (Query, Plan, error) {
 	if g == nil {
 		return q, Plan{}, fmt.Errorf("holisticim: nil graph")
 	}
-	n, err := q.normalized()
+	n, err := q.Normalized()
 	if err != nil {
 		return n, Plan{}, err
 	}

@@ -209,11 +209,12 @@ func TestQueryFingerprintHygiene(t *testing.T) {
 			base.Fingerprint(), noisy.Fingerprint())
 	}
 
-	// A single-k select query fingerprints identically to the v1
-	// Options.Fingerprint, so both serving surfaces share cache entries.
+	// K and a one-element Ks are the same query: the v1 translation
+	// (K) and a v2 client spelling ks:[k] must share cache entries.
 	single := Query{Algorithm: AlgEaSyIM, K: 10, Options: Options{Seed: 7}}
-	if got, want := single.Fingerprint(), (Options{Seed: 7}).Fingerprint(AlgEaSyIM, 10); got != want {
-		t.Fatalf("single-k query fingerprint %q != Options fingerprint %q", got, want)
+	batchOfOne := Query{Task: TaskSelect, Algorithm: AlgEaSyIM, Ks: []int{10}, Options: Options{Seed: 7}}
+	if got, want := single.Fingerprint(), batchOfOne.Fingerprint(); got != want {
+		t.Fatalf("single-k query fingerprint %q != one-element batch fingerprint %q", got, want)
 	}
 
 	variants := []Query{
