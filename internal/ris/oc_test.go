@@ -73,32 +73,44 @@ func TestOCSetsMatchLT(t *testing.T) {
 	}
 }
 
-// AddWeighted must preserve the stored weight verbatim (the snapshot-load
-// contract) while Add recomputes it.
+// Install must preserve stored weights verbatim (the snapshot-load
+// contract), and insist on a column exactly for weighted kinds.
 func TestOCAddWeighted(t *testing.T) {
 	g := parallelTestGraph(t)
 	opinion.AssignOpinions(g, opinion.Normal, 5)
 	src := NewCollection(g, ModelOC)
 	src.Generate(200, 3)
 
-	dst := NewCollection(g, ModelOC)
-	for i, s := range src.Sets() {
-		dst.AddWeighted(s, src.Weights()[i])
+	stored := make([]float64, src.Len())
+	for i := range stored {
+		stored[i] = float64(i%7)/7 - 0.5 // not what OCRootWeight would say
 	}
+	dst := NewCollection(g, ModelOC)
+	ids, off := flatten(src.Sets())
+	dst.Install(ids, off, stored)
 	if dst.Width() != src.Width() {
 		t.Fatalf("width %d, want %d", dst.Width(), src.Width())
 	}
-	for i := range src.Weights() {
-		if dst.Weights()[i] != src.Weights()[i] {
+	for i := range stored {
+		if dst.Weights()[i] != stored[i] {
 			t.Fatalf("weight %d not preserved", i)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddWeighted on an unweighted collection did not panic")
-		}
-	}()
-	NewCollection(g, ModelIC).AddWeighted([]graph.NodeID{0}, 0.5)
+	for name, install := range map[string]func(){
+		"weights on an unweighted collection": func() {
+			NewCollection(g, ModelIC).Install([]graph.NodeID{0}, []uint32{0, 1}, []float64{0.5})
+		},
+		"no weights on a weighted collection": func() { dst.Install(ids, off, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Install with %s did not panic", name)
+				}
+			}()
+			install()
+		}()
+	}
 }
 
 // OpinionCoverage on a two-node path (exactly computable): with a

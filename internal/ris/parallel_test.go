@@ -117,7 +117,7 @@ func TestGenerateParallelCancellation(t *testing.T) {
 	}
 }
 
-// Add must maintain the inverted index and width exactly as generation
+// Install must build the inverted index and width exactly as generation
 // does — it is how snapshot loading reconstructs a collection.
 func TestCollectionAdd(t *testing.T) {
 	g := parallelTestGraph(t)
@@ -125,9 +125,8 @@ func TestCollectionAdd(t *testing.T) {
 	src.Generate(500, 3)
 
 	dst := NewCollection(g, ModelIC)
-	for _, s := range src.Sets() {
-		dst.Add(s)
-	}
+	ids, off := flatten(src.Sets())
+	dst.Install(ids, off, nil)
 	if dst.Width() != src.Width() {
 		t.Fatalf("width %d, want %d", dst.Width(), src.Width())
 	}

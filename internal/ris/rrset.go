@@ -5,15 +5,19 @@
 // a uniformly random root in a random live-edge world — and reduce seed
 // selection to greedy maximum coverage over the sampled sets.
 //
-// The collection keeps every sampled set plus a full node→sets inverted
-// index, exactly like the reference implementations; this is what gives
-// the family its characteristic memory footprint (the paper's Figures 6i
-// and 6j, Table 3).
+// The family's characteristic cost is memory (the paper's Figures 6i and
+// 6j, Table 3): every sampled set is kept, plus a full node→sets inverted
+// index. The reference implementations hold both as vectors of vectors;
+// here the sets live back to back in one flat arena and the index is a
+// second flat array built by counting sort, so a collection costs 8
+// bytes per set member plus 4 per set: no per-set or per-row headers or
+// allocations, and at most 1/32 of growth headroom.
 package ris
 
 import (
 	"context"
 	"math"
+	"slices"
 
 	"github.com/holisticim/holisticim/internal/graph"
 	"github.com/holisticim/holisticim/internal/rng"
@@ -53,42 +57,112 @@ func (m ModelKind) String() string {
 // Weighted reports whether the kind records per-set root-opinion weights.
 func (m ModelKind) Weighted() bool { return m == ModelOC }
 
-// Collection holds sampled RR sets and their inverted index.
+// Collection holds sampled RR sets and their inverted index, both in
+// CSR form. It is not safe for concurrent use — even the read-only
+// queries share scratch marks; the sketch index serializes access.
 type Collection struct {
 	g    *graph.Graph
 	kind ModelKind
 
-	sets     [][]graph.NodeID // RR sets
-	nodeSets [][]int32        // node -> ids of sets containing it
-	weights  []float64        // per-set root-opinion weight (ModelOC only)
-	width    int64            // Σ over sets of in-degree mass (for KPT)
-	smp      *Sampler         // reused by sequential generation
+	// The arena: set i is ids[off[i]:off[i+1]], so len(off) == Len()+1.
+	// A loaded arena is sized exactly; one that had to grow carries at
+	// most 1/32 of headroom (see extend).
+	ids []graph.NodeID
+	off []uint32
+	// The inverted index: inv[invOff[v]:invOff[v+1]] are the ids of the
+	// sets containing v, ascending — a function of the sets alone, so the
+	// same sets index identically however they got there. index maintains
+	// it; inv has the arena's capacity.
+	inv     []int32
+	invOff  []uint32
+	weights []float64 // per-set root-opinion weight (ModelOC only)
+	smp     *Sampler  // reused by sequential generation
+
+	// Scratch reused across calls, never part of the sample: a per-node
+	// counter (index cursors, MaxCoverage marginals) and set/node marks.
+	counts    []uint32
+	setMarks  Bitset
+	nodeMarks Bitset
 }
 
 // NewCollection returns an empty RR-set collection over g.
 func NewCollection(g *graph.Graph, kind ModelKind) *Collection {
 	return &Collection{
-		g:        g,
-		kind:     kind,
-		nodeSets: make([][]int32, g.NumNodes()),
-		smp:      NewSampler(g, kind),
+		g:      g,
+		kind:   kind,
+		off:    make([]uint32, 1),
+		invOff: make([]uint32, g.NumNodes()+1),
+		counts: make([]uint32, g.NumNodes()),
+		smp:    NewSampler(g, kind),
 	}
 }
 
+// Bitset is a fixed-size set of small non-negative integers: the
+// coverage marks of greedy selection and coverage queries, one bit per
+// RR set (or node) instead of a per-call []bool or map.
+type Bitset []uint64
+
+// Reset returns an all-clear set of n bits, reusing b's storage when it
+// is large enough.
+func (b Bitset) Reset(n int) Bitset {
+	words := (n + 63) >> 6
+	if cap(b) < words {
+		return make(Bitset, words)
+	}
+	b = b[:words]
+	clear(b)
+	return b
+}
+
+// Has reports whether i is in the set.
+func (b Bitset) Has(i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
+
+// Set adds i to the set.
+func (b Bitset) Set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
+
 // Len returns the number of sampled sets.
-func (c *Collection) Len() int { return len(c.sets) }
+func (c *Collection) Len() int { return len(c.off) - 1 }
 
-// Width returns the cumulative width Σ_R w(R), where w(R) counts the
-// edges of G pointing into R — the quantity TIM+'s KPT estimator needs.
-func (c *Collection) Width() int64 { return c.width }
+// Width returns the cumulative width Σ_R w(R) against the current graph,
+// where w(R) counts the edges of G pointing into R — the quantity TIM+'s
+// KPT estimator is built on. It factors through the inverted index —
+// Σ_R Σ_{v∈R} indeg(v) = Σ_v |sets∋v|·indeg(v) — so the pass is O(n).
+func (c *Collection) Width() int64 {
+	var w int64
+	for v := graph.NodeID(0); v < c.g.NumNodes(); v++ {
+		w += int64(c.invOff[v+1]-c.invOff[v]) * int64(c.g.InDegree(v))
+	}
+	return w
+}
 
-// Sets exposes the raw RR sets (read-only).
-func (c *Collection) Sets() [][]graph.NodeID { return c.sets }
+// Set returns the i-th RR set (read-only): a window of the arena.
+func (c *Collection) Set(i int) []graph.NodeID {
+	lo, hi := c.off[i], c.off[i+1]
+	return c.ids[lo:hi:hi]
+}
 
-// SetsContaining returns the ids of the sets containing v — one row of
-// the inverted index (read-only). Selection layers maintaining their own
-// coverage counters (the sketch index) are built on this accessor.
-func (c *Collection) SetsContaining(v graph.NodeID) []int32 { return c.nodeSets[v] }
+// Sets materializes one slice header per set over the arena (read-only),
+// 24 bytes per set per call: for diagnostics and tests; hot paths use Set.
+func (c *Collection) Sets() [][]graph.NodeID {
+	sets := make([][]graph.NodeID, c.Len())
+	for i := range sets {
+		sets[i] = c.Set(i)
+	}
+	return sets
+}
+
+// Members exposes the arena itself (read-only): the members of every
+// set, back to back in set order — what a snapshot's payload holds.
+func (c *Collection) Members() []graph.NodeID { return c.ids }
+
+// SetsContaining returns the ids of the sets containing v, ascending —
+// one row of the inverted index (read-only). Selection layers maintaining
+// their own coverage counters (the sketch index) are built on this
+// accessor.
+func (c *Collection) SetsContaining(v graph.NodeID) []int32 {
+	lo, hi := c.invOff[v], c.invOff[v+1]
+	return c.inv[lo:hi:hi]
+}
 
 // Weighted reports whether the collection records per-set root-opinion
 // weights (ModelOC).
@@ -106,46 +180,87 @@ func (c *Collection) Rebind(g *graph.Graph) {
 }
 
 // Weights exposes the per-set root-opinion weights (read-only), aligned
-// with Sets. Nil for unweighted kinds.
+// with the set ids. Nil for unweighted kinds.
 func (c *Collection) Weights() []float64 { return c.weights }
 
-// Add appends an externally produced RR set (e.g. one loaded from a
-// sketch snapshot) to the collection, maintaining the inverted index and
-// width exactly as generation would — including recomputing the
-// root-opinion weight for weighted kinds. The caller guarantees every
-// node id is in range and the set is duplicate-free.
-func (c *Collection) Add(set []graph.NodeID) { c.addSet(set) }
-
-// AddWeighted appends an externally produced RR set carrying its stored
-// root-opinion weight (the snapshot-load path: the persisted weight is
-// authoritative, so a load→save round trip is byte-identical even across
-// releases that refine the weight function). Panics on unweighted kinds.
-func (c *Collection) AddWeighted(set []graph.NodeID, w float64) {
-	if !c.kind.Weighted() {
-		panic("ris: AddWeighted on an unweighted collection")
+// Install replaces the contents with an externally produced arena (one
+// loaded from a sketch snapshot) and indexes it exactly as generation
+// would. The collection takes ownership: set i is ids[off[i]:off[i+1]]
+// with off[0] == 0. The caller guarantees every node id is in range and
+// every set non-empty and duplicate-free. Weighted kinds take their
+// weights column along, one stored weight per set — the persisted weight
+// is authoritative, so a load→save round trip is byte-identical even
+// across releases that refine the weight function; a column for an
+// unweighted kind, or none for a weighted one, panics.
+func (c *Collection) Install(ids []graph.NodeID, off []uint32, weights []float64) {
+	if (weights != nil) != c.kind.Weighted() {
+		panic("ris: Install needs a weights column exactly for weighted collections")
 	}
-	c.addSetWeight(set, w)
+	c.ids, c.off, c.weights = ids, off, weights
+	clear(c.invOff)
+	c.index(0)
 }
 
-// MemoryFootprint approximates the bytes held by the sets, the inverted
-// index and (for weighted kinds) the weight column.
+// MemoryFootprint returns the bytes held by the arena, the inverted
+// index, the weight column and the scratch — exactly, in O(1): every
+// one of them is a flat array.
 func (c *Collection) MemoryFootprint() int64 {
-	var b int64
-	for _, s := range c.sets {
-		b += int64(cap(s))*4 + 24
-	}
-	for _, ns := range c.nodeSets {
-		b += int64(cap(ns))*4 + 24
-	}
-	b += int64(cap(c.weights)) * 8
-	return b
+	words4 := cap(c.ids) + cap(c.off) + cap(c.inv) + cap(c.invOff) + cap(c.counts) + cap(c.smp.scratch)
+	words8 := cap(c.weights) + cap(c.setMarks) + cap(c.nodeMarks)
+	return 4*int64(words4) + 8*int64(words8)
 }
 
-// generateCheckEvery is the cancellation-checkpoint granularity of
-// GenerateCtx: one context poll per this many sampled RR sets. Sets are
-// cheap (a truncated reverse BFS/walk), so a small batch keeps the
-// cancellation latency low while the poll cost stays invisible.
-const generateCheckEvery = 64
+// extend returns s resized to n elements, contents kept, reallocating
+// only when the capacity falls short — and then with 1/32 of headroom:
+// growth comes in runs of small steps (a sketch's lazy extension settles
+// on its θ through top-ups of a few sets; a repair swaps sets for ones a
+// little larger), each of which would otherwise reallocate the sample.
+func extend[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	grown := make([]T, n, n+n/32)
+	copy(grown, s)
+	return grown
+}
+
+// index brings the inverted index up to date with sets [first, Len()),
+// which must be newer than every set indexed so far, by counting sort:
+// count the new sets' members per node, move each node's existing row
+// right to its new start — last node first, so rows slide within one
+// array without overwriting each other — and scatter the new set ids, in
+// ascending order, behind them. Rows therefore stay sorted, and the cost
+// beyond one sequential pass over the old index follows the new sets.
+// From an empty index (Install) this is the plain counting sort.
+func (c *Collection) index(first int) {
+	ids, invOff, cursor := c.ids, c.invOff, c.counts
+	clear(cursor)
+	for _, v := range ids[c.off[first]:] {
+		cursor[v]++
+	}
+	inv := c.inv
+	if cap(inv) < len(ids) {
+		inv = make([]int32, len(ids), cap(ids))
+	}
+	inv = inv[:len(ids)]
+	hi := invOff[len(cursor)]      // end of the old row being moved
+	shift := uint32(len(ids)) - hi // new members in this row and all before it
+	for v := len(cursor) - 1; v >= 0; v-- {
+		lo := invOff[v]
+		invOff[v+1] = hi + shift
+		shift -= cursor[v]
+		copy(inv[lo+shift:], c.inv[lo:hi])
+		cursor[v] = hi + shift // where v's next set id goes
+		hi = lo
+	}
+	c.inv = inv
+	for sid := first; sid < c.Len(); sid++ {
+		for _, v := range c.Set(sid) {
+			inv[cursor[v]] = int32(sid)
+			cursor[v]++
+		}
+	}
+}
 
 // Generate samples `count` additional RR sets, each rooted at a uniformly
 // random node, using streams split from (seed, startIndex+i) so the
@@ -156,32 +271,23 @@ func (c *Collection) Generate(count int, seed uint64) {
 
 // GenerateCtx is Generate under a context: the θ-sampling loops of
 // TIM+/IMM run through it so a cancelled or deadline-expired selection
-// stops sampling within generateCheckEvery sets. Sets sampled before the
-// stop remain in the collection (the streams are deterministic, so a
+// stops sampling within parallelChunk sets. The chunks completed before
+// the stop remain in the collection (the streams are deterministic, so a
 // later extension is unaffected).
 func (c *Collection) GenerateCtx(ctx context.Context, count int, seed uint64) error {
-	for i := 0; i < count; i++ {
-		if i%generateCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		c.addSet(c.smp.Sample(seed, uint64(len(c.sets))))
-	}
-	return nil
+	return c.generate(ctx, count, seed, 1)
 }
 
 // Sampler produces single RR sets from (seed, setIndex) pairs. Each
-// Sampler owns its visited-stamp scratch, BFS queue and RNG, so one
-// Sampler per goroutine is the unit of parallel generation; set contents
-// depend only on (graph, kind, seed, setIndex), never on which Sampler —
-// or how many — produced them.
+// Sampler owns its visited-stamp scratch and RNG, so one Sampler per
+// goroutine is the unit of parallel generation; set contents depend only
+// on (graph, kind, seed, setIndex), never on which Sampler — or how
+// many — produced them.
 type Sampler struct {
 	g       *graph.Graph
 	kind    ModelKind
 	scratch []uint32 // visited stamps
 	epoch   uint32
-	queue   []graph.NodeID
 	rng     *rng.RNG
 }
 
@@ -195,33 +301,34 @@ func NewSampler(g *graph.Graph, kind ModelKind) *Sampler {
 	}
 }
 
-// Sample builds the setIndex-th RR set of the stream keyed by seed: the
-// root is drawn from the split stream (seed, setIndex), then a reverse
-// live-edge traversal is run with the same stream.
+// Sample builds the setIndex-th RR set of the stream keyed by seed in a
+// slice of its own.
 func (s *Sampler) Sample(seed, setIndex uint64) []graph.NodeID {
-	s.rng.Reseed(rng.SplitSeed(seed, setIndex))
-	root := graph.NodeID(s.rng.Int31n(s.g.NumNodes()))
-	return s.sampleFrom(root)
+	return s.SampleInto(seed, setIndex, make([]graph.NodeID, 0, 4))
 }
 
-// sampleFrom builds one RR set rooted at root.
-func (s *Sampler) sampleFrom(root graph.NodeID) []graph.NodeID {
+// SampleInto appends the setIndex-th RR set of the stream keyed by seed
+// to buf and returns the extended slice: the root is drawn from the split
+// stream (seed, setIndex), then a reverse live-edge traversal is run with
+// the same stream. Batch generation samples whole chunks of sets into one
+// buffer this way, with no allocation per set.
+func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.NodeID {
+	s.rng.Reseed(rng.SplitSeed(seed, setIndex))
+	root := graph.NodeID(s.rng.Int31n(s.g.NumNodes()))
 	s.epoch++
 	if s.epoch == 0 {
-		for i := range s.scratch {
-			s.scratch[i] = 0
-		}
+		clear(s.scratch)
 		s.epoch = 1
 	}
 	g, r := s.g, s.rng
-	set := make([]graph.NodeID, 0, 4)
 	s.scratch[root] = s.epoch
-	set = append(set, root)
+	head := len(buf)
+	buf = append(buf, root)
 	if s.kind == ModelIC {
-		s.queue = s.queue[:0]
-		s.queue = append(s.queue, root)
-		for head := 0; head < len(s.queue); head++ {
-			x := s.queue[head]
+		// Reverse BFS. Discovery order is the set, so the output doubles
+		// as the queue.
+		for ; head < len(buf); head++ {
+			x := buf[head]
 			froms := g.InNeighbors(x)
 			idxs := g.InEdgeIndices(x)
 			for j, u := range froms {
@@ -230,12 +337,11 @@ func (s *Sampler) sampleFrom(root graph.NodeID) []graph.NodeID {
 				}
 				if r.Float64() < g.ProbAt(idxs[j]) {
 					s.scratch[u] = s.epoch
-					set = append(set, u)
-					s.queue = append(s.queue, u)
+					buf = append(buf, u)
 				}
 			}
 		}
-		return set
+		return buf
 	}
 	// LT: random walk choosing at most one live in-edge per node.
 	x := root
@@ -243,7 +349,7 @@ func (s *Sampler) sampleFrom(root graph.NodeID) []graph.NodeID {
 		idxs := g.InEdgeIndices(x)
 		froms := g.InNeighbors(x)
 		if len(idxs) == 0 {
-			return set
+			return buf
 		}
 		draw := r.Float64()
 		acc := 0.0
@@ -256,52 +362,79 @@ func (s *Sampler) sampleFrom(root graph.NodeID) []graph.NodeID {
 			}
 		}
 		if chosen < 0 || s.scratch[chosen] == s.epoch {
-			return set
+			return buf
 		}
 		s.scratch[chosen] = s.epoch
-		set = append(set, chosen)
+		buf = append(buf, chosen)
 		x = chosen
 	}
 }
 
-func (c *Collection) addSet(set []graph.NodeID) {
-	w := 0.0
-	if c.kind.Weighted() {
-		w = OCRootWeight(c.g, set)
-	}
-	c.addSetWeight(set, w)
+// edit is one change to a flat array: at pos, del elements go and ins
+// take their place.
+type edit struct {
+	pos, del uint32
+	ins      []int32
 }
 
-func (c *Collection) addSetWeight(set []graph.NodeID, w float64) {
-	id := int32(len(c.sets))
-	c.sets = append(c.sets, set)
-	if c.kind.Weighted() {
-		c.weights = append(c.weights, w)
+// splice applies edits — ascending and non-overlapping in pos — to data
+// in place: the stretches between edits move as blocks, those going left
+// first, in ascending order, then those going right in descending order,
+// so no block overwrites one that has yet to move, and the inserts fill
+// the gaps. Only growth beyond the capacity reallocates (see extend). The
+// cost is the edits plus a memmove, never a walk over the elements.
+func splice(data []int32, edits []edit) []int32 {
+	// shift[k] is how far the stretch before edits[k] moves (the tail
+	// after the last edit for k == len(edits)).
+	shift := make([]int, len(edits)+1)
+	for k, e := range edits {
+		shift[k+1] = shift[k] + len(e.ins) - int(e.del)
 	}
-	for _, v := range set {
-		c.nodeSets[v] = append(c.nodeSets[v], id)
-		c.width += int64(c.g.InDegree(v))
+	total := len(data) + shift[len(edits)]
+	if total > math.MaxUint32 {
+		panic("ris: RR arena exceeds 2^32 members")
 	}
+	// A grown array starts as a copy, so stretches that stay put are in
+	// place either way.
+	dst := extend(data, max(total, len(data)))
+	move := func(k int) {
+		lo, hi := edits[k-1].pos+edits[k-1].del, uint32(len(data))
+		if k < len(edits) {
+			hi = edits[k].pos
+		}
+		copy(dst[int(lo)+shift[k]:], data[lo:hi])
+	}
+	for k := 1; k <= len(edits); k++ {
+		if shift[k] < 0 {
+			move(k)
+		}
+	}
+	for k := len(edits); k > 0; k-- {
+		if shift[k] > 0 {
+			move(k)
+		}
+	}
+	for k, e := range edits {
+		copy(dst[int(e.pos)+shift[k]:], e.ins)
+	}
+	return dst[:total]
 }
 
-// ReplaceSets swaps the contents of the given set ids in place,
-// maintaining the inverted index and (for weighted kinds) the
-// root-opinion weights exactly as if the new contents had been generated
-// at those indices. ids must be sorted ascending and duplicate-free;
-// sets[i] is the new contents of ids[i]. Rows of the inverted index stay
-// sorted — generation appends ids in increasing order, so a repaired
-// collection is structurally identical to one generated from scratch
-// over the current graph. This is the primitive incremental sketch
-// repair is built on: after a graph mutation, only the sets whose walks
-// touched a dirty node are replaced (resampled deterministically from
-// their (seed, id) streams) and every other set — and its index rows —
-// stays byte-for-byte untouched.
+// ReplaceSets swaps the contents of the given set ids, exactly as if the
+// new contents had been generated at those indices — root-opinion
+// weights (for weighted kinds) and the inverted index included. ids must
+// be sorted ascending and duplicate-free; sets[i] is the new contents of
+// ids[i]. This is the primitive incremental sketch repair is built on:
+// after a graph mutation, only the sets whose walks touched a dirty node
+// are replaced (resampled deterministically from their (seed, id)
+// streams), and because the layout is canonical the result is
+// byte-identical to a collection generated from scratch over the current
+// graph.
 //
-// Each affected row is rebuilt in one filter+merge pass, so the cost is
-// linear in the affected rows plus the old and new set contents —
-// replacing many sets at once is far cheaper than per-set splicing when
-// the batch hits hub rows. Width is NOT maintained; callers follow up
-// with RecomputeWidth (cheap) after the graph rebind.
+// Arena and index are both spliced in place: each replaced set is one
+// edit of the arena, and each of its old and new members one entry
+// deleted from or inserted into that node's index row, found by binary
+// search — so the cost follows the replaced sets, not the sample.
 func (c *Collection) ReplaceSets(ids []int32, sets [][]graph.NodeID) {
 	if len(ids) != len(sets) {
 		panic("ris: ReplaceSets ids/sets length mismatch")
@@ -309,62 +442,59 @@ func (c *Collection) ReplaceSets(ids []int32, sets [][]graph.NodeID) {
 	if len(ids) == 0 {
 		return
 	}
-	replaced := make(map[int32]struct{}, len(ids))
-	for _, id := range ids {
-		replaced[id] = struct{}{}
-	}
-	// Per-node additions. Walking ids in ascending order keeps every
-	// per-node list sorted, so the merge below preserves row order.
-	add := make(map[graph.NodeID][]int32)
-	touched := make(map[graph.NodeID]struct{})
-	for i, id := range ids {
-		for _, v := range c.sets[id] {
-			touched[v] = struct{}{}
+	// Index edits, keyed (node, set id, insert?) so that sorting puts them
+	// in row order with a set's deletion ahead of its reinsertion.
+	arena := make([]edit, len(ids))
+	var keys []uint64
+	for r, id := range ids {
+		old := c.Set(int(id))
+		arena[r] = edit{pos: c.off[id], del: uint32(len(old)), ins: sets[r]}
+		for _, v := range old {
+			keys = append(keys, uint64(v)<<33|uint64(id)<<1)
 		}
-		for _, v := range sets[i] {
-			add[v] = append(add[v], id)
-			touched[v] = struct{}{}
+		for _, v := range sets[r] {
+			keys = append(keys, uint64(v)<<33|uint64(id)<<1|1)
 		}
-	}
-	for v := range touched {
-		row := c.nodeSets[v]
-		ins := add[v]
-		merged := make([]int32, 0, len(row)+len(ins))
-		j := 0
-		for _, id := range row {
-			if _, gone := replaced[id]; gone {
-				continue
-			}
-			for j < len(ins) && ins[j] < id {
-				merged = append(merged, ins[j])
-				j++
-			}
-			merged = append(merged, id)
-		}
-		merged = append(merged, ins[j:]...)
-		c.nodeSets[v] = merged
-	}
-	for i, id := range ids {
-		c.sets[id] = sets[i]
 		if c.kind.Weighted() {
-			c.weights[id] = OCRootWeight(c.g, sets[i])
+			c.weights[id] = OCRootWeight(c.g, sets[r])
 		}
 	}
-}
-
-// RecomputeWidth recomputes the cumulative width Σ_R w(R) against the
-// CURRENT graph. After a rebind to mutated content the stored width —
-// accumulated from the in-degrees of a previous snapshot — is stale even
-// for sets whose contents survived the mutation; repair calls this once
-// after all replacements. Width factors through the inverted index —
-// Σ_R Σ_{v∈R} indeg(v) = Σ_v |sets∋v|·indeg(v) — so the pass is O(n),
-// not O(total set contents).
-func (c *Collection) RecomputeWidth() {
-	var w int64
-	for v, row := range c.nodeSets {
-		w += int64(len(row)) * int64(c.g.InDegree(graph.NodeID(v)))
+	slices.Sort(keys)
+	index := make([]edit, len(keys))
+	inserted := make([]int32, len(keys))
+	grow := c.counts // per-node change in row length, modulo 2^32
+	clear(grow)
+	for k, key := range keys {
+		v, id := graph.NodeID(key>>33), int32(key>>1)
+		at, found := slices.BinarySearch(c.SetsContaining(v), id)
+		index[k].pos = c.invOff[v] + uint32(at)
+		if key&1 == 0 {
+			index[k].del = 1
+			grow[v]--
+			continue
+		}
+		if found { // behind the entry the preceding edit deletes
+			index[k].pos++
+		}
+		inserted[k] = id
+		index[k].ins = inserted[k : k+1]
+		grow[v]++
 	}
-	c.width = w
+
+	c.ids = splice(c.ids, arena)
+	delta, r := 0, 0
+	for i := int(ids[0]) + 1; i < len(c.off); i++ {
+		for ; r < len(ids) && int(ids[r]) < i; r++ {
+			delta += len(sets[r]) - int(arena[r].del)
+		}
+		c.off[i] = uint32(int(c.off[i]) + delta)
+	}
+	c.inv = splice(c.inv, index)
+	sum := uint32(0)
+	for v, g := range grow {
+		sum += g
+		c.invOff[v+1] += sum
+	}
 }
 
 // OCRootWeight returns the root-opinion weight of a reverse LT walk
@@ -402,64 +532,62 @@ func OCRootWeight(g *graph.Graph, walk []graph.NodeID) float64 {
 // maximum coverage.
 func (c *Collection) MaxCoverage(k int) ([]graph.NodeID, float64) {
 	n := c.g.NumNodes()
-	counts := make([]int32, n)
-	for v := graph.NodeID(0); v < n; v++ {
-		counts[v] = int32(len(c.nodeSets[v]))
+	counts := c.counts
+	for v := range counts {
+		counts[v] = c.invOff[v+1] - c.invOff[v]
 	}
-	covered := make([]bool, len(c.sets))
+	covered := c.setMarks.Reset(c.Len())
+	c.setMarks = covered
 	seeds := make([]graph.NodeID, 0, k)
 	totalCovered := 0
-	for i := 0; i < k; i++ {
-		best := graph.NodeID(-1)
-		bestCount := int32(-1)
-		for v := graph.NodeID(0); v < n; v++ {
-			if counts[v] > bestCount {
-				bestCount = counts[v]
+	for i := 0; i < k && n > 0; i++ {
+		best := graph.NodeID(0)
+		for v := graph.NodeID(1); v < n; v++ {
+			if counts[v] > counts[best] {
 				best = v
 			}
 		}
-		if best < 0 {
-			break
-		}
 		seeds = append(seeds, best)
-		for _, sid := range c.nodeSets[best] {
-			if covered[sid] {
+		for _, sid := range c.SetsContaining(best) {
+			if covered.Has(sid) {
 				continue
 			}
-			covered[sid] = true
+			covered.Set(sid)
 			totalCovered++
-			for _, u := range c.sets[sid] {
+			for _, u := range c.Set(int(sid)) {
 				counts[u]--
 			}
 		}
 	}
 	frac := 0.0
-	if len(c.sets) > 0 {
-		frac = float64(totalCovered) / float64(len(c.sets))
+	if c.Len() > 0 {
+		frac = float64(totalCovered) / float64(c.Len())
 	}
 	return seeds, frac
 }
 
 // FractionCoveredBy returns the fraction of sets hit by the given seed
-// set — used by TIM+'s KPT refinement step.
+// set — used by TIM+'s KPT refinement step. It walks the seeds' index
+// rows, so the cost follows the sets the seeds appear in, not θ.
+// Duplicate and out-of-range seeds count for nothing.
 func (c *Collection) FractionCoveredBy(seeds []graph.NodeID) float64 {
-	if len(c.sets) == 0 {
+	if c.Len() == 0 {
 		return 0
 	}
-	inSeeds := make(map[graph.NodeID]bool, len(seeds))
-	for _, s := range seeds {
-		inSeeds[s] = true
-	}
+	c.setMarks = c.setMarks.Reset(c.Len())
 	hit := 0
-	for _, set := range c.sets {
-		for _, v := range set {
-			if inSeeds[v] {
+	for _, s := range seeds {
+		if s < 0 || s >= c.g.NumNodes() {
+			continue
+		}
+		for _, sid := range c.SetsContaining(s) {
+			if !c.setMarks.Has(sid) {
+				c.setMarks.Set(sid)
 				hit++
-				break
 			}
 		}
 	}
-	return float64(hit) / float64(len(c.sets))
+	return float64(hit) / float64(c.Len())
 }
 
 // EstimateSpread returns the standard RIS estimator n·F(S) of σ(S), where
@@ -490,27 +618,31 @@ func (c *Collection) OpinionCoverage(seeds []graph.NodeID) (covered int, pos, ne
 	if !c.kind.Weighted() {
 		panic("ris: OpinionCoverage on an unweighted collection")
 	}
-	inSeeds := make(map[graph.NodeID]bool, len(seeds))
+	n := c.g.NumNodes()
+	c.nodeMarks = c.nodeMarks.Reset(int(n))
+	c.setMarks = c.setMarks.Reset(c.Len())
+	inSeeds, hit := c.nodeMarks, c.setMarks
 	for _, s := range seeds {
-		inSeeds[s] = true
+		if s >= 0 && s < n {
+			inSeeds.Set(s)
+		}
 	}
-	hit := make([]bool, len(c.sets))
 	for _, s := range seeds {
-		if int64(s) < 0 || int64(s) >= int64(len(c.nodeSets)) {
+		if s < 0 || s >= n {
 			continue
 		}
-		for _, sid := range c.nodeSets[s] {
-			if hit[sid] {
+		for _, sid := range c.SetsContaining(s) {
+			if hit.Has(sid) {
 				continue
 			}
-			hit[sid] = true
+			hit.Set(sid)
 			covered++
-			walk := c.sets[sid]
-			if inSeeds[walk[0]] { // walk roots are stored first
+			walk := c.Set(int(sid))
+			if inSeeds.Has(walk[0]) { // walk roots are stored first
 				continue
 			}
 			depth := 1
-			for !inSeeds[walk[depth]] { // a seed exists: the walk is covered
+			for !inSeeds.Has(walk[depth]) { // a seed exists: the walk is covered
 				depth++
 			}
 			if w := OCRootWeight(c.g, walk[:depth+1]); w > 0 {
@@ -527,11 +659,11 @@ func (c *Collection) OpinionCoverage(seeds []graph.NodeID) (covered int, pos, ne
 // opinion spread σ_o(S) (Def. 6): n/θ · Σ over covered, non-root-seeded
 // sets of the root-opinion weight.
 func (c *Collection) EstimateOpinionSpread(seeds []graph.NodeID) float64 {
-	if len(c.sets) == 0 {
+	if c.Len() == 0 {
 		return 0
 	}
 	_, pos, neg := c.OpinionCoverage(seeds)
-	return (pos - neg) * float64(c.g.NumNodes()) / float64(len(c.sets))
+	return (pos - neg) * float64(c.g.NumNodes()) / float64(c.Len())
 }
 
 // logNChooseK computes ln C(n,k) via lgamma.

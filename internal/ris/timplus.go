@@ -104,9 +104,9 @@ func (t *TIMPlus) Select(ctx context.Context, k int) (im.Result, error) {
 			}
 		}
 		sumKappa := 0.0
-		for _, set := range kptCol.Sets() {
+		for s := 0; s < kptCol.Len(); s++ {
 			w := 0.0
-			for _, v := range set {
+			for _, v := range kptCol.Set(s) {
 				w += float64(t.g.InDegree(v))
 			}
 			sumKappa += 1 - math.Pow(1-w/mf, float64(k))
@@ -145,21 +145,12 @@ func (t *TIMPlus) Select(ctx context.Context, k int) (im.Result, error) {
 		theta = 1
 	}
 	if t.opts.MemoryBudget > 0 {
-		// Project storage from the phase-1 sample's average set size: per
-		// set, the nodes (4B each) appear in both the set and the inverted
-		// index, plus slice headers.
+		// Project storage from the phase-1 sample's average set size in the
+		// reference implementations' layout, whose crashes the paper reports:
+		// nodes (4B each) in both set and inverted index, plus vector headers.
 		avgSize := 1.0
 		if kptCol.Len() > 0 {
-			total := 0
-			for i, s := range kptCol.Sets() {
-				if i&0x3FFF == 0 {
-					if err := tr.Interrupted(&res); err != nil {
-						return res, err
-					}
-				}
-				total += len(s)
-			}
-			avgSize = float64(total) / float64(kptCol.Len())
+			avgSize = float64(len(kptCol.Members())) / float64(kptCol.Len())
 		}
 		projected := int64(float64(theta) * (avgSize*8 + 48))
 		if projected > t.opts.MemoryBudget {

@@ -164,7 +164,7 @@ func TestWeightedSelectMaximizesOpinionCoverage(t *testing.T) {
 			covered[sid] = true
 			w := weights[sid]
 			wantWCov += w
-			for _, u := range x.col.Sets()[sid] {
+			for _, u := range x.col.Set(int(sid)) {
 				wgain[u] -= w
 			}
 		}
@@ -178,12 +178,8 @@ func TestWeightedSelectMaximizesOpinionCoverage(t *testing.T) {
 
 	// The unweighted greedy order over the same sets must not beat the
 	// weighted one on the weighted objective (ties allowed).
-	ref := ris.NewCollection(g, ris.ModelOC)
-	for _, s := range x.col.Sets() {
-		ref.Add(s)
-	}
-	plain, _ := ref.MaxCoverage(k)
-	plainW := coveredWeight(ref, plain)
+	plain, _ := x.col.MaxCoverage(k)
+	plainW := coveredWeight(x.col, plain)
 	if plainW > wantWCov+1e-9 {
 		t.Fatalf("unweighted order beats weighted greedy: %v > %v", plainW, wantWCov)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -129,7 +130,6 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 	// Hop-bounded mode: defer candidates whose dirty nodes all sit deeper
 	// than MaxHops positions into the walk. The root is position 0.
 	resample := make([]int32, 0, len(candSet))
-	sets := x.col.Sets()
 	pollAt := 0
 	for sid := range candSet {
 		if pollAt&0xFFF == 0 {
@@ -140,7 +140,7 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 		pollAt++
 		if opts.MaxHops > 0 {
 			minPos := -1
-			for pos, v := range sets[sid] {
+			for pos, v := range x.col.Set(int(sid)) {
 				if _, ok := dirtyMark[v]; ok {
 					minPos = pos
 					break
@@ -181,18 +181,16 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 		return st, err
 	}
 
-	// Install: rebind everything to the new snapshot, replace only the
-	// sets that actually changed (one batched inverted-index pass — the
-	// candidates are size-biased toward hub-heavy sets, so per-set row
-	// splicing would dwarf the resampling itself), refresh the width.
+	// Install: rebind everything to the new snapshot and replace only the
+	// sets that actually changed, in one batched rewrite of the arena.
 	x.g = g
-	x.fp = g.Fingerprint()
+	x.fp = 0 // hashed on demand, see fpLocked
 	x.col.Rebind(g)
 	changedIDs := make([]int32, 0, len(resample))
 	changedSets := make([][]graph.NodeID, 0, len(resample))
 	//lint:ignore imlint/ctxpoll the new snapshot is already bound; aborting mid-install would tear the collection
 	for i, sid := range resample {
-		if !equalSets(sets[sid], fresh[i]) {
+		if !slices.Equal(x.col.Set(int(sid)), fresh[i]) {
 			changedIDs = append(changedIDs, sid)
 			changedSets = append(changedSets, fresh[i])
 		}
@@ -201,7 +199,6 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 	}
 	x.col.ReplaceSets(changedIDs, changedSets)
 	st.Changed = len(changedIDs)
-	x.col.RecomputeWidth()
 	x.graphVersion = newVersion
 	st.Stale = len(x.stale)
 
@@ -275,18 +272,6 @@ func (x *Index) resampleLocked(ctx context.Context, g *graph.Graph, ids []int32,
 		return nil, err
 	}
 	return out, nil
-}
-
-func equalSets(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Staleness returns the fraction of the sample a hop-bounded repair left

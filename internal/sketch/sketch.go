@@ -7,6 +7,9 @@
 // max-coverage over memoized coverage counters, lazily extends its
 // sample when a request's IMM θ bound needs more sets than it holds, and
 // persists to a versioned binary snapshot so restarts warm instantly.
+// The sample is ris.Collection's flat arena — a handful of arrays, not a
+// slice per set — so building, loading and repairing allocate per batch
+// and the index knows its size without walking anything.
 //
 // Three properties make the index sound to share:
 //
@@ -91,10 +94,12 @@ func (p Params) withDefaults(n int32) Params {
 
 // Index is a reusable RR-sketch over one graph. All methods are safe for
 // concurrent use; Select memoizes the greedy seed order so repeated and
-// prefix queries are O(k) lookups.
+// prefix queries are O(k) lookups: a slice of the order plus metrics
+// kept per prefix, with the reported footprint summed from array
+// capacities rather than recounted set by set.
 type Index struct {
 	g  *graph.Graph // guarded by mu: Repair swaps it, Matches rebinds it
-	fp uint64       // guarded by mu; graph content fingerprint, pinned at build/load
+	fp uint64       // guarded by mu; graph content fingerprint, 0 = not hashed yet: read it through fpLocked
 
 	mu     sync.Mutex
 	params Params          // guarded by mu
@@ -117,10 +122,12 @@ type Index struct {
 	// set coverage; orderWCov[i] is the weight covered by order[:i+1].
 	// counts/orderCov are maintained either way: the unweighted coverage
 	// of the chosen prefix still lower-bounds OPT for the θ machinery.
+	// A node already in the order holds a sentinel no candidate can tie
+	// (−1 in counts, or −Inf in wgain for weighted indexes), so the argmax
+	// is a plain scan of one array.
 	counts    []int32        // guarded by mu
 	wgain     []float64      // guarded by mu
-	covered   []bool         // guarded by mu
-	inOrder   []bool         // guarded by mu
+	covered   ris.Bitset     // guarded by mu
 	totalCov  int            // guarded by mu
 	totalWCov float64        // guarded by mu
 	order     []graph.NodeID // guarded by mu
@@ -141,7 +148,7 @@ type Stats struct {
 	OrderLen    int   // memoized greedy prefix length
 	Selects     int64 // Select calls served
 	Extensions  int64 // lazy extensions performed
-	MemoryBytes int64 // approximate footprint of sets + index + counters
+	MemoryBytes int64 // exact bytes of the RR arena, its index and the greedy counters
 }
 
 // Build samples an index over g: IMM's OPT lower-bounding phase at
@@ -220,6 +227,18 @@ func (x *Index) Graph() *graph.Graph {
 func (x *Index) GraphFingerprint() uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	return x.fpLocked()
+}
+
+// fpLocked returns the content fingerprint of the bound graph. Build and
+// Load pin it; Repair only clears it — hashing every arc of the new
+// snapshot costs more than repairing a small batch, and serving
+// re-matches the repaired index by pointer — and whoever next needs it
+// (a Matches against another instance, a Save, a listing) hashes once.
+func (x *Index) fpLocked() uint64 {
+	if x.fp == 0 {
+		x.fp = x.g.Fingerprint()
+	}
 	return x.fp
 }
 
@@ -277,7 +296,7 @@ func (x *Index) Matches(g *graph.Graph, kind ris.ModelKind) bool {
 	if x.g == g {
 		return true
 	}
-	if g.NumNodes() != x.g.NumNodes() || g.NumEdges() != x.g.NumEdges() || g.Fingerprint() != x.fp {
+	if g.NumNodes() != x.g.NumNodes() || g.NumEdges() != x.g.NumEdges() || g.Fingerprint() != x.fpLocked() {
 		return false
 	}
 	// Rebind the collection too, or the replaced instance would stay
@@ -300,18 +319,20 @@ func (x *Index) Stats() Stats {
 	}
 }
 
-// MemoryFootprint approximates the bytes held by the index.
+// MemoryFootprint returns the bytes held by the index's arrays: the RR
+// arena and its inverted index plus the greedy counters.
 func (x *Index) MemoryFootprint() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.memoryLocked()
 }
 
+// memoryLocked is O(1) — it runs on every Select.
 func (x *Index) memoryLocked() int64 {
 	b := x.col.MemoryFootprint()
-	b += int64(len(x.counts))*4 + int64(len(x.covered)) + int64(len(x.inOrder))
-	b += int64(len(x.order))*4 + int64(len(x.orderCov))*8
-	b += int64(len(x.wgain))*8 + int64(len(x.orderWCov))*8
+	b += int64(cap(x.counts))*4 + int64(cap(x.covered))*8
+	b += int64(cap(x.order))*4 + int64(cap(x.orderCov))*8
+	b += int64(cap(x.wgain))*8 + int64(cap(x.orderWCov))*8
 	return b
 }
 
@@ -322,7 +343,6 @@ func (x *Index) resetGreedyLocked() {
 	weighted := x.params.Kind.Weighted()
 	if x.counts == nil {
 		x.counts = make([]int32, n)
-		x.inOrder = make([]bool, n)
 	}
 	if weighted && x.wgain == nil {
 		x.wgain = make([]float64, n)
@@ -338,9 +358,8 @@ func (x *Index) resetGreedyLocked() {
 			}
 			x.wgain[v] = w
 		}
-		x.inOrder[v] = false
 	}
-	x.covered = make([]bool, x.col.Len())
+	x.covered = x.covered.Reset(x.col.Len())
 	x.totalCov = 0
 	x.totalWCov = 0
 	x.order = x.order[:0]
@@ -358,58 +377,56 @@ func (x *Index) resetGreedyLocked() {
 // once only negative-opinion sets remain, and the argmax then picks the
 // least-damaging node so a full-k selection is still returned).
 func (x *Index) extendOrderLocked(k int) {
-	n := x.g.NumNodes()
-	sets := x.col.Sets()
 	weighted := x.params.Kind.Weighted()
 	weights := x.col.Weights()
 	for len(x.order) < k {
 		best := graph.NodeID(-1)
 		if weighted {
 			bestGain := math.Inf(-1)
-			for v := graph.NodeID(0); v < n; v++ {
-				if x.inOrder[v] {
-					continue
-				}
-				if x.wgain[v] > bestGain {
-					bestGain = x.wgain[v]
-					best = v
+			for v, gain := range x.wgain {
+				if gain > bestGain {
+					bestGain = gain
+					best = graph.NodeID(v)
 				}
 			}
 		} else {
 			bestCount := int32(-1)
-			for v := graph.NodeID(0); v < n; v++ {
-				if x.inOrder[v] {
-					continue
-				}
-				if x.counts[v] > bestCount {
-					bestCount = x.counts[v]
-					best = v
+			for v, count := range x.counts {
+				if count > bestCount {
+					bestCount = count
+					best = graph.NodeID(v)
 				}
 			}
 		}
 		if best < 0 {
 			return // k > n, excluded by CheckK; defensive
 		}
-		x.inOrder[best] = true
 		x.order = append(x.order, best)
 		for _, sid := range x.col.SetsContaining(best) {
-			if x.covered[sid] {
+			if x.covered.Has(sid) {
 				continue
 			}
-			x.covered[sid] = true
+			x.covered.Set(sid)
 			x.totalCov++
 			if weighted {
 				w := weights[sid]
 				x.totalWCov += w
-				for _, u := range sets[sid] {
+				for _, u := range x.col.Set(int(sid)) {
 					x.counts[u]--
 					x.wgain[u] -= w
 				}
 			} else {
-				for _, u := range sets[sid] {
+				for _, u := range x.col.Set(int(sid)) {
 					x.counts[u]--
 				}
 			}
+		}
+		// Every set containing best is covered now, so nothing updates its
+		// counters again: retire it from the argmax.
+		if weighted {
+			x.wgain[best] = math.Inf(-1)
+		} else {
+			x.counts[best] = -1
 		}
 		x.orderCov = append(x.orderCov, x.totalCov)
 		x.orderWCov = append(x.orderWCov, x.totalWCov)

@@ -80,11 +80,7 @@ func TestSelectMatchesMaxCoverage(t *testing.T) {
 	// even if a request's θ bound would otherwise extend it.
 	x.params.MaxSets = x.col.Len()
 
-	ref := ris.NewCollection(g, ris.ModelIC)
-	for _, s := range x.col.Sets() {
-		ref.Add(s)
-	}
-	want, wantFrac := ref.MaxCoverage(20)
+	want, wantFrac := x.col.MaxCoverage(20)
 
 	res, err := x.Select(context.Background(), 20)
 	if err != nil {

@@ -39,6 +39,9 @@ const (
 	snapshotVersion   = 1 // unweighted layout
 	snapshotVersionV2 = 2 // + per-set root-opinion weights
 
+	// headerSize is the bytes before the set lengths: magic through numSets.
+	headerSize = 76
+
 	// maxSnapshotSets bounds how many sets Load will accept; a corrupt
 	// count must not drive a multi-terabyte allocation.
 	maxSnapshotSets = 1 << 31
@@ -61,10 +64,10 @@ func (x *Index) Save(w io.Writer) error {
 	if x.params.Kind.Weighted() {
 		version = snapshotVersionV2
 	}
-	sets := x.col.Sets()
+	sets := x.col.Len()
 	hdr := []any{
 		version,
-		x.fp,
+		x.fpLocked(),
 		uint32(x.g.NumNodes()),
 		uint64(x.g.NumEdges()),
 		uint32(x.params.Kind),
@@ -73,38 +76,60 @@ func (x *Index) Save(w io.Writer) error {
 		x.params.Seed,
 		uint32(x.params.BuildK),
 		x.lb,
-		uint64(len(sets)),
+		uint64(sets),
 	}
 	for _, v := range hdr {
 		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
-	lens := make([]uint32, len(sets))
-	total := 0
-	for i, s := range sets {
-		lens[i] = uint32(len(s))
-		total += len(s)
-	}
-	if err := binary.Write(mw, binary.LittleEndian, lens); err != nil {
-		return err
-	}
-	flat := make([]int32, 0, total)
-	for _, s := range sets {
-		flat = append(flat, s...)
-	}
-	if err := binary.Write(mw, binary.LittleEndian, flat); err != nil {
-		return err
-	}
-	if version >= snapshotVersionV2 {
-		if err := binary.Write(mw, binary.LittleEndian, x.col.Weights()); err != nil {
-			return err
+	// The payload streams straight from the arena through one small
+	// buffer: a snapshot of any size is written with no copy of its own.
+	// An in-memory destination would double its way up under that stream
+	// of small writes — twice the snapshot in garbage — so one that can
+	// reserve (a bytes.Buffer) is told the exact size first.
+	members := x.col.Members()
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		size := headerSize + 4*sets + 4*len(members) + 8
+		if version >= snapshotVersionV2 {
+			size += 8 * sets
 		}
+		g.Grow(size)
+	}
+	buf := make([]byte, ioBufSize)
+	le := binary.LittleEndian
+	err := writeValues(mw, buf, sets, 4, func(b []byte, i int) { le.PutUint32(b, uint32(len(x.col.Set(i)))) })
+	if err == nil {
+		err = writeValues(mw, buf, len(members), 4, func(b []byte, i int) { le.PutUint32(b, uint32(members[i])) })
+	}
+	if weights := x.col.Weights(); err == nil && version >= snapshotVersionV2 {
+		err = writeValues(mw, buf, sets, 8, func(b []byte, i int) { le.PutUint64(b, math.Float64bits(weights[i])) })
+	}
+	if err != nil {
+		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, h.Sum64()); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// ioBufSize is the buffer payload values are encoded and decoded through.
+const ioBufSize = 1 << 16
+
+// writeValues writes n little-endian values of size bytes each, put
+// encoding the i-th, one buffer-full at a time.
+func writeValues(w io.Writer, buf []byte, n, size int, put func(b []byte, i int)) error {
+	for i := 0; i < n; {
+		fill := 0
+		for ; i < n && fill+size <= len(buf); i, fill = i+1, fill+size {
+			put(buf[fill:], i)
+		}
+		if _, err := w.Write(buf[:fill]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Header is the metadata prefix of a snapshot, readable without the
@@ -190,29 +215,31 @@ func (hr *hashedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readChunked reads count little-endian values, growing the destination
-// one bounded chunk at a time: allocation tracks the bytes actually
+// readValues reads count little-endian values of size bytes each, get
+// decoding one, into a slice that starts with head zero elements. The
+// destination's capacity doubles as values arrive and never passes what
+// the header claimed: allocation stays within twice the bytes actually
 // present in the stream, so a header lying about its counts fails at the
-// first missing chunk instead of driving an enormous up-front make.
-// (Same defense as graph.ReadBinary's payload reads.)
-func readChunked[T int32 | uint32 | float64](r io.Reader, count uint64, what string) ([]T, error) {
-	const chunk = 1 << 20
-	capHint := count
-	if capHint > chunk {
-		capHint = chunk
-	}
-	out := make([]T, 0, capHint)
+// first missing byte instead of driving an enormous up-front make, while
+// an honest one ends in a slice of exactly its final size. (Same defense
+// as graph.ReadBinary's payload reads.)
+func readValues[T any](r io.Reader, buf []byte, count uint64, head, size int, get func(b []byte) T, what string) ([]T, error) {
+	const firstChunk = 1 << 20
+	out := make([]T, head, uint64(head)+min(count, firstChunk))
 	for read := uint64(0); read < count; {
-		n := count - read
-		if n > chunk {
-			n = chunk
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), uint64(head)+min(count, 2*read))
+			copy(grown, out)
+			out = grown
 		}
-		start := len(out)
-		out = append(out, make([]T, n)...)
-		if err := binary.Read(r, binary.LittleEndian, out[start:]); err != nil {
+		n := min(cap(out)-len(out), len(buf)/size)
+		if _, err := io.ReadFull(r, buf[:n*size]); err != nil {
 			return nil, fmt.Errorf("sketch: snapshot %s: %w", what, err)
 		}
-		read += n
+		for i := 0; i < n; i++ {
+			out = append(out, get(buf[i*size:]))
+		}
+		read += uint64(n)
 	}
 	return out, nil
 }
@@ -265,29 +292,36 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("sketch: implausible set count %d", numSets)
 	}
 
-	lens, err := readChunked[uint32](hr, numSets, "set lengths")
+	// Lengths land behind a leading zero and are prefix-summed in place
+	// into the arena's offsets.
+	buf := make([]byte, ioBufSize)
+	le := binary.LittleEndian
+	off, err := readValues(hr, buf, numSets, 1, 4, le.Uint32, "set lengths")
 	if err != nil {
 		return nil, err
 	}
 	total := uint64(0)
-	for i, l := range lens {
+	for i, l := range off[1:] {
 		if l == 0 || int64(l) > int64(n) {
 			return nil, fmt.Errorf("sketch: implausible set %d length %d", i, l)
 		}
-		total += uint64(l)
+		if total += uint64(l); total > math.MaxUint32 {
+			return nil, fmt.Errorf("sketch: implausible payload of more than 2^32 set members")
+		}
+		off[i+1] = uint32(total)
 	}
-	flat, err := readChunked[int32](hr, total, "set payload")
+	ids, err := readValues(hr, buf, total, 0, 4, func(b []byte) graph.NodeID { return graph.NodeID(le.Uint32(b)) }, "set payload")
 	if err != nil {
 		return nil, err
 	}
-	for _, v := range flat {
+	for _, v := range ids {
 		if v < 0 || v >= int32(n) {
 			return nil, fmt.Errorf("sketch: set member %d out of range [0,%d)", v, n)
 		}
 	}
 	var setWeights []float64
 	if version >= snapshotVersionV2 {
-		setWeights, err = readChunked[float64](hr, numSets, "set weights")
+		setWeights, err = readValues(hr, buf, numSets, 0, 8, func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) }, "set weights")
 		if err != nil {
 			return nil, err
 		}
@@ -322,16 +356,7 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		col:    ris.NewCollection(g, p.Kind),
 		lb:     lb,
 	}
-	off := int64(0)
-	for i, l := range lens {
-		set := flat[off : off+int64(l) : off+int64(l)]
-		if setWeights != nil {
-			x.col.AddWeighted(set, setWeights[i])
-		} else {
-			x.col.Add(set)
-		}
-		off += int64(l)
-	}
+	x.col.Install(ids, off, setWeights)
 	x.resetGreedyLocked()
 	return x, nil
 }
