@@ -1,6 +1,8 @@
 package holisticim
 
 import (
+	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +57,57 @@ func TestKEqualsN(t *testing.T) {
 				t.Fatalf("%s: duplicate seed with k=n", alg)
 			}
 			seen[s] = true
+		}
+	}
+}
+
+// On the 6-node chain with p=1 every RR set contains node 0, so coverage
+// saturates at the first seed and the rest of the budget is chosen with
+// nothing left to gain. Cold TIM+/IMM used to fill it with copies of node
+// 0 while a batch or a sketch returned distinct nodes; all three are one
+// greedy now and must agree.
+func TestSaturatedChainRISSeedsDistinct(t *testing.T) {
+	ctx := context.Background()
+	b := NewBuilder(6)
+	for u := NodeID(0); u < 5; u++ {
+		b.AddEdgeFull(u, u+1, 1, 0.5, 1)
+	}
+	g := b.Build()
+	for _, model := range []ModelKind{ModelIC, ModelLT} {
+		opts := Options{Model: model, Epsilon: 0.3, Seed: 3}
+		sk, err := BuildSketch(ctx, g, SketchOptions{Model: model, Epsilon: 0.3, Seed: 3, BuildK: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{4, 6} {
+			served, err := sk.Select(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := Run(ctx, g, Query{Algorithm: AlgIMM, Ks: []int{2, k}, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alg := range []Algorithm{AlgIMM, AlgTIMPlus} {
+				cold, err := SelectSeeds(g, k, alg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cold.Algorithm == "RR-sketch" {
+					t.Fatalf("%s/%s: expected a cold run", alg, model)
+				}
+				seen := map[NodeID]bool{}
+				for _, s := range cold.Seeds {
+					if s < 0 || s >= g.NumNodes() || seen[s] {
+						t.Fatalf("%s/%s k=%d: seeds %v are not distinct nodes of the graph", alg, model, k, cold.Seeds)
+					}
+					seen[s] = true
+				}
+				if !slices.Equal(cold.Seeds, batch.Members[1].Result.Seeds) || !slices.Equal(cold.Seeds, served.Seeds) {
+					t.Fatalf("%s/%s k=%d: cold %v, batch member %v, sketch-served %v", alg, model, k,
+						cold.Seeds, batch.Members[1].Result.Seeds, served.Seeds)
+				}
+			}
 		}
 	}
 }

@@ -212,22 +212,13 @@ func (k ModelKind) OpinionAware() bool {
 // Serving layers use it to key sketch indexes — an "oc" sketch samples
 // the very sets an "lt" one does, but only the weighted index can serve
 // the opinion path, so the two are distinct keys.
-func (k ModelKind) RRSemantics() string {
-	switch k {
-	case ModelLT, ModelOILT:
-		return "lt"
-	case ModelOC:
-		return "oc"
-	default:
-		return "ic"
-	}
-}
+func (k ModelKind) RRSemantics() string { return risKindFor(k).Semantics() }
 
 func risKindFor(k ModelKind) ris.ModelKind {
-	switch k.RRSemantics() {
-	case "lt":
+	switch k {
+	case ModelLT, ModelOILT:
 		return ris.ModelLT
-	case "oc":
+	case ModelOC:
 		return ris.ModelOC
 	default:
 		return ris.ModelIC
@@ -365,11 +356,11 @@ func SelectSeedsContext(ctx context.Context, g *Graph, k int, alg Algorithm, opt
 	return Result{}, err
 }
 
-// newSelector constructs the im.Selector implementing alg over g with
-// resolved options o — the single algorithm table the planner, Run and
-// every selection entrypoint share. A matching opts.Sketch short-circuits
-// TIM+/IMM to the prebuilt index exactly as the planner's sketch backend
-// does.
+// newSelector constructs the cold im.Selector implementing alg over g
+// with resolved options o — the single algorithm table Run and every
+// selection entrypoint share. It never consults opts.Sketch: whether a
+// prebuilt index serves TIM+/IMM is the planner's decision alone, and
+// runSelect has acted on it before asking for a selector.
 func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 	model, err := NewModel(g, o.Model)
 	if err != nil {
@@ -415,17 +406,9 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 		}
 		sel = greedy.NewStaticGreedy(g, snapshots, o.Seed)
 	case AlgTIMPlus:
-		if s := sketchSelector(o, g, risKind); s != nil {
-			sel = s
-		} else {
-			sel = ris.NewTIMPlus(g, risKind, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
-		}
+		sel = ris.NewTIMPlus(g, risKind, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
 	case AlgIMM:
-		if s := sketchSelector(o, g, risKind); s != nil {
-			sel = s
-		} else {
-			sel = ris.NewIMM(g, risKind, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
-		}
+		sel = ris.NewIMM(g, risKind, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
 	case AlgIRIE:
 		sel = heuristics.NewIRIE(g, 0, 0, 0)
 	case AlgSIMPATH:
@@ -574,13 +557,10 @@ func ReadSketch(r io.Reader, g *Graph) (*Sketch, error) { return sketch.Load(r, 
 // needing) the graph.
 func ReadSketchHeader(r io.Reader) (SketchHeader, error) { return sketch.ReadHeader(r) }
 
-// sketchSelector returns the sketch-backed selector when opts can be
-// served from opts.Sketch: same graph content (pointer or fingerprint
-// match), same RR semantics, and no explicit θ cap (a cap changes
-// TIM+/IMM sampling in ways the index does not model).
-func sketchSelector(o Options, g *Graph, kind ris.ModelKind) im.Selector {
-	if o.Sketch == nil || o.TIMThetaCap != 0 || !o.Sketch.Matches(g, kind) {
-		return nil
-	}
-	return o.Sketch
+// sketchServesSelect reports whether a TIM+/IMM selection under resolved
+// options o can be served from o.Sketch: same graph content (pointer or
+// fingerprint match), same RR semantics, and no explicit θ cap (a cap
+// changes TIM+/IMM sampling in ways the index does not model).
+func sketchServesSelect(g *Graph, o Options) bool {
+	return o.Sketch != nil && o.TIMThetaCap == 0 && o.Sketch.Matches(g, risKindFor(o.Model))
 }

@@ -101,6 +101,11 @@ func TestQueryKey(t *testing.T) {
 	if base != SketchIDOf("soc", "ic", 0.1, 0) {
 		t.Fatalf("QueryKey %q does not align with the sketch id family", base)
 	}
+	// One formatter: manifest ids are the serving registry's ids, byte for
+	// byte, in the format replicas and stores already hold on disk.
+	if id := SketchIDOf("soc", "oc", 0.25, 7); id != "soc:oc:e0.25:s7" || id != service.SketchID("soc", "oc", 0.25, 7) {
+		t.Fatalf("SketchIDOf = %q, registry id %q, want soc:oc:e0.25:s7", id, service.SketchID("soc", "oc", 0.25, 7))
+	}
 }
 
 // TestQueryKeyOfEquivalentBodies is the router half of the v1-is-a-

@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"github.com/holisticim/holisticim"
-	"github.com/holisticim/holisticim/internal/ris"
+	"github.com/holisticim/holisticim/internal/service"
 )
 
 // manifestFile is the store's table-of-contents file name.
@@ -126,24 +126,11 @@ func (s *Store) PublishGraph(name string, g *holisticim.Graph, version uint64) (
 	return entry, err
 }
 
-// semanticsOf maps an index's RR kind to the registry semantics key the
-// serving layer uses ("ic", "lt", "oc").
-func semanticsOf(kind ris.ModelKind) string {
-	switch kind {
-	case ris.ModelLT:
-		return "lt"
-	case ris.ModelOC:
-		return "oc"
-	default:
-		return "ic"
-	}
-}
-
 // SketchIDOf is the canonical sketch identifier the serving registry
-// keys indexes by; the store reuses it so a manifest entry names the
-// exact registry slot a replica will load it into.
+// keys indexes by (service.SketchID); the store reuses it so a manifest
+// entry names the exact registry slot a replica will load it into.
 func SketchIDOf(graph, semantics string, epsilon float64, seed uint64) string {
-	return fmt.Sprintf("%s:%s:e%g:s%d", graph, semantics, epsilon, seed)
+	return service.SketchID(graph, semantics, epsilon, seed)
 }
 
 // PublishSketch writes idx's snapshot into the store and records it in
@@ -157,7 +144,7 @@ func (s *Store) PublishSketch(graphName string, idx *holisticim.Sketch) (Manifes
 		return ManifestSketch{}, fmt.Errorf("cluster: nil sketch")
 	}
 	p := idx.Params()
-	sem := semanticsOf(p.Kind)
+	sem := p.Kind.Semantics()
 	id := SketchIDOf(graphName, sem, p.Epsilon, p.Seed)
 	fp := fmt.Sprintf("%016x", idx.GraphFingerprint())
 	rel, err := s.writeArtifact("sketches", fmt.Sprintf("%s-%s.hims", mangle(id), fp), func(f *os.File) error {

@@ -21,13 +21,13 @@ func TestScoreGreedyCancellation(t *testing.T) {
 			return NewScoreGreedy(NewEaSyIM(g, 3, WeightProb), ScoreGreedyOptions{
 				Policy: PolicyMCMajority, ProbeModel: diffusion.NewIC(g), ProbeRuns: 8, Seed: 7,
 			})
-		}, 4)
+		}, g.NumNodes(), 4)
 	})
 	t.Run("osim", func(t *testing.T) {
 		imtest.Conformance(t, func() im.Selector {
 			return NewScoreGreedy(NewOSIM(g, 3, WeightProb, 1), ScoreGreedyOptions{
 				Policy: PolicyMCMajority, ProbeModel: diffusion.NewOI(g, diffusion.LayerIC), ProbeRuns: 8, Seed: 7,
 			})
-		}, 4)
+		}, g.NumNodes(), 4)
 	})
 }

@@ -19,16 +19,16 @@ func TestGreedyFamilyCancellation(t *testing.T) {
 	t.Run("greedy", func(t *testing.T) {
 		imtest.Conformance(t, func() im.Selector {
 			return NewGreedy(NewSpreadObjective(diffusion.NewIC(g), 30, 3))
-		}, 3)
+		}, g.NumNodes(), 3)
 	})
 	t.Run("celfpp", func(t *testing.T) {
 		imtest.Conformance(t, func() im.Selector {
 			return NewCELFPP(NewSpreadObjective(diffusion.NewIC(g), 30, 3))
-		}, 3)
+		}, g.NumNodes(), 3)
 	})
 	t.Run("static-greedy", func(t *testing.T) {
 		imtest.Conformance(t, func() im.Selector {
 			return NewStaticGreedy(g, 60, 5)
-		}, 3)
+		}, g.NumNodes(), 3)
 	})
 }

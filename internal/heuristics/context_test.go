@@ -26,6 +26,6 @@ func TestHeuristicsCancellation(t *testing.T) {
 		{"pagerank", func() im.Selector { return NewPageRank(g, 0, 0) }},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { imtest.Conformance(t, tc.mk, 4) })
+		t.Run(tc.name, func(t *testing.T) { imtest.Conformance(t, tc.mk, g.NumNodes(), 4) })
 	}
 }

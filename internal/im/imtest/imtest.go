@@ -19,10 +19,10 @@ import (
 )
 
 // Conformance exercises the context contract of a selector. mk must
-// return a fresh selector bound to a graph with at least k+1 nodes;
+// return a fresh selector bound to a graph with n nodes, at least k+1;
 // k should be >= 2 so a mid-run cancellation is observable as a strict
 // prefix of the budget.
-func Conformance(t *testing.T, mk func() im.Selector, k int) {
+func Conformance(t *testing.T, mk func() im.Selector, n int32, k int) {
 	t.Helper()
 
 	t.Run("invalid-k", func(t *testing.T) {
@@ -91,6 +91,13 @@ func Conformance(t *testing.T, mk func() im.Selector, k int) {
 		}
 		if reported != k {
 			t.Fatalf("%s: progress reported %d seeds, want %d", sel.Name(), reported, k)
+		}
+		seen := make(map[graph.NodeID]bool, k)
+		for _, s := range res.Seeds {
+			if s < 0 || s >= n || seen[s] {
+				t.Fatalf("%s: seeds %v are not distinct nodes in [0,%d)", sel.Name(), res.Seeds, n)
+			}
+			seen[s] = true
 		}
 	})
 }

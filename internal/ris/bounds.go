@@ -14,6 +14,10 @@ func immEll(n, ell float64) float64 { return ell * (1 + math.Ln2/math.Log(n)) }
 // runs at.
 func IMMEpsPrime(eps float64) float64 { return math.Sqrt2 * eps }
 
+// IMMLowerBound returns n·F/(1+ε'), the lower bound on OPT_k that IMM
+// reads off a k-seed set covering the fraction frac of the sampled sets.
+func IMMLowerBound(n, frac, eps float64) float64 { return n * frac / (1 + IMMEpsPrime(eps)) }
+
 // IMMLambdaPrime returns λ' for the OPT-guessing phase: a guess x of OPT
 // is tested on θ_i = λ'/x RR sets.
 func IMMLambdaPrime(n float64, k int, eps, ell float64) float64 {

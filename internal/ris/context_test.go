@@ -20,12 +20,12 @@ func TestRISCancellation(t *testing.T) {
 	t.Run("tim+", func(t *testing.T) {
 		imtest.Conformance(t, func() im.Selector {
 			return NewTIMPlus(g, ModelIC, TIMOptions{Epsilon: 0.4, Seed: 5, ThetaCap: 30000})
-		}, 3)
+		}, g.NumNodes(), 3)
 	})
 	t.Run("imm", func(t *testing.T) {
 		imtest.Conformance(t, func() im.Selector {
 			return NewIMM(g, ModelIC, TIMOptions{Epsilon: 0.4, Seed: 5, ThetaCap: 30000})
-		}, 3)
+		}, g.NumNodes(), 3)
 	})
 }
 

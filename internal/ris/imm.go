@@ -12,12 +12,11 @@ import (
 // "Influence Maximization in Near-Linear Time: A Martingale Approach",
 // SIGMOD'15), which the paper cites as the most efficient RIS algorithm.
 //
-// Sampling phase: geometrically shrinking guesses x = n/2^i of OPT; for
-// each guess sample θ_i = λ'/x RR sets, run max coverage, and accept the
-// lower bound LB = n·F(S_i)/(1+ε') once the estimated spread beats
-// (1+ε')·x. Selection phase: top up to θ = λ*/LB sets and solve max
-// coverage. RR sets are reused across phases (the martingale analysis
-// permits it — that is IMM's improvement over TIM+).
+// Sampling phase (Collection.SampleIMM, shared with the sketch index's
+// build): lower-bound OPT over geometrically shrinking guesses, then top
+// up to θ = λ*/LB sets. Selection phase: solve max coverage on them. RR
+// sets are reused across phases (the martingale analysis permits it —
+// that is IMM's improvement over TIM+).
 type IMM struct {
 	g    *graph.Graph
 	kind ModelKind
@@ -36,9 +35,48 @@ func NewIMM(g *graph.Graph, kind ModelKind, opts TIMOptions) *IMM {
 // Name implements im.Selector.
 func (t *IMM) Name() string { return "IMM" }
 
-// Select implements im.Selector. Both the geometric OPT-guessing rounds
-// and the final top-up run their θ-sampling through GenerateCtx, so
-// cancellation lands within a small batch of RR sets.
+// SampleIMM runs IMM's sampling phase for a budget of k seeds, growing c
+// with sets of the stream keyed by seed. OPT lower-bounding: for
+// geometrically shrinking guesses x = n/2^i of OPT, hold λ'/x sets, run
+// max coverage, and accept lb = n·F/(1+ε') once n·F ≥ (1+ε')·x (lb = 1 if
+// no guess is accepted). Then top up to θ = λ*/lb sets. Sets are reused
+// across rounds, as the martingale analysis permits. workers bounds the
+// sampling goroutines and cannot change the sets; a positive maxSets
+// clips every round's target, reported as capped.
+//
+// An interruption returns the context's error: with lb == 0 when it
+// struck during OPT lower-bounding, with the accepted bound when it
+// struck during the top-up. Completed chunks stay in c either way.
+func (c *Collection) SampleIMM(ctx context.Context, k int, eps, ell float64, seed uint64, workers, maxSets int) (lb float64, capped bool, err error) {
+	n := float64(c.g.NumNodes())
+	growTo := func(theta int) error {
+		if maxSets > 0 && theta > maxSets {
+			theta, capped = maxSets, true
+		}
+		if c.Len() >= theta {
+			return nil
+		}
+		return c.GenerateParallelCtx(ctx, theta-c.Len(), seed, workers)
+	}
+	epsPrime := IMMEpsPrime(eps)
+	lambdaPrime := IMMLambdaPrime(n, k, eps, ell)
+	bound := 1.0
+	for i, rounds := 1, max(1, int(math.Ceil(math.Log2(n)))-1); i <= rounds; i++ {
+		x := n / math.Exp2(float64(i))
+		if err := growTo(int(math.Ceil(lambdaPrime / x))); err != nil {
+			return 0, capped, err
+		}
+		if _, frac := c.MaxCoverage(k); n*frac >= (1+epsPrime)*x {
+			bound = IMMLowerBound(n, frac, eps)
+			break
+		}
+	}
+	return bound, capped, growTo(IMMTheta(n, k, eps, ell, bound))
+}
+
+// Select implements im.Selector: the sampling phase on one worker — so
+// cancellation lands within a small batch of RR sets — then max coverage
+// over the sample.
 func (t *IMM) Select(ctx context.Context, k int) (im.Result, error) {
 	n := t.g.NumNodes()
 	res := im.Result{Algorithm: t.Name()}
@@ -46,54 +84,25 @@ func (t *IMM) Select(ctx context.Context, k int) (im.Result, error) {
 		return res, err
 	}
 	tr := im.StartTracker(ctx)
-	nf := float64(n)
-	eps := t.opts.Epsilon
-	ell := t.opts.Ell
 
 	col := NewCollection(t.g, t.kind)
-	epsPrime := IMMEpsPrime(eps)
-	lambdaPrime := IMMLambdaPrime(nf, k, eps, ell)
-
-	lb := 1.0
-	maxI := int(math.Ceil(math.Log2(nf))) - 1
-	if maxI < 1 {
-		maxI = 1
-	}
-	for i := 1; i <= maxI; i++ {
-		x := nf / math.Exp2(float64(i))
-		thetaI := int(math.Ceil(lambdaPrime / x))
-		if t.opts.ThetaCap > 0 && thetaI > t.opts.ThetaCap {
-			thetaI = t.opts.ThetaCap
-			res.AddMetric("theta_capped", 1)
-		}
-		if col.Len() < thetaI {
-			if err := col.GenerateCtx(ctx, thetaI-col.Len(), t.opts.Seed); err != nil {
-				return res, interrupted(tr, &res, "OPT lower-bounding", err)
-			}
-		}
-		_, frac := col.MaxCoverage(k)
-		if nf*frac >= (1+epsPrime)*x {
-			lb = nf * frac / (1 + epsPrime)
-			break
-		}
-	}
-	res.AddMetric("lower_bound", lb)
-
-	theta := IMMTheta(nf, k, eps, ell, lb)
-	if t.opts.ThetaCap > 0 && theta > t.opts.ThetaCap {
-		theta = t.opts.ThetaCap
+	lb, capped, err := col.SampleIMM(ctx, k, t.opts.Epsilon, t.opts.Ell, t.opts.Seed, 1, t.opts.ThetaCap)
+	if capped {
 		res.AddMetric("theta_capped", 1)
 	}
-	if col.Len() < theta {
-		if err := col.GenerateCtx(ctx, theta-col.Len(), t.opts.Seed); err != nil {
-			return res, interrupted(tr, &res, "node-selection sampling", err)
-		}
+	phase := "OPT lower-bounding"
+	if lb > 0 { // a bound was accepted: whatever followed was the top-up
+		res.AddMetric("lower_bound", lb)
+		phase = "node-selection sampling"
+	}
+	if err != nil {
+		return res, interrupted(tr, &res, phase, err)
 	}
 	seeds, frac := col.MaxCoverage(k)
 	res.AddMetric("theta", float64(col.Len()))
 	res.AddMetric("rrset_bytes", float64(col.MemoryFootprint()))
 	res.AddMetric("coverage", frac)
-	res.AddMetric("estimated_spread", frac*nf)
+	res.AddMetric("estimated_spread", frac*float64(n))
 	for _, s := range seeds {
 		if err := tr.Interrupted(&res); err != nil {
 			return res, err

@@ -6,6 +6,7 @@ import (
 
 	"github.com/holisticim/holisticim/internal/diffusion"
 	"github.com/holisticim/holisticim/internal/graph"
+	"github.com/holisticim/holisticim/internal/im/imtest"
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
@@ -192,5 +193,23 @@ func TestLTWalkTerminatesOnCycles(t *testing.T) {
 		if len(set) > 5 {
 			t.Fatalf("walk longer than cycle: %v", set)
 		}
+	}
+}
+
+// ThetaCap documents theta_capped = 1 when the cap bites. AddMetric
+// accumulates, and IMM used to report once per clipped OPT-guess round
+// plus once for the final θ, so the wire value counted rounds.
+func TestIMMThetaCappedReportedOnce(t *testing.T) {
+	g := imtest.TestGraph(250)
+	res := runSelect(NewIMM(g, ModelIC, TIMOptions{Epsilon: 0.3, Seed: 5, ThetaCap: 300}), 5)
+	if got := res.Metrics["theta_capped"]; got != 1 {
+		t.Fatalf("theta_capped = %v with every round clipped to 300 sets, want 1", got)
+	}
+	if res.Metrics["theta"] != 300 {
+		t.Fatalf("theta = %v, want the cap 300", res.Metrics["theta"])
+	}
+	res = runSelect(NewIMM(g, ModelIC, TIMOptions{Epsilon: 0.3, Seed: 5}), 5)
+	if _, ok := res.Metrics["theta_capped"]; ok {
+		t.Fatalf("uncapped run reports theta_capped: %v", res.Metrics)
 	}
 }

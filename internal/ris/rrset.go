@@ -12,12 +12,18 @@
 // second flat array built by counting sort, so a collection costs 8
 // bytes per set member plus 4 per set: no per-set or per-row headers or
 // allocations, and at most 1/32 of growth headroom.
+//
+// What the family derives from a sample lives here, once: the greedy
+// max-coverage order (Collection.Greedy; MaxCoverage is its one-shot
+// entry) and IMM's sampling phase (Collection.SampleIMM). Cold TIM+/IMM
+// and the sketch index are callers.
 package ris
 
 import (
 	"context"
 	"math"
 	"slices"
+	"strings"
 
 	"github.com/holisticim/holisticim/internal/graph"
 	"github.com/holisticim/holisticim/internal/rng"
@@ -43,14 +49,19 @@ const (
 	ModelOC
 )
 
-func (m ModelKind) String() string {
+func (m ModelKind) String() string { return strings.ToUpper(m.Semantics()) }
+
+// Semantics returns the lower-case name of the kind — "ic", "lt" or "oc"
+// — the one vocabulary sketch ids, routing keys and the facade's
+// ModelKind.RRSemantics spell RR-set semantics in.
+func (m ModelKind) Semantics() string {
 	switch m {
 	case ModelLT:
-		return "LT"
+		return "lt"
 	case ModelOC:
-		return "OC"
+		return "oc"
 	default:
-		return "IC"
+		return "ic"
 	}
 }
 
@@ -58,8 +69,11 @@ func (m ModelKind) String() string {
 func (m ModelKind) Weighted() bool { return m == ModelOC }
 
 // Collection holds sampled RR sets and their inverted index, both in
-// CSR form. It is not safe for concurrent use — even the read-only
-// queries share scratch marks; the sketch index serializes access.
+// CSR form, and owns the greedy order over them: Greedy memoizes it, and
+// whatever changes sets — appending generated chunks, Install, a
+// non-empty ReplaceSets — drops it, so no caller invalidates anything. It
+// is not safe for concurrent use — even the read-only queries share
+// scratch marks; the sketch index serializes access.
 type Collection struct {
 	g    *graph.Graph
 	kind ModelKind
@@ -79,10 +93,13 @@ type Collection struct {
 	smp     *Sampler  // reused by sequential generation
 
 	// Scratch reused across calls, never part of the sample: a per-node
-	// counter (index cursors, MaxCoverage marginals) and set/node marks.
+	// counter (index cursors while sets change, the plain greedy's
+	// marginals while they do not) and set/node marks.
 	counts    []uint32
 	setMarks  Bitset
 	nodeMarks Bitset
+
+	memo greedyMemo // the greedy order so far: see Greedy
 }
 
 // NewCollection returns an empty RR-set collection over g.
@@ -202,11 +219,12 @@ func (c *Collection) Install(ids []graph.NodeID, off []uint32, weights []float64
 }
 
 // MemoryFootprint returns the bytes held by the arena, the inverted
-// index, the weight column and the scratch — exactly, in O(1): every
-// one of them is a flat array.
+// index, the weight column, the scratch and the memoized greedy order —
+// exactly, in O(1): every one of them is a flat array.
 func (c *Collection) MemoryFootprint() int64 {
-	words4 := cap(c.ids) + cap(c.off) + cap(c.inv) + cap(c.invOff) + cap(c.counts) + cap(c.smp.scratch)
-	words8 := cap(c.weights) + cap(c.setMarks) + cap(c.nodeMarks)
+	m := &c.memo
+	words4 := cap(c.ids) + cap(c.off) + cap(c.inv) + cap(c.invOff) + cap(c.counts) + cap(c.smp.scratch) + cap(m.order)
+	words8 := cap(c.weights) + cap(c.setMarks) + cap(c.nodeMarks) + cap(m.covered) + cap(m.gain) + cap(m.cov) + cap(m.wcov)
 	return 4*int64(words4) + 8*int64(words8)
 }
 
@@ -233,6 +251,7 @@ func extend[T any](s []T, n int) []T {
 // beyond one sequential pass over the old index follows the new sets.
 // From an empty index (Install) this is the plain counting sort.
 func (c *Collection) index(first int) {
+	c.memo.drop() // the sets changed, and the counters are about to be cursors
 	ids, invOff, cursor := c.ids, c.invOff, c.counts
 	clear(cursor)
 	for _, v := range ids[c.off[first]:] {
@@ -442,6 +461,7 @@ func (c *Collection) ReplaceSets(ids []int32, sets [][]graph.NodeID) {
 	if len(ids) == 0 {
 		return
 	}
+	c.memo.drop()
 	// Index edits, keyed (node, set id, insert?) so that sorting puts them
 	// in row order with a set's deletion ahead of its reinsertion.
 	arena := make([]edit, len(ids))
@@ -524,46 +544,6 @@ func OCRootWeight(g *graph.Graph, walk []graph.NodeID) float64 {
 		w = (g.Opinion(walk[i]) + w) / 2
 	}
 	return w
-}
-
-// MaxCoverage greedily picks k nodes maximizing the number of covered RR
-// sets; returns the seeds and the covered fraction. This is the node-
-// selection phase shared by TIM+ and IMM, a (1−1/e)-approximation of
-// maximum coverage.
-func (c *Collection) MaxCoverage(k int) ([]graph.NodeID, float64) {
-	n := c.g.NumNodes()
-	counts := c.counts
-	for v := range counts {
-		counts[v] = c.invOff[v+1] - c.invOff[v]
-	}
-	covered := c.setMarks.Reset(c.Len())
-	c.setMarks = covered
-	seeds := make([]graph.NodeID, 0, k)
-	totalCovered := 0
-	for i := 0; i < k && n > 0; i++ {
-		best := graph.NodeID(0)
-		for v := graph.NodeID(1); v < n; v++ {
-			if counts[v] > counts[best] {
-				best = v
-			}
-		}
-		seeds = append(seeds, best)
-		for _, sid := range c.SetsContaining(best) {
-			if covered.Has(sid) {
-				continue
-			}
-			covered.Set(sid)
-			totalCovered++
-			for _, u := range c.Set(int(sid)) {
-				counts[u]--
-			}
-		}
-	}
-	frac := 0.0
-	if c.Len() > 0 {
-		frac = float64(totalCovered) / float64(c.Len())
-	}
-	return seeds, frac
 }
 
 // FractionCoveredBy returns the fraction of sets hit by the given seed

@@ -437,7 +437,7 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 	semantics := model.RRSemantics()
 	if s.sketches.Lookup(spec.Graph, semantics, epsilon, seed) != nil {
 		writeError(w, http.StatusConflict, "%v: %q", ErrSketchExists,
-			sketchID(spec.Graph, semantics, epsilon, seed))
+			SketchID(spec.Graph, semantics, epsilon, seed))
 		return
 	}
 	maxSets := spec.MaxSets
@@ -454,7 +454,7 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 		MaxSets: maxSets,
 	}
 	graphName := spec.Graph
-	key := "sketchbuild:" + sketchID(graphName, semantics, epsilon, seed)
+	key := "sketchbuild:" + SketchID(graphName, semantics, epsilon, seed)
 	// Sketch builds are heavyweight index construction: batch class, so
 	// a build can never queue ahead of serving work.
 	job, created, err := s.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"github.com/holisticim/holisticim"
-	"github.com/holisticim/holisticim/internal/ris"
 )
 
 // Sketch registry errors.
@@ -20,25 +19,14 @@ var (
 	ErrSketchesFull   = errors.New("service: sketch registry full")
 )
 
-// sketchID is the canonical identifier of a sketch: one index per
-// (graph, RR semantics, ε, seed), semantics being "ic", "lt" or the
-// opinion-weighted "oc". The id pins the sample a fast-path selection
-// will use: a graph name rebound to different content evicts its
-// sketches (RebindGraph), so a live id always means a live sample.
-func sketchID(graph, semantics string, epsilon float64, seed uint64) string {
+// SketchID is the canonical identifier of a sketch: one index per
+// (graph, RR semantics, ε, seed), semantics being ris.ModelKind's "ic",
+// "lt" or the opinion-weighted "oc". The id pins the sample a fast-path
+// selection will use: a graph name rebound to different content evicts
+// its sketches (RebindGraph), so a live id always means a live sample.
+// The cluster layer's manifest ids and routing keys are this string too.
+func SketchID(graph, semantics string, epsilon float64, seed uint64) string {
 	return fmt.Sprintf("%s:%s:e%g:s%d", graph, semantics, epsilon, seed)
-}
-
-// semanticsOf maps an index's RR kind back to its registry semantics key.
-func semanticsOf(kind ris.ModelKind) string {
-	switch kind {
-	case ris.ModelLT:
-		return "lt"
-	case ris.ModelOC:
-		return "oc"
-	default:
-		return "ic"
-	}
 }
 
 // SketchRegistry holds the server's RR-sketch indexes. Like the graph
@@ -94,7 +82,7 @@ func (r *SketchRegistry) Add(graph, semantics string, epsilon float64, seed uint
 	if idx == nil {
 		return "", errors.New("service: nil sketch")
 	}
-	id := sketchID(graph, semantics, epsilon, seed)
+	id := SketchID(graph, semantics, epsilon, seed)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.entries[id]; ok {
@@ -120,7 +108,7 @@ func (r *SketchRegistry) Put(graph, semantics string, epsilon float64, seed uint
 	if idx == nil {
 		return "", false, errors.New("service: nil sketch")
 	}
-	id := sketchID(graph, semantics, epsilon, seed)
+	id := SketchID(graph, semantics, epsilon, seed)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, replaced := r.entries[id]
@@ -136,7 +124,7 @@ func (r *SketchRegistry) Put(graph, semantics string, epsilon float64, seed uint
 func (r *SketchRegistry) Lookup(graph, semantics string, epsilon float64, seed uint64) *holisticim.Sketch {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[sketchID(graph, semantics, epsilon, seed)]
+	e, ok := r.entries[SketchID(graph, semantics, epsilon, seed)]
 	if !ok {
 		return nil
 	}
@@ -353,7 +341,7 @@ func (r *SketchRegistry) LoadSnapshot(graphName string, g *holisticim.Graph, pat
 		return "", fmt.Errorf("service: read %s: %w", path, err)
 	}
 	p := idx.Params()
-	return r.Add(graphName, semanticsOf(p.Kind), p.Epsilon, p.Seed, idx)
+	return r.Add(graphName, p.Kind.Semantics(), p.Epsilon, p.Seed, idx)
 }
 
 // RebindGraph reconciles the registry with a graph name that was just

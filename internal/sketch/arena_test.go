@@ -79,18 +79,20 @@ func (b *sizedBuffer) Grow(n int) {
 }
 
 // minFootprint is the arithmetic MemoryFootprint reports when no array
-// carries headroom: 8 bytes per set member (arena + inverted index), 4
-// per set offset, 8 per weight, the per-node rows and scratch of the
-// collection, and the index's own greedy counters.
+// carries headroom, every byte of it the collection's: 8 bytes per set
+// member (arena + inverted index), 4 per set offset, 8 per weight, the
+// per-node index offsets, sampler stamps and counters (shared by indexing
+// and the plain greedy), the two per-set mark sets (coverage queries, the
+// greedy order's), and the order itself with what each prefix covers.
 func minFootprint(x *Index) int64 {
 	n, sets, members := int(x.g.NumNodes()), x.col.Len(), len(x.col.Members())
 	words := func(bits int) int { return (bits + 63) / 64 }
+	order := x.col.GreedyLen()
 	b := 8*int64(members) + 4*int64(sets+1) + 4*int64(n+1) + 2*4*int64(n)
-	b += 8 * int64(words(sets)) // the collection's set marks
-	b += 4*int64(n) + 8*int64(words(sets))
-	b += 4*int64(cap(x.order)) + 8*int64(cap(x.orderCov)) + 8*int64(cap(x.orderWCov))
+	b += 2 * 8 * int64(words(sets))
+	b += (4 + 8) * int64(order)
 	if x.params.Kind.Weighted() {
-		b += 8*int64(sets) + 8*int64(n) + 8*int64(words(n))
+		b += 8*int64(sets) + 8*int64(n) + 8*int64(words(n)) + 8*int64(order)
 	}
 	return b
 }
@@ -106,9 +108,11 @@ func TestMemoryFootprintExact(t *testing.T) {
 		x := mustBuild(t, g, Params{Kind: kind, Epsilon: 0.3, Seed: 11, BuildK: 4, Workers: 4})
 		check := func(step string, x *Index, exact bool) {
 			t.Helper()
-			// Size the coverage marks for the current sample, as the first
-			// estimate served would.
+			// Size the coverage marks and the greedy's counters for the
+			// current sample, as the first estimate and the first select
+			// served would.
 			x.EstimateSpread([]graph.NodeID{1, 2})
+			x.col.Greedy(1)
 			if kind.Weighted() {
 				if _, err := x.EstimateOpinion([]graph.NodeID{1, 2}); err != nil {
 					t.Fatal(err)

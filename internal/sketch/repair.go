@@ -82,8 +82,8 @@ func (x *Index) StaleSets() int {
 // The node count must be unchanged (the root draw depends on n); Repair
 // errors otherwise and the caller must rebuild.
 //
-// The memoized greedy order is invalidated only when a resampled set
-// actually changed; repairs that touch nothing (or replay identically)
+// The collection drops its memoized greedy order only when a resampled
+// set actually changed; repairs that touch nothing (or replay identically)
 // keep serving the memoized order untouched. After an exact repair the
 // index's fingerprint matches g, so Matches — and every serving fast
 // path behind it — accepts the new snapshot; until then the fingerprints
@@ -202,18 +202,12 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 	x.graphVersion = newVersion
 	st.Stale = len(x.stale)
 
-	// Targeted invalidation: the memoized greedy state is a pure function
-	// of the collection, so it survives whenever nothing changed. When
-	// something did, rebuild the counters and re-derive the build-phase
-	// OPT lower bound at BuildK against the repaired sample (the stored lb
-	// described the old content).
+	// The collection keeps its greedy order unless a set changed; the
+	// build-phase OPT bound at BuildK described the old content then, so
+	// re-derive it against the repaired sample.
 	if st.Changed > 0 {
-		x.resetGreedyLocked()
-		if x.col.Len() > 0 {
-			x.extendOrderLocked(x.params.BuildK)
-			frac := float64(x.orderCov[len(x.order)-1]) / float64(x.col.Len())
-			x.lb = float64(n) * frac / (1 + ris.IMMEpsPrime(x.params.Epsilon))
-		}
+		_, covered := x.col.Greedy(x.params.BuildK)
+		x.lb = ris.IMMLowerBound(float64(n), float64(covered)/float64(x.col.Len()), x.params.Epsilon)
 	}
 	return st, nil
 }

@@ -3,13 +3,16 @@
 // 6i/6j, Table 3) — into a long-lived, shareable index. A one-off
 // selection regenerates its RR collection from scratch and throws it
 // away; an Index is built once per (graph, model, ε, seed), answers
-// Select(ctx, k) for any k in milliseconds by incremental greedy
-// max-coverage over memoized coverage counters, lazily extends its
-// sample when a request's IMM θ bound needs more sets than it holds, and
-// persists to a versioned binary snapshot so restarts warm instantly.
+// Select(ctx, k) for any k in milliseconds from the collection's
+// memoized greedy max-coverage order, lazily extends its sample when a
+// request's IMM θ bound needs more sets than it holds, and persists to a
+// versioned binary snapshot so restarts warm instantly.
 // The sample is ris.Collection's flat arena — a handful of arrays, not a
 // slice per set — so building, loading and repairing allocate per batch
-// and the index knows its size without walking anything.
+// and the index knows its size without walking anything. The greedy order
+// and IMM's sampling phase are the collection's too (ris.Collection.Greedy,
+// SampleIMM): the index adds locking, the θ fixpoint around lazy
+// extension, repair and persistence.
 //
 // Three properties make the index sound to share:
 //
@@ -18,9 +21,9 @@
 //     ris.GenerateParallelCtx), so an index is a pure function of
 //     (graph, Params) — parallel build, sequential build and
 //     snapshot-restore all yield identical state.
-//   - Monotonicity: extensions only append sets; the greedy order is
-//     recomputed against the grown sample, exactly as IMM's martingale
-//     analysis permits reusing sets across phases.
+//   - Monotonicity: extensions only append sets; the collection drops its
+//     greedy order and recomputes it against the grown sample, exactly as
+//     IMM's martingale analysis permits reusing sets across phases.
 //   - Guarded persistence: snapshots carry the graph's content
 //     fingerprint and refuse to load against a different graph.
 package sketch
@@ -93,10 +96,11 @@ func (p Params) withDefaults(n int32) Params {
 }
 
 // Index is a reusable RR-sketch over one graph. All methods are safe for
-// concurrent use; Select memoizes the greedy seed order so repeated and
-// prefix queries are O(k) lookups: a slice of the order plus metrics
-// kept per prefix, with the reported footprint summed from array
-// capacities rather than recounted set by set.
+// concurrent use. The greedy seed order belongs to the collection, which
+// memoizes it and drops it whenever its sets change, so repeated and
+// prefix queries are O(k) lookups — a slice of the order plus metrics
+// kept per prefix — and nothing here invalidates anything; lb is the one
+// field derived from the sets, re-derived by Repair when a set changes.
 type Index struct {
 	g  *graph.Graph // guarded by mu: Repair swaps it, Matches rebinds it
 	fp uint64       // guarded by mu; graph content fingerprint, 0 = not hashed yet: read it through fpLocked
@@ -113,31 +117,6 @@ type Index struct {
 	graphVersion uint64             // guarded by mu
 	stale        map[int32]struct{} // guarded by mu
 
-	// Memoized incremental greedy max-coverage state over col. order is
-	// the greedy seed permutation computed so far; orderCov[i] is the
-	// number of sets covered by order[:i+1]. Extensions reset all of it.
-	// For weighted (OC) indexes the argmax runs over wgain — the summed
-	// root-opinion weight of the uncovered sets containing each node —
-	// so the greedy order maximizes opinion coverage instead of plain
-	// set coverage; orderWCov[i] is the weight covered by order[:i+1].
-	// counts/orderCov are maintained either way: the unweighted coverage
-	// of the chosen prefix still lower-bounds OPT for the θ machinery.
-	// A node already in the order holds a sentinel no candidate can tie
-	// (−1 in counts, or −Inf in wgain for weighted indexes), so the argmax
-	// is a plain scan of one array.
-	counts    []int32        // guarded by mu
-	wgain     []float64      // guarded by mu
-	covered   ris.Bitset     // guarded by mu
-	totalCov  int            // guarded by mu
-	totalWCov float64        // guarded by mu
-	order     []graph.NodeID // guarded by mu
-	orderCov  []int          // guarded by mu
-	orderWCov []float64      // guarded by mu
-	// opinionEst memoizes the depth-exact Def. 6 estimate per k for the
-	// current order, so repeat weighted selects stay O(k) instead of
-	// re-walking every covered set. Cleared with the rest of the state.
-	opinionEst map[int]float64 // guarded by mu
-
 	selects    atomic.Int64
 	extensions atomic.Int64
 }
@@ -148,7 +127,7 @@ type Stats struct {
 	OrderLen    int   // memoized greedy prefix length
 	Selects     int64 // Select calls served
 	Extensions  int64 // lazy extensions performed
-	MemoryBytes int64 // exact bytes of the RR arena, its index and the greedy counters
+	MemoryBytes int64 // exact bytes of the RR arena, its index and the greedy order
 }
 
 // Build samples an index over g: IMM's OPT lower-bounding phase at
@@ -170,48 +149,16 @@ func Build(ctx context.Context, g *graph.Graph, p Params) (*Index, error) {
 		col:    ris.NewCollection(g, p.Kind),
 	}
 
-	// IMM sampling phase (geometric OPT guesses) at BuildK.
-	n := float64(g.NumNodes())
-	epsPrime := ris.IMMEpsPrime(p.Epsilon)
-	lambdaPrime := ris.IMMLambdaPrime(n, p.BuildK, p.Epsilon, p.Ell)
-	lb := 1.0
-	maxI := int(math.Ceil(math.Log2(n))) - 1
-	if maxI < 1 {
-		maxI = 1
-	}
-	for i := 1; i <= maxI; i++ {
-		guess := n / math.Exp2(float64(i))
-		thetaI := x.capSetsLocked(int(math.Ceil(lambdaPrime / guess)))
-		if x.col.Len() < thetaI {
-			if err := x.col.GenerateParallelCtx(ctx, thetaI-x.col.Len(), p.Seed, p.Workers); err != nil {
-				return nil, fmt.Errorf("sketch: build interrupted during OPT lower-bounding: %w", err)
-			}
+	lb, _, err := x.col.SampleIMM(ctx, p.BuildK, p.Epsilon, p.Ell, p.Seed, p.Workers, p.MaxSets)
+	if err != nil {
+		phase := "OPT lower-bounding"
+		if lb > 0 {
+			phase = "top-up sampling"
 		}
-		_, frac := x.col.MaxCoverage(p.BuildK)
-		if n*frac >= (1+epsPrime)*guess {
-			lb = n * frac / (1 + epsPrime)
-			break
-		}
+		return nil, fmt.Errorf("sketch: build interrupted during %s: %w", phase, err)
 	}
 	x.lb = lb
-
-	theta := x.capSetsLocked(ris.IMMTheta(n, p.BuildK, p.Epsilon, p.Ell, lb))
-	if x.col.Len() < theta {
-		if err := x.col.GenerateParallelCtx(ctx, theta-x.col.Len(), p.Seed, p.Workers); err != nil {
-			return nil, fmt.Errorf("sketch: build interrupted during top-up sampling: %w", err)
-		}
-	}
-	x.resetGreedyLocked()
 	return x, nil
-}
-
-// capSetsLocked clamps a requested set count to MaxSets when configured.
-// Callers hold x.mu — or, in Build, own the not-yet-published index.
-func (x *Index) capSetsLocked(sets int) int {
-	if x.params.MaxSets > 0 && sets > x.params.MaxSets {
-		return x.params.MaxSets
-	}
-	return sets
 }
 
 // Graph returns the graph the index is bound to. Repair swaps the
@@ -312,125 +259,20 @@ func (x *Index) Stats() Stats {
 	defer x.mu.Unlock()
 	return Stats{
 		Sets:        x.col.Len(),
-		OrderLen:    len(x.order),
+		OrderLen:    x.col.GreedyLen(),
 		Selects:     x.selects.Load(),
 		Extensions:  x.extensions.Load(),
-		MemoryBytes: x.memoryLocked(),
+		MemoryBytes: x.col.MemoryFootprint(),
 	}
 }
 
-// MemoryFootprint returns the bytes held by the index's arrays: the RR
-// arena and its inverted index plus the greedy counters.
+// MemoryFootprint returns the bytes held by the index's arrays, all of
+// them the collection's: the RR arena, its inverted index and the greedy
+// order with its counters. O(1) — it runs on every Select.
 func (x *Index) MemoryFootprint() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.memoryLocked()
-}
-
-// memoryLocked is O(1) — it runs on every Select.
-func (x *Index) memoryLocked() int64 {
-	b := x.col.MemoryFootprint()
-	b += int64(cap(x.counts))*4 + int64(cap(x.covered))*8
-	b += int64(cap(x.order))*4 + int64(cap(x.orderCov))*8
-	b += int64(cap(x.wgain))*8 + int64(cap(x.orderWCov))*8
-	return b
-}
-
-// resetGreedyLocked rebuilds the coverage counters from the inverted
-// index and clears the memoized order. Called after every extension.
-func (x *Index) resetGreedyLocked() {
-	n := x.g.NumNodes()
-	weighted := x.params.Kind.Weighted()
-	if x.counts == nil {
-		x.counts = make([]int32, n)
-	}
-	if weighted && x.wgain == nil {
-		x.wgain = make([]float64, n)
-	}
-	weights := x.col.Weights()
-	for v := graph.NodeID(0); v < n; v++ {
-		sids := x.col.SetsContaining(v)
-		x.counts[v] = int32(len(sids))
-		if weighted {
-			w := 0.0
-			for _, sid := range sids {
-				w += weights[sid]
-			}
-			x.wgain[v] = w
-		}
-	}
-	x.covered = x.covered.Reset(x.col.Len())
-	x.totalCov = 0
-	x.totalWCov = 0
-	x.order = x.order[:0]
-	x.orderCov = x.orderCov[:0]
-	x.orderWCov = x.orderWCov[:0]
-	x.opinionEst = nil
-}
-
-// extendOrderLocked grows the memoized greedy order to k seeds. Each step
-// is an O(n) argmax over the marginal counters followed by counter
-// updates over the newly covered sets — the standard greedy max-coverage
-// step, but resumable at any prefix. Unweighted indexes maximize covered
-// sets; weighted (OC) indexes maximize the summed root-opinion weight of
-// covered sets (weighted max coverage — marginal gains may go negative
-// once only negative-opinion sets remain, and the argmax then picks the
-// least-damaging node so a full-k selection is still returned).
-func (x *Index) extendOrderLocked(k int) {
-	weighted := x.params.Kind.Weighted()
-	weights := x.col.Weights()
-	for len(x.order) < k {
-		best := graph.NodeID(-1)
-		if weighted {
-			bestGain := math.Inf(-1)
-			for v, gain := range x.wgain {
-				if gain > bestGain {
-					bestGain = gain
-					best = graph.NodeID(v)
-				}
-			}
-		} else {
-			bestCount := int32(-1)
-			for v, count := range x.counts {
-				if count > bestCount {
-					bestCount = count
-					best = graph.NodeID(v)
-				}
-			}
-		}
-		if best < 0 {
-			return // k > n, excluded by CheckK; defensive
-		}
-		x.order = append(x.order, best)
-		for _, sid := range x.col.SetsContaining(best) {
-			if x.covered.Has(sid) {
-				continue
-			}
-			x.covered.Set(sid)
-			x.totalCov++
-			if weighted {
-				w := weights[sid]
-				x.totalWCov += w
-				for _, u := range x.col.Set(int(sid)) {
-					x.counts[u]--
-					x.wgain[u] -= w
-				}
-			} else {
-				for _, u := range x.col.Set(int(sid)) {
-					x.counts[u]--
-				}
-			}
-		}
-		// Every set containing best is covered now, so nothing updates its
-		// counters again: retire it from the argmax.
-		if weighted {
-			x.wgain[best] = math.Inf(-1)
-		} else {
-			x.counts[best] = -1
-		}
-		x.orderCov = append(x.orderCov, x.totalCov)
-		x.orderWCov = append(x.orderWCov, x.totalWCov)
-	}
+	return x.col.MemoryFootprint()
 }
 
 // Select answers a k-seed selection from the index. Repeated or prefix
@@ -455,27 +297,28 @@ func (x *Index) selectLocked(ctx context.Context, k int) (im.Result, error) {
 	tr := im.StartTracker(ctx)
 
 	n := float64(x.g.NumNodes())
-	epsPrime := ris.IMMEpsPrime(x.params.Epsilon)
-	extended := 0
-	capped := false
-	var theta int
+	var (
+		theta, extended, covered int
+		capped                   bool
+		seeds                    []graph.NodeID
+	)
 	for round := 0; ; round++ {
 		if err := tr.Interrupted(&res); err != nil {
 			return res, err
 		}
-		x.extendOrderLocked(k)
+		seeds, covered = x.col.Greedy(k)
 		// Coverage of the greedy k-prefix lower-bounds OPT_k on this
 		// sample. The build-phase bound transfers too: OPT is monotone in
 		// k (so it applies directly for k ≥ BuildK) and submodular (so
 		// OPT_k ≥ (k/BuildK)·OPT_BuildK below it). Take the tightest.
-		frac := float64(x.orderCov[k-1]) / float64(x.col.Len())
-		lb := n * frac / (1 + epsPrime)
+		lb := ris.IMMLowerBound(n, float64(covered)/float64(x.col.Len()), x.params.Epsilon)
 		if scaled := x.lb * math.Min(1, float64(k)/float64(x.params.BuildK)); scaled > lb {
 			lb = scaled
 		}
-		want := ris.IMMTheta(n, k, x.params.Epsilon, x.params.Ell, lb)
-		theta = x.capSetsLocked(want)
-		capped = capped || theta < want
+		theta = ris.IMMTheta(n, k, x.params.Epsilon, x.params.Ell, lb)
+		if x.params.MaxSets > 0 && theta > x.params.MaxSets {
+			theta, capped = x.params.MaxSets, true
+		}
 		if x.col.Len() >= theta {
 			break
 		}
@@ -485,20 +328,16 @@ func (x *Index) selectLocked(ctx context.Context, k int) (im.Result, error) {
 		}
 		grow := theta - x.col.Len()
 		extended += grow
+		// An interrupted extension keeps the chunks it completed; the
+		// collection has dropped its greedy order either way.
 		if err := x.col.GenerateParallelCtx(ctx, grow, x.params.Seed, x.params.Workers); err != nil {
 			res.Partial = true
 			tr.Finish(&res)
-			// The appended prefix is already consistent; only the memoized
-			// greedy state must be rebuilt before the next Select.
-			x.resetGreedyLocked()
 			return res, fmt.Errorf("im: %s interrupted during lazy extension: %w", AlgorithmName, err)
 		}
 		x.extensions.Add(1)
-		x.resetGreedyLocked()
 	}
 
-	frac := float64(x.orderCov[k-1]) / float64(x.col.Len())
-	res.AddMetric("sets", float64(x.col.Len()))
 	res.AddMetric("theta", float64(theta))
 	if capped {
 		res.AddMetric("theta_capped", 1)
@@ -506,19 +345,9 @@ func (x *Index) selectLocked(ctx context.Context, k int) (im.Result, error) {
 	if extended > 0 {
 		res.AddMetric("extended_sets", float64(extended))
 	}
-	res.AddMetric("coverage", frac)
-	res.AddMetric("estimated_spread", frac*n)
-	res.AddMetric("rrset_bytes", float64(x.memoryLocked()))
-	if x.params.Kind.Weighted() {
-		// weighted_coverage is the objective the greedy maximized (summed
-		// scalar walk weights of covered sets); estimated_opinion_spread is
-		// the depth-exact Def. 6 estimator for the chosen seeds — the same
-		// number EstimateOpinion would report, memoized per k so repeat
-		// selects keep their O(k) cost.
-		res.AddMetric("weighted_coverage", x.orderWCov[k-1])
-		res.AddMetric("estimated_opinion_spread", x.opinionEstLocked(k))
-	}
-	for _, s := range x.order[:k] {
+	res.AddMetric("rrset_bytes", float64(x.col.MemoryFootprint()))
+	x.addPrefixMetricsLocked(&res, k, covered)
+	for _, s := range seeds {
 		if err := tr.Interrupted(&res); err != nil {
 			return res, err
 		}
@@ -529,19 +358,22 @@ func (x *Index) selectLocked(ctx context.Context, k int) (im.Result, error) {
 	return res, nil
 }
 
-// opinionEstLocked returns the depth-exact Def. 6 opinion-spread
-// estimate for the memoized k-prefix, memoized per k.
-func (x *Index) opinionEstLocked(k int) float64 {
-	est, ok := x.opinionEst[k]
-	if !ok {
-		_, pos, neg := x.col.OpinionCoverage(x.order[:k])
-		est = (pos - neg) * float64(x.g.NumNodes()) / float64(x.col.Len())
-		if x.opinionEst == nil {
-			x.opinionEst = make(map[int]float64)
-		}
-		x.opinionEst[k] = est
+// addPrefixMetricsLocked reports what the greedy k-prefix, covering the
+// given number of sets, achieves on the current sample. For a weighted
+// index weighted_coverage is what the greedy maximized (summed scalar
+// walk weights of covered sets) and estimated_opinion_spread the
+// depth-exact Def. 6 estimator for the chosen seeds — the number
+// EstimateOpinion would report.
+func (x *Index) addPrefixMetricsLocked(res *im.Result, k, covered int) {
+	frac := float64(covered) / float64(x.col.Len())
+	res.AddMetric("sets", float64(x.col.Len()))
+	res.AddMetric("coverage", frac)
+	res.AddMetric("estimated_spread", frac*float64(x.g.NumNodes()))
+	if x.params.Kind.Weighted() {
+		weight, estimate := x.col.GreedyOpinion(k)
+		res.AddMetric("weighted_coverage", weight)
+		res.AddMetric("estimated_opinion_spread", estimate)
 	}
-	return est
 }
 
 // SelectPrefixes answers a batch of seed budgets from one shared sample
@@ -614,19 +446,12 @@ func (x *Index) SelectPrefixes(ctx context.Context, ks []int) ([]im.Result, erro
 // selectLocked for some budget ≥ k first.
 func (x *Index) prefixResultLocked(k int) im.Result {
 	res := im.Result{Algorithm: AlgorithmName}
-	// Copy: the order's backing array is reused when an extension resets
-	// the memoized state, and results outlive the lock.
-	res.Seeds = append(res.Seeds, x.order[:k]...)
-	n := float64(x.g.NumNodes())
-	frac := float64(x.orderCov[k-1]) / float64(x.col.Len())
-	res.AddMetric("sets", float64(x.col.Len()))
-	res.AddMetric("coverage", frac)
-	res.AddMetric("estimated_spread", frac*n)
+	seeds, covered := x.col.Greedy(k)
+	// Copy: the order's backing array is reused once an extension drops
+	// the memoized order, and results outlive the lock.
+	res.Seeds = append(res.Seeds, seeds...)
 	res.AddMetric("batch_prefix", 1)
-	if x.params.Kind.Weighted() {
-		res.AddMetric("weighted_coverage", x.orderWCov[k-1])
-		res.AddMetric("estimated_opinion_spread", x.opinionEstLocked(k))
-	}
+	x.addPrefixMetricsLocked(&res, k, covered)
 	return res
 }
 

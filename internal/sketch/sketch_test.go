@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -71,16 +72,52 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	}
 }
 
-// The memoized incremental greedy must agree with the one-shot
-// MaxCoverage pass over the same sets.
+// refMaxCoverage is greedy max coverage over plain slices — ties go to
+// the lowest node id, and a chosen node is never chosen again — sharing
+// no code with ris.Collection.
+func refMaxCoverage(sets [][]graph.NodeID, n int32, k int) ([]graph.NodeID, float64) {
+	hit := make([]bool, len(sets))
+	chosen := make([]bool, n)
+	var seeds []graph.NodeID
+	total := 0
+	for len(seeds) < k {
+		gain := make([]int, n)
+		for sid, set := range sets {
+			if !hit[sid] {
+				for _, v := range set {
+					gain[v]++
+				}
+			}
+		}
+		best := graph.NodeID(-1)
+		for v := graph.NodeID(0); v < n; v++ {
+			if !chosen[v] && (best < 0 || gain[v] > gain[best]) {
+				best = v
+			}
+		}
+		chosen[best] = true
+		seeds = append(seeds, best)
+		total += gain[best]
+		for sid, set := range sets {
+			hit[sid] = hit[sid] || slices.Contains(set, best)
+		}
+	}
+	return seeds, float64(total) / float64(len(sets))
+}
+
+// The memoized incremental greedy must agree with a from-scratch greedy
+// over the same sets, and so must the collection's one-shot pass.
 func TestSelectMatchesMaxCoverage(t *testing.T) {
 	g := testGraph(t, 1500)
 	x := mustBuild(t, g, Params{Epsilon: 0.3, Seed: 3, BuildK: 20})
-	// Freeze the sample so the reference collection below stays aligned
-	// even if a request's θ bound would otherwise extend it.
+	// Freeze the sample so the reference below stays aligned even if a
+	// request's θ bound would otherwise extend it.
 	x.params.MaxSets = x.col.Len()
 
-	want, wantFrac := x.col.MaxCoverage(20)
+	want, wantFrac := refMaxCoverage(x.col.Sets(), g.NumNodes(), 20)
+	if got, frac := x.col.MaxCoverage(20); !slices.Equal(got, want) || frac != wantFrac {
+		t.Fatalf("MaxCoverage %v/%v, reference %v/%v", got, frac, want, wantFrac)
+	}
 
 	res, err := x.Select(context.Background(), 20)
 	if err != nil {

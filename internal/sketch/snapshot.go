@@ -170,8 +170,10 @@ func versionKindConsistent(version, kind uint32) error {
 	return nil
 }
 
-// ReadHeader parses just the snapshot header for inspection (cmd/imsketch
-// -info). It validates magic and version but not the payload checksum.
+// ReadHeader parses just the snapshot header — for inspection
+// (cmd/imsketch -info) from a plain reader, and for Load from the reader
+// its checksum hashes. It validates magic and the version/kind pairing
+// but neither the values against a graph nor the payload checksum.
 func ReadHeader(r io.Reader) (Header, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -255,38 +257,35 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hr := &hashedReader{r: br, h: fnv.New64a()}
 
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(hr, magic); err != nil {
-		return nil, fmt.Errorf("sketch: snapshot header: %w", err)
-	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("sketch: bad snapshot magic %q", magic)
-	}
-	var (
-		version, n, buildK, kind uint32
-		m, seed, numSets, fp     uint64
-		epsilon, ell, lb         float64
-	)
-	for _, v := range []any{&version, &fp, &n, &m, &kind, &epsilon, &ell, &seed, &buildK, &lb, &numSets} {
-		if err := binary.Read(hr, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("sketch: snapshot header: %w", err)
-		}
-	}
-	if err := versionKindConsistent(version, kind); err != nil {
+	h, err := ReadHeader(hr)
+	if err != nil {
 		return nil, err
 	}
-	if int32(n) != g.NumNodes() || int64(m) != g.NumEdges() {
+	n, numSets := uint32(h.Nodes), h.Sets
+	if h.Nodes != g.NumNodes() || h.Arcs != g.NumEdges() {
 		return nil, fmt.Errorf("sketch: snapshot is for a %d-node/%d-arc graph, got %d/%d",
-			n, m, g.NumNodes(), g.NumEdges())
+			n, uint64(h.Arcs), g.NumNodes(), g.NumEdges())
 	}
-	if gfp := g.Fingerprint(); fp != gfp {
-		return nil, fmt.Errorf("sketch: graph fingerprint mismatch (snapshot %016x, graph %016x)", fp, gfp)
+	if gfp := g.Fingerprint(); h.GraphFingerprint != gfp {
+		return nil, fmt.Errorf("sketch: graph fingerprint mismatch (snapshot %016x, graph %016x)", h.GraphFingerprint, gfp)
 	}
-	if epsilon <= 0 || ell <= 0 || math.IsNaN(epsilon) || math.IsNaN(ell) {
-		return nil, fmt.Errorf("sketch: corrupt parameters (eps=%v, ell=%v)", epsilon, ell)
+	if h.Epsilon <= 0 || h.Ell <= 0 || math.IsNaN(h.Epsilon) || math.IsNaN(h.Ell) {
+		return nil, fmt.Errorf("sketch: corrupt parameters (eps=%v, ell=%v)", h.Epsilon, h.Ell)
 	}
-	if lb < 1 || math.IsNaN(lb) || lb > float64(n) {
-		return nil, fmt.Errorf("sketch: corrupt lower bound %v", lb)
+	p := Params{
+		Kind:    h.Kind,
+		Epsilon: h.Epsilon,
+		Ell:     h.Ell,
+		Seed:    h.Seed,
+		BuildK:  h.BuildK,
+	}.withDefaults(g.NumNodes())
+	if p.Seed != h.Seed || p.BuildK != h.BuildK {
+		// Save writes normalized parameters only; anything else would load
+		// as one sketch and re-save as another.
+		return nil, fmt.Errorf("sketch: corrupt parameters (seed=%d, build k=%d)", h.Seed, h.BuildK)
+	}
+	if h.LowerBound < 1 || math.IsNaN(h.LowerBound) || h.LowerBound > float64(n) {
+		return nil, fmt.Errorf("sketch: corrupt lower bound %v", h.LowerBound)
 	}
 	if numSets == 0 || numSets > maxSnapshotSets {
 		return nil, fmt.Errorf("sketch: implausible set count %d", numSets)
@@ -320,7 +319,7 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		}
 	}
 	var setWeights []float64
-	if version >= snapshotVersionV2 {
+	if h.Weighted() {
 		setWeights, err = readValues(hr, buf, numSets, 0, 8, func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) }, "set weights")
 		if err != nil {
 			return nil, err
@@ -342,21 +341,13 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("sketch: checksum mismatch (stored %016x, computed %016x)", stored, sum)
 	}
 
-	p := Params{
-		Kind:    ris.ModelKind(kind),
-		Epsilon: epsilon,
-		Ell:     ell,
-		Seed:    seed,
-		BuildK:  int(buildK),
-	}.withDefaults(g.NumNodes())
 	x := &Index{
 		g:      g,
-		fp:     fp,
+		fp:     h.GraphFingerprint,
 		params: p,
 		col:    ris.NewCollection(g, p.Kind),
-		lb:     lb,
+		lb:     h.LowerBound,
 	}
 	x.col.Install(ids, off, setWeights)
-	x.resetGreedyLocked()
 	return x, nil
 }

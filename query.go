@@ -286,7 +286,7 @@ func planSelect(g *Graph, q Query) Plan {
 	shared := ""
 	var reason string
 	switch {
-	case cold == BackendRIS && sketchSelector(o, g, risKindFor(o.Model)) != nil:
+	case cold == BackendRIS && sketchServesSelect(g, o):
 		backend = BackendSketch
 		shared = "sketch"
 		reason = fmt.Sprintf("prebuilt RR-sketch index matches (graph, %q semantics, ε=%g, seed=%d); served from the memoized greedy order",

@@ -343,3 +343,45 @@ func TestRunSelectMatchesEntrypoint(t *testing.T) {
 		}
 	}
 }
+
+// TestSketchBackendIffSketchAnswered: the planner is the only place an
+// attached sketch is matched, so what the returned Plan reports is what
+// ran — a single-budget TIM+/IMM answer comes from the index ("RR-sketch")
+// exactly when its plan step says BackendSketch. (A cold RIS batch reports
+// BackendRIS and runs on an ephemeral index of its own, see runSelect.)
+func TestSketchBackendIffSketchAnswered(t *testing.T) {
+	ctx := context.Background()
+	g := queryTestGraph(400)
+	sk, err := BuildSketch(ctx, g, SketchOptions{Epsilon: 0.3, Seed: 5, BuildK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := queryTestGraph(400)
+	mutated.SetUniformProb(0.2)
+	for _, tc := range []struct {
+		name   string
+		g      *Graph
+		opts   Options
+		sketch bool
+	}{
+		{"matching sketch", g, Options{Epsilon: 0.3, Seed: 5, Sketch: sk}, true},
+		{"same content, other instance", queryTestGraph(400), Options{Epsilon: 0.3, Seed: 5, Sketch: sk}, true},
+		{"no sketch", g, Options{Epsilon: 0.3, Seed: 5}, false},
+		{"theta cap opts out", g, Options{Epsilon: 0.3, Seed: 5, Sketch: sk, TIMThetaCap: 400}, false},
+		{"stale sketch: graph content moved on", mutated, Options{Epsilon: 0.3, Seed: 5, Sketch: sk}, false},
+		{"other RR semantics", g, Options{Model: ModelLT, Epsilon: 0.3, Seed: 5, Sketch: sk}, false},
+	} {
+		for _, alg := range []Algorithm{AlgIMM, AlgTIMPlus} {
+			ans, err := Run(ctx, tc.g, Query{Algorithm: alg, K: 5, Options: tc.opts})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, alg, err)
+			}
+			planned := ans.Plan.Steps[0].Backend == BackendSketch
+			answered := ans.Members[0].Result.Algorithm == "RR-sketch"
+			if planned != tc.sketch || answered != planned {
+				t.Fatalf("%s/%s: plan backend %q, answered by %q, want sketch-served = %v",
+					tc.name, alg, ans.Plan.Steps[0].Backend, ans.Members[0].Result.Algorithm, tc.sketch)
+			}
+		}
+	}
+}
