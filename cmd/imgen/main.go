@@ -71,16 +71,9 @@ func main() {
 	}
 	holisticim.AssignInteractions(g, *seed+1)
 	if *opinions != "" {
-		var dist holisticim.OpinionDistribution
-		switch *opinions {
-		case "uniform":
-			dist = holisticim.OpinionUniform
-		case "normal":
-			dist = holisticim.OpinionNormal
-		case "polarized":
-			dist = holisticim.OpinionPolarized
-		default:
-			fatal(fmt.Errorf("unknown opinion distribution %q", *opinions))
+		dist, err := holisticim.ParseOpinionDistribution(*opinions)
+		if err != nil {
+			fatal(err)
 		}
 		holisticim.AssignOpinions(g, dist, *seed+2)
 	}

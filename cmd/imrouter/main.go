@@ -1,15 +1,18 @@
-// Command imrouter is the cluster front door: a scatter-gather router
-// that consistent-hashes queries onto a fixed set of imserver replicas.
+// Command imrouter is the cluster front door: a proxy that consistent-
+// hashes queries onto a fixed set of imserver replicas and relays the
+// chosen replica's answer. It never executes or assembles one itself.
 //
 // Every replica warm-loads the same snapshot store (imserver -store), so
 // any replica can answer any query and routing is purely a cache-
-// affinity and load decision: a key's rendezvous owners are preferred,
-// batch /v2/query members scatter across the owner set in parallel when
-// the cluster holds a matching sketch, and slow or shedding replicas
-// are hedged and failed over within a bounded retry budget. Because
-// sketch-served answers are deterministic functions of the snapshot,
-// failover never changes a result — a routed batch is byte-equivalent
-// to the same batch on a single node.
+// affinity and load decision: every query — single or batch, /v1 or /v2
+// — goes whole to its key's preferred rendezvous owner, and slow or
+// shedding replicas are hedged and failed over within a bounded retry
+// budget. The response is that replica's bytes, so a routed answer
+// equals the single-node answer by construction (job ids and the
+// X-Router-* headers aside); and because sketch-served answers are
+// deterministic functions of the snapshot, failover never changes a
+// result. Registry mutations and listings are broadcast to every
+// healthy replica instead.
 //
 // Usage:
 //
@@ -38,7 +41,7 @@
 //	GET /healthz           router liveness
 //	GET /readyz            503 until at least one replica is healthy
 //	GET /metrics           Prometheus text exposition: routing metrics
-//	                       (proxy latency, hedges, failovers, scatters)
+//	                       (proxy latency, hedges, failovers, shed stops)
 //	GET /v1/cluster/info   per-replica health, readiness and manifest view
 //
 // Every request gets an X-Request-ID at the router (inbound ids are

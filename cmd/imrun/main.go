@@ -6,11 +6,11 @@
 // -timeout) stops it cooperatively and the partial seed prefix selected
 // so far is still reported. -progress streams one line per chosen seed.
 //
-// A comma-separated -ks list runs a batch query through the unified
-// planner (holisticim.Run): every budget is served from shared state —
-// one RR collection or one selector run at the largest k — and the
-// execution plan says which backend ran and why (-explain prints it for
-// single selections too).
+// Every run is one query through the unified planner (holisticim.Run);
+// -k is a batch of one. A comma-separated -ks list serves every budget
+// from shared state — one RR collection or one selector run at the
+// largest k — and the spread estimate is of the largest selection.
+// -explain prints which backend the plan chose and why.
 //
 // Usage:
 //
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -81,16 +82,9 @@ func main() {
 		g.SetWeightedCascadeProb()
 	}
 	if *opinions != "" {
-		var dist holisticim.OpinionDistribution
-		switch *opinions {
-		case "uniform":
-			dist = holisticim.OpinionUniform
-		case "normal":
-			dist = holisticim.OpinionNormal
-		case "polarized":
-			dist = holisticim.OpinionPolarized
-		default:
-			fatal(fmt.Errorf("unknown opinion distribution %q", *opinions))
+		dist, err := holisticim.ParseOpinionDistribution(*opinions)
+		if err != nil {
+			fatal(err)
 		}
 		holisticim.AssignOpinions(g, dist, *seed+2)
 		holisticim.AssignInteractions(g, *seed+3)
@@ -110,7 +104,7 @@ func main() {
 			fatal(fmt.Errorf("-ks parsed no budgets"))
 		}
 	}
-	singleK := budgets[0] // the effective budget when -ks names one (or none)
+	kmax := slices.Max(budgets) // selectors run once, at the largest budget
 
 	opts := holisticim.Options{
 		Model:       holisticim.ModelKind(*model),
@@ -124,7 +118,7 @@ func main() {
 	}
 	if *progress {
 		opts.Progress = func(seedIdx int, seed holisticim.NodeID, elapsed time.Duration) {
-			fmt.Printf("seed %3d/%d: node %d (%v)\n", seedIdx+1, singleK, seed, elapsed.Round(time.Millisecond))
+			fmt.Printf("seed %3d/%d: node %d (%v)\n", seedIdx+1, kmax, seed, elapsed.Round(time.Millisecond))
 		}
 	}
 
@@ -148,27 +142,38 @@ func main() {
 			fmt.Printf("plan      : %s\n", line)
 		}
 	}
-	if len(budgets) > 1 {
-		runBatch(ctx, g, query, opts, *lambda, *model, *opinions)
-		return
-	}
 
+	// One path whatever the budget count: -k is a batch of one.
 	start := time.Now()
-	res, err := holisticim.SelectSeedsContext(ctx, g, singleK, holisticim.Algorithm(*alg), opts)
-	if err != nil && !res.Partial {
+	ans, err := holisticim.Run(ctx, g, query)
+	if err != nil && len(ans.Members) == 0 {
 		fatal(err)
 	}
-	fmt.Printf("algorithm : %s\n", res.Algorithm)
-	fmt.Printf("graph     : %d nodes, %d arcs\n", g.NumNodes(), g.NumEdges())
-	state := ""
-	if res.Partial {
-		state = fmt.Sprintf(" [PARTIAL: %d/%d seeds, %v]", len(res.Seeds), singleK, err)
+	var largest *holisticim.Member
+	for i := range ans.Members {
+		if m := &ans.Members[i]; largest == nil || m.K > largest.K {
+			largest = m
+		}
 	}
-	fmt.Printf("selection : %v (%v)%s\n", res.Seeds, time.Since(start).Round(time.Millisecond), state)
-	for name, v := range res.Metrics {
+	fmt.Printf("algorithm : %s\n", largest.Result.Algorithm)
+	fmt.Printf("graph     : %d nodes, %d arcs\n", g.NumNodes(), g.NumEdges())
+	if len(budgets) > 1 {
+		fmt.Printf("batch     : %d members in %v\n", len(ans.Members), time.Since(start).Round(time.Millisecond))
+	}
+	for _, m := range ans.Members {
+		label, state := "selection", ""
+		if len(budgets) > 1 {
+			label = fmt.Sprintf("k=%-7d", m.K)
+		}
+		if m.Result.Partial {
+			state = fmt.Sprintf(" [PARTIAL: %d/%d seeds, %v]", len(m.Result.Seeds), m.K, err)
+		}
+		fmt.Printf("%s : %v (%v)%s\n", label, m.Result.Seeds, m.Result.Took.Round(time.Millisecond), state)
+	}
+	for name, v := range largest.Result.Metrics {
 		fmt.Printf("metric    : %s = %g\n", name, v)
 	}
-	if len(res.Seeds) == 0 {
+	if len(largest.Result.Seeds) == 0 {
 		fatal(fmt.Errorf("no seeds selected before interruption"))
 	}
 
@@ -176,64 +181,21 @@ func main() {
 	// still stops the program during a heavyweight evaluation.
 	ectx, ecancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer ecancel()
-	est, eerr := holisticim.EstimateSpreadContext(ectx, g, res.Seeds, opts)
+	est, eerr := holisticim.EstimateSpreadContext(ectx, g, largest.Result.Seeds, opts)
 	if eerr != nil {
 		fatal(eerr)
 	}
-	fmt.Printf("spread σ(S)            : %.2f (over %d runs)\n", est.Spread, est.Runs)
+	fmt.Printf("spread σ(S) at k=%-6d: %.2f (over %d runs)\n", largest.K, est.Spread, est.Runs)
 	if *opinions != "" || holisticim.ModelKind(*model).OpinionAware() {
-		oest, oerr := holisticim.EstimateOpinionSpreadContext(ectx, g, res.Seeds, opts)
+		oest, oerr := holisticim.EstimateOpinionSpreadContext(ectx, g, largest.Result.Seeds, opts)
 		if oerr != nil {
 			fatal(oerr)
 		}
 		fmt.Printf("opinion spread σ_o(S)  : %.3f\n", oest.OpinionSpread)
 		fmt.Printf("effective spread (λ=%g): %.3f\n", *lambda, oest.EffectiveOpinionSpread(*lambda))
 	}
-	if res.Partial {
-		os.Exit(2) // partial outcome is distinguishable for scripts
-	}
-}
-
-// runBatch executes a multi-k query through the planner and reports one
-// line per member plus a spread estimate of the largest selection.
-func runBatch(ctx context.Context, g *holisticim.Graph, query holisticim.Query, opts holisticim.Options, lambda float64, model, opinions string) {
-	start := time.Now()
-	ans, err := holisticim.Run(ctx, g, query)
-	if err != nil && len(ans.Members) == 0 {
-		fatal(err)
-	}
-	fmt.Printf("graph     : %d nodes, %d arcs\n", g.NumNodes(), g.NumEdges())
-	fmt.Printf("batch     : %d members in %v\n", len(ans.Members), time.Since(start).Round(time.Millisecond))
-	var largest *holisticim.Member
-	for i := range ans.Members {
-		m := &ans.Members[i]
-		state := ""
-		if m.Result.Partial {
-			state = " [PARTIAL]"
-		}
-		fmt.Printf("k=%-5d   : %v (%v)%s\n", m.K, m.Result.Seeds, m.Result.Took.Round(time.Millisecond), state)
-		if largest == nil || m.K > largest.K {
-			largest = m
-		}
-	}
 	if err != nil {
-		fmt.Printf("interrupted: %v\n", err)
-		os.Exit(2)
-	}
-	ectx, ecancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer ecancel()
-	est, eerr := holisticim.EstimateSpreadContext(ectx, g, largest.Result.Seeds, opts)
-	if eerr != nil {
-		fatal(eerr)
-	}
-	fmt.Printf("spread σ(S) at k=%d     : %.2f (over %d runs)\n", largest.K, est.Spread, est.Runs)
-	if opinions != "" || holisticim.ModelKind(model).OpinionAware() {
-		oest, oerr := holisticim.EstimateOpinionSpreadContext(ectx, g, largest.Result.Seeds, opts)
-		if oerr != nil {
-			fatal(oerr)
-		}
-		fmt.Printf("opinion spread σ_o(S)  : %.3f\n", oest.OpinionSpread)
-		fmt.Printf("effective spread (λ=%g): %.3f\n", lambda, oest.EffectiveOpinionSpread(lambda))
+		os.Exit(2) // partial outcome is distinguishable for scripts
 	}
 }
 

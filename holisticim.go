@@ -152,6 +152,12 @@ const (
 	OpinionPolarized = opinion.Polarized // two-mode ±[0.3,1]
 )
 
+// ParseOpinionDistribution reads "uniform", "normal" or "polarized" —
+// the inverse of OpinionDistribution.String.
+func ParseOpinionDistribution(s string) (OpinionDistribution, error) {
+	return opinion.ParseDistribution(s)
+}
+
 // AssignOpinions samples an opinion for every node.
 func AssignOpinions(g *Graph, d OpinionDistribution, seed uint64) {
 	opinion.AssignOpinions(g, d, seed)

@@ -170,27 +170,6 @@ func (m *membership) maxManifestVersion() uint64 {
 	return max
 }
 
-// hasSketch reports whether any healthy replica advertises a loaded
-// sketch for (graph, semantics, ε, seed) — the router's scatter
-// eligibility signal. The replica-side planner still has the final say;
-// this only predicts it.
-func (m *membership) hasSketch(graph, semantics string, epsilon float64, seed uint64) bool {
-	id := SketchIDOf(graph, semantics, epsilon, seed)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, st := range m.states {
-		if !st.Healthy {
-			continue
-		}
-		for _, sk := range st.Info.Sketches {
-			if sk.ID == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // rank orders the candidate replicas for a key: the key's rendezvous
 // owners first (capped at the replication factor), then every other
 // healthy replica as failover — all filtered to healthy, and within

@@ -1,8 +1,8 @@
 // Package cluster makes the serving layer horizontally scalable: a
 // shared snapshot store replicas warm-load artifacts from, a watcher
 // that keeps a replica's registries synchronized with the store's
-// manifest, and a consistent-hash scatter-gather router that spreads
-// query traffic over healthy replicas.
+// manifest, and a consistent-hash router that forwards each query whole
+// to its key's owner among the healthy replicas.
 //
 // The design leans directly on the paper's build-once/serve-many sketch
 // economics: an RR-sketch index is an immutable, fingerprinted artifact,

@@ -8,15 +8,13 @@ import (
 
 // routerMetrics are the router's own families — the routing decisions a
 // replica can't see: per-replica proxy latency, hedged launches,
-// failovers, scatter fan-outs and degraded (stale/non-owner) placements.
+// failovers, shed stops and degraded (stale/non-owner) placements.
 type routerMetrics struct {
-	proxyDur      *obs.HistogramVec // im_router_proxy_duration_seconds{replica}
-	hedges        *obs.Counter
-	failovers     *obs.Counter
-	shedStops     *obs.Counter
-	scatters      *obs.Counter
-	scatterAborts *obs.Counter
-	staleRoutes   *obs.Counter
+	proxyDur    *obs.HistogramVec // im_router_proxy_duration_seconds{replica}
+	hedges      *obs.Counter
+	failovers   *obs.Counter
+	shedStops   *obs.Counter
+	staleRoutes *obs.Counter
 }
 
 func (rt *Router) initObservability() {
@@ -31,10 +29,6 @@ func (rt *Router) initObservability() {
 			"Failover launches: extra candidates started after a candidate failed or shed."),
 		shedStops: m.Counter("im_router_shed_stops_total",
 			"Failovers suppressed by the 429 shed budget: the overload was surfaced to the client with the largest Retry-After instead of recruiting more replicas."),
-		scatters: m.Counter("im_router_scatters_total",
-			"Batch queries fanned out member-by-member across the owner set."),
-		scatterAborts: m.Counter("im_router_scatter_aborts_total",
-			"Scatters abandoned mid-flight (a member came back cold) and re-routed whole."),
 		staleRoutes: m.Counter("im_router_stale_routes_total",
 			"Requests routed with a degraded-placement note (stale or non-owner replica)."),
 	}

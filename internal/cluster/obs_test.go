@@ -123,7 +123,8 @@ func TestRouterMetricsScrape(t *testing.T) {
 		"# TYPE im_router_proxy_duration_seconds histogram",
 		"# TYPE im_router_hedges_total counter",
 		"# TYPE im_router_failovers_total counter",
-		"# TYPE im_router_scatters_total counter",
+		"# TYPE im_router_shed_stops_total counter",
+		"# TYPE im_router_stale_routes_total counter",
 		"# TYPE im_router_replicas_healthy gauge",
 		"# TYPE http_requests_total counter",
 	} {

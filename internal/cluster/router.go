@@ -57,10 +57,12 @@ type RouterConfig struct {
 	Logger *slog.Logger
 }
 
-// Router is the cluster's scatter-gather front door: it consistent-
-// hashes queries onto healthy replicas, proxies the /v1 and /v2
-// surfaces, fans batch-query members out to their owners and merges the
-// answers, and hedges/fails over on slow or shedding replicas.
+// Router is the cluster's front door, a proxy that never executes or
+// assembles an answer. It has two primitives: a keyed forward (routeBody:
+// rendezvous-rank the healthy replicas for a key, hedge and fail over
+// down that list, relay the winner's bytes) for everything a single
+// replica answers, and a broadcast to every healthy replica for registry
+// mutations and cluster-wide listings.
 type Router struct {
 	cfg     RouterConfig
 	client  *http.Client
@@ -190,8 +192,8 @@ func (rt *Router) routes() {
 	rt.handle("DELETE /v2/jobs/{id}", rt.handleJob)
 	rt.handle("GET /v2/jobs/{id}/events", rt.handleJobEvents)
 
-	rt.handle("POST /v1/select", rt.handleV1Query)
-	rt.handle("POST /v1/estimate", rt.handleV1Query)
+	rt.handle("POST /v1/select", rt.handleQuery)
+	rt.handle("POST /v1/estimate", rt.handleQuery)
 	rt.handle("GET /v1/jobs/{id}", rt.handleJob)
 	rt.handle("DELETE /v1/jobs/{id}", rt.handleJob)
 
@@ -258,6 +260,13 @@ type upstreamResult struct {
 	body    []byte
 }
 
+// outcome is what one forward came to: the replica's response, or the
+// transport error that kept it from answering.
+type outcome struct {
+	res *upstreamResult
+	err error
+}
+
 // retryable reports whether a status should fail over to the next
 // candidate: shedding (429), server errors and upstream unavailability.
 // Client errors (400/404/409...) are authoritative — every replica
@@ -313,7 +322,7 @@ func stampUpstreamHeaders(ctx context.Context, h http.Header) {
 // id as the router's — one grep follows a request across the cluster.
 // The client id and priority wish ride along the same way, so per-
 // client rate limits and priority classes apply to the true client.
-func (rt *Router) forward(ctx context.Context, replica, method, path string, body []byte, contentType string) (*upstreamResult, error) {
+func (rt *Router) forward(ctx context.Context, replica, method, path string, body []byte) (*upstreamResult, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -322,8 +331,8 @@ func (rt *Router) forward(ctx context.Context, replica, method, path string, bod
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	stampUpstreamHeaders(ctx, req.Header)
 	start := time.Now()
@@ -373,7 +382,7 @@ func applyMaxRetryAfter(res *upstreamResult, maxSeconds int) {
 // returned with the largest Retry-After seen, instead of multiplying
 // an overloaded owner set's load. Returns the winning result, or the
 // last retryable/erroneous outcome when every candidate failed.
-func (rt *Router) tryCandidates(ctx context.Context, candidates []string, method, path string, body []byte, contentType string) (*upstreamResult, error) {
+func (rt *Router) tryCandidates(ctx context.Context, candidates []string, method, path string, body []byte) (*upstreamResult, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("no healthy replica")
 	}
@@ -383,17 +392,13 @@ func (rt *Router) tryCandidates(ctx context.Context, candidates []string, method
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type outcome struct {
-		res *upstreamResult
-		err error
-	}
 	results := make(chan outcome, len(candidates))
 	launched := 0
 	launch := func() {
 		replica := candidates[launched]
 		launched++
 		go func() {
-			res, err := rt.forward(ctx, replica, method, path, body, contentType)
+			res, err := rt.forward(ctx, replica, method, path, body)
 			select {
 			case results <- outcome{res, err}:
 			case <-ctx.Done():
@@ -528,7 +533,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q (router job ids look like r0-j1)", id)
 		return
 	}
-	res, err := rt.forward(r.Context(), replica, r.Method, strings.TrimSuffix(r.URL.Path, id)+local, nil, "")
+	res, err := rt.forward(r.Context(), replica, r.Method, strings.TrimSuffix(r.URL.Path, id)+local, nil)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "replica %s: %v", replica, err)
 		return
@@ -606,7 +611,7 @@ func (rt *Router) routeBody(w http.ResponseWriter, r *http.Request, key string, 
 	if note != "" {
 		rt.rm.staleRoutes.Inc()
 	}
-	res, err := rt.tryCandidates(r.Context(), candidates, r.Method, r.URL.Path, body, "application/json")
+	res, err := rt.tryCandidates(r.Context(), candidates, r.Method, r.URL.Path, body)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "all replicas failed: %v", err)
 		return
@@ -633,23 +638,26 @@ func readQuery(w http.ResponseWriter, r *http.Request) (body []byte, req service
 
 // queryKeyOf is the routing key of a request: the graph plus the RR
 // semantics and ε its normalized query runs under. An invalid query
-// (err != nil) still gets a key from as far as it normalized — some
-// replica has to be the one to refuse it.
-func queryKeyOf(req service.QueryRequest) (key string, q holisticim.Query, err error) {
-	q, err = req.Query().Normalized()
+// still gets a key from as far as it normalized — some replica has to
+// be the one to refuse it.
+func queryKeyOf(req service.QueryRequest) string {
+	q, _ := req.Query().Normalized()
 	o := q.Options
-	return QueryKey(req.Graph, o.Model.RRSemantics(), holisticim.CanonicalEpsilon(o.Epsilon)), q, err
+	return QueryKey(req.Graph, o.Model.RRSemantics(), holisticim.CanonicalEpsilon(o.Epsilon))
 }
 
-// handleV1Query routes POST /v1/select and /v1/estimate whole to the
-// owner of the query the body stands for.
-func (rt *Router) handleV1Query(w http.ResponseWriter, r *http.Request) {
+// handleQuery serves POST /v2/query, /v1/select and /v1/estimate: the
+// body goes whole to the owner of the query it stands for, batches
+// included. A memoized sketch select costs microseconds, so splitting a
+// batch across owners would pay one HTTP hop per member to parallelise
+// nothing — and relaying one replica's bytes is what makes a routed
+// answer equal the single-node answer by construction.
+func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, req, ok := readQuery(w, r)
 	if !ok {
 		return
 	}
-	key, _, _ := queryKeyOf(req)
-	rt.routeBody(w, r, key, body)
+	rt.routeBody(w, r, queryKeyOf(req), body)
 }
 
 func (rt *Router) handleGraphStats(w http.ResponseWriter, r *http.Request) {
@@ -657,45 +665,57 @@ func (rt *Router) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 	rt.routeBody(w, r, QueryKey(name, "ic", 0.1), nil)
 }
 
-func (rt *Router) handleSketchInfo(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	graph := id
-	if cut := strings.Index(id, ":"); cut > 0 {
-		graph = id[:cut]
+// sketchKeyOf is the routing key of the queries a sketch serves: its id
+// with the trailing seed segment zeroed, which is what QueryKey yields.
+// Cutting at the LAST ":s" keeps graph names containing ':' whole.
+func sketchKeyOf(id string) string {
+	if cut := strings.LastIndex(id, ":s"); cut >= 0 {
+		return id[:cut] + ":s0"
 	}
-	rt.routeBody(w, r, QueryKey(graph, "ic", 0.1), nil)
+	return id
 }
 
-// fanListMerge fans a list GET out to every healthy replica and merges
-// the results, deduplicating by the given JSON field (replicas sharing
-// a store advertise identical entries).
+// handleSketchInfo describes a sketch from the replica that serves its
+// queries — the one whose selects/order_len/extensions counters move.
+func (rt *Router) handleSketchInfo(w http.ResponseWriter, r *http.Request) {
+	rt.routeBody(w, r, sketchKeyOf(r.PathValue("id")), nil)
+}
+
+// broadcast sends one request to every healthy replica at once and
+// returns their outcomes in ring order — empty when none is healthy.
+func (rt *Router) broadcast(ctx context.Context, method, path string, body []byte) []outcome {
+	healthy := rt.mem.healthy()
+	outs := make([]outcome, len(healthy))
+	var wg sync.WaitGroup
+	for i, addr := range healthy {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := rt.forward(ctx, addr, method, path, body)
+			if err != nil {
+				err = fmt.Errorf("replica %s: %w", addr, err)
+			}
+			outs[i] = outcome{res, err}
+		}()
+	}
+	wg.Wait()
+	return outs
+}
+
+// fanListMerge asks every healthy replica for a list and merges the
+// results, deduplicating by the given JSON field (replicas sharing a
+// store advertise identical entries).
 func (rt *Router) fanListMerge(path, field, dedupKey string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		healthy := rt.mem.healthy()
-		if len(healthy) == 0 {
+		outs := rt.broadcast(r.Context(), http.MethodGet, path, nil)
+		if len(outs) == 0 {
 			writeError(w, http.StatusServiceUnavailable, "no healthy replica")
 			return
 		}
-		type listResp struct {
-			res *upstreamResult
-			err error
-		}
-		results := make([]listResp, len(healthy))
-		var wg sync.WaitGroup
-		for i, addr := range healthy {
-			wg.Add(1)
-			go func(i int, addr string) {
-				defer wg.Done()
-				res, err := rt.forward(r.Context(), addr, http.MethodGet, path, nil, "")
-				results[i] = listResp{res, err}
-			}(i, addr)
-		}
-		wg.Wait()
-
 		seen := make(map[string]bool)
-		var merged []json.RawMessage
+		merged := []json.RawMessage{}
 		ok := false
-		for _, out := range results {
+		for _, out := range outs {
 			if out.err != nil || out.res.status != http.StatusOK {
 				continue
 			}
@@ -722,9 +742,6 @@ func (rt *Router) fanListMerge(path, field, dedupKey string) http.HandlerFunc {
 			return
 		}
 		sort.Slice(merged, func(i, j int) bool { return string(merged[i]) < string(merged[j]) })
-		if merged == nil {
-			merged = []json.RawMessage{}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(map[string]any{field: merged})
 	}
@@ -734,26 +751,14 @@ func (rt *Router) fanListMerge(path, field, dedupKey string) http.HandlerFunc {
 // a cluster is many worker pools and caches, so the shape is per-replica
 // rather than a lossy sum.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	healthy := rt.mem.healthy()
-	out := make(map[string]json.RawMessage, len(healthy))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, addr := range healthy {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			res, err := rt.forward(r.Context(), addr, http.MethodGet, "/v1/stats", nil, "")
-			if err != nil || res.status != http.StatusOK {
-				return
-			}
-			mu.Lock()
-			out[addr] = res.body
-			mu.Unlock()
-		}(addr)
+	stats := make(map[string]json.RawMessage)
+	for _, out := range rt.broadcast(r.Context(), http.MethodGet, "/v1/stats", nil) {
+		if out.err == nil && out.res.status == http.StatusOK {
+			stats[out.res.replica] = out.res.body
+		}
 	}
-	wg.Wait()
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"replicas": out})
+	_ = json.NewEncoder(w).Encode(map[string]any{"replicas": stats})
 }
 
 // fanAll sends a mutating request to EVERY healthy replica — registry
@@ -767,33 +772,22 @@ func (rt *Router) fanAll(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	healthy := rt.mem.healthy()
-	if len(healthy) == 0 {
+	outs := rt.broadcast(r.Context(), r.Method, r.URL.Path, body)
+	if len(outs) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no healthy replica")
 		return
 	}
-	results := make([]*upstreamResult, len(healthy))
-	errs := make([]error, len(healthy))
-	var wg sync.WaitGroup
-	for i, addr := range healthy {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			results[i], errs[i] = rt.forward(r.Context(), addr, r.Method, r.URL.Path, body, "application/json")
-		}(i, addr)
-	}
-	wg.Wait()
-	for i := range healthy {
-		if errs[i] != nil {
-			writeError(w, http.StatusBadGateway, "replica %s: %v", healthy[i], errs[i])
+	for _, out := range outs {
+		if out.err != nil {
+			writeError(w, http.StatusBadGateway, "%v", out.err)
 			return
 		}
-		if results[i].status >= 400 {
-			rt.prefixJobID(results[i])
-			writeUpstream(w, results[i], "mutation failed on "+healthy[i]+"; cluster may have diverged")
+		if out.res.status >= 400 {
+			rt.prefixJobID(out.res)
+			writeUpstream(w, out.res, "mutation failed on "+out.res.replica+"; cluster may have diverged")
 			return
 		}
 	}
-	rt.prefixJobID(results[0])
-	writeUpstream(w, results[0], "")
+	rt.prefixJobID(outs[0].res)
+	writeUpstream(w, outs[0].res, "")
 }

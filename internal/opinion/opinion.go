@@ -6,6 +6,7 @@
 package opinion
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/holisticim/holisticim/internal/graph"
@@ -38,6 +39,17 @@ func (d Distribution) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseDistribution is String's inverse: the one place the wire and flag
+// spellings of a distribution are read.
+func ParseDistribution(s string) (Distribution, error) {
+	for d := Uniform; d <= Polarized; d++ {
+		if s == d.String() {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown opinion distribution %q", s)
 }
 
 // AssignOpinions samples an opinion for every node of g from the given

@@ -146,3 +146,18 @@ func TestAgreementInteraction(t *testing.T) {
 		t.Fatalf("full agreement = %v", got)
 	}
 }
+
+// ParseDistribution inverts String for every scheme and refuses anything
+// else — including String's own "unknown" placeholder.
+func TestParseDistributionInvertsString(t *testing.T) {
+	for _, d := range []Distribution{Uniform, Normal, Polarized} {
+		if got, err := ParseDistribution(d.String()); err != nil || got != d {
+			t.Errorf("ParseDistribution(%q) = %v, %v", d.String(), got, err)
+		}
+	}
+	for _, s := range []string{"", "Uniform", "unknown", Distribution(9).String()} {
+		if _, err := ParseDistribution(s); err == nil {
+			t.Errorf("ParseDistribution(%q) accepted", s)
+		}
+	}
+}

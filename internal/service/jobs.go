@@ -458,22 +458,53 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // with ok=true means the job had already completed and its outcome
 // cannot be revoked. Cancel is idempotent.
 func (m *Manager) Cancel(id string) (j *Job, accepted, ok bool) {
-	m.mu.Lock()
-	j, ok = m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
+	if j, ok = m.Get(id); !ok {
 		return nil, false, false
 	}
-
+	if m.finish(j, StatePending, StateCanceled, context.Canceled, nil) {
+		return j, true, true
+	}
+	// Not queued, and no job returns to the queue: j is running or over.
+	m.mu.Lock()
 	j.mu.Lock()
-	switch j.state {
-	case StatePending:
+	state, asked := j.state, j.cancelAsked
+	if state == StateRunning {
+		// Drop the dedup entry so new submissions start a fresh job
+		// rather than attaching to one that is being torn down.
+		if m.inflight[j.key] == j {
+			delete(m.inflight, j.key)
+		}
 		j.cancelAsked = true
-		j.state = StateCanceled
-		j.err = context.Canceled
-		j.fn = nil
+	}
+	j.mu.Unlock()
+	m.mu.Unlock()
+	if state == StateRunning && !asked {
+		j.cancel() // worker observes the JobFunc return and finalizes
+	}
+	// Done or failed is too late to revoke.
+	return j, state == StateRunning || state == StateCanceled, true
+}
+
+// finish is the one terminal transition. Provided j is still in state
+// from — otherwise another path got there first, and finish reports
+// false having changed nothing — it publishes the outcome and, in the
+// same critical section, drops what a terminal job must not hold: fn,
+// whose closure pins the graph snapshot (and sketch) the job was planned
+// against; the queue slot, when the job never reached a worker; and the
+// dedup entry. Then it releases the job's context and wakes Done waiters.
+// Locks nest m.mu → j.mu, as everywhere.
+func (m *Manager) finish(j *Job, from, state JobState, err error, result *QueryAnswer) bool {
+	m.mu.Lock()
+	j.mu.Lock()
+	if j.state != from {
 		j.mu.Unlock()
-		// Free the queue slot and the dedup entry right away.
+		m.mu.Unlock()
+		return false
+	}
+	j.state, j.err, j.result, j.fn = state, err, result, nil
+	j.mu.Unlock()
+	if from == StatePending {
+		// Still queued unless a worker or Shutdown already took it off.
 		q := m.queues[j.priority]
 		for i, queued := range q {
 			if queued == j {
@@ -481,37 +512,17 @@ func (m *Manager) Cancel(id string) (j *Job, accepted, ok bool) {
 				break
 			}
 		}
-		if m.inflight[j.key] == j {
-			delete(m.inflight, j.key)
-		}
-		m.mu.Unlock()
-		j.cancel()
-		close(j.done)
-		m.canceled.Add(1)
-		return j, true, true
-	case StateRunning:
-		// Drop the dedup entry so new submissions start a fresh job
-		// rather than attaching to one that is being torn down.
-		if m.inflight[j.key] == j {
-			delete(m.inflight, j.key)
-		}
-		asked := j.cancelAsked
-		j.cancelAsked = true
-		j.mu.Unlock()
-		m.mu.Unlock()
-		if !asked {
-			j.cancel() // worker observes the JobFunc return and finalizes
-		}
-		return j, true, true
-	case StateCanceled:
-		j.mu.Unlock()
-		m.mu.Unlock()
-		return j, true, true
-	default: // done or failed: too late to revoke
-		j.mu.Unlock()
-		m.mu.Unlock()
-		return j, false, true
 	}
+	if m.inflight[j.key] == j {
+		delete(m.inflight, j.key)
+	}
+	m.mu.Unlock()
+	if state == StateCanceled {
+		m.canceled.Add(1)
+	}
+	j.cancel()
+	close(j.done)
+	return true
 }
 
 // Submitted returns the number of jobs accepted (excluding deduplicated
@@ -558,27 +569,11 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	m.mu.Unlock()
 
-	// Cancel queued jobs exactly as Cancel's pending branch does, so
-	// pollers observe the same canceled state either way.
+	// Cancel queued jobs through the transition Cancel uses, so pollers
+	// observe the same canceled state either way. A job some Cancel got
+	// to first is no longer pending, and finish leaves it alone.
 	for _, j := range queued {
-		j.mu.Lock()
-		if j.state != StatePending {
-			j.mu.Unlock()
-			continue
-		}
-		j.cancelAsked = true
-		j.state = StateCanceled
-		j.err = fmt.Errorf("%w: %w", ErrShuttingDown, context.Canceled)
-		j.fn = nil
-		j.mu.Unlock()
-		m.mu.Lock()
-		if m.inflight[j.key] == j {
-			delete(m.inflight, j.key)
-		}
-		m.mu.Unlock()
-		j.cancel()
-		close(j.done)
-		m.canceled.Add(1)
+		m.finish(j, StatePending, StateCanceled, fmt.Errorf("%w: %w", ErrShuttingDown, context.Canceled), nil)
 	}
 
 	// Wait for running jobs, bounded by ctx. The waiter goroutine blocks
@@ -648,25 +643,18 @@ func (m *Manager) run(j *Job) {
 	// Dequeue-time load shedding: a job whose deadline passed while it
 	// waited in the queue fails immediately instead of burning a worker
 	// on a result its client has already given up on.
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		j.state = StateFailed
-		j.err = fmt.Errorf("%w: expired while queued", ErrPastDeadline)
-		j.fn = nil
-		j.mu.Unlock()
-		m.shed.Add(1)
-		m.shedBy[j.priority][ShedExpired].Add(1)
-		j.cancel()
-		close(j.done)
-		m.mu.Lock()
-		if m.inflight[j.key] == j {
-			delete(m.inflight, j.key)
-		}
-		m.mu.Unlock()
-		return
+	expired := !j.deadline.IsZero() && time.Now().After(j.deadline)
+	if !expired {
+		j.state = StateRunning
 	}
-	j.state = StateRunning
 	fn := j.fn
 	j.mu.Unlock()
+	if expired {
+		if m.finish(j, StatePending, StateFailed, fmt.Errorf("%w: expired while queued", ErrPastDeadline), nil) {
+			m.shedLocked(j.priority, ShedExpired)
+		}
+		return
+	}
 	obsWait, obsRun := m.durationObservers()
 	start := time.Now()
 	if obsWait != nil {
@@ -686,32 +674,16 @@ func (m *Manager) run(j *Job) {
 	} else {
 		m.avgRunNanos.Store(old + (sample-old)/4)
 	}
-	j.mu.Lock()
-	j.fn = nil
+	// A cancelled or failed run keeps the partial result its selector
+	// returned; failure includes deadline expiry from a per-job timeout.
+	state := StateFailed
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.result = res
+		state = StateDone
 	case j.ctx.Err() != nil && errors.Is(err, context.Canceled):
-		j.state = StateCanceled
-		j.err = err
-		j.result = res // partial result, when the selector returned one
-		m.canceled.Add(1)
-	default:
-		// Includes deadline expiry from a per-job timeout: the job
-		// failed to produce its full result in time.
-		j.state = StateFailed
-		j.err = err
-		j.result = res
+		state = StateCanceled
 	}
-	j.mu.Unlock()
-	j.cancel() // release the context's resources
-	close(j.done)
-	m.mu.Lock()
-	if m.inflight[j.key] == j {
-		delete(m.inflight, j.key)
-	}
-	m.mu.Unlock()
+	m.finish(j, StateRunning, state, err, res)
 }
 
 // evictLocked drops the oldest finished jobs while over maxJobs. Pending
@@ -727,11 +699,9 @@ func (m *Manager) evictLocked() {
 		if !ok {
 			continue
 		}
-		// Never evict a job still reachable through the dedup map: a
-		// worker may have marked it terminal but not yet cleared the
-		// inflight entry, and a racing Submit could attach to it — its
-		// id must keep resolving.
-		if len(m.jobs) > m.maxJobs && j.terminal() && m.inflight[j.key] != j {
+		// A terminal job is unreachable through the dedup map (finish
+		// clears both under m.mu), so no Submit can still attach to it.
+		if len(m.jobs) > m.maxJobs && j.terminal() {
 			delete(m.jobs, id)
 			continue
 		}

@@ -594,3 +594,79 @@ func TestTerminalJobDropsItsFunc(t *testing.T) {
 		m.Close()
 	}
 }
+
+// TestTerminalTransitionHappensOncePerJob races every path into finish —
+// workers completing and expiring jobs, several Cancels per job, and a
+// Shutdown sweeping the queue — over the same jobs. Each job must end
+// exactly once (a second close of its done channel would panic), in one
+// agreed state, counted once, holding no func and no dedup entry.
+func TestTerminalTransitionHappensOncePerJob(t *testing.T) {
+	const jobs = 200
+	m := NewManager(4, jobs, jobs)
+	defer m.Close()
+	all := make([]*Job, jobs)
+	for i := range all {
+		spec := JobSpec{Key: fmt.Sprintf("k%d", i)}
+		if i%5 == 0 {
+			spec.Deadline = time.Now().Add(time.Millisecond) // some expire while queued
+		}
+		fn := func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(200 * time.Microsecond):
+				return nil, nil
+			}
+		}
+		j, _, err := m.Submit(spec, fn)
+		if errors.Is(err, ErrPastDeadline) { // refused at the door once the wait estimate is warm
+			j, _, err = m.Submit(JobSpec{Key: spec.Key}, fn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		all[i] = j
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < jobs; i += 2 {
+				m.Cancel(all[i].ID())
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(5 * time.Millisecond)
+		_ = m.Shutdown(context.Background())
+	}()
+	wg.Wait()
+
+	canceled := int64(0)
+	for _, j := range all {
+		waitDone(t, j)
+		j.mu.Lock()
+		state, fn := j.state, j.fn
+		j.mu.Unlock()
+		if fn != nil {
+			t.Errorf("job %s ended %s still holding its func", j.ID(), state)
+		}
+		if state == StateCanceled {
+			canceled++
+		}
+		if state == StatePending || state == StateRunning {
+			t.Errorf("job %s is done but in state %s", j.ID(), state)
+		}
+	}
+	if got := m.Canceled(); got != canceled {
+		t.Errorf("canceled counter = %d, jobs in state canceled = %d", got, canceled)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.inflight) != 0 || m.queueLenLocked() != 0 {
+		t.Errorf("after every job ended: %d dedup entries, %d queued", len(m.inflight), m.queueLenLocked())
+	}
+}

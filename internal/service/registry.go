@@ -123,6 +123,21 @@ func newRegEntry(name string, g *holisticim.Graph, source string) *regEntry {
 // rebind fires the onReplace hook so dependent state (result cache,
 // sketch registry) is made consistent before the call returns.
 func (r *Registry) Replace(name string, g *holisticim.Graph, source string) error {
+	return r.replace(name, g, source, 0)
+}
+
+// ReplaceSnapshot is Replace for store-loaded artifacts: the published
+// snapshot carries the publisher's mutation-log version, which is
+// recorded on the new entry so GET /v1/cluster/info advertises the
+// lineage position of the loaded content instead of resetting to 0.
+func (r *Registry) ReplaceSnapshot(name string, g *holisticim.Graph, source string, version uint64) error {
+	return r.replace(name, g, source, version)
+}
+
+// replace installs the entry complete, version included, in one critical
+// section: the hook and every concurrent lister see either the old entry
+// or the new one, never the new content at a placeholder version.
+func (r *Registry) replace(name string, g *holisticim.Graph, source string, version uint64) error {
 	if name == "" {
 		return errors.New("service: empty graph name")
 	}
@@ -136,6 +151,7 @@ func (r *Registry) Replace(name string, g *holisticim.Graph, source string) erro
 		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
 	}
 	e := newRegEntry(name, g, source)
+	e.info.Version = version
 	if replaced {
 		e.gen = old.gen + 1
 	}
@@ -145,22 +161,6 @@ func (r *Registry) Replace(name string, g *holisticim.Graph, source string) erro
 	if replaced && hook != nil {
 		hook(name, g)
 	}
-	return nil
-}
-
-// ReplaceSnapshot is Replace for store-loaded artifacts: the published
-// snapshot carries the publisher's mutation-log version, which is
-// recorded on the new entry so GET /v1/cluster/info advertises the
-// lineage position of the loaded content instead of resetting to 0.
-func (r *Registry) ReplaceSnapshot(name string, g *holisticim.Graph, source string, version uint64) error {
-	if err := r.Replace(name, g, source); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	if e, ok := r.graphs[name]; ok && e.g == g {
-		e.info.Version = version
-	}
-	r.mu.Unlock()
 	return nil
 }
 
@@ -409,16 +409,9 @@ func applyParams(g *holisticim.Graph, spec GraphSpec) error {
 		g.SetUniformPhi(*spec.Phi)
 	}
 	if spec.Opinions != "" {
-		var dist holisticim.OpinionDistribution
-		switch spec.Opinions {
-		case "uniform":
-			dist = holisticim.OpinionUniform
-		case "normal":
-			dist = holisticim.OpinionNormal
-		case "polarized":
-			dist = holisticim.OpinionPolarized
-		default:
-			return fmt.Errorf("service: unknown opinion distribution %q", spec.Opinions)
+		dist, err := holisticim.ParseOpinionDistribution(spec.Opinions)
+		if err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
 		holisticim.AssignOpinions(g, dist, seedOr1(spec.Seed)+2)
 		if spec.Phi == nil {

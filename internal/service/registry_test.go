@@ -39,6 +39,38 @@ func TestRegistryAddGetList(t *testing.T) {
 	}
 }
 
+// A store-loaded rebind must be visible complete: whoever looks from
+// inside the onReplace hook — the first moment the new entry is reachable
+// with the registry unlocked, and where /v1/cluster/info and /v1/graphs
+// can already be reading — sees the snapshot's version, not a placeholder
+// 0 that is patched in afterwards.
+func TestReplaceSnapshotInstallsVersionBeforeHook(t *testing.T) {
+	r := NewRegistry()
+	if err := r.ReplaceSnapshot("soc", holisticim.GenerateBA(50, 2, 1), "store:a", 3); err != nil {
+		t.Fatal(err)
+	}
+	var seen []uint64
+	r.onReplace = func(name string, g *holisticim.Graph) {
+		info, err := r.Info(name)
+		if err != nil {
+			t.Errorf("Info inside onReplace: %v", err)
+		}
+		seen = append(seen, info.Version)
+	}
+	if err := r.ReplaceSnapshot("soc", holisticim.GenerateBA(50, 2, 2), "store:b", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Replace("soc", holisticim.GenerateBA(50, 2, 3), "file:c"); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0] != 7 || seen[1] != 0 {
+		t.Fatalf("versions seen inside onReplace = %v, want [7 0] (snapshot's version, then an operator Replace's 0)", seen)
+	}
+	if info, _ := r.Info("soc"); info.Version != 0 || info.Source != "file:c" {
+		t.Fatalf("after Replace: %+v", info)
+	}
+}
+
 func TestRegistryBuildGenerators(t *testing.T) {
 	r := NewRegistry()
 	err := r.Build(GraphSpec{

@@ -77,23 +77,11 @@ func NewSketchRegistry() *SketchRegistry {
 	return &SketchRegistry{entries: make(map[string]*sketchEntry)}
 }
 
-// Add registers idx under the canonical id for its key.
+// Add registers idx under the canonical id for its key, refusing an id
+// that is already bound.
 func (r *SketchRegistry) Add(graph, semantics string, epsilon float64, seed uint64, idx *holisticim.Sketch) (string, error) {
-	if idx == nil {
-		return "", errors.New("service: nil sketch")
-	}
-	id := SketchID(graph, semantics, epsilon, seed)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[id]; ok {
-		return "", fmt.Errorf("%w: %q", ErrSketchExists, id)
-	}
-	if r.maxSketches > 0 && len(r.entries) >= r.maxSketches {
-		return "", fmt.Errorf("%w (%d sketches)", ErrSketchesFull, r.maxSketches)
-	}
-	r.entries[id] = &sketchEntry{idx: idx, graph: graph, semantics: semantics, epsilon: epsilon, seed: seed}
-	r.builds++
-	return id, nil
+	id, _, err := r.put(graph, semantics, epsilon, seed, idx, false)
+	return id, err
 }
 
 // Put registers idx under its canonical id, REPLACING any sketch already
@@ -105,13 +93,20 @@ func (r *SketchRegistry) Add(graph, semantics string, epsilon float64, seed uint
 // gates NEW ids; replacements always land, since refusing one would leave
 // a stale sample serving the fast path.
 func (r *SketchRegistry) Put(graph, semantics string, epsilon float64, seed uint64, idx *holisticim.Sketch) (string, bool, error) {
+	return r.put(graph, semantics, epsilon, seed, idx, true)
+}
+
+func (r *SketchRegistry) put(graph, semantics string, epsilon float64, seed uint64, idx *holisticim.Sketch, replace bool) (id string, replaced bool, err error) {
 	if idx == nil {
 		return "", false, errors.New("service: nil sketch")
 	}
-	id := SketchID(graph, semantics, epsilon, seed)
+	id = SketchID(graph, semantics, epsilon, seed)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, replaced := r.entries[id]
+	_, replaced = r.entries[id]
+	if replaced && !replace {
+		return "", false, fmt.Errorf("%w: %q", ErrSketchExists, id)
+	}
 	if !replaced && r.maxSketches > 0 && len(r.entries) >= r.maxSketches {
 		return "", false, fmt.Errorf("%w (%d sketches)", ErrSketchesFull, r.maxSketches)
 	}

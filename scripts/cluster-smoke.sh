@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # cluster-smoke.sh — end-to-end cluster check: publish a snapshot store,
-# start 2 replicas + the router, and assert a routed (scattered) batch
-# /v2/query is byte-equivalent to the same batch answered by a single
-# node, timing fields aside. Run from the repository root. Needs jq.
+# start 2 replicas + the router, and assert a routed batch /v2/query went
+# whole to one replica and is byte-equivalent to the same batch answered
+# by a single node, timing fields aside. Run from the repository root.
+# Needs jq.
 #
 #   ./scripts/cluster-smoke.sh [nodes]
 set -euo pipefail
@@ -64,7 +65,12 @@ single="$(curl -sf "http://127.0.0.1:$PORT_A/v2/query" -d "$BATCH" | jq -S "$NOR
 echo "== routed batch (through the router)"
 headers="$WORK/routed.headers"
 routed="$(curl -sf -D "$headers" "http://127.0.0.1:$PORT_R/v2/query" -d "$BATCH" | jq -S "$NORMALIZE")"
-grep -qi '^x-router-scatter: 1' "$headers" || { echo "routed batch was not scattered" >&2; cat "$headers" >&2; exit 1; }
+grep -qi '^x-router-replica: http' "$headers" || { echo "routed batch does not name its serving replica" >&2; cat "$headers" >&2; exit 1; }
+# The router relays one replica's response whole: the serving replica and
+# an optional placement note are the only headers it may add.
+if grep -i '^x-router-' "$headers" | grep -qviE '^x-router-(replica|note):'; then
+  echo "routed batch carries an unexpected router header: it must be forwarded whole" >&2; cat "$headers" >&2; exit 1
+fi
 
 if ! diff <(echo "$single") <(echo "$routed"); then
   echo "cluster-smoke: routed batch differs from single node" >&2
