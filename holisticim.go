@@ -268,7 +268,9 @@ type Options struct {
 	MCRuns int
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Workers bounds parallelism (default GOMAXPROCS).
+	// Workers bounds parallelism (default GOMAXPROCS) where there is any:
+	// Monte-Carlo objectives and estimators, RR sampling. EaSyIM and OSIM
+	// scoring is single-threaded whatever it says.
 	Workers int
 	// TIMThetaCap optionally bounds TIM+/IMM RR sets (0 = unbounded).
 	TIMThetaCap int

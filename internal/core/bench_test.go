@@ -5,6 +5,8 @@ import (
 
 	"github.com/holisticim/holisticim/internal/diffusion"
 	"github.com/holisticim/holisticim/internal/graph"
+	"github.com/holisticim/holisticim/internal/im"
+	"github.com/holisticim/holisticim/internal/opinion"
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
@@ -66,6 +68,44 @@ func BenchmarkScoreGreedySelect10(b *testing.B) {
 		})
 		_ = runSelect(sg, 10)
 	}
+}
+
+// rmatGraph is the shape of the repo benchmark's largest input: a directed
+// R-MAT under weighted cascade with opinions and ϕ.
+func rmatGraph(n int32, m int64) *graph.Graph {
+	g := graph.RMAT(n, m, graph.DefaultRMAT, false, rng.New(1))
+	g.SetWeightedCascadeProb()
+	opinion.AssignInteractions(g, 2)
+	opinion.AssignOpinions(g, opinion.Normal, 3)
+	return g
+}
+
+func BenchmarkScoreGreedySelectEaSyIM(b *testing.B) {
+	g := rmatGraph(50000, 400000)
+	benchSelect(b, func() LevelScorer { return NewEaSyIM(g, 3, WeightProb) }, diffusion.NewIC(g))
+}
+
+func BenchmarkScoreGreedySelectOSIM(b *testing.B) {
+	g := rmatGraph(50000, 400000)
+	benchSelect(b, func() LevelScorer { return NewOSIM(g, 3, WeightProb, 1) }, diffusion.NewOI(g, diffusion.LayerIC))
+}
+
+// benchSelect times a k=50 selection as holisticim.SelectSeeds runs it and
+// reports, per seed, the rows re-summed and arcs read — a full pass per
+// seed would be l·n and l·m — and the scoring state held per node, the
+// figure behind the paper's memory claim (Fig. 6j, Table 3).
+func benchSelect(b *testing.B, scorer func() LevelScorer, probe diffusion.Model) {
+	const k = 50
+	var res im.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = runSelect(NewScoreGreedy(scorer(), ScoreGreedyOptions{
+			Policy: PolicyMCMajority, ProbeModel: probe, Seed: uint64(i),
+		}), k)
+	}
+	b.ReportMetric(res.Metrics["rows_rescored"]/k, "rows/seed")
+	b.ReportMetric(res.Metrics["arcs_rescored"]/k, "arcs/seed")
+	b.ReportMetric(res.Metrics["state_bytes_per_node"], "state_B/node")
 }
 
 func BenchmarkLiveEdgeEnsemble(b *testing.B) {

@@ -21,115 +21,136 @@ import (
 // Lemma 8's closed form. The score equals the exact expected effective
 // opinion spread on paths (Lemma 9) and approximates it elsewhere.
 //
-// Complexity matches EaSyIM: O(l(m+n)) time, O(n) space.
+// Complexity matches EaSyIM: a full Assign is O(l(m+n)) time, and all l
+// levels are kept — or/α/sc as one osimTerm per node and level, so a row's
+// arc gathers once, plus each level's score increment: 4l·n floats beside
+// the n scores — so that Exclude re-sums only the rows an exclusion can reach
+// (see levels.Exclude). Not safe for concurrent use.
 type OSIM struct {
-	g       *graph.Graph
-	l       int
-	weight  EdgeWeight
-	lambda  float64
-	workers int // node-parallelism for Assign; 1 = sequential
-
-	orPrev, orCur []float64
-	alPrev, alCur []float64
-	scPrev, scCur []float64
-	delta         []float64
+	levels
+	lambda float64
+	term   [][]osimTerm // term[i], i < l: level-i contributions
+	inc    [][]float64  // inc[i-1]: level i's increment of ∆; the score is their sum in level order
 }
+
+// osimTerm is what a reader of a node sums at one level: all zero once the
+// node is excluded.
+type osimTerm struct{ or, al, sc float64 }
 
 // NewOSIM returns an OSIM scorer with maximum path length l and penalty
 // parameter lambda on negative opinion spread (Def. 7; λ=1 weighs negative
 // opinions fully, λ=0 ignores them). The paper's experiments use λ=1, for
 // which the score is exactly Algorithm 5's; for λ≠1 the per-level negative
-// increments are scaled by λ — the natural heuristic extension, since the
-// aggregate score cannot be decomposed per-path (documented in DESIGN.md).
+// increments are scaled by λ — the natural heuristic extension, since
+// Algorithm 5 aggregates over walks and its score cannot be split into the
+// positive and negative parts Def. 7 penalizes separately.
 func NewOSIM(g *graph.Graph, l int, weight EdgeWeight, lambda float64) *OSIM {
-	if l < 1 {
-		panic(fmt.Sprintf("core: OSIM path length l=%d must be >= 1", l))
-	}
 	if lambda < 0 {
 		panic(fmt.Sprintf("core: OSIM lambda=%v must be >= 0", lambda))
 	}
-	n := g.NumNodes()
-	return &OSIM{
-		g: g, l: l, weight: weight, lambda: lambda, workers: 1,
-		orPrev: make([]float64, n), orCur: make([]float64, n),
-		alPrev: make([]float64, n), alCur: make([]float64, n),
-		scPrev: make([]float64, n), scCur: make([]float64, n),
-		delta: make([]float64, n),
+	o := &OSIM{lambda: lambda}
+	o.levels = newLevels(o, "OSIM", g, l, weight, 4*l)
+	o.term, o.inc = make([][]osimTerm, l), make([][]float64, l)
+	for i := range o.term {
+		o.term[i] = make([]osimTerm, g.NumNodes())
+		o.inc[i] = make([]float64, g.NumNodes())
 	}
+	return o
 }
-
-// Name implements Scorer.
-func (o *OSIM) Name() string { return "OSIM" }
-
-// Graph implements Scorer.
-func (o *OSIM) Graph() *graph.Graph { return o.g }
-
-// PathLength returns l.
-func (o *OSIM) PathLength() int { return o.l }
 
 // Lambda returns the negative-spread penalty.
 func (o *OSIM) Lambda() float64 { return o.lambda }
 
-// Assign implements Scorer.
-func (o *OSIM) Assign(excluded []bool, out []float64) []float64 {
-	g := o.g
-	n := g.NumNodes()
-	if out == nil {
-		out = make([]float64, n)
+// reset is Algorithm 5 line 1: α_0=1, or_0=o_u, sc_0=0.
+func (o *OSIM) reset() {
+	for v, opinion := range o.g.Opinions() {
+		o.term[0][v] = osimTerm{or: opinion, al: 1}
 	}
-	orPrev, orCur := o.orPrev, o.orCur
-	alPrev, alCur := o.alPrev, o.alCur
-	scPrev, scCur := o.scPrev, o.scCur
-	delta := o.delta
-	for u := graph.NodeID(0); u < n; u++ {
-		// Level 0 (Algorithm 5 line 1): α_0=1, or_0=o_u, sc_0=0, ∆_0=0.
-		alPrev[u] = 1
-		orPrev[u] = g.Opinion(u)
-		scPrev[u] = 0
-		delta[u] = 0
-	}
-	for i := 1; i <= o.l; i++ {
-		parallelFor(n, o.workers, func(lo, hi graph.NodeID) {
-			for u := lo; u < hi; u++ {
-				if excluded != nil && excluded[u] {
-					orCur[u], alCur[u], scCur[u] = 0, 0, 0
-					continue
-				}
-				nbrs := g.OutNeighbors(u)
-				ws := edgeWeights(g, o.weight, u)
-				phis := g.OutPhis(u)
-				var orS, alS, scS float64
-				for j, v := range nbrs {
-					if excluded != nil && excluded[v] {
-						continue
-					}
-					w := ws[j]
-					orS += w * orPrev[v]
-					alS += w * alPrev[v] * (2*phis[j] - 1) / 2
-					scS += w * scPrev[v]
-				}
-				ou := g.Opinion(u)
-				scS += ou * alS // line 10
-				orCur[u], alCur[u], scCur[u] = orS, alS, scS
-				inc := (orS + scS + ou*alS) / 2 // line 11
-				if inc < 0 && o.lambda != 1 {
-					inc *= o.lambda
-				}
-				delta[u] += inc
-			}
-		})
-		orPrev, orCur = orCur, orPrev
-		alPrev, alCur = alCur, alPrev
-		scPrev, scCur = scCur, scPrev
-	}
-	for u := graph.NodeID(0); u < n; u++ {
-		if excluded != nil && excluded[u] {
-			out[u] = negInf
-		} else {
-			out[u] = delta[u]
-		}
-	}
-	return out
 }
 
-var _ Scorer = (*OSIM)(nil)
+func (o *OSIM) drop(v graph.NodeID) {
+	for _, t := range o.term {
+		t[v] = osimTerm{}
+	}
+}
+
+func (o *OSIM) sweep(i int, rows []graph.NodeID, scores []float64, changed []graph.NodeID) []graph.NodeID {
+	k := osimLevel{src: o.term[i-1], ws: edgeWeights(o.g, o.weight), phis: o.g.Phis(), opinions: o.g.Opinions(), lambda: o.lambda}
+	k.start, k.to = o.g.OutCSR()
+	incs := o.inc[i-1]
+	var dst []osimTerm // nobody reads level l's terms
+	if i < o.l {
+		dst = o.term[i]
+	}
+	if rows == nil {
+		for u, gone := range o.gone {
+			var t osimTerm
+			incs[u] = 0
+			if !gone {
+				t, incs[u] = k.row(u)
+			}
+			if dst != nil {
+				dst[u] = t
+			} else { // level l: every increment is in
+				scores[u] = o.score(u)
+			}
+		}
+		return changed
+	}
+	for _, u := range rows { // listed rows are live
+		t, inc := k.row(int(u))
+		if dst != nil && t != dst[u] {
+			dst[u] = t
+			changed = append(changed, u)
+		}
+		if inc != incs[u] {
+			incs[u] = inc
+			scores[u] = o.score(int(u))
+		}
+	}
+	return changed
+}
+
+// score is ∆_l(u): the level increments summed in level order.
+func (o *OSIM) score(u int) float64 {
+	if o.gone[u] {
+		return negInf
+	}
+	score := 0.0
+	for _, incs := range o.inc {
+		score += incs[u]
+	}
+	return score
+}
+
+// osimLevel is what one level's rows read: the arcs and the level below.
+type osimLevel struct {
+	start              []int64
+	to                 []graph.NodeID
+	ws, phis, opinions []float64
+	src                []osimTerm
+	lambda             float64
+}
+
+// row is the row kernel, Algorithm 5 lines 6–11 for one node: the three
+// sums over u's arcs in CSR order — no branch on the mask, an excluded v
+// contributes zeros — then u's own opinion and the level's increment of ∆.
+func (k *osimLevel) row(u int) (osimTerm, float64) {
+	to, ws, phis, src := k.to, k.ws, k.phis, k.src
+	var or, al, sc float64
+	for j := k.start[u]; j < k.start[u+1]; j++ {
+		c, w := src[to[j]], ws[j]
+		or += w * c.or
+		al += w * c.al * (2*phis[j] - 1) / 2
+		sc += w * c.sc
+	}
+	ou := k.opinions[u]
+	sc += ou * al                // line 10
+	inc := (or + sc + ou*al) / 2 // line 11
+	if inc < 0 && k.lambda != 1 {
+		inc *= k.lambda
+	}
+	return osimTerm{or, al, sc}, inc
+}
+
+var _ LevelScorer = (*OSIM)(nil)

@@ -68,7 +68,7 @@ func (p *PathUnion) Assign(excluded []bool, out []float64) []float64 {
 			continue
 		}
 		nbrs := g.OutNeighbors(u)
-		ws := edgeWeights(g, p.weight, u)
+		ws := edgeWeights(g, p.weight)[g.OutEdgeBase(u):]
 		for j, v := range nbrs {
 			if excluded != nil && excluded[v] {
 				continue

@@ -13,9 +13,10 @@ import (
 )
 
 // ActivationPolicy chooses how ScoreGREEDY updates the activated set V(a)
-// after selecting a seed (Algorithm 1 line 11 leaves the mechanism open;
-// DESIGN.md §5 discusses the options and the ablation bench compares
-// them).
+// after selecting a seed. Algorithm 1 line 11 leaves the mechanism open:
+// the paper evaluates by Monte-Carlo simulation, which PolicyMCMajority
+// follows; the other two trade that fidelity for determinism or speed, and
+// the ablation bench (internal/experiments) compares all three.
 type ActivationPolicy int
 
 const (
@@ -63,16 +64,18 @@ type ScoreGreedyOptions struct {
 }
 
 // ScoreGreedy is Algorithm 1: repeatedly assign scores with the
-// configured Scorer on G(V \ V(a)), pick the argmax as the next seed, and
-// grow V(a) with the nodes the new seed activates.
+// configured scorer on G(V \ V(a)), pick the argmax as the next seed, and
+// grow V(a) with the nodes the new seed activates. Only the first seed pays
+// the full O(l·(m+n)) pass; each later one re-sums the rows within l
+// reverse hops of what the previous seed activated (LevelScorer.Exclude).
 type ScoreGreedy struct {
-	scorer Scorer
+	scorer LevelScorer
 	opts   ScoreGreedyOptions
 }
 
 // NewScoreGreedy returns the selector. The scorer decides the objective:
 // EaSyIM for opinion-oblivious IM, OSIM for MEO.
-func NewScoreGreedy(scorer Scorer, opts ScoreGreedyOptions) *ScoreGreedy {
+func NewScoreGreedy(scorer LevelScorer, opts ScoreGreedyOptions) *ScoreGreedy {
 	if opts.ProbeRuns <= 0 {
 		opts.ProbeRuns = 20
 	}
@@ -91,12 +94,13 @@ func (sg *ScoreGreedy) Name() string {
 }
 
 // Select implements im.Selector. Cancellation is checked before every
-// score assignment — the per-seed unit of work (Algorithm 1's O(l·(m+n))
-// scoring pass plus the activation probe).
-func (sg *ScoreGreedy) Select(ctx context.Context, k int) (im.Result, error) {
+// score assignment — the per-seed unit of work (the rescoring pass plus
+// the activation probe). Metrics rows_rescored, arcs_rescored and
+// state_bytes_per_node report what the scoring read and kept.
+func (sg *ScoreGreedy) Select(ctx context.Context, k int) (res im.Result, err error) {
 	g := sg.scorer.Graph()
 	n := g.NumNodes()
-	res := im.Result{Algorithm: sg.Name()}
+	res = im.Result{Algorithm: sg.Name()}
 	if err := im.CheckK(k, n); err != nil {
 		return res, err
 	}
@@ -104,19 +108,28 @@ func (sg *ScoreGreedy) Select(ctx context.Context, k int) (im.Result, error) {
 
 	excluded := make([]bool, n)
 	scores := make([]float64, n)
-	var scratch *diffusion.Scratch
-	var counts []int32
+	p := probe{r: rng.New(sg.opts.Seed)}
 	if sg.opts.Policy == PolicyMCMajority {
-		scratch = diffusion.NewScratch(n)
-		counts = make([]int32, n)
+		p.scratch = diffusion.NewScratch(n)
+		p.counts = make([]int32, n)
 	}
-	probeRNG := rng.New(sg.opts.Seed)
+	defer func() {
+		rows, arcs, state := sg.scorer.Work()
+		res.AddMetric("rows_rescored", float64(rows))
+		res.AddMetric("arcs_rescored", float64(arcs))
+		res.AddMetric("state_bytes_per_node", float64(state+8*int64(n))/float64(n))
+	}()
 
+	var newly []graph.NodeID // what the last seed excluded, the seed included
 	for i := 0; i < k; i++ {
 		if err := tr.Interrupted(&res); err != nil {
 			return res, err
 		}
-		sg.scorer.Assign(excluded, scores)
+		if i == 0 {
+			sg.scorer.Assign(nil, scores)
+		} else {
+			sg.scorer.Exclude(newly, scores)
+		}
 		res.AddMetric("score_assignments", 1)
 		pick := ArgmaxScore(scores)
 		if pick < 0 {
@@ -132,8 +145,7 @@ func (sg *ScoreGreedy) Select(ctx context.Context, k int) (im.Result, error) {
 			}
 			break
 		}
-		sg.markActivated(pick, excluded, scratch, counts, probeRNG)
-		excluded[pick] = true
+		newly = sg.markActivated(pick, excluded, &p, newly[:0])
 		tr.Seed(&res, pick)
 	}
 	tr.Finish(&res)
@@ -166,33 +178,48 @@ func (sg *ScoreGreedy) fillRemaining(tr *im.Tracker, res *im.Result, k int) erro
 	return nil
 }
 
-// markActivated grows the excluded mask with the nodes the new seed
-// activates under the configured policy.
-func (sg *ScoreGreedy) markActivated(seed graph.NodeID, excluded []bool, scratch *diffusion.Scratch, counts []int32, r *rng.RNG) {
+// probe is PolicyMCMajority's reusable state. counts is all zero between
+// seeds: markActivated clears exactly the entries its runs touched.
+type probe struct {
+	r       *rng.RNG
+	scratch *diffusion.Scratch
+	counts  []int32
+	touched []graph.NodeID
+	seed    [1]graph.NodeID
+}
+
+// markActivated grows the excluded mask with the seed and the nodes it
+// activates under the configured policy, and appends them to newly.
+func (sg *ScoreGreedy) markActivated(seed graph.NodeID, excluded []bool, p *probe, newly []graph.NodeID) []graph.NodeID {
 	switch sg.opts.Policy {
 	case PolicySeedOnly:
-		// Nothing besides the seed (marked by the caller).
+		excluded[seed] = true
+		return append(newly, seed)
 	case PolicyMCMajority:
-		model := sg.opts.ProbeModel
-		scratch.SetBlocked(excluded)
-		for i := range counts {
-			counts[i] = 0
-		}
+		p.scratch.SetBlocked(excluded)
+		p.seed[0], p.touched = seed, p.touched[:0]
 		for run := 0; run < sg.opts.ProbeRuns; run++ {
-			model.Simulate([]graph.NodeID{seed}, r, scratch)
-			for _, v := range scratch.Activated() {
-				counts[v]++
+			sg.opts.ProbeModel.Simulate(p.seed[:], p.r, p.scratch)
+			for _, v := range p.scratch.Activated() {
+				if p.counts[v] == 0 {
+					p.touched = append(p.touched, v)
+				}
+				p.counts[v]++
 			}
 		}
-		scratch.SetBlocked(nil)
+		p.scratch.SetBlocked(nil)
+		// The seed is active in every run, so it is always among them.
 		half := int32((sg.opts.ProbeRuns + 1) / 2)
-		for v := range counts {
-			if counts[v] >= half {
+		for _, v := range p.touched {
+			if p.counts[v] >= half {
 				excluded[v] = true
+				newly = append(newly, v)
 			}
+			p.counts[v] = 0
 		}
+		return newly
 	case PolicyReach:
-		sg.markByReach(seed, excluded)
+		return sg.markByReach(seed, excluded, newly)
 	default:
 		panic("core: unknown activation policy")
 	}
@@ -201,7 +228,7 @@ func (sg *ScoreGreedy) markActivated(seed graph.NodeID, excluded []bool, scratch
 // markByReach marks nodes whose best-path activation probability from the
 // seed meets the threshold: a Dijkstra-style search maximizing the product
 // of edge probabilities, pruned below the threshold.
-func (sg *ScoreGreedy) markByReach(seed graph.NodeID, excluded []bool) {
+func (sg *ScoreGreedy) markByReach(seed graph.NodeID, excluded []bool, newly []graph.NodeID) []graph.NodeID {
 	g := sg.scorer.Graph()
 	th := sg.opts.ReachThreshold
 	best := map[graph.NodeID]float64{seed: 1}
@@ -211,7 +238,10 @@ func (sg *ScoreGreedy) markByReach(seed graph.NodeID, excluded []bool) {
 		if it.prob < best[it.v] {
 			continue
 		}
-		excluded[it.v] = true
+		if !excluded[it.v] {
+			excluded[it.v] = true
+			newly = append(newly, it.v)
+		}
 		nbrs := g.OutNeighbors(it.v)
 		ps := g.OutProbs(it.v)
 		for j, w := range nbrs {
@@ -229,6 +259,7 @@ func (sg *ScoreGreedy) markByReach(seed graph.NodeID, excluded []bool) {
 			}
 		}
 	}
+	return newly
 }
 
 type probItem struct {

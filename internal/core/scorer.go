@@ -28,7 +28,8 @@ const (
 // scores into out (allocating it when nil, length n) and return it.
 // Excluded nodes (mask may be nil) receive score -Inf and contribute
 // nothing to other nodes' scores — they model the removed vertex set
-// V(a) of ScoreGREEDY's G(V \ V(a), E).
+// V(a) of ScoreGREEDY's G(V \ V(a), E). Assign is always the whole
+// O(l·(m+n)) pass; a LevelScorer can follow it with cheaper Exclude calls.
 type Scorer interface {
 	Name() string
 	Graph() *graph.Graph
@@ -38,11 +39,13 @@ type Scorer interface {
 // negInf marks excluded nodes so argmax never picks them.
 var negInf = math.Inf(-1)
 
-func edgeWeights(g *graph.Graph, w EdgeWeight, u graph.NodeID) []float64 {
+// edgeWeights returns the chosen parameter of every edge, indexed by
+// out-array position.
+func edgeWeights(g *graph.Graph, w EdgeWeight) []float64 {
 	if w == WeightLT {
-		return g.OutWeights(u)
+		return g.Weights()
 	}
-	return g.OutProbs(u)
+	return g.Probs()
 }
 
 // ArgmaxScore returns the node with the largest finite score, breaking

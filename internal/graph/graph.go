@@ -86,11 +86,26 @@ func (g *Graph) InNeighbors(v NodeID) []NodeID {
 }
 
 // InEdgeIndices returns, aligned with InNeighbors(v), the positions of those
-// edges in the out-edge arrays; use InProbAt/InPhiAt/InWeightAt or index the
-// Raw* accessors with them.
+// edges in the out-edge arrays; pass them to ProbAt/PhiAt/WeightAt or index
+// Probs/Phis/Weights with them.
 func (g *Graph) InEdgeIndices(v NodeID) []int64 {
 	return g.inEdge[g.inStart[v]:g.inStart[v+1]]
 }
+
+// OutCSR returns the out-adjacency whole: u's out-edges are positions
+// [start[u], start[u+1]) of to. Flat kernels loop over these (and the
+// aligned Probs/Phis/Weights) instead of slicing per row. The slices alias
+// internal storage and must not be modified.
+func (g *Graph) OutCSR() (start []int64, to []NodeID) { return g.outStart, g.outTo }
+
+// Probs returns p for every edge, indexed by out-array position.
+func (g *Graph) Probs() []float64 { return g.outProb }
+
+// Phis returns ϕ for every edge, indexed by out-array position.
+func (g *Graph) Phis() []float64 { return g.outPhi }
+
+// Weights returns the LT weight of every edge, indexed by out-array position.
+func (g *Graph) Weights() []float64 { return g.outWt }
 
 // OutEdgeBase returns the position in the out-edge arrays of u's first
 // out-edge; the edge to OutNeighbors(u)[i] has position OutEdgeBase(u)+i.
