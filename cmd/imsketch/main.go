@@ -167,9 +167,9 @@ func main() {
 		if err != nil {
 			fatal("command failed", "error", err)
 		}
-		// A file-loaded graph has no mutation log, so its published
+		// A file-loaded graph has no mutation lineage, so its published
 		// version is the sketch's own graph version (0 for a fresh pair) —
-		// replicas then see zero staleness.
+		// replicas then see the sketch in step with its graph.
 		ge, err := st.PublishGraph(*name, g, sk.GraphVersion())
 		if err != nil {
 			fatal("graph publish failed", "error", err)

@@ -112,6 +112,45 @@ func TestSaturatedChainRISSeedsDistinct(t *testing.T) {
 	}
 }
 
+// A bad seed id used to crash a MonteCarlo worker goroutine (index out of
+// range, unrecoverable), be answered by an oc sketch with the phantom seed
+// subtracted from σ(S), or — the empty set — be estimated by Run while the
+// service refused it. The planner rejects all three before either backend
+// sees them.
+func TestEstimateRejectsBadSeedSets(t *testing.T) {
+	ctx := context.Background()
+	g := GenerateBA(100, 2, 3)
+	g.SetUniformProb(0.1)
+	g.SetDefaultLTWeights()
+	AssignOpinions(g, OpinionUniform, 4)
+	sk, err := BuildSketch(ctx, g, SketchOptions{Model: ModelOC, Epsilon: 0.3, Seed: 5, BuildK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := Options{Model: ModelOC, MCRuns: 20, Seed: 1, Sketch: sk}
+	if !SketchServedEstimate(g, served) {
+		t.Fatal("the oc sketch does not serve its own graph")
+	}
+	for name, seeds := range map[string][]NodeID{
+		"out of range": {5, 1000},
+		"negative":     {5, -1},
+		"empty":        {},
+	} {
+		if _, err := EstimateSpreadContext(ctx, g, seeds, Options{MCRuns: 20, Seed: 1}); err == nil {
+			t.Errorf("%s: the MC-planned estimate answered", name)
+		}
+		if _, err := EstimateOpinionSpreadContext(ctx, g, seeds, served); err == nil {
+			t.Errorf("%s: the sketch-planned estimate answered", name)
+		}
+		if _, err := PlanQuery(g, Query{SeedSets: [][]NodeID{{1, 2}, seeds}}); err == nil {
+			t.Errorf("%s: a batch holding the set planned", name)
+		}
+	}
+	if _, err := EstimateOpinionSpreadContext(ctx, g, []NodeID{5, 99}, served); err != nil {
+		t.Errorf("valid seeds: %v", err)
+	}
+}
+
 func TestNeutralOpinionsZeroSpread(t *testing.T) {
 	g := GenerateBA(200, 3, 5)
 	g.SetUniformProb(0.2)

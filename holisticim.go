@@ -181,30 +181,39 @@ const (
 	ModelOC   ModelKind = "oc"    // Zhang et al. opinion baseline (LT)
 )
 
+// modelKinds is the one place that says what a ModelKind means: the
+// diffusion model that simulates it, the edge weight EaSyIM/OSIM score by,
+// the reverse-reachable-set semantics the RIS family samples under, and
+// whether opinion spread is meaningful under it. An unknown kind reads the
+// zero entry — p weights, IC sampling, opinion-oblivious — and fails in
+// NewModel.
+var modelKinds = map[ModelKind]struct {
+	build        func(*Graph) Model
+	weight       core.EdgeWeight
+	ris          ris.ModelKind
+	opinionAware bool
+}{
+	ModelIC:   {diffusion.NewIC, core.WeightProb, ris.ModelIC, false},
+	ModelWC:   {diffusion.NewIC, core.WeightProb, ris.ModelIC, false},
+	ModelLT:   {diffusion.NewLT, core.WeightLT, ris.ModelLT, false},
+	ModelOIIC: {func(g *Graph) Model { return diffusion.NewOI(g, diffusion.LayerIC) }, core.WeightProb, ris.ModelIC, true},
+	ModelOILT: {func(g *Graph) Model { return diffusion.NewOI(g, diffusion.LayerLT) }, core.WeightLT, ris.ModelLT, true},
+	ModelOC:   {diffusion.NewOC, core.WeightLT, ris.ModelOC, true},
+}
+
 // NewModel instantiates a diffusion model over g.
 func NewModel(g *Graph, kind ModelKind) (Model, error) {
-	switch kind {
-	case ModelIC, ModelWC:
-		return diffusion.NewIC(g), nil
-	case ModelLT:
-		return diffusion.NewLT(g), nil
-	case ModelOIIC:
-		return diffusion.NewOI(g, diffusion.LayerIC), nil
-	case ModelOILT:
-		return diffusion.NewOI(g, diffusion.LayerLT), nil
-	case ModelOC:
-		return diffusion.NewOC(g), nil
-	default:
+	build := modelKinds[kind].build
+	if build == nil {
 		return nil, fmt.Errorf("holisticim: unknown model %q", kind)
 	}
+	return build(g), nil
 }
 
 // OpinionAware reports whether the model tracks per-node opinions (the
 // OI variants and the OC baseline), i.e. whether opinion-spread
 // estimates under it are meaningful.
-func (k ModelKind) OpinionAware() bool {
-	return k == ModelOIIC || k == ModelOILT || k == ModelOC
-}
+func (k ModelKind) OpinionAware() bool { return modelKinds[k].opinionAware }
 
 // RRSemantics returns which reverse-reachable-set semantics the RIS
 // family (TIM+/IMM and the RR-sketch index) samples under this model:
@@ -218,18 +227,7 @@ func (k ModelKind) OpinionAware() bool {
 // Serving layers use it to key sketch indexes — an "oc" sketch samples
 // the very sets an "lt" one does, but only the weighted index can serve
 // the opinion path, so the two are distinct keys.
-func (k ModelKind) RRSemantics() string { return risKindFor(k).Semantics() }
-
-func risKindFor(k ModelKind) ris.ModelKind {
-	switch k {
-	case ModelLT, ModelOILT:
-		return ris.ModelLT
-	case ModelOC:
-		return ris.ModelOC
-	default:
-		return ris.ModelIC
-	}
-}
+func (k ModelKind) RRSemantics() string { return modelKinds[k].ris.Semantics() }
 
 // Algorithm names a seed-selection algorithm.
 type Algorithm string
@@ -374,13 +372,9 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 	if err != nil {
 		return nil, err
 	}
-	weight := core.WeightProb
-	risKind := risKindFor(o.Model)
-	if risKind != ris.ModelIC {
-		// LT-family models (lt, oi-lt, oc) drive EaSyIM/OSIM scores and
-		// reverse sampling by the LT edge weights.
-		weight = core.WeightLT
-	}
+	// LT-family models (lt, oi-lt, oc) drive EaSyIM/OSIM scores and reverse
+	// sampling by the LT edge weights.
+	kind := modelKinds[o.Model]
 	// Monte-Carlo objectives honor Workers: the estimates are deterministic
 	// per run regardless of parallelism, so this only changes speed.
 	spreadObjective := func() *greedy.MCObjective {
@@ -392,11 +386,11 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 	var sel im.Selector
 	switch alg {
 	case AlgEaSyIM:
-		sel = core.NewScoreGreedy(core.NewEaSyIM(g, o.PathLength, weight), core.ScoreGreedyOptions{
+		sel = core.NewScoreGreedy(core.NewEaSyIM(g, o.PathLength, kind.weight), core.ScoreGreedyOptions{
 			Policy: core.PolicyMCMajority, ProbeModel: model, Seed: o.Seed,
 		})
 	case AlgOSIM:
-		sel = core.NewScoreGreedy(core.NewOSIM(g, o.PathLength, weight, o.Lambda), core.ScoreGreedyOptions{
+		sel = core.NewScoreGreedy(core.NewOSIM(g, o.PathLength, kind.weight, o.Lambda), core.ScoreGreedyOptions{
 			Policy: core.PolicyMCMajority, ProbeModel: model, Seed: o.Seed,
 		})
 	case AlgGreedy:
@@ -414,9 +408,9 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 		}
 		sel = greedy.NewStaticGreedy(g, snapshots, o.Seed)
 	case AlgTIMPlus:
-		sel = ris.NewTIMPlus(g, risKind, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
+		sel = ris.NewTIMPlus(g, kind.ris, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
 	case AlgIMM:
-		sel = ris.NewIMM(g, risKind, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
+		sel = ris.NewIMM(g, kind.ris, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
 	case AlgIRIE:
 		sel = heuristics.NewIRIE(g, 0, 0, 0)
 	case AlgSIMPATH:
@@ -543,7 +537,7 @@ func BuildSketch(ctx context.Context, g *Graph, o SketchOptions) (*Sketch, error
 		}
 	}
 	return sketch.Build(ctx, g, sketch.Params{
-		Kind:    risKindFor(o.Model),
+		Kind:    modelKinds[o.Model].ris,
 		Epsilon: o.Epsilon,
 		Seed:    o.Seed,
 		BuildK:  o.BuildK,
@@ -570,5 +564,5 @@ func ReadSketchHeader(r io.Reader) (SketchHeader, error) { return sketch.ReadHea
 // fingerprint match), same RR semantics, and no explicit θ cap (a cap
 // changes TIM+/IMM sampling in ways the index does not model).
 func sketchServesSelect(g *Graph, o Options) bool {
-	return o.Sketch != nil && o.TIMThetaCap == 0 && o.Sketch.Matches(g, risKindFor(o.Model))
+	return o.Sketch != nil && o.TIMThetaCap == 0 && o.Sketch.Matches(g, modelKinds[o.Model].ris)
 }

@@ -5,8 +5,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"github.com/holisticim/holisticim/internal/core"
 )
 
 // mustSpread and mustOpinionSpread run the context-first estimators to
@@ -278,15 +279,42 @@ func TestBuilderFacade(t *testing.T) {
 	}
 }
 
+// TestModelNamesThroughFacade pins what every ModelKind means: the model
+// simulating it, its RR semantics, opinion-awareness and EaSyIM edge weight.
 func TestModelNamesThroughFacade(t *testing.T) {
 	g := testGraph()
-	for _, kind := range []ModelKind{ModelIC, ModelWC, ModelLT, ModelOIIC, ModelOILT, ModelOC} {
-		m, err := NewModel(g, kind)
+	for _, c := range []struct {
+		kind         ModelKind
+		name, rr     string
+		opinionAware bool
+		weight       core.EdgeWeight
+	}{
+		{ModelIC, "IC", "ic", false, core.WeightProb},
+		{ModelWC, "IC", "ic", false, core.WeightProb},
+		{ModelLT, "LT", "lt", false, core.WeightLT},
+		{ModelOIIC, "OI-IC", "ic", true, core.WeightProb},
+		{ModelOILT, "OI-LT", "lt", true, core.WeightLT},
+		{ModelOC, "OC", "oc", true, core.WeightLT},
+	} {
+		m, err := NewModel(g, c.kind)
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", c.kind, err)
 		}
-		if m.Name() == "" || !strings.ContainsAny(m.Name(), "ICLTOW") {
-			t.Fatalf("%s: odd name %q", kind, m.Name())
+		if m.Name() != c.name || c.kind.RRSemantics() != c.rr || c.kind.OpinionAware() != c.opinionAware ||
+			modelKinds[c.kind].weight != c.weight {
+			t.Errorf("%s: name %q, rr %q, opinion-aware %v, weight %v; want %q, %q, %v, %v", c.kind,
+				m.Name(), c.kind.RRSemantics(), c.kind.OpinionAware(), modelKinds[c.kind].weight,
+				c.name, c.rr, c.opinionAware, c.weight)
 		}
+	}
+	if len(modelKinds) != 6 {
+		t.Errorf("modelKinds has %d entries, the table above 6", len(modelKinds))
+	}
+	unknown := ModelKind("sir")
+	if _, err := NewModel(g, unknown); err == nil {
+		t.Error("unknown kind built a model")
+	}
+	if unknown.RRSemantics() != "ic" || unknown.OpinionAware() || modelKinds[unknown].weight != core.WeightProb {
+		t.Error("unknown kind does not read as the oblivious IC defaults")
 	}
 }

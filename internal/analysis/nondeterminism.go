@@ -7,14 +7,19 @@ import (
 
 // determinismCritical names the packages whose outputs must be pure
 // functions of (graph, params, seed): the RR samplers, the sketch index
-// built on them, and the splittable RNG itself. PR 3–6 rest on an index
-// being reproducible regardless of worker count, wall-clock or map
-// iteration order — Workers=8 must equal Workers=1 byte-for-byte, and
-// incremental repair must replay untouched sets identically.
+// built on them, the diffusion engine and its Monte-Carlo estimator, the
+// EaSyIM/OSIM scorers with their probe stream, and the splittable RNG
+// itself. PR 3–6 rest on an index being reproducible regardless of worker
+// count, wall-clock or map iteration order — Workers=8 must equal
+// Workers=1 byte-for-byte, and incremental repair must replay untouched
+// sets identically; the pinned stream and seed tables of internal/diffusion
+// and internal/core hold the simulators to the same standard.
 var determinismCritical = map[string]bool{
-	"ris":    true,
-	"sketch": true,
-	"rng":    true,
+	"ris":       true,
+	"sketch":    true,
+	"rng":       true,
+	"diffusion": true,
+	"core":      true,
 }
 
 // globalRandFuncs are the math/rand (and v2) package-level functions
@@ -40,7 +45,8 @@ var globalRandFuncs = map[string]bool{
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
 	Doc: "forbid time.Now, global math/rand and order-leaking map iteration " +
-		"in determinism-critical packages (internal/ris, internal/sketch, internal/rng)",
+		"in determinism-critical packages (internal/ris, internal/sketch, internal/rng, " +
+		"internal/diffusion, internal/core)",
 	AppliesTo: func(path, _ string) bool { return determinismCritical[lastSegment(path)] },
 	Run:       runNondeterminism,
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/holisticim/holisticim/internal/graph"
+	"github.com/holisticim/holisticim/internal/opinion"
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
@@ -79,3 +80,52 @@ func BenchmarkSampleLiveEdge(b *testing.B) {
 		SampleLiveEdge(g, r, out)
 	}
 }
+
+// probeSetup is the shape core.ScoreGreedy's activation probe runs on
+// offline-select: the benchmark's R-MAT input (50k nodes, 400k arcs,
+// weighted cascade, opinions and ϕ), one top-degree seed, a blocked mask
+// installed.
+func probeSetup(b *testing.B) (*graph.Graph, []graph.NodeID, []bool) {
+	b.Helper()
+	g := graph.RMAT(50000, 400000, graph.DefaultRMAT, false, rng.New(1))
+	g.SetWeightedCascadeProb()
+	g.SetDefaultLTWeights()
+	opinion.AssignInteractions(g, 2)
+	opinion.AssignOpinions(g, opinion.Normal, 3)
+	mask := make([]bool, g.NumNodes())
+	for v := range mask {
+		mask[v] = v%8 == 3
+	}
+	seeds := graph.TopKByOutDegree(g, 1)
+	mask[seeds[0]] = false
+	return g, seeds, mask
+}
+
+// benchProbe times one probe: 20 runs from one seed on one RNG stream.
+func benchProbe(b *testing.B, newModel func(*graph.Graph) Model) {
+	g, seeds, mask := probeSetup(b)
+	m := newModel(g)
+	s := NewScratch(g.NumNodes())
+	s.SetBlocked(mask)
+	r := rng.New(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for run := 0; run < 20; run++ {
+			_ = m.Simulate(seeds, r, s)
+		}
+	}
+}
+
+func BenchmarkProbeIC(b *testing.B) { benchProbe(b, NewIC) }
+
+func BenchmarkProbeOIIC(b *testing.B) {
+	benchProbe(b, func(g *graph.Graph) Model { return NewOI(g, LayerIC) })
+}
+
+func BenchmarkProbeLT(b *testing.B) { benchProbe(b, NewLT) }
+
+func BenchmarkProbeOILT(b *testing.B) {
+	benchProbe(b, func(g *graph.Graph) Model { return NewOI(g, LayerLT) })
+}
+
+func BenchmarkProbeOC(b *testing.B) { benchProbe(b, NewOC) }

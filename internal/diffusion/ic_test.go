@@ -66,16 +66,17 @@ func TestICDuplicateSeedsCountedOnce(t *testing.T) {
 
 func TestICBlockedMask(t *testing.T) {
 	g := graph.Path(5, 1, 1)
+	s := NewScratch(5)
 	blocked := make([]bool, 5)
 	blocked[2] = true // cuts the path
-	est := MonteCarlo(NewIC(g), []graph.NodeID{0}, MCOptions{Runs: 50, Seed: 1, Blocked: blocked})
-	if est.Spread != 1 { // only node 1 activates
-		t.Fatalf("blocked spread %v want 1", est.Spread)
+	s.SetBlocked(blocked)
+	res := NewIC(g).Simulate([]graph.NodeID{0}, rng.New(1), s)
+	if res.Spread(1) != 1 { // only node 1 activates
+		t.Fatalf("blocked spread %v want 1", res.Spread(1))
 	}
-	// Blocked seed contributes nothing.
-	est2 := MonteCarlo(NewIC(g), []graph.NodeID{2}, MCOptions{Runs: 50, Seed: 1, Blocked: blocked})
-	if est2.Spread != 0 {
-		t.Fatalf("blocked seed spread %v want 0", est2.Spread)
+	// Blocked seed contributes nothing and is not placed.
+	if res := NewIC(g).Simulate([]graph.NodeID{2}, rng.New(1), s); res.Activated != 0 {
+		t.Fatalf("blocked seed activated %d nodes", res.Activated)
 	}
 }
 

@@ -5,63 +5,6 @@ import (
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
-// LT is the Linear Threshold model: every node v draws a threshold
-// θ_v ~ U[0,1); v activates once the total weight of its active in-
-// neighbors reaches θ_v. Weights come from the graph's LT weight layer
-// (conventionally 1/|In(v)|, see Graph.SetDefaultLTWeights).
-//
-// Thresholds are sampled lazily the first time a node receives incoming
-// weight in a run; this is distributionally identical to sampling all
-// thresholds up front and touches only the diffusion's neighborhood.
-type LT struct {
-	g *graph.Graph
-}
-
-// NewLT returns an LT model over g.
-func NewLT(g *graph.Graph) *LT { return &LT{g: g} }
-
-// Name implements Model.
-func (m *LT) Name() string { return "LT" }
-
-// Graph implements Model.
-func (m *LT) Graph() *graph.Graph { return m.g }
-
-// Simulate implements Model.
-func (m *LT) Simulate(seeds []graph.NodeID, r *rng.RNG, s *Scratch) Result {
-	s.begin()
-	res := Result{}
-	res.Activated = s.seedSetup(m.g, seeds)
-	round := int32(1)
-	for len(s.frontier) > 0 {
-		s.next = s.next[:0]
-		for _, u := range s.frontier {
-			nbrs := m.g.OutNeighbors(u)
-			ws := m.g.OutWeights(u)
-			for i, v := range nbrs {
-				if s.isActive(v) || s.isBlocked(v) {
-					continue
-				}
-				if s.thrStamp[v] != s.epoch {
-					s.thrStamp[v] = s.epoch
-					s.thr[v] = r.Float64()
-					s.wsum[v] = 0
-				}
-				s.wsum[v] += ws[i]
-				if s.wsum[v] >= s.thr[v] {
-					s.activate(v, 0, round)
-					s.next = append(s.next, v)
-					res.Activated++
-				}
-			}
-		}
-		s.frontier, s.next = s.next, s.frontier
-		round++
-	}
-	return res
-}
-
-var _ Model = (*LT)(nil)
-
 // SampleLiveEdge draws one live-edge instance of the LT model: for every
 // node v at most one incoming edge is selected, edge (u,v) with probability
 // w(u,v) and none with probability 1−Σw. The result maps v to the out-array

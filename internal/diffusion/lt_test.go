@@ -80,11 +80,14 @@ func TestSampleLiveEdgeDistribution(t *testing.T) {
 
 func TestLTBlockedMask(t *testing.T) {
 	g := graph.Path(5, 0.5, 0.5)
+	s := NewScratch(5)
 	blocked := make([]bool, 5)
 	blocked[1] = true
-	est := MonteCarlo(NewLT(g), []graph.NodeID{0}, MCOptions{Runs: 100, Seed: 3, Blocked: blocked})
-	if est.Spread != 0 {
-		t.Fatalf("blocked LT spread %v want 0", est.Spread)
+	s.SetBlocked(blocked)
+	for run := uint64(0); run < 100; run++ {
+		if res := NewLT(g).Simulate([]graph.NodeID{0}, rng.Split(3, run), s); res.Activated != 1 {
+			t.Fatalf("run %d: blocked LT activated %d nodes, want the seed alone", run, res.Activated)
+		}
 	}
 }
 

@@ -1,9 +1,20 @@
 // Package diffusion implements the information-diffusion models of the
-// paper — the classical opinion-oblivious models IC, WC and LT (Kempe et
-// al.), the paper's two-layer Opinion-cum-Interaction (OI) model over both
-// IC and LT first layers (Sec. 2.2), and the prior opinion-aware baselines
-// OC (Zhang et al., ICDCS'13) and IC-N (Chen et al., SDM'11) — together
-// with a deterministic, parallel Monte-Carlo spread estimator.
+// paper as one two-layer engine (Sec. 2.2). The first layer decides who
+// activates: an Independent Cascade loop (IC, and WC through the graph's
+// probabilities) or a Linear Threshold loop (Kempe et al.). The second
+// layer is a rule deciding the final opinion o'_v a node activates with:
+//
+//	model   first layer   rule   o'_v of a newly activated v
+//	IC/WC   cascade       none   0 (opinion-oblivious)
+//	LT      threshold     none   0
+//	OI-IC   cascade       OI     (o_v ± o'_u)/2, u the activator, − w.p. 1−ϕ(u,v)
+//	OI-LT   threshold     OI     (o_v + avg_{u∈In(v)(a)} ± o'_u)/2
+//	OC      threshold     OC     OI-LT with ϕ ≡ 1 (Zhang et al., ICDCS'13)
+//	IC-N    cascade       ICN    +1 w.p. q under a positive activator, else −1
+//	                             (Chen et al., SDM'11)
+//
+// Seeds keep their personal opinion (±1 under IC-N). A deterministic,
+// parallel Monte-Carlo spread estimator runs any of them.
 //
 // All models share a Scratch workspace with epoch-stamped buffers so that
 // repeated simulations perform no per-run clearing and no allocation.

@@ -30,11 +30,6 @@ type MCOptions struct {
 	Runs    int    // number of simulations (paper default: 10000)
 	Seed    uint64 // master seed; run i uses the stream rng.Split(Seed, i)
 	Workers int    // 0 = GOMAXPROCS
-	Blocked []bool // optional blocked-node mask shared by all runs
-	// Pool, when set, supplies reusable per-worker scratches — essential
-	// for callers issuing many small estimations (the greedy baselines
-	// evaluate O(k·n) seed sets).
-	Pool *ScratchPool
 	// Ctx, when set, lets MonteCarlo stop dispatching runs once the
 	// context is cancelled: the estimate then averages only the runs
 	// dispatched so far (Estimate.Runs reports how many). Callers that
@@ -42,32 +37,18 @@ type MCOptions struct {
 	Ctx context.Context
 }
 
-// ScratchPool recycles Scratch workspaces across MonteCarlo calls. Safe
-// for concurrent use.
-type ScratchPool struct {
-	n    int32
-	mu   sync.Mutex
-	free []*Scratch
-}
+// scratches recycles per-worker workspaces across MonteCarlo calls: the
+// greedy baselines evaluate O(k·n) seed sets of a few runs each. Only
+// MonteCarlo puts into it, so a pooled Scratch never carries a blocked mask.
+var scratches sync.Pool
 
-// NewScratchPool returns a pool for graphs with n nodes.
-func NewScratchPool(n int32) *ScratchPool { return &ScratchPool{n: n} }
-
-func (p *ScratchPool) get() *Scratch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) == 0 {
-		return NewScratch(p.n)
+// getScratch returns a pooled workspace for an n-node graph. One sized for
+// another graph is dropped, never resized.
+func getScratch(n int32) *Scratch {
+	if s, _ := scratches.Get().(*Scratch); s != nil && s.n == n {
+		return s
 	}
-	s := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return s
-}
-
-func (p *ScratchPool) put(s *Scratch) {
-	p.mu.Lock()
-	p.free = append(p.free, s)
-	p.mu.Unlock()
+	return NewScratch(n)
 }
 
 func (o *MCOptions) normalize() {
@@ -89,40 +70,21 @@ func (o *MCOptions) normalize() {
 // are reduced in run order.
 func MonteCarlo(m Model, seeds []graph.NodeID, opts MCOptions) Estimate {
 	opts.normalize()
-	type runStat struct {
-		spread  float64
-		opinion float64
-		pos     float64
-		neg     float64
-	}
-	stats := make([]runStat, opts.Runs)
+	stats := make([]Result, opts.Runs)
 	var wg sync.WaitGroup
 	next := make(chan int, opts.Workers)
 	n := m.Graph().NumNodes()
-	numSeeds := countPlaceableSeeds(seeds, opts.Blocked)
+	numSeeds := countDistinct(seeds)
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch *Scratch
-			if opts.Pool != nil {
-				scratch = opts.Pool.get()
-				defer opts.Pool.put(scratch)
-			} else {
-				scratch = NewScratch(n)
-			}
-			scratch.SetBlocked(opts.Blocked)
-			defer scratch.SetBlocked(nil)
+			scratch := getScratch(n)
+			defer scratches.Put(scratch)
 			r := rng.New(0)
 			for i := range next {
 				r.Reseed(rng.SplitSeed(opts.Seed, uint64(i)))
-				res := m.Simulate(seeds, r, scratch)
-				stats[i] = runStat{
-					spread:  res.Spread(numSeeds),
-					opinion: res.OpinionSum,
-					pos:     res.PositiveSum,
-					neg:     res.NegativeSum,
-				}
+				stats[i] = m.Simulate(seeds, r, scratch)
 			}
 		}()
 	}
@@ -139,13 +101,14 @@ func MonteCarlo(m Model, seeds []graph.NodeID, opts MCOptions) Estimate {
 
 	est := Estimate{Runs: dispatched}
 	var sumS, sumS2, sumO, sumO2 float64
-	for _, st := range stats[:dispatched] {
-		sumS += st.spread
-		sumS2 += st.spread * st.spread
-		sumO += st.opinion
-		sumO2 += st.opinion * st.opinion
-		est.PositiveSpread += st.pos
-		est.NegativeSpread += st.neg
+	for _, res := range stats[:dispatched] {
+		spread := res.Spread(numSeeds)
+		sumS += spread
+		sumS2 += spread * spread
+		sumO += res.OpinionSum
+		sumO2 += res.OpinionSum * res.OpinionSum
+		est.PositiveSpread += res.PositiveSum
+		est.NegativeSpread += res.NegativeSum
 	}
 	if dispatched == 0 {
 		return est
@@ -162,18 +125,11 @@ func MonteCarlo(m Model, seeds []graph.NodeID, opts MCOptions) Estimate {
 	return est
 }
 
-func countPlaceableSeeds(seeds []graph.NodeID, blocked []bool) int {
-	count := 0
-	seen := make(map[graph.NodeID]bool, len(seeds))
+// countDistinct returns how many seeds a run places: duplicates count once.
+func countDistinct(seeds []graph.NodeID) int {
+	seen := make(map[graph.NodeID]struct{}, len(seeds))
 	for _, v := range seeds {
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if blocked != nil && blocked[v] {
-			continue
-		}
-		count++
+		seen[v] = struct{}{}
 	}
-	return count
+	return len(seen)
 }

@@ -60,8 +60,6 @@ type MCObjective struct {
 	Runs    int     // MC runs per evaluation (paper: 10000)
 	Seed    uint64
 	Workers int
-
-	pool *diffusion.ScratchPool // lazily built; reused across Value calls
 }
 
 // NewSpreadObjective returns the classical σ(S) objective.
@@ -90,11 +88,8 @@ func (o *MCObjective) Value(ctx context.Context, seeds []graph.NodeID) float64 {
 	if len(seeds) == 0 {
 		return 0
 	}
-	if o.pool == nil {
-		o.pool = diffusion.NewScratchPool(o.Model.Graph().NumNodes())
-	}
 	est := diffusion.MonteCarlo(o.Model, seeds, diffusion.MCOptions{
-		Runs: o.Runs, Seed: o.Seed, Workers: o.Workers, Pool: o.pool, Ctx: ctx,
+		Runs: o.Runs, Seed: o.Seed, Workers: o.Workers, Ctx: ctx,
 	})
 	switch o.Kind {
 	case KindSpread:

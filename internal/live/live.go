@@ -5,7 +5,7 @@
 // share one instance without locks. live.Graph keeps that property while
 // adding mutation: Apply(batch) validates a batch of edge operations
 // atomically, materializes a NEW immutable snapshot with the batch
-// applied, and records a monotone version number together with the
+// applied, and returns a monotone version number together with the
 // batch's dirty-node set (the targets of every touched edge).
 //
 // The dirty set is the contract with incremental sketch repair
@@ -79,43 +79,26 @@ type BatchResult struct {
 	Arcs  int64
 }
 
-// maxLogDefault bounds retained version records when Options.MaxLog is
-// unset: enough for any realistic repair lag, bounded so a churn-heavy
-// stream cannot grow memory without bound.
-const maxLogDefault = 1024
+// Options configures Wrap. It has no fields: the struct stays only because
+// benchmark/ constructs live.Options{} and a PR may not edit the benchmark
+// beside other code — the next benchmark-only PR can drop it and Wrap's
+// second parameter.
+type Options struct{}
 
-// Options configures Wrap.
-type Options struct {
-	// MaxLog bounds the retained version log (default 1024 batches).
-	// DirtySince reports when the requested range fell off the log.
-	MaxLog int
-}
-
-// versionRecord is one entry of the mutation log.
-type versionRecord struct {
-	version uint64
-	dirty   []graph.NodeID
-}
-
-// Graph wraps an immutable graph.Graph with a versioned mutation log.
-// All methods are safe for concurrent use; Apply calls serialize.
+// Graph wraps an immutable graph.Graph with a version counter. All methods
+// are safe for concurrent use; Apply calls serialize.
 type Graph struct {
 	mu      sync.RWMutex
-	g       *graph.Graph    // guarded by mu
-	version uint64          // guarded by mu
-	log     []versionRecord // guarded by mu
-	maxLog  int             // immutable after Wrap
+	g       *graph.Graph // guarded by mu
+	version uint64       // guarded by mu
 }
 
 // Wrap starts a mutation lineage at version 0 over g.
-func Wrap(g *graph.Graph, opts Options) *Graph {
+func Wrap(g *graph.Graph, _ Options) *Graph {
 	if g == nil {
 		panic("live: nil graph")
 	}
-	if opts.MaxLog <= 0 {
-		opts.MaxLog = maxLogDefault
-	}
-	return &Graph{g: g, maxLog: opts.MaxLog}
+	return &Graph{g: g}
 }
 
 // Graph returns the current immutable snapshot. Callers may hold it
@@ -139,39 +122,6 @@ func (lv *Graph) Snapshot() (*graph.Graph, uint64) {
 	lv.mu.RLock()
 	defer lv.mu.RUnlock()
 	return lv.g, lv.version
-}
-
-// DirtySince returns the union of the dirty sets of every version in
-// (since, current], sorted ascending, and reports whether the log still
-// covers that range (false means records were evicted and the caller
-// must treat everything as dirty — i.e. rebuild). since equal to the
-// current version yields an empty set and true.
-func (lv *Graph) DirtySince(since uint64) ([]graph.NodeID, bool) {
-	lv.mu.RLock()
-	defer lv.mu.RUnlock()
-	if since >= lv.version {
-		return nil, true
-	}
-	// The log holds consecutive versions ending at lv.version; the oldest
-	// retained record tells whether (since, current] is fully covered.
-	if len(lv.log) == 0 || lv.log[0].version > since+1 {
-		return nil, false
-	}
-	seen := make(map[graph.NodeID]struct{})
-	for _, rec := range lv.log {
-		if rec.version <= since {
-			continue
-		}
-		for _, v := range rec.dirty {
-			seen[v] = struct{}{}
-		}
-	}
-	out := make([]graph.NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
 }
 
 // edgeKey packs an arc for batch conflict detection and the rebuild
@@ -342,10 +292,6 @@ func (lv *Graph) Apply(ctx context.Context, ops []EdgeOp, opts ApplyOptions) (Ba
 
 	lv.g = newG
 	lv.version++
-	lv.log = append(lv.log, versionRecord{version: lv.version, dirty: dirty})
-	if len(lv.log) > lv.maxLog {
-		lv.log = append(lv.log[:0:0], lv.log[len(lv.log)-lv.maxLog:]...)
-	}
 	return BatchResult{
 		Version: lv.version,
 		Dirty:   dirty,

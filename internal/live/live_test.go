@@ -157,37 +157,6 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
-func TestDirtySinceAndEviction(t *testing.T) {
-	ctx := context.Background()
-	lv := live.Wrap(smallGraph(t), live.Options{MaxLog: 2})
-	batches := [][]live.EdgeOp{
-		{{Op: live.OpAdd, From: 3, To: 0, P: fp(0.5)}},
-		{{Op: live.OpAdd, From: 3, To: 1, P: fp(0.5)}},
-		{{Op: live.OpAdd, From: 1, To: 3, P: fp(0.5)}},
-	}
-	for _, ops := range batches {
-		if _, err := lv.Apply(ctx, ops, live.ApplyOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Version 1 fell off the 2-entry log: the caller must rebuild.
-	if _, ok := lv.DirtySince(0); ok {
-		t.Fatal("DirtySince(0) claims coverage after eviction")
-	}
-	// (1, 3] is retained: union of {1} and {3}.
-	dirty, ok := lv.DirtySince(1)
-	if !ok || len(dirty) != 2 || dirty[0] != 1 || dirty[1] != 3 {
-		t.Fatalf("DirtySince(1) = %v ok=%v, want [1 3] true", dirty, ok)
-	}
-	// A caller already at the head sees an empty, covered range.
-	if dirty, ok := lv.DirtySince(3); !ok || len(dirty) != 0 {
-		t.Fatalf("DirtySince(head) = %v ok=%v", dirty, ok)
-	}
-	if dirty, ok := lv.DirtySince(7); !ok || len(dirty) != 0 {
-		t.Fatalf("DirtySince(future) = %v ok=%v", dirty, ok)
-	}
-}
-
 func TestApplyRebalanceLT(t *testing.T) {
 	ctx := context.Background()
 	// Node 2 has in-arcs from 1 and 0; add a third from 3 with rebalance.

@@ -147,7 +147,6 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 			Seed:             sk.Seed,
 			GraphFingerprint: sk.GraphFingerprint,
 			GraphVersion:     sk.GraphVersion,
-			Staleness:        sk.Staleness,
 		})
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -249,18 +248,6 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 	q, err := req.Query().Normalized()
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "%v", err)
-	}
-	if q.Task == holisticim.TaskEstimate {
-		for _, set := range q.SeedSets {
-			if len(set) == 0 {
-				return nil, errf(http.StatusBadRequest, "empty seed set")
-			}
-			for _, v := range set {
-				if v < 0 || v >= g.NumNodes() {
-					return nil, errf(http.StatusBadRequest, "seed %d out of range [0,%d)", v, g.NumNodes())
-				}
-			}
-		}
 	}
 
 	// Attach the registered sketch matching the resolved (graph, RR

@@ -57,11 +57,6 @@ type Config struct {
 	// MaxMutationOps caps the edge operations of one POST
 	// /v1/graphs/{name}/edges batch (default 100000).
 	MaxMutationOps int
-	// RepairMaxHops, when positive, makes background sketch repairs
-	// hop-bounded: RR sets whose dirty nodes all sit deeper than this many
-	// walk positions are deferred (advertised as stale_sets) instead of
-	// resampled. 0 (the default) keeps repairs exact.
-	RepairMaxHops int
 	// RateRPS, when positive, turns on per-client admission control: each
 	// client (X-Client-ID header, else remote address) gets a token
 	// bucket refilled at RateRPS requests per second, and work-inducing
@@ -217,7 +212,7 @@ func New(cfg Config) *Server {
 		s.cache.DropPrefix("graph=" + name + ";")
 		// Repairs are background maintenance: batch class, so a repair
 		// storm after a mutation burst cannot delay interactive queries.
-		s.sketches.ScheduleRepair(name, g, version, dirty, s.cfg.RepairMaxHops,
+		s.sketches.ScheduleRepair(name, g, version, dirty,
 			func(key string, fn JobFunc) error {
 				_, _, err := s.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, fn)
 				return err

@@ -166,8 +166,6 @@ func (e *sketchEntry) info(id string) SketchInfo {
 		Extensions:       st.Extensions,
 		MemoryBytes:      st.MemoryBytes,
 		GraphVersion:     e.idx.GraphVersion(),
-		StaleSets:        e.idx.StaleSets(),
-		Staleness:        e.idx.Staleness(),
 		GraphFingerprint: fmt.Sprintf("%016x", e.idx.GraphFingerprint()),
 	}
 }
@@ -180,7 +178,7 @@ func (e *sketchEntry) info(id string) SketchInfo {
 // the bounded worker pool with selections. A repair that fails evicts
 // its sketch: a sample that could not be resynchronized must never serve
 // the fast path again. Returns how many sketches had work scheduled.
-func (r *SketchRegistry) ScheduleRepair(graphName string, g *holisticim.Graph, version uint64, dirty []holisticim.NodeID, maxHops int, submit func(key string, fn JobFunc) error) int {
+func (r *SketchRegistry) ScheduleRepair(graphName string, g *holisticim.Graph, version uint64, dirty []holisticim.NodeID, submit func(key string, fn JobFunc) error) int {
 	r.mu.RLock()
 	targets := make(map[string]*sketchEntry)
 	for id, e := range r.entries {
@@ -219,7 +217,7 @@ func (r *SketchRegistry) ScheduleRepair(graphName string, g *holisticim.Graph, v
 		// yet cleared — the new submission would dedup against it, drop
 		// its JobFunc, and strand the pending work.
 		key := fmt.Sprintf("sketchrepair:%s:v%d", id, version)
-		if err := submit(key, r.drainFunc(id, e, maxHops)); err != nil {
+		if err := submit(key, r.drainFunc(id, e)); err != nil {
 			// Queue full: the sketch cannot be repaired now and must not
 			// keep serving the old content's fast path.
 			st.mu.Lock()
@@ -233,7 +231,7 @@ func (r *SketchRegistry) ScheduleRepair(graphName string, g *holisticim.Graph, v
 }
 
 // drainFunc returns the JobFunc that drains one sketch's pending repairs.
-func (r *SketchRegistry) drainFunc(id string, e *sketchEntry, maxHops int) JobFunc {
+func (r *SketchRegistry) drainFunc(id string, e *sketchEntry) JobFunc {
 	return func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		st := &e.repair
 		total := 0
@@ -253,7 +251,7 @@ func (r *SketchRegistry) drainFunc(id string, e *sketchEntry, maxHops int) JobFu
 			ver := st.pendingVersion
 			st.mu.Unlock()
 
-			stats, err := e.idx.Repair(ctx, g, dirty, ver, holisticim.SketchRepairOptions{MaxHops: maxHops})
+			stats, err := e.idx.Repair(ctx, g, dirty, ver, holisticim.SketchRepairOptions{})
 			if err != nil {
 				st.mu.Lock()
 				st.running = false

@@ -386,14 +386,9 @@ type SketchInfo struct {
 	Selects     int64   `json:"selects"`
 	Extensions  int64   `json:"extensions"`
 	MemoryBytes int64   `json:"memory_bytes"`
-	// GraphVersion is the mutation-log version the sample is synchronized
-	// to; compare against the graph's version to see repair lag. StaleSets
-	// counts RR sets a hop-bounded repair deliberately left describing
-	// older content, and Staleness is that count as a fraction of Sets —
-	// both zero when the server runs exact repairs (the default).
-	GraphVersion uint64  `json:"graph_version"`
-	StaleSets    int     `json:"stale_sets"`
-	Staleness    float64 `json:"staleness"`
+	// GraphVersion is the graph version the sample is synchronized to;
+	// compare against the graph's version to see repair lag.
+	GraphVersion uint64 `json:"graph_version"`
 	// GraphFingerprint is the content hash (hex) of the graph instance the
 	// sample is currently synchronized to.
 	GraphFingerprint string `json:"graph_fingerprint"`
@@ -410,7 +405,7 @@ type ClusterGraphInfo struct {
 
 // ClusterSketchInfo is one loaded sketch as advertised by
 // GET /v1/cluster/info. GraphFingerprint pins the sample to the exact
-// graph content it serves; Staleness reports hop-bounded repair debt.
+// graph content it serves.
 type ClusterSketchInfo struct {
 	ID               string  `json:"id"`
 	Graph            string  `json:"graph"`
@@ -419,7 +414,6 @@ type ClusterSketchInfo struct {
 	Seed             uint64  `json:"seed"`
 	GraphFingerprint string  `json:"graph_fingerprint"`
 	GraphVersion     uint64  `json:"graph_version"`
-	Staleness        float64 `json:"staleness"`
 }
 
 // ClusterInfo is the self-description replicas serve on

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/holisticim/holisticim/internal/graph"
@@ -15,17 +14,6 @@ import (
 
 // RepairOptions tunes one Repair call.
 type RepairOptions struct {
-	// MaxHops, when positive, bounds the refresh: candidate sets whose
-	// dirty nodes all sit deeper than MaxHops walk positions from the root
-	// are NOT resampled this call — they are marked stale and picked up by
-	// the next exact repair (MaxHops = 0). Walk position is the exact hop
-	// depth for LT/OC walks (sets store the walk in order) and a
-	// conservative ordering proxy for IC BFS sets (discovery position
-	// upper-bounds nothing below the true depth, so a hop-bounded IC
-	// refresh may defer a set whose dirty node is actually shallow — it
-	// never resamples MORE than an exact repair would). Bounded staleness
-	// for sustained churn, in the spirit of hop-based approximate IM.
-	MaxHops int
 	// Workers bounds parallel resampling (default: the index's build
 	// workers). Cannot change the resampled sets.
 	Workers int
@@ -33,16 +21,13 @@ type RepairOptions struct {
 
 // RepairStats reports what one Repair call did.
 type RepairStats struct {
-	Candidates int    // sets containing a dirty node (plus stale backlog on exact repairs)
-	Resampled  int    // sets resampled against the new snapshot
-	Changed    int    // resampled sets whose contents actually differ
-	Deferred   int    // candidates skipped by MaxHops this call
-	Stale      int    // total stale sets after the call
-	Version    uint64 // the version the index now advertises
+	Resampled int    // sets containing a dirty node, resampled against the new snapshot
+	Changed   int    // resampled sets whose contents actually differ
+	Version   uint64 // the version the index now advertises
 }
 
-// GraphVersion returns the mutation-log version the sample is
-// synchronized to (0 until SetGraphVersion or Repair stamps one).
+// GraphVersion returns the graph version the sample is synchronized to
+// (0 until SetGraphVersion or Repair stamps one).
 func (x *Index) GraphVersion() uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -58,19 +43,10 @@ func (x *Index) SetGraphVersion(v uint64) {
 	x.mu.Unlock()
 }
 
-// StaleSets returns how many sets a hop-bounded repair left describing
-// older content. Zero after every exact repair.
-func (x *Index) StaleSets() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.stale)
-}
-
 // Repair re-synchronizes the index with a mutated snapshot of its graph
 // without rebuilding: g is the new content, dirty the mutated edges'
 // target nodes (live.BatchResult.Dirty, or the union of several batches'
-// dirty sets — repairs coalesce), newVersion the mutation-log version g
-// carries.
+// dirty sets — repairs coalesce), newVersion the version g carries.
 //
 // Correctness rests on the samplers' locality: both reverse samplers
 // read the in-edge list of a node only AFTER adding that node to the
@@ -84,13 +60,11 @@ func (x *Index) StaleSets() int {
 //
 // The collection drops its memoized greedy order only when a resampled
 // set actually changed; repairs that touch nothing (or replay identically)
-// keep serving the memoized order untouched. After an exact repair the
+// keep serving the memoized order untouched. After the repair the
 // index's fingerprint matches g, so Matches — and every serving fast
 // path behind it — accepts the new snapshot; until then the fingerprints
 // disagree and planners re-route queries to cold backends rather than
-// silently serving stale samples. A hop-bounded repair also re-matches
-// the index to g but leaves Stale > 0, advertising exactly how much of
-// the sample still describes older content.
+// silently serving stale samples.
 func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID, newVersion uint64, opts RepairOptions) (RepairStats, error) {
 	if g == nil {
 		return RepairStats{}, errors.New("sketch: repair against nil graph")
@@ -106,10 +80,8 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 	}
 
 	// Candidates: every set whose walk touched a dirty node, via the
-	// inverted index of the CURRENT sample. An exact repair also drains
-	// the stale backlog a previous hop-bounded refresh left behind.
+	// inverted index of the CURRENT sample.
 	n := x.g.NumNodes()
-	dirtyMark := make(map[graph.NodeID]struct{}, len(dirty))
 	candSet := make(map[int32]struct{})
 	for di, d := range dirty {
 		if di&0xFFF == 0 {
@@ -120,59 +92,21 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 		if d < 0 || d >= n {
 			return RepairStats{}, fmt.Errorf("sketch: dirty node %d out of range [0,%d)", d, n)
 		}
-		dirtyMark[d] = struct{}{}
 		for _, sid := range x.col.SetsContaining(d) {
 			candSet[sid] = struct{}{}
 		}
 	}
-	st := RepairStats{Candidates: len(candSet), Version: newVersion}
-
-	// Hop-bounded mode: defer candidates whose dirty nodes all sit deeper
-	// than MaxHops positions into the walk. The root is position 0.
+	st := RepairStats{Version: newVersion}
 	resample := make([]int32, 0, len(candSet))
-	pollAt := 0
 	for sid := range candSet {
-		if pollAt&0xFFF == 0 {
+		if len(resample)&0xFFF == 0 {
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
 		}
-		pollAt++
-		if opts.MaxHops > 0 {
-			minPos := -1
-			for pos, v := range x.col.Set(int(sid)) {
-				if _, ok := dirtyMark[v]; ok {
-					minPos = pos
-					break
-				}
-			}
-			if minPos > opts.MaxHops {
-				if x.stale == nil {
-					x.stale = make(map[int32]struct{})
-				}
-				x.stale[sid] = struct{}{}
-				st.Deferred++
-				continue
-			}
-		}
 		resample = append(resample, sid)
 	}
-	if opts.MaxHops <= 0 && len(x.stale) > 0 {
-		pollAt = 0
-		for sid := range x.stale {
-			if pollAt&0xFFF == 0 {
-				if err := ctx.Err(); err != nil {
-					return st, err
-				}
-			}
-			pollAt++
-			if _, already := candSet[sid]; !already {
-				resample = append(resample, sid)
-				st.Candidates++
-			}
-		}
-	}
-	sort.Slice(resample, func(i, j int) bool { return resample[i] < resample[j] })
+	slices.Sort(resample)
 
 	// Resample the candidates against the NEW snapshot, from the same
 	// per-index split streams — workers cannot change the contents.
@@ -194,13 +128,11 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 			changedIDs = append(changedIDs, sid)
 			changedSets = append(changedSets, fresh[i])
 		}
-		delete(x.stale, sid)
-		st.Resampled++
 	}
+	st.Resampled = len(resample)
 	x.col.ReplaceSets(changedIDs, changedSets)
 	st.Changed = len(changedIDs)
 	x.graphVersion = newVersion
-	st.Stale = len(x.stale)
 
 	// The collection keeps its greedy order unless a set changed; the
 	// build-phase OPT bound at BuildK described the old content then, so
@@ -266,15 +198,4 @@ func (x *Index) resampleLocked(ctx context.Context, g *graph.Graph, ids []int32,
 		return nil, err
 	}
 	return out, nil
-}
-
-// Staleness returns the fraction of the sample a hop-bounded repair left
-// describing older content — 0 for a fully synchronized index.
-func (x *Index) Staleness() float64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if n := x.col.Len(); n > 0 {
-		return float64(len(x.stale)) / float64(n)
-	}
-	return 0
 }

@@ -110,12 +110,9 @@ type Index struct {
 	col    *ris.Collection // guarded by mu
 	lb     float64         // guarded by mu; lower bound on OPT_{BuildK} from the build phase
 
-	// Live-graph repair state: the mutation-log version the sample is
-	// synchronized to (0 for an index over a never-mutated graph), and the
-	// ids of sets a hop-bounded repair deliberately left describing older
-	// content (see Repair and RepairOptions.MaxHops).
-	graphVersion uint64             // guarded by mu
-	stale        map[int32]struct{} // guarded by mu
+	// Live-graph repair state: the graph version the sample is synchronized
+	// to (0 for an index over a never-mutated graph).
+	graphVersion uint64 // guarded by mu
 
 	selects    atomic.Int64
 	extensions atomic.Int64

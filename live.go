@@ -11,7 +11,7 @@ import (
 // batch's version and dirty-node set; Sketch.Repair consumes exactly
 // that pair to resynchronize an index without rebuilding it.
 type (
-	// LiveGraph is a versioned mutation log over immutable Graph snapshots.
+	// LiveGraph is a versioned lineage of immutable Graph snapshots.
 	LiveGraph = live.Graph
 	// EdgeOp is one mutation in a batch: add, remove or reweight an arc.
 	EdgeOp = live.EdgeOp
@@ -22,10 +22,10 @@ type (
 	// BatchResult reports an applied batch: new version, dirty nodes,
 	// snapshot shape.
 	BatchResult = live.BatchResult
-	// LiveOptions configures a LiveGraph wrapper.
+	// LiveOptions configures a LiveGraph wrapper (no fields today).
 	LiveOptions = live.Options
 
-	// SketchRepairOptions tunes Sketch.Repair (hop bound, workers).
+	// SketchRepairOptions tunes Sketch.Repair (workers).
 	SketchRepairOptions = sketch.RepairOptions
 	// SketchRepairStats reports what one Sketch.Repair call did.
 	SketchRepairStats = sketch.RepairStats
@@ -38,5 +38,5 @@ const (
 	OpReweightEdge = live.OpReweight
 )
 
-// WrapLive wraps a graph snapshot in a versioned mutation log.
+// WrapLive starts a versioned lineage at a graph snapshot.
 func WrapLive(g *Graph, opts LiveOptions) *LiveGraph { return live.Wrap(g, opts) }

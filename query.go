@@ -120,8 +120,8 @@ type Answer struct {
 // of that inference — the planner, Fingerprint, the bundled service and
 // the cluster router all read the task, objective, model, ε and seed a
 // query will run under from its result instead of re-deriving them. It
-// does not validate budgets or seed ids (those need the graph) and is
-// idempotent. On error the query comes back as far as it was resolved.
+// does not validate budgets or seed ids (those need the graph; planQuery
+// does) and is idempotent. On error the query comes back as far as it was resolved.
 func (q Query) Normalized() (Query, error) {
 	switch q.Task {
 	case "":
@@ -266,6 +266,16 @@ func planQuery(g *Graph, q Query) (Query, Plan, error) {
 		}
 		plan = planSelect(g, n)
 	case TaskEstimate:
+		for _, set := range n.SeedSets {
+			if len(set) == 0 {
+				return n, Plan{}, fmt.Errorf("holisticim: empty seed set")
+			}
+			for _, v := range set {
+				if v < 0 || v >= g.NumNodes() {
+					return n, Plan{}, fmt.Errorf("holisticim: seed %d out of range [0,%d)", v, g.NumNodes())
+				}
+			}
+		}
 		plan = planEstimate(g, n)
 	}
 	return n, plan, nil
@@ -431,7 +441,7 @@ func runSelect(ctx context.Context, g *Graph, q Query, ans *Answer) error {
 	// IMM sampling phases run once — and serve every budget from it.
 	if backend == BackendRIS && len(ks) > 1 {
 		idx, err := sketch.Build(ctx, g, sketch.Params{
-			Kind:    risKindFor(o.Model),
+			Kind:    modelKinds[o.Model].ris,
 			Epsilon: o.Epsilon,
 			Seed:    o.Seed,
 			BuildK:  maxInts(ks),
