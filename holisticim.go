@@ -267,8 +267,13 @@ type Options struct {
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// Workers bounds parallelism (default GOMAXPROCS) where there is any:
-	// Monte-Carlo objectives and estimators, RR sampling. EaSyIM and OSIM
-	// scoring is single-threaded whatever it says.
+	// the Monte-Carlo objectives (Greedy, CELF++, ModifiedGreedy) and
+	// estimators, and the ephemeral sketch a cold multi-budget TIM+/IMM
+	// batch samples once for all its budgets. Nothing else reads it:
+	// EaSyIM and OSIM scoring is single-threaded, and so is the RR sampling
+	// of a cold single-budget selection — IMM samples with one worker, TIM+
+	// sequentially. A prebuilt sketch samples with its own
+	// SketchOptions.Workers.
 	Workers int
 	// TIMThetaCap optionally bounds TIM+/IMM RR sets (0 = unbounded).
 	TIMThetaCap int

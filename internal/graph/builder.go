@@ -54,8 +54,18 @@ func (b *Builder) AddEdgeP(u, v NodeID, p, phi float64) { b.AddEdgeFull(u, v, p,
 // graph assembled programmatically (including from live mutation batches)
 // can never hold values a file load would have rejected.
 func (b *Builder) AddEdgeFull(u, v NodeID, p, phi, w float64) {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
+	checkArc(b.n, u, v, p, phi, w)
+	if u == v {
+		return // self-loops are meaningless for diffusion
+	}
+	b.edges = append(b.edges, builderEdge{u, v, p, phi, w})
+}
+
+// checkArc panics unless (u,v) names two nodes of an n-node graph and the
+// parameters are ones ReadBinary would accept.
+func checkArc(n int32, u, v NodeID, p, phi, w float64) {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
 	}
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) probability %v out of [0,1]", u, v, p))
@@ -66,10 +76,6 @@ func (b *Builder) AddEdgeFull(u, v NodeID, p, phi, w float64) {
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) LT weight %v negative or non-finite", u, v, w))
 	}
-	if u == v {
-		return // self-loops are meaningless for diffusion
-	}
-	b.edges = append(b.edges, builderEdge{u, v, p, phi, w})
 }
 
 // AddUndirected adds both arcs (u,v) and (v,u) with the same parameters —
@@ -125,30 +131,7 @@ func (b *Builder) Build() *Graph {
 		g.outWt[i] = e.w
 	}
 
-	// In-adjacency: counting sort by target.
-	g.inStart = make([]int64, b.n+1)
-	g.inFrom = make([]NodeID, m)
-	g.inEdge = make([]int64, m)
-	for _, e := range es {
-		g.inStart[e.v+1]++
-	}
-	for i := int32(0); i < b.n; i++ {
-		g.inStart[i+1] += g.inStart[i]
-	}
-	// Edges are grouped by u in out order, so recover u by tracking the
-	// CSR row boundaries instead of a search.
-	cursor := make([]int64, b.n)
-	u := NodeID(0)
-	for i := int64(0); i < m; i++ {
-		for g.outStart[u+1] <= i {
-			u++
-		}
-		v := g.outTo[i]
-		pos := g.inStart[v] + cursor[v]
-		cursor[v]++
-		g.inFrom[pos] = u
-		g.inEdge[pos] = i
-	}
+	g.buildInAdjacency()
 	return g
 }
 

@@ -9,7 +9,24 @@ import "math"
 // snapshot refuse to load against a different graph than it was built on.
 // FNV-1a over the raw arrays: stable across processes and releases of the
 // binary format, not cryptographic.
+//
+// The hash walks every array, so the value is kept in the graph once
+// computed: a registered snapshot is hashed by the registry, by every
+// sketch bound to it and by each Matches against another instance, and
+// all but the first are a load. Every Set* mutator clears it. Zero stands
+// for "not hashed yet" — a graph that really hashes to zero is merely
+// hashed again.
 func (g *Graph) Fingerprint() uint64 {
+	if fp := g.fp.Load(); fp != 0 {
+		return fp
+	}
+	fp := g.hash()
+	g.fp.Store(fp)
+	return fp
+}
+
+// hash computes the fingerprint from the arrays as they are now.
+func (g *Graph) hash() uint64 {
 	const (
 		offset = 0xcbf29ce484222325
 		prime  = 0x00000100000001b3

@@ -15,6 +15,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. Graphs are limited to ~2.1 billion nodes which
@@ -40,6 +41,8 @@ type Graph struct {
 	inEdge  []int64 // index into out arrays for the same edge
 
 	opinion []float64 // len n, in [-1,1]
+
+	fp atomic.Uint64 // memoized Fingerprint, 0 = not hashed; every Set* mutator clears it
 }
 
 // NumNodes returns |V|.
@@ -152,6 +155,8 @@ func (g *Graph) EdgePhi(u, v NodeID) (float64, bool) {
 	return g.outPhi[i], true
 }
 
+// findEdge returns the out-array position of the arc (u,v), or, when it is
+// absent, the position at which it would keep u's row sorted.
 func (g *Graph) findEdge(u, v NodeID) (int64, bool) {
 	lo, hi := g.outStart[u], g.outStart[u+1]
 	for lo < hi {
@@ -165,7 +170,7 @@ func (g *Graph) findEdge(u, v NodeID) (int64, bool) {
 			hi = mid
 		}
 	}
-	return 0, false
+	return lo, false
 }
 
 // SetUniformProb assigns p(u,v)=p to every edge (the conventional IC
@@ -174,6 +179,7 @@ func (g *Graph) SetUniformProb(p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("graph: probability %v out of [0,1]", p))
 	}
+	g.fp.Store(0)
 	for i := range g.outProb {
 		g.outProb[i] = p
 	}
@@ -183,6 +189,7 @@ func (g *Graph) SetUniformProb(p float64) {
 // Nodes with in-degree 0 cannot be targets of any edge, so no division by
 // zero can occur.
 func (g *Graph) SetWeightedCascadeProb() {
+	g.fp.Store(0)
 	for v := int32(0); v < g.n; v++ {
 		d := g.InDegree(v)
 		if d == 0 {
@@ -199,15 +206,21 @@ func (g *Graph) SetWeightedCascadeProb() {
 // parameterization used in the paper's experiments. Incoming weights of
 // every node then sum to at most 1, as the LT model requires.
 func (g *Graph) SetDefaultLTWeights() {
+	g.fp.Store(0)
 	for v := int32(0); v < g.n; v++ {
-		d := g.InDegree(v)
-		if d == 0 {
-			continue
-		}
-		w := 1 / float64(d)
-		for _, e := range g.InEdgeIndices(v) {
-			g.outWt[e] = w
-		}
+		g.defaultLTWeightsInto(v)
+	}
+}
+
+// defaultLTWeightsInto assigns w(u,v)=1/|In(v)| to the arcs into v.
+func (g *Graph) defaultLTWeightsInto(v NodeID) {
+	d := g.InDegree(v)
+	if d == 0 {
+		return
+	}
+	w := 1 / float64(d)
+	for _, e := range g.InEdgeIndices(v) {
+		g.outWt[e] = w
 	}
 }
 
@@ -224,6 +237,7 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 			panic(fmt.Sprintf("graph: trivalency probability %v out of [0,1]", p))
 		}
 	}
+	g.fp.Store(0)
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			v := g.outTo[i]
@@ -241,6 +255,7 @@ func (g *Graph) SetUniformPhi(phi float64) {
 	if phi < 0 || phi > 1 {
 		panic(fmt.Sprintf("graph: interaction probability %v out of [0,1]", phi))
 	}
+	g.fp.Store(0)
 	for i := range g.outPhi {
 		g.outPhi[i] = phi
 	}
@@ -250,6 +265,7 @@ func (g *Graph) SetUniformPhi(phi float64) {
 // callback receives (u, v) and returns (p, phi). Useful for data-driven
 // parameterizations such as the Twitter interaction estimates.
 func (g *Graph) SetEdgeParamsFunc(f func(u, v NodeID) (p, phi float64)) {
+	g.fp.Store(0)
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			p, phi := f(u, g.outTo[i])
@@ -273,6 +289,7 @@ func (g *Graph) SetOpinions(o []float64) {
 			panic(fmt.Sprintf("graph: opinion %v at node %d out of [-1,1]", v, i))
 		}
 	}
+	g.fp.Store(0)
 	copy(g.opinion, o)
 }
 
@@ -281,6 +298,7 @@ func (g *Graph) SetOpinion(v NodeID, o float64) {
 	if o < -1 || o > 1 || math.IsNaN(o) {
 		panic(fmt.Sprintf("graph: opinion %v out of [-1,1]", o))
 	}
+	g.fp.Store(0)
 	g.opinion[v] = o
 }
 

@@ -4,9 +4,11 @@
 // that lets RR-sketch indexes, result caches and concurrent selections
 // share one instance without locks. live.Graph keeps that property while
 // adding mutation: Apply(batch) validates a batch of edge operations
-// atomically, materializes a NEW immutable snapshot with the batch
-// applied, and returns a monotone version number together with the
-// batch's dirty-node set (the targets of every touched edge).
+// atomically, derives a NEW immutable snapshot from the current one
+// (graph.WithArcEdits: the arrays block-copied around the edited arcs,
+// nothing re-sorted, only the in-adjacency re-derived), and returns a
+// monotone version number together with the batch's dirty-node set (the
+// targets of every touched edge).
 //
 // The dirty set is the contract with incremental sketch repair
 // (sketch.Index.Repair): both RR samplers — reverse IC BFS and reverse
@@ -18,11 +20,12 @@
 package live
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/holisticim/holisticim/internal/graph"
@@ -124,8 +127,7 @@ func (lv *Graph) Snapshot() (*graph.Graph, uint64) {
 	return lv.g, lv.version
 }
 
-// edgeKey packs an arc for batch conflict detection and the rebuild
-// edit map.
+// edgeKey packs an arc for batch conflict detection.
 func edgeKey(u, v graph.NodeID) int64 { return int64(u)<<32 | int64(uint32(v)) }
 
 func validProb(p float64) bool   { return p >= 0 && p <= 1 && !math.IsNaN(p) }
@@ -177,8 +179,9 @@ func (lv *Graph) validateLocked(i int, op EdgeOp) error {
 // Apply validates and applies one batch atomically: either every op is
 // valid and a new snapshot at version+1 is installed, or the error names
 // the first offending op and nothing changes. Opinions carry over to the
-// new snapshot unchanged. ctx is honored between the validation and
-// rebuild phases (the rebuild itself is a single fast CSR pass).
+// new snapshot unchanged. ctx is honored before validation and before the
+// new snapshot is derived; the derivation itself — a few block copies and
+// one counting sort — runs to completion.
 func (lv *Graph) Apply(ctx context.Context, ops []EdgeOp, opts ApplyOptions) (BatchResult, error) {
 	if len(ops) == 0 {
 		return BatchResult{}, errors.New("live: empty batch")
@@ -192,103 +195,43 @@ func (lv *Graph) Apply(ctx context.Context, ops []EdgeOp, opts ApplyOptions) (Ba
 	// Validate everything first; also reject two ops on one arc (their
 	// outcome would depend on batch order, which the wire format does not
 	// promise to preserve under retries).
-	edits := make(map[int64]int, len(ops)) // edgeKey -> op index
+	seen := make(map[int64]int, len(ops)) // edgeKey -> op index
 	for i, op := range ops {
 		if err := lv.validateLocked(i, op); err != nil {
 			return BatchResult{}, err
 		}
 		key := edgeKey(op.From, op.To)
-		if j, dup := edits[key]; dup {
+		if j, dup := seen[key]; dup {
 			return BatchResult{}, fmt.Errorf("live: ops %d and %d both touch edge (%d,%d)", j, i, op.From, op.To)
 		}
-		edits[key] = i
+		seen[key] = i
 	}
 	if err := ctx.Err(); err != nil {
 		return BatchResult{}, err
 	}
 
-	// Dirty targets and, for the optional LT rebalance, the new in-degree
-	// of each dirty target (old in-degree plus adds minus removes).
-	g := lv.g
-	n := g.NumNodes()
-	dirtySet := make(map[graph.NodeID]int32, len(ops)) // target -> in-degree delta
-	for _, op := range ops {
-		d := dirtySet[op.To]
-		switch op.Op {
-		case OpAdd:
-			d++
-		case OpRemove:
-			d--
-		}
-		dirtySet[op.To] = d
+	// Dirty targets — the distinct heads of the batch's arcs, ascending —
+	// and the batch as the sorted arc edits the graph layer takes. An add's
+	// omitted parameters and a reweight's kept ones are both a nil there.
+	dirty := make([]graph.NodeID, len(ops))
+	arcs := make([]graph.ArcEdit, len(ops))
+	for i, op := range ops {
+		dirty[i] = op.To
+		arcs[i] = graph.ArcEdit{From: op.From, To: op.To, Remove: op.Op == OpRemove, P: op.P, Phi: op.Phi, W: op.W}
 	}
-	newInDeg := func(v graph.NodeID) int32 { return g.InDegree(v) + dirtySet[v] }
-	ltWeight := func(v graph.NodeID, old float64) float64 {
-		if !opts.RebalanceLT {
-			return old
-		}
-		if _, dirty := dirtySet[v]; !dirty {
-			return old
-		}
-		if d := newInDeg(v); d > 0 {
-			return 1 / float64(d)
-		}
-		return 0
-	}
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
+	slices.SortFunc(arcs, func(a, b graph.ArcEdit) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
 
-	// Rebuild: one pass over the old CSR with the edit map applied, then
-	// the added arcs.
-	b := graph.NewBuilder(n)
-	for u := graph.NodeID(0); u < n; u++ {
-		nbrs := g.OutNeighbors(u)
-		ps := g.OutProbs(u)
-		phis := g.OutPhis(u)
-		ws := g.OutWeights(u)
-		for i, v := range nbrs {
-			p, phi, w := ps[i], phis[i], ws[i]
-			if j, ok := edits[edgeKey(u, v)]; ok {
-				op := ops[j]
-				if op.Op == OpRemove {
-					continue
-				}
-				// OpReweight (OpAdd cannot hit an existing arc).
-				if op.P != nil {
-					p = *op.P
-				}
-				if op.Phi != nil {
-					phi = *op.Phi
-				}
-				if op.W != nil {
-					w = *op.W
-				}
-			}
-			b.AddEdgeFull(u, v, p, phi, ltWeight(v, w))
-		}
+	// With RebalanceLT the in-arcs of every dirty target are reweighted by
+	// its in-degree in the new snapshot.
+	var rebalance []graph.NodeID
+	if opts.RebalanceLT {
+		rebalance = dirty
 	}
-	for _, op := range ops {
-		if op.Op != OpAdd {
-			continue
-		}
-		var p, phi, w float64
-		if op.P != nil {
-			p = *op.P
-		}
-		if op.Phi != nil {
-			phi = *op.Phi
-		}
-		if op.W != nil {
-			w = *op.W
-		}
-		b.AddEdgeFull(op.From, op.To, p, phi, ltWeight(op.To, w))
-	}
-	newG := b.Build()
-	newG.SetOpinions(g.Opinions())
-
-	dirty := make([]graph.NodeID, 0, len(dirtySet))
-	for v := range dirtySet {
-		dirty = append(dirty, v)
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	newG := lv.g.WithArcEdits(arcs, rebalance)
 
 	lv.g = newG
 	lv.version++

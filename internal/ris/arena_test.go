@@ -2,6 +2,7 @@ package ris
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -231,6 +232,114 @@ func TestArenaMatchesReferenceModel(t *testing.T) {
 				c.ReplaceSets(ids, sets)
 				m.replace(ids, sets)
 				requireSameAsModel(t, "replace", c, m)
+			}
+		})
+	}
+}
+
+// ReplaceSets drops the (node, set) pairs a replacement keeps before it
+// edits the index, so the cases are built around that overlap: none of a
+// set kept, all of it, all of it in another order, a strict subset or
+// superset, and a hub that every replaced set holds on both sides. After
+// each case the five arrays must equal those of a collection Installed
+// from the final contents.
+func TestReplaceSetsOverlapCases(t *testing.T) {
+	g := graph.BarabasiAlbert(200, 2, rng.New(8))
+	g.SetUniformProb(0.2)
+	g.SetDefaultLTWeights()
+	opinion.AssignOpinions(g, opinion.Normal, 6)
+	const hub = graph.NodeID(0)
+
+	for _, kind := range []ModelKind{ModelIC, ModelOC} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := rng.New(uint64(kind) + 31)
+			c := NewCollection(g, kind)
+			c.Generate(400, 5)
+			sets := make([][]graph.NodeID, c.Len())
+			for i := range sets {
+				sets[i] = slices.Clone(c.Set(i))
+			}
+			// without returns n random nodes that are not in set.
+			without := func(set []graph.NodeID, n int) []graph.NodeID {
+				var out []graph.NodeID
+				for len(out) < n {
+					if v := graph.NodeID(r.Int31n(g.NumNodes())); !slices.Contains(set, v) && !slices.Contains(out, v) {
+						out = append(out, v)
+					}
+				}
+				return out
+			}
+			shuffled := func(set []graph.NodeID) []graph.NodeID {
+				out := slices.Clone(set)
+				rng.Shuffle(r, out)
+				return out
+			}
+			cases := []struct {
+				name string
+				next func(old []graph.NodeID) []graph.NodeID
+			}{
+				{"identical", func(old []graph.NodeID) []graph.NodeID { return slices.Clone(old) }},
+				{"permutation", func(old []graph.NodeID) []graph.NodeID { return shuffled(old) }},
+				{"disjoint", func(old []graph.NodeID) []graph.NodeID { return without(old, 1+r.Intn(6)) }},
+				{"superset", func(old []graph.NodeID) []graph.NodeID {
+					return shuffled(append(slices.Clone(old), without(old, 1+r.Intn(4))...))
+				}},
+				{"subset", func(old []graph.NodeID) []graph.NodeID {
+					return slices.Clone(old[:1+r.Intn(max(1, len(old)-1))])
+				}},
+				{"shared hub", func(old []graph.NodeID) []graph.NodeID {
+					rest := slices.DeleteFunc(slices.Clone(old), func(v graph.NodeID) bool { return v == hub })
+					return append([]graph.NodeID{hub}, without(append(rest, hub), 2)...)
+				}},
+				{"hub kept, rest redrawn", func(old []graph.NodeID) []graph.NodeID {
+					return append(without(append(slices.Clone(old), hub), 3), hub)
+				}},
+				{"random overlap", func(old []graph.NodeID) []graph.NodeID {
+					var out []graph.NodeID
+					for _, v := range old {
+						if r.Bool(0.56) {
+							out = append(out, v)
+						}
+					}
+					return shuffled(append(out, without(old, 1+r.Intn(5))...))
+				}},
+			}
+			for round := 0; round < 3; round++ {
+				for _, tc := range cases {
+					var ids []int32
+					var next [][]graph.NodeID
+					for id := r.Intn(6); id < len(sets); id += 1 + r.Intn(9) {
+						ids = append(ids, int32(id))
+						next = append(next, tc.next(sets[id]))
+					}
+					c.ReplaceSets(ids, next)
+					for i, id := range ids {
+						sets[id] = next[i]
+					}
+
+					want := NewCollection(g, kind)
+					flat, off := flatten(sets)
+					var weights []float64
+					if kind.Weighted() {
+						for _, set := range sets {
+							weights = append(weights, OCRootWeight(g, set))
+						}
+					}
+					want.Install(flat, off, weights)
+					step := fmt.Sprintf("round %d, %s (%d sets replaced)", round, tc.name, len(ids))
+					switch {
+					case !slices.Equal(c.ids, want.ids):
+						t.Fatalf("%s: arena differs from an installed collection's", step)
+					case !slices.Equal(c.off, want.off):
+						t.Fatalf("%s: offsets differ", step)
+					case !slices.Equal(c.inv, want.inv):
+						t.Fatalf("%s: inverted index differs", step)
+					case !slices.Equal(c.invOff, want.invOff):
+						t.Fatalf("%s: index offsets differ", step)
+					case !slices.Equal(c.weights, want.weights):
+						t.Fatalf("%s: weights differ", step)
+					}
+				}
 			}
 		})
 	}

@@ -137,6 +137,9 @@ func (b Bitset) Has(i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
 // Set adds i to the set.
 func (b Bitset) Set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
 
+// Unset removes i from the set.
+func (b Bitset) Unset(i int32) { b[i>>6] &^= 1 << (uint32(i) & 63) }
+
 // Len returns the number of sampled sets.
 func (c *Collection) Len() int { return len(c.off) - 1 }
 
@@ -451,9 +454,14 @@ func splice(data []int32, edits []edit) []int32 {
 // graph.
 //
 // Arena and index are both spliced in place: each replaced set is one
-// edit of the arena, and each of its old and new members one entry
-// deleted from or inserted into that node's index row, found by binary
-// search — so the cost follows the replaced sets, not the sample.
+// edit of the arena, and each (node, set) pair the swap really adds or
+// drops one entry inserted into or deleted from that node's index row. A
+// resampled walk mostly retraces the old one, so the pairs present on
+// both sides — which leave the row as it is — are dropped up front: mark
+// the old members, unmark on sight in the new set; what stays marked is a
+// deletion, what was never marked an insertion. The survivors arrive in
+// ascending set id, so a stable counting sort on node puts them in row
+// order, and the cost follows the changed pairs, not the sample.
 func (c *Collection) ReplaceSets(ids []int32, sets [][]graph.NodeID) {
 	if len(ids) != len(sets) {
 		panic("ris: ReplaceSets ids/sets length mismatch")
@@ -462,39 +470,64 @@ func (c *Collection) ReplaceSets(ids []int32, sets [][]graph.NodeID) {
 		return
 	}
 	c.memo.drop()
-	// Index edits, keyed (node, set id, insert?) so that sorting puts them
-	// in row order with a set's deletion ahead of its reinsertion.
+	n := int(c.g.NumNodes())
+	c.nodeMarks = c.nodeMarks.Reset(n)
+	old := c.nodeMarks // all clear again after every set
 	arena := make([]edit, len(ids))
+	// One key per changed pair: node<<33 | set id<<1 | insert?.
 	var keys []uint64
+	perNode := c.counts
+	clear(perNode)
 	for r, id := range ids {
-		old := c.Set(int(id))
-		arena[r] = edit{pos: c.off[id], del: uint32(len(old)), ins: sets[r]}
-		for _, v := range old {
-			keys = append(keys, uint64(v)<<33|uint64(id)<<1)
+		was := c.Set(int(id))
+		arena[r] = edit{pos: c.off[id], del: uint32(len(was)), ins: sets[r]}
+		for _, v := range was {
+			old.Set(v)
 		}
 		for _, v := range sets[r] {
+			if old.Has(v) {
+				old.Unset(v)
+				continue
+			}
 			keys = append(keys, uint64(v)<<33|uint64(id)<<1|1)
+			perNode[v]++
+		}
+		for _, v := range was {
+			if old.Has(v) {
+				old.Unset(v)
+				keys = append(keys, uint64(v)<<33|uint64(id)<<1)
+				perNode[v]++
+			}
 		}
 		if c.kind.Weighted() {
 			c.weights[id] = OCRootWeight(c.g, sets[r])
 		}
 	}
-	slices.Sort(keys)
-	index := make([]edit, len(keys))
-	inserted := make([]int32, len(keys))
+	// Counting sort by node, stable: perNode turns into each node's cursor.
+	sum := uint32(0)
+	for v, k := range perNode {
+		perNode[v] = sum
+		sum += k
+	}
+	sorted := make([]uint64, len(keys))
+	for _, key := range keys {
+		v := key >> 33
+		sorted[perNode[v]] = key
+		perNode[v]++
+	}
+
+	index := make([]edit, len(sorted))
+	inserted := make([]int32, len(sorted))
 	grow := c.counts // per-node change in row length, modulo 2^32
 	clear(grow)
-	for k, key := range keys {
+	for k, key := range sorted {
 		v, id := graph.NodeID(key>>33), int32(key>>1)
-		at, found := slices.BinarySearch(c.SetsContaining(v), id)
+		at, _ := slices.BinarySearch(c.SetsContaining(v), id)
 		index[k].pos = c.invOff[v] + uint32(at)
 		if key&1 == 0 {
 			index[k].del = 1
 			grow[v]--
 			continue
-		}
-		if found { // behind the entry the preceding edit deletes
-			index[k].pos++
 		}
 		inserted[k] = id
 		index[k].ins = inserted[k : k+1]
@@ -510,7 +543,7 @@ func (c *Collection) ReplaceSets(ids []int32, sets [][]graph.NodeID) {
 		c.off[i] = uint32(int(c.off[i]) + delta)
 	}
 	c.inv = splice(c.inv, index)
-	sum := uint32(0)
+	sum = 0
 	for v, g := range grow {
 		sum += g
 		c.invOff[v+1] += sum

@@ -71,7 +71,7 @@ type regEntry struct {
 }
 
 // liveState serializes mutations for one graph lineage. Its mutex is
-// held across the whole rebuild (validate → build new CSR → install), so
+// held across the whole batch (validate → derive new CSR → install), so
 // concurrent Apply batches for the same name get consecutive versions
 // while readers keep serving the previous immutable snapshot.
 type liveState struct {
@@ -93,6 +93,7 @@ func (r *Registry) Add(name string, g *holisticim.Graph, source string) error {
 	if g == nil {
 		return errors.New("service: nil graph")
 	}
+	e := newRegEntry(name, g, source)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.graphs[name]; ok {
@@ -101,10 +102,13 @@ func (r *Registry) Add(name string, g *holisticim.Graph, source string) error {
 	if r.maxGraphs > 0 && len(r.graphs) >= r.maxGraphs {
 		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
 	}
-	r.graphs[name] = newRegEntry(name, g, source)
+	r.graphs[name] = e
 	return nil
 }
 
+// newRegEntry hashes and measures the whole graph, O(arcs): callers build
+// the entry before taking r.mu, which every lookup of every graph goes
+// through.
 func newRegEntry(name string, g *holisticim.Graph, source string) *regEntry {
 	return &regEntry{g: g, info: GraphInfo{
 		Name:        name,
@@ -144,14 +148,14 @@ func (r *Registry) replace(name string, g *holisticim.Graph, source string, vers
 	if g == nil {
 		return errors.New("service: nil graph")
 	}
+	e := newRegEntry(name, g, source)
+	e.info.Version = version
 	r.mu.Lock()
 	old, replaced := r.graphs[name]
 	if !replaced && r.maxGraphs > 0 && len(r.graphs) >= r.maxGraphs {
 		r.mu.Unlock()
 		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
 	}
-	e := newRegEntry(name, g, source)
-	e.info.Version = version
 	if replaced {
 		e.gen = old.gen + 1
 	}
@@ -224,15 +228,16 @@ func (r *Registry) Mutate(ctx context.Context, name string, ops []live.EdgeOp, o
 	}
 	newG := ls.lv.Graph()
 
+	// Under the lock only the swap happens.
+	e2 := newRegEntry(name, newG, e.info.Source)
+	e2.gen = e.gen + 1
+	e2.live = ls
+	e2.info.Version = res.Version
 	r.mu.Lock()
 	if cur, ok := r.graphs[name]; !ok || cur != e || cur.live != ls {
 		r.mu.Unlock()
 		return live.BatchResult{}, fmt.Errorf("%w: %q", ErrGraphReplaced, name)
 	}
-	e2 := newRegEntry(name, newG, e.info.Source)
-	e2.gen = e.gen + 1
-	e2.live = ls
-	e2.info.Version = res.Version
 	r.graphs[name] = e2
 	hook := r.onMutate
 	r.mu.Unlock()

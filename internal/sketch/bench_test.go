@@ -9,6 +9,7 @@ import (
 
 	"github.com/holisticim/holisticim/internal/diffusion"
 	"github.com/holisticim/holisticim/internal/graph"
+	"github.com/holisticim/holisticim/internal/live"
 	"github.com/holisticim/holisticim/internal/opinion"
 	"github.com/holisticim/holisticim/internal/ris"
 	"github.com/holisticim/holisticim/internal/rng"
@@ -218,4 +219,42 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRepair10Ops is the write path behind one 10-op edge batch on
+// the repo benchmark's serve-churn shape — a ba-wc-like 10k-node / 60k-arc
+// graph under a 100k-set IC index: find the sets the batch dirtied,
+// resample them, splice them in, re-derive the OPT bound. The batch's
+// Apply is outside the timer (live's BenchmarkApply10Ops times it).
+func BenchmarkRepair10Ops(b *testing.B) {
+	ctx := context.Background()
+	r := rng.New(7)
+	g := graph.BarabasiAlbert(10000, 3, r)
+	g.SetWeightedCascadeProb()
+	g.SetDefaultLTWeights()
+	x, err := Build(ctx, g, Params{Epsilon: 0.1, Seed: 1, BuildK: 50, MaxSets: 100000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if x.Len() != 100000 {
+		b.Fatalf("index holds %d sets, want the 100000 cap", x.Len())
+	}
+	lv := live.Wrap(g, live.Options{})
+	resampled := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		res, err := lv.Apply(ctx, randomChurn(lv.Graph(), r, 10), live.ApplyOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		st, err := x.Repair(ctx, lv.Graph(), res.Dirty, res.Version, RepairOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resampled += st.Resampled
+	}
+	b.ReportMetric(float64(resampled)/float64(b.N), "resampled-sets/op")
 }

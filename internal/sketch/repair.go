@@ -60,11 +60,18 @@ func (x *Index) SetGraphVersion(v uint64) {
 //
 // The collection drops its memoized greedy order only when a resampled
 // set actually changed; repairs that touch nothing (or replay identically)
-// keep serving the memoized order untouched. After the repair the
-// index's fingerprint matches g, so Matches — and every serving fast
-// path behind it — accepts the new snapshot; until then the fingerprints
-// disagree and planners re-route queries to cold backends rather than
-// silently serving stale samples.
+// keep serving the memoized order untouched. After the repair the index
+// is bound to g, so Matches — and every serving fast path behind it —
+// accepts the new snapshot by pointer, and GraphFingerprint is g's own
+// memoized hash: Repair hashes nothing. Until then the index is bound to
+// the previous snapshot, whose fingerprint disagrees, and planners
+// re-route queries to cold backends rather than silently serving stale
+// samples.
+//
+// The cost follows the sets that contain a dirty node: they are found
+// through the inverted index, resampled back to back into one buffer per
+// worker, compared with what the arena holds, and the ones that differ
+// handed to ReplaceSets as windows of those buffers.
 func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID, newVersion uint64, opts RepairOptions) (RepairStats, error) {
 	if g == nil {
 		return RepairStats{}, errors.New("sketch: repair against nil graph")
@@ -118,7 +125,6 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 	// Install: rebind everything to the new snapshot and replace only the
 	// sets that actually changed, in one batched rewrite of the arena.
 	x.g = g
-	x.fp = 0 // hashed on demand, see fpLocked
 	x.col.Rebind(g)
 	changedIDs := make([]int32, 0, len(resample))
 	changedSets := make([][]graph.NodeID, 0, len(resample))
@@ -145,7 +151,9 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 }
 
 // resampleLocked regenerates the given set indices from their (Seed, id)
-// streams against g, in id order, without touching the collection.
+// streams against g, in id order, without touching the collection. Each
+// worker samples its stretch back to back into one buffer; the returned
+// sets are windows of those buffers.
 func (x *Index) resampleLocked(ctx context.Context, g *graph.Graph, ids []int32, workers int) ([][]graph.NodeID, error) {
 	if workers <= 0 {
 		workers = x.params.Workers
@@ -154,44 +162,42 @@ func (x *Index) resampleLocked(ctx context.Context, g *graph.Graph, ids []int32,
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([][]graph.NodeID, len(ids))
-	if len(ids) == 0 {
-		return out, nil
-	}
 	const parallelMin = 256
-	if workers <= 1 || len(ids) < parallelMin {
+	if len(ids) < parallelMin {
+		workers = 1
+	}
+	// sample fills out[lo:hi], stopping early once ctx is done.
+	sample := func(lo, hi int) {
 		smp := ris.NewSampler(g, x.params.Kind)
-		for i, sid := range ids {
-			if i%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+		var buf []graph.NodeID
+		ends := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if i%64 == 0 && ctx.Err() != nil {
+				return
 			}
-			out[i] = smp.Sample(x.params.Seed, uint64(sid))
+			buf = smp.SampleInto(x.params.Seed, uint64(ids[i]), buf)
+			ends = append(ends, len(buf))
 		}
-		return out, nil
+		// Windows are cut once the buffer has stopped moving.
+		start := 0
+		for k, end := range ends {
+			out[lo+k] = buf[start:end:end]
+			start = end
+		}
 	}
 	var wg sync.WaitGroup
 	chunk := (len(ids) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(ids) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(ids) {
-			hi = len(ids)
+	for lo := 0; lo < len(ids); lo += chunk {
+		hi := min(lo+chunk, len(ids))
+		if workers == 1 {
+			sample(lo, hi)
+			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			smp := ris.NewSampler(g, x.params.Kind)
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				out[i] = smp.Sample(x.params.Seed, uint64(ids[i]))
-			}
-		}(lo, hi)
+			sample(lo, hi)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

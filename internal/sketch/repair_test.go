@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -99,6 +100,40 @@ func leafChurnBatch(g *graph.Graph, removes, adds, reweights int) []live.EdgeOp 
 	return ops
 }
 
+// randomChurn draws a batch of ops adds (4 in 10), removes (3) and
+// reweights (3) over uniformly random arcs of g, each arc touched once:
+// the mix the repo benchmark's serve-churn sends.
+func randomChurn(g *graph.Graph, r *rng.RNG, ops int) []live.EdgeOp {
+	n := g.NumNodes()
+	taken := map[[2]int32]bool{}
+	batch := make([]live.EdgeOp, 0, ops)
+	for len(batch) < ops {
+		u, v := r.Int31n(n), r.Int31n(n)
+		kind := r.Intn(10)
+		if kind >= 4 { // an existing arc out of u
+			nbrs := g.OutNeighbors(u)
+			if len(nbrs) == 0 {
+				continue
+			}
+			v = nbrs[r.Intn(len(nbrs))]
+		}
+		if u == v || taken[[2]int32{u, v}] || (kind < 4 && g.HasEdge(u, v)) {
+			continue
+		}
+		taken[[2]int32{u, v}] = true
+		p, phi, w := r.Range(0.01, 0.3), r.Float64(), r.Range(0, 0.2)
+		switch {
+		case kind < 4:
+			batch = append(batch, live.EdgeOp{Op: live.OpAdd, From: u, To: v, P: &p, Phi: &phi, W: &w})
+		case kind < 7:
+			batch = append(batch, live.EdgeOp{Op: live.OpRemove, From: u, To: v})
+		default:
+			batch = append(batch, live.EdgeOp{Op: live.OpReweight, From: u, To: v, P: &p, W: &w})
+		}
+	}
+	return batch
+}
+
 // requireSameCollections asserts a repaired collection is structurally
 // identical to a from-scratch build: sets, inverted index rows, widths
 // and (when weighted) per-set weights.
@@ -150,7 +185,7 @@ func refIndex(t *testing.T, g *graph.Graph, p Params, count int) *Index {
 	if err := col.GenerateParallelCtx(context.Background(), count, p.Seed, 4); err != nil {
 		t.Fatal(err)
 	}
-	return &Index{g: g, fp: g.Fingerprint(), params: p, col: col}
+	return &Index{g: g, params: p, col: col}
 }
 
 // Tentpole equivalence: after a mutation batch, incremental Repair must
@@ -252,6 +287,79 @@ func TestRepairCoalescesBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameCollections(t, xOnce.col, xStep.col, last.NumNodes(), false)
+}
+
+// A lineage, not one batch: over nine random batches — some with the LT
+// rebalance, so whole in-rows change weight — an index repaired after
+// every batch and one repaired once per two or three batches (their dirty
+// sets united) must both end equal to Build on the final graph under the
+// same MaxSets: the sample array for array, the seeds selected from it,
+// and the graph fingerprint they advertise. The resample buffers, the
+// skipped (node, set) pairs of ReplaceSets and the derived snapshots of
+// Apply all sit on this path.
+func TestRepairSequenceEqualsFreshBuild(t *testing.T) {
+	ctx := context.Background()
+	for _, kind := range []ris.ModelKind{ris.ModelIC, ris.ModelLT, ris.ModelOC} {
+		t.Run(kind.String(), func(t *testing.T) {
+			g := ocTestGraph(t, 1500, opinion.Normal)
+			// The cap sits below the natural θ, so all three indexes hold
+			// exactly the first 4000 sets of the stream. Two workers and
+			// hundreds of candidates per repair: the parallel resample runs.
+			p := Params{Kind: kind, Epsilon: 0.3, Seed: 13, BuildK: 10, Workers: 2, MaxSets: 4000}
+			perBatch, coalesced := mustBuild(t, g, p), mustBuild(t, g, p)
+			if perBatch.Len() != p.MaxSets {
+				t.Fatalf("build stopped at %d sets, below the %d cap", perBatch.Len(), p.MaxSets)
+			}
+
+			r := rng.New(uint64(kind) + 41)
+			lv := live.Wrap(g, live.Options{})
+			var pending []graph.NodeID
+			held := 0
+			for batch := 0; batch < 9; batch++ {
+				res, err := lv.Apply(ctx, randomChurn(lv.Graph(), r, 4+r.Intn(12)), live.ApplyOptions{RebalanceLT: batch%3 == 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := perBatch.Repair(ctx, lv.Graph(), res.Dirty, res.Version, RepairOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Resampled == 0 {
+					t.Fatalf("batch %d: nothing resampled", batch)
+				}
+				pending = append(pending, res.Dirty...)
+				if held++; held == 2+batch%2 || batch == 8 {
+					if _, err := coalesced.Repair(ctx, lv.Graph(), pending, res.Version, RepairOptions{}); err != nil {
+						t.Fatal(err)
+					}
+					pending, held = pending[:0], 0
+				}
+			}
+
+			final := lv.Graph()
+			fresh := mustBuild(t, final, p)
+			want, err := fresh.Select(ctx, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, x := range map[string]*Index{"repaired per batch": perBatch, "coalesced": coalesced} {
+				if x.GraphVersion() != 9 || !x.Matches(final, kind) {
+					t.Fatalf("%s: at version %d, matches the final snapshot: %v", name, x.GraphVersion(), x.Matches(final, kind))
+				}
+				requireSameCollections(t, x.col, fresh.col, final.NumNodes(), kind.Weighted())
+				got, err := x.Select(ctx, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Seeds, want.Seeds) {
+					t.Fatalf("%s: seeds %v, a fresh build selects %v", name, got.Seeds, want.Seeds)
+				}
+				if x.GraphFingerprint() != fresh.GraphFingerprint() || x.GraphFingerprint() != final.Fingerprint() {
+					t.Fatalf("%s: advertises graph %016x, the final snapshot is %016x", name, x.GraphFingerprint(), final.Fingerprint())
+				}
+			}
+		})
+	}
 }
 
 // Determinism: repairing with 8 workers must equal repairing with 1.

@@ -102,8 +102,7 @@ func (p Params) withDefaults(n int32) Params {
 // kept per prefix — and nothing here invalidates anything; lb is the one
 // field derived from the sets, re-derived by Repair when a set changes.
 type Index struct {
-	g  *graph.Graph // guarded by mu: Repair swaps it, Matches rebinds it
-	fp uint64       // guarded by mu; graph content fingerprint, 0 = not hashed yet: read it through fpLocked
+	g *graph.Graph // guarded by mu: Repair swaps it, Matches rebinds it
 
 	mu     sync.Mutex
 	params Params          // guarded by mu
@@ -141,7 +140,6 @@ func Build(ctx context.Context, g *graph.Graph, p Params) (*Index, error) {
 	p = p.withDefaults(g.NumNodes())
 	x := &Index{
 		g:      g,
-		fp:     g.Fingerprint(),
 		params: p,
 		col:    ris.NewCollection(g, p.Kind),
 	}
@@ -166,24 +164,12 @@ func (x *Index) Graph() *graph.Graph {
 	return x.g
 }
 
-// GraphFingerprint returns the content fingerprint of the bound graph,
-// pinned at build (or load) time and advanced by Repair.
+// GraphFingerprint returns the content fingerprint of the bound graph —
+// the graph's own memoized hash, so after a Repair the first caller that
+// needs it (a Matches against another instance, a Save, a listing) hashes
+// the new snapshot once for everyone.
 func (x *Index) GraphFingerprint() uint64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.fpLocked()
-}
-
-// fpLocked returns the content fingerprint of the bound graph. Build and
-// Load pin it; Repair only clears it — hashing every arc of the new
-// snapshot costs more than repairing a small batch, and serving
-// re-matches the repaired index by pointer — and whoever next needs it
-// (a Matches against another instance, a Save, a listing) hashes once.
-func (x *Index) fpLocked() uint64 {
-	if x.fp == 0 {
-		x.fp = x.g.Fingerprint()
-	}
-	return x.fp
+	return x.Graph().Fingerprint()
 }
 
 // Kind returns the RR-set semantics the index samples.
@@ -222,7 +208,7 @@ func (x *Index) Len() int {
 // same RR-set semantics and the same graph CONTENT. The common case —
 // the very instance the index was built on — is a pointer check; a
 // different instance is accepted iff its content fingerprint equals the
-// one pinned at build/load time, so a graph re-registered under the same
+// bound graph's, so a graph re-registered under the same
 // name (a reload with identical bytes) keeps serving the fast path
 // instead of silently falling back to cold runs. On a fingerprint match
 // the index rebinds to the new instance, making subsequent calls
@@ -240,7 +226,7 @@ func (x *Index) Matches(g *graph.Graph, kind ris.ModelKind) bool {
 	if x.g == g {
 		return true
 	}
-	if g.NumNodes() != x.g.NumNodes() || g.NumEdges() != x.g.NumEdges() || g.Fingerprint() != x.fpLocked() {
+	if g.NumNodes() != x.g.NumNodes() || g.NumEdges() != x.g.NumEdges() || g.Fingerprint() != x.g.Fingerprint() {
 		return false
 	}
 	// Rebind the collection too, or the replaced instance would stay

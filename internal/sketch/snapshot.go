@@ -67,7 +67,7 @@ func (x *Index) Save(w io.Writer) error {
 	sets := x.col.Len()
 	hdr := []any{
 		version,
-		x.fpLocked(),
+		x.g.Fingerprint(),
 		uint32(x.g.NumNodes()),
 		uint64(x.g.NumEdges()),
 		uint32(x.params.Kind),
@@ -343,7 +343,6 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 
 	x := &Index{
 		g:      g,
-		fp:     h.GraphFingerprint,
 		params: p,
 		col:    ris.NewCollection(g, p.Kind),
 		lb:     h.LowerBound,
