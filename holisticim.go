@@ -266,14 +266,17 @@ type Options struct {
 	MCRuns int
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Workers bounds parallelism (default GOMAXPROCS) where there is any:
+	// Workers bounds the goroutines of every parallel stage (default
+	// GOMAXPROCS), and changes no result: EaSyIM/OSIM re-sum a sweep of
+	// every row in row ranges (each row whole, by one goroutine; graphs
+	// under core's sweep grain, ~131k arcs, stay on the caller); cold
+	// TIM+/IMM — single-budget, or the ephemeral sketch of a multi-budget
+	// batch — sample RR set i from (Seed, i) on whichever worker claims it;
 	// the Monte-Carlo objectives (Greedy, CELF++, ModifiedGreedy) and
-	// estimators, and the ephemeral sketch a cold multi-budget TIM+/IMM
-	// batch samples once for all its budgets. Nothing else reads it:
-	// EaSyIM and OSIM scoring is single-threaded, and so is the RR sampling
-	// of a cold single-budget selection — IMM samples with one worker, TIM+
-	// sequentially. A prebuilt sketch samples with its own
-	// SketchOptions.Workers.
+	// estimators split their runs. Sequential whatever it says: the
+	// activation probe between two seeds (one RNG stream), the sweeps over
+	// a listed few rows, and max coverage. A prebuilt sketch samples with
+	// its own SketchOptions.Workers.
 	Workers int
 	// TIMThetaCap optionally bounds TIM+/IMM RR sets (0 = unbounded).
 	TIMThetaCap int
@@ -391,11 +394,15 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 	var sel im.Selector
 	switch alg {
 	case AlgEaSyIM:
-		sel = core.NewScoreGreedy(core.NewEaSyIM(g, o.PathLength, kind.weight), core.ScoreGreedyOptions{
+		scorer := core.NewEaSyIM(g, o.PathLength, kind.weight)
+		scorer.SetWorkers(o.Workers)
+		sel = core.NewScoreGreedy(scorer, core.ScoreGreedyOptions{
 			Policy: core.PolicyMCMajority, ProbeModel: model, Seed: o.Seed,
 		})
 	case AlgOSIM:
-		sel = core.NewScoreGreedy(core.NewOSIM(g, o.PathLength, kind.weight, o.Lambda), core.ScoreGreedyOptions{
+		scorer := core.NewOSIM(g, o.PathLength, kind.weight, o.Lambda)
+		scorer.SetWorkers(o.Workers)
+		sel = core.NewScoreGreedy(scorer, core.ScoreGreedyOptions{
 			Policy: core.PolicyMCMajority, ProbeModel: model, Seed: o.Seed,
 		})
 	case AlgGreedy:
@@ -413,9 +420,9 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 		}
 		sel = greedy.NewStaticGreedy(g, snapshots, o.Seed)
 	case AlgTIMPlus:
-		sel = ris.NewTIMPlus(g, kind.ris, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
+		sel = ris.NewTIMPlus(g, kind.ris, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers, ThetaCap: o.TIMThetaCap})
 	case AlgIMM:
-		sel = ris.NewIMM(g, kind.ris, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, ThetaCap: o.TIMThetaCap})
+		sel = ris.NewIMM(g, kind.ris, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers, ThetaCap: o.TIMThetaCap})
 	case AlgIRIE:
 		sel = heuristics.NewIRIE(g, 0, 0, 0)
 	case AlgSIMPATH:

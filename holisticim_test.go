@@ -3,6 +3,7 @@ package holisticim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -141,6 +142,32 @@ func TestOptionsFingerprint(t *testing.T) {
 	}
 	if fp(AlgEaSyIM, 11, Options{}) == zero {
 		t.Fatal("k must separate fingerprints")
+	}
+}
+
+// TestWorkersDoNotChangeSelection is the behavioural half of keeping
+// Workers out of the fingerprint, on the selectors that split work by it: on
+// a graph large enough that EaSyIM/OSIM's sweeps and the RR sampling do fork,
+// the seeds and every metric are those of one worker.
+func TestWorkersDoNotChangeSelection(t *testing.T) {
+	g := GenerateRMAT(20000, 200000, false, 3)
+	g.SetWeightedCascadeProb()
+	AssignOpinions(g, OpinionNormal, 4)
+	AssignInteractions(g, 5)
+	for _, alg := range []Algorithm{AlgEaSyIM, AlgOSIM, AlgIMM, AlgTIMPlus} {
+		var want string
+		for _, workers := range []int{1, 2, 8} {
+			res, err := SelectSeeds(g, 5, alg, Options{Seed: 6, Epsilon: 0.5, TIMThetaCap: 4000, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprint(res.Seeds, res.Metrics)
+			if workers == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: workers=%d gave %s, one worker %s", alg, workers, got, want)
+			}
+		}
 	}
 }
 

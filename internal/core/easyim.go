@@ -14,7 +14,12 @@ import "github.com/holisticim/holisticim/internal/graph"
 // levels.Exclude) instead of repeating the pass per seed. The score of a
 // node mimics its expected spread: exactly on trees (Conclusion 2),
 // exactly on DAGs under LT (Conclusion 3), and with a small bounded error
-// otherwise (Sec. 3.4.2). Not safe for concurrent use.
+// otherwise (Sec. 3.4.2).
+//
+// Not safe for concurrent use: one goroutine calls Assign and Exclude. A
+// sweep over every row is itself split over SetWorkers goroutines (see
+// levels.dense) and joined before the call returns; the sweeps over a listed
+// few rows run on the caller. Scores are the same bits at any worker count.
 type EaSyIM struct {
 	levels
 	c [][]float64 // c[i], i < l: level-i contributions
@@ -46,36 +51,53 @@ func (e *EaSyIM) drop(v graph.NodeID) {
 }
 
 func (e *EaSyIM) sweep(i int, rows []graph.NodeID, scores []float64, changed []graph.NodeID) []graph.NodeID {
-	start, to := e.g.OutCSR()
-	ws := edgeWeights(e.g, e.weight)
 	// Levels below l store 1+∆_i, 0 when excluded; level l is the score.
-	src, dst, one, none := e.c[i-1], scores, 0.0, negInf
+	k := easyimLevel{ws: edgeWeights(e.g, e.weight), src: e.c[i-1], dst: scores, gone: e.gone, none: negInf}
+	k.start, k.to = e.g.OutCSR()
 	if i < e.l {
-		dst, one, none = e.c[i], 1, 0
+		k.dst, k.one, k.none = e.c[i], 1, 0
 	}
 	if rows == nil {
-		for u, gone := range e.gone {
-			dst[u] = none
-			if !gone {
-				dst[u] = one + easyimRow(start, to, ws, src, u)
-			}
-		}
+		e.dense(k.rows)
 		return changed
 	}
 	for _, u := range rows { // listed rows are live
-		if val := one + easyimRow(start, to, ws, src, int(u)); val != dst[u] {
-			dst[u] = val
+		if val := k.one + k.row(int(u)); val != k.dst[u] {
+			k.dst[u] = val
 			changed = append(changed, u)
 		}
 	}
 	return changed
 }
 
-// easyimRow is the row kernel: Σ_{v ∈ Out(u)} w(u,v)·c(v) over u's arcs in
-// CSR order, with no branch on the mask — an excluded v contributes c(v)=0.
-func easyimRow(start []int64, to []graph.NodeID, ws, src []float64, u int) float64 {
+// easyimLevel is what one level's rows read and write: the arcs, the level
+// below, and the level's own slots.
+type easyimLevel struct {
+	start     []int64
+	to        []graph.NodeID
+	ws, src   []float64
+	dst       []float64
+	gone      []bool
+	one, none float64 // added to a live row's sum; an excluded row's value
+}
+
+// rows is the sweep of every row, over rows [lo, hi).
+func (k *easyimLevel) rows(lo, hi int) {
+	dst, gone, one, none := k.dst, k.gone, k.one, k.none
+	for u := lo; u < hi; u++ {
+		dst[u] = none
+		if !gone[u] {
+			dst[u] = one + k.row(u)
+		}
+	}
+}
+
+// row is the row kernel: Σ_{v ∈ Out(u)} w(u,v)·c(v) over u's arcs in CSR
+// order, with no branch on the mask — an excluded v contributes c(v)=0.
+func (k *easyimLevel) row(u int) float64 {
+	to, ws, src := k.to, k.ws, k.src
 	sum := 0.0
-	for j := start[u]; j < start[u+1]; j++ {
+	for j := k.start[u]; j < k.start[u+1]; j++ {
 		sum += ws[j] * src[to[j]]
 	}
 	return sum

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,6 +119,46 @@ func TestExcludeEqualsFreshAssign(t *testing.T) {
 	}
 	if listedOnly < 100 || swept < 100 {
 		t.Fatalf("%d passes only listed rows, %d swept a level: both branches must be exercised", listedOnly, swept)
+	}
+}
+
+// TestDenseRanges is levels.dense's split: the ranges body receives tile
+// [0, n) exactly once — as the single range [0, n) for one worker, and for
+// any worker count on a graph under sweepGrain (the 10k-node / 60k-arc BA a
+// serving job scores must never fork), otherwise sweepChunk rows at a time.
+func TestDenseRanges(t *testing.T) {
+	small := graph.BarabasiAlbert(10000, 3, rng.New(1))
+	big := rmatGraph(6*sweepChunk+7, 3*sweepGrain/2)
+	if small.NumEdges() >= sweepGrain || big.NumEdges() < sweepGrain {
+		t.Fatalf("%d and %d arcs do not straddle the grain %d", small.NumEdges(), big.NumEdges(), sweepGrain)
+	}
+	for _, tc := range []struct {
+		g               *graph.Graph
+		workers, ranges int
+	}{{small, 1, 1}, {small, 8, 1}, {small, 0, 1}, {big, 1, 1}, {big, 2, 7}, {big, 3, 7}, {big, 64, 7}} {
+		s := NewEaSyIM(tc.g, 1, WeightProb)
+		s.SetWorkers(tc.workers)
+		var mu sync.Mutex
+		var got [][2]int
+		s.dense(func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
+		if len(got) != tc.ranges {
+			t.Fatalf("n=%d workers=%d: %d ranges %v, want %d", tc.g.NumNodes(), tc.workers, len(got), got, tc.ranges)
+		}
+		next := 0
+		for _, r := range got {
+			if r[0] != next || r[1] <= r[0] || r[1]-r[0] > sweepChunk && tc.ranges > 1 {
+				t.Fatalf("n=%d workers=%d: ranges %v do not tile the rows", tc.g.NumNodes(), tc.workers, got)
+			}
+			next = r[1]
+		}
+		if next != int(tc.g.NumNodes()) {
+			t.Fatalf("n=%d workers=%d: ranges %v stop at %d", tc.g.NumNodes(), tc.workers, got, next)
+		}
 	}
 }
 

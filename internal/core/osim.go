@@ -25,7 +25,12 @@ import (
 // levels are kept — or/α/sc as one osimTerm per node and level, so a row's
 // arc gathers once, plus each level's score increment: 4l·n floats beside
 // the n scores — so that Exclude re-sums only the rows an exclusion can reach
-// (see levels.Exclude). Not safe for concurrent use.
+// (see levels.Exclude).
+//
+// Not safe for concurrent use: one goroutine calls Assign and Exclude. A
+// sweep over every row is itself split over SetWorkers goroutines (see
+// levels.dense) and joined before the call returns; the sweeps over a listed
+// few rows run on the caller. Scores are the same bits at any worker count.
 type OSIM struct {
 	levels
 	lambda float64
@@ -75,36 +80,24 @@ func (o *OSIM) drop(v graph.NodeID) {
 }
 
 func (o *OSIM) sweep(i int, rows []graph.NodeID, scores []float64, changed []graph.NodeID) []graph.NodeID {
-	k := osimLevel{src: o.term[i-1], ws: edgeWeights(o.g, o.weight), phis: o.g.Phis(), opinions: o.g.Opinions(), lambda: o.lambda}
+	k := osimLevel{src: o.term[i-1], ws: edgeWeights(o.g, o.weight), phis: o.g.Phis(), opinions: o.g.Opinions(), lambda: o.lambda,
+		o: o, incs: o.inc[i-1], scores: scores}
 	k.start, k.to = o.g.OutCSR()
-	incs := o.inc[i-1]
-	var dst []osimTerm // nobody reads level l's terms
-	if i < o.l {
-		dst = o.term[i]
+	if i < o.l { // nobody reads level l's terms
+		k.dst = o.term[i]
 	}
 	if rows == nil {
-		for u, gone := range o.gone {
-			var t osimTerm
-			incs[u] = 0
-			if !gone {
-				t, incs[u] = k.row(u)
-			}
-			if dst != nil {
-				dst[u] = t
-			} else { // level l: every increment is in
-				scores[u] = o.score(u)
-			}
-		}
+		o.dense(k.rows)
 		return changed
 	}
 	for _, u := range rows { // listed rows are live
 		t, inc := k.row(int(u))
-		if dst != nil && t != dst[u] {
-			dst[u] = t
+		if k.dst != nil && t != k.dst[u] {
+			k.dst[u] = t
 			changed = append(changed, u)
 		}
-		if inc != incs[u] {
-			incs[u] = inc
+		if inc != k.incs[u] {
+			k.incs[u] = inc
 			scores[u] = o.score(int(u))
 		}
 	}
@@ -123,13 +116,36 @@ func (o *OSIM) score(u int) float64 {
 	return score
 }
 
-// osimLevel is what one level's rows read: the arcs and the level below.
+// osimLevel is what one level's rows read and write: the arcs, the level
+// below, and the level's own slots.
 type osimLevel struct {
 	start              []int64
 	to                 []graph.NodeID
 	ws, phis, opinions []float64
 	src                []osimTerm
 	lambda             float64
+
+	o      *OSIM
+	dst    []osimTerm // nil at level l
+	incs   []float64
+	scores []float64
+}
+
+// rows is the sweep of every row, over rows [lo, hi).
+func (k *osimLevel) rows(lo, hi int) {
+	gone, dst, incs := k.o.gone, k.dst, k.incs
+	for u := lo; u < hi; u++ {
+		var t osimTerm
+		incs[u] = 0
+		if !gone[u] {
+			t, incs[u] = k.row(u)
+		}
+		if dst != nil {
+			dst[u] = t
+		} else { // level l: every increment is in
+			k.scores[u] = k.o.score(u)
+		}
+	}
 }
 
 // row is the row kernel, Algorithm 5 lines 6–11 for one node: the three

@@ -60,13 +60,39 @@ func pinnedGraphs() []struct {
 	}
 }
 
-// pinnedScorer builds one scorer twice: bare, and inside a ScoreGreedy
-// (whose constructor takes the concrete type).
+// pinnedScorer is one scorer of the pinned table and the model its
+// ScoreGreedy probes with.
 type pinnedScorer struct {
 	name   string
 	probe  diffusion.Model
-	scorer func() Scorer
-	greedy func(ScoreGreedyOptions) *ScoreGreedy
+	scorer func() LevelScorer
+}
+
+// pinnedScorers are EaSyIM, OSIM λ=1 and OSIM λ=0.5 at path length l over
+// edge weight w, each told to sweep on workers goroutines and paired with
+// the model of w's layer.
+func pinnedScorers(g *graph.Graph, l int, w EdgeWeight, workers int) []pinnedScorer {
+	layer, plain := diffusion.LayerIC, diffusion.Model(diffusion.NewIC(g))
+	if w == WeightLT {
+		layer, plain = diffusion.LayerLT, diffusion.NewLT(g)
+	}
+	oi := diffusion.NewOI(g, layer)
+	osim := func(lambda float64) func() LevelScorer {
+		return func() LevelScorer {
+			s := NewOSIM(g, l, w, lambda)
+			s.SetWorkers(workers)
+			return s
+		}
+	}
+	return []pinnedScorer{
+		{"easyim", plain, func() LevelScorer {
+			s := NewEaSyIM(g, l, w)
+			s.SetWorkers(workers)
+			return s
+		}},
+		{"osim-l1", oi, osim(1)},
+		{"osim-l0.5", oi, osim(0.5)},
+	}
 }
 
 func scoreHash(scores []float64) string {
@@ -85,8 +111,9 @@ func scoreHash(scores []float64) string {
 // pinnedRows runs {EaSyIM, OSIM λ=1, OSIM λ=0.5} × {WeightProb, WeightLT}
 // × l∈{1..4} over pinnedGraphs: one "assign" row hashing the bits of a full
 // and of a masked score assignment, and one "select" row per activation
-// policy listing the seeds.
-func pinnedRows() []string {
+// policy listing the seeds. Every scorer is told to sweep on workers
+// goroutines, which must not show in any row.
+func pinnedRows(workers int) []string {
 	var rows []string
 	for _, in := range pinnedGraphs() {
 		g, n := in.g, in.g.NumNodes()
@@ -95,28 +122,18 @@ func pinnedRows() []string {
 			mask[v] = v%3 == 1
 		}
 		for _, w := range []EdgeWeight{WeightProb, WeightLT} {
-			wname, layer := "prob", diffusion.LayerIC
-			var plain diffusion.Model = diffusion.NewIC(g)
+			wname := "prob"
 			if w == WeightLT {
-				wname, layer, plain = "lt", diffusion.LayerLT, diffusion.NewLT(g)
+				wname = "lt"
 			}
 			for l := 1; l <= 4; l++ {
-				oi := diffusion.NewOI(g, layer)
-				scorers := []pinnedScorer{
-					{"easyim", plain, func() Scorer { return NewEaSyIM(g, l, w) },
-						func(o ScoreGreedyOptions) *ScoreGreedy { return NewScoreGreedy(NewEaSyIM(g, l, w), o) }},
-					{"osim-l1", oi, func() Scorer { return NewOSIM(g, l, w, 1) },
-						func(o ScoreGreedyOptions) *ScoreGreedy { return NewScoreGreedy(NewOSIM(g, l, w, 1), o) }},
-					{"osim-l0.5", oi, func() Scorer { return NewOSIM(g, l, w, 0.5) },
-						func(o ScoreGreedyOptions) *ScoreGreedy { return NewScoreGreedy(NewOSIM(g, l, w, 0.5), o) }},
-				}
-				for _, sc := range scorers {
+				for _, sc := range pinnedScorers(g, l, w, workers) {
 					tag := fmt.Sprintf("%s/%s/%s/l=%d", in.name, sc.name, wname, l)
 					s := sc.scorer()
 					rows = append(rows, fmt.Sprintf("assign/%s\t%s %s", tag,
 						scoreHash(s.Assign(nil, nil)), scoreHash(s.Assign(mask, nil))))
 					for _, pol := range []ActivationPolicy{PolicyMCMajority, PolicyReach, PolicySeedOnly} {
-						res := runSelect(sc.greedy(ScoreGreedyOptions{
+						res := runSelect(NewScoreGreedy(sc.scorer(), ScoreGreedyOptions{
 							Policy: pol, ProbeModel: sc.probe, ProbeRuns: 7, Seed: 5,
 						}), in.k)
 						sat := "-"
@@ -138,11 +155,12 @@ func pinnedRows() []string {
 // returned at the commit before ScoreGreedy kept its level state
 // (testdata/parent_seeds.txt, written there with PRINT_PINNED_SEEDS=1 before
 // any code changed): scores bit for bit, seeds and the saturation point
-// exactly.
+// exactly, whatever worker count the scorer is given. These graphs are all
+// under sweepGrain, so their sweeps stay on the caller;
+// TestSweepsEqualAtAnyWorkerCount covers the ones that fork.
 func TestSeedsPinnedFromParent(t *testing.T) {
-	rows := pinnedRows()
 	if os.Getenv("PRINT_PINNED_SEEDS") != "" {
-		if err := os.WriteFile(pinnedTablePath, []byte(strings.Join(rows, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(pinnedTablePath, []byte(strings.Join(pinnedRows(1), "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -157,20 +175,62 @@ func TestSeedsPinnedFromParent(t *testing.T) {
 		name, val, _ := strings.Cut(sc.Text(), "\t")
 		want[name] = val
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("%d rows, %d pinned", len(rows), len(want))
-	}
-	saturated := 0
-	for _, row := range rows {
-		name, val, _ := strings.Cut(row, "\t")
-		if val != want[name] {
-			t.Errorf("%s: got %q, parent had %q", name, val, want[name])
+	for _, workers := range []int{1, 2, 3, 8} {
+		rows := pinnedRows(workers)
+		if len(rows) != len(want) {
+			t.Fatalf("workers=%d: %d rows, %d pinned", workers, len(rows), len(want))
 		}
-		if strings.HasPrefix(name, "select/") && !strings.HasSuffix(val, "sat=-") {
-			saturated++
+		saturated := 0
+		for _, row := range rows {
+			name, val, _ := strings.Cut(row, "\t")
+			if val != want[name] {
+				t.Errorf("workers=%d: %s: got %q, parent had %q", workers, name, val, want[name])
+			}
+			if strings.HasPrefix(name, "select/") && !strings.HasSuffix(val, "sat=-") {
+				saturated++
+			}
+		}
+		if saturated == 0 {
+			t.Error("no pinned run saturates before k: the fillRemaining padding is not covered")
 		}
 	}
-	if saturated == 0 {
-		t.Error("no pinned run saturates before k: the fillRemaining padding is not covered")
+}
+
+// TestSweepsEqualAtAnyWorkerCount is the contract of levels.dense on a graph
+// that forks — over sweepGrain arcs, its row count not a multiple of
+// sweepChunk: at 2, 3 and 8 workers a full pass, a masked pass and a
+// ScoreGreedy run, whose exclusions of hub seeds sweep every row too, leave
+// the score bits, seeds and work counts one worker leaves.
+func TestSweepsEqualAtAnyWorkerCount(t *testing.T) {
+	g := rmatGraph(6*sweepChunk+7, 3*sweepGrain/2)
+	g.SetDefaultLTWeights()
+	n, m := int(g.NumNodes()), g.NumEdges()
+	if m < sweepGrain {
+		t.Fatalf("%d arcs: under the grain %d, no sweep would fork", m, sweepGrain)
+	}
+	mask := make([]bool, n)
+	for v := range mask {
+		mask[v] = v%3 == 1
+	}
+	run := func(sc pinnedScorer) string {
+		s := sc.scorer()
+		full, masked := scoreHash(s.Assign(nil, nil)), scoreHash(s.Assign(mask, nil))
+		res := runSelect(NewScoreGreedy(sc.scorer(), ScoreGreedyOptions{ProbeModel: sc.probe, ProbeRuns: 7, Seed: 5}), 8)
+		return fmt.Sprintf("%s %s %v rows=%v arcs=%v", full, masked, res.Seeds, res.Metrics["rows_rescored"], res.Metrics["arcs_rescored"])
+	}
+	for _, w := range []EdgeWeight{WeightProb, WeightLT} {
+		for _, l := range []int{1, 3} {
+			var want []string
+			for _, workers := range []int{1, 2, 3, 8} {
+				for i, sc := range pinnedScorers(g, l, w, workers) {
+					got := run(sc)
+					if workers == 1 {
+						want = append(want, got)
+					} else if got != want[i] {
+						t.Errorf("%s weight=%d l=%d: workers=%d gave %s, one worker %s", sc.name, w, l, workers, got, want[i])
+					}
+				}
+			}
+		}
 	}
 }

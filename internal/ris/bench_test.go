@@ -60,3 +60,19 @@ func BenchmarkIMMSelect(b *testing.B) {
 		_ = runSelect(sel, 10)
 	}
 }
+
+// BenchmarkColdIMMSelect is the repo benchmark's cold IMM step: k=50, ε=0.1
+// on a 10k-node BA under weighted cascade, sampling on GOMAXPROCS workers.
+// θ and the sample's bytes are the work done; -cpu must not move them.
+func BenchmarkColdIMMSelect(b *testing.B) {
+	g := graph.BarabasiAlbert(10000, 3, rng.New(1))
+	g.SetWeightedCascadeProb()
+	var theta, bytes float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := runSelect(NewIMM(g, ModelIC, TIMOptions{Epsilon: 0.1, Seed: 1}), 50)
+		theta, bytes = res.Metrics["theta"], res.Metrics["rrset_bytes"]
+	}
+	b.ReportMetric(theta, "sets/select")
+	b.ReportMetric(bytes, "rrset_B/select")
+}

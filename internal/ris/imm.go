@@ -20,7 +20,7 @@ import (
 type IMM struct {
 	g    *graph.Graph
 	kind ModelKind
-	opts TIMOptions // same knobs: ε, ℓ, seed, cap
+	opts TIMOptions // same knobs: ε, ℓ, seed, workers, cap
 }
 
 // NewIMM returns an IMM selector over g.
@@ -74,9 +74,10 @@ func (c *Collection) SampleIMM(ctx context.Context, k int, eps, ell float64, see
 	return bound, capped, growTo(IMMTheta(n, k, eps, ell, bound))
 }
 
-// Select implements im.Selector: the sampling phase on one worker — so
-// cancellation lands within a small batch of RR sets — then max coverage
-// over the sample.
+// Select implements im.Selector: the sampling phase on up to
+// TIMOptions.Workers goroutines — cancellation lands within a small batch of
+// RR sets per worker — then max coverage over the sample, which like the
+// lower-bounding rounds' own coverage passes stays on the caller.
 func (t *IMM) Select(ctx context.Context, k int) (im.Result, error) {
 	n := t.g.NumNodes()
 	res := im.Result{Algorithm: t.Name()}
@@ -86,7 +87,7 @@ func (t *IMM) Select(ctx context.Context, k int) (im.Result, error) {
 	tr := im.StartTracker(ctx)
 
 	col := NewCollection(t.g, t.kind)
-	lb, capped, err := col.SampleIMM(ctx, k, t.opts.Epsilon, t.opts.Ell, t.opts.Seed, 1, t.opts.ThetaCap)
+	lb, capped, err := col.SampleIMM(ctx, k, t.opts.Epsilon, t.opts.Ell, t.opts.Seed, t.opts.Workers, t.opts.ThetaCap)
 	if capped {
 		res.AddMetric("theta_capped", 1)
 	}

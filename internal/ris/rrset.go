@@ -291,11 +291,11 @@ func (c *Collection) Generate(count int, seed uint64) {
 	_ = c.GenerateCtx(context.Background(), count, seed)
 }
 
-// GenerateCtx is Generate under a context: the θ-sampling loops of
-// TIM+/IMM run through it so a cancelled or deadline-expired selection
-// stops sampling within parallelChunk sets. The chunks completed before
-// the stop remain in the collection (the streams are deterministic, so a
-// later extension is unaffected).
+// GenerateCtx is Generate under a context — GenerateParallelCtx, which the
+// θ-sampling loops of TIM+/IMM run through, on one worker: a cancelled or
+// deadline-expired call stops sampling within parallelChunk sets. The
+// chunks completed before the stop remain in the collection (the streams
+// are deterministic, so a later extension is unaffected).
 func (c *Collection) GenerateCtx(ctx context.Context, count int, seed uint64) error {
 	return c.generate(ctx, count, seed, 1)
 }

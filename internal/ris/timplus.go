@@ -49,6 +49,9 @@ type TIMOptions struct {
 	Ell float64
 	// Seed drives all sampling.
 	Seed uint64
+	// Workers bounds the goroutines that sample RR sets (0 = GOMAXPROCS).
+	// Set i is a function of (Seed, i) alone, so it changes no set, θ or seed.
+	Workers int
 	// ThetaCap, when positive, bounds the number of phase-2 RR sets. The
 	// run records metric "theta_capped"=1 when the cap bites.
 	ThetaCap int
@@ -73,9 +76,11 @@ func NewTIMPlus(g *graph.Graph, kind ModelKind, opts TIMOptions) *TIMPlus {
 func (t *TIMPlus) Name() string { return "TIM+" }
 
 // Select implements im.Selector. All three RR-sampling phases run through
-// Collection.GenerateCtx, so cancellation lands within a small batch of
-// sets even when θ is in the millions — exactly the loops the paper's
-// scalability experiments show dominating TIM+'s runtime.
+// Collection.GenerateParallelCtx on up to TIMOptions.Workers goroutines, so
+// cancellation lands within a small batch of sets per worker even when θ is
+// in the millions — exactly the loops the paper's scalability experiments
+// show dominating TIM+'s runtime. The κ sums of phase 1 and the three
+// max-coverage passes stay on the caller.
 func (t *TIMPlus) Select(ctx context.Context, k int) (im.Result, error) {
 	n := t.g.NumNodes()
 	res := im.Result{Algorithm: t.Name()}
@@ -99,7 +104,7 @@ func (t *TIMPlus) Select(ctx context.Context, k int) (im.Result, error) {
 	for i := 1; i <= maxI; i++ {
 		ci := int(math.Ceil((6*ell*logn + 6*math.Log(float64(maxI+1))) * math.Exp2(float64(i))))
 		if kptCol.Len() < ci {
-			if err := kptCol.GenerateCtx(ctx, ci-kptCol.Len(), t.opts.Seed); err != nil {
+			if err := kptCol.GenerateParallelCtx(ctx, ci-kptCol.Len(), t.opts.Seed, t.opts.Workers); err != nil {
 				return res, interrupted(tr, &res, "KPT estimation", err)
 			}
 		}
@@ -130,7 +135,7 @@ func (t *TIMPlus) Select(ctx context.Context, k int) (im.Result, error) {
 		res.AddMetric("theta_capped", 1)
 	}
 	refineCol := NewCollection(t.g, t.kind)
-	if err := refineCol.GenerateCtx(ctx, thetaPrime, t.opts.Seed+1); err != nil {
+	if err := refineCol.GenerateParallelCtx(ctx, thetaPrime, t.opts.Seed+1, t.opts.Workers); err != nil {
 		return res, interrupted(tr, &res, "KPT refinement", err)
 	}
 	f := refineCol.FractionCoveredBy(sPrime)
@@ -165,7 +170,7 @@ func (t *TIMPlus) Select(ctx context.Context, k int) (im.Result, error) {
 		res.AddMetric("theta_capped", 1)
 	}
 	col := NewCollection(t.g, t.kind)
-	if err := col.GenerateCtx(ctx, theta, t.opts.Seed+2); err != nil {
+	if err := col.GenerateParallelCtx(ctx, theta, t.opts.Seed+2, t.opts.Workers); err != nil {
 		return res, interrupted(tr, &res, "node-selection sampling", err)
 	}
 	seeds, frac := col.MaxCoverage(k)

@@ -226,6 +226,18 @@ type preparedQuery struct {
 	deadline time.Time
 }
 
+// clampWorkers resolves a request's workers field to [1, GOMAXPROCS],
+// non-positive meaning all of it. Workers is a speed knob — it cannot change
+// an answer or a sample — so a client's wish is cut to this process's
+// parallelism rather than left to size goroutine pools and their O(n)
+// scratch: Monte-Carlo runs, RR sampling and score sweeps all read it.
+func clampWorkers(workers int) int {
+	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {
+		return max
+	}
+	return workers
+}
+
 // prepareQuery validates req against the registry, attaches the matching
 // registered sketch (the planner decides whether it serves), plans the
 // query and applies the service's admission caps. estimateCap is the MC
@@ -249,6 +261,7 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
+	q.Options.Workers = clampWorkers(q.Options.Workers)
 
 	// Attach the registered sketch matching the resolved (graph, RR
 	// semantics, ε, seed) — the normalized options went through the same
@@ -408,13 +421,7 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid build_k=%d for graph with %d nodes", spec.BuildK, g.NumNodes())
 		return
 	}
-	// Workers is a speed knob (it cannot change the sample); clamp the
-	// client's wish to this process's parallelism rather than letting a
-	// request size the goroutine pool.
-	workers := spec.Workers
-	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {
-		workers = max
-	}
+	workers := clampWorkers(spec.Workers)
 	// Canonicalize the key through the library's single canonicalization
 	// helper — the same one Options.withDefaults and the sketch builder
 	// resolve through — so `{}` and a spelled-out default spec share one

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -432,5 +433,54 @@ func TestQueryJobCancel(t *testing.T) {
 	final := pollQueryJob(t, ts.URL, resp.JobID)
 	if final.State != StateCanceled {
 		t.Fatalf("state %q after cancel", final.State)
+	}
+}
+
+// TestRequestWorkersClamped: options.workers is a client's wish, not a
+// pool size — on /v2/query, /v1/select and /v1/estimate alike the query
+// the computation receives carries it cut to [1, GOMAXPROCS], the rule
+// POST /v1/sketches applies to its own workers field.
+func TestRequestWorkersClamped(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	got := make(chan int, 1)
+	s.queryFn = func(ctx context.Context, g *holisticim.Graph, q holisticim.Query) (holisticim.Answer, error) {
+		got <- q.Options.Workers
+		m := holisticim.Member{Estimate: &holisticim.Estimate{}}
+		if q.Task == holisticim.TaskSelect {
+			m = holisticim.Member{K: q.Ks[0], Result: &holisticim.Result{Algorithm: "stub", Seeds: []int32{0, 1, 2}}}
+		}
+		return holisticim.Answer{Members: []holisticim.Member{m}}, nil
+	}
+	procs := runtime.GOMAXPROCS(0)
+	seed := uint64(100) // a fresh seed per request: workers is not in the cache key
+	for _, tc := range []struct{ sent, want int }{
+		{1_000_000, procs}, {procs + 1, procs}, {0, procs}, {-3, procs}, {1, 1}, {procs, procs},
+	} {
+		opts := func() Options {
+			seed++
+			return Options{Model: "ic", MCRuns: 10, Seed: seed, Workers: tc.sent}
+		}
+		posts := []struct {
+			path string
+			body any
+			code int
+		}{
+			{"/v2/query", QueryRequest{Graph: "g", Algorithm: "greedy", K: 3, Options: opts()}, http.StatusAccepted},
+			{"/v1/select", SelectRequest{Graph: "g", Algorithm: "greedy", K: 3, Options: opts()}, http.StatusAccepted},
+			{"/v1/estimate", EstimateRequest{Graph: "g", Seeds: []int32{1, 2}, Options: opts()}, http.StatusOK},
+		}
+		for _, p := range posts {
+			if code := doJSON(t, "POST", ts.URL+p.path, p.body, nil); code != p.code {
+				t.Fatalf("POST %s workers=%d: status %d", p.path, tc.sent, code)
+			}
+			select {
+			case w := <-got:
+				if w != tc.want {
+					t.Errorf("POST %s workers=%d: computation saw %d, want %d", p.path, tc.sent, w, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("POST %s workers=%d: computation never ran", p.path, tc.sent)
+			}
+		}
 	}
 }
