@@ -111,3 +111,27 @@ func TestLTPartialWeights(t *testing.T) {
 		t.Fatalf("weighted LT activation %v want 0.3", est.Spread)
 	}
 }
+
+// The threshold layer's arrays (20 of a scratch's 36 B/node) come with the
+// first threshold run: a scratch that only ever runs cascades — EaSyIM's
+// and OSIM's probe, every IC Monte-Carlo worker — never allocates them, and
+// one that ran cascades first starts its first threshold run clean.
+func TestScratchThresholdLayerIsLazy(t *testing.T) {
+	g := graph.ErdosRenyi(60, 300, rng.New(3))
+	g.SetUniformProb(0.2)
+	g.SetDefaultLTWeights()
+	s := NewScratch(g.NumNodes())
+	for i := uint64(0); i < 5; i++ {
+		NewIC(g).Simulate([]graph.NodeID{0, 1}, rng.New(i), s)
+	}
+	if s.wsum != nil || s.thr != nil || s.thrStamp != nil {
+		t.Fatal("cascade runs allocated the threshold layer")
+	}
+	got := NewLT(g).Simulate([]graph.NodeID{0, 1}, rng.New(9), s)
+	if len(s.wsum) != 60 || len(s.thr) != 60 || len(s.thrStamp) != 60 {
+		t.Fatalf("threshold layer after a threshold run: %d/%d/%d entries", len(s.wsum), len(s.thr), len(s.thrStamp))
+	}
+	if want := NewLT(g).Simulate([]graph.NodeID{0, 1}, rng.New(9), NewScratch(g.NumNodes())); got != want {
+		t.Fatalf("threshold run on a scratch that ran cascades first: %+v, on a fresh one %+v", got, want)
+	}
+}

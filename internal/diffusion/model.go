@@ -75,6 +75,8 @@ type Scratch struct {
 	round   []int32   // activation round, valid where stamp matches epoch
 	opinion []float64 // o'_v, valid where stamp matches epoch
 
+	// The threshold layer's 20 B/node, allocated by its first run: a
+	// scratch that only ever runs cascades never pays for them.
 	wsum     []float64 // LT accumulated incoming weight
 	thr      []float64 // LT sampled thresholds
 	thrStamp []uint32
@@ -85,13 +87,10 @@ type Scratch struct {
 // NewScratch allocates a workspace for graphs with n nodes.
 func NewScratch(n int32) *Scratch {
 	return &Scratch{
-		n:        n,
-		stamp:    make([]uint32, n),
-		round:    make([]int32, n),
-		opinion:  make([]float64, n),
-		wsum:     make([]float64, n),
-		thr:      make([]float64, n),
-		thrStamp: make([]uint32, n),
+		n:       n,
+		stamp:   make([]uint32, n),
+		round:   make([]int32, n),
+		opinion: make([]float64, n),
 	}
 }
 

@@ -188,6 +188,11 @@ func (m *sim) cascade(r *rng.RNG, s *Scratch) Result {
 // thresholds up front and touches only the diffusion's neighborhood.
 func (m *sim) threshold(r *rng.RNG, s *Scratch) Result {
 	g, rule := m.g, m.rule
+	if s.thrStamp == nil { // all-zero stamps: no threshold drawn at any epoch yet
+		s.wsum = make([]float64, s.n)
+		s.thr = make([]float64, s.n)
+		s.thrStamp = make([]uint32, s.n)
+	}
 	var res Result
 	for round := int32(1); len(s.frontier) > 0; round++ {
 		s.next = s.next[:0]

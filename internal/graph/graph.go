@@ -8,8 +8,16 @@
 // The representation stores both out-adjacency (used by forward simulation
 // and by EaSyIM/OSIM score assignment) and in-adjacency (used by the LT
 // model, weighted-cascade assignment and reverse-reachable sampling). Edge
-// parameters are stored once, on the out-edge arrays; in-edges carry an
-// index back into the out-edge arrays so the two views can never disagree.
+// parameters are stored once, on the out-edge arrays; an in-edge carries
+// the position of its arc there (InCSR, InEdgeIndices), so a reverse
+// traversal that wants a parameter gathers it from the out-ordered column.
+// Under the conventional parameterizations that gather is the same p for a
+// whole in-row — weighted cascade is 1/|In(v)|, a property of the head — so
+// the graph also knows, lazily, which in-rows hold one p throughout
+// (UniformProbRows): the IC RR sampler reads such a row's p once per
+// visited node and gathers per arc only in the others. That is derived
+// from the column, like the Fingerprint, never a second copy of it: the two
+// views still cannot disagree.
 package graph
 
 import (
@@ -42,7 +50,18 @@ type Graph struct {
 
 	opinion []float64 // len n, in [-1,1]
 
-	fp atomic.Uint64 // memoized Fingerprint, 0 = not hashed; every Set* mutator clears it
+	// Memos derived from the arrays on first use; every Set* mutator drops
+	// them (dropMemos). fp is the Fingerprint, 0 = not hashed; uniProb is
+	// UniformProbRows, nil = not derived.
+	fp      atomic.Uint64
+	uniProb atomic.Pointer[[]uint64]
+}
+
+// dropMemos forgets everything derived from arrays a mutator is about to
+// change.
+func (g *Graph) dropMemos() {
+	g.fp.Store(0)
+	g.uniProb.Store(nil)
 }
 
 // NumNodes returns |V|.
@@ -100,6 +119,14 @@ func (g *Graph) InEdgeIndices(v NodeID) []int64 {
 // aligned Probs/Phis/Weights) instead of slicing per row. The slices alias
 // internal storage and must not be modified.
 func (g *Graph) OutCSR() (start []int64, to []NodeID) { return g.outStart, g.outTo }
+
+// InCSR returns the in-adjacency whole: v's in-edges are positions
+// [start[v], start[v+1]) of from, and edge[i] is the position of in-edge i
+// in the out-edge arrays (Probs/Phis/Weights). The slices alias internal
+// storage and must not be modified.
+func (g *Graph) InCSR() (start []int64, from []NodeID, edge []int64) {
+	return g.inStart, g.inFrom, g.inEdge
+}
 
 // Probs returns p for every edge, indexed by out-array position.
 func (g *Graph) Probs() []float64 { return g.outProb }
@@ -179,7 +206,7 @@ func (g *Graph) SetUniformProb(p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("graph: probability %v out of [0,1]", p))
 	}
-	g.fp.Store(0)
+	g.dropMemos()
 	for i := range g.outProb {
 		g.outProb[i] = p
 	}
@@ -189,7 +216,7 @@ func (g *Graph) SetUniformProb(p float64) {
 // Nodes with in-degree 0 cannot be targets of any edge, so no division by
 // zero can occur.
 func (g *Graph) SetWeightedCascadeProb() {
-	g.fp.Store(0)
+	g.dropMemos()
 	for v := int32(0); v < g.n; v++ {
 		d := g.InDegree(v)
 		if d == 0 {
@@ -206,7 +233,7 @@ func (g *Graph) SetWeightedCascadeProb() {
 // parameterization used in the paper's experiments. Incoming weights of
 // every node then sum to at most 1, as the LT model requires.
 func (g *Graph) SetDefaultLTWeights() {
-	g.fp.Store(0)
+	g.dropMemos()
 	for v := int32(0); v < g.n; v++ {
 		g.defaultLTWeightsInto(v)
 	}
@@ -237,7 +264,7 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 			panic(fmt.Sprintf("graph: trivalency probability %v out of [0,1]", p))
 		}
 	}
-	g.fp.Store(0)
+	g.dropMemos()
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			v := g.outTo[i]
@@ -255,7 +282,7 @@ func (g *Graph) SetUniformPhi(phi float64) {
 	if phi < 0 || phi > 1 {
 		panic(fmt.Sprintf("graph: interaction probability %v out of [0,1]", phi))
 	}
-	g.fp.Store(0)
+	g.dropMemos()
 	for i := range g.outPhi {
 		g.outPhi[i] = phi
 	}
@@ -265,7 +292,7 @@ func (g *Graph) SetUniformPhi(phi float64) {
 // callback receives (u, v) and returns (p, phi). Useful for data-driven
 // parameterizations such as the Twitter interaction estimates.
 func (g *Graph) SetEdgeParamsFunc(f func(u, v NodeID) (p, phi float64)) {
-	g.fp.Store(0)
+	g.dropMemos()
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			p, phi := f(u, g.outTo[i])
@@ -289,7 +316,7 @@ func (g *Graph) SetOpinions(o []float64) {
 			panic(fmt.Sprintf("graph: opinion %v at node %d out of [-1,1]", v, i))
 		}
 	}
-	g.fp.Store(0)
+	g.dropMemos()
 	copy(g.opinion, o)
 }
 
@@ -298,7 +325,7 @@ func (g *Graph) SetOpinion(v NodeID, o float64) {
 	if o < -1 || o > 1 || math.IsNaN(o) {
 		panic(fmt.Sprintf("graph: opinion %v out of [-1,1]", o))
 	}
-	g.fp.Store(0)
+	g.dropMemos()
 	g.opinion[v] = o
 }
 

@@ -15,23 +15,37 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-func BenchmarkRRGenerationIC(b *testing.B) {
+// benchmarkRRGeneration samples 1000 sets per iteration over the benchmark
+// graph as prepare (if any) left it. members/op is the work: the sets
+// depend on the graph and the stream alone, so it must read the same at
+// every -cpu.
+func benchmarkRRGeneration(b *testing.B, kind ModelKind, prepare func(*graph.Graph)) {
 	g := benchGraph(b)
+	if prepare != nil {
+		prepare(g)
+	}
+	members := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := NewCollection(g, ModelIC)
+		col := NewCollection(g, kind)
 		col.Generate(1000, uint64(i))
+		members += len(col.Members())
 	}
+	b.ReportMetric(float64(members)/float64(b.N), "members/op")
 }
 
-func BenchmarkRRGenerationLT(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		col := NewCollection(g, ModelLT)
-		col.Generate(1000, uint64(i))
-	}
+// The IC sampler's two row kinds: every in-row uniform (one p throughout,
+// and weighted cascade's 1/|In(v)|), and trivalency's mixed rows, whose p
+// is gathered per arc.
+func BenchmarkRRGenerationIC(b *testing.B) {
+	b.Run("uniform", func(b *testing.B) { benchmarkRRGeneration(b, ModelIC, nil) })
+	b.Run("wc", func(b *testing.B) { benchmarkRRGeneration(b, ModelIC, (*graph.Graph).SetWeightedCascadeProb) })
+	b.Run("trivalency", func(b *testing.B) {
+		benchmarkRRGeneration(b, ModelIC, func(g *graph.Graph) { g.SetTrivalencyProb(nil, 1) })
+	})
 }
+
+func BenchmarkRRGenerationLT(b *testing.B) { benchmarkRRGeneration(b, ModelLT, nil) }
 
 func BenchmarkMaxCoverage(b *testing.B) {
 	g := benchGraph(b)

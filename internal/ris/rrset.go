@@ -175,6 +175,10 @@ func (c *Collection) Sets() [][]graph.NodeID {
 // set, back to back in set order — what a snapshot's payload holds.
 func (c *Collection) Members() []graph.NodeID { return c.ids }
 
+// Offsets exposes the arena's set boundaries (read-only): set i is
+// Members()[Offsets()[i]:Offsets()[i+1]], so there are Len()+1 of them.
+func (c *Collection) Offsets() []uint32 { return c.off }
+
 // SetsContaining returns the ids of the sets containing v, ascending —
 // one row of the inverted index (read-only). Selection layers maintaining
 // their own coverage counters (the sketch index) are built on this
@@ -305,6 +309,14 @@ func (c *Collection) GenerateCtx(ctx context.Context, count int, seed uint64) er
 // goroutine is the unit of parallel generation; set contents depend only
 // on (graph, kind, seed, setIndex), never on which Sampler — or how
 // many — produced them.
+//
+// For IC a sampler walks the graph's in-CSR whole and asks the graph which
+// in-rows hold one p throughout (graph.UniformProbRows, a pass over the
+// in-edges on the graph's first sample): an arc's p lives in the
+// out-ordered column, so looking it up from an in-row is a random gather,
+// and under weighted cascade and uniform p one gather serves the whole row.
+// The LT walk gathers its weight per arc: it scans one row per step, not
+// one per member, and stops at the chosen arc.
 type Sampler struct {
 	g       *graph.Graph
 	kind    ModelKind
@@ -334,6 +346,12 @@ func (s *Sampler) Sample(seed, setIndex uint64) []graph.NodeID {
 // stream (seed, setIndex), then a reverse live-edge traversal is run with
 // the same stream. Batch generation samples whole chunks of sets into one
 // buffer this way, with no allocation per set.
+//
+// Each traversal is one loop. The p the IC loop tests is loaded once per
+// visited node where the row is uniform and per arc where it is not — a
+// branch that is the same for every arc of a row — and either way it is
+// the value the arc's own column entry holds, tested against the same
+// draw: the set is the same whichever rows are uniform.
 func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.NodeID {
 	s.rng.Reseed(rng.SplitSeed(seed, setIndex))
 	root := graph.NodeID(s.rng.Int31n(s.g.NumNodes()))
@@ -349,15 +367,23 @@ func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.
 	if s.kind == ModelIC {
 		// Reverse BFS. Discovery order is the set, so the output doubles
 		// as the queue.
+		start, from, edge := g.InCSR()
+		prob, uniform := g.Probs(), Bitset(g.UniformProbRows())
 		for ; head < len(buf); head++ {
 			x := buf[head]
-			froms := g.InNeighbors(x)
-			idxs := g.InEdgeIndices(x)
-			for j, u := range froms {
+			us, es := from[start[x]:start[x+1]], edge[start[x]:start[x+1]]
+			rowP, p := uniform.Has(x), 0.0
+			if rowP { // never an empty row
+				p = prob[es[0]]
+			}
+			for j, u := range us {
 				if s.scratch[u] == s.epoch {
 					continue
 				}
-				if r.Float64() < g.ProbAt(idxs[j]) {
+				if !rowP {
+					p = prob[es[j]]
+				}
+				if r.Float64() < p {
 					s.scratch[u] = s.epoch
 					buf = append(buf, u)
 				}

@@ -9,7 +9,10 @@
 // passes BigCrush.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a single xoshiro256** stream. It is not safe for concurrent use;
 // derive one per goroutine (or per simulation run) with New or Split.
@@ -69,18 +72,16 @@ func (r *RNG) Reseed(seed uint64) {
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s1*5, 7) * 9
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
 	t := r.s1 << 17
 	r.s2 ^= r.s0
 	r.s3 ^= r.s1
 	r.s1 ^= r.s2
 	r.s0 ^= r.s3
 	r.s2 ^= t
-	r.s3 = rotl(r.s3, 45)
+	r.s3 = bits.RotateLeft64(r.s3, 45)
 	return result
 }
 

@@ -201,6 +201,12 @@ func BenchmarkColdIMMSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotSaveLoad times the two directions of snapshot IO apart,
+// through memory, on the sample BenchmarkColdIMMSelect draws. snapshot_B/op
+// is the work — a function of the sample alone, so -cpu must not move it —
+// and what the checksum's ≈4 cycles a byte are paid on. (Allocation is
+// -benchmem's to report: CI compares every reported column across -cpu,
+// and a run's stray runtime allocation would fail it.)
 func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	g := benchGraph(b)
 	x, err := Build(context.Background(), g, Params{Epsilon: 0.2, Seed: 1, BuildK: 50})
@@ -208,17 +214,26 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := x.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Load(bytes.NewReader(buf.Bytes()), g); err != nil {
-			b.Fatal(err)
-		}
+	if err := x.Save(&buf); err != nil {
+		b.Fatal(err)
 	}
+	b.Run("save", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := x.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(buf.Len()), "snapshot_B/op")
+	})
+	b.Run("load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Load(bytes.NewReader(buf.Bytes()), g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(buf.Len()), "snapshot_B/op")
+	})
 }
 
 // BenchmarkRepair10Ops is the write path behind one 10-op edge batch on

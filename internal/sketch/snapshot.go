@@ -1,10 +1,8 @@
 package sketch
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
 	"math"
@@ -47,89 +45,101 @@ const (
 	maxSnapshotSets = 1 << 31
 )
 
+// ioBufSize is the buffer payload values are encoded and decoded through,
+// a stretch of one column at a time.
+const ioBufSize = 1 << 16
+
+// encode streams a snapshot's bytes up to the checksum — hdr, then the set
+// lengths (the differences of off), the members and the weights (none for
+// version 1) — through emit, one stretch of a column at a time, each
+// encoded into buf by a plain loop. Save writes what it emits; Load
+// re-derives the bytes it decoded to take their sum.
+func encode(buf, hdr []byte, off []uint32, members []graph.NodeID, weights []float64, emit func([]byte) error) error {
+	if err := emit(hdr); err != nil {
+		return err
+	}
+	le := binary.LittleEndian
+	for lo := 1; lo < len(off); lo += ioBufSize / 4 {
+		n := min(ioBufSize/4, len(off)-lo)
+		for i := 0; i < n; i++ {
+			le.PutUint32(buf[4*i:], off[lo+i]-off[lo+i-1])
+		}
+		if err := emit(buf[:4*n]); err != nil {
+			return err
+		}
+	}
+	for len(members) > 0 {
+		n := min(ioBufSize/4, len(members))
+		for i, v := range members[:n] {
+			le.PutUint32(buf[4*i:], uint32(v))
+		}
+		if err := emit(buf[:4*n]); err != nil {
+			return err
+		}
+		members = members[n:]
+	}
+	for len(weights) > 0 {
+		n := min(ioBufSize/8, len(weights))
+		for i, wt := range weights[:n] {
+			le.PutUint64(buf[8*i:], math.Float64bits(wt))
+		}
+		if err := emit(buf[:8*n]); err != nil {
+			return err
+		}
+		weights = weights[n:]
+	}
+	return nil
+}
+
 // Save writes the index snapshot. Concurrent Selects are held off for the
-// duration (the sets must not grow mid-write).
+// duration (the sets must not grow mid-write). The payload streams straight
+// from the arena through one buffer — a snapshot of any size is written
+// with no copy of its own — each stretch hashed, then written to w. The
+// checksum is what a Save costs: FNV-1a is an xor–multiply chain per byte,
+// ≈4 cycles a byte on whichever core runs it, seven times the encoding.
 func (x *Index) Save(w io.Writer) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 
-	bw := bufio.NewWriterSize(w, 1<<20)
-	h := fnv.New64a()
-	mw := io.MultiWriter(bw, h)
-
-	if _, err := mw.Write([]byte(snapshotMagic)); err != nil {
-		return err
-	}
 	version := uint32(snapshotVersion)
 	if x.params.Kind.Weighted() {
 		version = snapshotVersionV2
 	}
-	sets := x.col.Len()
-	hdr := []any{
-		version,
-		x.g.Fingerprint(),
-		uint32(x.g.NumNodes()),
-		uint64(x.g.NumEdges()),
-		uint32(x.params.Kind),
-		x.params.Epsilon,
-		x.params.Ell,
-		x.params.Seed,
-		uint32(x.params.BuildK),
-		x.lb,
-		uint64(sets),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	// The payload streams straight from the arena through one small
-	// buffer: a snapshot of any size is written with no copy of its own.
-	// An in-memory destination would double its way up under that stream
-	// of small writes — twice the snapshot in garbage — so one that can
+	off, members, weights := x.col.Offsets(), x.col.Members(), x.col.Weights()
+	sets := len(off) - 1
+	// An in-memory destination would double its way up under a stream of
+	// 64 KB writes — twice the snapshot in garbage — so one that can
 	// reserve (a bytes.Buffer) is told the exact size first.
-	members := x.col.Members()
 	if g, ok := w.(interface{ Grow(n int) }); ok {
-		size := headerSize + 4*sets + 4*len(members) + 8
-		if version >= snapshotVersionV2 {
-			size += 8 * sets
-		}
-		g.Grow(size)
+		g.Grow(headerSize + 4*sets + 4*len(members) + 8*len(weights) + 8)
 	}
-	buf := make([]byte, ioBufSize)
+
 	le := binary.LittleEndian
-	err := writeValues(mw, buf, sets, 4, func(b []byte, i int) { le.PutUint32(b, uint32(len(x.col.Set(i)))) })
-	if err == nil {
-		err = writeValues(mw, buf, len(members), 4, func(b []byte, i int) { le.PutUint32(b, uint32(members[i])) })
-	}
-	if weights := x.col.Weights(); err == nil && version >= snapshotVersionV2 {
-		err = writeValues(mw, buf, sets, 8, func(b []byte, i int) { le.PutUint64(b, math.Float64bits(weights[i])) })
-	}
+	hdr := append(make([]byte, 0, headerSize), snapshotMagic...)
+	hdr = le.AppendUint32(hdr, version)
+	hdr = le.AppendUint64(hdr, x.g.Fingerprint())
+	hdr = le.AppendUint32(hdr, uint32(x.g.NumNodes()))
+	hdr = le.AppendUint64(hdr, uint64(x.g.NumEdges()))
+	hdr = le.AppendUint32(hdr, uint32(x.params.Kind))
+	hdr = le.AppendUint64(hdr, math.Float64bits(x.params.Epsilon))
+	hdr = le.AppendUint64(hdr, math.Float64bits(x.params.Ell))
+	hdr = le.AppendUint64(hdr, x.params.Seed)
+	hdr = le.AppendUint32(hdr, uint32(x.params.BuildK))
+	hdr = le.AppendUint64(hdr, math.Float64bits(x.lb))
+	hdr = le.AppendUint64(hdr, uint64(sets))
+
+	h := fnv.New64a()
+	buf := make([]byte, ioBufSize)
+	err := encode(buf, hdr, off, members, weights, func(b []byte) error {
+		h.Write(b)
+		_, err := w.Write(b)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, h.Sum64()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ioBufSize is the buffer payload values are encoded and decoded through.
-const ioBufSize = 1 << 16
-
-// writeValues writes n little-endian values of size bytes each, put
-// encoding the i-th, one buffer-full at a time.
-func writeValues(w io.Writer, buf []byte, n, size int, put func(b []byte, i int)) error {
-	for i := 0; i < n; {
-		fill := 0
-		for ; i < n && fill+size <= len(buf); i, fill = i+1, fill+size {
-			put(buf[fill:], i)
-		}
-		if _, err := w.Write(buf[:fill]); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = w.Write(le.AppendUint64(buf[:0], h.Sum64()))
+	return err
 }
 
 // Header is the metadata prefix of a snapshot, readable without the
@@ -171,61 +181,56 @@ func versionKindConsistent(version, kind uint32) error {
 }
 
 // ReadHeader parses just the snapshot header — for inspection
-// (cmd/imsketch -info) from a plain reader, and for Load from the reader
-// its checksum hashes. It validates magic and the version/kind pairing
-// but neither the values against a graph nor the payload checksum.
+// (cmd/imsketch -info) from a plain reader. It validates magic and the
+// version/kind pairing but neither the values against a graph nor the
+// payload checksum.
 func ReadHeader(r io.Reader) (Header, error) {
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
+	return readHeader(r, make([]byte, headerSize))
+}
+
+// readHeader reads the header's bytes into b, which Load keeps for the
+// checksum, and parses them. Two reads, the magic and the rest: a stream cut short between two
+// fields is an unexpected EOF, only one cut before either read a plain one.
+func readHeader(r io.Reader, b []byte) (Header, error) {
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
 		return Header{}, fmt.Errorf("sketch: snapshot header: %w", err)
 	}
-	if string(magic) != snapshotMagic {
-		return Header{}, fmt.Errorf("sketch: bad snapshot magic %q", magic)
+	if string(b[:4]) != snapshotMagic {
+		return Header{}, fmt.Errorf("sketch: bad snapshot magic %q", b[:4])
 	}
-	var (
-		version, n, buildK, kind uint32
-		m                        uint64
-		h                        Header
-	)
-	for _, v := range []any{&version, &h.GraphFingerprint, &n, &m, &kind, &h.Epsilon, &h.Ell, &h.Seed, &buildK, &h.LowerBound, &h.Sets} {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return Header{}, fmt.Errorf("sketch: snapshot header: %w", err)
-		}
+	if _, err := io.ReadFull(r, b[4:headerSize]); err != nil {
+		return Header{}, fmt.Errorf("sketch: snapshot header: %w", err)
 	}
+	le := binary.LittleEndian
+	version, kind := le.Uint32(b[4:]), le.Uint32(b[28:])
 	if err := versionKindConsistent(version, kind); err != nil {
 		return Header{}, err
 	}
-	h.Version = int(version)
-	h.Nodes = int32(n)
-	h.Arcs = int64(m)
-	h.Kind = ris.ModelKind(kind)
-	h.BuildK = int(buildK)
-	return h, nil
+	return Header{
+		Version:          int(version),
+		GraphFingerprint: le.Uint64(b[8:]),
+		Nodes:            int32(le.Uint32(b[16:])),
+		Arcs:             int64(le.Uint64(b[20:])),
+		Kind:             ris.ModelKind(kind),
+		Epsilon:          math.Float64frombits(le.Uint64(b[32:])),
+		Ell:              math.Float64frombits(le.Uint64(b[40:])),
+		Seed:             le.Uint64(b[48:]),
+		BuildK:           int(le.Uint32(b[56:])),
+		LowerBound:       math.Float64frombits(le.Uint64(b[60:])),
+		Sets:             le.Uint64(b[68:]),
+	}, nil
 }
 
-// hashedReader tees everything read into the checksum hash.
-type hashedReader struct {
-	r io.Reader
-	h hash.Hash64
-}
-
-func (hr *hashedReader) Read(p []byte) (int, error) {
-	n, err := hr.r.Read(p)
-	if n > 0 {
-		hr.h.Write(p[:n])
-	}
-	return n, err
-}
-
-// readValues reads count little-endian values of size bytes each, get
-// decoding one, into a slice that starts with head zero elements. The
-// destination's capacity doubles as values arrive and never passes what
-// the header claimed: allocation stays within twice the bytes actually
-// present in the stream, so a header lying about its counts fails at the
-// first missing byte instead of driving an enormous up-front make, while
-// an honest one ends in a slice of exactly its final size. (Same defense
-// as graph.ReadBinary's payload reads.)
-func readValues[T any](r io.Reader, buf []byte, count uint64, head, size int, get func(b []byte) T, what string) ([]T, error) {
+// readValues reads count little-endian values of size bytes each into a
+// slice that starts with head zero elements, a buf-full at a time, each
+// decoded by one call of decode (dst and src hold the same number of
+// values). The destination's capacity doubles as values arrive and never
+// passes what the header claimed: allocation stays within twice the bytes
+// actually present in the stream, so a header lying about its counts fails
+// at the first missing byte instead of driving an enormous up-front make,
+// while an honest one ends in a slice of exactly its final size. (Same
+// defense as graph.ReadBinary's payload reads.)
+func readValues[T any](r io.Reader, buf []byte, count uint64, head, size int, decode func(dst []T, src []byte), what string) ([]T, error) {
 	const firstChunk = 1 << 20
 	out := make([]T, head, uint64(head)+min(count, firstChunk))
 	for read := uint64(0); read < count; {
@@ -235,12 +240,12 @@ func readValues[T any](r io.Reader, buf []byte, count uint64, head, size int, ge
 			out = grown
 		}
 		n := min(cap(out)-len(out), len(buf)/size)
-		if _, err := io.ReadFull(r, buf[:n*size]); err != nil {
+		src := buf[:n*size]
+		if _, err := io.ReadFull(r, src); err != nil {
 			return nil, fmt.Errorf("sketch: snapshot %s: %w", what, err)
 		}
-		for i := 0; i < n; i++ {
-			out = append(out, get(buf[i*size:]))
-		}
+		decode(out[len(out):len(out)+n], src)
+		out = out[:len(out)+n]
 		read += uint64(n)
 	}
 	return out, nil
@@ -250,14 +255,20 @@ func readValues[T any](r io.Reader, buf []byte, count uint64, head, size int, ge
 // the very graph the sketch was built on: the stored content fingerprint
 // and dimensions are verified before any set is accepted. The returned
 // index extends with GOMAXPROCS workers; retune with SetWorkers.
+//
+// The bytes are decoded and range-checked as they are read, not hashed:
+// once the last value has passed its check, the checksum is taken on a
+// goroutine of its own — over the decoded arrays encoded again, which are
+// the bytes read — while this one indexes the arena (Install), the two
+// costing about the same. The sums are compared before anything is
+// returned: a snapshot that is well-formed but mis-summed costs an index
+// that is dropped, and is refused like any other.
 func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	if g == nil {
 		return nil, fmt.Errorf("sketch: nil graph")
 	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	hr := &hashedReader{r: br, h: fnv.New64a()}
-
-	h, err := ReadHeader(hr)
+	hdr := make([]byte, headerSize)
+	h, err := readHeader(r, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -293,9 +304,13 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 
 	// Lengths land behind a leading zero and are prefix-summed in place
 	// into the arena's offsets.
-	buf := make([]byte, ioBufSize)
 	le := binary.LittleEndian
-	off, err := readValues(hr, buf, numSets, 1, 4, le.Uint32, "set lengths")
+	buf := make([]byte, ioBufSize)
+	off, err := readValues(r, buf, numSets, 1, 4, func(dst []uint32, src []byte) {
+		for i := range dst {
+			dst[i] = le.Uint32(src[4*i:])
+		}
+	}, "set lengths")
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +324,11 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		}
 		off[i+1] = uint32(total)
 	}
-	ids, err := readValues(hr, buf, total, 0, 4, func(b []byte) graph.NodeID { return graph.NodeID(le.Uint32(b)) }, "set payload")
+	ids, err := readValues(r, buf, total, 0, 4, func(dst []graph.NodeID, src []byte) {
+		for i := range dst {
+			dst[i] = graph.NodeID(le.Uint32(src[4*i:]))
+		}
+	}, "set payload")
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +339,11 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	}
 	var setWeights []float64
 	if h.Weighted() {
-		setWeights, err = readValues(hr, buf, numSets, 0, 8, func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) }, "set weights")
+		setWeights, err = readValues(r, buf, numSets, 0, 8, func(dst []float64, src []byte) {
+			for i := range dst {
+				dst[i] = math.Float64frombits(le.Uint64(src[8*i:]))
+			}
+		}, "set weights")
 		if err != nil {
 			return nil, err
 		}
@@ -332,15 +355,20 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 			}
 		}
 	}
-	sum := hr.h.Sum64()
-	var stored uint64
-	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
+	var tail [8]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return nil, fmt.Errorf("sketch: snapshot checksum: %w", err)
 	}
-	if stored != sum {
-		return nil, fmt.Errorf("sketch: checksum mismatch (stored %016x, computed %016x)", stored, sum)
-	}
 
+	sum := make(chan uint64, 1)
+	go func() {
+		fh := fnv.New64a()
+		encode(buf, hdr, off, ids, setWeights, func(b []byte) error {
+			fh.Write(b)
+			return nil
+		})
+		sum <- fh.Sum64()
+	}()
 	x := &Index{
 		g:      g,
 		params: p,
@@ -348,5 +376,8 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		lb:     h.LowerBound,
 	}
 	x.col.Install(ids, off, setWeights)
+	if stored, computed := le.Uint64(tail[:]), <-sum; stored != computed {
+		return nil, fmt.Errorf("sketch: checksum mismatch (stored %016x, computed %016x)", stored, computed)
+	}
 	return x, nil
 }

@@ -85,9 +85,9 @@ func FuzzLoad(f *testing.F) {
 				runtime.ReadMemStats(&before)
 				x, err := Load(bytes.NewReader(in), g)
 				runtime.ReadMemStats(&after)
-				// 1 MB of read buffer and three first chunks (4+4+8 MB) at
-				// most, then arrays that double within what is present and
-				// an index as large as the arena.
+				// One 64 KB buffer and three first chunks (4+4+8 MB) at most,
+				// then arrays that double within what is present and an
+				// index as large as the arena.
 				if spent, limit := after.TotalAlloc-before.TotalAlloc, uint64(24<<20+16*len(in)); spent > limit {
 					t.Fatalf("Load of %d bytes allocated %d, limit %d", len(in), spent, limit)
 				}
