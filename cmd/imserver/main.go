@@ -24,7 +24,7 @@
 //	-cache int          LRU result-cache entries (default 256)
 //	-max-jobs int       retained job records (default 1024)
 //	-load name=path     preload a graph file (repeatable; edge-list or binary)
-//	-sketch name=path   preload an RR-sketch snapshot (built by imsketch)
+//	-sketch name=path   preload an RR-sketch snapshot (written by imrun build)
 //	                    for the already-loaded graph `name` (repeatable);
 //	                    v2 (opinion-weighted "oc") snapshots serve the
 //	                    opinion fast paths below
@@ -32,7 +32,7 @@
 //	                    normal opinions and random interactions (0 = off)
 //	-allow-path-load    let POST /v1/graphs read server-local files
 //	-store dir          warm-load graphs and sketches from a shared
-//	                    snapshot store (see imsketch -publish); /readyz
+//	                    snapshot store (see imrun publish); /readyz
 //	                    answers 503 until the manifest is fully loaded
 //	-watch duration     keep watching the store for manifest updates
 //	                    (default 2s when -store is set; 0 = load once)

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/holisticim/holisticim/internal/diffusion"
 	"github.com/holisticim/holisticim/internal/graph"
@@ -287,10 +286,4 @@ var _ im.Selector = (*ScoreGreedy)(nil)
 // the ranking diagnostics and several tests use directly.
 func ScoreOf(s Scorer) []float64 {
 	return s.Assign(nil, nil)
-}
-
-// SpreadUpperBound is a crude sanity bound used in tests: no node's
-// EaSyIM score may exceed n−1 when edge weights are probabilities.
-func SpreadUpperBound(g *graph.Graph) float64 {
-	return math.Max(0, float64(g.NumNodes()-1))
 }

@@ -70,20 +70,6 @@ func (p Plan) SketchOnly() bool {
 	return true
 }
 
-// Backends returns the distinct backends the plan uses, in first-use
-// order.
-func (p Plan) Backends() []Backend {
-	var out []Backend
-	seen := make(map[Backend]bool, 4)
-	for _, s := range p.Steps {
-		if !seen[s.Backend] {
-			seen[s.Backend] = true
-			out = append(out, s.Backend)
-		}
-	}
-	return out
-}
-
 // Explain renders the plan as one human-readable line per step.
 func (p Plan) Explain() []string {
 	out := make([]string, len(p.Steps))

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // DefBuckets are the default latency buckets in seconds. They extend
@@ -63,9 +62,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram: per-bucket
 // (non-cumulative) counts aligned with Upper, the +Inf overflow count

@@ -219,19 +219,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(values, func() any { return &Counter{} }).(*Counter)
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.lookup(name, help, KindGauge, labels)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.get(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // Histogram registers (or finds) an unlabeled histogram with the given
 // bucket upper bounds (nil picks DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {

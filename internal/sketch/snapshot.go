@@ -12,7 +12,7 @@ import (
 )
 
 // Versioned binary snapshot of an Index, so imserver restarts (and
-// offline build pipelines via cmd/imsketch) warm instead of resampling.
+// offline build pipelines via imrun build) warm instead of resampling.
 // Little-endian layout:
 //
 //	magic "HIMS" | version u32
@@ -181,7 +181,7 @@ func versionKindConsistent(version, kind uint32) error {
 }
 
 // ReadHeader parses just the snapshot header — for inspection
-// (cmd/imsketch -info) from a plain reader. It validates magic and the
+// (imrun info) from a plain reader. It validates magic and the
 // version/kind pairing but neither the values against a graph nor the
 // payload checksum.
 func ReadHeader(r io.Reader) (Header, error) {

@@ -25,11 +25,10 @@ trap cleanup EXIT
 command -v jq >/dev/null || { echo "cluster-smoke: jq is required" >&2; exit 1; }
 
 echo "== building binaries"
-go build -o "$WORK/bin/" ./cmd/imgen ./cmd/imsketch ./cmd/imserver ./cmd/imrouter
+go build -o "$WORK/bin/" ./cmd/imrun ./cmd/imserver ./cmd/imrouter
 
 echo "== publishing a ${NODES}-node BA snapshot into the store"
-"$WORK/bin/imgen" -type ba -n "$NODES" -format binary -out "$WORK/soc.bin"
-"$WORK/bin/imsketch" -publish "$WORK/store" -graph "$WORK/soc.bin" -name soc -eps 0.1 -seed 1 -k 50
+"$WORK/bin/imrun" publish -type ba -n "$NODES" -store "$WORK/store" -name soc -eps 0.1 -seed 1 -k 50
 
 echo "== starting 2 replicas + router"
 "$WORK/bin/imserver" -addr ":$PORT_A" -store "$WORK/store" -advertise "http://127.0.0.1:$PORT_A" &

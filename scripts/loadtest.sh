@@ -85,9 +85,8 @@ if [ -z "${TARGET:-}" ]; then
     SERVER_FLAGS+=(-rate-rps "$RATE_RPS")
   fi
   echo "== building and starting one replica over a ${NODES}-node BA snapshot"
-  go build -o "$WORK/bin/" ./cmd/imgen ./cmd/imsketch ./cmd/imserver
-  "$WORK/bin/imgen" -type ba -n "$NODES" -format binary -out "$WORK/soc.bin"
-  "$WORK/bin/imsketch" -publish "$WORK/store" -graph "$WORK/soc.bin" -name soc -eps 0.1 -seed 1 -k 50
+  go build -o "$WORK/bin/" ./cmd/imrun ./cmd/imserver
+  "$WORK/bin/imrun" publish -type ba -n "$NODES" -store "$WORK/store" -name soc -eps 0.1 -seed 1 -k 50
   "$WORK/bin/imserver" "${SERVER_FLAGS[@]}" &
   PIDS+=($!)
   TARGET="http://127.0.0.1:$PORT"
