@@ -207,7 +207,7 @@ func main() {
 		if err != nil {
 			fatal("sketch preload failed: load the graph first with -load", "sketch", sk, "error", err)
 		}
-		id, err := srv.Sketches().LoadSnapshot(name, g, path)
+		id, err := srv.Registry().LoadSnapshot(name, g, path)
 		if err != nil {
 			fatal("sketch preload failed", "sketch", sk, "error", err)
 		}

@@ -22,7 +22,7 @@ import (
 
 // ManifestGraph describes one published graph snapshot: where its file
 // lives (relative to the store root), the content fingerprint of the
-// bytes, and the mutation-log version the snapshot captures.
+// bytes, and the graph version the snapshot captures.
 type ManifestGraph struct {
 	Name        string `json:"name"`
 	File        string `json:"file"`

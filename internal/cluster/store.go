@@ -97,7 +97,7 @@ func (s *Store) updateManifest(mutate func(m *Manifest)) (Manifest, error) {
 
 // PublishGraph writes g's binary snapshot into the store and records it
 // in the manifest under name (replacing any previous entry for the
-// name). version is the graph's mutation-log version, carried so
+// name). version is the graph version, carried so
 // replicas and routers can reason about sketch staleness against it.
 func (s *Store) PublishGraph(name string, g *holisticim.Graph, version uint64) (ManifestGraph, error) {
 	if name == "" {

@@ -11,13 +11,13 @@ import (
 	"github.com/holisticim/holisticim/internal/service"
 )
 
-// Watcher keeps one replica's registries synchronized with a snapshot
+// Watcher keeps one replica's registry synchronized with a snapshot
 // store: each sync pass diffs the manifest against what the replica has
 // loaded (by content fingerprint, never by name alone) and warm-loads
-// new or changed artifacts through the registries' replace paths — so
-// the existing consistency machinery (cache drops, generation bumps,
-// sketch rebind-or-evict) runs exactly as it does for an operator
-// reload. The replica's /readyz flips only after the first pass loads
+// new or changed artifacts through the registry's replace paths — so a
+// reload does exactly what an operator reload does (a new generation for
+// the name, sketches kept only where their sample matches the new
+// content). The replica's /readyz flips only after the first pass loads
 // the manifest completely.
 type Watcher struct {
 	store    *Store
@@ -114,7 +114,7 @@ func (w *Watcher) SyncOnce(ctx context.Context) (SyncResult, error) {
 	// the name keep working against the last published content.
 	for id := range w.loadedSketches {
 		if _, ok := m.SketchByID(id); !ok {
-			w.srv.Sketches().Evict(id)
+			w.srv.Registry().EvictSketch(id)
 			delete(w.loadedSketches, id)
 			res.SketchesEvicted++
 		}
@@ -154,7 +154,10 @@ func (w *Watcher) loadGraph(entry ManifestGraph) (*holisticim.Graph, error) {
 // published against a newer (or older) graph than this replica has
 // loaded fails the pass and is retried once the graph catches up; the
 // snapshot reader then verifies the same fingerprint from the file's
-// own header before any set is accepted.
+// own header before any set is accepted. The sample is keyed by that
+// header too: an entry whose id (or whose model, ε and seed) disagrees
+// with the file fails the pass rather than installing the sample under
+// another key's queries.
 func (w *Watcher) loadSketch(entry ManifestSketch) error {
 	g, err := w.srv.Registry().Get(entry.Graph)
 	if err != nil {
@@ -173,8 +176,13 @@ func (w *Watcher) loadSketch(entry ManifestSketch) error {
 	if err != nil {
 		return fmt.Errorf("cluster: read sketch %q: %w", entry.ID, err)
 	}
+	p := idx.Params()
+	header := SketchIDOf(entry.Graph, p.Kind.Semantics(), p.Epsilon, p.Seed)
+	if listed := SketchIDOf(entry.Graph, entry.Model, entry.Epsilon, entry.Seed); header != entry.ID || header != listed {
+		return fmt.Errorf("cluster: sketch %q (listed as %s) holds the sample %s", entry.ID, listed, header)
+	}
 	idx.SetGraphVersion(entry.GraphVersion)
-	if _, _, err := w.srv.Sketches().Put(entry.Graph, entry.Model, entry.Epsilon, entry.Seed, idx); err != nil {
+	if _, err := w.srv.Registry().PutSketch(entry.Graph, idx); err != nil {
 		return fmt.Errorf("cluster: register sketch %q: %w", entry.ID, err)
 	}
 	return nil

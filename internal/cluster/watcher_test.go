@@ -43,7 +43,7 @@ func TestWatcherWarmLoadFlipsReady(t *testing.T) {
 		t.Fatal("loaded graph content differs from published")
 	}
 	id := SketchIDOf("soc", "ic", testEps, testSeed)
-	if _, err := s.Sketches().Get(id); err != nil {
+	if _, err := s.Registry().DescribeSketch(id); err != nil {
 		t.Fatalf("sketch %s not loaded: %v", id, err)
 	}
 
@@ -112,7 +112,7 @@ func TestWatcherEvictsRetiredSketch(t *testing.T) {
 	if res.SketchesEvicted != 1 {
 		t.Fatalf("sync result %+v, want one eviction", res)
 	}
-	if _, err := s.Sketches().Get(id); err == nil {
+	if _, err := s.Registry().DescribeSketch(id); err == nil {
 		t.Fatalf("sketch %s still loaded after manifest retirement", id)
 	}
 }
@@ -181,8 +181,46 @@ func TestWatcherRejectsSketchOverWrongGraph(t *testing.T) {
 		t.Fatalf("graph should have loaded: %v", err)
 	}
 	id := SketchIDOf("soc", "ic", testEps, testSeed)
-	if _, err := s.Sketches().Get(id); err == nil {
+	if _, err := s.Registry().DescribeSketch(id); err == nil {
 		t.Fatal("mismatched sketch was registered")
+	}
+}
+
+// A manifest entry that disagrees with its snapshot's own header — an ε
+// rewritten after publishing, with or without the id that spells it —
+// fails the pass and registers nothing: a sample built at testEps must
+// never serve another ε's queries.
+func TestWatcherRejectsSketchEntryDisagreeingWithHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rewrite func(e *ManifestSketch)
+	}{
+		{"id and epsilon", func(e *ManifestSketch) { e.Epsilon, e.ID = 0.2, SketchIDOf(e.Graph, e.Model, 0.2, e.Seed) }},
+		{"epsilon only", func(e *ManifestSketch) { e.Epsilon = 0.2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			publishPair(t, st, "soc", testGraph(t, 1))
+			if _, err := st.updateManifest(func(m *Manifest) { tc.rewrite(&m.Sketches[0]) }); err != nil {
+				t.Fatal(err)
+			}
+
+			s := service.New(service.Config{ColdStart: true})
+			defer s.Close()
+			w := NewWatcher(st, s, 0)
+			if _, err := w.SyncOnce(context.Background()); err == nil {
+				t.Fatal("sync accepted a sketch whose manifest entry disagrees with its header")
+			}
+			if s.Ready() {
+				t.Fatal("replica became ready off a failed warm-load")
+			}
+			if n := s.Stats().Sketches; n != 0 {
+				t.Fatalf("%d sketches registered, want none: %+v", n, s.Registry().ListSketches())
+			}
+		})
 	}
 }
 

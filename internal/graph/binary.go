@@ -140,9 +140,21 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: non-monotone CSR offsets at %d", i)
 		}
 	}
-	for _, v := range g.outTo {
-		if v < 0 || v >= g.n {
-			return nil, fmt.Errorf("graph: edge target %d out of range", v)
+	// Each out-row must be strictly ascending by target with no self-loop,
+	// as Builder.Build leaves it: HasEdge binary-searches the rows, and a
+	// row out of order hides arcs the graph holds. Starting prev below 0
+	// makes the ascent check the lower range bound, and an ascending row's
+	// last target the only one to hold against the upper.
+	for u := NodeID(0); u < g.n; u++ {
+		prev := NodeID(-1)
+		for _, v := range g.outTo[g.outStart[u]:g.outStart[u+1]] {
+			if v <= prev || v == u {
+				return nil, fmt.Errorf("graph: out-row %d: target %d after %d is out of order or a self-loop", u, v, prev)
+			}
+			prev = v
+		}
+		if prev >= g.n {
+			return nil, fmt.Errorf("graph: edge target %d out of range", prev)
 		}
 	}
 	for i, p := range g.outProb {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -229,6 +230,87 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("bad version accepted: %v", err)
 	}
+}
+
+// rawGraph encodes an n-node file with the given CSR rows in the binary
+// layout, every arc at p = ϕ = w = 0.5 and every opinion 0, so a test can
+// state rows WriteBinary would never produce.
+func rawGraph(n int32, outStart []int64, outTo []NodeID) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(binaryMagic)
+	params := make([]float64, 3*len(outTo))
+	for i := range params {
+		params[i] = 0.5
+	}
+	for _, v := range []any{uint32(binaryVersion), uint32(n), uint64(len(outTo)), outStart, outTo, params, make([]float64, n)} {
+		_ = binary.Write(&buf, binary.LittleEndian, v)
+	}
+	return buf.Bytes()
+}
+
+// badRows are out-rows Builder.Build never leaves, each in a 3-node file.
+var badRows = map[string][]byte{
+	"unsorted row":   rawGraph(3, []int64{0, 2, 3, 3}, []NodeID{2, 1, 2}),
+	"duplicate arc":  rawGraph(3, []int64{0, 2, 3, 3}, []NodeID{1, 1, 2}),
+	"self-loop":      rawGraph(3, []int64{0, 2, 3, 3}, []NodeID{1, 2, 1}),
+	"row 0 is 2 1 0": rawGraph(3, []int64{0, 3, 3, 3}, []NodeID{2, 1, 0}),
+}
+
+// Out-rows must be strictly ascending with no self-loop: HasEdge
+// binary-searches them, so a row out of order would hide arcs the graph
+// holds and let an edge batch add a duplicate.
+func TestBinaryRejectsMalformedRows(t *testing.T) {
+	for name, data := range badRows {
+		if g, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted, rows %v", name, g.outTo)
+		}
+	}
+	g, err := ReadBinary(bytes.NewReader(rawGraph(3, []int64{0, 2, 3, 3}, []NodeID{1, 2, 2})))
+	if err != nil {
+		t.Fatalf("well-formed rows rejected: %v", err)
+	}
+	for _, arc := range [][2]NodeID{{0, 1}, {0, 2}, {1, 2}} {
+		if !g.HasEdge(arc[0], arc[1]) {
+			t.Errorf("HasEdge%v = false on a loaded arc", arc)
+		}
+	}
+}
+
+// ReadBinary never panics; whatever it accepts, WriteBinary writes back as
+// exactly the bytes it consumed; and every stored arc is found by HasEdge.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, BarabasiAlbert(40, 2, rng.New(1))); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	for _, cut := range []int{0, 3, 4, 19, 20, 21, len(good) / 2, len(good) - 8, len(good) - 1} {
+		f.Add(good[:cut])
+	}
+	for _, data := range badRows {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("accepted %d bytes that write back as %d different ones", len(data), out.Len())
+		}
+		for u := NodeID(0); u < g.NumNodes(); u++ {
+			for _, v := range g.OutNeighbors(u) {
+				if !g.HasEdge(u, v) {
+					t.Fatalf("stored arc (%d,%d) not found by HasEdge", u, v)
+				}
+			}
+		}
+	})
 }
 
 func corruptAt(raw []byte, pos int, val byte) []byte {

@@ -34,7 +34,7 @@ func TestBatchQuerySpeedupVsSingleSketchSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Sketches().Add("big", "ic", eps, seed, idx); err != nil {
+	if _, err := s.Registry().AddSketch("big", idx); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

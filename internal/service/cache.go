@@ -2,17 +2,16 @@ package service
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Cache is a thread-safe LRU over completed query answers, keyed by the
 // canonical request fingerprint. Answers are deterministic given the
-// fingerprint (it includes the master seed), so entries only go
-// stale when a graph name is rebound to different content — the server
-// then drops that graph's entries via DropPrefix; nothing else ever
-// invalidates.
+// fingerprint (it includes the master seed and the graph's generation),
+// so an entry never goes stale: a rebind or an edge batch moves the name
+// to a new generation, no new request can reach the old keys, and those
+// entries leave by LRU eviction. Nothing ever invalidates.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -73,28 +72,6 @@ func (c *Cache) Add(key string, res *QueryAnswer) {
 	}
 }
 
-// DropPrefix removes every entry whose key starts with prefix, returning
-// how many were dropped. Fingerprints lead with "graph=<name>;", so a
-// graph replaced with different content can invalidate exactly the
-// results computed against its old topology — the cache's "entries never
-// go stale" premise is re-established by dropping, not by hoping.
-func (c *Cache) DropPrefix(prefix string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		item := el.Value.(*cacheItem)
-		if strings.HasPrefix(item.key, prefix) {
-			c.order.Remove(el)
-			delete(c.items, item.key)
-			dropped++
-		}
-		el = next
-	}
-	return dropped
-}
-
 // Len returns the number of cached results.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -108,6 +85,6 @@ func (c *Cache) Hits() int64 { return c.hits.Load() }
 // Misses returns the number of cache misses.
 func (c *Cache) Misses() int64 { return c.misses.Load() }
 
-// Evictions returns how many entries capacity pressure evicted
-// (DropPrefix invalidations do not count).
+// Evictions returns how many entries capacity pressure evicted — the
+// only way entries leave, superseded generations' included.
 func (c *Cache) Evictions() int64 { return c.evictions.Load() }

@@ -92,8 +92,8 @@ func TestFingerprintStability(t *testing.T) {
 	if selectKey("g", "osim", 10, Options{}) == zero {
 		t.Fatal("algorithm must separate fingerprints")
 	}
-	// The rebind generation separates keys while keeping the graph prefix
-	// DropPrefix matches on.
+	// The rebind generation separates keys and leaves the graph prefix
+	// as it was.
 	genKey := queryKey("g", QueryRequest{Graph: "g", Task: "select", Algorithm: "easyim", K: 10}.Query(), 3)
 	if genKey == zero || !strings.HasPrefix(genKey, "graph=g;") {
 		t.Fatalf("generation-fenced key %q", genKey)

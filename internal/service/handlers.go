@@ -138,7 +138,7 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 			Name: g.Name, Fingerprint: g.Fingerprint, Version: g.Version,
 		})
 	}
-	for _, sk := range s.sketches.List() {
+	for _, sk := range s.reg.ListSketches() {
 		info.Sketches = append(info.Sketches, ClusterSketchInfo{
 			ID:               sk.ID,
 			Graph:            sk.Graph,
@@ -245,36 +245,29 @@ func clampWorkers(workers int) int {
 // async job path are capped differently); sketch-served estimates are
 // exempt from a budget they never spend.
 func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery, *apiError) {
-	// Graph and rebind generation are read atomically: the generation is
-	// folded into the cache/dedup key, so work computed against this
-	// instance can neither be served from the cache nor attached to as an
-	// in-flight job once the name is rebound — even when a job completes
-	// (and re-caches) after the replacement.
-	g, gen, err := s.reg.GetWithGeneration(req.Graph)
+	q, qerr := req.Query().Normalized()
+	o := q.Options
+	// One registry read pins the graph, its generation — folded into the
+	// cache/dedup key, so work on this instance is unreachable once the
+	// name moves on, even if a job re-caches afterwards — and the sketch
+	// for the resolved (RR semantics, ε, seed), canonicalized as the
+	// builder keys it. Whether it serves is the planner's call.
+	e, sk, err := s.reg.lookup(req.Graph, sketchKey{o.Model.RRSemantics(), o.Epsilon, o.Seed})
 	if err != nil {
 		return nil, errf(http.StatusNotFound, "%v", err)
 	}
 	if req.TimeoutMS < 0 {
 		return nil, errf(http.StatusBadRequest, "negative timeout_ms %d", req.TimeoutMS)
 	}
-	q, err := req.Query().Normalized()
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+	if qerr != nil {
+		return nil, errf(http.StatusBadRequest, "%v", qerr)
 	}
 	q.Options.Workers = clampWorkers(q.Options.Workers)
-
-	// Attach the registered sketch matching the resolved (graph, RR
-	// semantics, ε, seed) — the normalized options went through the same
-	// canonicalization the builder keys by, so a `{}` request hits a
-	// spelled-out default sketch. Whether it actually serves is the
-	// planner's call (θ caps, objective and kind mismatches all opt out
-	// there).
-	o := q.Options
-	if idx := s.sketches.Lookup(req.Graph, o.Model.RRSemantics(), o.Epsilon, o.Seed); idx != nil {
-		q.Options.Sketch = idx
+	if sk != nil {
+		q.Options.Sketch = sk.idx
 	}
 
-	plan, err := holisticim.PlanQuery(g, q)
+	plan, err := holisticim.PlanQuery(e.g, q)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
@@ -299,10 +292,10 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 	}
 
 	p := &preparedQuery{
-		g:       g,
+		g:       e.g,
 		q:       q,
 		plan:    plan,
-		key:     queryKey(req.Graph, q, gen),
+		key:     queryKey(req.Graph, q, e.gen),
 		timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 	}
 	for _, step := range plan.Steps {
@@ -316,9 +309,9 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 
 // queryKey is the canonical cache/deduplication key for a query against
 // a registered graph: the graph name pins the topology, Query.Fingerprint
-// the work, and gen (when the name was ever rebound) fences out results
-// computed against replaced content. The generation is suffixed so
-// DropPrefix("graph=<name>;") still matches every entry of the name.
+// the work, and gen (when the name was ever rebound or mutated) fences
+// out results computed against superseded content. Nothing drops those:
+// no new request can reach their keys, so they age out of the LRU.
 func queryKey(graph string, q holisticim.Query, gen uint64) string {
 	key := fmt.Sprintf("graph=%s;%s", graph, q.Fingerprint())
 	if gen > 0 {
@@ -356,11 +349,11 @@ func (s *Server) runSync(ctx context.Context, p *preparedQuery) (*QueryAnswer, e
 }
 
 func (s *Server) handleListSketches(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"sketches": s.sketches.List()})
+	writeJSON(w, http.StatusOK, map[string]any{"sketches": s.reg.ListSketches()})
 }
 
 func (s *Server) handleSketchInfo(w http.ResponseWriter, r *http.Request) {
-	info, err := s.sketches.Info(r.PathValue("id"))
+	info, err := s.reg.DescribeSketch(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -373,7 +366,7 @@ func (s *Server) handleSketchInfo(w http.ResponseWriter, r *http.Request) {
 // rebuilt sketch is interchangeable with the evicted one.
 func (s *Server) handleDeleteSketch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.sketches.Evict(id) {
+	if !s.reg.EvictSketch(id) {
 		writeError(w, http.StatusNotFound, "%v: %q", ErrSketchNotFound, id)
 		return
 	}
@@ -390,23 +383,18 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &spec) {
 		return
 	}
-	g, gen, err := s.reg.GetWithGeneration(spec.Graph)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	// The mutation-log version of the snapshot the build will run over.
-	// Stamped on the finished index so later mutations repair from the
-	// right baseline. (A mutation racing the two reads bumps the
-	// generation, so the post-build gen re-check refuses the sketch and
-	// any inconsistency here never registers.)
-	baseInfo, err := s.reg.Info(spec.Graph)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	baseVersion := baseInfo.Version
+	// Canonicalize the key through the library's single canonicalization
+	// helper — the same one Options.withDefaults and the sketch builder
+	// resolve through — so `{}` and a spelled-out default spec share one
+	// sketch and the three sites cannot drift.
 	model := holisticim.ModelKind(spec.Model)
+	key := sketchKey{model.RRSemantics(), holisticim.CanonicalEpsilon(spec.Epsilon), holisticim.CanonicalSeed(spec.Seed)}
+	e, sk, err := s.reg.lookup(spec.Graph, key)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	g := e.g
 	if spec.Model != "" {
 		if _, err := holisticim.NewModel(g, model); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -421,17 +409,8 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid build_k=%d for graph with %d nodes", spec.BuildK, g.NumNodes())
 		return
 	}
-	workers := clampWorkers(spec.Workers)
-	// Canonicalize the key through the library's single canonicalization
-	// helper — the same one Options.withDefaults and the sketch builder
-	// resolve through — so `{}` and a spelled-out default spec share one
-	// sketch and the three sites cannot drift.
-	epsilon := holisticim.CanonicalEpsilon(spec.Epsilon)
-	seed := holisticim.CanonicalSeed(spec.Seed)
-	semantics := model.RRSemantics()
-	if s.sketches.Lookup(spec.Graph, semantics, epsilon, seed) != nil {
-		writeError(w, http.StatusConflict, "%v: %q", ErrSketchExists,
-			SketchID(spec.Graph, semantics, epsilon, seed))
+	if sk != nil {
+		writeError(w, http.StatusConflict, "%v: %q", ErrSketchExists, sk.id)
 		return
 	}
 	maxSets := spec.MaxSets
@@ -441,42 +420,28 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 
 	opts := holisticim.SketchOptions{
 		Model:   model,
-		Epsilon: epsilon,
-		Seed:    seed,
+		Epsilon: key.epsilon,
+		Seed:    key.seed,
 		BuildK:  spec.BuildK,
-		Workers: workers,
+		Workers: clampWorkers(spec.Workers),
 		MaxSets: maxSets,
 	}
-	graphName := spec.Graph
-	key := "sketchbuild:" + SketchID(graphName, semantics, epsilon, seed)
+	graphName, version := spec.Graph, e.info.Version
+	jobKey := "sketchbuild:" + SketchID(graphName, key.semantics, key.epsilon, key.seed)
 	// Sketch builds are heavyweight index construction: batch class, so
 	// a build can never queue ahead of serving work.
-	job, created, err := s.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+	job, created, err := s.jobs.Submit(JobSpec{Key: jobKey, Priority: admission.Batch}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		start := time.Now()
 		idx, err := holisticim.BuildSketch(ctx, g, opts)
 		if err != nil {
 			return nil, err
 		}
-		// Refuse to register a sample built over an instance that was
-		// replaced or mutated mid-build: a stale sketch must not enter the
-		// registry and start serving the new topology's fast path.
-		if _, cur, err := s.reg.GetWithGeneration(graphName); err != nil || cur != gen {
-			return nil, fmt.Errorf("service: graph %q was replaced during the sketch build", graphName)
-		}
-		idx.SetGraphVersion(baseVersion)
-		id, err := s.sketches.Add(graphName, semantics, epsilon, seed, idx)
-		if err != nil {
+		// Later batches repair from the version stamped here. The sketch
+		// registers only while g is still the name's snapshot; a batch
+		// landing after that inherits and repairs it.
+		idx.SetGraphVersion(version)
+		if _, err := s.reg.AddSketch(graphName, idx); err != nil {
 			return nil, err
-		}
-		// Re-check AFTER registration too: a mutation landing between the
-		// first check and Add would schedule repairs before the sketch was
-		// visible, leaving it permanently one batch behind — and a later
-		// repair would then stamp the new fingerprint over a sample that
-		// missed that batch. Evicting on the re-check closes the window
-		// (a mutation after Add is seen by ScheduleRepair and handled).
-		if _, cur, err := s.reg.GetWithGeneration(graphName); err != nil || cur != gen {
-			s.sketches.Evict(id)
-			return nil, fmt.Errorf("service: graph %q changed during the sketch build", graphName)
 		}
 		// A build answers as a one-member summary, so job pollers on either
 		// prefix see it like any other finished job.

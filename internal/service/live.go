@@ -10,10 +10,10 @@ import (
 // handleMutateGraph applies an edge batch to a registered graph
 // (POST /v1/graphs/{name}/edges). The batch is atomic — either every op
 // is valid and the graph advances one version, or a 400 names the first
-// offending op and nothing changes. On success the name's cached results
-// are dropped and incremental background repairs are scheduled for its
-// sketches (both via the registry's onMutate hook, before Mutate
-// returns), so the response's version is never served from stale state.
+// offending op and nothing changes. On success the name's generation has
+// moved on — no cached result or job of the old content is reachable —
+// and repairs of its sketches are queued before Mutate returns, so the
+// response's version is never served from stale state.
 func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r) {
 		return
@@ -43,7 +43,7 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 			W:    o.W,
 		}
 	}
-	res, err := s.reg.Mutate(r.Context(), name, ops, holisticim.ApplyOptions{RebalanceLT: req.RebalanceLT})
+	res, repairs, err := s.reg.Mutate(r.Context(), name, ops, holisticim.ApplyOptions{RebalanceLT: req.RebalanceLT})
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrGraphNotFound):
@@ -62,6 +62,6 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 		Arcs:             res.Arcs,
 		Applied:          res.Applied,
 		Dirty:            res.Dirty,
-		RepairsScheduled: s.sketches.CountFor(name),
+		RepairsScheduled: repairs,
 	})
 }

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/holisticim/holisticim"
 )
 
 // waitSketchVersion polls the sketch listing until the sketch for graph
@@ -27,6 +32,17 @@ func waitSketchVersion(t *testing.T, ts, g string, want uint64) SketchInfo {
 			t.Fatalf("sketch never reached graph_version %d: %+v", want, list.Sketches)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitRepairCounted polls until a completed repair is counted: Repair
+// stamps the sketch's graph_version before its drain job counts it.
+func waitRepairCounted(t *testing.T, s *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); s.reg.repairs.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no completed repair was ever counted")
+		}
 	}
 }
 
@@ -130,6 +146,7 @@ func TestMutateEndToEnd(t *testing.T) {
 		t.Fatalf("fast-path result: %+v", fresp.Result)
 	}
 
+	waitRepairCounted(t, s)
 	st := s.Stats()
 	if st.GraphMutations != 1 {
 		t.Fatalf("stats mutations = %d", st.GraphMutations)
@@ -209,8 +226,109 @@ func TestMutateCoalescedRepairs(t *testing.T) {
 		}
 	}
 	waitSketchVersion(t, ts.URL, "g", 5)
-	repairs, _, failed := s.sketches.RepairTotals()
+	waitRepairCounted(t, s)
+	repairs, failed := s.reg.repairs.Load(), s.reg.repairsFailed.Load()
 	if repairs < 1 || repairs > 5 || failed != 0 {
 		t.Fatalf("repair totals: repairs=%d failed=%d", repairs, failed)
+	}
+}
+
+// sampleBytes is idx's snapshot less what a repair may legitimately
+// leave different from a fresh build: the OPT lower bound the build
+// phase derived (header bytes 60-68, see internal/sketch/snapshot.go) and
+// the checksum that covers it. What remains is the graph fingerprint,
+// the parameters, the set count and every set.
+func sampleBytes(t *testing.T, idx *holisticim.Sketch) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := holisticim.WriteSketch(&buf, idx); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	return append(b[:60:60], b[68:len(b)-8]...)
+}
+
+// Sketch builds racing edge batches on one name. Each round plans a
+// build (its POST returns once the snapshot to sample is chosen) and
+// applies a batch while the build samples on the worker pool. The build
+// must either register before the batch's swap — and then be among the
+// repairs that batch reports — or be refused; it must never land on a
+// snapshot it was not sampled over. Once the repairs drain, every
+// surviving sketch holds exactly the sample a fresh build draws at the
+// final graph version.
+func TestSketchBuildsRaceEdgeBatches(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// Below the natural θ of every snapshot, so each index, repaired or
+	// fresh, holds exactly the first maxSets sets of its seed's stream.
+	const rounds, maxSets = 12, 3000
+	refused := 0
+	for i := 0; i < rounds; i++ {
+		before := s.Stats().Sketches
+		spec := SketchSpec{Graph: "g", Epsilon: 0.3, Seed: uint64(100 + i), BuildK: 5, MaxSets: maxSets}
+		var build SelectResponse
+		if code := doJSON(t, "POST", ts.URL+"/v1/sketches", spec, &build); code != http.StatusAccepted {
+			t.Fatalf("round %d: build status %d (%+v)", i, code, build)
+		}
+		g, err := s.reg.Get("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := int32(i)
+		var mres MutateResponse
+		batch := MutateRequest{Ops: []EdgeOpSpec{{Op: "remove", From: u, To: g.OutNeighbors(u)[0]}}}
+		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges", batch, &mres); code != http.StatusOK {
+			t.Fatalf("round %d: batch status %d (%+v)", i, code, mres)
+		}
+		done := pollJob(t, ts.URL, build.JobID)
+		registered := done.State == StateDone
+		if !registered {
+			refused++
+			if !strings.Contains(done.Error, ErrGraphReplaced.Error()) {
+				t.Fatalf("round %d: build failed for another reason: %+v", i, done)
+			}
+		}
+		want := before
+		if registered {
+			want++
+		}
+		if mres.RepairsScheduled != want {
+			t.Fatalf("round %d: batch scheduled %d repairs, want %d (build registered: %v)", i, mres.RepairsScheduled, want, registered)
+		}
+		if got := s.Stats().Sketches; got != want {
+			t.Fatalf("round %d: %d sketches registered, want %d", i, got, want)
+		}
+	}
+	t.Logf("%d of %d builds refused by the batch racing them", refused, rounds)
+
+	final, err := s.reg.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range s.reg.ListSketches() {
+		for deadline := time.Now().Add(30 * time.Second); info.GraphVersion != rounds; {
+			if time.Now().After(deadline) {
+				t.Fatalf("sketch %s stuck at graph version %d", info.ID, info.GraphVersion)
+			}
+			time.Sleep(5 * time.Millisecond)
+			if info, err = s.reg.DescribeSketch(info.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		idx := s.reg.sketchByID(info.ID).idx
+		fresh, err := holisticim.BuildSketch(context.Background(), final, holisticim.SketchOptions{
+			Epsilon: info.Epsilon, Seed: info.Seed, BuildK: 5, MaxSets: maxSets,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := fresh.Stats().Sets; n != maxSets {
+			t.Fatalf("a fresh build holds %d sets, not the %d cap: the comparison needs θ above the cap", n, maxSets)
+		}
+		if !bytes.Equal(sampleBytes(t, idx), sampleBytes(t, fresh)) {
+			t.Fatalf("sketch %s at version %d: sample differs from a fresh build on the final graph", info.ID, info.GraphVersion)
+		}
+	}
+	if failed := s.reg.repairsFailed.Load(); failed != 0 {
+		t.Fatalf("%d repairs failed", failed)
 	}
 }

@@ -20,10 +20,10 @@ func (s *Server) initObservability() {
 		func() float64 { return float64(s.reg.Len()) })
 	m.CounterFunc("im_graph_replacements_total",
 		"Graph names rebound to new content by operator reloads.",
-		func() float64 { return float64(s.replacements.Load()) })
+		func() float64 { return float64(s.reg.replacements.Load()) })
 	m.CounterFunc("im_graph_mutations_total",
 		"Edge mutation batches applied (POST /v1/graphs/{name}/edges).",
-		func() float64 { return float64(s.mutations.Load()) })
+		func() float64 { return float64(s.reg.mutations.Load()) })
 
 	// Result cache.
 	m.GaugeFunc("im_cache_entries", "Results held by the LRU cache.",
@@ -98,13 +98,13 @@ func (s *Server) initObservability() {
 
 	// Sketch registry and live repair.
 	m.GaugeFunc("im_sketches", "RR-sketch indexes currently registered.",
-		func() float64 { c, _, _, _ := s.sketches.Totals(); return float64(c) })
+		func() float64 { c, _, _, _ := s.reg.SketchTotals(); return float64(c) })
 	m.GaugeFunc("im_sketch_sets", "RR sets across all registered sketches.",
-		func() float64 { _, sets, _, _ := s.sketches.Totals(); return float64(sets) })
+		func() float64 { _, sets, _, _ := s.reg.SketchTotals(); return float64(sets) })
 	m.GaugeFunc("im_sketch_memory_bytes", "Memory held by registered sketches.",
-		func() float64 { _, _, b, _ := s.sketches.Totals(); return float64(b) })
+		func() float64 { _, _, b, _ := s.reg.SketchTotals(); return float64(b) })
 	m.CounterFunc("im_sketch_builds_total", "Sketch builds and snapshot loads completed.",
-		func() float64 { _, _, _, b := s.sketches.Totals(); return float64(b) })
+		func() float64 { _, _, _, b := s.reg.SketchTotals(); return float64(b) })
 	m.CounterFunc("im_sketch_fastpath_hits_total",
 		"Select requests answered synchronously from a sketch.",
 		func() float64 { return float64(s.sketchHits.Load()) })
@@ -112,12 +112,12 @@ func (s *Server) initObservability() {
 		"Estimate requests served by an opinion-weighted sketch.",
 		func() float64 { return float64(s.sketchEstimates.Load()) })
 	m.CounterFunc("im_sketch_repairs_total", "Incremental sketch repairs completed.",
-		func() float64 { r, _, _ := s.sketches.RepairTotals(); return float64(r) })
+		func() float64 { return float64(s.reg.repairs.Load()) })
 	m.CounterFunc("im_sketch_repaired_sets_total", "RR sets resampled across all repairs.",
-		func() float64 { _, sets, _ := s.sketches.RepairTotals(); return float64(sets) })
+		func() float64 { return float64(s.reg.repairedSets.Load()) })
 	m.CounterFunc("im_sketch_repair_failures_total",
 		"Repairs that failed (each failure evicts its sketch).",
-		func() float64 { _, _, f := s.sketches.RepairTotals(); return float64(f) })
+		func() float64 { return float64(s.reg.repairsFailed.Load()) })
 }
 
 // planBackend is the latency label of a prepared query: the first plan

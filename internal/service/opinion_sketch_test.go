@@ -111,7 +111,7 @@ func writeGraphFile(t *testing.T, dir, name string, g *holisticim.Graph) string 
 
 // Satellite regression: re-registering a graph under the same name must
 // not silently kill the sketch fast path when the content is identical,
-// and must evict sketches plus drop cached results when it is not.
+// and must evict sketches plus fence off cached results when it is not.
 func TestGraphReplacementStaleness(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	mk := func(prob float64) *holisticim.Graph {
@@ -158,7 +158,7 @@ func TestGraphReplacementStaleness(t *testing.T) {
 
 	// Reload with DIFFERENT content: the sketch is evicted (a stale
 	// sample must never serve the new topology) and the name's cached
-	// results are dropped.
+	// results are out of reach.
 	path2 := writeGraphFile(t, dir, "h2.bin", mk(0.2))
 	if err := s.Registry().LoadFile("h", path2); err != nil {
 		t.Fatal(err)
@@ -186,10 +186,10 @@ func TestGraphReplacementStaleness(t *testing.T) {
 	}
 }
 
-// A job in flight when its graph is replaced must not re-insert its
-// stale result into the cache after the replacement's DropPrefix, and a
-// post-replace request must not attach to the pre-replace job: both are
-// fenced by the rebind generation folded into the cache/dedup key.
+// A job in flight when its graph is replaced caches its stale result
+// after the replacement, and a post-replace request must neither read it
+// nor attach to the pre-replace job: both are fenced by the rebind
+// generation folded into the cache/dedup key.
 func TestInFlightJobFencedByReplacement(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	dir := t.TempDir()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/holisticim/holisticim"
 	"github.com/holisticim/holisticim/internal/graph"
@@ -18,46 +19,54 @@ var (
 	ErrGraphExists      = errors.New("service: graph already registered")
 	ErrPathLoadDisabled = errors.New("service: loading server-local paths is disabled")
 	ErrRegistryFull     = errors.New("service: graph registry full")
-	// ErrGraphReplaced reports a mutation batch that lost a race against an
-	// operator Replace: the lineage the batch was prepared for no longer
-	// exists, so the batch is refused rather than applied to unrelated
-	// content.
+	// ErrGraphReplaced reports work prepared against content the name no
+	// longer holds — a mutation batch that lost a race against an operator
+	// Replace, or a sketch sampled over a snapshot that a Replace or an
+	// edge batch has since superseded — refused rather than applied to (or
+	// registered against) unrelated content.
 	ErrGraphReplaced = errors.New("service: graph was replaced concurrently")
 )
 
-// Registry holds named immutable graphs shared across requests. Graphs
-// are loaded or generated once; the untrusted API (POST /v1/graphs)
-// can never rebind a name, which is what makes the name a sound
-// component of result-cache fingerprints. The operator-facing Replace
-// and LoadFile paths MAY rebind — refreshing a dataset in place — and
-// every rebind fires onReplace so the server can drop stale cache
-// entries and rebind or evict the sketches pinned to the old instance.
+// Registry holds the named graphs shared across requests and, per graph,
+// the RR-sketch indexes sampled over it. The untrusted API (POST
+// /v1/graphs) can never rebind a name, which is what makes the name a
+// sound component of result-cache fingerprints; the operator's Replace
+// and LoadFile MAY rebind it, and Mutate advances it by edge batches.
+// Each such event installs a new entry with a bumped generation and, in
+// the same critical section, settles the name's sketches: a rebind keeps
+// those matching the new content, a mutation's entry inherits them all.
+//
+// No sketch index method runs under mu: an index holds its own lock for a
+// whole repair, and every lookup of every graph goes through mu.
 type Registry struct {
 	mu sync.RWMutex
-	// maxGraphs caps registrations when positive. Enforced inside Add,
-	// under the lock, so concurrent registrations cannot exceed it.
-	maxGraphs int
-	graphs    map[string]*regEntry
-	// onReplace observes name rebinds (never first registrations). Called
-	// outside the registry lock with the new graph already visible.
-	onReplace func(name string, g *holisticim.Graph)
-	// onMutate observes edge-batch mutations (Mutate). Unlike a Replace,
-	// a mutation preserves the lineage — node count and version history —
-	// so the hook carries the dirty-node set and new version, letting the
-	// server repair its sketches incrementally instead of evicting them.
-	// Called outside the registry lock with the new snapshot visible.
-	onMutate func(name string, g *holisticim.Graph, version uint64, dirty []holisticim.NodeID)
+	// maxGraphs and maxSketches cap registrations when positive, under the
+	// lock; the sketch cap gates only new ids.
+	maxGraphs, maxSketches int
+	graphs                 map[string]*regEntry
+	builds                 int64 // sketch builds and snapshot loads registered
+
+	// jobs runs sketch repairs, batch class, on the server's worker pool;
+	// without one (outside a Server) a mutation evicts the name's sketches.
+	jobs *Manager
+
+	replacements  atomic.Int64 // names rebound to new content
+	mutations     atomic.Int64 // applied edge batches
+	repairs       atomic.Int64 // completed incremental repairs
+	repairedSets  atomic.Int64 // RR sets resampled across all repairs
+	repairsFailed atomic.Int64 // repairs that failed (the sketch was evicted)
 }
 
+// regEntry is one installed snapshot of a name. g, info and gen are fixed
+// at install; sketches and live change under Registry.mu.
 type regEntry struct {
 	g    *holisticim.Graph
 	info GraphInfo
-	// gen counts how many times this name has been rebound. Serving
-	// layers fold it into cache and job-deduplication keys so work
-	// computed against a replaced instance can never be served — or
-	// attached to — after the replacement (an in-flight job completing
-	// post-replace re-caches under its old generation, which no new
-	// request can reach).
+	// gen counts how many times this name has been rebound or mutated.
+	// Serving layers fold it into cache and job-deduplication keys so work
+	// computed against a superseded instance can never be served — or
+	// attached to — afterwards (an in-flight job completing late re-caches
+	// under its old generation, which no new request can reach).
 	gen uint64
 
 	// live is the mutation lineage this entry belongs to, shared by every
@@ -65,6 +74,10 @@ type regEntry struct {
 	// the first mutation; reset to nil by Replace, which abandons the
 	// lineage (versions restart from zero on the next mutation).
 	live *liveState
+
+	// sketches holds the indexes sampled over this name, keyed by their
+	// own (RR semantics, ε, seed). A mutation's entry takes the map over.
+	sketches map[sketchKey]*sketchEntry
 
 	statsOnce sync.Once
 	stats     GraphStats
@@ -84,33 +97,18 @@ func NewRegistry() *Registry {
 	return &Registry{graphs: make(map[string]*regEntry)}
 }
 
-// Add registers a prebuilt graph under name. source is a free-form
-// provenance tag ("file:...", "generated:ba", ...).
+// Add registers a prebuilt graph under name, refusing a name already
+// taken. source is a free-form provenance tag ("file:...",
+// "generated:ba", ...).
 func (r *Registry) Add(name string, g *holisticim.Graph, source string) error {
-	if name == "" {
-		return errors.New("service: empty graph name")
-	}
-	if g == nil {
-		return errors.New("service: nil graph")
-	}
-	e := newRegEntry(name, g, source)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.graphs[name]; ok {
-		return fmt.Errorf("%w: %q", ErrGraphExists, name)
-	}
-	if r.maxGraphs > 0 && len(r.graphs) >= r.maxGraphs {
-		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
-	}
-	r.graphs[name] = e
-	return nil
+	return r.put(name, g, source, 0, false)
 }
 
 // newRegEntry hashes and measures the whole graph, O(arcs): callers build
 // the entry before taking r.mu, which every lookup of every graph goes
 // through.
 func newRegEntry(name string, g *holisticim.Graph, source string) *regEntry {
-	return &regEntry{g: g, info: GraphInfo{
+	return &regEntry{g: g, sketches: make(map[sketchKey]*sketchEntry), info: GraphInfo{
 		Name:        name,
 		Nodes:       g.NumNodes(),
 		Arcs:        g.NumEdges(),
@@ -123,25 +121,27 @@ func newRegEntry(name string, g *holisticim.Graph, source string) *regEntry {
 // Replace registers g under name, rebinding the name if it is already
 // taken (the memoized stats are recomputed for the new content). This is
 // the operator-facing refresh path — reloading a dataset file in place —
-// not reachable from POST /v1/graphs, whose names stay immutable. A
-// rebind fires the onReplace hook so dependent state (result cache,
-// sketch registry) is made consistent before the call returns.
+// not reachable from POST /v1/graphs, whose names stay immutable. The new
+// entry keeps the name's sketches whose sample matches g's content (an
+// identical-content reload keeps serving) and drops the rest.
 func (r *Registry) Replace(name string, g *holisticim.Graph, source string) error {
-	return r.replace(name, g, source, 0)
+	return r.put(name, g, source, 0, true)
 }
 
 // ReplaceSnapshot is Replace for store-loaded artifacts: the published
-// snapshot carries the publisher's mutation-log version, which is
-// recorded on the new entry so GET /v1/cluster/info advertises the
-// lineage position of the loaded content instead of resetting to 0.
+// snapshot carries the publisher's graph version, which is recorded on
+// the new entry so GET /v1/cluster/info advertises the lineage position
+// of the loaded content instead of resetting to 0.
 func (r *Registry) ReplaceSnapshot(name string, g *holisticim.Graph, source string, version uint64) error {
-	return r.replace(name, g, source, version)
+	return r.put(name, g, source, version, true)
 }
 
-// replace installs the entry complete, version included, in one critical
-// section: the hook and every concurrent lister see either the old entry
-// or the new one, never the new content at a placeholder version.
-func (r *Registry) replace(name string, g *holisticim.Graph, source string, version uint64) error {
+// put installs the entry complete — version and kept sketches included —
+// in one critical section, so every concurrent reader sees either the old
+// entry or the new one. On a rebind the name's sketches are matched
+// against g before that section (Matches hashes g and takes each index's
+// lock); a sketch registered meanwhile sends the install round again.
+func (r *Registry) put(name string, g *holisticim.Graph, source string, version uint64, rebind bool) error {
 	if name == "" {
 		return errors.New("service: empty graph name")
 	}
@@ -150,51 +150,77 @@ func (r *Registry) replace(name string, g *holisticim.Graph, source string, vers
 	}
 	e := newRegEntry(name, g, source)
 	e.info.Version = version
+	for {
+		held := r.sketchesOf(name)
+		matches := make(map[*sketchEntry]bool, len(held))
+		for _, sk := range held {
+			matches[sk] = rebind && sk.idx.Matches(g, sk.idx.Kind())
+		}
+		if done, err := r.install(name, e, matches, rebind); done {
+			return err
+		}
+	}
+}
+
+// install is put's critical section; done is false when the name holds a
+// sketch matches has no verdict for.
+func (r *Registry) install(name string, e *regEntry, matches map[*sketchEntry]bool, rebind bool) (done bool, err error) {
 	r.mu.Lock()
-	old, replaced := r.graphs[name]
-	if !replaced && r.maxGraphs > 0 && len(r.graphs) >= r.maxGraphs {
-		r.mu.Unlock()
-		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
+	defer r.mu.Unlock()
+	old, taken := r.graphs[name]
+	switch {
+	case taken && !rebind:
+		return true, fmt.Errorf("%w: %q", ErrGraphExists, name)
+	case !taken && r.maxGraphs > 0 && len(r.graphs) >= r.maxGraphs:
+		return true, fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
+	case !taken:
+		r.graphs[name] = e
+		return true, nil
 	}
-	if replaced {
-		e.gen = old.gen + 1
+	clear(e.sketches)
+	for k, sk := range old.sketches {
+		match, judged := matches[sk]
+		if !judged {
+			return false, nil
+		}
+		if match {
+			e.sketches[k] = sk
+		}
 	}
+	e.gen = old.gen + 1
 	r.graphs[name] = e
-	hook := r.onReplace
-	r.mu.Unlock()
-	if replaced && hook != nil {
-		hook(name, g)
-	}
-	return nil
+	r.replacements.Add(1)
+	return true, nil
 }
 
 // liveStateOf returns the entry's mutation lineage, creating it on first
 // use. The lineage is attached under the write lock so concurrent first
 // mutations agree on one liveState.
-func (r *Registry) liveStateOf(name string) (*liveState, *regEntry, error) {
+func (r *Registry) liveStateOf(name string) (*liveState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.graphs[name]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
 	if e.live == nil {
 		e.live = &liveState{}
 	}
-	return e.live, e, nil
+	return e.live, nil
 }
 
 // Mutate applies an edge batch to the named graph and installs the new
 // immutable snapshot under the same name. Readers are never blocked: a
 // request in flight keeps the snapshot it fetched, and the generation
 // bump keys caches and jobs off the old content exactly as a Replace
-// does. Unlike Replace, the mutation carries its lineage — the returned
-// BatchResult's Version and Dirty set — through the onMutate hook, so
-// dependent sketches can be repaired incrementally instead of evicted.
-func (r *Registry) Mutate(ctx context.Context, name string, ops []live.EdgeOp, opts live.ApplyOptions) (live.BatchResult, error) {
-	ls, e, err := r.liveStateOf(name)
+// does. Unlike Replace, the mutation keeps the lineage: the new entry
+// inherits the name's sketches, and each gets an incremental repair to
+// the batch's Version and Dirty set instead of an eviction. Returns the
+// batch and how many repairs it queued or coalesced.
+func (r *Registry) Mutate(ctx context.Context, name string, ops []live.EdgeOp, opts live.ApplyOptions) (live.BatchResult, int, error) {
+	ls, err := r.liveStateOf(name)
 	if err != nil {
-		return live.BatchResult{}, err
+		return live.BatchResult{}, 0, err
 	}
 
 	// The lineage lock serializes whole batches; the registry lock is
@@ -207,15 +233,15 @@ func (r *Registry) Mutate(ctx context.Context, name string, ops []live.EdgeOp, o
 	// simply continue from its snapshot; a Replace abandons the lineage
 	// and the batch must be refused.
 	r.mu.RLock()
-	cur, ok := r.graphs[name]
+	e, ok := r.graphs[name]
+	sameLineage := ok && e.live == ls
 	r.mu.RUnlock()
 	if !ok {
-		return live.BatchResult{}, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+		return live.BatchResult{}, 0, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
-	if cur.live != ls {
-		return live.BatchResult{}, fmt.Errorf("%w: %q", ErrGraphReplaced, name)
+	if !sameLineage {
+		return live.BatchResult{}, 0, fmt.Errorf("%w: %q", ErrGraphReplaced, name)
 	}
-	e = cur
 	if ls.lv == nil {
 		// First mutation of the lineage: start the log at the current
 		// snapshot (version 0).
@@ -224,48 +250,50 @@ func (r *Registry) Mutate(ctx context.Context, name string, ops []live.EdgeOp, o
 
 	res, err := ls.lv.Apply(ctx, ops, opts)
 	if err != nil {
-		return live.BatchResult{}, err
+		return live.BatchResult{}, 0, err
 	}
 	newG := ls.lv.Graph()
 
-	// Under the lock only the swap happens.
+	// Under the lock only the swap happens. A sketch registers only on the
+	// entry holding its own graph: one that landed before the swap is
+	// inherited and repaired, one that comes after is refused.
 	e2 := newRegEntry(name, newG, e.info.Source)
 	e2.gen = e.gen + 1
 	e2.live = ls
 	e2.info.Version = res.Version
 	r.mu.Lock()
-	if cur, ok := r.graphs[name]; !ok || cur != e || cur.live != ls {
+	if r.graphs[name] != e {
 		r.mu.Unlock()
-		return live.BatchResult{}, fmt.Errorf("%w: %q", ErrGraphReplaced, name)
+		return live.BatchResult{}, 0, fmt.Errorf("%w: %q", ErrGraphReplaced, name)
 	}
+	e2.sketches = e.sketches
 	r.graphs[name] = e2
-	hook := r.onMutate
+	stale := r.sketchesLocked(name)
 	r.mu.Unlock()
-	if hook != nil {
-		hook(name, newG, res.Version, res.Dirty)
-	}
-	return res, nil
+	r.mutations.Add(1)
+	return res, r.scheduleRepairs(newG, res, stale), nil
 }
 
-// Get returns the named graph.
-func (r *Registry) Get(name string) (*holisticim.Graph, error) {
-	g, _, err := r.GetWithGeneration(name)
-	return g, err
-}
-
-// GetWithGeneration returns the named graph together with its rebind
-// generation, read under one lock acquisition: the pair is consistent
-// even against a concurrent Replace, which is what lets a caller key
-// derived work (cached selections, deduplicated jobs) to the exact
-// instance it fetched.
-func (r *Registry) GetWithGeneration(name string) (*holisticim.Graph, uint64, error) {
+// lookup returns name's current entry and the sketch registered on it
+// under k (nil when none), read under one lock acquisition: the graph,
+// its generation and the sketch are consistent with each other.
+func (r *Registry) lookup(name string, k sketchKey) (*regEntry, *sketchEntry, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.graphs[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+		return nil, nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
-	return e.g, e.gen, nil
+	return e, e.sketches[k], nil
+}
+
+// Get returns the named graph.
+func (r *Registry) Get(name string) (*holisticim.Graph, error) {
+	e, _, err := r.lookup(name, sketchKey{})
+	if err != nil {
+		return nil, err
+	}
+	return e.g, nil
 }
 
 // List returns the registered graphs' summaries, sorted by name.
@@ -283,11 +311,9 @@ func (r *Registry) List() []GraphInfo {
 // Info returns the stored summary for the named graph without touching
 // the graph itself.
 func (r *Registry) Info(name string) (GraphInfo, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.graphs[name]
-	if !ok {
-		return GraphInfo{}, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+	e, _, err := r.lookup(name, sketchKey{})
+	if err != nil {
+		return GraphInfo{}, err
 	}
 	return e.info, nil
 }
@@ -304,11 +330,9 @@ func (r *Registry) Len() int {
 // the whole graph) computation runs once per graph and is memoized;
 // samples and seed only influence that first computation.
 func (r *Registry) Stats(name string, samples int, seed uint64) (GraphStats, error) {
-	r.mu.RLock()
-	e, ok := r.graphs[name]
-	r.mu.RUnlock()
-	if !ok {
-		return GraphStats{}, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+	e, _, err := r.lookup(name, sketchKey{})
+	if err != nil {
+		return GraphStats{}, err
 	}
 	e.statsOnce.Do(func() {
 		st := graph.ComputeStats(e.g, samples, seed)
@@ -328,7 +352,7 @@ func (r *Registry) Stats(name string, samples int, seed uint64) (GraphStats, err
 // LoadFile registers a graph read from an edge-list or binary file. A
 // name that is already registered is REBOUND to the freshly read content
 // (Replace semantics): re-running the operator's load path refreshes the
-// dataset, and the replacement hook keeps caches and sketches honest.
+// dataset, keeping only the sketches that still match its content.
 func (r *Registry) LoadFile(name, path string) error {
 	g, err := holisticim.ReadGraphFile(path)
 	if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,32 +40,46 @@ func TestRegistryAddGetList(t *testing.T) {
 	}
 }
 
-// A store-loaded rebind must be visible complete: whoever looks from
-// inside the onReplace hook — the first moment the new entry is reachable
-// with the registry unlocked, and where /v1/cluster/info and /v1/graphs
-// can already be reading — sees the snapshot's version, not a placeholder
-// 0 that is patched in afterwards.
-func TestReplaceSnapshotInstallsVersionBeforeHook(t *testing.T) {
+// A store-loaded rebind is installed complete: a reader racing the
+// rebinds — as /v1/cluster/info and /v1/graphs may — sees each content
+// only at the version it was published with, never at a placeholder 0
+// patched in afterwards. An operator Replace then resets the version.
+func TestReplaceSnapshotInstallsVersionWithEntry(t *testing.T) {
 	r := NewRegistry()
-	if err := r.ReplaceSnapshot("soc", holisticim.GenerateBA(50, 2, 1), "store:a", 3); err != nil {
+	graphs := []*holisticim.Graph{holisticim.GenerateBA(50, 2, 1), holisticim.GenerateBA(50, 2, 2)}
+	version := func(i int) uint64 { return uint64(3 + 4*i) }
+	published := map[string]uint64{}
+	for i, g := range graphs {
+		published[fmt.Sprintf("%016x", g.Fingerprint())] = version(i)
+	}
+	if err := r.ReplaceSnapshot("soc", graphs[0], "store:a", version(0)); err != nil {
 		t.Fatal(err)
 	}
-	var seen []uint64
-	r.onReplace = func(name string, g *holisticim.Graph) {
-		info, err := r.Info(name)
-		if err != nil {
-			t.Errorf("Info inside onReplace: %v", err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 200; i++ {
+			if err := r.ReplaceSnapshot("soc", graphs[i%2], "store", version(i%2)); err != nil {
+				t.Error(err)
+				return
+			}
 		}
-		seen = append(seen, info.Version)
-	}
-	if err := r.ReplaceSnapshot("soc", holisticim.GenerateBA(50, 2, 2), "store:b", 7); err != nil {
-		t.Fatal(err)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		info, err := r.Info("soc")
+		if err != nil || info.Version != published[info.Fingerprint] {
+			t.Errorf("reader saw %+v (%v), want version %d for that content", info, err, published[info.Fingerprint])
+			<-done
+			return
+		}
 	}
 	if err := r.Replace("soc", holisticim.GenerateBA(50, 2, 3), "file:c"); err != nil {
 		t.Fatal(err)
-	}
-	if len(seen) != 2 || seen[0] != 7 || seen[1] != 0 {
-		t.Fatalf("versions seen inside onReplace = %v, want [7 0] (snapshot's version, then an operator Replace's 0)", seen)
 	}
 	if info, _ := r.Info("soc"); info.Version != 0 || info.Source != "file:c" {
 		t.Fatalf("after Replace: %+v", info)

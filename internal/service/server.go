@@ -140,7 +140,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	reg      *Registry
-	sketches *SketchRegistry
 	jobs     *Manager
 	cache    *Cache
 	mux      *http.ServeMux
@@ -165,8 +164,6 @@ type Server struct {
 	queries         atomic.Int64 // query jobs run to completion (either surface)
 	sketchHits      atomic.Int64 // select requests served by the sketch fast path
 	sketchEstimates atomic.Int64 // estimate requests served by an opinion sketch
-	replacements    atomic.Int64 // graph names rebound to new content
-	mutations       atomic.Int64 // applied edge batches
 
 	ready           atomic.Bool   // /readyz gate; see Config.ColdStart
 	manifestVersion atomic.Uint64 // last fully warm-loaded store manifest version
@@ -176,48 +173,21 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		reg:      NewRegistry(),
-		sketches: NewSketchRegistry(),
-		jobs:     NewManager(cfg.Workers, cfg.QueueCap, cfg.MaxJobs),
-		cache:    NewCache(cfg.CacheSize),
-		queryFn:  holisticim.Run,
+		cfg:     cfg,
+		reg:     NewRegistry(),
+		jobs:    NewManager(cfg.Workers, cfg.QueueCap, cfg.MaxJobs),
+		cache:   NewCache(cfg.CacheSize),
+		queryFn: holisticim.Run,
 		limiter: admission.NewLimiter(admission.LimiterConfig{
 			RPS: cfg.RateRPS, Burst: cfg.RateBurst, MaxClients: cfg.RateClients,
 		}),
 		costs: admission.NewCostModel(),
 	}
-	// Enforced inside Registry.Add, under its lock, so concurrent
-	// registrations cannot race past the cap.
+	// Enforced inside the registry, under its lock, so concurrent
+	// registrations cannot race past the caps.
 	s.reg.maxGraphs = cfg.MaxGraphs
-	s.sketches.maxSketches = cfg.MaxSketches
-	// A graph name rebound to new content (operator reload) must not keep
-	// serving results computed against the old topology: drop the name's
-	// cached selections and rebind-or-evict its sketches before the
-	// replacement call returns. Identical-content reloads keep their
-	// sketches (fingerprint match) — only the cache is cleared, cheaply
-	// re-fillable either way.
-	s.reg.onReplace = func(name string, g *holisticim.Graph) {
-		s.replacements.Add(1)
-		s.cache.DropPrefix("graph=" + name + ";")
-		s.sketches.RebindGraph(name, g)
-	}
-	// A mutated graph keeps its lineage: instead of evicting the name's
-	// sketches, schedule incremental background repairs for them. Until a
-	// sketch's repair lands, its fingerprint no longer matches the new
-	// snapshot, so the planner routes the name's queries to cold backends —
-	// stale samples are repaired or bypassed, never silently served.
-	s.reg.onMutate = func(name string, g *holisticim.Graph, version uint64, dirty []holisticim.NodeID) {
-		s.mutations.Add(1)
-		s.cache.DropPrefix("graph=" + name + ";")
-		// Repairs are background maintenance: batch class, so a repair
-		// storm after a mutation burst cannot delay interactive queries.
-		s.sketches.ScheduleRepair(name, g, version, dirty,
-			func(key string, fn JobFunc) error {
-				_, _, err := s.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, fn)
-				return err
-			})
-	}
+	s.reg.maxSketches = cfg.MaxSketches
+	s.reg.jobs = s.jobs
 	// A cold-starting replica flips ready only once its snapshots (or the
 	// store manifest) are fully warm-loaded; everything else is ready the
 	// moment it can serve.
@@ -249,11 +219,12 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // routers can prefer manifest-fresh replicas.
 func (s *Server) SetManifestVersion(v uint64) { s.manifestVersion.Store(v) }
 
-// Registry exposes the graph registry for startup preloading.
+// Registry exposes the graph and sketch registry for startup preloading.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Sketches exposes the sketch registry for startup snapshot preloading.
-func (s *Server) Sketches() *SketchRegistry { return s.sketches }
+// Sketches is Registry, kept for callers that preload snapshots through
+// it (LoadSnapshot).
+func (s *Server) Sketches() *Registry { return s.reg }
 
 // Handler returns the root http.Handler: the mux wrapped so that
 // not-found and method-mismatch responses carry the same JSON error
@@ -346,8 +317,7 @@ func (s *Server) SelectionsRun() int64 { return s.selections.Load() }
 
 // Stats snapshots the serving counters.
 func (s *Server) Stats() ServerStats {
-	skCount, skSets, skBytes, skBuilds := s.sketches.Totals()
-	repairs, repairedSets, repairsFailed := s.sketches.RepairTotals()
+	skCount, skSets, skBytes, skBuilds := s.reg.SketchTotals()
 	queued, running := s.jobs.Depth()
 	depths := s.jobs.DepthByPriority()
 	byPriority := make(map[string]int, admission.NumPriorities)
@@ -376,11 +346,11 @@ func (s *Server) Stats() ServerStats {
 		SketchBuilds:         skBuilds,
 		SketchFastPathHits:   s.sketchHits.Load(),
 		SketchEstimateHits:   s.sketchEstimates.Load(),
-		GraphReplacements:    s.replacements.Load(),
-		GraphMutations:       s.mutations.Load(),
-		SketchRepairs:        repairs,
-		SketchRepairedSets:   repairedSets,
-		SketchRepairFailures: repairsFailed,
+		GraphReplacements:    s.reg.replacements.Load(),
+		GraphMutations:       s.reg.mutations.Load(),
+		SketchRepairs:        s.reg.repairs.Load(),
+		SketchRepairedSets:   s.reg.repairedSets.Load(),
+		SketchRepairFailures: s.reg.repairsFailed.Load(),
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/holisticim/holisticim"
+	"github.com/holisticim/holisticim/internal/admission"
 )
 
 // Sketch registry errors.
@@ -21,41 +21,34 @@ var (
 
 // SketchID is the canonical identifier of a sketch: one index per
 // (graph, RR semantics, ε, seed), semantics being ris.ModelKind's "ic",
-// "lt" or the opinion-weighted "oc". The id pins the sample a fast-path
-// selection will use: a graph name rebound to different content evicts
-// its sketches (RebindGraph), so a live id always means a live sample.
-// The cluster layer's manifest ids and routing keys are this string too.
+// "lt" or the opinion-weighted "oc". A name rebound to different content
+// drops its sketches, so a live id always means a live sample. The
+// cluster layer's manifest ids and routing keys are this string too.
 func SketchID(graph, semantics string, epsilon float64, seed uint64) string {
 	return fmt.Sprintf("%s:%s:e%g:s%d", graph, semantics, epsilon, seed)
 }
 
-// SketchRegistry holds the server's RR-sketch indexes. Like the graph
-// registry it only ever grows up to its cap — but sketches, unlike
-// graphs, can be evicted (DELETE /v1/sketches/{id}) and rebuilt, since
-// an id always maps to the same deterministic sample.
-type SketchRegistry struct {
-	mu          sync.RWMutex
-	maxSketches int
-	entries     map[string]*sketchEntry
-	builds      int64 // completed builds/loads, for /v1/stats
-
-	repairs       atomic.Int64 // completed incremental repairs, for /v1/stats
-	repairedSets  atomic.Int64 // RR sets resampled across all repairs
-	repairsFailed atomic.Int64 // repairs that failed (the sketch was evicted)
-}
-
-type sketchEntry struct {
-	idx       *holisticim.Sketch
-	graph     string
+// sketchKey names a sketch within its graph's entry.
+type sketchKey struct {
 	semantics string
 	epsilon   float64
 	seed      uint64
+}
+
+// sketchEntry is one registered index. Unlike graphs, sketches can be
+// evicted (DELETE /v1/sketches/{id}) and rebuilt, since an id always maps
+// to the same deterministic sample.
+type sketchEntry struct {
+	idx   *holisticim.Sketch
+	graph string
+	key   sketchKey
+	id    string
 
 	repair repairState
 }
 
 // repairState coalesces mutation batches into background repairs for one
-// sketch. ScheduleRepair merges each batch's dirty set under the lock
+// sketch. scheduleRepairs merges each batch's dirty set under the lock
 // and starts one drain job when none is running; the drain loop's
 // check-and-clear also runs under the lock, so a batch arriving while a
 // repair is in flight is either folded into the current drain iteration
@@ -72,168 +65,227 @@ type repairState struct {
 	running        bool
 }
 
-// NewSketchRegistry returns an empty sketch registry.
-func NewSketchRegistry() *SketchRegistry {
-	return &SketchRegistry{entries: make(map[string]*sketchEntry)}
+// AddSketch registers idx under the id name and its own parameters spell,
+// refusing an id already bound. idx must be bound to the graph name holds:
+// a sample over a snapshot a Replace or an edge batch has since superseded
+// is refused with ErrGraphReplaced.
+func (r *Registry) AddSketch(name string, idx *holisticim.Sketch) (string, error) {
+	return r.putSketch(name, idx, false)
 }
 
-// Add registers idx under the canonical id for its key, refusing an id
-// that is already bound.
-func (r *SketchRegistry) Add(graph, semantics string, epsilon float64, seed uint64, idx *holisticim.Sketch) (string, error) {
-	id, _, err := r.put(graph, semantics, epsilon, seed, idx, false)
-	return id, err
+// PutSketch is AddSketch REPLACING any sketch already bound to the id —
+// the store watcher's path for a republished sample: in-flight selections
+// finish against the old index, new lookups see the new one. A
+// replacement lands even at the cap; refusing it would keep a stale one.
+func (r *Registry) PutSketch(name string, idx *holisticim.Sketch) (string, error) {
+	return r.putSketch(name, idx, true)
 }
 
-// Put registers idx under its canonical id, REPLACING any sketch already
-// bound to the id. This is the store watcher's load path: a manifest
-// update ships a rebuilt sample for the same (graph, semantics, ε, seed)
-// key, and the replica must swap it in place — in-flight selections
-// holding the old index finish against it, new lookups see the new one.
-// Returns the id and whether an existing entry was replaced. The cap only
-// gates NEW ids; replacements always land, since refusing one would leave
-// a stale sample serving the fast path.
-func (r *SketchRegistry) Put(graph, semantics string, epsilon float64, seed uint64, idx *holisticim.Sketch) (string, bool, error) {
-	return r.put(graph, semantics, epsilon, seed, idx, true)
-}
-
-func (r *SketchRegistry) put(graph, semantics string, epsilon float64, seed uint64, idx *holisticim.Sketch, replace bool) (id string, replaced bool, err error) {
+func (r *Registry) putSketch(name string, idx *holisticim.Sketch, replace bool) (string, error) {
 	if idx == nil {
-		return "", false, errors.New("service: nil sketch")
+		return "", errors.New("service: nil sketch")
 	}
-	id = SketchID(graph, semantics, epsilon, seed)
+	p, bound := idx.Params(), idx.Graph()
+	k := sketchKey{p.Kind.Semantics(), p.Epsilon, p.Seed}
+	id := SketchID(name, k.semantics, k.epsilon, k.seed)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, replaced = r.entries[id]
-	if replaced && !replace {
-		return "", false, fmt.Errorf("%w: %q", ErrSketchExists, id)
+	e, ok := r.graphs[name]
+	if !ok {
+		return "", fmt.Errorf("%w: %q", ErrGraphNotFound, name)
 	}
-	if !replaced && r.maxSketches > 0 && len(r.entries) >= r.maxSketches {
-		return "", false, fmt.Errorf("%w (%d sketches)", ErrSketchesFull, r.maxSketches)
+	if e.g != bound {
+		return "", fmt.Errorf("%w: %q moved on while sketch %q was sampled", ErrGraphReplaced, name, id)
 	}
-	r.entries[id] = &sketchEntry{idx: idx, graph: graph, semantics: semantics, epsilon: epsilon, seed: seed}
+	_, taken := e.sketches[k]
+	if taken && !replace {
+		return "", fmt.Errorf("%w: %q", ErrSketchExists, id)
+	}
+	if !taken && r.maxSketches > 0 && len(r.sketchesLocked("")) >= r.maxSketches {
+		return "", fmt.Errorf("%w (%d sketches)", ErrSketchesFull, r.maxSketches)
+	}
+	e.sketches[k] = &sketchEntry{idx: idx, graph: name, key: k, id: id,
+		repair: repairState{pendingDirty: make(map[holisticim.NodeID]struct{})}}
 	r.builds++
-	return id, replaced, nil
+	return id, nil
 }
 
-// Lookup returns the index serving (graph, semantics, ε, seed), or nil.
-func (r *SketchRegistry) Lookup(graph, semantics string, epsilon float64, seed uint64) *holisticim.Sketch {
+// sketchesLocked returns the sketches registered on name, or on every
+// graph when name is "".
+func (r *Registry) sketchesLocked(name string) []*sketchEntry {
+	var out []*sketchEntry
+	for n, e := range r.graphs {
+		if name != "" && n != name {
+			continue
+		}
+		for _, sk := range e.sketches {
+			out = append(out, sk)
+		}
+	}
+	return out
+}
+
+// sketchesOf is sketchesLocked for callers about to call index methods.
+func (r *Registry) sketchesOf(name string) []*sketchEntry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[SketchID(graph, semantics, epsilon, seed)]
-	if !ok {
-		return nil
-	}
-	return e.idx
+	return r.sketchesLocked(name)
 }
 
-// Get returns the index with the given id.
-func (r *SketchRegistry) Get(id string) (*holisticim.Sketch, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrSketchNotFound, id)
+// sketchByID finds the sketch registered under id, or nil.
+func (r *Registry) sketchByID(id string) *sketchEntry {
+	for _, sk := range r.sketchesOf("") {
+		if sk.id == id {
+			return sk
+		}
 	}
-	return e.idx, nil
+	return nil
 }
 
-// Evict drops the index with the given id. In-flight selections holding
-// the index finish against it; the memory is reclaimed once they unwind.
-func (r *SketchRegistry) Evict(id string) bool {
+// EvictSketch drops the index with the given id. In-flight selections
+// holding it finish against it; its memory is reclaimed once they unwind.
+func (r *Registry) EvictSketch(id string) bool {
+	sk := r.sketchByID(id)
+	return sk != nil && r.evict(sk)
+}
+
+// evict removes sk from its graph's current entry, if it is still there
+// (and not a newer index registered under the same id since).
+func (r *Registry) evict(sk *sketchEntry) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.entries[id]; !ok {
+	e, ok := r.graphs[sk.graph]
+	if !ok || e.sketches[sk.key] != sk {
 		return false
 	}
-	delete(r.entries, id)
+	delete(e.sketches, sk.key)
 	return true
 }
 
 // info materializes one entry's SketchInfo (counters read live).
-func (e *sketchEntry) info(id string) SketchInfo {
-	st := e.idx.Stats()
-	p := e.idx.Params()
+func (sk *sketchEntry) info() SketchInfo {
+	st := sk.idx.Stats()
 	return SketchInfo{
-		ID:               id,
-		Graph:            e.graph,
-		Model:            e.semantics,
-		Epsilon:          e.epsilon,
-		Seed:             e.seed,
-		BuildK:           p.BuildK,
+		ID:               sk.id,
+		Graph:            sk.graph,
+		Model:            sk.key.semantics,
+		Epsilon:          sk.key.epsilon,
+		Seed:             sk.key.seed,
+		BuildK:           sk.idx.Params().BuildK,
 		Sets:             st.Sets,
 		OrderLen:         st.OrderLen,
 		Selects:          st.Selects,
 		Extensions:       st.Extensions,
 		MemoryBytes:      st.MemoryBytes,
-		GraphVersion:     e.idx.GraphVersion(),
-		GraphFingerprint: fmt.Sprintf("%016x", e.idx.GraphFingerprint()),
+		GraphVersion:     sk.idx.GraphVersion(),
+		GraphFingerprint: fmt.Sprintf("%016x", sk.idx.GraphFingerprint()),
 	}
 }
 
-// ScheduleRepair queues incremental repairs for every sketch registered
-// against graphName after a mutation to (g, version) with the given
-// dirty nodes. Batches coalesce per sketch (see repairState); at most
-// one drain job runs per sketch at a time, submitted through submit —
-// typically a closure over the server's job manager, so repairs share
-// the bounded worker pool with selections. A repair that fails evicts
-// its sketch: a sample that could not be resynchronized must never serve
-// the fast path again. Returns how many sketches had work scheduled.
-func (r *SketchRegistry) ScheduleRepair(graphName string, g *holisticim.Graph, version uint64, dirty []holisticim.NodeID, submit func(key string, fn JobFunc) error) int {
-	r.mu.RLock()
-	targets := make(map[string]*sketchEntry)
-	for id, e := range r.entries {
-		if e.graph == graphName {
-			targets[id] = e
-		}
+// ListSketches returns the registered sketches' summaries, sorted by id.
+func (r *Registry) ListSketches() []SketchInfo {
+	held := r.sketchesOf("")
+	out := make([]SketchInfo, len(held))
+	for i, sk := range held {
+		out[i] = sk.info()
 	}
-	r.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
 
+// DescribeSketch returns the summary for one id.
+func (r *Registry) DescribeSketch(id string) (SketchInfo, error) {
+	sk := r.sketchByID(id)
+	if sk == nil {
+		return SketchInfo{}, fmt.Errorf("%w: %q", ErrSketchNotFound, id)
+	}
+	return sk.info(), nil
+}
+
+// SketchTotals sums the registry-wide sketch counters for /v1/stats.
+func (r *Registry) SketchTotals() (count int, sets int64, bytes int64, builds int64) {
+	r.mu.RLock()
+	held, builds := r.sketchesLocked(""), r.builds
+	r.mu.RUnlock()
+	for _, sk := range held {
+		st := sk.idx.Stats()
+		sets += int64(st.Sets)
+		bytes += st.MemoryBytes
+	}
+	return len(held), sets, bytes, builds
+}
+
+// LoadSnapshot registers a sketch loaded from a snapshot file over g,
+// which must be the graph name currently holds; it is keyed by the
+// parameters stored in the snapshot itself.
+func (r *Registry) LoadSnapshot(name string, g *holisticim.Graph, path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", fmt.Errorf("service: open sketch snapshot: %w", err)
+	}
+	defer f.Close()
+	idx, err := holisticim.ReadSketch(f, g)
+	if err != nil {
+		return "", fmt.Errorf("service: read %s: %w", path, err)
+	}
+	return r.AddSketch(name, idx)
+}
+
+// scheduleRepairs queues repairs of the sketches a mutation to (g,
+// res.Version) left behind, coalesced per sketch (see repairState) into
+// at most one batch-class drain job at a time, so a repair storm cannot
+// delay interactive queries. A sketch whose repair cannot be queued is
+// evicted: a sample that missed a batch must never serve again. Returns
+// how many repairs were queued or folded into a running drain.
+func (r *Registry) scheduleRepairs(g *holisticim.Graph, res holisticim.BatchResult, stale []*sketchEntry) int {
 	scheduled := 0
-	for id, e := range targets {
-		st := &e.repair
+	for _, sk := range stale {
+		st := &sk.repair
 		st.mu.Lock()
-		if st.pendingDirty == nil {
-			st.pendingDirty = make(map[holisticim.NodeID]struct{}, len(dirty))
-		}
-		for _, d := range dirty {
+		for _, d := range res.Dirty {
 			st.pendingDirty[d] = struct{}{}
 		}
 		// Latest snapshot wins: repairing the accumulated union against it
 		// subsumes every intermediate version.
 		st.pendingGraph = g
-		st.pendingVersion = version
+		st.pendingVersion = res.Version
 		start := !st.running
-		if start {
-			st.running = true
-		}
+		st.running = true
 		st.mu.Unlock()
+		if start {
+			// The version in the key makes every submission unique: a plain
+			// per-sketch key could collide with a drain job that already set
+			// running=false but whose single-flight entry the manager has not
+			// yet cleared — the new submission would dedup against it, drop
+			// its JobFunc, and strand the pending work.
+			key := fmt.Sprintf("sketchrepair:%s:v%d", sk.id, res.Version)
+			err := ErrShuttingDown
+			if r.jobs != nil {
+				_, _, err = r.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, r.drainFunc(sk))
+			}
+			if err != nil {
+				r.repairFailed(sk)
+				continue
+			}
+		}
 		scheduled++
-		if !start {
-			continue
-		}
-		// The version in the key makes every submission unique: a plain
-		// per-sketch key could collide with a drain job that already set
-		// running=false but whose single-flight entry the manager has not
-		// yet cleared — the new submission would dedup against it, drop
-		// its JobFunc, and strand the pending work.
-		key := fmt.Sprintf("sketchrepair:%s:v%d", id, version)
-		if err := submit(key, r.drainFunc(id, e)); err != nil {
-			// Queue full: the sketch cannot be repaired now and must not
-			// keep serving the old content's fast path.
-			st.mu.Lock()
-			st.running = false
-			st.mu.Unlock()
-			r.repairsFailed.Add(1)
-			r.Evict(id)
-		}
 	}
 	return scheduled
 }
 
+// repairFailed stops sk's drain and evicts it.
+func (r *Registry) repairFailed(sk *sketchEntry) {
+	sk.repair.mu.Lock()
+	sk.repair.running = false
+	sk.repair.mu.Unlock()
+	r.repairsFailed.Add(1)
+	r.evict(sk)
+}
+
 // drainFunc returns the JobFunc that drains one sketch's pending repairs.
-func (r *SketchRegistry) drainFunc(id string, e *sketchEntry) JobFunc {
+func (r *Registry) drainFunc(sk *sketchEntry) JobFunc {
 	return func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
-		st := &e.repair
+		st := &sk.repair
 		total := 0
 		for {
 			st.mu.Lock()
@@ -251,14 +303,10 @@ func (r *SketchRegistry) drainFunc(id string, e *sketchEntry) JobFunc {
 			ver := st.pendingVersion
 			st.mu.Unlock()
 
-			stats, err := e.idx.Repair(ctx, g, dirty, ver, holisticim.SketchRepairOptions{})
+			stats, err := sk.idx.Repair(ctx, g, dirty, ver, holisticim.SketchRepairOptions{})
 			if err != nil {
-				st.mu.Lock()
-				st.running = false
-				st.mu.Unlock()
-				r.repairsFailed.Add(1)
-				r.Evict(id)
-				return nil, fmt.Errorf("service: repair sketch %s: %w", id, err)
+				r.repairFailed(sk)
+				return nil, fmt.Errorf("service: repair sketch %s: %w", sk.id, err)
 			}
 			r.repairs.Add(1)
 			r.repairedSets.Add(int64(stats.Resampled))
@@ -266,96 +314,4 @@ func (r *SketchRegistry) drainFunc(id string, e *sketchEntry) JobFunc {
 			report(total)
 		}
 	}
-}
-
-// CountFor returns how many sketches are registered for graphName.
-func (r *SketchRegistry) CountFor(graphName string) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, e := range r.entries {
-		if e.graph == graphName {
-			n++
-		}
-	}
-	return n
-}
-
-// RepairTotals returns the registry-wide repair counters for /v1/stats.
-func (r *SketchRegistry) RepairTotals() (repairs, sets, failed int64) {
-	return r.repairs.Load(), r.repairedSets.Load(), r.repairsFailed.Load()
-}
-
-// List returns the registered sketches' summaries, sorted by id.
-func (r *SketchRegistry) List() []SketchInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]SketchInfo, 0, len(r.entries))
-	for id, e := range r.entries {
-		out = append(out, e.info(id))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Info returns the summary for one id.
-func (r *SketchRegistry) Info(id string) (SketchInfo, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[id]
-	if !ok {
-		return SketchInfo{}, fmt.Errorf("%w: %q", ErrSketchNotFound, id)
-	}
-	return e.info(id), nil
-}
-
-// Totals sums the registry-wide counters for /v1/stats.
-func (r *SketchRegistry) Totals() (count int, sets int64, bytes int64, builds int64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, e := range r.entries {
-		st := e.idx.Stats()
-		sets += int64(st.Sets)
-		bytes += st.MemoryBytes
-	}
-	return len(r.entries), sets, bytes, r.builds
-}
-
-// LoadSnapshot registers a sketch loaded from a snapshot file, keyed by
-// the parameters stored in the snapshot itself.
-func (r *SketchRegistry) LoadSnapshot(graphName string, g *holisticim.Graph, path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("service: open sketch snapshot: %w", err)
-	}
-	defer f.Close()
-	idx, err := holisticim.ReadSketch(f, g)
-	if err != nil {
-		return "", fmt.Errorf("service: read %s: %w", path, err)
-	}
-	p := idx.Params()
-	return r.Add(graphName, p.Kind.Semantics(), p.Epsilon, p.Seed, idx)
-}
-
-// RebindGraph reconciles the registry with a graph name that was just
-// rebound: every sketch registered for the name is rebound to the new
-// instance when the content fingerprints still agree (Index.Matches
-// self-rebinds on a fingerprint match), and evicted when they don't — a
-// sketch over the old topology must never serve the new graph's fast
-// path. Returns how many sketches were kept and how many evicted.
-func (r *SketchRegistry) RebindGraph(graphName string, g *holisticim.Graph) (kept, evicted int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for id, e := range r.entries {
-		if e.graph != graphName {
-			continue
-		}
-		if e.idx.Matches(g, e.idx.Kind()) {
-			kept++
-			continue
-		}
-		delete(r.entries, id)
-		evicted++
-	}
-	return kept, evicted
 }

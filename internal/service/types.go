@@ -240,7 +240,7 @@ type GraphInfo struct {
 	// parameters) in hex — the identity a cluster store manifest and
 	// sketch snapshots pin artifacts to.
 	Fingerprint string `json:"fingerprint"`
-	// Version is the mutation-log version of the current snapshot: 0 for
+	// Version is the graph version of the current snapshot: 0 for
 	// a never-mutated graph, incremented by every applied edge batch
 	// (POST /v1/graphs/{name}/edges). An operator Replace resets it — the
 	// lineage restarts with the new content.
@@ -337,7 +337,7 @@ type MutateRequest struct {
 	RebalanceLT bool         `json:"rebalance_lt,omitempty"`
 }
 
-// MutateResponse reports an applied batch: the new mutation-log version,
+// MutateResponse reports an applied batch: the new graph version,
 // the new snapshot's shape, and the dirty nodes (targets of the batch's
 // operations) that drive incremental sketch repair.
 type MutateResponse struct {
@@ -347,8 +347,8 @@ type MutateResponse struct {
 	Arcs    int64   `json:"arcs"`
 	Applied int     `json:"applied"`
 	Dirty   []int32 `json:"dirty"`
-	// RepairsScheduled counts the sketches a background incremental
-	// repair was queued for.
+	// RepairsScheduled counts the sketch repairs this batch queued or
+	// folded into a running one (an unqueueable one evicts its sketch).
 	RepairsScheduled int `json:"repairs_scheduled"`
 }
 
@@ -473,8 +473,8 @@ type ServerStats struct {
 	// requests the sketch fast path answered synchronously and how many
 	// /v1/estimate requests an opinion-weighted ("oc") sketch served
 	// without Monte Carlo. GraphReplacements counts operator reloads that
-	// rebound a graph name (each dropped the name's cached results and
-	// rebound or evicted its sketches).
+	// rebound a graph name (each fenced the name's cached results by a new
+	// generation and kept only the sketches matching the new content).
 	Sketches           int   `json:"sketches"`
 	SketchSets         int64 `json:"sketch_sets"`
 	SketchMemoryBytes  int64 `json:"sketch_memory_bytes"`

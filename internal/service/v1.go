@@ -6,6 +6,11 @@ package service
 // execution path (answerQuery, runSync, the one job namespace), and the
 // resulting QueryResponse is rendered back in the v1 shape. Nothing in
 // this file plans, executes, caches or queues.
+//
+// The v1 routes go once nothing in the tree posts to them. Today the
+// callers are the serve-read benchmark's v1select op, scripts/loadtest.sh,
+// the imserver docs and the router's /v1 proxy routes; the benchmark op
+// has to be retired first, in a change of its own.
 
 import (
 	"net/http"
