@@ -266,17 +266,12 @@ type Options struct {
 	MCRuns int
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Workers bounds the goroutines of every parallel stage (default
-	// GOMAXPROCS), and changes no result: EaSyIM/OSIM re-sum a sweep of
-	// every row in row ranges (each row whole, by one goroutine; graphs
-	// under core's sweep grain, ~131k arcs, stay on the caller); cold
-	// TIM+/IMM — single-budget, or the ephemeral sketch of a multi-budget
-	// batch — sample RR set i from (Seed, i) on whichever worker claims it;
-	// the Monte-Carlo objectives (Greedy, CELF++, ModifiedGreedy) and
-	// estimators split their runs. Sequential whatever it says: the
-	// activation probe between two seeds (one RNG stream), the sweeps over
-	// a listed few rows, and max coverage. A prebuilt sketch samples with
-	// its own SketchOptions.Workers.
+	// Workers bounds the goroutines of every parallel stage — EaSyIM/OSIM
+	// sweeps, RR sampling, Monte-Carlo runs — and changes no result. One
+	// rule sizes them all: ≤ 0 means GOMAXPROCS, never more than
+	// max(16, 2·GOMAXPROCS) or the stage's chunks of work, and small work
+	// (a sweep under ~131k arcs, a batch under 512 RR sets) stays on the
+	// caller. A prebuilt sketch samples with its own SketchOptions.Workers.
 	Workers int
 	// TIMThetaCap optionally bounds TIM+/IMM RR sets (0 = unbounded).
 	TIMThetaCap int
@@ -526,9 +521,9 @@ type SketchOptions struct {
 	// selections with k ≤ BuildK are typically answered without growing
 	// the sample.
 	BuildK int
-	// Workers bounds parallel sampling goroutines (default GOMAXPROCS).
-	// Cannot change the sampled sets: set i always comes from the split
-	// stream (Seed, i).
+	// Workers bounds parallel sampling goroutines by Options.Workers' rule
+	// (≤ 0 means GOMAXPROCS). Cannot change the sampled sets: set i always
+	// comes from the split stream (Seed, i).
 	Workers int
 	// MaxSets, when positive, caps the index size (memory bound).
 	MaxSets int

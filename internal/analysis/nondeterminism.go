@@ -8,8 +8,10 @@ import (
 // determinismCritical names the packages whose outputs must be pure
 // functions of (graph, params, seed): the RR samplers, the sketch index
 // built on them, the diffusion engine and its Monte-Carlo estimator, the
-// EaSyIM/OSIM scorers with their probe stream, and the splittable RNG
-// itself. PR 3–6 rest on an index being reproducible regardless of worker
+// EaSyIM/OSIM scorers with their probe stream, the splittable RNG itself,
+// and par, the one parallel loop all of them split work through — its only
+// job is to keep their results independent of scheduling. PR 3–6 rest on
+// an index being reproducible regardless of worker
 // count, wall-clock or map iteration order — Workers=8 must equal
 // Workers=1 byte-for-byte, and incremental repair must replay untouched
 // sets identically; the pinned stream and seed tables of internal/diffusion
@@ -20,6 +22,7 @@ var determinismCritical = map[string]bool{
 	"rng":       true,
 	"diffusion": true,
 	"core":      true,
+	"par":       true,
 }
 
 // globalRandFuncs are the math/rand (and v2) package-level functions
@@ -46,7 +49,7 @@ var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
 	Doc: "forbid time.Now, global math/rand and order-leaking map iteration " +
 		"in determinism-critical packages (internal/ris, internal/sketch, internal/rng, " +
-		"internal/diffusion, internal/core)",
+		"internal/diffusion, internal/core, internal/par)",
 	AppliesTo: func(path, _ string) bool { return determinismCritical[lastSegment(path)] },
 	Run:       runNondeterminism,
 }

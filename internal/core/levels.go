@@ -1,12 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/holisticim/holisticim/internal/graph"
+	"github.com/holisticim/holisticim/internal/par"
 )
 
 // LevelScorer is a Scorer that keeps its l per-level arrays between calls,
@@ -53,7 +52,7 @@ type levels struct {
 	weight      EdgeWeight
 	gone        []bool
 	kernelBytes int64 // k's per-level arrays
-	workers     int   // goroutines of a dense sweep; <= 0 is GOMAXPROCS
+	workers     int   // goroutines of a dense sweep, as par.Workers resolves it
 
 	listed         []bool // listed[u]: u is on dirty; all false between levels
 	dirty, changed []graph.NodeID
@@ -97,43 +96,17 @@ const sweepChunk = 1024
 // the core of the request beside it for a seventh of a 0.2 ms sweep.
 const sweepGrain = 1 << 17
 
-// dense runs body over every row as ranges [lo, hi) that partition [0, n):
-// the one range [0, n) on the caller when one worker is all there is or the
-// graph is under sweepGrain, otherwise sweepChunk rows at a time claimed
-// from a shared counter by the caller and workers−1 helpers. body sums each
-// row whole, in CSR order, into slots only that row owns, and reads nothing
-// a sweep of the same level writes, so what it leaves is the same bits at
-// any worker count.
+// dense runs body over every row, sweepChunk rows at a time, through
+// par.For: on the caller alone when the graph is under sweepGrain. body
+// sums each row whole, in CSR order, into slots only that row owns, and
+// reads nothing a sweep of the same level writes, so what it leaves is the
+// same bits at any worker count.
 func (s *levels) dense(body func(lo, hi int)) {
-	n, workers := len(s.gone), s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers := s.workers
+	if s.g.NumEdges() < sweepGrain {
+		workers = 1
 	}
-	workers = min(workers, (n+sweepChunk-1)/sweepChunk)
-	if workers <= 1 || s.g.NumEdges() < sweepGrain {
-		body(0, n)
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			lo := int(next.Add(sweepChunk)) - sweepChunk
-			if lo >= n {
-				return
-			}
-			body(lo, min(lo+sweepChunk, n))
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	par.For(context.Background(), len(s.gone), sweepChunk, workers, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // Assign implements Scorer. It is the full pass — the kernel with every row

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -100,9 +101,10 @@ func TestExcludeEqualsFreshAssign(t *testing.T) {
 }
 
 // TestDenseRanges is levels.dense's split: the ranges body receives tile
-// [0, n) exactly once — as the single range [0, n) for one worker, and for
-// any worker count on a graph under sweepGrain (the 10k-node / 60k-arc BA a
-// serving job scores must never fork), otherwise sweepChunk rows at a time.
+// [0, n) exactly once, sweepChunk rows at a time, and helpers start only for
+// more than one worker on a graph of sweepGrain arcs or more — the 10k-node
+// / 60k-arc BA a serving job scores must never fork. (par's tests hold For
+// to its contract at any n, chunk and worker count.)
 func TestDenseRanges(t *testing.T) {
 	small := graph.BarabasiAlbert(10000, 3, rng.New(1))
 	big := rmatGraph(6*sweepChunk+7, 3*sweepGrain/2)
@@ -110,25 +112,28 @@ func TestDenseRanges(t *testing.T) {
 		t.Fatalf("%d and %d arcs do not straddle the grain %d", small.NumEdges(), big.NumEdges(), sweepGrain)
 	}
 	for _, tc := range []struct {
-		g               *graph.Graph
-		workers, ranges int
-	}{{small, 1, 1}, {small, 8, 1}, {small, 0, 1}, {big, 1, 1}, {big, 2, 7}, {big, 3, 7}, {big, 64, 7}} {
+		g       *graph.Graph
+		workers int
+		forks   bool
+	}{{small, 1, false}, {small, 8, false}, {small, 0, false}, {big, 1, false}, {big, 2, true}, {big, 3, true}, {big, 64, true}} {
 		s := NewEaSyIM(tc.g, 1, WeightProb)
 		s.SetWorkers(tc.workers)
 		var mu sync.Mutex
 		var got [][2]int
+		base, peak := runtime.NumGoroutine(), 0
 		s.dense(func(lo, hi int) {
 			mu.Lock()
 			got = append(got, [2]int{lo, hi})
+			peak = max(peak, runtime.NumGoroutine())
 			mu.Unlock()
 		})
-		slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
-		if len(got) != tc.ranges {
-			t.Fatalf("n=%d workers=%d: %d ranges %v, want %d", tc.g.NumNodes(), tc.workers, len(got), got, tc.ranges)
+		if forked := peak > base; forked != tc.forks {
+			t.Fatalf("n=%d workers=%d: %d goroutines in a sweep, %d outside it", tc.g.NumNodes(), tc.workers, peak, base)
 		}
+		slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
 		next := 0
 		for _, r := range got {
-			if r[0] != next || r[1] <= r[0] || r[1]-r[0] > sweepChunk && tc.ranges > 1 {
+			if r[0] != next || r[1] <= r[0] || r[1]-r[0] > sweepChunk {
 				t.Fatalf("n=%d workers=%d: ranges %v do not tile the rows", tc.g.NumNodes(), tc.workers, got)
 			}
 			next = r[1]

@@ -62,13 +62,17 @@ func BenchmarkMonteCarloSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkMonteCarloParallel splits its runs over GOMAXPROCS workers; the
+// spread it reports is the estimate, which must read the same at every -cpu.
 func BenchmarkMonteCarloParallel(b *testing.B) {
 	g, seeds := benchSetup(b)
 	m := NewIC(g)
+	var est Estimate
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MonteCarlo(m, seeds, MCOptions{Runs: 200, Seed: 1})
+		est = MonteCarlo(m, seeds, MCOptions{Runs: 200, Seed: 1})
 	}
+	b.ReportMetric(est.Spread, "spread")
 }
 
 func BenchmarkSampleLiveEdge(b *testing.B) {

@@ -2,6 +2,8 @@ package diffusion
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/holisticim/holisticim/internal/graph"
@@ -88,6 +90,41 @@ func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 	b := MonteCarlo(m, []graph.NodeID{1, 2, 3}, MCOptions{Runs: 500, Seed: 9, Workers: 8})
 	if a.Spread != b.Spread || a.OpinionSpread != b.OpinionSpread {
 		t.Fatalf("estimates differ across worker counts: %v vs %v", a.Spread, b.Spread)
+	}
+}
+
+// peakGoroutines is a Model that records the most goroutines alive during
+// any of its runs.
+type peakGoroutines struct {
+	Model
+	peak atomic.Int64
+}
+
+func (p *peakGoroutines) Simulate(seeds []graph.NodeID, r *rng.RNG, s *Scratch) Result {
+	for n := int64(runtime.NumGoroutine()); ; {
+		if old := p.peak.Load(); n <= old || p.peak.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	return p.Model.Simulate(seeds, r, s)
+}
+
+// TestMonteCarloCapsWorkers: Workers from a library caller is capped like
+// every parallel loop's — asking for 1<<20 starts max(16, 2·GOMAXPROCS)
+// goroutines at most, not one (and one Scratch) per run — and the estimate
+// is Workers: 1's, bit for bit.
+func TestMonteCarloCapsWorkers(t *testing.T) {
+	g := graph.ErdosRenyi(300, 2000, rng.New(7))
+	g.SetUniformProb(0.1)
+	seeds := []graph.NodeID{1, 2, 3}
+	m := &peakGoroutines{Model: NewIC(g)}
+	base := runtime.NumGoroutine()
+	got := MonteCarlo(m, seeds, MCOptions{Runs: 2000, Seed: 9, Workers: 1 << 20})
+	if extra, limit := int(m.peak.Load())-base, max(16, 2*runtime.GOMAXPROCS(0)); extra >= limit {
+		t.Fatalf("Workers: 1<<20 ran %d goroutines beside the caller, want fewer than %d", extra, limit)
+	}
+	if want := MonteCarlo(NewIC(g), seeds, MCOptions{Runs: 2000, Seed: 9, Workers: 1}); got != want {
+		t.Fatalf("capped estimate %+v, one worker's %+v", got, want)
 	}
 }
 

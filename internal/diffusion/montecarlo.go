@@ -1,11 +1,12 @@
 package diffusion
 
 import (
+	"cmp"
 	"context"
-	"runtime"
 	"sync"
 
 	"github.com/holisticim/holisticim/internal/graph"
+	"github.com/holisticim/holisticim/internal/par"
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
@@ -29,7 +30,7 @@ func (e Estimate) EffectiveOpinionSpread(lambda float64) float64 {
 type MCOptions struct {
 	Runs    int    // number of simulations (paper default: 10000)
 	Seed    uint64 // master seed; run i uses the stream rng.Split(Seed, i)
-	Workers int    // 0 = GOMAXPROCS
+	Workers int    // goroutines, as par.Workers resolves it: ≤ 0 is GOMAXPROCS, capped at Runs and max(16, 2·GOMAXPROCS)
 	// Ctx, when set, lets MonteCarlo stop dispatching runs once the
 	// context is cancelled: the estimate then averages only the runs
 	// dispatched so far (Estimate.Runs reports how many). Callers that
@@ -51,53 +52,34 @@ func getScratch(n int32) *Scratch {
 	return NewScratch(n)
 }
 
-func (o *MCOptions) normalize() {
-	if o.Runs <= 0 {
-		o.Runs = 10000
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers > o.Runs {
-		o.Workers = o.Runs
-	}
-}
-
 // MonteCarlo estimates the expected spread quantities of a seed set by
-// averaging opts.Runs independent simulations. The estimate is
-// deterministic given opts.Seed — independent of worker count — because
-// run i always consumes the stream rng.Split(Seed, i) and per-run results
-// are reduced in run order.
+// averaging opts.Runs independent simulations, claimed one at a time
+// through par.For by workers that each own a Scratch and an RNG. The
+// estimate is deterministic given opts.Seed — independent of worker count —
+// because run i always consumes the stream rng.Split(Seed, i) and per-run
+// results are reduced in run order.
 func MonteCarlo(m Model, seeds []graph.NodeID, opts MCOptions) Estimate {
-	opts.normalize()
+	ctx := cmp.Or(opts.Ctx, context.Background())
+	if opts.Runs <= 0 {
+		opts.Runs = 10000
+	}
 	stats := make([]Result, opts.Runs)
-	var wg sync.WaitGroup
-	next := make(chan int, opts.Workers)
 	n := m.Graph().NumNodes()
 	numSeeds := countDistinct(seeds)
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := getScratch(n)
-			defer scratches.Put(scratch)
-			r := rng.New(0)
-			for i := range next {
-				r.Reseed(rng.SplitSeed(opts.Seed, uint64(i)))
-				stats[i] = m.Simulate(seeds, r, scratch)
-			}
-		}()
-	}
-	dispatched := 0
-	for i := 0; i < opts.Runs; i++ {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			break
+	workers := par.Workers(opts.Workers, opts.Runs)
+	scratch, streams := make([]*Scratch, workers), make([]*rng.RNG, workers)
+	dispatched := par.For(ctx, opts.Runs, 1, workers, func(w, lo, _ int) {
+		if scratch[w] == nil { // allocated by the worker, off the others' cache lines
+			scratch[w], streams[w] = getScratch(n), rng.New(0)
 		}
-		next <- i
-		dispatched++
+		streams[w].Reseed(rng.SplitSeed(opts.Seed, uint64(lo)))
+		stats[lo] = m.Simulate(seeds, streams[w], scratch[w])
+	})
+	for _, s := range scratch {
+		if s != nil {
+			scratches.Put(s)
+		}
 	}
-	close(next)
-	wg.Wait()
 
 	est := Estimate{Runs: dispatched}
 	var sumS, sumS2, sumO, sumO2 float64

@@ -86,9 +86,9 @@ func TestColdSelectEqualAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// cancelAfter is a context that turns cancelled at its nth Err call. The
-// samplers poll Err once per chunk of sets, so n picks a point mid-sampling
-// that no timer could hit reliably.
+// cancelAfter is a context that turns cancelled at its nth poll, an Err or
+// a Done call. The samplers poll Done once per chunk of sets, so n picks a
+// point mid-sampling that no timer could hit reliably.
 type cancelAfter struct {
 	context.Context
 	left atomic.Int64
@@ -102,15 +102,26 @@ func newCancelAfter(n int64) *cancelAfter {
 	return c
 }
 
-func (c *cancelAfter) Err() error {
+// poll counts one poll and reports whether the context is cancelled.
+func (c *cancelAfter) poll() bool {
 	if c.left.Add(-1) >= 0 {
-		return nil
+		return false
 	}
 	c.once.Do(func() { close(c.done) })
-	return context.Canceled
+	return true
 }
 
-func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+func (c *cancelAfter) Err() error {
+	if c.poll() {
+		return context.Canceled
+	}
+	return nil
+}
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	c.poll()
+	return c.done
+}
 
 // TestCancelledMidSamplingNamesThePhase cancels two-worker IMM and TIM+ runs
 // at points spread over the whole run. Each must come back Partial with an

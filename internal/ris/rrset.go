@@ -16,7 +16,9 @@
 // What the family derives from a sample lives here, once: the greedy
 // max-coverage order (Collection.Greedy; MaxCoverage is its one-shot
 // entry) and IMM's sampling phase (Collection.SampleIMM). Cold TIM+/IMM
-// and the sketch index are callers.
+// and the sketch index are callers. Generation and Resample share one
+// sampling loop, split over workers by par.For: set i is a function of
+// (graph, kind, seed, i) alone, whichever worker draws it.
 package ris
 
 import (
@@ -301,7 +303,7 @@ func (c *Collection) Generate(count int, seed uint64) {
 // chunks completed before the stop remain in the collection (the streams
 // are deterministic, so a later extension is unaffected).
 func (c *Collection) GenerateCtx(ctx context.Context, count int, seed uint64) error {
-	return c.generate(ctx, count, seed, 1)
+	return c.GenerateParallelCtx(ctx, count, seed, 1)
 }
 
 // Sampler produces single RR sets from (seed, setIndex) pairs. Each

@@ -169,7 +169,7 @@ func TestSamplerMatchesPerArcReference(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2} {
 				col := NewCollection(g, kind)
-				if err := col.generate(context.Background(), sets, seed, workers); err != nil {
+				if err := col.GenerateParallelCtx(context.Background(), sets, seed, workers); err != nil {
 					t.Fatal(err)
 				}
 				for i := range want {

@@ -49,8 +49,9 @@ type TIMOptions struct {
 	Ell float64
 	// Seed drives all sampling.
 	Seed uint64
-	// Workers bounds the goroutines that sample RR sets (0 = GOMAXPROCS).
-	// Set i is a function of (Seed, i) alone, so it changes no set, θ or seed.
+	// Workers bounds the goroutines that sample RR sets as par.Workers
+	// resolves it (≤ 0: GOMAXPROCS; batches under 512 sets stay on the
+	// caller). Set i is a function of (Seed, i) alone: no set, θ or seed moves.
 	Workers int
 	// ThetaCap, when positive, bounds the number of phase-2 RR sets. The
 	// run records metric "theta_capped"=1 when the cap bites.

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"github.com/holisticim/holisticim/internal/graph"
 	"github.com/holisticim/holisticim/internal/ris"
@@ -14,8 +12,8 @@ import (
 
 // RepairOptions tunes one Repair call.
 type RepairOptions struct {
-	// Workers bounds parallel resampling (default: the index's build
-	// workers). Cannot change the resampled sets.
+	// Workers bounds parallel resampling as par.Workers resolves it (≤ 0:
+	// the index's Params.Workers). Cannot change the resampled sets.
 	Workers int
 }
 
@@ -117,7 +115,11 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 
 	// Resample the candidates against the NEW snapshot, from the same
 	// per-index split streams — workers cannot change the contents.
-	fresh, err := x.resampleLocked(ctx, g, resample, opts.Workers)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = x.params.Workers
+	}
+	fresh, err := x.col.Resample(ctx, g, x.params.Seed, resample, workers)
 	if err != nil {
 		return st, err
 	}
@@ -148,60 +150,4 @@ func (x *Index) Repair(ctx context.Context, g *graph.Graph, dirty []graph.NodeID
 		x.lb = ris.IMMLowerBound(float64(n), float64(covered)/float64(x.col.Len()), x.params.Epsilon)
 	}
 	return st, nil
-}
-
-// resampleLocked regenerates the given set indices from their (Seed, id)
-// streams against g, in id order, without touching the collection. Each
-// worker samples its stretch back to back into one buffer; the returned
-// sets are windows of those buffers.
-func (x *Index) resampleLocked(ctx context.Context, g *graph.Graph, ids []int32, workers int) ([][]graph.NodeID, error) {
-	if workers <= 0 {
-		workers = x.params.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]graph.NodeID, len(ids))
-	const parallelMin = 256
-	if len(ids) < parallelMin {
-		workers = 1
-	}
-	// sample fills out[lo:hi], stopping early once ctx is done.
-	sample := func(lo, hi int) {
-		smp := ris.NewSampler(g, x.params.Kind)
-		var buf []graph.NodeID
-		ends := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if i%64 == 0 && ctx.Err() != nil {
-				return
-			}
-			buf = smp.SampleInto(x.params.Seed, uint64(ids[i]), buf)
-			ends = append(ends, len(buf))
-		}
-		// Windows are cut once the buffer has stopped moving.
-		start := 0
-		for k, end := range ends {
-			out[lo+k] = buf[start:end:end]
-			start = end
-		}
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ids) + workers - 1) / workers
-	for lo := 0; lo < len(ids); lo += chunk {
-		hi := min(lo+chunk, len(ids))
-		if workers == 1 {
-			sample(lo, hi)
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sample(lo, hi)
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

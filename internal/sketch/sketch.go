@@ -17,8 +17,8 @@
 // Three properties make the index sound to share:
 //
 //   - Determinism: set i is produced from the split stream (seed, i)
-//     regardless of how many goroutines sample (Build runs the workers of
-//     ris.GenerateParallelCtx), so an index is a pure function of
+//     however many goroutines sample (build, extension and repair share
+//     ris's one par.For sampling loop), so an index is a pure function of
 //     (graph, Params) — parallel build, sequential build and
 //     snapshot-restore all yield identical state.
 //   - Monotonicity: extensions only append sets; the collection drops its
@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -68,8 +67,8 @@ type Params struct {
 	// (default 50, clamped to n). Requests with k ≤ BuildK are typically
 	// answered without extension.
 	BuildK int
-	// Workers bounds parallel sampling goroutines during build and lazy
-	// extension (default GOMAXPROCS). Cannot change the sampled sets.
+	// Workers bounds the sampling goroutines of build, extension and repair
+	// as par.Workers resolves it (≤ 0: GOMAXPROCS). Cannot change the sets.
 	Workers int
 	// MaxSets, when positive, caps the index size: builds and extensions
 	// stop there and selections record metric "theta_capped". The
@@ -88,9 +87,6 @@ func (p Params) withDefaults(n int32) Params {
 	}
 	if int64(p.BuildK) > int64(n) {
 		p.BuildK = int(n)
-	}
-	if p.Workers <= 0 {
-		p.Workers = runtime.GOMAXPROCS(0)
 	}
 	return p
 }
@@ -184,17 +180,6 @@ func (x *Index) Params() Params {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.params
-}
-
-// SetWorkers retunes extension parallelism (e.g. after loading a snapshot
-// built on different hardware). Non-positive picks GOMAXPROCS.
-func (x *Index) SetWorkers(w int) {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	x.mu.Lock()
-	x.params.Workers = w
-	x.mu.Unlock()
 }
 
 // Len returns the number of RR sets held.

@@ -254,7 +254,7 @@ func readValues[T any](r io.Reader, buf []byte, count uint64, head, size int, de
 // Load reads a snapshot written by Save and binds it to g, which must be
 // the very graph the sketch was built on: the stored content fingerprint
 // and dimensions are verified before any set is accepted. The returned
-// index extends with GOMAXPROCS workers; retune with SetWorkers.
+// index samples on GOMAXPROCS workers (Params.Workers is not persisted).
 //
 // The bytes are decoded and range-checked as they are read, not hashed:
 // once the last value has passed its check, the checksum is taken on a
