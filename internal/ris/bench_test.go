@@ -1,9 +1,11 @@
 package ris
 
 import (
+	"context"
 	"testing"
 
 	"github.com/holisticim/holisticim/internal/graph"
+	"github.com/holisticim/holisticim/internal/opinion"
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
@@ -47,14 +49,60 @@ func BenchmarkRRGenerationIC(b *testing.B) {
 
 func BenchmarkRRGenerationLT(b *testing.B) { benchmarkRRGeneration(b, ModelLT, nil) }
 
+// BenchmarkMaxCoverage derives a 20-seed greedy order from scratch: plain
+// over IC sets (MaxCoverage), and weighted by root opinion over OC walks
+// (the order Greedy memoizes on an OC sketch).
 func BenchmarkMaxCoverage(b *testing.B) {
 	g := benchGraph(b)
-	col := NewCollection(g, ModelIC)
-	col.Generate(20000, 7)
+	b.Run("ic", func(b *testing.B) {
+		col := NewCollection(g, ModelIC)
+		col.Generate(20000, 7)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, _ = col.MaxCoverage(20)
+		}
+	})
+	b.Run("oc", func(b *testing.B) {
+		opinion.AssignOpinions(g, opinion.Normal, 8)
+		col := NewCollection(g, ModelOC)
+		col.Generate(200000, 7)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			col.startGreedy(true)
+			col.extendGreedy(20)
+		}
+	})
+}
+
+// BenchmarkOpinionCoverage is one sketch-served opinion estimate in the
+// repo benchmark's serve-read shape: 300k OC walks on a 10k-node BA graph
+// under weighted cascade, one of 64 random ten-node seed sets per op.
+// covered/op is the work: the sets the seeds hit, each walked to its
+// shallowest seed.
+func BenchmarkOpinionCoverage(b *testing.B) {
+	g := graph.BarabasiAlbert(10000, 3, rng.New(1))
+	g.SetWeightedCascadeProb()
+	g.SetDefaultLTWeights()
+	opinion.AssignOpinions(g, opinion.Normal, 2)
+	col := NewCollection(g, ModelOC)
+	if err := col.GenerateParallelCtx(context.Background(), 300000, 3, 0); err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(4)
+	sets := make([][]graph.NodeID, 64)
+	for i := range sets {
+		sets[i] = make([]graph.NodeID, 10)
+		for j := range sets[i] {
+			sets[i][j] = graph.NodeID(r.Int31n(g.NumNodes()))
+		}
+	}
+	covered := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = col.MaxCoverage(20)
+		cov, _, _ := col.OpinionCoverage(sets[i%len(sets)])
+		covered += cov
 	}
+	b.ReportMetric(float64(covered)/float64(b.N), "covered/op")
 }
 
 func BenchmarkTIMPlusSelect(b *testing.B) {

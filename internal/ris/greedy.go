@@ -64,6 +64,14 @@ func (c *Collection) startGreedy(weighted bool) {
 // Weighted gains may go negative once only negative-opinion sets remain;
 // the argmax then picks the least-damaging node, so a full-k selection is
 // still returned.
+//
+// The update runs in blocks of up to coverBlock newly covered sets, in
+// passes: collect the block's ids from the pick's index row (marking them
+// covered), load their offsets — and weights — then take each set's gain
+// off its members (uncover). Loaded in a pass, the block's scattered
+// offsets miss cache together instead of one set after another. Sets are
+// still uncovered in row order, so every gain and wcov takes the same
+// terms in the same order, whatever the block size.
 func (c *Collection) extendGreedy(k int) {
 	m := &c.memo
 	k = min(k, int(c.g.NumNodes()))
@@ -100,23 +108,20 @@ func (c *Collection) extendGreedy(k int) {
 				}
 			}
 		}
-		for _, sid := range c.SetsContaining(best) {
-			if m.covered.Has(sid) {
-				continue
-			}
-			m.covered.Set(sid)
-			cov++
-			if m.weighted {
-				w := c.weights[sid]
-				wcov += w
-				for _, u := range c.Set(int(sid)) {
-					m.gain[u] -= w
-				}
-			} else {
-				for _, u := range c.Set(int(sid)) {
-					c.counts[u]--
+		var block [coverBlock]int32
+		for row := c.SetsContaining(best); len(row) > 0; {
+			size := 0
+			for len(row) > 0 && size < coverBlock {
+				sid := row[0]
+				row = row[1:]
+				if !m.covered.Has(sid) {
+					m.covered.Set(sid)
+					block[size] = sid
+					size++
 				}
 			}
+			cov += size
+			wcov = c.uncover(block[:size], wcov)
 		}
 		// Every set containing best is covered now, so nothing updates its
 		// gain again: retire it from the argmax.
@@ -127,6 +132,38 @@ func (c *Collection) extendGreedy(k int) {
 			c.counts[best] = 0
 		}
 	}
+}
+
+// uncover takes the sets of block — at most coverBlock ids, just covered —
+// off the marginal gains of their members, in block order, and returns
+// wcov plus their weight (wcov itself when plain).
+func (c *Collection) uncover(block []int32, wcov float64) float64 {
+	var start, end [coverBlock]uint32
+	ids, off := c.ids, c.off
+	for i, sid := range block {
+		start[i], end[i] = off[sid], off[sid+1]
+	}
+	if !c.memo.weighted {
+		counts := c.counts
+		for i := range block {
+			for _, u := range ids[start[i]:end[i]] {
+				counts[u]--
+			}
+		}
+		return wcov
+	}
+	var weight [coverBlock]float64
+	for i, sid := range block {
+		weight[i] = c.weights[sid]
+	}
+	gain := c.memo.gain
+	for i, w := range weight[:len(block)] {
+		wcov += w
+		for _, u := range ids[start[i]:end[i]] {
+			gain[u] -= w
+		}
+	}
+	return wcov
 }
 
 // Greedy returns the first k seeds of the greedy order over the current

@@ -655,6 +655,16 @@ func (c *Collection) EstimateSpread(seeds []graph.NodeID) float64 {
 // counts opinions of activated NON-seed nodes only: a root in S
 // contributes its activation (spread) but not a relayed opinion.
 // Weighted kinds only.
+//
+// The walk runs in blocks of up to coverBlock newly covered sets, each in
+// passes: collect the block's ids from the seeds' index rows (marking
+// them hit), load their offsets, load their roots, then truncate and
+// weigh each walk. Reached one at a time, a set is a chain of dependent
+// cache misses — its offset, its root, its walk — and the depth loop's
+// unpredictable exit keeps the core from starting the next chain early;
+// in passes the misses of a whole block are independent and overlap.
+// Sets are still weighed in the order the rows reach them, so every sum
+// adds the same terms in the same order, whatever the block size.
 func (c *Collection) OpinionCoverage(seeds []graph.NodeID) (covered int, pos, neg float64) {
 	if !c.kind.Weighted() {
 		panic("ris: OpinionCoverage on an unweighted collection")
@@ -668,6 +678,8 @@ func (c *Collection) OpinionCoverage(seeds []graph.NodeID) (covered int, pos, ne
 			inSeeds.Set(s)
 		}
 	}
+	var block [coverBlock]int32
+	size := 0
 	for _, s := range seeds {
 		if s < 0 || s >= n {
 			continue
@@ -677,23 +689,54 @@ func (c *Collection) OpinionCoverage(seeds []graph.NodeID) (covered int, pos, ne
 				continue
 			}
 			hit.Set(sid)
-			covered++
-			walk := c.Set(int(sid))
-			if inSeeds.Has(walk[0]) { // walk roots are stored first
-				continue
-			}
-			depth := 1
-			for !inSeeds.Has(walk[depth]) { // a seed exists: the walk is covered
-				depth++
-			}
-			if w := OCRootWeight(c.g, walk[:depth+1]); w > 0 {
-				pos += w
-			} else {
-				neg -= w
+			block[size] = sid
+			if size++; size == coverBlock {
+				pos, neg = c.weighWalks(block[:], inSeeds, pos, neg)
+				covered += size
+				size = 0
 			}
 		}
 	}
-	return covered, pos, neg
+	pos, neg = c.weighWalks(block[:size], inSeeds, pos, neg)
+	return covered + size, pos, neg
+}
+
+// coverBlock is how many newly covered sets OpinionCoverage and the
+// greedy's per-pick update gather before walking them (see
+// OpinionCoverage). A block must hold enough sets for their loads to
+// overlap, and its arrays — ids, offsets, roots or weights, at most
+// 4 KB — must stay small enough to live on the stack and in L1.
+const coverBlock = 256
+
+// weighWalks adds the truncated root opinions of the walks of block — at
+// most coverBlock set ids — to pos and neg, in block order: the last three
+// passes of OpinionCoverage.
+func (c *Collection) weighWalks(block []int32, inSeeds Bitset, pos, neg float64) (float64, float64) {
+	var start [coverBlock]uint32
+	var root [coverBlock]graph.NodeID
+	ids, off := c.ids, c.off
+	for i, sid := range block {
+		start[i] = off[sid]
+	}
+	for i, at := range start[:len(block)] {
+		root[i] = ids[at] // walk roots are stored first
+	}
+	for i, r := range root[:len(block)] {
+		if inSeeds.Has(r) {
+			continue
+		}
+		walk := ids[start[i]:]
+		depth := 1
+		for !inSeeds.Has(walk[depth]) { // a seed exists: the walk is covered
+			depth++
+		}
+		if w := OCRootWeight(c.g, walk[:depth+1]); w > 0 {
+			pos += w
+		} else {
+			neg -= w
+		}
+	}
+	return pos, neg
 }
 
 // EstimateOpinionSpread returns the weighted-RIS estimator of the OC

@@ -260,9 +260,11 @@ func readValues[T any](r io.Reader, buf []byte, count uint64, head, size int, de
 // once the last value has passed its check, the checksum is taken on a
 // goroutine of its own — over the decoded arrays encoded again, which are
 // the bytes read — while this one indexes the arena (Install), the two
-// costing about the same. The sums are compared before anything is
-// returned: a snapshot that is well-formed but mis-summed costs an index
-// that is dropped, and is refused like any other.
+// costing about the same. The same goroutine then checks that no set
+// lists a node twice, which Install takes on trust. Both verdicts are in
+// before anything is returned: a snapshot that is well-formed but
+// mis-summed, or whose sets repeat a node, costs an index that is
+// dropped, and is refused like any other.
 func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	if g == nil {
 		return nil, fmt.Errorf("sketch: nil graph")
@@ -360,14 +362,18 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("sketch: snapshot checksum: %w", err)
 	}
 
-	sum := make(chan uint64, 1)
+	verdict := make(chan error, 1)
 	go func() {
 		fh := fnv.New64a()
 		encode(buf, hdr, off, ids, setWeights, func(b []byte) error {
 			fh.Write(b)
 			return nil
 		})
-		sum <- fh.Sum64()
+		if stored, computed := le.Uint64(tail[:]), fh.Sum64(); stored != computed {
+			verdict <- fmt.Errorf("sketch: checksum mismatch (stored %016x, computed %016x)", stored, computed)
+			return
+		}
+		verdict <- duplicateFree(off, ids, n)
 	}()
 	x := &Index{
 		g:      g,
@@ -376,8 +382,26 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		lb:     h.LowerBound,
 	}
 	x.col.Install(ids, off, setWeights)
-	if stored, computed := le.Uint64(tail[:]), <-sum; stored != computed {
-		return nil, fmt.Errorf("sketch: checksum mismatch (stored %016x, computed %016x)", stored, computed)
+	if err := <-verdict; err != nil {
+		return nil, err
 	}
 	return x, nil
+}
+
+// duplicateFree checks that no set of the arena lists a node twice, as
+// Install requires: a sampled set never does, and one that did would
+// index the set twice in the node's row, which a later ReplaceSets
+// removes only once. Each node is stamped with the number of the last
+// set it was seen in, so one pass over the members does it.
+func duplicateFree(off []uint32, ids []graph.NodeID, n uint32) error {
+	seen := make([]uint32, n)
+	for i := 1; i < len(off); i++ {
+		for _, v := range ids[off[i-1]:off[i]] {
+			if seen[v] == uint32(i) {
+				return fmt.Errorf("sketch: set %d lists node %d twice", i-1, v)
+			}
+			seen[v] = uint32(i)
+		}
+	}
+	return nil
 }

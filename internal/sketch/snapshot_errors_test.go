@@ -168,6 +168,28 @@ func TestLoadReturnsNothingUnverified(t *testing.T) {
 	}
 }
 
+// A well-summed snapshot whose set lists a node twice is refused: Install
+// takes sets as duplicate-free, and a doubled member would sit twice in
+// its node's index row, of which a later ReplaceSets removes one — leaving
+// the node credited with a set it is no longer in.
+func TestLoadRefusesRepeatedMember(t *testing.T) {
+	for _, s := range goldenSnapshots(t) {
+		first, at := 0, s.ends[1] // the first member of the set being read
+		for ; ; first++ {
+			if binary.LittleEndian.Uint32(s.bytes[headerSize+4*first:]) >= 2 {
+				break
+			}
+			at += 4 * int(binary.LittleEndian.Uint32(s.bytes[headerSize+4*first:]))
+		}
+		mutant := bytes.Clone(s.bytes)
+		copy(mutant[at+4:at+8], mutant[at:at+4])
+		x, err := Load(bytes.NewReader(resealed(mutant)), s.g)
+		if x != nil || err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("%s: set %d with its first member repeated: index %v, error %v", s.file, first, x != nil, err)
+		}
+	}
+}
+
 // failAfter accepts limit bytes, then fails (having taken what still fit).
 type failAfter struct {
 	limit int

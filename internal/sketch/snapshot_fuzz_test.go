@@ -66,12 +66,25 @@ func resealed(data []byte) []byte {
 	return binary.LittleEndian.AppendUint64(bytes.Clone(data[:body]), h.Sum64())
 }
 
+// countOf returns how many times v occurs in set.
+func countOf(set []graph.NodeID, v graph.NodeID) int {
+	times := 0
+	for _, u := range set {
+		if u == v {
+			times++
+		}
+	}
+	return times
+}
+
 // Load never panics; never allocates beyond a constant plus a multiple of
 // the bytes it was given, however large the counts the header claims
 // (readValues grows its arrays only as values actually arrive, from a
-// first chunk of at most 2^20 elements each); and whatever it accepts
-// re-saves to the very bytes it consumed. Every input is tried as it is
-// and with a valid checksum, against both golden graphs.
+// first chunk of at most 2^20 elements each); whatever it accepts
+// re-saves to the very bytes it consumed; and the index it accepts is
+// sound: every inverted-index row strictly ascending, and the set of every
+// (node, set) entry holding that node exactly once. Every input is tried
+// as it is and with a valid checksum, against both golden graphs.
 func FuzzLoad(f *testing.F) {
 	addSnapshotCorpus(f)
 	graphs := []*graph.Graph{testGraph(f, 200), ocTestGraph(f, 200, opinion.Normal)}
@@ -100,6 +113,17 @@ func FuzzLoad(f *testing.F) {
 				}
 				if !bytes.HasPrefix(in, resaved.Bytes()) {
 					t.Fatalf("Load accepted %d bytes that re-save as %d different ones", len(in), resaved.Len())
+				}
+				for v := graph.NodeID(0); v < g.NumNodes(); v++ {
+					row := x.col.SetsContaining(v)
+					for i, sid := range row {
+						if i > 0 && row[i-1] >= sid {
+							t.Fatalf("node %d's index row is not strictly ascending: %v", v, row)
+						}
+						if times := countOf(x.col.Set(int(sid)), v); times != 1 {
+							t.Fatalf("node %d's row lists set %d, which holds it %d times", v, sid, times)
+						}
+					}
 				}
 			}
 		}
