@@ -158,12 +158,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 	for i, p := range g.outProb {
-		if p < 0 || p > 1 || math.IsNaN(p) {
+		if !validProb(p) {
 			return nil, fmt.Errorf("graph: probability %v at edge %d out of range", p, i)
 		}
 	}
 	for i, phi := range g.outPhi {
-		if phi < 0 || phi > 1 || math.IsNaN(phi) {
+		if !validProb(phi) {
 			return nil, fmt.Errorf("graph: interaction probability %v at edge %d out of range", phi, i)
 		}
 	}

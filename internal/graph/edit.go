@@ -104,7 +104,7 @@ func (g *Graph) WithArcEdits(edits []ArcEdit, rebalanceLT []NodeID) *Graph {
 	for _, v := range rebalanceLT {
 		ng.defaultLTWeightsInto(v)
 	}
-	ng.inheritUniformRows(g, edits)
+	ng.inheritInRowProbs(g, edits)
 	return ng
 }
 

@@ -13,11 +13,11 @@
 // traversal that wants a parameter gathers it from the out-ordered column.
 // Under the conventional parameterizations that gather is the same p for a
 // whole in-row — weighted cascade is 1/|In(v)|, a property of the head — so
-// the graph also knows, lazily, which in-rows hold one p throughout
-// (UniformProbRows): the IC RR sampler reads such a row's p once per
-// visited node and gathers per arc only in the others. That is derived
-// from the column, like the Fingerprint, never a second copy of it: the two
-// views still cannot disagree.
+// the graph also keeps, lazily, a per-node column of each in-row's one p,
+// NaN where the row is mixed (InRowProbs): the IC RR sampler reads a
+// visited node's entry with one load and gathers per arc only in the mixed
+// rows. That is derived from the column, like the Fingerprint, and dropped
+// with it by every mutator: the two views cannot disagree.
 package graph
 
 import (
@@ -51,17 +51,17 @@ type Graph struct {
 	opinion []float64 // len n, in [-1,1]
 
 	// Memos derived from the arrays on first use; every Set* mutator drops
-	// them (dropMemos). fp is the Fingerprint, 0 = not hashed; uniProb is
-	// UniformProbRows, nil = not derived.
+	// them (dropMemos). fp is the Fingerprint, 0 = not hashed; rowProb is
+	// InRowProbs, nil = not derived.
 	fp      atomic.Uint64
-	uniProb atomic.Pointer[[]uint64]
+	rowProb atomic.Pointer[[]float64]
 }
 
 // dropMemos forgets everything derived from arrays a mutator is about to
 // change.
 func (g *Graph) dropMemos() {
 	g.fp.Store(0)
-	g.uniProb.Store(nil)
+	g.rowProb.Store(nil)
 }
 
 // NumNodes returns |V|.
@@ -203,7 +203,7 @@ func (g *Graph) findEdge(u, v NodeID) (int64, bool) {
 // SetUniformProb assigns p(u,v)=p to every edge (the conventional IC
 // parameterization, p=0.1 in the paper's experiments).
 func (g *Graph) SetUniformProb(p float64) {
-	if p < 0 || p > 1 {
+	if !validProb(p) {
 		panic(fmt.Sprintf("graph: probability %v out of [0,1]", p))
 	}
 	g.dropMemos()
@@ -260,7 +260,7 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 		values = []float64{0.1, 0.01, 0.001}
 	}
 	for _, p := range values {
-		if p < 0 || p > 1 {
+		if !validProb(p) {
 			panic(fmt.Sprintf("graph: trivalency probability %v out of [0,1]", p))
 		}
 	}
@@ -279,7 +279,7 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 
 // SetUniformPhi assigns ϕ(u,v)=phi to every edge.
 func (g *Graph) SetUniformPhi(phi float64) {
-	if phi < 0 || phi > 1 {
+	if !validProb(phi) {
 		panic(fmt.Sprintf("graph: interaction probability %v out of [0,1]", phi))
 	}
 	g.dropMemos()
@@ -296,7 +296,7 @@ func (g *Graph) SetEdgeParamsFunc(f func(u, v NodeID) (p, phi float64)) {
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			p, phi := f(u, g.outTo[i])
-			if p < 0 || p > 1 || phi < 0 || phi > 1 {
+			if !validProb(p) || !validProb(phi) {
 				panic(fmt.Sprintf("graph: edge params (%v,%v) out of [0,1]", p, phi))
 			}
 			g.outProb[i] = p

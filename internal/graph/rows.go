@@ -1,59 +1,61 @@
 package graph
 
-// UniformProbRows returns a set of nodes, bit v&63 of word v>>6: v is in
-// it when it has in-edges and they all carry the same p — every such node
-// under weighted cascade and uniform p, not a row holding a trivalency mix
-// or one a live batch reweighted in part. A reverse traversal reads such
-// a row's p once, from any of its arcs, and gathers per arc only in the
-// others. Equality is float ==: ±0 compare equal (and act alike under the
-// sampler's draw < p), a NaN differs from everything, itself included.
+import "math"
+
+// InRowProbs returns a column indexed by node: entry v is the p every
+// in-arc of v carries when they all carry the same one — every node with
+// in-edges under weighted cascade and uniform p — and NaN otherwise: a row
+// holding a trivalency mix or one a live batch reweighted in part, and an
+// empty row. No arc holds a NaN p (every writer of the column refuses one,
+// see validProb), so NaN is free to mean "mixed". A reverse traversal
+// reads a row's entry with one load and gathers per arc only where it is
+// NaN. Equality is float ==: a row of +0 and −0 holds one p (they act
+// alike under the sampler's draw < p), stored as its first arc's.
 //
-// One pass over the in-edges on first use, n/8 bytes kept; every Set*
-// mutator drops it, WithArcEdits hands it on (see inheritUniformRows).
-// Concurrent first callers each derive it and store equal sets. The slice
-// must not be modified.
-func (g *Graph) UniformProbRows() []uint64 {
-	if bits := g.uniProb.Load(); bits != nil {
-		return *bits
+// One pass over the in-edges on first use, 8n bytes kept; every Set*
+// mutator drops it, WithArcEdits hands it on (see inheritInRowProbs).
+// Concurrent first callers each derive it and store equal columns. The
+// slice must not be modified.
+func (g *Graph) InRowProbs() []float64 {
+	if col := g.rowProb.Load(); col != nil {
+		return *col
 	}
-	bits := make([]uint64, (int(g.n)+63)/64)
+	col := make([]float64, g.n)
 	for v := NodeID(0); v < g.n; v++ {
-		g.markUniform(bits, v)
+		col[v] = g.inRowProb(v)
 	}
-	g.uniProb.Store(&bits)
-	return bits
+	g.rowProb.Store(&col)
+	return col
 }
 
-// markUniform sets or clears v's bit from its in-row as it is now.
-func (g *Graph) markUniform(bits []uint64, v NodeID) {
+// inRowProb is v's InRowProbs entry from its in-row as it is now.
+func (g *Graph) inRowProb(v NodeID) float64 {
 	row := g.inEdge[g.inStart[v]:g.inStart[v+1]]
-	uniform := len(row) > 0
-	for _, e := range row { // the first arc included: a NaN equals nothing
-		if g.outProb[e] != g.outProb[row[0]] {
-			uniform = false
-			break
+	if len(row) == 0 {
+		return math.NaN()
+	}
+	p := g.outProb[row[0]]
+	for _, e := range row[1:] {
+		if g.outProb[e] != p {
+			return math.NaN()
 		}
 	}
-	if uniform {
-		bits[v>>6] |= 1 << (uint32(v) & 63)
-	} else {
-		bits[v>>6] &^= 1 << (uint32(v) & 63)
-	}
+	return p
 }
 
-// inheritUniformRows gives g, just derived from parent by WithArcEdits,
-// the set parent had derived: a copy, with only the rows the edits could
+// inheritInRowProbs gives g, just derived from parent by WithArcEdits, the
+// column parent had derived: a copy, with only the rows the edits could
 // have changed — the heads of edited arcs — looked at again, so a live
 // batch pays for its own rows and not for a pass over the graph. If parent
 // never derived it, it stays underived.
-func (g *Graph) inheritUniformRows(parent *Graph, edits []ArcEdit) {
-	old := parent.uniProb.Load()
+func (g *Graph) inheritInRowProbs(parent *Graph, edits []ArcEdit) {
+	old := parent.rowProb.Load()
 	if old == nil {
 		return
 	}
-	bits := append([]uint64(nil), *old...)
+	col := append([]float64(nil), *old...)
 	for _, e := range edits {
-		g.markUniform(bits, e.To)
+		col[e.To] = g.inRowProb(e.To)
 	}
-	g.uniProb.Store(&bits)
+	g.rowProb.Store(&col)
 }

@@ -1,8 +1,8 @@
 package graph
 
 import (
+	"bytes"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -11,11 +11,12 @@ import (
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
-// uniformRowsOf is the definition, written the slow way: v is in the set
-// when it has in-edges and the p of every one compares == to every other's.
-func uniformRowsOf(g *Graph) []uint64 {
+// inRowProbsOf is the definition, written the slow way: v's entry is the p
+// of its in-arcs when every one compares == to every other's and there is
+// at least one, its first arc's then, and NaN otherwise.
+func inRowProbsOf(g *Graph) []float64 {
 	col := g.Probs()
-	bits := make([]uint64, (int(g.NumNodes())+63)/64)
+	want := make([]float64, g.NumNodes())
 	for v := NodeID(0); v < g.NumNodes(); v++ {
 		idxs := g.InEdgeIndices(v)
 		uniform := len(idxs) > 0
@@ -26,31 +27,43 @@ func uniformRowsOf(g *Graph) []uint64 {
 				}
 			}
 		}
+		want[v] = math.NaN()
 		if uniform {
-			bits[v/64] |= 1 << (v % 64)
+			want[v] = col[idxs[0]]
 		}
 	}
-	return bits
+	return want
 }
 
-func checkUniformRows(t *testing.T, step string, g *Graph) {
+// sameBits compares two columns bit for bit: slices.Equal would call two
+// NaNs different and +0 and −0 the same.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+func checkInRowProbs(t *testing.T, step string, g *Graph) {
 	t.Helper()
 	for i := 0; i < 2; i++ { // the second call is a memo hit
-		if got, want := g.UniformProbRows(), uniformRowsOf(g); !slices.Equal(got, want) {
-			t.Fatalf("%s: UniformProbRows() (call %d) differs from the column's own answer", step, i)
+		if got := g.InRowProbs(); !sameBits(got, inRowProbsOf(g)) {
+			t.Fatalf("%s: InRowProbs() (call %d) differs from the column's own answer", step, i)
 		}
+	}
+	if first, second := g.InRowProbs(), g.InRowProbs(); &first[0] != &second[0] {
+		t.Fatalf("%s: a second call derived the column again", step)
 	}
 }
 
-func countBits(set []uint64) (n int) {
-	for _, w := range set {
-		n += bits.OnesCount64(w)
+func countUniform(col []float64) (n int) {
+	for _, p := range col {
+		if !math.IsNaN(p) {
+			n++
+		}
 	}
 	return n
 }
 
-// What the sets say under each conventional parameterization.
-func TestUniformRows(t *testing.T) {
+// What the column says under each conventional parameterization.
+func TestInRowProbs(t *testing.T) {
 	g := BarabasiAlbert(400, 3, rng.New(9))
 	withIn := 0
 	for v := NodeID(0); v < g.NumNodes(); v++ {
@@ -59,51 +72,52 @@ func TestUniformRows(t *testing.T) {
 		}
 	}
 	g.SetWeightedCascadeProb()
-	checkUniformRows(t, "weighted cascade", g)
-	if got := countBits(g.UniformProbRows()); got != withIn {
+	checkInRowProbs(t, "weighted cascade", g)
+	if got := countUniform(g.InRowProbs()); got != withIn {
 		t.Fatalf("weighted cascade: %d uniform rows, want every one of the %d nodes with in-edges", got, withIn)
 	}
+	for v, p := range g.InRowProbs() {
+		if d := g.InDegree(NodeID(v)); d > 0 && p != 1/float64(d) {
+			t.Fatalf("weighted cascade: node %d holds %v, want 1/%d", v, p, d)
+		}
+	}
 	g.SetUniformProb(0.1)
-	if got := countBits(g.UniformProbRows()); got != withIn {
+	if got := countUniform(g.InRowProbs()); got != withIn {
 		t.Fatalf("uniform p: %d uniform rows, want %d", got, withIn)
 	}
 	g.SetTrivalencyProb(nil, 5)
-	checkUniformRows(t, "trivalency", g)
-	if got := countBits(g.UniformProbRows()); got == 0 || got >= withIn {
+	checkInRowProbs(t, "trivalency", g)
+	if got := countUniform(g.InRowProbs()); got == 0 || got >= withIn {
 		t.Fatalf("trivalency: %d uniform rows of %d, want some (single-arc rows) and not all", got, withIn)
 	}
 
-	// Rows of zeros of either sign are uniform; a row holding a NaN — only
-	// SetEdgeParamsFunc lets one in — is not, even a single-arc one; an
-	// empty row is not.
+	// A row of +0 and −0 is uniform and holds its first arc's zero; a row
+	// of 0 and 0.5 is mixed; an empty row is NaN.
+	negZero := math.Copysign(0, -1)
 	b := NewBuilder(6)
 	b.AddEdgeFull(0, 1, 0, 0, 0)
-	b.AddEdgeFull(2, 1, math.Copysign(0, -1), 0, 0)
+	b.AddEdgeFull(2, 1, negZero, 0, 0)
+	b.AddEdgeFull(2, 3, negZero, 0, 0)
 	b.AddEdgeFull(0, 3, 0, 0, 0)
 	b.AddEdgeFull(0, 4, 0, 0, 0)
-	b.AddEdgeFull(2, 4, 0, 0, 0)
+	b.AddEdgeFull(2, 4, 0.5, 0, 0)
 	b.AddEdgeFull(0, 5, 1, 0, 0)
 	small := b.Build()
-	small.SetEdgeParamsFunc(func(u, v NodeID) (float64, float64) {
-		if v == 3 || v == 4 {
-			return math.NaN(), 0
-		}
-		p, _ := small.EdgeProb(u, v)
-		return p, 0
-	})
-	checkUniformRows(t, "zeros and NaNs", small)
-	if got := small.UniformProbRows()[0]; got != 1<<1|1<<5 {
-		t.Fatalf("uniform rows %06b, want nodes 1 and 5", got)
+	checkInRowProbs(t, "zeros", small)
+	nan := math.NaN()
+	if got, want := small.InRowProbs(), []float64{nan, 0, nan, 0, nan, 1}; !sameBits(got, want) {
+		t.Fatalf("column %v, want %v", got, want)
 	}
 }
 
-// The set is memoized beside the fingerprint: every Set* mutator must
+// The column is memoized beside the fingerprint: every Set* mutator must
 // drop it (each step derives first, so a mutator that forgot would hand
-// back the previous set), and a graph made from another must not inherit
-// a stale one.
-func TestUniformRowsMemo(t *testing.T) {
+// back the previous column), and a graph made from another must not
+// inherit a stale one. Concurrent first callers of one graph agree (and
+// are race-free).
+func TestInRowProbsMemo(t *testing.T) {
 	g := BarabasiAlbert(300, 2, rng.New(4))
-	checkUniformRows(t, "built", g)
+	checkInRowProbs(t, "built", g)
 	ops := make([]float64, g.NumNodes())
 	mutators := []struct {
 		name string
@@ -122,53 +136,52 @@ func TestUniformRowsMemo(t *testing.T) {
 	}
 	for _, m := range mutators {
 		m.do()
-		if g.uniProb.Load() != nil {
-			t.Fatalf("%s kept the memoized set", m.name)
+		if g.rowProb.Load() != nil {
+			t.Fatalf("%s kept the memoized column", m.name)
 		}
-		checkUniformRows(t, m.name, g)
+		checkInRowProbs(t, m.name, g)
 	}
 	c := g.Clone()
-	checkUniformRows(t, "Clone", c)
+	checkInRowProbs(t, "Clone", c)
 	c.SetUniformProb(0.3)
-	checkUniformRows(t, "Clone then SetUniformProb", c)
-	checkUniformRows(t, "the clone's source", g)
-	checkUniformRows(t, "Transpose", g.Transpose())
+	checkInRowProbs(t, "Clone then SetUniformProb", c)
+	checkInRowProbs(t, "the clone's source", g)
+	checkInRowProbs(t, "Transpose", g.Transpose())
 
-	// Concurrent first use of one graph agrees (and is race-free).
 	fresh := g.Clone()
 	var wg sync.WaitGroup
-	got := make([][]uint64, 4)
+	got := make([][]float64, 4)
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = fresh.UniformProbRows()
+			got[i] = fresh.InRowProbs()
 		}()
 	}
 	wg.Wait()
-	for _, set := range got {
-		if !slices.Equal(set, uniformRowsOf(g)) {
+	for _, col := range got {
+		if !sameBits(col, inRowProbsOf(g)) {
 			t.Fatal("concurrent first derivations disagree with the column")
 		}
 	}
 }
 
-// WithArcEdits hands the parent's set on, re-checking only the rows the
+// WithArcEdits hands the parent's column on, re-checking only the rows the
 // batch touched: over 100 seeded batches chained onto one another, the
-// child's inherited set must equal a derivation from scratch and the
+// child's inherited column must equal a derivation from scratch and the
 // parent's must not move; a parent that never derived it hands on nothing.
-func TestWithArcEditsInheritsUniformRows(t *testing.T) {
+func TestWithArcEditsInheritsInRowProbs(t *testing.T) {
 	r := rng.New(12)
 	g := BarabasiAlbert(250, 3, r)
 	g.SetWeightedCascadeProb()
 	g.SetDefaultLTWeights()
 	p := 0.5
-	if ng := g.WithArcEdits([]ArcEdit{{From: 0, To: 1, P: &p}}, nil); ng.uniProb.Load() != nil {
-		t.Fatal("the child of a parent that never derived the set has one")
+	if ng := g.WithArcEdits([]ArcEdit{{From: 0, To: 1, P: &p}}, nil); ng.rowProb.Load() != nil {
+		t.Fatal("the child of a parent that never derived the column has one")
 	}
-	g.UniformProbRows()
+	g.InRowProbs()
 	for batch := 0; batch < 100; batch++ {
-		parentRows := slices.Clone(g.UniformProbRows())
+		parentCol := slices.Clone(g.InRowProbs())
 		var edits []ArcEdit
 		named := map[[2]NodeID]bool{}
 		for len(edits) < 10 {
@@ -206,14 +219,62 @@ func TestWithArcEditsInheritsUniformRows(t *testing.T) {
 		}
 		ng := g.WithArcEdits(edits, rebalance)
 		// Looked at through the memo field: the accessor would derive.
-		if inherited := ng.uniProb.Load(); inherited == nil {
-			t.Fatalf("batch %d: the child did not inherit the set", batch)
-		} else if !slices.Equal(*inherited, uniformRowsOf(ng)) {
-			t.Fatalf("batch %d: inherited set differs from a fresh derivation", batch)
+		if inherited := ng.rowProb.Load(); inherited == nil {
+			t.Fatalf("batch %d: the child did not inherit the column", batch)
+		} else if !sameBits(*inherited, inRowProbsOf(ng)) {
+			t.Fatalf("batch %d: inherited column differs from a fresh derivation", batch)
 		}
-		if !slices.Equal(g.UniformProbRows(), parentRows) {
-			t.Fatalf("batch %d: the parent's set moved", batch)
+		if !sameBits(g.InRowProbs(), parentCol) {
+			t.Fatalf("batch %d: the parent's column moved", batch)
 		}
 		g = ng
+	}
+}
+
+// Every parameter setter refuses NaN as the Builder and ReadBinary do, so
+// whatever a setter accepts, the graph's own file carries back: the graph
+// after each setter round-trips through WriteBinary/ReadBinary.
+func TestSettersRefuseNaN(t *testing.T) {
+	nan := math.NaN()
+	setters := []struct {
+		name string
+		set  func(g *Graph, x float64)
+	}{
+		{"SetUniformProb", func(g *Graph, x float64) { g.SetUniformProb(x) }},
+		{"SetUniformPhi", func(g *Graph, x float64) { g.SetUniformPhi(x) }},
+		{"SetTrivalencyProb", func(g *Graph, x float64) { g.SetTrivalencyProb([]float64{0.1, x}, 1) }},
+		{"SetEdgeParamsFunc/p", func(g *Graph, x float64) {
+			g.SetEdgeParamsFunc(func(u, v NodeID) (float64, float64) { return x, 0.5 })
+		}},
+		{"SetEdgeParamsFunc/phi", func(g *Graph, x float64) {
+			g.SetEdgeParamsFunc(func(u, v NodeID) (float64, float64) { return 0.5, x })
+		}},
+	}
+	for _, s := range setters {
+		for _, x := range []float64{nan, 0, math.Copysign(0, -1), 0.25, 1} {
+			g := BarabasiAlbert(50, 2, rng.New(3))
+			accepted := func() (ok bool) {
+				defer func() { ok = recover() == nil }()
+				s.set(g, x)
+				return
+			}()
+			if accepted == math.IsNaN(x) {
+				t.Errorf("%s(%v): accepted %v", s.name, x, accepted)
+			}
+			if !accepted {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, g); err != nil {
+				t.Fatalf("%s(%v): WriteBinary: %v", s.name, x, err)
+			}
+			back, err := ReadBinary(&buf)
+			if err != nil {
+				t.Fatalf("%s(%v): the graph's own file does not read back: %v", s.name, x, err)
+			}
+			if !sameBits(back.Probs(), g.Probs()) || !sameBits(back.Phis(), g.Phis()) {
+				t.Fatalf("%s(%v): parameters changed on the round trip", s.name, x)
+			}
+		}
 	}
 }

@@ -312,13 +312,14 @@ func (c *Collection) GenerateCtx(ctx context.Context, count int, seed uint64) er
 // on (graph, kind, seed, setIndex), never on which Sampler — or how
 // many — produced them.
 //
-// For IC a sampler walks the graph's in-CSR whole and asks the graph which
-// in-rows hold one p throughout (graph.UniformProbRows, a pass over the
-// in-edges on the graph's first sample): an arc's p lives in the
-// out-ordered column, so looking it up from an in-row is a random gather,
-// and under weighted cascade and uniform p one gather serves the whole row.
-// The LT walk gathers its weight per arc: it scans one row per step, not
-// one per member, and stops at the chosen arc.
+// For IC a sampler walks the graph's in-CSR whole and reads each visited
+// node's in-row p from the graph's per-node column (graph.InRowProbs, a
+// pass over the in-edges on the graph's first sample): an arc's p lives in
+// the out-ordered column, so looking it up from an in-row is a random
+// gather, and under weighted cascade and uniform p the column's one load
+// serves the whole row. Only a mixed row (NaN in the column) gathers per
+// arc. The LT walk gathers its weight per arc: it scans one row per step,
+// not one per member, and stops at the chosen arc.
 type Sampler struct {
 	g       *graph.Graph
 	kind    ModelKind
@@ -349,11 +350,14 @@ func (s *Sampler) Sample(seed, setIndex uint64) []graph.NodeID {
 // the same stream. Batch generation samples whole chunks of sets into one
 // buffer this way, with no allocation per set.
 //
-// Each traversal is one loop. The p the IC loop tests is loaded once per
-// visited node where the row is uniform and per arc where it is not — a
-// branch that is the same for every arc of a row — and either way it is
-// the value the arc's own column entry holds, tested against the same
-// draw: the set is the same whichever rows are uniform.
+// The IC traversal copies the stream into a local for the whole set
+// (rng.RNG.Next), so its state stays in registers rather than going
+// through the sampler's RNG at every draw, and stores it back at the end;
+// the draws are the ones Float64 would make, compared the same way. The p
+// it tests is the row's column entry, one load per visited node, with the
+// row's arcs scanned by drawUniformRow — except in a mixed row, where it
+// is gathered per arc — and either way it is the value the arc's own entry
+// in the p column holds: the set is the same whichever rows are uniform.
 func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.NodeID {
 	s.rng.Reseed(rng.SplitSeed(seed, setIndex))
 	root := graph.NodeID(s.rng.Int31n(s.g.NumNodes()))
@@ -368,29 +372,32 @@ func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.
 	buf = append(buf, root)
 	if s.kind == ModelIC {
 		// Reverse BFS. Discovery order is the set, so the output doubles
-		// as the queue.
+		// as the queue. The stream, the stamps and the epoch live in
+		// locals for the whole set.
 		start, from, edge := g.InCSR()
-		prob, uniform := g.Probs(), Bitset(g.UniformProbRows())
+		prob, rowP := g.Probs(), g.InRowProbs()
+		scratch, epoch, st := s.scratch, s.epoch, *r
 		for ; head < len(buf); head++ {
 			x := buf[head]
-			us, es := from[start[x]:start[x+1]], edge[start[x]:start[x+1]]
-			rowP, p := uniform.Has(x), 0.0
-			if rowP { // never an empty row
-				p = prob[es[0]]
+			us := from[start[x]:start[x+1]]
+			if p := rowP[x]; !math.IsNaN(p) { // one p throughout
+				st, buf = drawUniformRow(us, p, scratch, epoch, st, buf)
+				continue
 			}
+			es := edge[start[x]:start[x+1]] // mixed: gather per arc
 			for j, u := range us {
-				if s.scratch[u] == s.epoch {
+				if scratch[u] == epoch {
 					continue
 				}
-				if !rowP {
-					p = prob[es[j]]
-				}
-				if r.Float64() < p {
-					s.scratch[u] = s.epoch
+				var v uint64
+				v, st = st.Next()
+				if float64(v>>11)/(1<<53) < prob[es[j]] { // rng.Float64's draw
+					scratch[u] = epoch
 					buf = append(buf, u)
 				}
 			}
 		}
+		*r = st
 		return buf
 	}
 	// LT: random walk choosing at most one live in-edge per node.
@@ -418,6 +425,32 @@ func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.
 		buf = append(buf, chosen)
 		x = chosen
 	}
+}
+
+// drawUniformRow is SampleInto's IC loop over one in-row whose arcs all
+// carry p: a draw per arc into a node not yet in the set, which joins it
+// when the draw falls below p. It returns the stream and the set as they
+// stand after the row. It is kept out of line so that its loop has the
+// registers to itself: inlined into the breadth-first loop, it shared them
+// with the outer loop's slices, and the compiler kept three of the
+// stream's four words on the stack across every draw. The mixed rows' loop
+// stays in SampleInto: taking them here too, behind a per-arc branch,
+// cost the uniform rows most of their gain.
+//
+//go:noinline
+func drawUniformRow(us []graph.NodeID, p float64, scratch []uint32, epoch uint32, st rng.RNG, buf []graph.NodeID) (rng.RNG, []graph.NodeID) {
+	for _, u := range us {
+		if scratch[u] == epoch {
+			continue
+		}
+		var v uint64
+		v, st = st.Next()
+		if float64(v>>11)/(1<<53) < p { // rng.Float64's draw
+			scratch[u] = epoch
+			buf = append(buf, u)
+		}
+	}
+	return st, buf
 }
 
 // edit is one change to a flat array: at pos, del elements go and ins

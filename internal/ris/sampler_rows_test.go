@@ -59,10 +59,91 @@ func referenceSample(g *graph.Graph, kind ModelKind, seed, setIndex uint64) []gr
 	}
 }
 
+// refSampler is the IC sampler as it stood before its stream moved into
+// a local and the row column replaced the uniform-row bitset: the stream
+// lives behind a pointer, and a visited node costs a bit test and, in a
+// uniform row, a gather through the row's first arc.
+type refSampler struct {
+	g       *graph.Graph
+	uniform Bitset
+	scratch []uint32
+	epoch   uint32
+	rng     *rng.RNG
+}
+
+func newRefSampler(g *graph.Graph) *refSampler {
+	return &refSampler{g: g, uniform: uniformProbRows(g), scratch: make([]uint32, g.NumNodes()), rng: rng.New(0)}
+}
+
+// uniformProbRows is the set that loop read: bit v is set when v has
+// in-edges and they all carry the same p (float ==, so a NaN equals
+// nothing, itself included).
+func uniformProbRows(g *graph.Graph) Bitset {
+	prob := g.Probs()
+	bits := Bitset(nil).Reset(int(g.NumNodes()))
+	for v := graph.NodeID(0); v < g.NumNodes(); v++ {
+		row := g.InEdgeIndices(v)
+		uniform := len(row) > 0
+		for _, e := range row {
+			if prob[e] != prob[row[0]] {
+				uniform = false
+				break
+			}
+		}
+		if uniform {
+			bits.Set(v)
+		}
+	}
+	return bits
+}
+
+// referenceSampleInto is SampleInto's IC branch verbatim as it stood
+// before the register-held stream. The new loop must return its sets bit
+// for bit.
+func (s *refSampler) referenceSampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.NodeID {
+	s.rng.Reseed(rng.SplitSeed(seed, setIndex))
+	root := graph.NodeID(s.rng.Int31n(s.g.NumNodes()))
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.scratch)
+		s.epoch = 1
+	}
+	g, r := s.g, s.rng
+	s.scratch[root] = s.epoch
+	head := len(buf)
+	buf = append(buf, root)
+	// Reverse BFS. Discovery order is the set, so the output doubles
+	// as the queue.
+	start, from, edge := g.InCSR()
+	prob, uniform := g.Probs(), s.uniform
+	for ; head < len(buf); head++ {
+		x := buf[head]
+		us, es := from[start[x]:start[x+1]], edge[start[x]:start[x+1]]
+		rowP, p := uniform.Has(x), 0.0
+		if rowP { // never an empty row
+			p = prob[es[0]]
+		}
+		for j, u := range us {
+			if s.scratch[u] == s.epoch {
+				continue
+			}
+			if !rowP {
+				p = prob[es[j]]
+			}
+			if r.Float64() < p {
+				s.scratch[u] = s.epoch
+				buf = append(buf, u)
+			}
+		}
+	}
+	return buf
+}
+
 // rowKindGraphs returns seeded graphs that between them hold every kind of
 // in-row the sampler distinguishes: all uniform (weighted cascade, one p),
 // mostly mixed (trivalency), a weighted-cascade graph after a live batch,
-// and a hand-made one with rows of p = 0, p = 1, NaN and no arcs at all.
+// and a hand-made one with rows of p = 0, p = 1, a mix of +0 and −0, and
+// no arcs at all.
 func rowKindGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	base := func(seed uint64) *graph.Graph {
@@ -74,12 +155,14 @@ func rowKindGraphs(t *testing.T) map[string]*graph.Graph {
 	wc.SetWeightedCascadeProb()
 	uniform := base(2)
 	uniform.SetUniformProb(0.15)
+	p10 := base(7)
+	p10.SetUniformProb(0.1)
 	tri := base(3)
 	tri.SetTrivalencyProb([]float64{0.3, 0.1, 0.01}, 7)
 
-	// Extremes: node v's in-arcs all carry 0 (v%5 == 0), all 1 (== 1), NaN
-	// (== 2), or a mix of 0.05 and 0.4 (the rest). Isolated nodes 590..599
-	// keep their (empty) rows: 0 arcs in, 0 out.
+	// Extremes: node v's in-arcs all carry 0 (v%5 == 0), all 1 (== 1), +0
+	// and −0 by tail (== 2), or a mix of 0.05 and 0.4 (the rest). Isolated
+	// nodes 590..599 keep their (empty) rows: 0 arcs in, 0 out.
 	b := graph.NewBuilder(600)
 	r := rng.New(4)
 	for i := 0; i < 3000; i++ {
@@ -94,7 +177,7 @@ func rowKindGraphs(t *testing.T) map[string]*graph.Graph {
 		case 1:
 			return 1, 0
 		case 2:
-			return math.NaN(), 0
+			return []float64{0, math.Copysign(0, -1)}[u%2], 0
 		}
 		return []float64{0.05, 0.4}[u%2], 0
 	})
@@ -102,6 +185,7 @@ func rowKindGraphs(t *testing.T) map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"weighted-cascade": wc,
 		"uniform":          uniform,
+		"uniform-0.1":      p10,
 		"trivalency":       tri,
 		"after-live-batch": churned(t, base(5)),
 		"extremes":         extremes,
@@ -111,14 +195,14 @@ func rowKindGraphs(t *testing.T) map[string]*graph.Graph {
 // churned returns a weighted-cascade graph after one live batch of adds,
 // removals and reweights, each into a head of its own with at least two
 // in-arcs — having first checked what the batch did to the graph's
-// uniform-row set, which Apply's graph inherits rather than derives: a
-// row that gained or had reweighted an arc at p = 0.9 beside its 1/indeg
-// ones lost its bit, a row that lost an arc kept it (the rest still agree),
-// and so did every row no op names.
+// in-row column, which Apply's graph inherits rather than derives: a row
+// that gained or had reweighted an arc at p = 0.9 beside its 1/indeg ones
+// turned mixed (NaN), a row that lost an arc kept its p (the rest still
+// agree), and so did every row no op names.
 func churned(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	g.SetWeightedCascadeProb()
-	before := Bitset(slices.Clone(g.UniformProbRows()))
+	before := slices.Clone(g.InRowProbs())
 	r := rng.New(6)
 	var ops []live.EdgeOp
 	mixed := map[graph.NodeID]bool{} // head -> the op leaves its row mixed
@@ -142,10 +226,14 @@ func churned(t *testing.T, g *graph.Graph) *graph.Graph {
 	if _, err := lv.Apply(context.Background(), ops, live.ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	after := Bitset(lv.Graph().UniformProbRows())
+	after := lv.Graph().InRowProbs()
 	for v := graph.NodeID(0); v < g.NumNodes(); v++ {
-		if want := before.Has(v) && !mixed[v]; after.Has(v) != want {
-			t.Fatalf("node %d (named by an op: %v): uniform bit %v after the batch, want %v", v, mixed[v], after.Has(v), want)
+		want := before[v]
+		if mixed[v] {
+			want = math.NaN()
+		}
+		if math.Float64bits(after[v]) != math.Float64bits(want) {
+			t.Fatalf("node %d (named by an op: %v): row p %v after the batch, want %v", v, mixed[v], after[v], want)
 		}
 	}
 	return lv.Graph()
@@ -155,9 +243,9 @@ func TestSamplerMatchesPerArcReference(t *testing.T) {
 	const seed, sets = 77, 1500
 	for name, g := range rowKindGraphs(t) {
 		// How many rows of each kind this graph really holds.
-		probRows, uniP := Bitset(g.UniformProbRows()), 0
-		for v := graph.NodeID(0); v < g.NumNodes(); v++ {
-			if probRows.Has(v) {
+		uniP := 0
+		for _, p := range g.InRowProbs() {
+			if !math.IsNaN(p) {
 				uniP++
 			}
 		}
@@ -180,4 +268,99 @@ func TestSamplerMatchesPerArcReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The IC loop against its own predecessor, referenceSampleInto, over 100k
+// set indices of two streams on every row kind: one Sampler drawing the
+// sets in turn, batch generation of the first quarter at one and two
+// workers (the same loop behind par.For; a quarter keeps the test's cost
+// under -race in bounds), and Resample of indices scattered over all of
+// them — every set bit for bit.
+func TestSampleICMatchesReference(t *testing.T) {
+	const sets, generated = 100_000, 25_000
+	ctx := context.Background()
+	var ids []int32 // every 97th index, and the last
+	for i := int32(0); i < sets; i += 97 {
+		ids = append(ids, i)
+	}
+	ids = append(ids, sets-1)
+	for name, g := range rowKindGraphs(t) {
+		for _, seed := range []uint64{11, 1 << 40} {
+			ref, s := newRefSampler(g), NewSampler(g, ModelIC)
+			want := make([][]graph.NodeID, sets)
+			var arena, buf []graph.NodeID
+			members := 0
+			for i := range want {
+				lo := len(arena)
+				arena = ref.referenceSampleInto(seed, uint64(i), arena)
+				want[i] = arena[lo:len(arena):len(arena)]
+				buf = s.SampleInto(seed, uint64(i), buf[:0])
+				if !slices.Equal(buf, want[i]) {
+					t.Fatalf("%s/seed %d: set %d = %v, reference %v", name, seed, i, buf, want[i])
+				}
+				members += len(buf)
+			}
+			if members == sets {
+				t.Fatalf("%s/seed %d: every set is its root alone, nothing was tested", name, seed)
+			}
+			for _, workers := range []int{1, 2} {
+				col := NewCollection(g, ModelIC)
+				if err := col.GenerateParallelCtx(ctx, generated, seed, workers); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want[:generated] {
+					if !slices.Equal(col.Set(i), want[i]) {
+						t.Fatalf("%s/seed %d/workers=%d: set %d = %v, reference %v", name, seed, workers, i, col.Set(i), want[i])
+					}
+				}
+				got, err := col.Resample(ctx, g, seed, ids, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, id := range ids {
+					if !slices.Equal(got[k], want[id]) {
+						t.Fatalf("%s/seed %d/workers=%d: resampled set %d = %v, reference %v", name, seed, workers, id, got[k], want[id])
+					}
+				}
+			}
+		}
+	}
+}
+
+// fuzzProbs are the p a fuzzed arc may carry: both zeros, so a row of
+// them is uniform to == yet two bit patterns, the extremes, and values
+// whose draws land on either side.
+var fuzzProbs = [...]float64{0, math.Copysign(0, -1), 0.1, 1.0 / 3, 0.5, 1}
+
+// FuzzSampleIC holds the IC loop to referenceSampleInto on small graphs
+// read from the bytes: the first byte picks n ≤ 32, every following three
+// an arc (tail, head, p from fuzzProbs) — parallel arcs collapse and
+// self-loops drop as the Builder does — so rows come out uniform, mixed
+// and empty in any combination. Eight consecutive sets from (seed, index)
+// are compared, through one sampler of each kind.
+func FuzzSampleIC(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 2, 2, 1, 3, 3, 1, 5, 4, 1, 1}, uint64(1), uint64(0))
+	f.Add([]byte{31, 0, 1, 0, 2, 1, 1, 3, 1, 4, 4, 1, 5, 5, 1, 2}, uint64(7), uint64(1<<33))
+	chain := []byte{32}
+	for v := byte(1); v < 32; v++ {
+		chain = append(chain, v-1, v, 5, (v+7)%32, v, v%6)
+	}
+	f.Add(chain, uint64(3), uint64(99))
+	f.Fuzz(func(t *testing.T, data []byte, seed, index uint64) {
+		if len(data) == 0 {
+			return
+		}
+		n := int32(data[0]%32) + 1
+		b := graph.NewBuilder(n)
+		for arc := data[1:]; len(arc) >= 3; arc = arc[3:] {
+			b.AddEdgeP(int32(arc[0])%n, int32(arc[1])%n, fuzzProbs[int(arc[2])%len(fuzzProbs)], 0)
+		}
+		g := b.Build()
+		ref, s := newRefSampler(g), NewSampler(g, ModelIC)
+		for i := index; i < index+8; i++ {
+			if got, want := s.Sample(seed, i), ref.referenceSampleInto(seed, i, nil); !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed %d set %d: %v, reference %v", n, seed, i, got, want)
+			}
+		}
+	})
 }

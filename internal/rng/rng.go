@@ -72,8 +72,12 @@ func (r *RNG) Reseed(seed uint64) {
 	}
 }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
+// Next is the one xoshiro256** step: it returns the next 64 random bits
+// and the state after them, leaving r as it was. A hot loop that copies
+// its stream into a local (st := *r; v, st = st.Next(); …; *r = st) keeps
+// the four state words in registers across draws instead of loading and
+// storing them through a pointer at every one; the values are Uint64's.
+func (r RNG) Next() (uint64, RNG) {
 	result := bits.RotateLeft64(r.s1*5, 7) * 9
 	t := r.s1 << 17
 	r.s2 ^= r.s0
@@ -82,7 +86,14 @@ func (r *RNG) Uint64() uint64 {
 	r.s0 ^= r.s3
 	r.s2 ^= t
 	r.s3 = bits.RotateLeft64(r.s3, 45)
-	return result
+	return result, r
+}
+
+// Uint64 returns the next 64 random bits.
+func (r *RNG) Uint64() uint64 {
+	var v uint64
+	v, *r = r.Next()
+	return v
 }
 
 // Float64 returns a uniform value in [0,1) with 53 bits of precision.

@@ -199,6 +199,51 @@ func TestReseedResets(t *testing.T) {
 	}
 }
 
+// The generator itself, pinned: from the state {1, 2, 3, 4} xoshiro256**
+// yields the reference implementation's published first outputs. Every
+// downstream table (RR sets, cascades, seeds) rests on this stream.
+func TestXoshiro256StarStarVector(t *testing.T) {
+	want := []uint64{11520, 0, 1509978240, 1215971899390074240, 1216172134540287360, 607988272756665600}
+	r := &RNG{1, 2, 3, 4}
+	for i, w := range want {
+		if got := r.Uint64(); got != w {
+			t.Fatalf("output %d = %d, want %d", i, got, w)
+		}
+	}
+	st := RNG{1, 2, 3, 4}
+	for i, w := range want {
+		var got uint64
+		if got, st = st.Next(); got != w {
+			t.Fatalf("Next output %d = %d, want %d", i, got, w)
+		}
+	}
+}
+
+// Next on a copied state and Uint64 through the pointer are one stream:
+// the same 10^4 values from several split seeds, the same state after,
+// and Next leaves its receiver as it was.
+func TestNextIsUint64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		for _, index := range []uint64{0, 7, 1 << 40} {
+			r := Split(seed, index)
+			st := *r
+			for i := 0; i < 10000; i++ {
+				if a, _ := st.Next(); a != func() uint64 { b, _ := st.Next(); return b }() {
+					t.Fatalf("Split(%d,%d) draw %d: Next moved its receiver", seed, index, i)
+				}
+				var v uint64
+				v, st = st.Next()
+				if want := r.Uint64(); v != want {
+					t.Fatalf("Split(%d,%d) draw %d: Next %d, Uint64 %d", seed, index, i, v, want)
+				}
+			}
+			if st != *r {
+				t.Fatalf("Split(%d,%d): states differ after 10^4 draws", seed, index)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
