@@ -136,13 +136,19 @@ func (rt *Router) PollOnce(ctx context.Context) { rt.mem.PollOnce(ctx) }
 func (rt *Router) Run(ctx context.Context) { rt.mem.Run(ctx) }
 
 // Handler returns the router's root handler with the same uniform 404
-// envelope the replicas use, behind the obs middleware — the router is
-// the outermost hop, so it is where request ids are minted before
-// forward propagates them replica-ward.
+// and 405 envelopes the replicas use, behind the obs middleware — the
+// router is the outermost hop, so it is where request ids are minted
+// before forward propagates them replica-ward.
 func (rt *Router) Handler() http.Handler {
 	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, pattern := rt.mux.Handler(r); pattern == "" {
-			writeError(w, http.StatusNotFound, "no route for %s %s", r.Method, r.URL.Path)
+			if allowed := obs.AllowedMethods(rt.mux, r); len(allowed) > 0 {
+				w.Header().Set("Allow", strings.Join(allowed, ", "))
+				writeError(w, http.StatusMethodNotAllowed,
+					"method %s not allowed for %s", r.Method, r.URL.Path)
+			} else {
+				writeError(w, http.StatusNotFound, "no route for %s %s", r.Method, r.URL.Path)
+			}
 			return
 		}
 		rt.mux.ServeHTTP(w, withQoS(r))

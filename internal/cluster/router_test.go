@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -111,5 +112,58 @@ func TestSketchInfoRoutesToTheSketchsOwner(t *testing.T) {
 	// The table must be able to tell owners apart at all.
 	if len(owners) < 3 {
 		t.Fatalf("the table's sketches share %d owners; it cannot catch a mis-keyed route", len(owners))
+	}
+}
+
+// A wrong verb on a routed path answers through the router exactly as on
+// a replica: the same status, Allow header and error code.
+func TestRouterMethodNotAllowedMatchesReplica(t *testing.T) {
+	srv := service.New(service.Config{})
+	t.Cleanup(srv.Close)
+	replica := httptest.NewServer(srv.Handler())
+	t.Cleanup(replica.Close)
+	rt, err := NewRouter(RouterConfig{Replicas: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollOnce(context.Background())
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	type answer struct {
+		status      int
+		allow, code string
+	}
+	send := func(base, method, path string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env service.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s %s: decode envelope: %v", method, path, err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("Allow"), env.Error.Code}
+	}
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPut, "/v2/query"},
+		{http.MethodPost, "/healthz"},
+		{http.MethodPatch, "/v1/graphs/soc/edges"},
+		{http.MethodPost, "/v2/jobs/j1"},
+		{http.MethodGet, "/no/such/route"},
+	} {
+		direct, routed := send(replica.URL, c.method, c.path), send(front.URL, c.method, c.path)
+		if routed != direct {
+			t.Errorf("%s %s: routed %+v, replica %+v", c.method, c.path, routed, direct)
+		}
+	}
+	if a := send(front.URL, http.MethodPut, "/v2/query"); a.status != http.StatusMethodNotAllowed || a.allow != "POST" {
+		t.Fatalf("PUT /v2/query through the router: %+v, want 405 with Allow: POST", a)
 	}
 }

@@ -158,17 +158,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 	for i, p := range g.outProb {
-		if !validProb(p) {
+		if !ValidProb(p) {
 			return nil, fmt.Errorf("graph: probability %v at edge %d out of range", p, i)
 		}
 	}
 	for i, phi := range g.outPhi {
-		if !validProb(phi) {
+		if !ValidProb(phi) {
 			return nil, fmt.Errorf("graph: interaction probability %v at edge %d out of range", phi, i)
 		}
 	}
 	for i, w := range g.outWt {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		if !ValidWeight(w) {
 			return nil, fmt.Errorf("graph: LT weight %v at edge %d out of range", w, i)
 		}
 	}

@@ -61,12 +61,16 @@ func (b *Builder) AddEdgeFull(u, v NodeID, p, phi, w float64) {
 	b.edges = append(b.edges, builderEdge{u, v, p, phi, w})
 }
 
-// validProb reports whether p may be stored as a p or ϕ: a probability in
+// ValidProb reports whether p may be stored as a p or ϕ: a probability in
 // [0,1], NaN excluded. Every writer of those columns that takes a value
-// from its caller — the Builder, WithArcEdits, ReadBinary and the Set*
-// mutators — checks with it, so a graph never holds a value its own file
-// could not carry back, and InRowProbs is free to mean "mixed" by NaN.
-func validProb(p float64) bool { return p >= 0 && p <= 1 }
+// from its caller — the Builder, live mutation batches, ReadBinary and the
+// Set* mutators — checks with it, so a graph never holds a value its own
+// file could not carry back, and InRowProbs is free to mean "mixed" by NaN.
+func ValidProb(p float64) bool { return p >= 0 && p <= 1 }
+
+// ValidWeight reports whether w may be stored as an LT weight: non-negative
+// and finite, NaN excluded. The same writers as ValidProb's check with it.
+func ValidWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
 
 // checkArc panics unless (u,v) names two nodes of an n-node graph and the
 // parameters are ones ReadBinary would accept.
@@ -74,13 +78,13 @@ func checkArc(n int32, u, v NodeID, p, phi, w float64) {
 	if u < 0 || u >= n || v < 0 || v >= n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
 	}
-	if !validProb(p) {
+	if !ValidProb(p) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) probability %v out of [0,1]", u, v, p))
 	}
-	if !validProb(phi) {
+	if !ValidProb(phi) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) interaction %v out of [0,1]", u, v, phi))
 	}
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+	if !ValidWeight(w) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) LT weight %v negative or non-finite", u, v, w))
 	}
 }

@@ -203,7 +203,7 @@ func (g *Graph) findEdge(u, v NodeID) (int64, bool) {
 // SetUniformProb assigns p(u,v)=p to every edge (the conventional IC
 // parameterization, p=0.1 in the paper's experiments).
 func (g *Graph) SetUniformProb(p float64) {
-	if !validProb(p) {
+	if !ValidProb(p) {
 		panic(fmt.Sprintf("graph: probability %v out of [0,1]", p))
 	}
 	g.dropMemos()
@@ -260,7 +260,7 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 		values = []float64{0.1, 0.01, 0.001}
 	}
 	for _, p := range values {
-		if !validProb(p) {
+		if !ValidProb(p) {
 			panic(fmt.Sprintf("graph: trivalency probability %v out of [0,1]", p))
 		}
 	}
@@ -279,7 +279,7 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 
 // SetUniformPhi assigns ϕ(u,v)=phi to every edge.
 func (g *Graph) SetUniformPhi(phi float64) {
-	if !validProb(phi) {
+	if !ValidProb(phi) {
 		panic(fmt.Sprintf("graph: interaction probability %v out of [0,1]", phi))
 	}
 	g.dropMemos()
@@ -296,7 +296,7 @@ func (g *Graph) SetEdgeParamsFunc(f func(u, v NodeID) (p, phi float64)) {
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			p, phi := f(u, g.outTo[i])
-			if !validProb(p) || !validProb(phi) {
+			if !ValidProb(p) || !ValidProb(phi) {
 				panic(fmt.Sprintf("graph: edge params (%v,%v) out of [0,1]", p, phi))
 			}
 			g.outProb[i] = p

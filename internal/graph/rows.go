@@ -7,7 +7,7 @@ import "math"
 // in-edges under weighted cascade and uniform p — and NaN otherwise: a row
 // holding a trivalency mix or one a live batch reweighted in part, and an
 // empty row. No arc holds a NaN p (every writer of the column refuses one,
-// see validProb), so NaN is free to mean "mixed". A reverse traversal
+// see ValidProb), so NaN is free to mean "mixed". A reverse traversal
 // reads a row's entry with one load and gathers per arc only where it is
 // NaN. Equality is float ==: a row of +0 and −0 holds one p (they act
 // alike under the sampler's draw < p), stored as its first arc's.

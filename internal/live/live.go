@@ -2,12 +2,12 @@
 //
 // Every graph in the system is an immutable CSR snapshot — the property
 // that lets RR-sketch indexes, result caches and concurrent selections
-// share one instance without locks. live.Graph keeps that property while
-// adding mutation: Apply(batch) validates a batch of edge operations
-// atomically, derives a NEW immutable snapshot from the current one
+// share one instance without locks. Apply keeps that property while
+// adding mutation: it validates a batch of edge operations atomically,
+// derives a NEW immutable snapshot from the given one
 // (graph.WithArcEdits: the arrays block-copied around the edited arcs,
-// nothing re-sorted, only the in-adjacency re-derived), and returns a
-// monotone version number together with the batch's dirty-node set (the
+// nothing re-sorted, only the in-adjacency re-derived), and returns the
+// next version number together with the batch's dirty-node set (the
 // targets of every touched edge).
 //
 // The dirty set is the contract with incremental sketch repair
@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -68,8 +67,9 @@ type ApplyOptions struct {
 
 // BatchResult reports one applied batch.
 type BatchResult struct {
-	// Version is the monotone version number the batch produced (the
-	// wrapped snapshot starts at 0; the first batch yields 1).
+	// Version is the version number the batch produced, one past the
+	// snapshot it was applied to (a wrapped lineage starts at 0, so its
+	// first batch yields 1).
 	Version uint64
 	// Dirty lists the distinct targets of the batch's operations (plus
 	// nothing else), sorted ascending. This is exactly the set incremental
@@ -130,30 +130,27 @@ func (lv *Graph) Snapshot() (*graph.Graph, uint64) {
 // edgeKey packs an arc for batch conflict detection.
 func edgeKey(u, v graph.NodeID) int64 { return int64(u)<<32 | int64(uint32(v)) }
 
-func validProb(p float64) bool   { return p >= 0 && p <= 1 && !math.IsNaN(p) }
-func validWeight(w float64) bool { return w >= 0 && !math.IsNaN(w) && !math.IsInf(w, 0) }
-
-// validateLocked checks one op against the current snapshot. Whole-batch
-// atomicity rides on validation being side-effect free: Apply validates
-// every op before building anything.
-func (lv *Graph) validateLocked(i int, op EdgeOp) error {
-	n := lv.g.NumNodes()
+// validate checks one op against g. Whole-batch atomicity rides on
+// validation being side-effect free: Apply validates every op before
+// building anything.
+func validate(g *graph.Graph, i int, op EdgeOp) error {
+	n := g.NumNodes()
 	if op.From < 0 || op.From >= n || op.To < 0 || op.To >= n {
 		return fmt.Errorf("live: op %d: edge (%d,%d) out of range [0,%d)", i, op.From, op.To, n)
 	}
 	if op.From == op.To {
 		return fmt.Errorf("live: op %d: self-loop (%d,%d)", i, op.From, op.To)
 	}
-	if op.P != nil && !validProb(*op.P) {
+	if op.P != nil && !graph.ValidProb(*op.P) {
 		return fmt.Errorf("live: op %d: probability %v out of [0,1]", i, *op.P)
 	}
-	if op.Phi != nil && !validProb(*op.Phi) {
+	if op.Phi != nil && !graph.ValidProb(*op.Phi) {
 		return fmt.Errorf("live: op %d: interaction %v out of [0,1]", i, *op.Phi)
 	}
-	if op.W != nil && !validWeight(*op.W) {
+	if op.W != nil && !graph.ValidWeight(*op.W) {
 		return fmt.Errorf("live: op %d: LT weight %v negative or non-finite", i, *op.W)
 	}
-	exists := lv.g.HasEdge(op.From, op.To)
+	exists := g.HasEdge(op.From, op.To)
 	switch op.Op {
 	case OpAdd:
 		if exists {
@@ -176,20 +173,19 @@ func (lv *Graph) validateLocked(i int, op EdgeOp) error {
 	return nil
 }
 
-// Apply validates and applies one batch atomically: either every op is
-// valid and a new snapshot at version+1 is installed, or the error names
-// the first offending op and nothing changes. Opinions carry over to the
-// new snapshot unchanged. ctx is honored before validation and before the
-// new snapshot is derived; the derivation itself — a few block copies and
-// one counting sort — runs to completion.
-func (lv *Graph) Apply(ctx context.Context, ops []EdgeOp, opts ApplyOptions) (BatchResult, error) {
+// Apply validates one batch against g, the snapshot at version, and
+// derives the snapshot after it atomically: either every op is valid and
+// the new snapshot comes back with the batch at version+1, or the error
+// names the first offending op and g stays the latest. g itself is never
+// touched, and opinions carry over unchanged. ctx is honored before
+// validation and before the new snapshot is derived; the derivation
+// itself — a few block copies and one counting sort — runs to completion.
+func Apply(ctx context.Context, g *graph.Graph, version uint64, ops []EdgeOp, opts ApplyOptions) (*graph.Graph, BatchResult, error) {
 	if len(ops) == 0 {
-		return BatchResult{}, errors.New("live: empty batch")
+		return nil, BatchResult{}, errors.New("live: empty batch")
 	}
-	lv.mu.Lock()
-	defer lv.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return BatchResult{}, err
+		return nil, BatchResult{}, err
 	}
 
 	// Validate everything first; also reject two ops on one arc (their
@@ -197,17 +193,17 @@ func (lv *Graph) Apply(ctx context.Context, ops []EdgeOp, opts ApplyOptions) (Ba
 	// promise to preserve under retries).
 	seen := make(map[int64]int, len(ops)) // edgeKey -> op index
 	for i, op := range ops {
-		if err := lv.validateLocked(i, op); err != nil {
-			return BatchResult{}, err
+		if err := validate(g, i, op); err != nil {
+			return nil, BatchResult{}, err
 		}
 		key := edgeKey(op.From, op.To)
 		if j, dup := seen[key]; dup {
-			return BatchResult{}, fmt.Errorf("live: ops %d and %d both touch edge (%d,%d)", j, i, op.From, op.To)
+			return nil, BatchResult{}, fmt.Errorf("live: ops %d and %d both touch edge (%d,%d)", j, i, op.From, op.To)
 		}
 		seen[key] = i
 	}
 	if err := ctx.Err(); err != nil {
-		return BatchResult{}, err
+		return nil, BatchResult{}, err
 	}
 
 	// Dirty targets — the distinct heads of the batch's arcs, ascending —
@@ -231,15 +227,25 @@ func (lv *Graph) Apply(ctx context.Context, ops []EdgeOp, opts ApplyOptions) (Ba
 	if opts.RebalanceLT {
 		rebalance = dirty
 	}
-	newG := lv.g.WithArcEdits(arcs, rebalance)
-
-	lv.g = newG
-	lv.version++
-	return BatchResult{
-		Version: lv.version,
+	newG := g.WithArcEdits(arcs, rebalance)
+	return newG, BatchResult{
+		Version: version + 1,
 		Dirty:   dirty,
 		Applied: len(ops),
 		Nodes:   newG.NumNodes(),
 		Arcs:    newG.NumEdges(),
 	}, nil
+}
+
+// Apply applies one batch to the wrapped lineage (see the function Apply)
+// and, on success, makes its snapshot the current one.
+func (lv *Graph) Apply(ctx context.Context, ops []EdgeOp, opts ApplyOptions) (BatchResult, error) {
+	lv.mu.Lock()
+	defer lv.mu.Unlock()
+	g, res, err := Apply(ctx, lv.g, lv.version, ops, opts)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	lv.g, lv.version = g, res.Version
+	return res, nil
 }

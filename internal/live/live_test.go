@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -266,6 +267,39 @@ func TestLiveChurnSmoke(t *testing.T) {
 			if a.Seeds[i] != b.Seeds[i] {
 				t.Fatalf("round %d: repaired and rebuilt sketches disagree at seed %d: %d vs %d",
 					round, i, a.Seeds[i], b.Seeds[i])
+			}
+		}
+	}
+}
+
+// A reweight batch and the Builder accept and reject the same edge
+// parameters: both check with graph.ValidProb and graph.ValidWeight.
+func TestApplyAndBuilderAgreeOnValidity(t *testing.T) {
+	values := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, math.Nextafter(1, 2), -1e-300, math.Inf(1), math.MaxFloat64}
+	builds := func(p, phi, w float64) (ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		graph.NewBuilder(2).AddEdgeFull(0, 1, p, phi, w)
+		return true
+	}
+	g := smallGraph(t)
+	for _, v := range values {
+		for _, c := range []struct {
+			param string
+			op    live.EdgeOp
+			built bool
+		}{
+			{"p", live.EdgeOp{P: fp(v)}, builds(v, 0, 0)},
+			{"phi", live.EdgeOp{Phi: fp(v)}, builds(0, v, 0)},
+			{"w", live.EdgeOp{W: fp(v)}, builds(0, 0, v)},
+		} {
+			c.op.Op, c.op.From, c.op.To = live.OpReweight, 0, 1
+			_, _, err := live.Apply(context.Background(), g, 0, []live.EdgeOp{c.op}, live.ApplyOptions{})
+			if applied := err == nil; applied != c.built {
+				t.Errorf("%s=%v: Apply accepts %v, Builder accepts %v (%v)", c.param, v, applied, c.built, err)
 			}
 		}
 	}

@@ -104,3 +104,26 @@ func ErrorCode(status int) string {
 		return "internal"
 	}
 }
+
+// probeMethods are the verbs AllowedMethods tests a path against.
+var probeMethods = []string{
+	http.MethodGet, http.MethodHead, http.MethodPost,
+	http.MethodPut, http.MethodPatch, http.MethodDelete,
+}
+
+// AllowedMethods probes mux for the verbs that WOULD match r's path, for
+// the Allow header of a 405 — derived from the real routing table, so it
+// can never drift from the registered patterns. The service and the
+// cluster router share it, so a wrong verb answers alike on both. Empty
+// means no verb routes the path: a 404.
+func AllowedMethods(mux *http.ServeMux, r *http.Request) []string {
+	var out []string
+	for _, m := range probeMethods {
+		probe := r.Clone(r.Context())
+		probe.Method = m
+		if _, pattern := mux.Handler(probe); pattern != "" {
+			out = append(out, m)
+		}
+	}
+	return out
+}

@@ -12,8 +12,8 @@ import (
 // is valid and the graph advances one version, or a 400 names the first
 // offending op and nothing changes. On success the name's generation has
 // moved on — no cached result or job of the old content is reachable —
-// and repairs of its sketches are queued before Mutate returns, so the
-// response's version is never served from stale state.
+// and its sketches are repaired before Mutate returns, so the response is
+// written only once every sketch on the name is at its version.
 func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r) {
 		return
@@ -45,23 +45,20 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	res, repairs, err := s.reg.Mutate(r.Context(), name, ops, holisticim.ApplyOptions{RebalanceLT: req.RebalanceLT})
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrGraphNotFound):
-			writeError(w, http.StatusNotFound, "%v", err)
-		case errors.Is(err, ErrGraphReplaced):
-			writeError(w, http.StatusConflict, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrGraphNotFound) {
+			status = http.StatusNotFound
 		}
+		writeError(w, status, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, MutateResponse{
-		Graph:            name,
-		Version:          res.Version,
-		Nodes:            res.Nodes,
-		Arcs:             res.Arcs,
-		Applied:          res.Applied,
-		Dirty:            res.Dirty,
-		RepairsScheduled: repairs,
+		Graph:    name,
+		Version:  res.Version,
+		Nodes:    res.Nodes,
+		Arcs:     res.Arcs,
+		Applied:  res.Applied,
+		Dirty:    res.Dirty,
+		Repaired: repairs,
 	})
 }

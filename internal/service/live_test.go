@@ -5,50 +5,51 @@ import (
 	"context"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"github.com/holisticim/holisticim"
 )
 
-// waitSketchVersion polls the sketch listing until the sketch for graph
-// g advertises graph_version >= want (background repair finished).
-func waitSketchVersion(t *testing.T, ts, g string, want uint64) SketchInfo {
+// assertRepaired checks, right after a 200 from an edge batch on "g" and
+// with no polling, that every sketch on the name is at the batch's
+// version, that sketch_repairs reads repairs, and that a select matching
+// each sketch is served from it.
+func assertRepaired(t *testing.T, ts string, mres MutateResponse, repairs int64) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var list struct {
-			Sketches []SketchInfo `json:"sketches"`
-		}
-		if code := doJSON(t, "GET", ts+"/v1/sketches", nil, &list); code != http.StatusOK {
-			t.Fatalf("GET sketches status %d", code)
-		}
-		for _, si := range list.Sketches {
-			if si.Graph == g && si.GraphVersion >= want {
-				return si
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sketch never reached graph_version %d: %+v", want, list.Sketches)
-		}
-		time.Sleep(5 * time.Millisecond)
+	var list struct {
+		Sketches []SketchInfo `json:"sketches"`
 	}
-}
-
-// waitRepairCounted polls until a completed repair is counted: Repair
-// stamps the sketch's graph_version before its drain job counts it.
-func waitRepairCounted(t *testing.T, s *Server) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); s.reg.repairs.Load() == 0; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no completed repair was ever counted")
+	if code := doJSON(t, "GET", ts+"/v1/sketches", nil, &list); code != http.StatusOK {
+		t.Fatalf("GET sketches status %d", code)
+	}
+	var st ServerStats
+	if code := doJSON(t, "GET", ts+"/v1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("GET stats status %d", code)
+	}
+	if st.SketchRepairs != repairs || st.SketchRepairFailures != 0 {
+		t.Fatalf("after version %d: sketch_repairs=%d failures=%d, want %d and 0",
+			mres.Version, st.SketchRepairs, st.SketchRepairFailures, repairs)
+	}
+	for _, si := range list.Sketches {
+		if si.Graph != mres.Graph {
+			continue
+		}
+		if si.GraphVersion != mres.Version {
+			t.Fatalf("sketch %s at graph_version %d after a 200 for version %d", si.ID, si.GraphVersion, mres.Version)
+		}
+		sel := SelectRequest{Graph: si.Graph, Algorithm: "imm", K: si.BuildK,
+			Options: Options{Epsilon: si.Epsilon, Seed: si.Seed}}
+		var resp SelectResponse
+		if code := doJSON(t, "POST", ts+"/v1/select", sel, &resp); code != http.StatusOK || !resp.Sketch {
+			t.Fatalf("select matching sketch %s at version %d: status %d, %+v", si.ID, mres.Version, code, resp)
 		}
 	}
 }
 
 // TestMutateEndToEnd drives the live-update loop over HTTP: build a
-// sketch, mutate the graph, watch background repair re-synchronize the
-// sketch, and confirm queries are served fresh — never from stale state.
+// sketch, mutate the graph, and confirm the 200 arrives with the sketch
+// already repaired and queries served fresh — never from stale state.
 func TestMutateEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	buildTestSketch(t, ts.URL, SketchSpec{Graph: "g", Epsilon: 0.3, Seed: 5, BuildK: 10})
@@ -93,9 +94,10 @@ func TestMutateEndToEnd(t *testing.T) {
 	if mres.Graph != "g" || mres.Version != 1 || mres.Applied != 2 {
 		t.Fatalf("mutate response: %+v", mres)
 	}
-	if len(mres.Dirty) == 0 || mres.RepairsScheduled != 1 {
+	if len(mres.Dirty) == 0 || mres.Repaired != 1 {
 		t.Fatalf("mutate response dirty/repairs: %+v", mres)
 	}
+	assertRepaired(t, ts.URL, mres, 1)
 
 	// The graph listing advertises the new version.
 	var gi GraphInfo
@@ -117,42 +119,8 @@ func TestMutateEndToEnd(t *testing.T) {
 	}
 	pollJob(t, ts.URL, again.JobID)
 
-	// Background repair re-synchronizes the sketch to version 1.
-	waitSketchVersion(t, ts.URL, "g", 1)
-
-	// The repaired sketch serves the fast path against the NEW snapshot.
-	fast := SelectRequest{Graph: "g", Algorithm: "imm", K: 5, Options: Options{Epsilon: 0.3, Seed: 5}}
-	var fresp SelectResponse
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		fresp = SelectResponse{}
-		code := doJSON(t, "POST", ts.URL+"/v1/select", fast, &fresp)
-		if code == http.StatusOK && fresp.Sketch {
-			break
-		}
-		// A racing repair may not have re-matched yet; the server must
-		// fall back to a job, never serve the stale sample.
-		if code == http.StatusAccepted {
-			pollJob(t, ts.URL, fresp.JobID)
-		} else if code != http.StatusOK {
-			t.Fatalf("fast-path select status %d (%+v)", code, fresp)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sketch fast path never resumed after repair")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if len(fresp.Result.Seeds) != 5 {
-		t.Fatalf("fast-path result: %+v", fresp.Result)
-	}
-
-	waitRepairCounted(t, s)
-	st := s.Stats()
-	if st.GraphMutations != 1 {
+	if st := s.Stats(); st.GraphMutations != 1 {
 		t.Fatalf("stats mutations = %d", st.GraphMutations)
-	}
-	if st.SketchRepairs < 1 || st.SketchRepairFailures != 0 {
-		t.Fatalf("stats repairs: %+v", st)
 	}
 }
 
@@ -198,9 +166,10 @@ func TestMutateValidation(t *testing.T) {
 	}
 }
 
-// TestMutateCoalescedRepairs floods several batches and checks the
-// repair scheduler coalesces them without losing the final version.
-func TestMutateCoalescedRepairs(t *testing.T) {
+// TestMutateRepairsEachBatch sends back-to-back batches: each answers
+// only once its own repair landed, so after batch i the sketch is at
+// version i and exactly i repairs have run.
+func TestMutateRepairsEachBatch(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	buildTestSketch(t, ts.URL, SketchSpec{Graph: "g", Epsilon: 0.4, Seed: 3, BuildK: 5})
 
@@ -212,24 +181,141 @@ func TestMutateCoalescedRepairs(t *testing.T) {
 	u := int32(0)
 	v := g.OutNeighbors(u)[0]
 	p := 0.1
-	for i := 0; i < 5; i++ {
+	for i := 1; i <= 5; i++ {
 		op := EdgeOpSpec{Op: "remove", From: u, To: v}
-		if i%2 == 1 {
+		if i%2 == 0 {
 			op = EdgeOpSpec{Op: "add", From: u, To: v, P: &p}
 		}
 		var mres MutateResponse
 		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{op}}, &mres); code != http.StatusOK {
 			t.Fatalf("batch %d status %d (%+v)", i, code, mres)
 		}
-		if mres.Version != uint64(i+1) {
-			t.Fatalf("batch %d produced version %d", i, mres.Version)
+		if mres.Version != uint64(i) || mres.Repaired != 1 {
+			t.Fatalf("batch %d: version %d, %d repaired", i, mres.Version, mres.Repaired)
+		}
+		assertRepaired(t, ts.URL, mres, int64(i))
+	}
+}
+
+// A registry outside any Server repairs its sketches on Mutate too: the
+// repaired sample equals a fresh build at the final graph.
+func TestStandaloneRegistryRepairsOnMutate(t *testing.T) {
+	ctx := context.Background()
+	r := NewRegistry()
+	g := holisticim.GenerateBA(300, 3, 1)
+	g.SetUniformProb(0.1)
+	if err := r.Add("g", g, "test"); err != nil {
+		t.Fatal(err)
+	}
+	// MaxSets is below the natural θ, so repaired and fresh indexes both
+	// hold exactly the first maxSets sets of the seed's stream.
+	const maxSets = 3000
+	opts := holisticim.SketchOptions{Epsilon: 0.3, Seed: 7, BuildK: 5, MaxSets: maxSets}
+	idx, err := holisticim.BuildSketch(ctx, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.AddSketch("g", idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		cur, err := r.Get("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := int32(i)
+		ops := []holisticim.EdgeOp{{Op: holisticim.OpRemoveEdge, From: u, To: cur.OutNeighbors(u)[0]}}
+		res, repaired, err := r.Mutate(ctx, "g", ops, holisticim.ApplyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != uint64(i) || repaired != 1 {
+			t.Fatalf("batch %d: version %d, %d repaired", i, res.Version, repaired)
 		}
 	}
-	waitSketchVersion(t, ts.URL, "g", 5)
-	waitRepairCounted(t, s)
-	repairs, failed := s.reg.repairs.Load(), s.reg.repairsFailed.Load()
-	if repairs < 1 || repairs > 5 || failed != 0 {
-		t.Fatalf("repair totals: repairs=%d failed=%d", repairs, failed)
+	info, err := r.DescribeSketch(id)
+	if err != nil {
+		t.Fatalf("sketch evicted by the batches: %v", err)
+	}
+	if info.GraphVersion != 3 {
+		t.Fatalf("sketch at graph version %d, want 3", info.GraphVersion)
+	}
+	final, err := r.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := holisticim.BuildSketch(ctx, final, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fresh.Stats().Sets; n != maxSets {
+		t.Fatalf("a fresh build holds %d sets, not the %d cap: the comparison needs θ above the cap", n, maxSets)
+	}
+	if !bytes.Equal(sampleBytes(t, idx), sampleBytes(t, fresh)) {
+		t.Fatal("repaired sample differs from a fresh build on the final graph")
+	}
+}
+
+// Batches from several goroutines on one name serialize on the registry's
+// writer: each gets its own version, and every repair lands in order, so
+// the sketch ends at the last version with one repair per batch.
+func TestMutateConcurrentBatchesSerialize(t *testing.T) {
+	ctx := context.Background()
+	r := NewRegistry()
+	g := holisticim.GenerateBA(300, 3, 1)
+	g.SetUniformProb(0.1)
+	if err := r.Add("g", g, "test"); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := holisticim.BuildSketch(ctx, g, holisticim.SketchOptions{Epsilon: 0.4, Seed: 3, BuildK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.AddSketch("g", idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, batches = 4, 3
+	versions := make(chan uint64, writers*batches)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				// Reweights keep the topology, so every writer's arcs stay valid.
+				u := int32(w*batches + b)
+				p := 0.2 + 0.01*float64(w)
+				ops := []holisticim.EdgeOp{{Op: holisticim.OpReweightEdge, From: u, To: g.OutNeighbors(u)[0], P: &p}}
+				res, repaired, err := r.Mutate(ctx, "g", ops, holisticim.ApplyOptions{})
+				if err != nil || repaired != 1 {
+					t.Errorf("writer %d batch %d: %d repaired, %v", w, b, repaired, err)
+					return
+				}
+				versions <- res.Version
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(versions)
+	seen := map[uint64]bool{}
+	for v := range versions {
+		if seen[v] || v < 1 || v > writers*batches {
+			t.Fatalf("version %d handed out twice or out of range", v)
+		}
+		seen[v] = true
+	}
+	if len(seen) != writers*batches {
+		t.Fatalf("%d distinct versions, want %d", len(seen), writers*batches)
+	}
+	info, err := r.DescribeSketch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.GraphVersion != writers*batches || r.repairs.Load() != writers*batches {
+		t.Fatalf("sketch at version %d after %d repairs, want %d and %d",
+			info.GraphVersion, r.repairs.Load(), writers*batches, writers*batches)
 	}
 }
 
@@ -251,17 +337,17 @@ func sampleBytes(t *testing.T, idx *holisticim.Sketch) []byte {
 // Sketch builds racing edge batches on one name. Each round plans a
 // build (its POST returns once the snapshot to sample is chosen) and
 // applies a batch while the build samples on the worker pool. The build
-// must either register before the batch's swap — and then be among the
-// repairs that batch reports — or be refused; it must never land on a
-// snapshot it was not sampled over. Once the repairs drain, every
-// surviving sketch holds exactly the sample a fresh build draws at the
-// final graph version.
+// must either register before the batch — and then be among the repairs
+// that batch reports before its 200 — or be refused; it must never land
+// on a snapshot it was not sampled over. At the end every surviving
+// sketch holds exactly the sample a fresh build draws at the final graph
+// version.
 func TestSketchBuildsRaceEdgeBatches(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// Below the natural θ of every snapshot, so each index, repaired or
 	// fresh, holds exactly the first maxSets sets of its seed's stream.
 	const rounds, maxSets = 12, 3000
-	refused := 0
+	refused, repairs := 0, int64(0)
 	for i := 0; i < rounds; i++ {
 		before := s.Stats().Sketches
 		spec := SketchSpec{Graph: "g", Epsilon: 0.3, Seed: uint64(100 + i), BuildK: 5, MaxSets: maxSets}
@@ -291,12 +377,14 @@ func TestSketchBuildsRaceEdgeBatches(t *testing.T) {
 		if registered {
 			want++
 		}
-		if mres.RepairsScheduled != want {
-			t.Fatalf("round %d: batch scheduled %d repairs, want %d (build registered: %v)", i, mres.RepairsScheduled, want, registered)
+		if mres.Repaired != want {
+			t.Fatalf("round %d: batch repaired %d sketches, want %d (build registered: %v)", i, mres.Repaired, want, registered)
 		}
 		if got := s.Stats().Sketches; got != want {
 			t.Fatalf("round %d: %d sketches registered, want %d", i, got, want)
 		}
+		repairs += int64(want)
+		assertRepaired(t, ts.URL, mres, repairs)
 	}
 	t.Logf("%d of %d builds refused by the batch racing them", refused, rounds)
 
@@ -305,14 +393,8 @@ func TestSketchBuildsRaceEdgeBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, info := range s.reg.ListSketches() {
-		for deadline := time.Now().Add(30 * time.Second); info.GraphVersion != rounds; {
-			if time.Now().After(deadline) {
-				t.Fatalf("sketch %s stuck at graph version %d", info.ID, info.GraphVersion)
-			}
-			time.Sleep(5 * time.Millisecond)
-			if info, err = s.reg.DescribeSketch(info.ID); err != nil {
-				t.Fatal(err)
-			}
+		if info.GraphVersion != rounds {
+			t.Fatalf("sketch %s at graph version %d, want %d", info.ID, info.GraphVersion, rounds)
 		}
 		idx := s.reg.sketchByID(info.ID).idx
 		fresh, err := holisticim.BuildSketch(context.Background(), final, holisticim.SketchOptions{
@@ -327,8 +409,5 @@ func TestSketchBuildsRaceEdgeBatches(t *testing.T) {
 		if !bytes.Equal(sampleBytes(t, idx), sampleBytes(t, fresh)) {
 			t.Fatalf("sketch %s at version %d: sample differs from a fresh build on the final graph", info.ID, info.GraphVersion)
 		}
-	}
-	if failed := s.reg.repairsFailed.Load(); failed != 0 {
-		t.Fatalf("%d repairs failed", failed)
 	}
 }

@@ -54,7 +54,7 @@ func (s *Server) initObservability() {
 	waitHist := m.Histogram("im_job_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.", nil)
 	runHist := m.Histogram("im_job_run_seconds",
-		"Wall time of job executions (selections, builds, repairs).", nil)
+		"Wall time of job executions (selections, builds).", nil)
 	s.jobs.SetDurationObservers(waitHist.Observe, runHist.Observe)
 
 	// Admission control & QoS. The labeled families are scrape-time

@@ -19,11 +19,9 @@ var (
 	ErrGraphExists      = errors.New("service: graph already registered")
 	ErrPathLoadDisabled = errors.New("service: loading server-local paths is disabled")
 	ErrRegistryFull     = errors.New("service: graph registry full")
-	// ErrGraphReplaced reports work prepared against content the name no
-	// longer holds — a mutation batch that lost a race against an operator
-	// Replace, or a sketch sampled over a snapshot that a Replace or an
-	// edge batch has since superseded — refused rather than applied to (or
-	// registered against) unrelated content.
+	// ErrGraphReplaced reports a sketch sampled over a snapshot that a
+	// Replace or an edge batch has since superseded, refused rather than
+	// registered against content the name no longer holds.
 	ErrGraphReplaced = errors.New("service: graph was replaced concurrently")
 )
 
@@ -34,21 +32,23 @@ var (
 // and LoadFile MAY rebind it, and Mutate advances it by edge batches.
 // Each such event installs a new entry with a bumped generation and, in
 // the same critical section, settles the name's sketches: a rebind keeps
-// those matching the new content, a mutation's entry inherits them all.
+// those matching the new content, a mutation's entry inherits them all
+// and repairs them before Mutate returns.
 //
-// No sketch index method runs under mu: an index holds its own lock for a
-// whole repair, and every lookup of every graph goes through mu.
+// Every install — Add, Replace, Mutate, AddSketch, PutSketch — holds
+// writer for its whole course, so none interleaves with another: a sketch
+// build lands before a batch (and is repaired by it) or after (and is
+// refused). Readers and evictions never take writer. No sketch index
+// method runs under mu: an index holds its own lock for a whole repair,
+// and every lookup of every graph goes through mu.
 type Registry struct {
-	mu sync.RWMutex
+	writer sync.Mutex
+	mu     sync.RWMutex
 	// maxGraphs and maxSketches cap registrations when positive, under the
 	// lock; the sketch cap gates only new ids.
 	maxGraphs, maxSketches int
 	graphs                 map[string]*regEntry
 	builds                 int64 // sketch builds and snapshot loads registered
-
-	// jobs runs sketch repairs, batch class, on the server's worker pool;
-	// without one (outside a Server) a mutation evicts the name's sketches.
-	jobs *Manager
 
 	replacements  atomic.Int64 // names rebound to new content
 	mutations     atomic.Int64 // applied edge batches
@@ -58,7 +58,7 @@ type Registry struct {
 }
 
 // regEntry is one installed snapshot of a name. g, info and gen are fixed
-// at install; sketches and live change under Registry.mu.
+// at install; sketches changes under Registry.mu.
 type regEntry struct {
 	g    *holisticim.Graph
 	info GraphInfo
@@ -69,27 +69,12 @@ type regEntry struct {
 	// under its old generation, which no new request can reach).
 	gen uint64
 
-	// live is the mutation lineage this entry belongs to, shared by every
-	// snapshot a chain of Mutate calls produces for the name. nil until
-	// the first mutation; reset to nil by Replace, which abandons the
-	// lineage (versions restart from zero on the next mutation).
-	live *liveState
-
 	// sketches holds the indexes sampled over this name, keyed by their
 	// own (RR semantics, ε, seed). A mutation's entry takes the map over.
 	sketches map[sketchKey]*sketchEntry
 
 	statsOnce sync.Once
 	stats     GraphStats
-}
-
-// liveState serializes mutations for one graph lineage. Its mutex is
-// held across the whole batch (validate → derive new CSR → install), so
-// concurrent Apply batches for the same name get consecutive versions
-// while readers keep serving the previous immutable snapshot.
-type liveState struct {
-	mu sync.Mutex
-	lv *live.Graph
 }
 
 // NewRegistry returns an empty registry.
@@ -131,7 +116,8 @@ func (r *Registry) Replace(name string, g *holisticim.Graph, source string) erro
 // ReplaceSnapshot is Replace for store-loaded artifacts: the published
 // snapshot carries the publisher's graph version, which is recorded on
 // the new entry so GET /v1/cluster/info advertises the lineage position
-// of the loaded content instead of resetting to 0.
+// of the loaded content instead of resetting to 0, and the name's next
+// edge batch continues from it.
 func (r *Registry) ReplaceSnapshot(name string, g *holisticim.Graph, source string, version uint64) error {
 	return r.put(name, g, source, version, true)
 }
@@ -140,7 +126,7 @@ func (r *Registry) ReplaceSnapshot(name string, g *holisticim.Graph, source stri
 // in one critical section, so every concurrent reader sees either the old
 // entry or the new one. On a rebind the name's sketches are matched
 // against g before that section (Matches hashes g and takes each index's
-// lock); a sketch registered meanwhile sends the install round again.
+// lock); holding writer, no sketch can register in between.
 func (r *Registry) put(name string, g *holisticim.Graph, source string, version uint64, rebind bool) error {
 	if name == "" {
 		return errors.New("service: empty graph name")
@@ -150,128 +136,78 @@ func (r *Registry) put(name string, g *holisticim.Graph, source string, version 
 	}
 	e := newRegEntry(name, g, source)
 	e.info.Version = version
-	for {
-		held := r.sketchesOf(name)
-		matches := make(map[*sketchEntry]bool, len(held))
-		for _, sk := range held {
-			matches[sk] = rebind && sk.idx.Matches(g, sk.idx.Kind())
-		}
-		if done, err := r.install(name, e, matches, rebind); done {
-			return err
+	r.writer.Lock()
+	defer r.writer.Unlock()
+	keep := make(map[*sketchEntry]bool)
+	if rebind {
+		for _, sk := range r.sketchesOf(name) {
+			keep[sk] = sk.idx.Matches(g, sk.idx.Kind())
 		}
 	}
+	return r.install(name, e, keep, rebind)
 }
 
-// install is put's critical section; done is false when the name holds a
-// sketch matches has no verdict for.
-func (r *Registry) install(name string, e *regEntry, matches map[*sketchEntry]bool, rebind bool) (done bool, err error) {
+// install is put's critical section.
+func (r *Registry) install(name string, e *regEntry, keep map[*sketchEntry]bool, rebind bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old, taken := r.graphs[name]
 	switch {
 	case taken && !rebind:
-		return true, fmt.Errorf("%w: %q", ErrGraphExists, name)
+		return fmt.Errorf("%w: %q", ErrGraphExists, name)
 	case !taken && r.maxGraphs > 0 && len(r.graphs) >= r.maxGraphs:
-		return true, fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
+		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
 	case !taken:
 		r.graphs[name] = e
-		return true, nil
+		return nil
 	}
-	clear(e.sketches)
 	for k, sk := range old.sketches {
-		match, judged := matches[sk]
-		if !judged {
-			return false, nil
-		}
-		if match {
+		if keep[sk] {
 			e.sketches[k] = sk
 		}
 	}
 	e.gen = old.gen + 1
 	r.graphs[name] = e
 	r.replacements.Add(1)
-	return true, nil
+	return nil
 }
 
-// liveStateOf returns the entry's mutation lineage, creating it on first
-// use. The lineage is attached under the write lock so concurrent first
-// mutations agree on one liveState.
-func (r *Registry) liveStateOf(name string) (*liveState, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.graphs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
-	}
-	if e.live == nil {
-		e.live = &liveState{}
-	}
-	return e.live, nil
-}
-
-// Mutate applies an edge batch to the named graph and installs the new
-// immutable snapshot under the same name. Readers are never blocked: a
-// request in flight keeps the snapshot it fetched, and the generation
-// bump keys caches and jobs off the old content exactly as a Replace
-// does. Unlike Replace, the mutation keeps the lineage: the new entry
-// inherits the name's sketches, and each gets an incremental repair to
-// the batch's Version and Dirty set instead of an eviction. Returns the
-// batch and how many repairs it queued or coalesced.
+// Mutate applies an edge batch to the named graph, installs the new
+// immutable snapshot under the same name at the entry's version + 1, and
+// repairs the name's sketches against it — all before it returns, so a
+// caller that sees the batch's version finds every sketch at it. Readers
+// are never blocked by the swap: a request in flight keeps the snapshot
+// it fetched, and the generation bump keys caches and jobs off the old
+// content exactly as a Replace does. Unlike Replace, the new entry
+// inherits the name's sketches, each repaired to the batch's dirty set
+// instead of evicted. Returns the batch and how many sketches it repaired.
 func (r *Registry) Mutate(ctx context.Context, name string, ops []live.EdgeOp, opts live.ApplyOptions) (live.BatchResult, int, error) {
-	ls, err := r.liveStateOf(name)
+	r.writer.Lock()
+	defer r.writer.Unlock()
+	e, _, err := r.lookup(name, sketchKey{})
+	if err != nil {
+		return live.BatchResult{}, 0, err
+	}
+	newG, res, err := live.Apply(ctx, e.g, e.info.Version, ops, opts)
 	if err != nil {
 		return live.BatchResult{}, 0, err
 	}
 
-	// The lineage lock serializes whole batches; the registry lock is
-	// only taken briefly around the final install.
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-
-	// Re-read the entry: a Replace (or another mutation) may have rebound
-	// the name while we waited. Another mutation keeps e.live == ls and we
-	// simply continue from its snapshot; a Replace abandons the lineage
-	// and the batch must be refused.
-	r.mu.RLock()
-	e, ok := r.graphs[name]
-	sameLineage := ok && e.live == ls
-	r.mu.RUnlock()
-	if !ok {
-		return live.BatchResult{}, 0, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
-	}
-	if !sameLineage {
-		return live.BatchResult{}, 0, fmt.Errorf("%w: %q", ErrGraphReplaced, name)
-	}
-	if ls.lv == nil {
-		// First mutation of the lineage: start the log at the current
-		// snapshot (version 0).
-		ls.lv = live.Wrap(e.g, live.Options{})
-	}
-
-	res, err := ls.lv.Apply(ctx, ops, opts)
-	if err != nil {
-		return live.BatchResult{}, 0, err
-	}
-	newG := ls.lv.Graph()
-
-	// Under the lock only the swap happens. A sketch registers only on the
-	// entry holding its own graph: one that landed before the swap is
-	// inherited and repaired, one that comes after is refused.
+	// Swap first, then repair: a reader that fetched the old entry keeps
+	// serving it until the repair takes the index lock, and once that lock
+	// frees the index matches the entry readers now fetch.
 	e2 := newRegEntry(name, newG, e.info.Source)
 	e2.gen = e.gen + 1
-	e2.live = ls
 	e2.info.Version = res.Version
 	r.mu.Lock()
-	if r.graphs[name] != e {
-		r.mu.Unlock()
-		return live.BatchResult{}, 0, fmt.Errorf("%w: %q", ErrGraphReplaced, name)
-	}
 	e2.sketches = e.sketches
 	r.graphs[name] = e2
 	stale := r.sketchesLocked(name)
 	r.mu.Unlock()
 	r.mutations.Add(1)
-	return res, r.scheduleRepairs(newG, res, stale), nil
+	// The batch is installed: a client hanging up now must not cost a
+	// sketch its repair.
+	return res, r.repair(context.WithoutCancel(ctx), newG, res, stale), nil
 }
 
 // lookup returns name's current entry and the sketch registered on it

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -83,6 +84,44 @@ func TestReplaceSnapshotInstallsVersionWithEntry(t *testing.T) {
 	}
 	if info, _ := r.Info("soc"); info.Version != 0 || info.Source != "file:c" {
 		t.Fatalf("after Replace: %+v", info)
+	}
+}
+
+// An edge batch continues a store-loaded graph's lineage: its version is
+// the published one + 1, on the entry and on the repaired sketch alike.
+func TestMutateContinuesSnapshotVersion(t *testing.T) {
+	ctx := context.Background()
+	r := NewRegistry()
+	g := holisticim.GenerateBA(200, 2, 1)
+	g.SetUniformProb(0.1)
+	if err := r.ReplaceSnapshot("soc", g, "store:a", 7); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := holisticim.BuildSketch(ctx, g, holisticim.SketchOptions{Epsilon: 0.4, Seed: 3, BuildK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.AddSketch("soc", idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []holisticim.EdgeOp{{Op: holisticim.OpRemoveEdge, From: 0, To: g.OutNeighbors(0)[0]}}
+	res, repaired, err := r.Mutate(ctx, "soc", ops, holisticim.ApplyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Version != 8 || repaired != 1 {
+		t.Fatalf("batch after version 7: version %d, %d repaired; want 8 and 1", res.Version, repaired)
+	}
+	if info, _ := r.Info("soc"); info.Version != 8 {
+		t.Fatalf("entry lists version %d, want 8", info.Version)
+	}
+	si, err := r.DescribeSketch(id)
+	if err != nil {
+		t.Fatalf("sketch evicted: %v", err)
+	}
+	if si.GraphVersion != 8 {
+		t.Fatalf("sketch at graph version %d, want 8", si.GraphVersion)
 	}
 }
 

@@ -187,7 +187,6 @@ func New(cfg Config) *Server {
 	// registrations cannot race past the caps.
 	s.reg.maxGraphs = cfg.MaxGraphs
 	s.reg.maxSketches = cfg.MaxSketches
-	s.reg.jobs = s.jobs
 	// A cold-starting replica flips ready only once its snapshots (or the
 	// store manifest) are fully warm-loaded; everything else is ready the
 	// moment it can serve.
@@ -233,7 +232,7 @@ func (s *Server) Sketches() *Registry { return s.reg }
 func (s *Server) Handler() http.Handler {
 	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, pattern := s.mux.Handler(r); pattern == "" {
-			if allowed := s.allowedMethods(r); len(allowed) > 0 {
+			if allowed := obs.AllowedMethods(s.mux, r); len(allowed) > 0 {
 				w.Header().Set("Allow", strings.Join(allowed, ", "))
 				writeError(w, http.StatusMethodNotAllowed,
 					"method %s not allowed for %s", r.Method, r.URL.Path)
@@ -265,27 +264,6 @@ func (s *Server) routeLabel(r *http.Request) string {
 		return path
 	}
 	return pattern
-}
-
-// probeMethods are the verbs allowedMethods tests a path against.
-var probeMethods = []string{
-	http.MethodGet, http.MethodHead, http.MethodPost,
-	http.MethodPut, http.MethodPatch, http.MethodDelete,
-}
-
-// allowedMethods probes the mux for the verbs that WOULD match r's path,
-// for the Allow header of a 405 — derived from the real routing table,
-// so it can never drift from the registered patterns.
-func (s *Server) allowedMethods(r *http.Request) []string {
-	var out []string
-	for _, m := range probeMethods {
-		probe := r.Clone(r.Context())
-		probe.Method = m
-		if _, pattern := s.mux.Handler(probe); pattern != "" {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Routes returns every registered mux pattern ("METHOD /path"), sorted —

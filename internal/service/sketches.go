@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 
 	"github.com/holisticim/holisticim"
-	"github.com/holisticim/holisticim/internal/admission"
 )
 
 // Sketch registry errors.
@@ -43,26 +41,6 @@ type sketchEntry struct {
 	graph string
 	key   sketchKey
 	id    string
-
-	repair repairState
-}
-
-// repairState coalesces mutation batches into background repairs for one
-// sketch. scheduleRepairs merges each batch's dirty set under the lock
-// and starts one drain job when none is running; the drain loop's
-// check-and-clear also runs under the lock, so a batch arriving while a
-// repair is in flight is either folded into the current drain iteration
-// or picked up by the next — never lost. Coalescing is sound because
-// repairing the union of several batches' dirty sets against the latest
-// snapshot yields the same sample as repairing batch by batch: a set is
-// resampled iff it ever contained a dirty node, and resampling is a pure
-// function of (latest graph, seed, set index).
-type repairState struct {
-	mu             sync.Mutex
-	pendingDirty   map[holisticim.NodeID]struct{}
-	pendingGraph   *holisticim.Graph
-	pendingVersion uint64
-	running        bool
 }
 
 // AddSketch registers idx under the id name and its own parameters spell,
@@ -88,6 +66,8 @@ func (r *Registry) putSketch(name string, idx *holisticim.Sketch, replace bool) 
 	p, bound := idx.Params(), idx.Graph()
 	k := sketchKey{p.Kind.Semantics(), p.Epsilon, p.Seed}
 	id := SketchID(name, k.semantics, k.epsilon, k.seed)
+	r.writer.Lock()
+	defer r.writer.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.graphs[name]
@@ -104,8 +84,7 @@ func (r *Registry) putSketch(name string, idx *holisticim.Sketch, replace bool) 
 	if !taken && r.maxSketches > 0 && len(r.sketchesLocked("")) >= r.maxSketches {
 		return "", fmt.Errorf("%w (%d sketches)", ErrSketchesFull, r.maxSketches)
 	}
-	e.sketches[k] = &sketchEntry{idx: idx, graph: name, key: k, id: id,
-		repair: repairState{pendingDirty: make(map[holisticim.NodeID]struct{})}}
+	e.sketches[k] = &sketchEntry{idx: idx, graph: name, key: k, id: id}
 	r.builds++
 	return id, nil
 }
@@ -231,87 +210,22 @@ func (r *Registry) LoadSnapshot(name string, g *holisticim.Graph, path string) (
 	return r.AddSketch(name, idx)
 }
 
-// scheduleRepairs queues repairs of the sketches a mutation to (g,
-// res.Version) left behind, coalesced per sketch (see repairState) into
-// at most one batch-class drain job at a time, so a repair storm cannot
-// delay interactive queries. A sketch whose repair cannot be queued is
-// evicted: a sample that missed a batch must never serve again. Returns
-// how many repairs were queued or folded into a running drain.
-func (r *Registry) scheduleRepairs(g *holisticim.Graph, res holisticim.BatchResult, stale []*sketchEntry) int {
-	scheduled := 0
+// repair brings the sketches a batch left behind to (g, res.Version) on
+// the calling goroutine. A sketch whose repair fails is evicted: a sample
+// that missed a batch must never serve again. Returns how many sketches
+// were repaired.
+func (r *Registry) repair(ctx context.Context, g *holisticim.Graph, res holisticim.BatchResult, stale []*sketchEntry) int {
+	repaired := 0
 	for _, sk := range stale {
-		st := &sk.repair
-		st.mu.Lock()
-		for _, d := range res.Dirty {
-			st.pendingDirty[d] = struct{}{}
+		stats, err := sk.idx.Repair(ctx, g, res.Dirty, res.Version, holisticim.SketchRepairOptions{})
+		if err != nil {
+			r.repairsFailed.Add(1)
+			r.evict(sk)
+			continue
 		}
-		// Latest snapshot wins: repairing the accumulated union against it
-		// subsumes every intermediate version.
-		st.pendingGraph = g
-		st.pendingVersion = res.Version
-		start := !st.running
-		st.running = true
-		st.mu.Unlock()
-		if start {
-			// The version in the key makes every submission unique: a plain
-			// per-sketch key could collide with a drain job that already set
-			// running=false but whose single-flight entry the manager has not
-			// yet cleared — the new submission would dedup against it, drop
-			// its JobFunc, and strand the pending work.
-			key := fmt.Sprintf("sketchrepair:%s:v%d", sk.id, res.Version)
-			err := ErrShuttingDown
-			if r.jobs != nil {
-				_, _, err = r.jobs.Submit(JobSpec{Key: key, Priority: admission.Batch}, r.drainFunc(sk))
-			}
-			if err != nil {
-				r.repairFailed(sk)
-				continue
-			}
-		}
-		scheduled++
+		r.repairs.Add(1)
+		r.repairedSets.Add(int64(stats.Resampled))
+		repaired++
 	}
-	return scheduled
-}
-
-// repairFailed stops sk's drain and evicts it.
-func (r *Registry) repairFailed(sk *sketchEntry) {
-	sk.repair.mu.Lock()
-	sk.repair.running = false
-	sk.repair.mu.Unlock()
-	r.repairsFailed.Add(1)
-	r.evict(sk)
-}
-
-// drainFunc returns the JobFunc that drains one sketch's pending repairs.
-func (r *Registry) drainFunc(sk *sketchEntry) JobFunc {
-	return func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
-		st := &sk.repair
-		total := 0
-		for {
-			st.mu.Lock()
-			if len(st.pendingDirty) == 0 {
-				st.running = false
-				st.mu.Unlock()
-				return nil, nil
-			}
-			dirty := make([]holisticim.NodeID, 0, len(st.pendingDirty))
-			for d := range st.pendingDirty {
-				dirty = append(dirty, d)
-			}
-			st.pendingDirty = make(map[holisticim.NodeID]struct{})
-			g := st.pendingGraph
-			ver := st.pendingVersion
-			st.mu.Unlock()
-
-			stats, err := sk.idx.Repair(ctx, g, dirty, ver, holisticim.SketchRepairOptions{})
-			if err != nil {
-				r.repairFailed(sk)
-				return nil, fmt.Errorf("service: repair sketch %s: %w", sk.id, err)
-			}
-			r.repairs.Add(1)
-			r.repairedSets.Add(int64(stats.Resampled))
-			total += stats.Resampled
-			report(total)
-		}
-	}
+	return repaired
 }

@@ -347,9 +347,9 @@ type MutateResponse struct {
 	Arcs    int64   `json:"arcs"`
 	Applied int     `json:"applied"`
 	Dirty   []int32 `json:"dirty"`
-	// RepairsScheduled counts the sketch repairs this batch queued or
-	// folded into a running one (an unqueueable one evicts its sketch).
-	RepairsScheduled int `json:"repairs_scheduled"`
+	// Repaired counts the name's sketches repaired to Version before this
+	// response (one whose repair failed was evicted instead).
+	Repaired int `json:"repaired"`
 }
 
 // SketchSpec asks POST /v1/sketches to build an RR-sketch index over a
