@@ -66,12 +66,6 @@
 //	                         answered synchronously from the index — with
 //	                         model "oc" the weighted index maximizes
 //	                         opinion coverage
-//	GET  /v1/jobs/{id}       job status / result, incl. live seeds_done/k
-//	DELETE /v1/jobs/{id}     cancel a queued or running job
-//	POST /v1/estimate        synchronous spread estimate (bounded by the
-//	                         request context): Monte Carlo, or served
-//	                         from an opinion-weighted sketch for model
-//	                         "oc" when one matches ("sketch":true)
 //
 //	POST /v2/query           the unified typed query: task "select" or
 //	                         "estimate", one OR many k values/seed sets,
@@ -79,21 +73,24 @@
 //	                         shared state (one RR collection or sketch
 //	                         order serves every k <= max(ks)); the
 //	                         response always carries the execution plan.
-//	                         Sketch-served plans answer synchronously,
-//	                         everything else runs as an async job.
-//	GET  /v2/jobs/{id}        job status in the v2 shape (plan, members,
-//	                         members_done, answer)
-//	DELETE /v2/jobs/{id}     cancel, v2 shape
+//	                         Sketch-served plans (an "oc" opinion
+//	                         estimate matching a weighted sketch
+//	                         included) answer synchronously, everything
+//	                         else — Monte-Carlo estimates too — runs as
+//	                         an async job.
+//	GET  /v2/jobs/{id}        job status / answer of any job, incl. live
+//	                         seeds_done and members_done
+//	DELETE /v2/jobs/{id}     cancel a queued or running job
 //	GET  /v2/jobs/{id}/events stream job progress as NDJSON (one JSON
 //	                         object per line) or SSE with
 //	                         Accept: text/event-stream; the final event
 //	                         carries the answer
 //
-// The /v1 select/estimate/jobs routes are translations onto the /v2/query
-// execution path, so both surfaces share one result cache, one job
-// namespace and job deduplication. Every error response uses the
-// envelope {"error": {"code", "message"}}, and method mismatches answer
-// 405 with an Allow header.
+// POST /v1/select is a translation onto the /v2/query execution path, so
+// both surfaces share one result cache, one job namespace and job
+// deduplication. Every error response uses the envelope
+// {"error": {"code", "message"}}, and method mismatches answer 405 with
+// an Allow header.
 //
 // Admission control: work-inducing requests pass a per-client token
 // bucket (-rate-rps; clients are keyed by X-Client-ID, else remote

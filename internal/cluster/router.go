@@ -199,9 +199,6 @@ func (rt *Router) routes() {
 	rt.handle("GET /v2/jobs/{id}/events", rt.handleJobEvents)
 
 	rt.handle("POST /v1/select", rt.handleQuery)
-	rt.handle("POST /v1/estimate", rt.handleQuery)
-	rt.handle("GET /v1/jobs/{id}", rt.handleJob)
-	rt.handle("DELETE /v1/jobs/{id}", rt.handleJob)
 
 	rt.handle("GET /v1/graphs", rt.fanListMerge("/v1/graphs", "graphs", "name"))
 	rt.handle("GET /v1/sketches", rt.fanListMerge("/v1/sketches", "sketches", "id"))
@@ -508,7 +505,9 @@ func (rt *Router) prefixJobID(res *upstreamResult) {
 	res.body = bytes.Replace(res.body, []byte(`"job_id":`+string(raw)), []byte(`"job_id":`+string(prefixed)), 1)
 }
 
-// splitJobID parses a router job id back into (replica, local id).
+// splitJobID parses a router job id back into (replica, local id). The
+// replica index must be spelled as prefixJobID writes it — decimal, no
+// sign, no leading zero — so each job has exactly one router id.
 func (rt *Router) splitJobID(id string) (replica, local string, ok bool) {
 	if !strings.HasPrefix(id, "r") {
 		return "", "", false
@@ -518,8 +517,8 @@ func (rt *Router) splitJobID(id string) (replica, local string, ok bool) {
 	if cut <= 0 {
 		return "", "", false
 	}
-	var idx int
-	if _, err := fmt.Sscanf(rest[:cut], "%d", &idx); err != nil {
+	idx, err := strconv.Atoi(rest[:cut])
+	if err != nil || strconv.Itoa(idx) != rest[:cut] {
 		return "", "", false
 	}
 	reps := rt.mem.replicas
@@ -529,9 +528,8 @@ func (rt *Router) splitJobID(id string) (replica, local string, ok bool) {
 	return reps[idx], rest[cut+len(jobIDSep):], true
 }
 
-// handleJob proxies job status/cancel — on either prefix; replicas keep
-// one job namespace — to the replica encoded in the job id prefix,
-// rewriting ids in both directions.
+// handleJob proxies job status/cancel to the replica encoded in the job
+// id prefix, rewriting ids in both directions.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	replica, local, ok := rt.splitJobID(id)
@@ -627,10 +625,10 @@ func (rt *Router) routeBody(w http.ResponseWriter, r *http.Request, key string, 
 }
 
 // readQuery buffers a query body for replay across failover attempts and
-// decodes it as a QueryRequest. The /v1/select and /v1/estimate bodies
-// are field subsets of that type, so this one decode — and through it
-// the one Query.Normalized — keys all three query routes; strict
-// validation stays with the replica that answers.
+// decodes it as a QueryRequest. The /v1/select body is a field subset
+// of that type, so this one decode — and through it the one
+// Query.Normalized — keys both query routes; strict validation stays
+// with the replica that answers.
 func readQuery(w http.ResponseWriter, r *http.Request) (body []byte, req service.QueryRequest, ok bool) {
 	if body, ok = readBody(w, r); !ok {
 		return nil, req, false
@@ -652,7 +650,7 @@ func queryKeyOf(req service.QueryRequest) string {
 	return QueryKey(req.Graph, o.Model.RRSemantics(), holisticim.CanonicalEpsilon(o.Epsilon))
 }
 
-// handleQuery serves POST /v2/query, /v1/select and /v1/estimate: the
+// handleQuery serves POST /v2/query and /v1/select: the
 // body goes whole to the owner of the query it stands for, batches
 // included. A memoized sketch select costs microseconds, so splitting a
 // batch across owners would pay one HTTP hop per member to parallelise

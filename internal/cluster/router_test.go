@@ -15,13 +15,14 @@ import (
 )
 
 // stubUpstreams is a RoundTripper standing in for every replica: health
-// polls answer ready, anything else answers 200 {} and records which
-// replica was addressed. Replica names are fixed strings, so rendezvous
+// polls answer ready, anything else answers 200 {}, records which
+// replica was addressed and counts as a hit. Replica names are fixed strings, so rendezvous
 // ranking — and with it this file's expectations — is the same on every
 // run (httptest servers get a fresh port, and so a fresh ranking, each).
 type stubUpstreams struct {
 	mu   sync.Mutex
 	last string // host of the latest non-poll request
+	hits int    // non-poll requests received
 }
 
 func (s *stubUpstreams) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -31,6 +32,7 @@ func (s *stubUpstreams) RoundTrip(req *http.Request) (*http.Response, error) {
 	} else {
 		s.mu.Lock()
 		s.last = req.URL.Host
+		s.hits++
 		s.mu.Unlock()
 	}
 	return &http.Response{
@@ -39,6 +41,13 @@ func (s *stubUpstreams) RoundTrip(req *http.Request) (*http.Response, error) {
 		Body:       io.NopCloser(strings.NewReader(body)),
 		Request:    req,
 	}, nil
+}
+
+// hitCount reads hits.
+func (s *stubUpstreams) hitCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hits
 }
 
 // servedBy sends one request through the router and names the replica
@@ -165,5 +174,108 @@ func TestRouterMethodNotAllowedMatchesReplica(t *testing.T) {
 	}
 	if a := send(front.URL, http.MethodPut, "/v2/query"); a.status != http.StatusMethodNotAllowed || a.allow != "POST" {
 		t.Fatalf("PUT /v2/query through the router: %+v, want 405 with Allow: POST", a)
+	}
+}
+
+// A router job id names its replica in exactly one spelling, the one
+// prefixJobID writes: any other spelling of the index is an unknown job,
+// answered 404 without an upstream request.
+func TestRouterJobIDsAreCanonical(t *testing.T) {
+	stub := &stubUpstreams{}
+	rt, err := NewRouter(RouterConfig{
+		Replicas: []string{"http://r0", "http://r1"},
+		Client:   &http.Client{Transport: stub},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollOnce(context.Background())
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	get := func(id string) int {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/v2/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, id := range []string{"r0x1-j00000000", "r+0-j00000000", "r00-j00000000", "r1x-j00000000", "r-1-j00000000", "r%200-j00000000"} {
+		if code := get(id); code != http.StatusNotFound {
+			t.Errorf("GET /v2/jobs/%s: status %d, want 404", id, code)
+		}
+	}
+	if hits := stub.hitCount(); hits != 0 {
+		t.Fatalf("malformed job ids reached a replica %d times", hits)
+	}
+	for _, id := range []string{"r0-j00000000", "r1-j00000000"} {
+		if code := get(id); code != http.StatusOK {
+			t.Errorf("GET /v2/jobs/%s: status %d, want the replica's 200", id, code)
+		}
+	}
+	if hits := stub.hitCount(); hits != 2 {
+		t.Fatalf("canonical job ids reached a replica %d times, want 2", hits)
+	}
+}
+
+// The v1 estimate and job routes are gone from replicas and router alike:
+// each answers the same 404 envelope on both, and neither lists it.
+func TestRemovedV1RoutesAnswerNotFound(t *testing.T) {
+	srv := service.New(service.Config{})
+	t.Cleanup(srv.Close)
+	// A registered graph: the estimate body would be a valid request.
+	if err := srv.Registry().Add("g", testGraph(t, 1), "test"); err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(srv.Handler())
+	t.Cleanup(replica.Close)
+	rt, err := NewRouter(RouterConfig{Replicas: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.PollOnce(context.Background())
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	type answer struct {
+		status        int
+		code, message string
+	}
+	send := func(base, method, path, body string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env service.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s %s: decode envelope: %v", method, path, err)
+		}
+		return answer{resp.StatusCode, env.Error.Code, env.Error.Message}
+	}
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/estimate", `{"graph":"g","seeds":[0],"options":{"mc_runs":10}}`},
+		{http.MethodGet, "/v1/jobs/x", ""},
+		{http.MethodDelete, "/v1/jobs/x", ""},
+	} {
+		direct, routed := send(replica.URL, c.method, c.path, c.body), send(front.URL, c.method, c.path, c.body)
+		if direct.status != http.StatusNotFound || direct.code != "not_found" {
+			t.Errorf("%s %s on a replica: %+v, want 404 not_found", c.method, c.path, direct)
+		}
+		if routed != direct {
+			t.Errorf("%s %s: routed %+v, replica %+v", c.method, c.path, routed, direct)
+		}
+	}
+	for _, pattern := range append(srv.Routes(), rt.Routes()...) {
+		if strings.Contains(pattern, "/v1/estimate") || strings.Contains(pattern, "/v1/jobs") {
+			t.Errorf("route %q is still registered", pattern)
+		}
 	}
 }

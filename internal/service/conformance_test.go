@@ -58,9 +58,6 @@ findAbsent:
 		"GET /v1/sketches/{id}":    {nil, http.StatusNotFound}, // unknown id still exercises the route
 		"DELETE /v1/sketches/{id}": {nil, http.StatusNotFound},
 		"POST /v1/select":          {SelectRequest{Graph: "g", Algorithm: "degree", K: 2}, http.StatusAccepted},
-		"GET /v1/jobs/{id}":        {nil, http.StatusNotFound},
-		"DELETE /v1/jobs/{id}":     {nil, http.StatusNotFound},
-		"POST /v1/estimate":        {EstimateRequest{Graph: "g", Seeds: []int32{0}, Options: Options{MCRuns: 50}}, http.StatusOK},
 		// k differs from the /v1/select case: the two surfaces share the
 		// fingerprint cache, and a warm entry would answer 200.
 		"POST /v2/query":           {QueryRequest{Graph: "g", Algorithm: "degree", K: 3}, http.StatusAccepted},

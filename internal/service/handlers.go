@@ -168,9 +168,9 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &spec) {
 		return
 	}
-	if spec.Nodes > s.cfg.MaxGraphNodes || spec.effectiveArcs() > s.cfg.MaxGraphArcs {
+	if spec.Nodes > maxGraphNodes || spec.effectiveArcs() > maxGraphArcs {
 		writeError(w, http.StatusBadRequest,
-			"graph too large: max %d nodes / %d arcs", s.cfg.MaxGraphNodes, s.cfg.MaxGraphArcs)
+			"graph too large: max %d nodes / %d arcs", maxGraphNodes, maxGraphArcs)
 		return
 	}
 	if err := s.reg.Build(spec, s.cfg.AllowPathLoad); err != nil {
@@ -196,7 +196,7 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	st, err := s.reg.Stats(name, s.cfg.StatsSamples, 1)
+	st, err := s.reg.Stats(name, statsSamples, 1)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -240,11 +240,10 @@ func clampWorkers(workers int) int {
 
 // prepareQuery validates req against the registry, attaches the matching
 // registered sketch (the planner decides whether it serves), plans the
-// query and applies the service's admission caps. estimateCap is the MC
-// budget bound for estimate tasks (the synchronous /v1/estimate and the
-// async job path are capped differently); sketch-served estimates are
-// exempt from a budget they never spend.
-func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery, *apiError) {
+// query and applies the service's admission caps. One MC budget cap,
+// maxMCRuns, bounds selects and estimates alike; sketch-served estimates
+// are exempt from a budget they never spend.
+func (s *Server) prepareQuery(req QueryRequest) (*preparedQuery, *apiError) {
 	q, qerr := req.Query().Normalized()
 	o := q.Options
 	// One registry read pins the graph, its generation — folded into the
@@ -271,23 +270,23 @@ func (s *Server) prepareQuery(req QueryRequest, estimateCap int) (*preparedQuery
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
-	if members := len(plan.Steps); members > s.cfg.MaxQueryMembers {
+	if members := len(plan.Steps); members > maxQueryMembers {
 		return nil, errf(http.StatusBadRequest,
-			"batch of %d members exceeds the cap %d", members, s.cfg.MaxQueryMembers)
+			"batch of %d members exceeds the cap %d", members, maxQueryMembers)
 	}
 
 	// Validate the defaults-resolved budget, not the raw field: omitted
 	// mc_runs resolves to the paper's 10000, which must still fit.
 	switch q.Task {
 	case holisticim.TaskSelect:
-		if o.MCRuns > s.cfg.MaxSelectRuns {
+		if o.MCRuns > maxMCRuns {
 			return nil, errf(http.StatusBadRequest,
-				"mc_runs %d exceeds the selection cap %d", o.MCRuns, s.cfg.MaxSelectRuns)
+				"mc_runs %d exceeds the selection cap %d", o.MCRuns, maxMCRuns)
 		}
 	case holisticim.TaskEstimate:
-		if !plan.SketchOnly() && o.MCRuns > estimateCap {
+		if !plan.SketchOnly() && o.MCRuns > maxMCRuns {
 			return nil, errf(http.StatusBadRequest,
-				"mc_runs %d exceeds the estimate cap %d", o.MCRuns, estimateCap)
+				"mc_runs %d exceeds the estimate cap %d", o.MCRuns, maxMCRuns)
 		}
 	}
 
@@ -320,12 +319,12 @@ func queryKey(graph string, q holisticim.Query, gen uint64) string {
 	return key
 }
 
-// runSync executes a prepared query on the request path, under the
-// request context plus the per-request timeout: the route of plans a
-// sketch fully serves (milliseconds instead of a sampling job) and of
-// the synchronous /v1/estimate. Sync answers stay out of the result
-// cache: a sketch-backed and a cold run may pick different (equally
-// valid) seeds, and one fingerprint must never alias the two.
+// runSync executes a sketch-only plan on the request path, under the
+// request context plus the per-request timeout: milliseconds instead of a
+// sampling job. It serves nothing else; Monte Carlo and cold sampling
+// always run as jobs. Sync answers stay out of the result cache: a
+// sketch-backed and a cold run may pick different (equally valid) seeds,
+// and one fingerprint must never alias the two.
 func (s *Server) runSync(ctx context.Context, p *preparedQuery) (*QueryAnswer, error) {
 	if p.timeout > 0 {
 		var cancel context.CancelFunc
@@ -337,12 +336,10 @@ func (s *Server) runSync(ctx context.Context, p *preparedQuery) (*QueryAnswer, e
 	if err != nil {
 		return nil, err
 	}
-	if p.plan.SketchOnly() {
-		if p.q.Task == holisticim.TaskSelect {
-			s.sketchHits.Add(1)
-		} else {
-			s.sketchEstimates.Add(1)
-		}
+	if p.q.Task == holisticim.TaskSelect {
+		s.sketchHits.Add(1)
+	} else {
+		s.sketchEstimates.Add(1)
 	}
 	s.observeBackend(p.planBackend(), time.Since(start).Seconds())
 	return toQueryAnswer(p, ans), nil
@@ -414,8 +411,8 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	maxSets := spec.MaxSets
-	if maxSets <= 0 || maxSets > s.cfg.MaxSketchSets {
-		maxSets = s.cfg.MaxSketchSets
+	if maxSets <= 0 || maxSets > maxSketchSets {
+		maxSets = maxSketchSets
 	}
 
 	opts := holisticim.SketchOptions{

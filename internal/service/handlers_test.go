@@ -71,22 +71,34 @@ func doJSON(t *testing.T, method, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
+// pollJob follows GET /v2/jobs/{id} to a terminal state and renders the
+// snapshot in the v1 select shape, through the production translation.
 func pollJob(t *testing.T, base, id string) SelectResponse {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var st SelectResponse
-		if code := doJSON(t, "GET", base+"/v1/jobs/"+id, nil, &st); code != http.StatusOK {
-			t.Fatalf("GET job %s: status %d", id, code)
-		}
-		if st.State == StateDone || st.State == StateFailed || st.State == StateCanceled {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in state %s", id, st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
+	return selectResponseOf(pollQueryJob(t, base, id), 0)
+}
+
+// estimateQuery is the one-member estimate query of seeds on graph.
+func estimateQuery(graph string, seeds []int32, o Options) QueryRequest {
+	return QueryRequest{Graph: graph, Task: "estimate", Seeds: seeds, Options: o}
+}
+
+// runEstimate posts a one-member estimate to /v2/query, checks the
+// status it answers with (202 for a Monte-Carlo job, 200 for a
+// sketch-served one), follows any job to done and returns the estimate.
+func runEstimate(t *testing.T, base string, req QueryRequest, want int) EstimateResult {
+	t.Helper()
+	var resp QueryResponse
+	if code := doJSON(t, "POST", base+"/v2/query", req, &resp); code != want {
+		t.Fatalf("POST /v2/query estimate: status %d, want %d (%+v)", code, want, resp)
 	}
+	if resp.JobID != "" {
+		resp = pollQueryJob(t, base, resp.JobID)
+	}
+	if resp.State != StateDone || resp.Answer == nil || len(resp.Answer.Members) != 1 || resp.Answer.Members[0].Estimate == nil {
+		t.Fatalf("estimate answer %+v", resp)
+	}
+	return *resp.Answer.Members[0].Estimate
 }
 
 func TestHealthz(t *testing.T) {
@@ -213,7 +225,7 @@ func TestSelectValidation(t *testing.T) {
 		{"zero k", SelectRequest{Graph: "g", Algorithm: "degree", K: 0}, http.StatusBadRequest},
 		{"k too large", SelectRequest{Graph: "g", Algorithm: "degree", K: 301}, http.StatusBadRequest},
 		{"bad model", SelectRequest{Graph: "g", Algorithm: "degree", K: 3, Options: Options{Model: "warp"}}, http.StatusBadRequest},
-		{"runs over cap", SelectRequest{Graph: "g", Algorithm: "greedy", K: 3, Options: Options{MCRuns: 2_000_000}}, http.StatusBadRequest},
+		{"runs over cap", SelectRequest{Graph: "g", Algorithm: "greedy", K: 3, Options: Options{MCRuns: maxMCRuns + 1}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var out map[string]any
@@ -242,7 +254,7 @@ func TestSelectValidation(t *testing.T) {
 	}
 	// Unknown job id.
 	var out map[string]any
-	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/zzz", nil, &out); code != http.StatusNotFound {
+	if code := doJSON(t, "GET", ts.URL+"/v2/jobs/zzz", nil, &out); code != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d", code)
 	}
 }
@@ -299,25 +311,20 @@ func TestSelectQueueFull(t *testing.T) {
 	}
 }
 
+// TestEstimateEndpoint: a one-member Monte-Carlo estimate on /v2/query
+// is a 202 job whose answer carries the requested runs and the opinion
+// identity at the requested λ.
 func TestEstimateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := EstimateRequest{Graph: "g", Seeds: []int32{0, 1, 2}, Options: Options{MCRuns: 200, Seed: 4}}
-	var est EstimateResult
-	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", req, &est); code != http.StatusOK {
-		t.Fatalf("estimate status %d", code)
-	}
+	est := runEstimate(t, ts.URL, estimateQuery("g", []int32{0, 1, 2}, Options{MCRuns: 200, Seed: 4}), http.StatusAccepted)
 	if est.Runs != 200 || est.Spread <= 0 {
 		t.Fatalf("estimate %+v", est)
 	}
 
 	// Opinion-aware model populates the opinion decomposition and the
 	// effective spread identity must hold at the requested λ.
-	oreq := EstimateRequest{Graph: "g", Seeds: []int32{0, 1, 2},
-		Options: Options{Model: "oi-ic", MCRuns: 200, Seed: 4, Lambda: 2}}
-	var oest EstimateResult
-	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", oreq, &oest); code != http.StatusOK {
-		t.Fatalf("opinion estimate status %d", code)
-	}
+	oest := runEstimate(t, ts.URL, estimateQuery("g", []int32{0, 1, 2},
+		Options{Model: "oi-ic", MCRuns: 200, Seed: 4, Lambda: 2}), http.StatusAccepted)
 	if oest.Lambda != 2 {
 		t.Fatalf("lambda %v, want 2", oest.Lambda)
 	}
@@ -328,19 +335,19 @@ func TestEstimateEndpoint(t *testing.T) {
 
 	bad := []struct {
 		name string
-		body EstimateRequest
+		body QueryRequest
 		want int
 	}{
-		{"unknown graph", EstimateRequest{Graph: "nope", Seeds: []int32{0}}, http.StatusNotFound},
-		{"empty seeds", EstimateRequest{Graph: "g"}, http.StatusBadRequest},
-		{"seed out of range", EstimateRequest{Graph: "g", Seeds: []int32{999}}, http.StatusBadRequest},
-		{"negative seed", EstimateRequest{Graph: "g", Seeds: []int32{-1}}, http.StatusBadRequest},
-		{"bad model", EstimateRequest{Graph: "g", Seeds: []int32{0}, Options: Options{Model: "warp"}}, http.StatusBadRequest},
-		{"runs over cap", EstimateRequest{Graph: "g", Seeds: []int32{0}, Options: Options{MCRuns: 2_000_000_000}}, http.StatusBadRequest},
+		{"unknown graph", estimateQuery("nope", []int32{0}, Options{}), http.StatusNotFound},
+		{"empty seeds", estimateQuery("g", nil, Options{}), http.StatusBadRequest},
+		{"seed out of range", estimateQuery("g", []int32{999}, Options{}), http.StatusBadRequest},
+		{"negative seed", estimateQuery("g", []int32{-1}, Options{}), http.StatusBadRequest},
+		{"bad model", estimateQuery("g", []int32{0}, Options{Model: "warp"}), http.StatusBadRequest},
+		{"runs over cap", estimateQuery("g", []int32{0}, Options{MCRuns: maxMCRuns + 1}), http.StatusBadRequest},
 	}
 	for _, tc := range bad {
 		var out map[string]any
-		if code := doJSON(t, "POST", ts.URL+"/v1/estimate", tc.body, &out); code != tc.want {
+		if code := doJSON(t, "POST", ts.URL+"/v2/query", tc.body, &out); code != tc.want {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, code, tc.want, out)
 		}
 	}
@@ -423,31 +430,36 @@ func TestGraphEndpoints(t *testing.T) {
 	}
 }
 
-func TestEstimateCapUsesResolvedRuns(t *testing.T) {
-	// Omitted mc_runs resolves to the paper default of 10000, which must
-	// not slip past a tighter configured cap.
-	_, ts := newTestServer(t, Config{MaxEstimateRuns: 1000})
-	req := EstimateRequest{Graph: "g", Seeds: []int32{0}}
-	var out map[string]any
-	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", req, &out); code != http.StatusBadRequest {
-		t.Fatalf("default-runs estimate over cap: status %d, want 400 (%v)", code, out)
+// TestMCRunsCap: one Monte-Carlo budget cap, maxMCRuns, bounds a select
+// and an estimate alike; a budget within it runs as a job.
+func TestMCRunsCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	over := []QueryRequest{
+		{Graph: "g", Algorithm: "greedy", K: 2, Options: Options{MCRuns: maxMCRuns + 1}},
+		estimateQuery("g", []int32{0}, Options{MCRuns: maxMCRuns + 1}),
 	}
-	req.Options.MCRuns = 500
-	var est EstimateResult
-	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", req, &est); code != http.StatusOK || est.Runs != 500 {
-		t.Fatalf("within-cap estimate: status %d runs %d", code, est.Runs)
+	for _, req := range over {
+		var out ErrorResponse
+		if code := doJSON(t, "POST", ts.URL+"/v2/query", req, &out); code != http.StatusBadRequest || out.Error.Code != "bad_request" {
+			t.Fatalf("%+v over the cap: status %d %+v, want 400", req, code, out)
+		}
+	}
+	if est := runEstimate(t, ts.URL, estimateQuery("g", []int32{0}, Options{MCRuns: 500}), http.StatusAccepted); est.Runs != 500 {
+		t.Fatalf("within-cap estimate ran %d runs, want 500", est.Runs)
 	}
 }
 
 func TestGraphRegistryCapacity(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxGraphs: 2}) // "g" occupies one slot
-	ok := GraphSpec{Name: "one", Generator: "ba", Nodes: 20, EdgesPerNode: 2}
-	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", ok, &map[string]any{}); code != http.StatusCreated {
-		t.Fatalf("create within capacity: %d", code)
+	_, ts := newTestServer(t, Config{}) // "g" occupies one slot
+	for i := 1; i < maxGraphs; i++ {
+		ok := GraphSpec{Name: fmt.Sprintf("g%d", i), Generator: "ba", Nodes: 20, EdgesPerNode: 2}
+		if code := doJSON(t, "POST", ts.URL+"/v1/graphs", ok, &map[string]any{}); code != http.StatusCreated {
+			t.Fatalf("create graph %d within capacity: %d", i+1, code)
+		}
 	}
-	over := GraphSpec{Name: "two", Generator: "ba", Nodes: 20, EdgesPerNode: 2}
+	over := GraphSpec{Name: "over", Generator: "ba", Nodes: 20, EdgesPerNode: 2}
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", over, &map[string]any{}); code != http.StatusTooManyRequests {
-		t.Fatalf("create over capacity: %d, want 429", code)
+		t.Fatalf("create graph %d: %d, want 429", maxGraphs+1, code)
 	}
 }
 
@@ -508,7 +520,7 @@ func blockingSelectFn(s *Server) (started chan string, unblocked *atomic.Int64) 
 	return started, unblocked
 }
 
-// TestCancelRunningJob drives DELETE /v1/jobs/{id} against a running job:
+// TestCancelRunningJob drives DELETE /v2/jobs/{id} against a running job:
 // the job must transition to "canceled", retain the partial result, and
 // free its worker slot for queued work.
 func TestCancelRunningJob(t *testing.T) {
@@ -526,8 +538,8 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("selection never started")
 	}
 
-	var del SelectResponse
-	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+first.JobID, nil, &del); code != http.StatusOK {
+	var del QueryResponse
+	if code := doJSON(t, "DELETE", ts.URL+"/v2/jobs/"+first.JobID, nil, &del); code != http.StatusOK {
 		t.Fatalf("DELETE status %d (%+v)", code, del)
 	}
 	done := pollJob(t, ts.URL, first.JobID)
@@ -557,15 +569,15 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 
 	// Idempotency: a second DELETE answers 200 with the canceled state.
-	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+first.JobID, nil, &del); code != http.StatusOK || del.State != StateCanceled {
+	if code := doJSON(t, "DELETE", ts.URL+"/v2/jobs/"+first.JobID, nil, &del); code != http.StatusOK || del.State != StateCanceled {
 		t.Fatalf("repeat DELETE: status %d state %q", code, del.State)
 	}
 	// Cancelling a finished job is a conflict.
-	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+second.JobID, nil, &del); code != http.StatusConflict {
+	if code := doJSON(t, "DELETE", ts.URL+"/v2/jobs/"+second.JobID, nil, &del); code != http.StatusConflict {
 		t.Fatalf("DELETE on done job: status %d, want 409", code)
 	}
 	// Unknown ids are 404.
-	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/zzz", nil, &map[string]any{}); code != http.StatusNotFound {
+	if code := doJSON(t, "DELETE", ts.URL+"/v2/jobs/zzz", nil, &map[string]any{}); code != http.StatusNotFound {
 		t.Fatalf("DELETE unknown job: status %d, want 404", code)
 	}
 }
@@ -592,15 +604,15 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatalf("queued POST status %d", code)
 	}
 
-	var del SelectResponse
-	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+queued.JobID, nil, &del); code != http.StatusOK {
+	var del QueryResponse
+	if code := doJSON(t, "DELETE", ts.URL+"/v2/jobs/"+queued.JobID, nil, &del); code != http.StatusOK {
 		t.Fatalf("DELETE queued job: status %d", code)
 	}
 	if del.State != StateCanceled {
 		t.Fatalf("queued job state %q after cancel, want canceled", del.State)
 	}
 	// Unblock the runner and prove the canceled job never ran.
-	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+blockerResp.JobID, nil, &del); code != http.StatusOK {
+	if code := doJSON(t, "DELETE", ts.URL+"/v2/jobs/"+blockerResp.JobID, nil, &del); code != http.StatusOK {
 		t.Fatalf("DELETE blocker: status %d", code)
 	}
 	pollJob(t, ts.URL, blockerResp.JobID)
@@ -679,13 +691,19 @@ func TestJobProgressReporting(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var st SelectResponse
-		if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+resp.JobID, nil, &st); code != http.StatusOK {
+		var st QueryResponse
+		if code := doJSON(t, "GET", ts.URL+"/v2/jobs/"+resp.JobID, nil, &st); code != http.StatusOK {
 			t.Fatalf("GET job status %d", code)
 		}
 		if st.State == StateRunning && st.SeedsDone >= 3 {
-			if st.K != 6 {
-				t.Fatalf("running job k=%d, want 6", st.K)
+			// The v2 shape carries no k; the job record holds the budget
+			// progress is reported against.
+			job, ok := s.jobs.Get(resp.JobID)
+			if !ok {
+				t.Fatalf("job %s not retained", resp.JobID)
+			}
+			if k := job.Snapshot().K; k != 6 {
+				t.Fatalf("running job k=%d, want 6", k)
 			}
 			break
 		}

@@ -64,7 +64,7 @@ func (r ShedReason) String() string {
 // failed run may still return a non-nil partial payload alongside its
 // error; the job retains it for status polling. Every job answers in the
 // one typed payload: planner queries return their answer, sketch builds
-// a one-member summary, repairs nil.
+// a one-member summary.
 type JobFunc func(ctx context.Context, report func(seedsDone int)) (*QueryAnswer, error)
 
 // Job is one asynchronous computation. Multiple requests with the same
@@ -412,7 +412,7 @@ func (m *Manager) RetryAfterHintFor(p admission.Priority) time.Duration {
 }
 
 // Depth reports the queued and running job counts — the load signal
-// /v1/cluster/info advertises for shed-aware routing.
+// /v1/cluster/info and the job gauges advertise to operators.
 func (m *Manager) Depth() (queued, running int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

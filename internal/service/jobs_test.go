@@ -13,8 +13,8 @@ import (
 )
 
 // answerOf wraps one selection as the one-member select answer every
-// /v1/select job produces; statusOf renders a job the way GET
-// /v1/jobs/{id} does, through the production translation.
+// /v1/select job produces; statusOf renders a job in the v1 select shape
+// POST /v1/sketches reports builds in, through the production translation.
 func answerOf(res SelectResult) *QueryAnswer {
 	return &QueryAnswer{Task: "select", Members: []QueryMember{{Result: &res}}}
 }

@@ -27,9 +27,9 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty edge batch")
 		return
 	}
-	if len(req.Ops) > s.cfg.MaxMutationOps {
+	if len(req.Ops) > maxMutationOps {
 		writeError(w, http.StatusBadRequest,
-			"batch of %d ops exceeds the cap %d", len(req.Ops), s.cfg.MaxMutationOps)
+			"batch of %d ops exceeds the cap %d", len(req.Ops), maxMutationOps)
 		return
 	}
 	ops := make([]holisticim.EdgeOp, len(req.Ops))

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
@@ -125,34 +126,41 @@ func TestMutateEndToEnd(t *testing.T) {
 }
 
 func TestMutateValidation(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxMutationOps: 2})
+	s, ts := newTestServer(t, Config{})
 	g, err := s.reg.Get("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb := g.OutNeighbors(0)[0]
-	p := 0.5
 	bad := 1.5
+	// emptyOps is a batch of n `{}` ops: the shortest op spelling, and so
+	// the only one that reaches the op cap inside the 1 MiB body cap.
+	emptyOps := func(n int) json.RawMessage {
+		return json.RawMessage(`{"ops":[{}` + strings.Repeat(`,{}`, n-1) + `]}`)
+	}
 	cases := []struct {
 		name string
 		url  string
-		req  MutateRequest
+		req  any
 		want int
+		msg  string // a substring of the error message, when set
 	}{
-		{"unknown-graph", "/v1/graphs/nope/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "remove", From: 0, To: nb}}}, http.StatusNotFound},
-		{"empty-batch", "/v1/graphs/g/edges", MutateRequest{}, http.StatusBadRequest},
-		{"too-many-ops", "/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{
-			{Op: "remove", From: 0, To: nb}, {Op: "reweight", From: 0, To: nb, P: &p}, {Op: "reweight", From: 0, To: nb, Phi: &p},
-		}}, http.StatusBadRequest},
-		{"bad-op", "/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "merge", From: 0, To: nb}}}, http.StatusBadRequest},
-		{"bad-prob", "/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "reweight", From: 0, To: nb, P: &bad}}}, http.StatusBadRequest},
-		{"self-loop", "/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "add", From: 3, To: 3}}}, http.StatusBadRequest},
+		{"unknown-graph", "/v1/graphs/nope/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "remove", From: 0, To: nb}}}, http.StatusNotFound, ""},
+		{"empty-batch", "/v1/graphs/g/edges", MutateRequest{}, http.StatusBadRequest, ""},
+		{"too-many-ops", "/v1/graphs/g/edges", emptyOps(maxMutationOps + 1), http.StatusBadRequest, "exceeds the cap"},
+		{"ops-at-cap", "/v1/graphs/g/edges", emptyOps(maxMutationOps), http.StatusBadRequest, "op 0"},
+		{"bad-op", "/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "merge", From: 0, To: nb}}}, http.StatusBadRequest, ""},
+		{"bad-prob", "/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "reweight", From: 0, To: nb, P: &bad}}}, http.StatusBadRequest, ""},
+		{"self-loop", "/v1/graphs/g/edges", MutateRequest{Ops: []EdgeOpSpec{{Op: "add", From: 3, To: 3}}}, http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var resp MutateResponse
+			var resp ErrorResponse
 			if code := doJSON(t, "POST", ts.URL+tc.url, tc.req, &resp); code != tc.want {
 				t.Fatalf("status %d, want %d (%+v)", code, tc.want, resp)
+			}
+			if !strings.Contains(resp.Error.Message, tc.msg) {
+				t.Fatalf("error %q, want it to name %q", resp.Error.Message, tc.msg)
 			}
 		})
 	}

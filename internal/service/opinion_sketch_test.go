@@ -34,12 +34,9 @@ func TestOpinionSketchService(t *testing.T) {
 		t.Fatalf("weighted selection metrics missing: %+v", sel.Result.Metrics)
 	}
 
-	// The opinion estimate is served from the sketch, not Monte Carlo.
-	var est EstimateResult
-	ereq := EstimateRequest{Graph: "g", Seeds: sel.Result.Seeds, Options: Options{Model: "oc", Epsilon: 0.3, Seed: 5}}
-	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", ereq, &est); code != http.StatusOK {
-		t.Fatalf("sketch estimate status %d (%+v)", code, est)
-	}
+	// The opinion estimate is served from the sketch, not Monte Carlo:
+	// synchronously, with no job.
+	est := runEstimate(t, ts.URL, estimateQuery("g", sel.Result.Seeds, Options{Model: "oc", Epsilon: 0.3, Seed: 5}), http.StatusOK)
 	// Runs reports the RR-set count — at least the build-time sample (the
 	// preceding select may have lazily extended it).
 	if !est.Sketch || est.Runs < info.Sets {
@@ -49,12 +46,9 @@ func TestOpinionSketchService(t *testing.T) {
 		t.Fatalf("estimate opinion fields inconsistent: %+v", est)
 	}
 
-	// A different seed misses the sketch key and falls back to MC.
-	var mc EstimateResult
-	miss := EstimateRequest{Graph: "g", Seeds: sel.Result.Seeds, Options: Options{Model: "oc", Epsilon: 0.3, Seed: 6, MCRuns: 40}}
-	if code := doJSON(t, "POST", ts.URL+"/v1/estimate", miss, &mc); code != http.StatusOK {
-		t.Fatalf("fallback estimate status %d", code)
-	}
+	// A different seed misses the sketch key and falls back to MC, which
+	// runs as a job.
+	mc := runEstimate(t, ts.URL, estimateQuery("g", sel.Result.Seeds, Options{Model: "oc", Epsilon: 0.3, Seed: 6, MCRuns: 40}), http.StatusAccepted)
 	if mc.Sketch || mc.Runs != 40 {
 		t.Fatalf("fallback estimate not Monte Carlo: %+v", mc)
 	}

@@ -102,13 +102,13 @@ func blockWorkers(t *testing.T, s *Server, n int) chan struct{} {
 func TestRejectionEnvelopeRateLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{RateRPS: 0.0001, RateBurst: 1})
 	hdr := map[string]string{admission.ClientIDHeader: "alice"}
-	est := EstimateRequest{Graph: "g", Seeds: []int32{0}, Options: Options{MCRuns: 10}}
+	est := estimateQuery("g", []int32{0}, Options{MCRuns: 10})
 
-	resp, _ := doRawJSON(t, "POST", ts.URL+"/v1/estimate", est, hdr)
-	if resp.StatusCode != http.StatusOK {
+	resp, _ := doRawJSON(t, "POST", ts.URL+"/v2/query", est, hdr)
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first request spent the burst token but got %d", resp.StatusCode)
 	}
-	resp, env := doRawJSON(t, "POST", ts.URL+"/v1/estimate", est, hdr)
+	resp, env := doRawJSON(t, "POST", ts.URL+"/v2/query", est, hdr)
 	assertRejection(t, resp, env, http.StatusTooManyRequests, "too_many_requests")
 }
 
@@ -218,26 +218,29 @@ func TestOverloadInteractiveServedDuringBatchFlood(t *testing.T) {
 // promptly — buckets are per client, not shared.
 func TestRateLimitClientIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{RateRPS: 0.0001, RateBurst: 2})
-	est := EstimateRequest{Graph: "g", Seeds: []int32{0}, Options: Options{MCRuns: 10}}
+	est := estimateQuery("g", []int32{0}, Options{MCRuns: 10})
 	aHdr := map[string]string{admission.ClientIDHeader: "noisy"}
 	bHdr := map[string]string{admission.ClientIDHeader: "quiet"}
+	// An admitted estimate is a job (202), or — once that job is done —
+	// a cache hit (200).
+	admitted := func(code int) bool { return code == http.StatusAccepted || code == http.StatusOK }
 
 	for i := 0; i < 2; i++ {
-		if resp, env := doRawJSON(t, "POST", ts.URL+"/v1/estimate", est, aHdr); resp.StatusCode != http.StatusOK {
+		if resp, env := doRawJSON(t, "POST", ts.URL+"/v2/query", est, aHdr); !admitted(resp.StatusCode) {
 			t.Fatalf("noisy request %d inside burst: %d (%+v)", i, resp.StatusCode, env)
 		}
 	}
 	// Past the burst, every further request from the noisy client is a
 	// deterministic 429 — no flapping.
 	for i := 0; i < 3; i++ {
-		resp, env := doRawJSON(t, "POST", ts.URL+"/v1/estimate", est, aHdr)
+		resp, env := doRawJSON(t, "POST", ts.URL+"/v2/query", est, aHdr)
 		assertRejection(t, resp, env, http.StatusTooManyRequests, "too_many_requests")
 	}
 	// The quiet client is untouched by the noisy one's refusals.
 	for i := 0; i < 2; i++ {
 		start := time.Now()
-		resp, env := doRawJSON(t, "POST", ts.URL+"/v1/estimate", est, bHdr)
-		if resp.StatusCode != http.StatusOK {
+		resp, env := doRawJSON(t, "POST", ts.URL+"/v2/query", est, bHdr)
+		if !admitted(resp.StatusCode) {
 			t.Fatalf("quiet request %d: %d (%+v)", i, resp.StatusCode, env)
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {

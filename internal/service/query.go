@@ -3,8 +3,8 @@ package service
 // This file is the one execution path of the serving stack and its
 // native /v2 surface: POST /v2/query (single and batch, plan included in
 // every response), job status/cancel and NDJSON/SSE progress streaming
-// (GET /v2/jobs/{id}/events). The /v1 routes in v1.go translate onto the
-// same path.
+// (GET /v2/jobs/{id}/events). POST /v1/select in v1.go translates onto
+// the same path.
 
 import (
 	"context"
@@ -98,9 +98,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // status for the calling edge to render in its own shape; on a refusal
 // it has already written the error envelope and reports ok=false.
 func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, req QueryRequest) (resp QueryResponse, status int, ok bool) {
-	// Async estimates run on the cancellable job path, so they get the
-	// job-sized budget cap rather than the tighter synchronous one.
-	p, aerr := s.prepareQuery(req, s.cfg.MaxSelectRuns)
+	p, aerr := s.prepareQuery(req)
 	if aerr != nil {
 		s.writeAPIError(w, aerr)
 		return resp, 0, false
@@ -196,16 +194,16 @@ func (s *Server) submitQueryJob(p *preparedQuery) (*Job, bool, error) {
 	return s.jobs.Submit(spec, fn)
 }
 
-// jobSnapshot resolves the {id} of a job status route — both prefixes
-// address one job namespace — cancelling the job first on DELETE.
-// Cancelling is idempotent (repeating it answers 200 with the job's
-// current state), but a job that already completed answers 409: its
-// outcome can no longer be revoked. Unknown ids are answered 404 here,
-// with ok=false.
-func (s *Server) jobSnapshot(w http.ResponseWriter, r *http.Request) (snap JobSnapshot, status int, ok bool) {
+// handleQueryJob serves GET and DELETE /v2/jobs/{id}, cancelling the
+// job first on DELETE. Cancelling is idempotent (repeating it answers 200
+// with the job's current state), but a job that already completed
+// answers 409: its outcome can no longer be revoked. Unknown ids answer
+// 404.
+func (s *Server) handleQueryJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var job *Job
-	status = http.StatusOK
+	var ok bool
+	status := http.StatusOK
 	if r.Method == http.MethodDelete {
 		var accepted bool
 		if job, accepted, ok = s.jobs.Cancel(id); ok && !accepted {
@@ -216,16 +214,9 @@ func (s *Server) jobSnapshot(w http.ResponseWriter, r *http.Request) (snap JobSn
 	}
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
-		return snap, 0, false
+		return
 	}
-	return job.Snapshot(), status, true
-}
-
-// handleQueryJob serves GET and DELETE /v2/jobs/{id}.
-func (s *Server) handleQueryJob(w http.ResponseWriter, r *http.Request) {
-	if snap, status, ok := s.jobSnapshot(w, r); ok {
-		writeJSON(w, status, queryResponseOf(snap))
-	}
+	writeJSON(w, status, queryResponseOf(job.Snapshot()))
 }
 
 // eventsPollInterval paces the event stream's progress snapshots.

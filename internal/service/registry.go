@@ -33,7 +33,8 @@ var (
 // Each such event installs a new entry with a bumped generation and, in
 // the same critical section, settles the name's sketches: a rebind keeps
 // those matching the new content, a mutation's entry inherits them all
-// and repairs them before Mutate returns.
+// and repairs them before Mutate returns. Every registry, standalone or a
+// Server's, holds at most maxGraphs names and maxSketches new sketch ids.
 //
 // Every install — Add, Replace, Mutate, AddSketch, PutSketch — holds
 // writer for its whole course, so none interleaves with another: a sketch
@@ -44,11 +45,8 @@ var (
 type Registry struct {
 	writer sync.Mutex
 	mu     sync.RWMutex
-	// maxGraphs and maxSketches cap registrations when positive, under the
-	// lock; the sketch cap gates only new ids.
-	maxGraphs, maxSketches int
-	graphs                 map[string]*regEntry
-	builds                 int64 // sketch builds and snapshot loads registered
+	graphs map[string]*regEntry
+	builds int64 // sketch builds and snapshot loads registered
 
 	replacements  atomic.Int64 // names rebound to new content
 	mutations     atomic.Int64 // applied edge batches
@@ -155,8 +153,8 @@ func (r *Registry) install(name string, e *regEntry, keep map[*sketchEntry]bool,
 	switch {
 	case taken && !rebind:
 		return fmt.Errorf("%w: %q", ErrGraphExists, name)
-	case !taken && r.maxGraphs > 0 && len(r.graphs) >= r.maxGraphs:
-		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, r.maxGraphs)
+	case !taken && len(r.graphs) >= maxGraphs:
+		return fmt.Errorf("%w (%d graphs)", ErrRegistryFull, maxGraphs)
 	case !taken:
 		r.graphs[name] = e
 		return nil

@@ -14,6 +14,21 @@ import (
 	"github.com/holisticim/holisticim/internal/obs"
 )
 
+// Admission caps. Each bounds a size a request controls; none is
+// configurable. The registry enforces the graph and sketch caps itself,
+// under its lock, so concurrent registrations cannot race past them.
+const (
+	statsSamples    = 16         // BFS samples behind GET /v1/graphs/{name}
+	maxMCRuns       = 1_000_000  // mc_runs of a select, or of an estimate a sketch does not serve
+	maxGraphs       = 64         // registered graphs; POST /v1/graphs never rebinds a name
+	maxGraphNodes   = 5_000_000  // nodes of a POST /v1/graphs generator spec
+	maxGraphArcs    = 50_000_000 // arcs of a POST /v1/graphs generator spec
+	maxSketches     = 16         // registered RR-sketch indexes, across all graphs
+	maxSketchSets   = 2_000_000  // RR sets per sketch: builds stop there
+	maxQueryMembers = 64         // members of one /v2/query batch
+	maxMutationOps  = 100_000    // edge ops of one POST /v1/graphs/{name}/edges batch
+)
+
 // Config sizes a Server. Zero values pick serving defaults.
 type Config struct {
 	// Workers bounds concurrent selection computations (default 2).
@@ -30,33 +45,6 @@ type Config struct {
 	// AllowPathLoad lets POST /v1/graphs load server-local files. Off by
 	// default: untrusted clients should not read the server's filesystem.
 	AllowPathLoad bool
-	// StatsSamples bounds BFS sampling in GET /v1/graphs/{name} (default 16).
-	StatsSamples int
-	// MaxEstimateRuns caps mc_runs on POST /v1/estimate, which runs
-	// synchronously on the request path (default 100000).
-	MaxEstimateRuns int
-	// MaxSelectRuns caps mc_runs on POST /v1/select. Jobs are cancellable
-	// (DELETE /v1/jobs/{id}, timeout_ms), so this cap is a second line of
-	// defense against abandoned heavyweight work rather than the only
-	// bound (default 1000000).
-	MaxSelectRuns int
-	// MaxGraphs caps the number of registered graphs — names can never be
-	// rebound, so the registry only grows (default 64).
-	MaxGraphs int
-	// MaxGraphNodes / MaxGraphArcs cap generator specs accepted by
-	// POST /v1/graphs (defaults 5M nodes, 50M arcs).
-	MaxGraphNodes int32
-	MaxGraphArcs  int64
-	// MaxSketches caps the RR-sketch registry (default 16).
-	MaxSketches int
-	// MaxSketchSets caps each sketch's RR-set count — builds stop there
-	// and fast-path selections serve from the capped sample (default 2M).
-	MaxSketchSets int
-	// MaxQueryMembers caps the members of one /v2/query batch (default 64).
-	MaxQueryMembers int
-	// MaxMutationOps caps the edge operations of one POST
-	// /v1/graphs/{name}/edges batch (default 100000).
-	MaxMutationOps int
 	// RateRPS, when positive, turns on per-client admission control: each
 	// client (X-Client-ID header, else remote address) gets a token
 	// bucket refilled at RateRPS requests per second, and work-inducing
@@ -101,36 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
 	}
-	if c.StatsSamples <= 0 {
-		c.StatsSamples = 16
-	}
-	if c.MaxEstimateRuns <= 0 {
-		c.MaxEstimateRuns = 100000
-	}
-	if c.MaxSelectRuns <= 0 {
-		c.MaxSelectRuns = 1_000_000
-	}
-	if c.MaxGraphs <= 0 {
-		c.MaxGraphs = 64
-	}
-	if c.MaxGraphNodes <= 0 {
-		c.MaxGraphNodes = 5_000_000
-	}
-	if c.MaxGraphArcs <= 0 {
-		c.MaxGraphArcs = 50_000_000
-	}
-	if c.MaxSketches <= 0 {
-		c.MaxSketches = 16
-	}
-	if c.MaxSketchSets <= 0 {
-		c.MaxSketchSets = 2_000_000
-	}
-	if c.MaxQueryMembers <= 0 {
-		c.MaxQueryMembers = 64
-	}
-	if c.MaxMutationOps <= 0 {
-		c.MaxMutationOps = 100_000
-	}
 	return c
 }
 
@@ -163,7 +121,7 @@ type Server struct {
 	selections      atomic.Int64 // actual (non-cached, non-deduped) selections run
 	queries         atomic.Int64 // query jobs run to completion (either surface)
 	sketchHits      atomic.Int64 // select requests served by the sketch fast path
-	sketchEstimates atomic.Int64 // estimate requests served by an opinion sketch
+	sketchEstimates atomic.Int64 // estimate queries served by a sketch
 
 	ready           atomic.Bool   // /readyz gate; see Config.ColdStart
 	manifestVersion atomic.Uint64 // last fully warm-loaded store manifest version
@@ -183,10 +141,6 @@ func New(cfg Config) *Server {
 		}),
 		costs: admission.NewCostModel(),
 	}
-	// Enforced inside the registry, under its lock, so concurrent
-	// registrations cannot race past the caps.
-	s.reg.maxGraphs = cfg.MaxGraphs
-	s.reg.maxSketches = cfg.MaxSketches
 	// A cold-starting replica flips ready only once its snapshots (or the
 	// store manifest) are fully warm-loaded; everything else is ready the
 	// moment it can serve.
@@ -352,7 +306,7 @@ func (s *Server) routes() {
 	s.handle("POST /v1/sketches", s.handleBuildSketch)
 	s.handle("GET /v1/sketches/{id}", s.handleSketchInfo)
 	s.handle("DELETE /v1/sketches/{id}", s.handleDeleteSketch)
-	s.routesV1()
+	s.handle("POST /v1/select", s.handleSelect)
 	s.handle("POST /v2/query", s.handleQuery)
 	s.handle("GET /v2/jobs/{id}", s.handleQueryJob)
 	s.handle("DELETE /v2/jobs/{id}", s.handleQueryJob)

@@ -81,8 +81,8 @@ func (r *Registry) putSketch(name string, idx *holisticim.Sketch, replace bool) 
 	if taken && !replace {
 		return "", fmt.Errorf("%w: %q", ErrSketchExists, id)
 	}
-	if !taken && r.maxSketches > 0 && len(r.sketchesLocked("")) >= r.maxSketches {
-		return "", fmt.Errorf("%w (%d sketches)", ErrSketchesFull, r.maxSketches)
+	if !taken && len(r.sketchesLocked("")) >= maxSketches {
+		return "", fmt.Errorf("%w (%d sketches)", ErrSketchesFull, maxSketches)
 	}
 	e.sketches[k] = &sketchEntry{idx: idx, graph: name, key: k, id: id}
 	r.builds++

@@ -143,18 +143,20 @@ func TestSketchBuildValidation(t *testing.T) {
 
 // The registry cap bounds how many sketches a server will hold.
 func TestSketchRegistryCapacity(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxSketches: 1})
-	buildTestSketch(t, ts.URL, SketchSpec{Graph: "g", Epsilon: 0.3, BuildK: 5})
+	s, ts := newTestServer(t, Config{})
+	for seed := uint64(1); seed <= maxSketches; seed++ {
+		buildTestSketch(t, ts.URL, SketchSpec{Graph: "g", Epsilon: 0.4, Seed: seed, BuildK: 5})
+	}
 
 	var resp SelectResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/sketches", SketchSpec{Graph: "g", Epsilon: 0.4, BuildK: 5}, &resp); code != http.StatusAccepted {
-		t.Fatalf("second build submit status %d", code)
+	if code := doJSON(t, "POST", ts.URL+"/v1/sketches", SketchSpec{Graph: "g", Epsilon: 0.4, Seed: maxSketches + 1, BuildK: 5}, &resp); code != http.StatusAccepted {
+		t.Fatalf("build %d submit status %d", maxSketches+1, code)
 	}
 	done := pollJob(t, ts.URL, resp.JobID)
 	if done.State != StateFailed {
 		t.Fatalf("over-capacity build should fail, got %+v", done)
 	}
-	if got := s.Stats().Sketches; got != 1 {
-		t.Fatalf("registry holds %d sketches, want 1", got)
+	if got := s.Stats().Sketches; got != maxSketches {
+		t.Fatalf("registry holds %d sketches, want %d", got, maxSketches)
 	}
 }

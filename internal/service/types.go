@@ -15,17 +15,18 @@
 //	      → in-flight?        → attach to the running job (deduped)
 //	      → otherwise         → enqueue a job, respond 202 with its id
 //
-// POST /v2/query is that path's native surface. /v1/select, /v1/estimate
-// and /v1/jobs are request/response translations over it, confined to
-// v1.go; they own no execution, cache or job code. The cache and dedup
-// key is Query.Fingerprint fenced by the graph name and rebind
-// generation, so equivalent v1 and v2 requests share entries and jobs.
+// POST /v2/query is that path's native surface, and GET/DELETE
+// /v2/jobs/{id} polls and cancels its jobs. POST /v1/select is a
+// request/response translation over it, confined to v1.go; it owns no
+// execution, cache or job code. The cache and dedup key is
+// Query.Fingerprint fenced by the graph name and rebind generation, so an
+// equivalent /v1/select and /v2/query share entries and jobs.
 //
 // Selections — even the paper's scalable EaSyIM/OSIM, let alone TIM+/IMM
-// whose RR-set indexes are expensive to build — are far too costly to run
-// per request, so nothing in this package ever blocks an HTTP handler on
-// one; only plans a prebuilt sketch fully serves (and the explicitly
-// synchronous /v1/estimate) run on the request path.
+// whose RR-set indexes are expensive to build — and Monte-Carlo estimates
+// are far too costly to run per request, so nothing in this package ever
+// blocks an HTTP handler on one; only plans a prebuilt sketch fully
+// serves run on the request path.
 //
 // Every job runs under its own cancellable context: DELETE on a job
 // cancels it queued or running (freeing its worker slot promptly, since
@@ -186,8 +187,8 @@ type QueryAnswer struct {
 }
 
 // soleResult is the selection of a one-member select answer — the only
-// shape with a single seed count to report as seeds_done, and the one
-// /v1 job polling renders — or nil for every other answer (or none).
+// shape the v1 SelectResponse renders — or nil for every other answer
+// (or none).
 func (a *QueryAnswer) soleResult() *SelectResult {
 	if a != nil && a.Task == string(holisticim.TaskSelect) && len(a.Members) == 1 {
 		return a.Members[0].Result
@@ -368,8 +369,8 @@ type SketchSpec struct {
 	Seed    uint64  `json:"seed,omitempty"`    // default 1
 	BuildK  int     `json:"build_k,omitempty"` // default 50
 	Workers int     `json:"workers,omitempty"` // default GOMAXPROCS
-	// MaxSets caps the index size; clamped to the server's
-	// MaxSketchSets either way.
+	// MaxSets caps the index size; clamped to the server's fixed cap of
+	// 2M sets either way.
 	MaxSets int `json:"max_sets,omitempty"`
 }
 
@@ -420,7 +421,9 @@ type ClusterSketchInfo struct {
 // GET /v1/cluster/info: what is loaded (by fingerprint), whether the
 // replica finished warm-loading, how far its store watcher has synced,
 // and how much job-queue pressure it is under. Routers poll it for
-// liveness and shed-aware routing.
+// readiness and manifest freshness, the two fields their ranking reads;
+// the load fields are for operators and the router's own
+// /v1/cluster/info view.
 type ClusterInfo struct {
 	// Advertise is the address the replica wants routed traffic sent to
 	// (the -advertise flag); empty when the operator did not set one.
@@ -469,11 +472,11 @@ type ServerStats struct {
 	RateClients          int            `json:"rate_clients"`
 	SelectionsRun        int64          `json:"selections_run"`
 	// Sketch registry metrics: indexes held, RR sets across them, their
-	// memory footprint, completed builds/loads, how many /v1/select
-	// requests the sketch fast path answered synchronously and how many
-	// /v1/estimate requests an opinion-weighted ("oc") sketch served
-	// without Monte Carlo. GraphReplacements counts operator reloads that
-	// rebound a graph name (each fenced the name's cached results by a new
+	// memory footprint, completed builds/loads, how many select queries
+	// the sketch fast path answered synchronously and how many estimate
+	// queries an opinion-weighted ("oc") sketch served without Monte
+	// Carlo. GraphReplacements counts operator reloads that rebound a
+	// graph name (each fenced the name's cached results by a new
 	// generation and kept only the sketches matching the new content).
 	Sketches           int   `json:"sketches"`
 	SketchSets         int64 `json:"sketch_sets"`

@@ -1,16 +1,17 @@
 package service
 
-// This file is the whole /v1 selection/estimation surface. Every route
-// here is a translation at the HTTP edge: a v1 request becomes the
+// This file is what is left of the /v1 query surface: POST /v1/select.
+// It is a translation at the HTTP edge: the request becomes the one-member
 // QueryRequest /v2/query would have carried, runs through the same
-// execution path (answerQuery, runSync, the one job namespace), and the
-// resulting QueryResponse is rendered back in the v1 shape. Nothing in
-// this file plans, executes, caches or queues.
+// execution path (answerQuery, the one job namespace), and the resulting
+// QueryResponse is rendered back in the v1 shape. Nothing in this file
+// plans, executes, caches or queues. Estimates and job polling are
+// /v2/query and /v2/jobs/{id} only.
 //
-// The v1 routes go once nothing in the tree posts to them. Today the
-// callers are the serve-read benchmark's v1select op, scripts/loadtest.sh,
-// the imserver docs and the router's /v1 proxy routes; the benchmark op
-// has to be retired first, in a change of its own.
+// The route stays while the serve-read benchmark's v1select op posts to
+// it, and goes when that op is retired in a change to the benchmark alone.
+// SelectResponse outlives it: POST /v1/sketches reports its build job in
+// that shape.
 
 import (
 	"net/http"
@@ -44,13 +45,11 @@ func (r SelectRequest) queryRequest() QueryRequest {
 	}
 }
 
-// SelectResponse answers POST /v1/select, GET /v1/jobs/{id} and DELETE
-// /v1/jobs/{id} (and reports the build job of POST /v1/sketches). A
-// cache hit carries the result inline with State "done" and no JobID;
-// otherwise JobID points at the (possibly shared) computation. While a
-// job runs, SeedsDone/K report live per-seed progress; a canceled or
-// timed-out job may still carry the partial result its selector
-// returned.
+// SelectResponse answers POST /v1/select and reports the build job of
+// POST /v1/sketches. A cache hit carries the result inline with State
+// "done" and no JobID; otherwise JobID points at the (possibly shared)
+// computation, polled on /v2/jobs/{id}. A canceled or timed-out job may
+// still carry the partial result its selector returned.
 type SelectResponse struct {
 	JobID     string        `json:"job_id,omitempty"`
 	State     JobState      `json:"state"`
@@ -81,31 +80,6 @@ func selectResponseOf(q QueryResponse, k int) SelectResponse {
 	}
 }
 
-// EstimateRequest asks for a spread estimate of one seed set, answered
-// synchronously on the request path.
-type EstimateRequest struct {
-	Graph   string  `json:"graph"`
-	Seeds   []int32 `json:"seeds"`
-	Options Options `json:"options"`
-}
-
-// queryRequest is the one-member estimate query the request stands for.
-func (r EstimateRequest) queryRequest() QueryRequest {
-	return QueryRequest{
-		Graph:   r.Graph,
-		Task:    string(holisticim.TaskEstimate),
-		Seeds:   r.Seeds,
-		Options: r.Options,
-	}
-}
-
-func (s *Server) routesV1() {
-	s.handle("POST /v1/select", s.handleSelect)
-	s.handle("GET /v1/jobs/{id}", s.handleJob)
-	s.handle("DELETE /v1/jobs/{id}", s.handleJob)
-	s.handle("POST /v1/estimate", s.handleEstimate)
-}
-
 // handleSelect is POST /v2/query for a one-member select, in v1 shapes.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req SelectRequest
@@ -115,36 +89,4 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if resp, status, ok := s.answerQuery(w, r, req.queryRequest()); ok {
 		writeJSON(w, status, selectResponseOf(resp, req.K))
 	}
-}
-
-// handleJob is GET/DELETE /v2/jobs/{id} in the v1 shape. Both prefixes
-// address the one job namespace, so either can poll or cancel any job.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if snap, status, ok := s.jobSnapshot(w, r); ok {
-		writeJSON(w, status, selectResponseOf(queryResponseOf(snap), snap.K))
-	}
-}
-
-// handleEstimate answers a one-member estimate query synchronously — the
-// request context bounds it, so a client that disconnects stops paying
-// for simulations it will never read — under the tighter synchronous
-// budget cap, and renders the member in the v1 shape.
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req EstimateRequest
-	if !s.admit(w, r) || !decodeJSON(w, r, &req) {
-		return
-	}
-	p, aerr := s.prepareQuery(req.queryRequest(), s.cfg.MaxEstimateRuns)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	qa, err := s.runSync(r.Context(), p)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	res := *qa.Members[0].Estimate
-	res.TookMS = qa.TookMS
-	writeJSON(w, http.StatusOK, res)
 }

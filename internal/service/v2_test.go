@@ -182,7 +182,11 @@ func TestQueryCacheIgnoresLifecycleFields(t *testing.T) {
 // TestQueryValidation: the planner's rejections surface as 400s in the
 // uniform error envelope; unknown graphs are 404s.
 func TestQueryValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxQueryMembers: 4})
+	_, ts := newTestServer(t, Config{})
+	oversized := make([]int, maxQueryMembers+1)
+	for i := range oversized {
+		oversized[i] = i + 1
+	}
 	cases := []struct {
 		name string
 		req  QueryRequest
@@ -193,13 +197,13 @@ func TestQueryValidation(t *testing.T) {
 		{"unknown algorithm", QueryRequest{Graph: "g", Algorithm: "quantum", K: 2}, http.StatusBadRequest, "bad_request"},
 		{"zero k", QueryRequest{Graph: "g", Algorithm: "degree"}, http.StatusBadRequest, "bad_request"},
 		{"bad batch member", QueryRequest{Graph: "g", Algorithm: "degree", Ks: []int{2, 0}}, http.StatusBadRequest, "bad_request"},
-		{"oversized batch", QueryRequest{Graph: "g", Algorithm: "degree", Ks: []int{1, 2, 3, 4, 5}}, http.StatusBadRequest, "bad_request"},
+		{"oversized batch", QueryRequest{Graph: "g", Algorithm: "degree", Ks: oversized}, http.StatusBadRequest, "bad_request"},
 		{"bad task", QueryRequest{Graph: "g", Task: "transmogrify", Algorithm: "degree", K: 2}, http.StatusBadRequest, "bad_request"},
 		{"bad model", QueryRequest{Graph: "g", Algorithm: "degree", K: 2, Options: Options{Model: "warp"}}, http.StatusBadRequest, "bad_request"},
 		{"empty seed set", QueryRequest{Graph: "g", Task: "estimate", SeedSets: [][]int32{{}}}, http.StatusBadRequest, "bad_request"},
 		{"seed out of range", QueryRequest{Graph: "g", SeedSets: [][]int32{{999}}}, http.StatusBadRequest, "bad_request"},
 		{"negative timeout", QueryRequest{Graph: "g", Algorithm: "degree", K: 2, TimeoutMS: -1}, http.StatusBadRequest, "bad_request"},
-		{"runs over cap", QueryRequest{Graph: "g", Algorithm: "greedy", K: 2, Options: Options{MCRuns: 2_000_000}}, http.StatusBadRequest, "bad_request"},
+		{"runs over cap", QueryRequest{Graph: "g", Algorithm: "greedy", K: 2, Options: Options{MCRuns: maxMCRuns + 1}}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		var out ErrorResponse
@@ -247,14 +251,14 @@ func TestErrorEnvelopeAndMethodNotAllowed(t *testing.T) {
 
 	// A mismatched verb on a parameterized route: GET-only job routes
 	// reject PUT with the verbs that do exist there.
-	req, _ = http.NewRequest(http.MethodPut, ts.URL+"/v1/jobs/zzz", nil)
+	req, _ = http.NewRequest(http.MethodPut, ts.URL+"/v2/jobs/zzz", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("PUT /v1/jobs/{id} status %d, want 405", resp.StatusCode)
+		t.Fatalf("PUT /v2/jobs/{id} status %d, want 405", resp.StatusCode)
 	}
 	allow := resp.Header.Get("Allow")
 	if !strings.Contains(allow, http.MethodGet) || !strings.Contains(allow, http.MethodDelete) {
@@ -437,9 +441,9 @@ func TestQueryJobCancel(t *testing.T) {
 }
 
 // TestRequestWorkersClamped: options.workers is a client's wish, not a
-// pool size — on /v2/query, /v1/select and /v1/estimate alike the query
-// the computation receives carries it cut to [1, GOMAXPROCS], the rule
-// POST /v1/sketches applies to its own workers field.
+// pool size — on /v2/query selects and estimates and on /v1/select alike
+// the query the computation receives carries it cut to [1, GOMAXPROCS],
+// the rule POST /v1/sketches applies to its own workers field.
 func TestRequestWorkersClamped(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	got := make(chan int, 1)
@@ -467,7 +471,7 @@ func TestRequestWorkersClamped(t *testing.T) {
 		}{
 			{"/v2/query", QueryRequest{Graph: "g", Algorithm: "greedy", K: 3, Options: opts()}, http.StatusAccepted},
 			{"/v1/select", SelectRequest{Graph: "g", Algorithm: "greedy", K: 3, Options: opts()}, http.StatusAccepted},
-			{"/v1/estimate", EstimateRequest{Graph: "g", Seeds: []int32{1, 2}, Options: opts()}, http.StatusOK},
+			{"/v2/query", estimateQuery("g", []int32{1, 2}, opts()), http.StatusAccepted},
 		}
 		for _, p := range posts {
 			if code := doJSON(t, "POST", ts.URL+p.path, p.body, nil); code != p.code {
