@@ -1,8 +1,8 @@
 // Command imserver serves influence-maximization as a long-lived HTTP
 // service: graphs are loaded (or generated) once into an immutable
 // registry, seed selections run as asynchronous jobs on a bounded worker
-// pool with single-flight deduplication, and completed selections are
-// answered from an LRU cache keyed by a canonical request fingerprint.
+// pool with single-flight deduplication, and a done job keeps answering
+// its canonical request fingerprint until its record is evicted.
 //
 // Usage:
 //
@@ -21,8 +21,8 @@
 //	                    an idle client may fire (default: rate-rps)
 //	-rate-clients int   client buckets tracked before LRU eviction
 //	                    (default 4096)
-//	-cache int          LRU result-cache entries (default 256)
-//	-max-jobs int       retained job records (default 1024)
+//	-max-jobs int       retained job records, done answers included;
+//	                    least recently used go first (default 1024)
 //	-load name=path     preload a graph file (repeatable; edge-list or binary)
 //	-sketch name=path   preload an RR-sketch snapshot (written by imrun build)
 //	                    for the already-loaded graph `name` (repeatable);
@@ -87,8 +87,8 @@
 //	                         carries the answer
 //
 // POST /v1/select is a translation onto the /v2/query execution path, so
-// both surfaces share one result cache, one job namespace and job
-// deduplication. Every error response uses the envelope
+// both surfaces share one job namespace, job deduplication and the done
+// answers. Every error response uses the envelope
 // {"error": {"code", "message"}}, and method mismatches answer 405 with
 // an Allow header.
 //
@@ -131,7 +131,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 2, "concurrent selection jobs")
 		queueCap  = flag.Int("queue", 64, "queued-job capacity before 429")
-		cacheSize = flag.Int("cache", 256, "LRU result-cache entries")
 		maxJobs   = flag.Int("max-jobs", 1024, "retained job records")
 		rateRPS   = flag.Float64("rate-rps", 0, "per-client admission rate in req/s (0 = off)")
 		rateBurst = flag.Float64("rate-burst", 0, "per-client bucket capacity (default: rate-rps)")
@@ -176,7 +175,6 @@ func main() {
 	srv := service.New(service.Config{
 		Workers:       *workers,
 		QueueCap:      *queueCap,
-		CacheSize:     *cacheSize,
 		MaxJobs:       *maxJobs,
 		RateRPS:       *rateRPS,
 		RateBurst:     *rateBurst,

@@ -363,6 +363,25 @@ func TestRoutedColdJobRoundTrip(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+
+	// The done job answers repeats, through the router and on the replica
+	// that ran it: 200, cached, the answer inline and no job id.
+	if code, again, _ := postQuery(t, tc.front.URL, req); code != http.StatusOK || !again.Cached || again.JobID != "" || again.Answer == nil {
+		t.Fatalf("routed repeat: status %d %+v", code, again)
+	}
+	ran := 0
+	for i, s := range tc.servers {
+		if s.Stats().QueriesRun == 0 {
+			continue
+		}
+		ran++
+		if code, again, _ := postQuery(t, tc.replicas[i].URL, req); code != http.StatusOK || !again.Cached || again.JobID != "" {
+			t.Fatalf("direct repeat on replica %d: status %d %+v", i, code, again)
+		}
+	}
+	if ran != 1 {
+		t.Fatalf("%d replicas ran the query, want 1", ran)
+	}
 }
 
 // The router's own probes: /readyz tracks replica health; /v1/cluster/info

@@ -1,67 +1,164 @@
 package service
 
 import (
+	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 
 	"github.com/holisticim/holisticim"
 )
 
+// planned is the JobSpec of a query job: it carries a Plan, so once done
+// the job keeps answering its key.
+func planned(key string) JobSpec { return JobSpec{Key: key, Plan: &Plan{}} }
+
+// submitDone submits a query job under key and waits for it to finish.
+func submitDone(t *testing.T, m *Manager, key string) *Job {
+	t.Helper()
+	j, created, err := m.Submit(planned(key), func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{Algorithm: key}), nil
+	})
+	if err != nil || !created {
+		t.Fatalf("Submit(%s): created=%v err=%v", key, created, err)
+	}
+	waitDone(t, j)
+	return j
+}
+
+// answered resubmits key and reports whether a done job answered it. When
+// none did, the resubmission's own job runs to completion.
+func answered(t *testing.T, m *Manager, key string) (*Job, bool) {
+	t.Helper()
+	j, created, err := m.Submit(planned(key), func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		return answerOf(SelectResult{Algorithm: key}), nil
+	})
+	if err != nil {
+		t.Fatalf("Submit(%s): %v", key, err)
+	}
+	waitDone(t, j)
+	return j, !created
+}
+
+// TestCacheHitAndMiss: the first query misses and runs a job; the repeat
+// is answered by that done job, 200 and inline, without a second run.
 func TestCacheHitAndMiss(t *testing.T) {
-	c := NewCache(4)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("empty cache reported a hit")
+	s, ts := newTestServer(t, Config{})
+	req := QueryRequest{Graph: "g", Task: "select", Algorithm: "degree", K: 4}
+	var first QueryResponse
+	if code := doJSON(t, "POST", ts.URL+"/v2/query", req, &first); code != http.StatusAccepted || first.Cached {
+		t.Fatalf("first query: status %d %+v", code, first)
 	}
-	want := answerOf(SelectResult{Algorithm: "stub", Seeds: []int32{1, 2}})
-	c.Add("a", want)
-	got, ok := c.Get("a")
-	if !ok || got != want {
-		t.Fatalf("Get(a) = %v, %v", got, ok)
+	done := pollQueryJob(t, ts.URL, first.JobID)
+	var second QueryResponse
+	if code := doJSON(t, "POST", ts.URL+"/v2/query", req, &second); code != http.StatusOK || !second.Cached || second.JobID != "" {
+		t.Fatalf("repeat query: status %d %+v", code, second)
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", c.Hits(), c.Misses())
+	if got, want := second.Answer.Members[0].Result.Seeds, done.Answer.Members[0].Result.Seeds; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("hit answered seeds %v, job answered %v", got, want)
+	}
+	st := s.Stats()
+	if st.CacheHits != 1 || st.CacheMisses != 1 || st.CacheSize != 1 || st.QueriesRun != 1 {
+		t.Fatalf("stats %+v, want 1 hit, 1 miss, 1 entry, 1 query run", st)
 	}
 }
 
+// TestManagerDoneKeyAnswers: a key whose query job is done returns that
+// same job, and the new JobFunc never runs.
+func TestManagerDoneKeyAnswers(t *testing.T) {
+	m := NewManager(1, 8, 16)
+	defer m.Close()
+	j1 := submitDone(t, m, "k")
+	j2, created, err := m.Submit(planned("k"), func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+		t.Error("a done key ran a second JobFunc")
+		return nil, nil
+	})
+	if err != nil || created || j2 != j1 {
+		t.Fatalf("resubmitted done key: created=%v same=%v err=%v", created, j2 == j1, err)
+	}
+	if m.Submitted() != 1 || m.Deduped() != 0 {
+		t.Fatalf("submitted=%d deduped=%d, want 1/0", m.Submitted(), m.Deduped())
+	}
+}
+
+// TestCacheEvictsLRU: at the cap the least recently used done answer goes
+// first, and a hit counts as a use.
 func TestCacheEvictsLRU(t *testing.T) {
-	c := NewCache(2)
-	c.Add("a", &QueryAnswer{})
-	c.Add("b", &QueryAnswer{})
-	c.Get("a") // a becomes most recently used
-	c.Add("c", &QueryAnswer{})
-	if _, ok := c.Get("b"); ok {
+	m := NewManager(1, 8, 2)
+	defer m.Close()
+	a := submitDone(t, m, "a")
+	b := submitDone(t, m, "b")
+	if j, ok := answered(t, m, "a"); !ok || j != a { // a becomes most recently used
+		t.Fatal("a was not answered by its done job")
+	}
+	c := submitDone(t, m, "c")
+	if held, evicted := m.answerStats(); held != 2 || evicted != 1 {
+		t.Fatalf("held=%d evicted=%d, want 2/1", held, evicted)
+	}
+	if _, ok := m.Get(b.ID()); ok {
 		t.Fatal("b should have been evicted as LRU")
 	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a should have survived (recently used)")
-	}
-	if _, ok := c.Get("c"); !ok {
+	if j, ok := answered(t, m, "c"); !ok || j != c {
 		t.Fatal("c should be present")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", c.Len())
+	if j, ok := answered(t, m, "a"); !ok || j != a {
+		t.Fatal("a should have survived (recently used)")
+	}
+	if _, ok := answered(t, m, "b"); ok {
+		t.Fatal("evicted b still answered its key")
 	}
 }
 
+// TestCacheRefreshExistingKey: a key holds one answer however often it is
+// asked, and a re-hit between other submissions keeps it alive.
 func TestCacheRefreshExistingKey(t *testing.T) {
-	c := NewCache(2)
-	c.Add("a", answerOf(SelectResult{Algorithm: "v1"}))
-	c.Add("a", answerOf(SelectResult{Algorithm: "v2"}))
-	if c.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", c.Len())
+	m := NewManager(1, 8, 2)
+	defer m.Close()
+	a := submitDone(t, m, "a")
+	for i := 0; i < 5; i++ {
+		if j, ok := answered(t, m, "a"); !ok || j != a {
+			t.Fatalf("round %d: a was not answered by its first job", i)
+		}
+		if i == 0 {
+			if held, _ := m.answerStats(); held != 1 {
+				t.Fatalf("one key holds %d answers", held)
+			}
+		}
+		submitDone(t, m, fmt.Sprintf("x%d", i))
 	}
-	got, _ := c.Get("a")
-	if got.soleResult().Algorithm != "v2" {
-		t.Fatalf("refresh kept old value %q", got.soleResult().Algorithm)
+	if held, evicted := m.answerStats(); held != 2 || evicted != 4 {
+		t.Fatalf("held=%d evicted=%d, want 2/4", held, evicted)
 	}
 }
 
-func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0)
-	c.Add("a", &QueryAnswer{})
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("capacity-0 cache should never hit")
+// TestEvictedAnswerRecomputes: once the job-record cap drops a done
+// answer, the same query runs again as a new job.
+func TestEvictedAnswerRecomputes(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxJobs: 2})
+	query := func(k int) int {
+		t.Helper()
+		var resp QueryResponse
+		code := doJSON(t, "POST", ts.URL+"/v2/query", QueryRequest{Graph: "g", Task: "select", Algorithm: "degree", K: k}, &resp)
+		if code == http.StatusAccepted {
+			pollQueryJob(t, ts.URL, resp.JobID)
+		}
+		return code
+	}
+	if query(2) != http.StatusAccepted || query(2) != http.StatusOK {
+		t.Fatal("k=2 was not computed, then answered")
+	}
+	query(3)
+	query(4) // three records over a cap of two: k=2, least recently used, goes
+	before := s.SelectionsRun()
+	if code := query(2); code != http.StatusAccepted {
+		t.Fatalf("evicted k=2 answered %d, want a new job", code)
+	}
+	if got := s.SelectionsRun(); got != before+1 {
+		t.Fatalf("SelectionsRun %d -> %d, want one more", before, got)
+	}
+	if st := s.Stats(); st.CacheSize != 2 {
+		t.Fatalf("CacheSize = %d, want the cap 2", st.CacheSize)
 	}
 }
 

@@ -208,7 +208,7 @@ func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 // selection/estimation surface runs: the resolved graph and rebind
 // generation, the normalized library Query with any matching registered
 // sketch attached, the planner's routing decision, and the
-// generation-fenced cache/dedup key.
+// generation-fenced job key.
 type preparedQuery struct {
 	g    *holisticim.Graph
 	q    holisticim.Query // normalized: task, objective, Ks and defaults resolved
@@ -247,8 +247,8 @@ func (s *Server) prepareQuery(req QueryRequest) (*preparedQuery, *apiError) {
 	q, qerr := req.Query().Normalized()
 	o := q.Options
 	// One registry read pins the graph, its generation — folded into the
-	// cache/dedup key, so work on this instance is unreachable once the
-	// name moves on, even if a job re-caches afterwards — and the sketch
+	// job key, so work on this instance is unreachable once the name moves
+	// on, even if a job finishes afterwards — and the sketch
 	// for the resolved (RR semantics, ε, seed), canonicalized as the
 	// builder keys it. Whether it serves is the planner's call.
 	e, sk, err := s.reg.lookup(req.Graph, sketchKey{o.Model.RRSemantics(), o.Epsilon, o.Seed})
@@ -306,11 +306,11 @@ func (s *Server) prepareQuery(req QueryRequest) (*preparedQuery, *apiError) {
 	return p, nil
 }
 
-// queryKey is the canonical cache/deduplication key for a query against
-// a registered graph: the graph name pins the topology, Query.Fingerprint
-// the work, and gen (when the name was ever rebound or mutated) fences
-// out results computed against superseded content. Nothing drops those:
-// no new request can reach their keys, so they age out of the LRU.
+// queryKey is the canonical job key for a query against a registered
+// graph: the graph name pins the topology, Query.Fingerprint the work,
+// and gen (when the name was ever rebound or mutated) fences out results
+// computed against superseded content. Nothing drops those: no new
+// request can reach their keys, so the job-record cap evicts them.
 func queryKey(graph string, q holisticim.Query, gen uint64) string {
 	key := fmt.Sprintf("graph=%s;%s", graph, q.Fingerprint())
 	if gen > 0 {
@@ -322,9 +322,9 @@ func queryKey(graph string, q holisticim.Query, gen uint64) string {
 // runSync executes a sketch-only plan on the request path, under the
 // request context plus the per-request timeout: milliseconds instead of a
 // sampling job. It serves nothing else; Monte Carlo and cold sampling
-// always run as jobs. Sync answers stay out of the result cache: a
-// sketch-backed and a cold run may pick different (equally valid) seeds,
-// and one fingerprint must never alias the two.
+// always run as jobs. A sync answer runs no job, so it never answers a
+// later request: a sketch-backed and a cold run may pick different
+// (equally valid) seeds, and one fingerprint must never alias the two.
 func (s *Server) runSync(ctx context.Context, p *preparedQuery) (*QueryAnswer, error) {
 	if p.timeout > 0 {
 		var cancel context.CancelFunc

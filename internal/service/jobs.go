@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -67,12 +68,13 @@ func (r ShedReason) String() string {
 // a one-member summary.
 type JobFunc func(ctx context.Context, report func(seedsDone int)) (*QueryAnswer, error)
 
-// Job is one asynchronous computation. Multiple requests with the same
-// fingerprint share a single Job while it is in flight.
+// Job is one asynchronous computation. Requests with the same fingerprint
+// share a single Job: in flight, and once done if it is a query job.
 type Job struct {
 	id     string
 	key    string
-	k      int // requested seed budget, for progress reporting
+	elem   *list.Element // the record's place in Manager.order, under Manager.mu
+	k      int           // requested seed budget, for progress reporting
 	done   chan struct{}
 	ctx    context.Context // cancelled by Cancel and by Manager.Close
 	cancel context.CancelFunc
@@ -113,8 +115,8 @@ func (j *Job) ID() string { return j.id }
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// JobSnapshot is a point-in-time view of a job, shared by the v1 and v2
-// status shapes and the event stream.
+// JobSnapshot is a point-in-time view of a job, rendered by GET
+// /v2/jobs/{id}, its event stream and the 202s of /v1/select and sketches.
 type JobSnapshot struct {
 	ID          string
 	State       JobState
@@ -167,11 +169,15 @@ func (j *Job) Snapshot() JobSnapshot {
 	return s
 }
 
-// Manager runs jobs on a bounded worker pool with a bounded queue and
-// single-flight deduplication: submitting a key that is already pending
-// or running attaches to the existing job instead of spawning another
-// computation. Finished jobs are retained (up to maxJobs) so clients can
-// poll results; the oldest finished jobs are evicted first.
+// Manager runs jobs on a bounded worker pool with a bounded queue. Its key
+// map is both the single-flight table and the answer store: a key maps to
+// its pending or running job, and to a done job with a Plan (a query job,
+// whose answer is a pure function of the key) until the record is evicted.
+// Submitting a mapped key returns that job and never runs the new JobFunc.
+// Every other job leaves the map when it ends — failed and canceled ones,
+// a running one once a Cancel reaches it, and sketch builds, which have no
+// Plan, so a deleted sketch rebuilds on its next request. At most maxJobs
+// records are kept; the least recently used terminal ones go first.
 //
 // The queue is priority-aware: one FIFO per service class, drained
 // interactive → standard → batch, so queued sketch-path work always
@@ -197,10 +203,12 @@ type Manager struct {
 	draining bool            // Shutdown in progress: submissions are refused
 	running  int             // jobs currently executing a JobFunc
 	jobs     map[string]*Job // by id, including finished ones
-	history  []string        // job ids in creation order, for eviction
-	inflight map[string]*Job // by key, pending/running only
+	byKey    map[string]*Job // pending and running jobs, and done jobs with a Plan
+	order    *list.List      // every record in jobs, most recently used first
 	nextID   uint64
 	maxJobs  int
+	answers  int   // done jobs held in byKey
+	evicted  int64 // done jobs the cap dropped from byKey
 
 	// avgRunNanos is an EWMA of completed JobFunc wall times, feeding the
 	// queue-wait estimate behind deadline shedding and Retry-After hints.
@@ -252,7 +260,8 @@ func NewManager(workers, queueCap, maxJobs int) *Manager {
 		queueCap: queueCap,
 		workers:  workers,
 		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
+		byKey:    make(map[string]*Job),
+		order:    list.New(),
 		maxJobs:  maxJobs,
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -291,16 +300,19 @@ type JobSpec struct {
 }
 
 // Submit enqueues fn under spec.Key. It returns the job and whether it
-// was newly created: false means the caller attached to an in-flight job
-// and fn was dropped — two submissions sharing a key by construction
-// share the query, so the attached batch view is identical. A new job
-// that cannot be admitted fails with ErrQueueFull, ErrPastDeadline or
-// ErrShuttingDown.
+// was newly created: false means the key already mapped to a job — one in
+// flight, or a done query job holding the answer — and fn was dropped.
+// Two submissions sharing a key by construction share the query, so the
+// returned batch view is identical. A new job that cannot be admitted
+// fails with ErrQueueFull, ErrPastDeadline or ErrShuttingDown.
 func (m *Manager) Submit(spec JobSpec, fn JobFunc) (*Job, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j, ok := m.inflight[spec.Key]; ok {
-		m.deduped.Add(1)
+	if j, ok := m.byKey[spec.Key]; ok {
+		m.order.MoveToFront(j.elem)
+		if !j.terminal() {
+			m.deduped.Add(1)
+		}
 		return j, false, nil
 	}
 	if m.draining || m.closed {
@@ -344,8 +356,8 @@ func (m *Manager) Submit(spec JobSpec, fn JobFunc) (*Job, bool, error) {
 	}
 	m.nextID++
 	m.jobs[j.id] = j
-	m.history = append(m.history, j.id)
-	m.inflight[spec.Key] = j
+	j.elem = m.order.PushFront(j)
+	m.byKey[spec.Key] = j
 	m.queues[j.priority] = append(m.queues[j.priority], j)
 	m.submitted.Add(1)
 	m.evictLocked()
@@ -440,8 +452,8 @@ func (m *Manager) ShedCount(p admission.Priority, reason ShedReason) int64 {
 	return m.shedBy[p][reason].Load()
 }
 
-// Get returns the job with the given id (including finished jobs still
-// retained in history).
+// Get returns the job with the given id (including finished jobs whose
+// record is still retained).
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -469,10 +481,10 @@ func (m *Manager) Cancel(id string) (j *Job, accepted, ok bool) {
 	j.mu.Lock()
 	state, asked := j.state, j.cancelAsked
 	if state == StateRunning {
-		// Drop the dedup entry so new submissions start a fresh job
+		// Drop the key entry so new submissions start a fresh job
 		// rather than attaching to one that is being torn down.
-		if m.inflight[j.key] == j {
-			delete(m.inflight, j.key)
+		if m.byKey[j.key] == j {
+			delete(m.byKey, j.key)
 		}
 		j.cancelAsked = true
 	}
@@ -491,7 +503,8 @@ func (m *Manager) Cancel(id string) (j *Job, accepted, ok bool) {
 // same critical section, drops what a terminal job must not hold: fn,
 // whose closure pins the graph snapshot (and sketch) the job was planned
 // against; the queue slot, when the job never reached a worker; and the
-// dedup entry. Then it releases the job's context and wakes Done waiters.
+// key entry, unless the job is a done query job, which keeps answering
+// its key. Then it releases the job's context and wakes Done waiters.
 // Locks nest m.mu → j.mu, as everywhere.
 func (m *Manager) finish(j *Job, from, state JobState, err error, result *QueryAnswer) bool {
 	m.mu.Lock()
@@ -513,8 +526,12 @@ func (m *Manager) finish(j *Job, from, state JobState, err error, result *QueryA
 			}
 		}
 	}
-	if m.inflight[j.key] == j {
-		delete(m.inflight, j.key)
+	if m.byKey[j.key] == j {
+		if state == StateDone && j.plan != nil {
+			m.answers++
+		} else {
+			delete(m.byKey, j.key)
+		}
 	}
 	m.mu.Unlock()
 	if state == StateCanceled {
@@ -532,6 +549,14 @@ func (m *Manager) Submitted() int64 { return m.submitted.Load() }
 // Deduped returns the number of submissions that attached to an in-flight
 // job instead of creating a new one.
 func (m *Manager) Deduped() int64 { return m.deduped.Load() }
+
+// answerStats reports how many done query jobs answer their key and how
+// many the cap has evicted.
+func (m *Manager) answerStats() (held int, evicted int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.answers, m.evicted
+}
 
 // Canceled returns the number of jobs that reached StateCanceled.
 func (m *Manager) Canceled() int64 { return m.canceled.Load() }
@@ -686,28 +711,25 @@ func (m *Manager) run(j *Job) {
 	m.finish(j, StateRunning, state, err, res)
 }
 
-// evictLocked drops the oldest finished jobs while over maxJobs. Pending
-// and running jobs are never dropped, so the record count can temporarily
+// evictLocked drops the least recently used terminal jobs while over
+// maxJobs, with their key entry when they hold an answer. Pending and
+// running jobs are never dropped, so the record count can temporarily
 // exceed the cap under a burst of active work.
 func (m *Manager) evictLocked() {
-	if len(m.jobs) <= m.maxJobs {
-		return
-	}
-	kept := m.history[:0]
-	for i, id := range m.history {
-		j, ok := m.jobs[id]
-		if !ok {
+	for el := m.order.Back(); el != nil && len(m.jobs) > m.maxJobs; {
+		j := el.Value.(*Job)
+		el = el.Prev()
+		if !j.terminal() {
 			continue
 		}
-		// A terminal job is unreachable through the dedup map (finish
-		// clears both under m.mu), so no Submit can still attach to it.
-		if len(m.jobs) > m.maxJobs && j.terminal() {
-			delete(m.jobs, id)
-			continue
+		m.order.Remove(j.elem)
+		delete(m.jobs, j.id)
+		if m.byKey[j.key] == j {
+			delete(m.byKey, j.key)
+			m.answers--
+			m.evicted++
 		}
-		kept = append(kept, m.history[i])
 	}
-	m.history = kept
 }
 
 func (j *Job) terminal() bool {

@@ -98,8 +98,8 @@ func TestManagerSingleFlightDedup(t *testing.T) {
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("fn ran %d times, want 1", got)
 	}
-	// After completion the key is free again: a new submission must create
-	// a fresh job (result caching is the layer above, not the manager's).
+	// A job without a Plan (a sketch build's shape) frees its key when it
+	// ends: a new submission must create a fresh job.
 	j3, created3, err := m.Submit(JobSpec{Key: "same", K: 1}, func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
 		return answerOf(SelectResult{}), nil
 	})
@@ -522,8 +522,10 @@ func TestManagerExpectedRunShed(t *testing.T) {
 // records pinning graph snapshots: a JobFunc closes over the graph (and
 // sketch) its query was planned against, and up to MaxJobs finished
 // records stay pollable, so every path into a terminal state — ran,
-// canceled while queued, expired at dequeue, canceled by shutdown — must
-// drop the func.
+// failed, timed out, canceled while queued or running, expired at
+// dequeue, canceled by shutdown — must drop the func. Only the done query
+// job goes on answering its key; every other end lets a resubmission
+// create a new job.
 func TestTerminalJobDropsItsFunc(t *testing.T) {
 	noop := func(ctx context.Context, report func(int)) (*QueryAnswer, error) { return nil, nil }
 	dropped := func(j *Job) bool {
@@ -553,25 +555,50 @@ func TestTerminalJobDropsItsFunc(t *testing.T) {
 		want JobState
 	}{
 		{"ran", func(m *Manager) *Job {
-			j, _, _ := m.Submit(JobSpec{Key: "ran"}, noop)
+			j, _, _ := m.Submit(planned("ran"), noop)
 			return j
 		}, StateDone},
+		{"failed", func(m *Manager) *Job {
+			j, _, _ := m.Submit(planned("failed"), func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+				return nil, errors.New("synthetic failure")
+			})
+			return j
+		}, StateFailed},
+		{"timed out", func(m *Manager) *Job {
+			j, _, _ := m.Submit(planned("timed out"), func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+				return answerOf(SelectResult{Partial: true}), fmt.Errorf("stub: %w", context.DeadlineExceeded)
+			})
+			return j
+		}, StateFailed},
 		{"canceled while queued", func(m *Manager) *Job {
 			defer close(busy(m))
-			j, _, _ := m.Submit(JobSpec{Key: "queued"}, noop)
+			j, _, _ := m.Submit(planned("queued"), noop)
+			m.Cancel(j.ID())
+			return j
+		}, StateCanceled},
+		{"canceled while running", func(m *Manager) *Job {
+			running := make(chan struct{})
+			j, _, _ := m.Submit(planned("stopped"), func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
+				close(running)
+				<-ctx.Done()
+				return nil, ctx.Err()
+			})
+			<-running
 			m.Cancel(j.ID())
 			return j
 		}, StateCanceled},
 		{"expired at dequeue", func(m *Manager) *Job {
 			release := busy(m)
-			j, _, _ := m.Submit(JobSpec{Key: "late", Deadline: time.Now().Add(20 * time.Millisecond)}, noop)
+			spec := planned("late")
+			spec.Deadline = time.Now().Add(20 * time.Millisecond)
+			j, _, _ := m.Submit(spec, noop)
 			time.Sleep(40 * time.Millisecond)
 			close(release)
 			return j
 		}, StateFailed},
 		{"canceled by shutdown", func(m *Manager) *Job {
 			defer close(busy(m))
-			j, _, _ := m.Submit(JobSpec{Key: "drained"}, noop)
+			j, _, _ := m.Submit(planned("drained"), noop)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel() // no drain budget: queued jobs are canceled either way
 			_ = m.Shutdown(ctx)
@@ -590,6 +617,12 @@ func TestTerminalJobDropsItsFunc(t *testing.T) {
 		}
 		if !dropped(j) {
 			t.Errorf("%s: terminal job still holds its JobFunc (and everything it captured)", tc.name)
+		}
+		// A draining manager refuses the resubmission: that, too, is an
+		// unanswered key.
+		again, created, err := m.Submit(planned(j.key), noop)
+		if answers := err == nil && !created; answers != (tc.want == StateDone) || answers && again != j {
+			t.Errorf("%s: resubmitting the key answered=%v (same job %v), want %v", tc.name, answers, again == j, tc.want == StateDone)
 		}
 		m.Close()
 	}
@@ -666,7 +699,7 @@ func TestTerminalTransitionHappensOncePerJob(t *testing.T) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.inflight) != 0 || m.queueLenLocked() != 0 {
-		t.Errorf("after every job ended: %d dedup entries, %d queued", len(m.inflight), m.queueLenLocked())
+	if len(m.byKey) != 0 || m.queueLenLocked() != 0 {
+		t.Errorf("after every job ended: %d key entries, %d queued", len(m.byKey), m.queueLenLocked())
 	}
 }

@@ -11,7 +11,7 @@ import (
 // (POST /v1/graphs/{name}/edges). The batch is atomic — either every op
 // is valid and the graph advances one version, or a 400 names the first
 // offending op and nothing changes. On success the name's generation has
-// moved on — no cached result or job of the old content is reachable —
+// moved on — no job or done answer of the old content is reachable —
 // and its sketches are repaired before Mutate returns, so the response is
 // written only once every sketch on the name is at its version.
 func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {

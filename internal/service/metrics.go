@@ -25,16 +25,17 @@ func (s *Server) initObservability() {
 		"Edge mutation batches applied (POST /v1/graphs/{name}/edges).",
 		func() float64 { return float64(s.reg.mutations.Load()) })
 
-	// Result cache.
-	m.GaugeFunc("im_cache_entries", "Results held by the LRU cache.",
-		func() float64 { return float64(s.cache.Len()) })
-	m.CounterFunc("im_cache_hits_total", "Result-cache hits.",
-		func() float64 { return float64(s.cache.Hits()) })
-	m.CounterFunc("im_cache_misses_total", "Result-cache misses.",
-		func() float64 { return float64(s.cache.Misses()) })
+	// Answers: done query jobs keep answering their key until evicted.
+	m.GaugeFunc("im_cache_entries", "Done query jobs answering their key.",
+		func() float64 { n, _ := s.jobs.answerStats(); return float64(n) })
+	m.CounterFunc("im_cache_hits_total", "Queries answered by a done job.",
+		func() float64 { return float64(s.cacheHits.Load()) })
+	m.CounterFunc("im_cache_misses_total",
+		"Queries that reached the job manager without a done answer.",
+		func() float64 { return float64(s.cacheMisses.Load()) })
 	m.CounterFunc("im_cache_evictions_total",
-		"Results evicted from the LRU cache by capacity pressure.",
-		func() float64 { return float64(s.cache.Evictions()) })
+		"Done query jobs evicted by the job-record cap.",
+		func() float64 { _, n := s.jobs.answerStats(); return float64(n) })
 
 	// Job manager.
 	m.CounterFunc("im_jobs_submitted_total", "Jobs accepted by the manager.",

@@ -58,8 +58,8 @@ func queryResponseOf(snap JobSnapshot) QueryResponse {
 	return resp
 }
 
-// doneResponse renders an answer that needed no job: complete, with the
-// plan it was (or would have been) served under.
+// doneResponse renders an answer inline, with no job id: complete, with
+// the plan it was (or would have been) served under.
 func doneResponse(p *preparedQuery, qa *QueryAnswer) QueryResponse {
 	return QueryResponse{
 		State: StateDone, Plan: &p.plan,
@@ -93,10 +93,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // answerQuery is the one execution path behind every query surface:
 // prepare and plan → sketch-only plans answer synchronously with the plan
-// inline → cache hit → async job on the shared worker pool, deduplicated
-// and cached by Query.Fingerprint. It returns the response and its HTTP
-// status for the calling edge to render in its own shape; on a refusal
-// it has already written the error envelope and reports ok=false.
+// inline → otherwise one submission to the job manager, keyed by
+// Query.Fingerprint: a done job for the key answers at once (a cache
+// hit), an in-flight one is attached to, and a new job is queued. It
+// returns the response and its HTTP status for the calling edge to render
+// in its own shape; on a refusal it has already written the error
+// envelope and reports ok=false.
 func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, req QueryRequest) (resp QueryResponse, status int, ok bool) {
 	p, aerr := s.prepareQuery(req)
 	if aerr != nil {
@@ -116,27 +118,30 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, req QueryRe
 		return resp, http.StatusOK, true
 	}
 
-	if qa, hit := s.cache.Get(p.key); hit {
-		resp = doneResponse(p, qa)
-		resp.Cached = true
-		return resp, http.StatusOK, true
-	}
-
 	job, created, err := s.submitQueryJob(p)
 	if err != nil {
+		s.cacheMisses.Add(1)
 		s.writeSubmitError(w, err, p.priority)
 		return resp, 0, false
 	}
-	resp = queryResponseOf(job.Snapshot())
+	snap := job.Snapshot()
+	if !created && snap.State == StateDone {
+		s.cacheHits.Add(1)
+		resp = doneResponse(p, snap.Payload)
+		resp.Cached = true
+		return resp, http.StatusOK, true
+	}
+	s.cacheMisses.Add(1)
+	resp = queryResponseOf(snap)
 	resp.Deduped = !created
 	return resp, http.StatusAccepted, true
 }
 
 // submitQueryJob enqueues a prepared query as an async job running the
 // planner end to end (s.queryFn), reporting per-seed progress for select
-// tasks and per-member progress for estimates, and caching the answer on
-// success under the generation-fenced fingerprint key. It is the only
-// place a query job is submitted.
+// tasks and per-member progress for estimates, under the
+// generation-fenced fingerprint key; once done, the job answers that key.
+// It is the only place a query job is submitted.
 func (s *Server) submitQueryJob(p *preparedQuery) (*Job, bool, error) {
 	selecting := p.q.Task == holisticim.TaskSelect
 	fn := func(ctx context.Context, report func(int)) (*QueryAnswer, error) {
@@ -170,13 +175,12 @@ func (s *Server) submitQueryJob(p *preparedQuery) (*Job, bool, error) {
 		if selecting {
 			s.selections.Add(1)
 		}
-		payload := toQueryAnswer(p, ans)
-		s.cache.Add(p.key, payload)
-		return payload, nil
+		return toQueryAnswer(p, ans), nil
 	}
-	// The job record outlives fn (it is retained for polling), so it gets
-	// its own copy of the plan: a pointer into p would pin p — and the
-	// graph snapshot it holds — for as long as the record lives.
+	// The job record outlives fn (it is retained for polling and, once
+	// done, as the answer), so it gets its own copy of the plan: a pointer
+	// into p would pin p — and the graph snapshot it holds — for as long as
+	// the record lives.
 	plan := p.plan
 	spec := JobSpec{
 		Key: p.key, Members: len(plan.Steps), Plan: &plan,

@@ -28,7 +28,7 @@ var (
 // Registry holds the named graphs shared across requests and, per graph,
 // the RR-sketch indexes sampled over it. The untrusted API (POST
 // /v1/graphs) can never rebind a name, which is what makes the name a
-// sound component of result-cache fingerprints; the operator's Replace
+// sound component of job keys; the operator's Replace
 // and LoadFile MAY rebind it, and Mutate advances it by edge batches.
 // Each such event installs a new entry with a bumped generation and, in
 // the same critical section, settles the name's sketches: a rebind keeps
@@ -61,10 +61,10 @@ type regEntry struct {
 	g    *holisticim.Graph
 	info GraphInfo
 	// gen counts how many times this name has been rebound or mutated.
-	// Serving layers fold it into cache and job-deduplication keys so work
-	// computed against a superseded instance can never be served — or
-	// attached to — afterwards (an in-flight job completing late re-caches
-	// under its old generation, which no new request can reach).
+	// Serving layers fold it into job keys so work computed against a
+	// superseded instance can never be served — or attached to —
+	// afterwards (an in-flight job completing late answers only its old
+	// generation's key, which no new request can reach).
 	gen uint64
 
 	// sketches holds the indexes sampled over this name, keyed by their
@@ -175,7 +175,7 @@ func (r *Registry) install(name string, e *regEntry, keep map[*sketchEntry]bool,
 // repairs the name's sketches against it — all before it returns, so a
 // caller that sees the batch's version finds every sketch at it. Readers
 // are never blocked by the swap: a request in flight keeps the snapshot
-// it fetched, and the generation bump keys caches and jobs off the old
+// it fetched, and the generation bump keys jobs and answers off the old
 // content exactly as a Replace does. Unlike Replace, the new entry
 // inherits the name's sketches, each repaired to the batch's dirty set
 // instead of evicted. Returns the batch and how many sketches it repaired.

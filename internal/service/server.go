@@ -38,9 +38,9 @@ type Config struct {
 	// QueueCap bounds queued-but-not-started jobs (default 64); beyond
 	// it job submissions are shed with 429 + Retry-After.
 	QueueCap int
-	// CacheSize bounds the LRU result cache (default 256 entries).
-	CacheSize int
-	// MaxJobs bounds retained job records (default 1024).
+	// MaxJobs bounds retained job records, the done query jobs that
+	// answer repeated queries among them (default 1024, least recently
+	// used first out).
 	MaxJobs int
 	// AllowPathLoad lets POST /v1/graphs load server-local files. Off by
 	// default: untrusted clients should not read the server's filesystem.
@@ -83,23 +83,19 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 256
-	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
 	}
 	return c
 }
 
-// Server wires the graph registry, job manager and result cache behind an
-// http.Handler. Construct with New, register graphs via Registry() or the
-// API, then serve Handler().
+// Server wires the graph registry and the job manager, whose done query
+// jobs answer repeated queries, behind an http.Handler. Construct with
+// New, register graphs via Registry() or the API, then serve Handler().
 type Server struct {
 	cfg      Config
 	reg      *Registry
 	jobs     *Manager
-	cache    *Cache
 	mux      *http.ServeMux
 	patterns []string // registered mux patterns, for 405 probing and conformance
 	metrics  *obs.Registry
@@ -122,6 +118,9 @@ type Server struct {
 	queries         atomic.Int64 // query jobs run to completion (either surface)
 	sketchHits      atomic.Int64 // select requests served by the sketch fast path
 	sketchEstimates atomic.Int64 // estimate queries served by a sketch
+	// cacheHits counts queries a done job answered; cacheMisses the other
+	// queries that reached the job manager, shed submissions included.
+	cacheHits, cacheMisses atomic.Int64
 
 	ready           atomic.Bool   // /readyz gate; see Config.ColdStart
 	manifestVersion atomic.Uint64 // last fully warm-loaded store manifest version
@@ -134,7 +133,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		reg:     NewRegistry(),
 		jobs:    NewManager(cfg.Workers, cfg.QueueCap, cfg.MaxJobs),
-		cache:   NewCache(cfg.CacheSize),
 		queryFn: holisticim.Run,
 		limiter: admission.NewLimiter(admission.LimiterConfig{
 			RPS: cfg.RateRPS, Burst: cfg.RateBurst, MaxClients: cfg.RateClients,
@@ -251,6 +249,7 @@ func (s *Server) SelectionsRun() int64 { return s.selections.Load() }
 func (s *Server) Stats() ServerStats {
 	skCount, skSets, skBytes, skBuilds := s.reg.SketchTotals()
 	queued, running := s.jobs.Depth()
+	answers, _ := s.jobs.answerStats()
 	depths := s.jobs.DepthByPriority()
 	byPriority := make(map[string]int, admission.NumPriorities)
 	for p, d := range depths {
@@ -262,9 +261,9 @@ func (s *Server) Stats() ServerStats {
 		QueueDepthByPriority: byPriority,
 		Graphs:               s.reg.Len(),
 		QueriesRun:           s.queries.Load(),
-		CacheSize:            s.cache.Len(),
-		CacheHits:            s.cache.Hits(),
-		CacheMisses:          s.cache.Misses(),
+		CacheSize:            answers,
+		CacheHits:            s.cacheHits.Load(),
+		CacheMisses:          s.cacheMisses.Load(),
 		JobsSubmitted:        s.jobs.Submitted(),
 		JobsDeduped:          s.jobs.Deduped(),
 		JobsCanceled:         s.jobs.Canceled(),

@@ -113,6 +113,41 @@ func TestSketchLifecycle(t *testing.T) {
 	}
 }
 
+// TestSketchRebuildsAfterDelete: a sketch build has no Plan, so its job
+// stops answering the build key when it ends, and a DELETE'd sketch is
+// rebuilt by a new job on its next POST.
+func TestSketchRebuildsAfterDelete(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	spec := SketchSpec{Graph: "g", Epsilon: 0.3, Seed: 5, BuildK: 10}
+	build := func() SelectResponse {
+		t.Helper()
+		var resp SelectResponse
+		if code := doJSON(t, "POST", ts.URL+"/v1/sketches", spec, &resp); code != http.StatusAccepted || resp.Deduped || resp.JobID == "" {
+			t.Fatalf("POST sketches: status %d %+v, want a new job", code, resp)
+		}
+		if done := pollJob(t, ts.URL, resp.JobID); done.State != StateDone {
+			t.Fatalf("sketch build job: %+v", done)
+		}
+		return resp
+	}
+	first := build()
+	var list struct {
+		Sketches []SketchInfo `json:"sketches"`
+	}
+	if code := doJSON(t, "GET", ts.URL+"/v1/sketches", nil, &list); code != http.StatusOK || len(list.Sketches) != 1 {
+		t.Fatalf("GET sketches: status %d %+v", code, list)
+	}
+	if code := doJSON(t, "DELETE", ts.URL+"/v1/sketches/"+list.Sketches[0].ID, nil, nil); code != http.StatusOK {
+		t.Fatalf("DELETE sketch status %d", code)
+	}
+	if second := build(); second.JobID == first.JobID {
+		t.Fatalf("rebuild answered by the first build's job %s", first.JobID)
+	}
+	if st := s.Stats(); st.Sketches != 1 || st.SketchBuilds != 2 {
+		t.Fatalf("stats %+v, want 1 sketch after 2 builds", st)
+	}
+}
+
 func TestSketchBuildValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 

@@ -1,26 +1,28 @@
 // Package service implements the long-lived HTTP serving layer for the
 // holisticim library: a registry of immutable, shareable graphs and
-// RR-sketch indexes, an asynchronous job manager that runs work off the
-// request path with single-flight deduplication, and an LRU answer cache.
+// RR-sketch indexes, and an asynchronous job manager that runs work off
+// the request path with single-flight deduplication. Its key map is also
+// where answers live: a done query job answers its key until evicted.
 //
-// Query → Plan → Answer is the only thing the package executes, queues,
-// caches and snapshots. A request decodes into a QueryRequest (the wire
-// form of holisticim.Query); Query.Normalized infers its task, objective
-// and defaults; the planner routes it; and every outcome — synchronous,
-// cached, queued or polled — is a *QueryAnswer:
+// Query → Plan → Answer is the only thing the package executes, queues
+// and snapshots. A request decodes into a QueryRequest (the wire form of
+// holisticim.Query); Query.Normalized infers its task, objective and
+// defaults; the planner routes it; and every outcome — synchronous,
+// answered by a done job, queued or polled — is a *QueryAnswer:
 //
 //	admit → prepare (normalize, attach sketch, plan, caps)
 //	      → sketch-only plan? → run on the request path (state "done")
-//	      → cache hit?        → respond synchronously (state "done")
-//	      → in-flight?        → attach to the running job (deduped)
-//	      → otherwise         → enqueue a job, respond 202 with its id
+//	      → submit by key:
+//	          done job?       → its answer, synchronously ("cached")
+//	          in flight?      → attach to the job (deduped)
+//	          otherwise       → enqueue a job, respond 202 with its id
 //
 // POST /v2/query is that path's native surface, and GET/DELETE
 // /v2/jobs/{id} polls and cancels its jobs. POST /v1/select is a
 // request/response translation over it, confined to v1.go; it owns no
-// execution, cache or job code. The cache and dedup key is
-// Query.Fingerprint fenced by the graph name and rebind generation, so an
-// equivalent /v1/select and /v2/query share entries and jobs.
+// execution or job code. The job key is Query.Fingerprint fenced by the
+// graph name and rebind generation, so an equivalent /v1/select and
+// /v2/query share jobs and answers.
 //
 // Selections — even the paper's scalable EaSyIM/OSIM, let alone TIM+/IMM
 // whose RR-set indexes are expensive to build — and Monte-Carlo estimates
@@ -178,7 +180,7 @@ type QueryMember struct {
 
 // QueryAnswer is the JSON form of a completed (possibly partial) query:
 // the executed plan and one member per request member, in request order.
-// It is the single payload type of jobs, job snapshots and the cache.
+// It is the single payload type of jobs and job snapshots.
 type QueryAnswer struct {
 	Task    string        `json:"task"`
 	Plan    Plan          `json:"plan"`
@@ -197,10 +199,11 @@ func (a *QueryAnswer) soleResult() *SelectResult {
 }
 
 // QueryResponse answers POST /v2/query, GET/DELETE /v2/jobs/{id} and
-// each event of GET /v2/jobs/{id}/events. A sketch-served or cached
-// query carries the Answer inline with state "done" and no JobID;
-// otherwise JobID points at the (possibly shared) computation. While a
-// job runs, SeedsDone and MembersDone/Members report live progress.
+// each event of GET /v2/jobs/{id}/events. A sketch-served query, or one
+// a done job answered (Cached), carries the Answer inline with state
+// "done" and no JobID; otherwise JobID points at the (possibly shared)
+// computation. While a job runs, SeedsDone and MembersDone/Members
+// report live progress.
 type QueryResponse struct {
 	JobID       string       `json:"job_id,omitempty"`
 	State       JobState     `json:"state"`
@@ -450,9 +453,9 @@ type ServerStats struct {
 	// hits, deduplicated submissions and synchronous sketch-served queries
 	// do not).
 	QueriesRun    int64 `json:"queries_run"`
-	CacheSize     int   `json:"cache_size"`
-	CacheHits     int64 `json:"cache_hits"`
-	CacheMisses   int64 `json:"cache_misses"`
+	CacheSize     int   `json:"cache_size"`   // done query jobs answering their key
+	CacheHits     int64 `json:"cache_hits"`   // queries they answered
+	CacheMisses   int64 `json:"cache_misses"` // other queries that reached the job manager
 	JobsSubmitted int64 `json:"jobs_submitted"`
 	JobsDeduped   int64 `json:"jobs_deduped"`
 	JobsCanceled  int64 `json:"jobs_canceled"`
@@ -476,7 +479,7 @@ type ServerStats struct {
 	// the sketch fast path answered synchronously and how many estimate
 	// queries an opinion-weighted ("oc") sketch served without Monte
 	// Carlo. GraphReplacements counts operator reloads that rebound a
-	// graph name (each fenced the name's cached results by a new
+	// graph name (each fenced the name's done answers by a new
 	// generation and kept only the sketches matching the new content).
 	Sketches           int   `json:"sketches"`
 	SketchSets         int64 `json:"sketch_sets"`

@@ -5,7 +5,7 @@ package service
 // QueryRequest /v2/query would have carried, runs through the same
 // execution path (answerQuery, the one job namespace), and the resulting
 // QueryResponse is rendered back in the v1 shape. Nothing in this file
-// plans, executes, caches or queues. Estimates and job polling are
+// plans, executes or queues. Estimates and job polling are
 // /v2/query and /v2/jobs/{id} only.
 //
 // The route stays while the serve-read benchmark's v1select op posts to
@@ -46,8 +46,8 @@ func (r SelectRequest) queryRequest() QueryRequest {
 }
 
 // SelectResponse answers POST /v1/select and reports the build job of
-// POST /v1/sketches. A cache hit carries the result inline with State
-// "done" and no JobID; otherwise JobID points at the (possibly shared)
+// POST /v1/sketches. A cache hit (a done job answering the same query)
+// carries the result inline with State "done" and no JobID; otherwise JobID points at the (possibly shared)
 // computation, polled on /v2/jobs/{id}. A canceled or timed-out job may
 // still carry the partial result its selector returned.
 type SelectResponse struct {
