@@ -54,7 +54,7 @@ func PropagateLabels(g *graph.Graph, labels []float64, known []bool, opts LabelP
 	wsum := make([]float64, n)
 	for v := graph.NodeID(0); v < n; v++ {
 		for _, e := range g.InEdgeIndices(v) {
-			wsum[v] += g.ProbAt(e)
+			wsum[v] += g.ProbAt(int64(e))
 		}
 	}
 	for it := 0; it < opts.Iterations; it++ {
@@ -65,7 +65,7 @@ func PropagateLabels(g *graph.Graph, labels []float64, known []bool, opts LabelP
 				froms := g.InNeighbors(v)
 				idxs := g.InEdgeIndices(v)
 				for i, u := range froms {
-					smooth += g.ProbAt(idxs[i]) * f[u]
+					smooth += g.ProbAt(int64(idxs[i])) * f[u]
 				}
 				smooth /= wsum[v]
 			}

@@ -58,10 +58,9 @@ func TestEaSyIMExactOnTrees(t *testing.T) {
 		// process nodes in reverse BFS order: since parent < child by
 		// construction, iterate ids downward.
 		for u := n - 1; u >= 0; u-- {
-			nbrs := g.OutNeighbors(u)
-			ps := g.OutProbs(u)
-			for i, v := range nbrs {
-				want[u] += ps[i] * (1 + want[v])
+			base := g.OutEdgeBase(u)
+			for i, v := range g.OutNeighbors(u) {
+				want[u] += g.ProbAt(base+int64(i)) * (1 + want[v])
 			}
 		}
 		for u := int32(0); u < n; u++ {

@@ -11,8 +11,8 @@ import (
 // LevelScorer is a Scorer that keeps its l per-level arrays between calls,
 // so that excluding a few more nodes costs the rows that can change instead
 // of a whole pass. EaSyIM and OSIM are the two implementations, and the
-// only scorers ScoreGreedy runs over; PathUnion and LiveEdgeEnsemble stay
-// Assign-only references.
+// only scorers ScoreGreedy runs over; the tests' PathUnion and
+// LiveEdgeEnsemble oracles stay Assign-only.
 type LevelScorer interface {
 	Scorer
 	// Exclude grows the excluded set that the last Assign or Exclude left
@@ -50,6 +50,8 @@ type levels struct {
 	g           *graph.Graph
 	l           int
 	weight      EdgeWeight
+	ws          []float64 // the weight column, as Assign found the graph holding it
+	perHead     bool      // ws is per head: the kernel stores premultiplied slots
 	gone        []bool
 	kernelBytes int64 // k's per-level arrays
 	workers     int   // goroutines of a dense sweep, as par.Workers resolves it
@@ -115,6 +117,7 @@ func (s *levels) Assign(excluded []bool, out []float64) []float64 {
 	if out == nil {
 		out = make([]float64, len(s.gone))
 	}
+	s.ws, s.perHead = edgeWeights(s.g, s.weight)
 	s.k.reset()
 	for v := range s.gone {
 		if s.gone[v] = excluded != nil && excluded[v]; s.gone[v] {

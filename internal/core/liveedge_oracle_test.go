@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/holisticim/holisticim/internal/diffusion"
 	"github.com/holisticim/holisticim/internal/graph"
 	"github.com/holisticim/holisticim/internal/rng"
 )
@@ -19,8 +18,8 @@ import (
 //
 // The cheaper expected-weight shortcut — running EaSyIM directly with
 // w(u,v) as the walk weight (WeightLT) — is what the experiments use;
-// this ensemble exists as the faithful reference and for the ablation
-// bench comparing the two.
+// this ensemble is kept as the faithful reference the tests hold it to and
+// for the ablation bench comparing the two.
 type LiveEdgeEnsemble struct {
 	g         *graph.Graph
 	l         int
@@ -60,7 +59,7 @@ func (e *LiveEdgeEnsemble) Assign(excluded []bool, out []float64) []float64 {
 	for i := range out {
 		out[i] = 0
 	}
-	live := make([]int64, n)
+	live := make([]int32, n)
 	childStart := make([]int32, n+1) // children[childStart[u]:childStart[u+1]] = live children of u
 	var children []graph.NodeID
 	parentOf := make([]graph.NodeID, n)
@@ -75,7 +74,7 @@ func (e *LiveEdgeEnsemble) Assign(excluded []bool, out []float64) []float64 {
 	r := rng.New(0)
 	for inst := 0; inst < e.instances; inst++ {
 		r.Reseed(rng.SplitSeed(e.seed, uint64(inst)))
-		diffusion.SampleLiveEdge(g, r, live)
+		sampleLiveEdge(g, r, live)
 		// Bucket children by live parent (counting sort).
 		for i := range childStart {
 			childStart[i] = 0
@@ -148,9 +147,30 @@ func (e *LiveEdgeEnsemble) Assign(excluded []bool, out []float64) []float64 {
 	return out
 }
 
+// sampleLiveEdge draws one live-edge instance of the LT model into live:
+// live[v] is the out-array position of v's one live in-edge, edge (u,v)
+// chosen with probability w(u,v), or −1 (probability 1−Σw).
+func sampleLiveEdge(g *graph.Graph, r *rng.RNG, live []int32) {
+	for v := range live {
+		live[v] = -1
+		idxs := g.InEdgeIndices(graph.NodeID(v))
+		if len(idxs) == 0 {
+			continue
+		}
+		x, acc := r.Float64(), 0.0
+		for _, e := range idxs {
+			acc += g.WeightAt(int64(e))
+			if x < acc {
+				live[v] = e
+				break
+			}
+		}
+	}
+}
+
 // liveParent resolves the source node of v's live in-edge (an index into
 // the out-edge arrays).
-func liveParent(g *graph.Graph, v graph.NodeID, edgeIdx int64) graph.NodeID {
+func liveParent(g *graph.Graph, v graph.NodeID, edgeIdx int32) graph.NodeID {
 	idxs := g.InEdgeIndices(v)
 	froms := g.InNeighbors(v)
 	for i, e := range idxs {

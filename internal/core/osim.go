@@ -25,7 +25,9 @@ import (
 // levels are kept — or/α/sc as one osimTerm per node and level, so a row's
 // arc gathers once, plus each level's score increment: 4l·n floats beside
 // the n scores — so that Exclude re-sums only the rows an exclusion can reach
-// (see levels.Exclude).
+// (see levels.Exclude). On a graph holding its weight column per head the
+// terms are stored premultiplied by the weight of their node's in-arcs, as
+// EaSyIM's contributions are, with the same bits for the scores.
 //
 // Not safe for concurrent use: one goroutine calls Assign and Exclude. A
 // sweep over every row is itself split over SetWorkers goroutines (see
@@ -41,6 +43,10 @@ type OSIM struct {
 // osimTerm is what a reader of a node sums at one level: all zero once the
 // node is excluded.
 type osimTerm struct{ or, al, sc float64 }
+
+// times is t with each part premultiplied by w, the product the per-arc
+// kernel forms for an arc of weight w into t's node.
+func (t osimTerm) times(w float64) osimTerm { return osimTerm{w * t.or, w * t.al, w * t.sc} }
 
 // NewOSIM returns an OSIM scorer with maximum path length l and penalty
 // parameter lambda on negative opinion spread (Def. 7; λ=1 weighs negative
@@ -70,6 +76,9 @@ func (o *OSIM) Lambda() float64 { return o.lambda }
 func (o *OSIM) reset() {
 	for v, opinion := range o.g.Opinions() {
 		o.term[0][v] = osimTerm{or: opinion, al: 1}
+		if o.perHead {
+			o.term[0][v] = o.term[0][v].times(o.ws[v])
+		}
 	}
 }
 
@@ -80,11 +89,19 @@ func (o *OSIM) drop(v graph.NodeID) {
 }
 
 func (o *OSIM) sweep(i int, rows []graph.NodeID, scores []float64, changed []graph.NodeID) []graph.NodeID {
-	k := osimLevel{src: o.term[i-1], ws: edgeWeights(o.g, o.weight), phis: o.g.Phis(), opinions: o.g.Opinions(), lambda: o.lambda,
+	k := osimLevel{src: o.term[i-1], phis: o.g.Phis(), opinions: o.g.Opinions(), lambda: o.lambda,
 		o: o, incs: o.inc[i-1], scores: scores}
 	k.start, k.to = o.g.OutCSR()
+	if o.perHead {
+		k.premultiplied = true
+	} else {
+		k.ws = o.ws
+	}
 	if i < o.l { // nobody reads level l's terms
 		k.dst = o.term[i]
+		if o.perHead {
+			k.scale = o.ws
+		}
 	}
 	if rows == nil {
 		o.dense(k.rows)
@@ -92,6 +109,9 @@ func (o *OSIM) sweep(i int, rows []graph.NodeID, scores []float64, changed []gra
 	}
 	for _, u := range rows { // listed rows are live
 		t, inc := k.row(int(u))
+		if k.scale != nil {
+			t = t.times(k.scale[u])
+		}
 		if k.dst != nil && t != k.dst[u] {
 			k.dst[u] = t
 			changed = append(changed, u)
@@ -119,11 +139,14 @@ func (o *OSIM) score(u int) float64 {
 // osimLevel is what one level's rows read and write: the arcs, the level
 // below, and the level's own slots.
 type osimLevel struct {
-	start              []int64
-	to                 []graph.NodeID
-	ws, phis, opinions []float64
-	src                []osimTerm
-	lambda             float64
+	start          []int64
+	to             []graph.NodeID
+	ws             []float64 // per-arc weights; nil when src is premultiplied
+	premultiplied  bool
+	phis, opinions []float64
+	src            []osimTerm
+	scale          []float64 // the per-head weights dst is premultiplied by, or nil
+	lambda         float64
 
 	o      *OSIM
 	dst    []osimTerm // nil at level l
@@ -139,6 +162,9 @@ func (k *osimLevel) rows(lo, hi int) {
 		incs[u] = 0
 		if !gone[u] {
 			t, incs[u] = k.row(u)
+			if k.scale != nil {
+				t = t.times(k.scale[u])
+			}
 		}
 		if dst != nil {
 			dst[u] = t
@@ -151,14 +177,31 @@ func (k *osimLevel) rows(lo, hi int) {
 // row is the row kernel, Algorithm 5 lines 6–11 for one node: the three
 // sums over u's arcs in CSR order — no branch on the mask, an excluded v
 // contributes zeros — then u's own opinion and the level's increment of ∆.
+// Per head the weighted terms are the premultiplied slots themselves. The
+// row is sliced once, so only the gather from src is bounds-checked, and
+// float64(·) rounds each per-arc product as the premultiplied slot was.
 func (k *osimLevel) row(u int) (osimTerm, float64) {
-	to, ws, phis, src := k.to, k.ws, k.phis, k.src
+	lo, hi := k.start[u], k.start[u+1]
+	to, src := k.to[lo:hi], k.src
+	phis := k.phis[lo:hi]
+	phis = phis[:len(to)]
 	var or, al, sc float64
-	for j := k.start[u]; j < k.start[u+1]; j++ {
-		c, w := src[to[j]], ws[j]
-		or += w * c.or
-		al += w * c.al * (2*phis[j] - 1) / 2
-		sc += w * c.sc
+	if k.premultiplied {
+		for j, v := range to {
+			c := src[v]
+			or += c.or
+			al += c.al * (2*phis[j] - 1) / 2
+			sc += c.sc
+		}
+	} else {
+		ws := k.ws[lo:hi]
+		ws = ws[:len(to)]
+		for j, v := range to {
+			c, w := src[v], ws[j]
+			or += float64(w * c.or)
+			al += float64(w*c.al) * (2*phis[j] - 1) / 2
+			sc += float64(w * c.sc)
+		}
 	}
 	ou := k.opinions[u]
 	sc += ou * al                // line 10

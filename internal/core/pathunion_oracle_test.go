@@ -18,8 +18,8 @@ import (
 // discount walks that return to their source (lines 5–7). The score
 // ∆_i(u) accumulates row sums across iterations (line 10).
 //
-// PathUnion exists for analysis and as a test oracle for EaSyIM; it is far
-// too expensive for real graphs and refuses n > MaxPathUnionNodes.
+// PathUnion is a test oracle for EaSyIM; it is far too expensive for real
+// graphs and refuses n > MaxPathUnionNodes.
 type PathUnion struct {
 	g      *graph.Graph
 	l      int
@@ -67,13 +67,16 @@ func (p *PathUnion) Assign(excluded []bool, out []float64) []float64 {
 		if excluded != nil && excluded[u] {
 			continue
 		}
-		nbrs := g.OutNeighbors(u)
-		ws := edgeWeights(g, p.weight)[g.OutEdgeBase(u):]
-		for j, v := range nbrs {
+		base := g.OutEdgeBase(u)
+		for j, v := range g.OutNeighbors(u) {
 			if excluded != nil && excluded[v] {
 				continue
 			}
-			m[u][v] = ws[j]
+			if e := base + int64(j); p.weight == WeightLT {
+				m[u][v] = g.WeightAt(e)
+			} else {
+				m[u][v] = g.ProbAt(e)
+			}
 		}
 	}
 	delta := make([]float64, n)

@@ -241,14 +241,13 @@ func (sg *ScoreGreedy) markByReach(seed graph.NodeID, excluded []bool, newly []g
 			excluded[it.v] = true
 			newly = append(newly, it.v)
 		}
-		nbrs := g.OutNeighbors(it.v)
-		ps := g.OutProbs(it.v)
-		for j, w := range nbrs {
+		base := g.OutEdgeBase(it.v)
+		for j, w := range g.OutNeighbors(it.v) {
 			if excluded[w] && w != it.v {
 				// already marked (or previously activated) — skip
 				continue
 			}
-			p := it.prob * ps[j]
+			p := it.prob * g.ProbAt(base+int64(j))
 			if p < th {
 				continue
 			}

@@ -1,8 +1,9 @@
 // Package core implements the paper's contributions: the EaSyIM and OSIM
-// score-assignment algorithms (Algorithms 4 and 5), the dense Path-Union
-// reference (Algorithm 3) and the ScoreGREEDY seed-selection loop
-// (Algorithm 1), plus the live-edge-based extension to the LT model
-// (Sec. 3.3).
+// score-assignment algorithms (Algorithms 4 and 5) and the ScoreGREEDY
+// seed-selection loop (Algorithm 1). The dense Path-Union reference
+// (Algorithm 3) and the live-edge ensemble extension to the LT model
+// (Sec. 3.3) are kept in the package's tests, as the oracles EaSyIM is
+// held to.
 package core
 
 import (
@@ -39,13 +40,14 @@ type Scorer interface {
 // negInf marks excluded nodes so argmax never picks them.
 var negInf = math.Inf(-1)
 
-// edgeWeights returns the chosen parameter of every edge, indexed by
-// out-array position.
-func edgeWeights(g *graph.Graph, w EdgeWeight) []float64 {
+// edgeWeights returns the chosen parameter's column in the form the graph
+// holds it: per head (one entry per node, the weight of every arc into it)
+// or per arc (indexed by out-array position).
+func edgeWeights(g *graph.Graph, w EdgeWeight) (col []float64, perHead bool) {
 	if w == WeightLT {
-		return g.Weights()
+		return g.WeightColumn()
 	}
-	return g.Probs()
+	return g.ProbColumn()
 }
 
 // ArgmaxScore returns the node with the largest finite score, breaking

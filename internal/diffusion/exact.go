@@ -24,10 +24,9 @@ func ExactICSpread(g *graph.Graph, seeds []graph.NodeID) float64 {
 	}
 	edges := make([]edge, 0, m)
 	for u := graph.NodeID(0); u < g.NumNodes(); u++ {
-		nbrs := g.OutNeighbors(u)
-		ps := g.OutProbs(u)
-		for i, v := range nbrs {
-			edges = append(edges, edge{u, v, ps[i]})
+		base := g.OutEdgeBase(u)
+		for i, v := range g.OutNeighbors(u) {
+			edges = append(edges, edge{u, v, g.ProbAt(base + int64(i))})
 		}
 	}
 	isSeed := make([]bool, g.NumNodes())
@@ -133,7 +132,7 @@ func ExactLTSpread(g *graph.Graph, seeds []graph.NodeID) float64 {
 		sumW := 0.0
 		total := 0.0
 		for i, e := range idxs {
-			w := g.WeightAt(e)
+			w := g.WeightAt(int64(e))
 			sumW += w
 			choice[v] = i + 1
 			liveParent[v] = froms[i]
@@ -168,14 +167,13 @@ func ExactOIICSeedValue(g *graph.Graph, seed graph.NodeID) float64 {
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nbrs := g.OutNeighbors(it.v)
-		ps := g.OutProbs(it.v)
+		base := g.OutEdgeBase(it.v)
 		phis := g.OutPhis(it.v)
-		for i, w := range nbrs {
+		for i, w := range g.OutNeighbors(it.v) {
 			psi := (2*phis[i] - 1) / 2
 			child := item{
 				v:     w,
-				pAcc:  it.pAcc * ps[i],
+				pAcc:  it.pAcc * g.ProbAt(base+int64(i)),
 				expOp: g.Opinion(w)/2 + psi*it.expOp,
 			}
 			total += child.pAcc * child.expOp

@@ -5,6 +5,9 @@ import (
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
+// The live-edge view of LT, kept as the oracle TestLTLiveEdgeEquivalence
+// holds the LT simulation to.
+
 // SampleLiveEdge draws one live-edge instance of the LT model: for every
 // node v at most one incoming edge is selected, edge (u,v) with probability
 // w(u,v) and none with probability 1−Σw. The result maps v to the out-array
@@ -25,9 +28,9 @@ func SampleLiveEdge(g *graph.Graph, r *rng.RNG, out []int64) []int64 {
 		x := r.Float64()
 		acc := 0.0
 		for _, e := range idxs {
-			acc += g.WeightAt(e)
+			acc += g.WeightAt(int64(e))
 			if x < acc {
-				out[v] = e
+				out[v] = int64(e)
 				break
 			}
 		}

@@ -153,19 +153,24 @@ func (m *sim) Simulate(seeds []graph.NodeID, r *rng.RNG, s *Scratch) Result {
 // distribution; under a rule the activator determines the propagated
 // opinion.
 func (m *sim) cascade(r *rng.RNG, s *Scratch) Result {
-	g, rule := m.g, m.rule
+	rule := m.rule
+	start, to := m.g.OutCSR()
+	ps, perHead := m.g.ProbColumn()
 	var res Result
 	for round := int32(1); len(s.frontier) > 0; round++ {
 		rng.Shuffle(r, s.frontier)
 		s.next = s.next[:0]
 		for _, u := range s.frontier {
-			nbrs := g.OutNeighbors(u)
-			ps := g.OutProbs(u)
-			for i, v := range nbrs {
+			base := start[u]
+			for i, v := range to[base:start[u+1]] {
 				if s.isActive(v) || s.isBlocked(v) {
 					continue
 				}
-				if r.Float64() < ps[i] {
+				at := base + int64(i) // the arc's p: its own entry, or its head's
+				if perHead {
+					at = int64(v)
+				}
+				if r.Float64() < ps[at] {
 					op := 0.0
 					if rule != ruleNone {
 						op = m.cascadeOpinion(u, v, i, r, s)
@@ -187,7 +192,9 @@ func (m *sim) cascade(r *rng.RNG, s *Scratch) Result {
 // weight in a run; this is distributionally identical to sampling all
 // thresholds up front and touches only the diffusion's neighborhood.
 func (m *sim) threshold(r *rng.RNG, s *Scratch) Result {
-	g, rule := m.g, m.rule
+	rule := m.rule
+	start, to := m.g.OutCSR()
+	ws, perHead := m.g.WeightColumn()
 	if s.thrStamp == nil { // all-zero stamps: no threshold drawn at any epoch yet
 		s.wsum = make([]float64, s.n)
 		s.thr = make([]float64, s.n)
@@ -197,9 +204,8 @@ func (m *sim) threshold(r *rng.RNG, s *Scratch) Result {
 	for round := int32(1); len(s.frontier) > 0; round++ {
 		s.next = s.next[:0]
 		for _, u := range s.frontier {
-			nbrs := g.OutNeighbors(u)
-			ws := g.OutWeights(u)
-			for i, v := range nbrs {
+			base := start[u]
+			for i, v := range to[base:start[u+1]] {
 				if s.isActive(v) || s.isBlocked(v) {
 					continue
 				}
@@ -208,7 +214,11 @@ func (m *sim) threshold(r *rng.RNG, s *Scratch) Result {
 					s.thr[v] = r.Float64()
 					s.wsum[v] = 0
 				}
-				s.wsum[v] += ws[i]
+				at := base + int64(i) // the arc's w: its own entry, or v's row's
+				if perHead {
+					at = int64(v)
+				}
+				s.wsum[v] += ws[at]
 				if s.wsum[v] >= s.thr[v] {
 					op := 0.0
 					if rule != ruleNone {
@@ -257,7 +267,7 @@ func (m *sim) thresholdOpinion(v graph.NodeID, round int32, r *rng.RNG, s *Scrat
 			continue
 		}
 		sign := 1.0
-		if flips && r.Float64() >= m.g.PhiAt(idxs[i]) { // α(u,v) = 1
+		if flips && r.Float64() >= m.g.PhiAt(int64(idxs[i])) { // α(u,v) = 1
 			sign = -1.0
 		}
 		sum += sign * s.opinion[u]

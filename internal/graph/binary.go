@@ -15,9 +15,9 @@ import (
 //	magic "HIMG" | version u32 | n u32 | m u64
 //	outStart  (n+1) × u64
 //	outTo     m × u32
-//	outProb   m × f64
+//	outProb   m × f64   (per arc, whatever form the graph holds it in)
 //	outPhi    m × f64
-//	outWt     m × f64
+//	outWt     m × f64   (per arc, likewise)
 //	opinion   n × f64
 //
 // The in-adjacency is rebuilt on load (cheaper than storing it).
@@ -26,112 +26,155 @@ const (
 	binaryVersion = 1
 )
 
-// WriteBinary serializes g in the binary format.
+// WriteBinary serializes g in the binary format. A per-head column is
+// written out arc by arc, so the bytes do not depend on the form.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return err
 	}
-	hdr := []interface{}{uint32(binaryVersion), uint32(g.n), uint64(len(g.outTo))}
+	hdr := []interface{}{uint32(binaryVersion), uint32(g.n), uint64(len(g.outTo)), g.outStart, g.outTo}
 	for _, v := range hdr {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
-	for _, arr := range []interface{}{g.outStart, g.outTo, g.outProb, g.outPhi, g.outWt, g.opinion} {
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
+	for _, c := range []column{g.prob, {v: g.outPhi}, g.wt} {
+		err := c.eachChunk(g.outTo, func(vals []float64) error { return binary.Write(bw, binary.LittleEndian, vals) })
+		if err != nil {
 			return err
 		}
+	}
+	if err := binary.Write(bw, binary.LittleEndian, g.opinion); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// maxBinaryArcs bounds the arc count ReadBinary will accept. Combined
-// with chunked payload reads it keeps a corrupt or adversarial header
-// from driving an enormous up-front allocation: a truncated stream fails
-// at its first missing chunk having allocated at most one chunk beyond
-// the data actually present.
-const maxBinaryArcs = 1 << 34
+// decodeChunk is the number of values a payload read decodes at a time.
+const decodeChunk = 8192
 
-// readChunked reads count little-endian values of a fixed-size type,
-// growing the destination one bounded chunk at a time so allocation
-// tracks the bytes actually present in the stream.
-func readChunked[T int32 | int64 | float64](r io.Reader, count uint64, what string) ([]T, error) {
-	const chunk = 1 << 20
-	capHint := count
-	if capHint > chunk {
-		capHint = chunk
-	}
-	out := make([]T, 0, capHint)
-	for read := uint64(0); read < count; {
-		n := count - read
-		if n > chunk {
-			n = chunk
+// decoder reads the format's little-endian arrays through one reused
+// buffer, a chunk at a time, so that allocation tracks the bytes actually
+// present in the stream: a truncated stream fails at its first missing
+// chunk.
+type decoder struct {
+	r   io.Reader
+	buf [8 * decodeChunk]byte
+}
+
+// each reads count values of T, handing them to fn a chunk at a time with
+// the index of the chunk's first value. The chunk is reused: fn copies what
+// it keeps.
+func each[T int32 | int64 | float64](d *decoder, count uint64, what string, fn func(at int, vals []T) error) error {
+	var vals [decodeChunk]T
+	size := uint64(binary.Size(vals[0]))
+	for at := uint64(0); at < count; at += decodeChunk {
+		k := min(count-at, decodeChunk)
+		b := d.buf[:k*size]
+		if _, err := io.ReadFull(d.r, b); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("graph: binary %s: %w", what, err)
 		}
-		start := len(out)
-		out = append(out, make([]T, n)...)
-		if err := binary.Read(r, binary.LittleEndian, out[start:]); err != nil {
-			return nil, fmt.Errorf("graph: binary %s: %w", what, err)
+		switch v := any(vals[:k]).(type) {
+		case []int32:
+			for i := range v {
+				v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		case []int64:
+			for i := range v {
+				v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		case []float64:
+			for i := range v {
+				v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
 		}
-		read += n
+		if err := fn(int(at), vals[:k]); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
+}
+
+// readAll reads count values of T into a slice of their own: room for at
+// most 1M values up front, grown by append beyond, so a count the stream
+// does not back costs at most that.
+func readAll[T int32 | int64 | float64](d *decoder, count uint64, what string) ([]T, error) {
+	out := make([]T, 0, min(count, 1<<20))
+	err := each(d, count, what, func(_ int, vals []T) error {
+		out = append(out, vals...)
+		return nil
+	})
+	return out, err
+}
+
+// readColumn streams the m values of a p or LT-weight column, checking each
+// with valid, into its canonical form: the per-arc form is allocated only
+// when a row breaks, and then it is no larger than the targets already
+// read allow for.
+func readColumn(d *decoder, g *Graph, what string, valid func(float64) bool) (column, error) {
+	fold := newHeadFold(g.n, g.outTo)
+	err := each(d, uint64(len(g.outTo)), what, func(at int, vals []float64) error {
+		for i, x := range vals {
+			if !valid(x) {
+				return fmt.Errorf("graph: %s %v at edge %d out of range", what, x, at+i)
+			}
+		}
+		fold.add(at, vals)
+		return nil
+	})
+	if err != nil {
+		return column{}, err
+	}
+	return fold.column(), nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary, validating the
 // header and every structural and value-range invariant before accepting
 // the data: truncated, corrupt or adversarial input yields an error,
-// never a panic or an unbounded allocation.
+// never a panic or an unbounded allocation. The topology is read and
+// checked first, so that the p and LT-weight columns can be folded to
+// their canonical form as they stream in.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	d := &decoder{r: bufio.NewReaderSize(r, 1<<20)}
+	var hdr [20]byte
+	if _, err := io.ReadFull(d.r, hdr[:4]); err != nil {
 		return nil, fmt.Errorf("graph: binary header: %w", err)
 	}
-	if string(magic) != binaryMagic {
+	if magic := string(hdr[:4]); magic != binaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %q", magic)
 	}
-	var version, n uint32
-	var m uint64
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	if _, err := io.ReadFull(d.r, hdr[4:8]); err != nil {
 		return nil, fmt.Errorf("graph: binary version: %w", err)
 	}
-	if version != binaryVersion {
+	if version := binary.LittleEndian.Uint32(hdr[4:]); version != binaryVersion {
 		return nil, fmt.Errorf("graph: unsupported binary version %d", version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	if _, err := io.ReadFull(d.r, hdr[8:12]); err != nil {
 		return nil, fmt.Errorf("graph: binary node count: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
+	if _, err := io.ReadFull(d.r, hdr[12:20]); err != nil {
 		return nil, fmt.Errorf("graph: binary arc count: %w", err)
 	}
+	n, m := binary.LittleEndian.Uint32(hdr[8:]), binary.LittleEndian.Uint64(hdr[12:])
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: node count %d overflows int32", n)
 	}
-	if m > maxBinaryArcs {
-		return nil, fmt.Errorf("graph: implausible arc count %d (max %d)", m, uint64(maxBinaryArcs))
+	if m > maxArcs {
+		return nil, fmt.Errorf("graph: arc count %d exceeds the %d an in-edge index holds", m, maxArcs)
 	}
 	g := &Graph{n: int32(n)}
 	var err error
-	if g.outStart, err = readChunked[int64](br, uint64(n)+1, "CSR offsets"); err != nil {
+	if g.outStart, err = readAll[int64](d, uint64(n)+1, "CSR offsets"); err != nil {
 		return nil, err
 	}
-	if g.outTo, err = readChunked[NodeID](br, m, "edge targets"); err != nil {
+	if g.outTo, err = readAll[NodeID](d, m, "edge targets"); err != nil {
 		return nil, err
 	}
-	if g.outProb, err = readChunked[float64](br, m, "probabilities"); err != nil {
-		return nil, err
-	}
-	if g.outPhi, err = readChunked[float64](br, m, "interaction probabilities"); err != nil {
-		return nil, err
-	}
-	if g.outWt, err = readChunked[float64](br, m, "LT weights"); err != nil {
-		return nil, err
-	}
-	if g.opinion, err = readChunked[float64](br, uint64(n), "opinions"); err != nil {
-		return nil, err
-	}
-	// Validate structure before building the in-adjacency.
+	// Validate structure before any column is indexed by it.
 	if g.outStart[0] != 0 || g.outStart[n] != int64(m) {
 		return nil, fmt.Errorf("graph: corrupt CSR offsets")
 	}
@@ -157,20 +200,27 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge target %d out of range", prev)
 		}
 	}
-	for i, p := range g.outProb {
-		if !ValidProb(p) {
-			return nil, fmt.Errorf("graph: probability %v at edge %d out of range", p, i)
-		}
+	if g.prob, err = readColumn(d, g, "probability", ValidProb); err != nil {
+		return nil, err
 	}
-	for i, phi := range g.outPhi {
-		if !ValidProb(phi) {
-			return nil, fmt.Errorf("graph: interaction probability %v at edge %d out of range", phi, i)
+	g.outPhi = make([]float64, 0, min(m, 1<<20))
+	err = each(d, m, "interaction probability", func(at int, vals []float64) error {
+		for i, phi := range vals {
+			if !ValidProb(phi) {
+				return fmt.Errorf("graph: interaction probability %v at edge %d out of range", phi, at+i)
+			}
 		}
+		g.outPhi = append(g.outPhi, vals...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i, w := range g.outWt {
-		if !ValidWeight(w) {
-			return nil, fmt.Errorf("graph: LT weight %v at edge %d out of range", w, i)
-		}
+	if g.wt, err = readColumn(d, g, "LT weight", ValidWeight); err != nil {
+		return nil, err
+	}
+	if g.opinion, err = readAll[float64](d, uint64(n), "opinions"); err != nil {
+		return nil, err
 	}
 	for i, o := range g.opinion {
 		if o < -1 || o > 1 || math.IsNaN(o) {
@@ -182,12 +232,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 }
 
 // buildInAdjacency reconstructs the in-edge view from the out-edge CSR.
+// It panics on a graph of more than maxArcs arcs, whose positions an
+// in-edge could not hold; every constructor passes through here.
 func (g *Graph) buildInAdjacency() {
 	n := g.n
 	m := int64(len(g.outTo))
+	if m > maxArcs {
+		panic(fmt.Sprintf("graph: %d arcs exceed the %d an in-edge index holds", m, maxArcs))
+	}
 	g.inStart = make([]int64, n+1)
 	g.inFrom = make([]NodeID, m)
-	g.inEdge = make([]int64, m)
+	g.inEdge = make([]int32, m)
 	for _, v := range g.outTo {
 		g.inStart[v+1]++
 	}
@@ -204,6 +259,6 @@ func (g *Graph) buildInAdjacency() {
 		pos := g.inStart[v] + cursor[v]
 		cursor[v]++
 		g.inFrom[pos] = u
-		g.inEdge[pos] = i
+		g.inEdge[pos] = int32(i)
 	}
 }

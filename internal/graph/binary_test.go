@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,9 +37,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if len(a) != len(b) {
 			t.Fatalf("node %d degree changed", u)
 		}
-		pa, pb := g.OutProbs(u), g2.OutProbs(u)
+		pa, pb := outProbs(g, u), outProbs(g2, u)
 		fa, fb := g.OutPhis(u), g2.OutPhis(u)
-		wa, wb := g.OutWeights(u), g2.OutWeights(u)
+		wa, wb := outWeights(g, u), outWeights(g2, u)
 		for i := range a {
 			if a[i] != b[i] || pa[i] != pb[i] || fa[i] != fb[i] || wa[i] != wb[i] {
 				t.Fatalf("node %d edge %d differs", u, i)
@@ -56,7 +57,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		idxs := g2.InEdgeIndices(v)
 		froms := g2.InNeighbors(v)
 		for i, u := range froms {
-			if p, ok := g2.EdgeProb(u, v); !ok || p != g2.ProbAt(idxs[i]) {
+			if p, ok := g2.EdgeProb(u, v); !ok || p != g2.ProbAt(int64(idxs[i])) {
 				t.Fatalf("in-edge index broken at (%d,%d)", u, v)
 			}
 		}
@@ -90,9 +91,9 @@ func TestBinaryRoundTripCustomWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := NodeID(0); u < g.NumNodes(); u++ {
-		pa, pb := g.OutProbs(u), g2.OutProbs(u)
+		pa, pb := outProbs(g, u), outProbs(g2, u)
 		fa, fb := g.OutPhis(u), g2.OutPhis(u)
-		wa, wb := g.OutWeights(u), g2.OutWeights(u)
+		wa, wb := outWeights(g, u), outWeights(g2, u)
 		for i := range pa {
 			if pa[i] != pb[i] || fa[i] != fb[i] || wa[i] != wb[i] {
 				t.Fatalf("node %d edge %d params differ", u, i)
@@ -291,6 +292,15 @@ func FuzzReadBinary(f *testing.F) {
 	for _, data := range badRows {
 		f.Add(data)
 	}
+	// Columns the reader folds per head, one arc short of that, and a row
+	// of +0 and −0 (per arc: the fold compares bits).
+	for _, g := range columnFormGraphs() {
+		buf.Reset()
+		if err := WriteBinary(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(slices.Clone(buf.Bytes()))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -310,7 +320,32 @@ func FuzzReadBinary(f *testing.F) {
 				}
 			}
 		}
+		checkColumns(t, "accepted", g)
 	})
+}
+
+// columnFormGraphs are small graphs whose p and LT-weight columns take
+// each form: per head (weighted cascade, the default LT weights), one arc
+// away from it, and a row of +0 and −0.
+func columnFormGraphs() []*Graph {
+	wc := BarabasiAlbert(30, 2, rng.New(2))
+	wc.SetWeightedCascadeProb()
+	off := wc.Clone()
+	off.SetEdgeParamsFunc(func(u, v NodeID) (float64, float64) {
+		p, _ := wc.EdgeProb(u, v)
+		if u == 0 && v == wc.OutNeighbors(0)[0] {
+			p /= 2
+		}
+		return p, 0.5
+	})
+	zeros := Path(6, 0, 0.5)
+	neg := math.Copysign(0, -1)
+	zeros.SetEdgeParamsFunc(func(u, v NodeID) (float64, float64) { return 0, 0.5 })
+	b := NewBuilder(4)
+	b.AddEdgeFull(0, 2, 0, 0.5, 0)
+	b.AddEdgeFull(1, 2, neg, 0.5, neg)
+	b.AddEdgeFull(2, 3, neg, 0.5, 1)
+	return []*Graph{wc, off, zeros, b.Build()}
 }
 
 func corruptAt(raw []byte, pos int, val byte) []byte {

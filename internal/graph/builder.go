@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph. Parallel arcs
@@ -65,7 +66,8 @@ func (b *Builder) AddEdgeFull(u, v NodeID, p, phi, w float64) {
 // [0,1], NaN excluded. Every writer of those columns that takes a value
 // from its caller — the Builder, live mutation batches, ReadBinary and the
 // Set* mutators — checks with it, so a graph never holds a value its own
-// file could not carry back, and InRowProbs is free to mean "mixed" by NaN.
+// file could not carry back, and a column being folded to its per-head
+// form is free to mean "no arc seen yet" by NaN.
 func ValidProb(p float64) bool { return p >= 0 && p <= 1 }
 
 // ValidWeight reports whether w may be stored as an LT weight: non-negative
@@ -101,14 +103,16 @@ func (b *Builder) AddUndirected(u, v NodeID, p, phi float64) {
 // Build produces the immutable CSR graph. The builder may be reused
 // afterwards (its edge list is not consumed). Out-neighbor lists are sorted
 // by target id, enabling binary-search HasEdge and deterministic iteration.
+// The p and LT-weight columns come out in their canonical form (see
+// column): per head when every in-row holds one value.
 func (b *Builder) Build() *Graph {
 	// Sort by (u,v) and dedupe keeping the first occurrence.
-	es := append([]builderEdge(nil), b.edges...)
-	sort.SliceStable(es, func(i, j int) bool {
-		if es[i].u != es[j].u {
-			return es[i].u < es[j].u
+	es := slices.Clone(b.edges)
+	slices.SortStableFunc(es, func(x, y builderEdge) int {
+		if x.u != y.u {
+			return cmp.Compare(x.u, y.u)
 		}
-		return es[i].v < es[j].v
+		return cmp.Compare(x.v, y.v)
 	})
 	dst := 0
 	for i := range es {
@@ -124,9 +128,7 @@ func (b *Builder) Build() *Graph {
 	m := int64(len(es))
 	g.outStart = make([]int64, b.n+1)
 	g.outTo = make([]NodeID, m)
-	g.outProb = make([]float64, m)
 	g.outPhi = make([]float64, m)
-	g.outWt = make([]float64, m)
 	g.opinion = make([]float64, b.n)
 
 	for _, e := range es {
@@ -137,10 +139,14 @@ func (b *Builder) Build() *Graph {
 	}
 	for i, e := range es {
 		g.outTo[i] = e.v
-		g.outProb[i] = e.p
 		g.outPhi[i] = e.phi
-		g.outWt[i] = e.w
 	}
+	prob, wt := newHeadFold(b.n, g.outTo), newHeadFold(b.n, g.outTo)
+	for _, e := range es {
+		prob.put(e.p)
+		wt.put(e.w)
+	}
+	g.prob, g.wt = prob.column(), wt.column()
 
 	g.buildInAdjacency()
 	return g

@@ -14,11 +14,14 @@ type ArcEdit struct {
 
 // WithArcEdits returns a new graph that is g with the edits applied; g is
 // not touched. The result is what a Builder fed the edited arc list would
-// Build — rows sorted by target, the same in-CSR — with g's opinions, but
-// its cost beyond a block copy of the arrays follows the edits: the
-// out-arrays are copied across in the stretches between edit positions,
-// outStart is g's offsets plus the running count of net insertions, and
-// only the in-CSR is re-derived (by the counting sort Build uses).
+// Build — rows sorted by target, the same in-CSR, each parameter column in
+// its canonical form — with g's opinions, but its cost beyond a block copy
+// of the arrays follows the edits: the out-arrays are copied across in the
+// stretches between edit positions, outStart is g's offsets plus the
+// running count of net insertions, and only the in-CSR is re-derived (by
+// the counting sort Build uses). Each parameter column is edited in its
+// per-arc form, whatever form g holds it in, and folded back to its
+// canonical form once the arcs are in place.
 //
 // edits must be sorted by (From, To) with no arc named twice, and a
 // removed arc must exist; like the Builder's, parameter bounds are
@@ -34,19 +37,18 @@ func (g *Graph) WithArcEdits(edits []ArcEdit, rebalanceLT []NodeID) *Graph {
 		n:        g.n,
 		outStart: make([]int64, len(g.outStart)),
 		outTo:    make([]NodeID, most),
-		outProb:  make([]float64, most),
 		outPhi:   make([]float64, most),
-		outWt:    make([]float64, most),
 		opinion:  append([]float64(nil), g.opinion...),
 	}
+	prob, wt := make([]float64, most), make([]float64, most)
 	// src is the next position of g not yet carried over, dst where it
 	// goes: dst-src is the net number of arcs inserted so far.
 	var src, dst int64
 	carry := func(end int64) {
 		copy(ng.outTo[dst:], g.outTo[src:end])
-		copy(ng.outProb[dst:], g.outProb[src:end])
 		copy(ng.outPhi[dst:], g.outPhi[src:end])
-		copy(ng.outWt[dst:], g.outWt[src:end])
+		g.prob.expand(g.outTo, int(src), prob[dst:dst+end-src])
+		g.wt.expand(g.outTo, int(src), wt[dst:dst+end-src])
 		dst += end - src
 		src = end
 	}
@@ -81,30 +83,33 @@ func (g *Graph) WithArcEdits(edits []ArcEdit, rebalanceLT []NodeID) *Graph {
 		carry(at)
 		var p, phi, w float64
 		if exists {
-			p, phi, w = g.outProb[src], g.outPhi[src], g.outWt[src]
+			p, phi, w = g.ProbAt(src), g.outPhi[src], g.WeightAt(src)
 			src++
 		}
 		if e.Remove {
 			continue
 		}
 		ng.outTo[dst] = e.To
-		ng.outProb[dst] = valueOr(e.P, p)
 		ng.outPhi[dst] = valueOr(e.Phi, phi)
-		ng.outWt[dst] = valueOr(e.W, w)
+		prob[dst] = valueOr(e.P, p)
+		wt[dst] = valueOr(e.W, w)
 		dst++
 	}
 	startRows(g.n)
 	carry(int64(len(g.outTo)))
 	ng.outTo = ng.outTo[:dst:dst]
-	ng.outProb = ng.outProb[:dst:dst]
 	ng.outPhi = ng.outPhi[:dst:dst]
-	ng.outWt = ng.outWt[:dst:dst]
 
 	ng.buildInAdjacency()
+	wt = wt[:dst:dst]
 	for _, v := range rebalanceLT {
-		ng.defaultLTWeightsInto(v)
+		x := 1 / float64(ng.InDegree(v))
+		for _, e := range ng.InEdgeIndices(v) {
+			wt[e] = x
+		}
 	}
-	ng.inheritInRowProbs(g, edits)
+	ng.prob = ng.foldColumn(prob[:dst:dst])
+	ng.wt = ng.foldColumn(wt)
 	return ng
 }
 

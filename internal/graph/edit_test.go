@@ -33,12 +33,12 @@ func TestWithArcEdits(t *testing.T) {
 	if !slices.Equal(start, []int64{0, 2, 3, 4, 4}) || !slices.Equal(to, []NodeID{2, 3, 0, 3}) {
 		t.Fatalf("out-CSR %v %v", start, to)
 	}
-	if !slices.Equal(ng.Probs(), []float64{0.25, 0.4, 0.25, 0.7}) ||
+	if !slices.Equal(probs(ng), []float64{0.25, 0.4, 0.25, 0.7}) ||
 		!slices.Equal(ng.Phis(), []float64{0, 0.5, 0.25, 0.8}) ||
-		!slices.Equal(ng.Weights(), []float64{0, 0.75, 0.75, 0.9}) {
-		t.Fatalf("parameters %v %v %v", ng.Probs(), ng.Phis(), ng.Weights())
+		!slices.Equal(weights(ng), []float64{0, 0.75, 0.75, 0.9}) {
+		t.Fatalf("parameters %v %v %v", probs(ng), ng.Phis(), weights(ng))
 	}
-	if !slices.Equal(ng.InNeighbors(3), []NodeID{0, 2}) || !slices.Equal(ng.InEdgeIndices(3), []int64{1, 3}) || ng.InDegree(1) != 0 {
+	if !slices.Equal(ng.InNeighbors(3), []NodeID{0, 2}) || !slices.Equal(ng.InEdgeIndices(3), []int32{1, 3}) || ng.InDegree(1) != 0 {
 		t.Fatalf("in-CSR of node 3: %v %v, in-degree of 1: %d", ng.InNeighbors(3), ng.InEdgeIndices(3), ng.InDegree(1))
 	}
 	if !slices.Equal(ng.Opinions(), g.Opinions()) || &ng.Opinions()[0] == &g.Opinions()[0] {
@@ -47,8 +47,8 @@ func TestWithArcEdits(t *testing.T) {
 
 	// rebalanceLT overrides the weights of every arc into the named targets.
 	ng = g.WithArcEdits([]ArcEdit{{From: 1, To: 3, W: &w}}, []NodeID{3})
-	if !slices.Equal(ng.Weights(), []float64{0.3, 1.0 / 3, 1.0 / 3, 1.0 / 3}) {
-		t.Fatalf("rebalanced weights %v", ng.Weights())
+	if !slices.Equal(weights(ng), []float64{0.3, 1.0 / 3, 1.0 / 3, 1.0 / 3}) {
+		t.Fatalf("rebalanced weights %v", weights(ng))
 	}
 
 	for name, edits := range map[string][]ArcEdit{

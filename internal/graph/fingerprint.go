@@ -47,10 +47,18 @@ func (g *Graph) hash() uint64 {
 	for _, v := range g.outTo {
 		mix(uint64(uint32(v)))
 	}
-	for _, arr := range [][]float64{g.outProb, g.outPhi, g.outWt, g.opinion} {
-		for _, f := range arr {
-			mix(math.Float64bits(f))
-		}
+	// A per-head column is hashed arc by arc, so the value does not
+	// depend on the form.
+	for _, c := range []column{g.prob, {v: g.outPhi}, g.wt} {
+		_ = c.eachChunk(g.outTo, func(vals []float64) error { // mixing cannot fail
+			for _, f := range vals {
+				mix(math.Float64bits(f))
+			}
+			return nil
+		})
+	}
+	for _, f := range g.opinion {
+		mix(math.Float64bits(f))
 	}
 	return h
 }

@@ -205,3 +205,34 @@ func TestDegreeHistogram(t *testing.T) {
 		t.Fatalf("hist %v", h)
 	}
 }
+
+// Build sorts arcs stably by (tail, head) and keeps the first of parallel
+// arcs, an order with one answer, so no change to how it sorts may move a
+// generated graph: fingerprints pinned from the commit before Build moved
+// from sort.SliceStable to slices.SortStableFunc (and the columns to their
+// per-head form, which the fingerprint does not see).
+func TestGeneratedFingerprintsPinned(t *testing.T) {
+	wc := BarabasiAlbert(3000, 3, rng.New(21))
+	wc.SetWeightedCascadeProb()
+	sc, _ := SetCoverReduction(4, [][]int{{0, 1}, {1, 2, 3}, {0, 3}})
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want uint64
+	}{
+		{"ErdosRenyi", ErdosRenyi(500, 3000, rng.New(7)), 0x9d2817052badc353},
+		{"BarabasiAlbert", BarabasiAlbert(2000, 3, rng.New(11)), 0xc7c4c4a567e88abc},
+		{"BarabasiAlbert/wc", wc, 0x6b0269359857b89c},
+		{"RMAT", RMAT(1<<12, 30000, DefaultRMAT, false, rng.New(5)), 0x423275ad9ff003b7},
+		{"RMAT/undirected", RMAT(1<<10, 8000, DefaultRMAT, true, rng.New(6)), 0x31a911ea1c7adc63},
+		{"RandomTree", RandomTree(300, 0.2, 0.6, rng.New(8)), 0x9830e3a44cde3ba9},
+		{"RandomDAG", RandomDAG(80, 0.1, 0.3, 0.4, rng.New(9)), 0x2be979c63d4b59ca},
+		{"Complete", Complete(12, 0.25, 0.5), 0xd48aab05dbc075b5},
+		{"SetCoverReduction", sc, 0x534c69ad40af4fd1},
+		{"ExampleFigure1", ExampleFigure1(), 0x9a0dad31cfb7e1ee},
+	} {
+		if got := c.g.Fingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %016x, pinned %016x", c.name, got, c.want)
+		}
+	}
+}

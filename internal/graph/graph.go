@@ -8,16 +8,20 @@
 // The representation stores both out-adjacency (used by forward simulation
 // and by EaSyIM/OSIM score assignment) and in-adjacency (used by the LT
 // model, weighted-cascade assignment and reverse-reachable sampling). Edge
-// parameters are stored once, on the out-edge arrays; an in-edge carries
-// the position of its arc there (InCSR, InEdgeIndices), so a reverse
-// traversal that wants a parameter gathers it from the out-ordered column.
-// Under the conventional parameterizations that gather is the same p for a
-// whole in-row — weighted cascade is 1/|In(v)|, a property of the head — so
-// the graph also keeps, lazily, a per-node column of each in-row's one p,
-// NaN where the row is mixed (InRowProbs): the IC RR sampler reads a
-// visited node's entry with one load and gathers per arc only in the mixed
-// rows. That is derived from the column, like the Fingerprint, and dropped
-// with it by every mutator: the two views cannot disagree.
+// parameters are stored once, in out-array order; an in-edge carries the
+// 32-bit position of its arc there (InCSR, InEdgeIndices).
+//
+// The p and LT-weight columns hold only what they cannot derive. Under the
+// conventional parameterizations every arc into a node carries one value —
+// weighted cascade and the default LT weights are 1/|In(v)|, a property of
+// the head, and a uniform p is one value throughout — so such a column is
+// kept per head, n floats instead of m (see column). Which form a column
+// takes is a function of its values alone: every writer (Build, ReadBinary,
+// the Set* mutators, WithArcEdits) leaves the per-head form exactly when
+// every non-empty in-row holds one value bit for bit. The form is invisible
+// to ProbAt, WeightAt, WriteBinary and Fingerprint, which read the same
+// value for every arc either way; kernels that care ask ProbColumn or
+// WeightColumn and pick their loop once per call.
 package graph
 
 import (
@@ -30,6 +34,10 @@ import (
 // is far beyond what this library targets in memory.
 type NodeID = int32
 
+// maxArcs is the largest arc count a graph holds: an in-edge stores its
+// arc's out-array position in 32 bits.
+const maxArcs = math.MaxInt32
+
 // Graph is an immutable directed graph in CSR form. Use a Builder to
 // construct one. The zero value is an empty graph.
 //
@@ -40,29 +48,179 @@ type Graph struct {
 
 	outStart []int64  // len n+1; out-edges of u are indices [outStart[u], outStart[u+1])
 	outTo    []NodeID // len m
-	outProb  []float64
 	outPhi   []float64
-	outWt    []float64 // LT weight w(u,v); by convention 1/|In(v)| unless overridden
+	prob     column // p(u,v)
+	wt       column // LT weight w(u,v); by convention 1/|In(v)| unless overridden
 
 	inStart []int64
 	inFrom  []NodeID
-	inEdge  []int64 // index into out arrays for the same edge
+	inEdge  []int32 // index into out arrays for the same edge
 
 	opinion []float64 // len n, in [-1,1]
 
-	// Memos derived from the arrays on first use; every Set* mutator drops
-	// them (dropMemos). fp is the Fingerprint, 0 = not hashed; rowProb is
-	// InRowProbs, nil = not derived.
-	fp      atomic.Uint64
-	rowProb atomic.Pointer[[]float64]
+	// fp memoizes the Fingerprint, 0 = not hashed; every Set* mutator
+	// drops it.
+	fp atomic.Uint64
 }
 
-// dropMemos forgets everything derived from arrays a mutator is about to
-// change.
-func (g *Graph) dropMemos() {
-	g.fp.Store(0)
-	g.rowProb.Store(nil)
+// column is the p or the LT-weight column in one of its two forms. Per
+// arc, v has one entry per arc in out-array order. Per head, v has one
+// entry per node: v[h] is the value every arc into h carries, and 0 for a
+// node with no in-arcs. The per-head form is used exactly when every
+// non-empty in-row holds one value bit for bit (so a row of +0 and −0 stays
+// per arc), which makes the form a function of the values: two graphs with
+// the same arcs and values hold the same column.
+type column struct {
+	v       []float64
+	perHead bool
 }
+
+// at returns the value of the arc at out-array position i, whose head is
+// to[i].
+func (c column) at(to []NodeID, i int64) float64 {
+	if c.perHead {
+		return c.v[to[i]]
+	}
+	return c.v[i]
+}
+
+// eachChunk hands fn the column's values arc by arc, in out-array order, a
+// bufferful at a time, whatever the form: what WriteBinary writes and
+// Fingerprint hashes.
+func (c column) eachChunk(to []NodeID, fn func(vals []float64) error) error {
+	var buf [4096]float64
+	for i := 0; i < len(to); i += len(buf) {
+		run := buf[:min(len(buf), len(to)-i)]
+		c.expand(to, i, run)
+		if err := fn(run); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// expand writes the values of the arcs at out-array positions [i,
+// i+len(dst)) into dst, the per-arc column's stretch whatever the form.
+func (c column) expand(to []NodeID, i int, dst []float64) {
+	if !c.perHead {
+		copy(dst, c.v[i:])
+		return
+	}
+	for j, h := range to[i : i+len(dst)] {
+		dst[j] = c.v[h]
+	}
+}
+
+// headFold folds a per-arc column, fed in out-array order, into its
+// per-head form for as long as one exists, and materialises the per-arc
+// form at the first arc that breaks its row. The writers that produce a
+// column arc by arc feed it a value (put) or a chunk (add) at a time, so
+// they allocate an m-long column only for a column that needs one.
+type headFold struct {
+	to   []NodeID
+	head []float64 // NaN: no arc into the node seen yet (no arc holds a NaN)
+	arc  []float64 // the per-arc form, once some row broke
+
+	buf  [1024]float64 // put's values not yet folded in
+	nbuf int
+	next int // the position of buf[0]
+}
+
+func newHeadFold(n int32, to []NodeID) *headFold {
+	head := make([]float64, n)
+	for i := range head {
+		head[i] = math.NaN()
+	}
+	return &headFold{to: to, head: head}
+}
+
+// put folds in the value of the next arc, a buffer at a time.
+func (f *headFold) put(x float64) {
+	f.buf[f.nbuf] = x
+	if f.nbuf++; f.nbuf == len(f.buf) {
+		f.flush()
+	}
+}
+
+// flush folds in what put buffered.
+func (f *headFold) flush() {
+	f.add(f.next, f.buf[:f.nbuf])
+	f.next += f.nbuf
+	f.nbuf = 0
+}
+
+// add folds in vals, the values of the arcs at positions i, i+1, ...
+func (f *headFold) add(i int, vals []float64) {
+	if f.arc == nil {
+		k := f.fold(i, vals)
+		if k == len(vals) {
+			return
+		}
+		f.arc = make([]float64, len(f.to))
+		column{v: f.head, perHead: true}.expand(f.to, 0, f.arc[:i+k])
+		f.head = nil
+		i, vals = i+k, vals[k:]
+	}
+	copy(f.arc[i:], vals)
+}
+
+// fold folds vals, the values of the arcs at positions i, i+1, ..., into
+// the per-head column and returns how many it took: all of them, or k when
+// vals[k] breaks its row (bit for bit), which leaves the column stale.
+func (f *headFold) fold(i int, vals []float64) int {
+	head := f.head
+	for j, h := range f.to[i : i+len(vals)] {
+		x, cur := vals[j], head[h]
+		if math.Float64bits(x) == math.Float64bits(cur) {
+			continue
+		}
+		if cur != cur { // first arc into h
+			head[h] = x
+			continue
+		}
+		return j
+	}
+	return len(vals)
+}
+
+// column returns the folded column.
+func (f *headFold) column() column {
+	f.flush()
+	if f.arc != nil {
+		return column{v: f.arc}
+	}
+	for v, x := range f.head {
+		if x != x { // no in-arcs
+			f.head[v] = 0
+		}
+	}
+	return column{v: f.head, perHead: true}
+}
+
+// foldColumn is the canonical form of the per-arc column arc over g's arcs:
+// arc itself when some row holds two values.
+func (g *Graph) foldColumn(arc []float64) column {
+	f := newHeadFold(g.n, g.outTo)
+	if f.fold(0, arc) < len(arc) {
+		return column{v: arc}
+	}
+	return f.column()
+}
+
+// headColumn is the per-head column that gives every arc into v the value
+// of(|In(v)|) (and a node with no in-arcs 0).
+func (g *Graph) headColumn(of func(indeg int32) float64) column {
+	head := make([]float64, g.n)
+	for v := NodeID(0); v < g.n; v++ {
+		if d := g.InDegree(v); d > 0 {
+			head[v] = of(d)
+		}
+	}
+	return column{v: head, perHead: true}
+}
+
+// cascade is the weighted-cascade value 1/|In(v)|.
+func cascade(indeg int32) float64 { return 1 / float64(indeg) }
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int32 { return g.n }
@@ -86,19 +244,9 @@ func (g *Graph) OutNeighbors(u NodeID) []NodeID {
 	return g.outTo[g.outStart[u]:g.outStart[u+1]]
 }
 
-// OutProbs returns the influence probabilities aligned with OutNeighbors(u).
-func (g *Graph) OutProbs(u NodeID) []float64 {
-	return g.outProb[g.outStart[u]:g.outStart[u+1]]
-}
-
 // OutPhis returns the interaction probabilities aligned with OutNeighbors(u).
 func (g *Graph) OutPhis(u NodeID) []float64 {
 	return g.outPhi[g.outStart[u]:g.outStart[u+1]]
-}
-
-// OutWeights returns the LT edge weights aligned with OutNeighbors(u).
-func (g *Graph) OutWeights(u NodeID) []float64 {
-	return g.outWt[g.outStart[u]:g.outStart[u+1]]
 }
 
 // InNeighbors returns the slice of sources of v's in-edges. The slice
@@ -109,46 +257,52 @@ func (g *Graph) InNeighbors(v NodeID) []NodeID {
 
 // InEdgeIndices returns, aligned with InNeighbors(v), the positions of those
 // edges in the out-edge arrays; pass them to ProbAt/PhiAt/WeightAt or index
-// Probs/Phis/Weights with them.
-func (g *Graph) InEdgeIndices(v NodeID) []int64 {
+// Phis with them.
+func (g *Graph) InEdgeIndices(v NodeID) []int32 {
 	return g.inEdge[g.inStart[v]:g.inStart[v+1]]
 }
 
 // OutCSR returns the out-adjacency whole: u's out-edges are positions
 // [start[u], start[u+1]) of to. Flat kernels loop over these (and the
-// aligned Probs/Phis/Weights) instead of slicing per row. The slices alias
-// internal storage and must not be modified.
+// aligned Phis and parameter columns) instead of slicing per row. The
+// slices alias internal storage and must not be modified.
 func (g *Graph) OutCSR() (start []int64, to []NodeID) { return g.outStart, g.outTo }
 
 // InCSR returns the in-adjacency whole: v's in-edges are positions
 // [start[v], start[v+1]) of from, and edge[i] is the position of in-edge i
-// in the out-edge arrays (Probs/Phis/Weights). The slices alias internal
-// storage and must not be modified.
-func (g *Graph) InCSR() (start []int64, from []NodeID, edge []int64) {
+// in the out-edge arrays. The slices alias internal storage and must not be
+// modified.
+func (g *Graph) InCSR() (start []int64, from []NodeID, edge []int32) {
 	return g.inStart, g.inFrom, g.inEdge
 }
 
-// Probs returns p for every edge, indexed by out-array position.
-func (g *Graph) Probs() []float64 { return g.outProb }
+// ProbColumn returns p in the form the graph holds it. Per head (perHead
+// true), col has one entry per node and col[v] is the p of every arc into
+// v — weighted cascade, a uniform p — so a kernel reads an arc's p from
+// its head, or a whole in-row's with one load. Otherwise col is indexed by
+// out-array position. The form follows from the values alone (see
+// column); the slice aliases internal storage and must not be modified.
+func (g *Graph) ProbColumn() (col []float64, perHead bool) { return g.prob.v, g.prob.perHead }
+
+// WeightColumn returns the LT weights in the form the graph holds them, as
+// ProbColumn does p.
+func (g *Graph) WeightColumn() (col []float64, perHead bool) { return g.wt.v, g.wt.perHead }
 
 // Phis returns ϕ for every edge, indexed by out-array position.
 func (g *Graph) Phis() []float64 { return g.outPhi }
-
-// Weights returns the LT weight of every edge, indexed by out-array position.
-func (g *Graph) Weights() []float64 { return g.outWt }
 
 // OutEdgeBase returns the position in the out-edge arrays of u's first
 // out-edge; the edge to OutNeighbors(u)[i] has position OutEdgeBase(u)+i.
 func (g *Graph) OutEdgeBase(u NodeID) int64 { return g.outStart[u] }
 
 // ProbAt returns p for the edge at out-array position idx.
-func (g *Graph) ProbAt(idx int64) float64 { return g.outProb[idx] }
+func (g *Graph) ProbAt(idx int64) float64 { return g.prob.at(g.outTo, idx) }
 
 // PhiAt returns ϕ for the edge at out-array position idx.
 func (g *Graph) PhiAt(idx int64) float64 { return g.outPhi[idx] }
 
 // WeightAt returns the LT weight for the edge at out-array position idx.
-func (g *Graph) WeightAt(idx int64) float64 { return g.outWt[idx] }
+func (g *Graph) WeightAt(idx int64) float64 { return g.wt.at(g.outTo, idx) }
 
 // Opinion returns o_v.
 func (g *Graph) Opinion(v NodeID) float64 { return g.opinion[v] }
@@ -170,7 +324,7 @@ func (g *Graph) EdgeProb(u, v NodeID) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return g.outProb[i], true
+	return g.ProbAt(i), true
 }
 
 // EdgePhi returns ϕ(u,v) and whether the arc exists.
@@ -206,49 +360,24 @@ func (g *Graph) SetUniformProb(p float64) {
 	if !ValidProb(p) {
 		panic(fmt.Sprintf("graph: probability %v out of [0,1]", p))
 	}
-	g.dropMemos()
-	for i := range g.outProb {
-		g.outProb[i] = p
-	}
+	g.fp.Store(0)
+	g.prob = g.headColumn(func(int32) float64 { return p })
 }
 
 // SetWeightedCascadeProb assigns p(u,v)=1/|In(v)| (the WC model convention).
 // Nodes with in-degree 0 cannot be targets of any edge, so no division by
 // zero can occur.
 func (g *Graph) SetWeightedCascadeProb() {
-	g.dropMemos()
-	for v := int32(0); v < g.n; v++ {
-		d := g.InDegree(v)
-		if d == 0 {
-			continue
-		}
-		p := 1 / float64(d)
-		for _, e := range g.InEdgeIndices(v) {
-			g.outProb[e] = p
-		}
-	}
+	g.fp.Store(0)
+	g.prob = g.headColumn(cascade)
 }
 
 // SetDefaultLTWeights assigns w(u,v)=1/|In(v)|, the conventional LT
 // parameterization used in the paper's experiments. Incoming weights of
 // every node then sum to at most 1, as the LT model requires.
 func (g *Graph) SetDefaultLTWeights() {
-	g.dropMemos()
-	for v := int32(0); v < g.n; v++ {
-		g.defaultLTWeightsInto(v)
-	}
-}
-
-// defaultLTWeightsInto assigns w(u,v)=1/|In(v)| to the arcs into v.
-func (g *Graph) defaultLTWeightsInto(v NodeID) {
-	d := g.InDegree(v)
-	if d == 0 {
-		return
-	}
-	w := 1 / float64(d)
-	for _, e := range g.InEdgeIndices(v) {
-		g.outWt[e] = w
-	}
+	g.fp.Store(0)
+	g.wt = g.headColumn(cascade)
 }
 
 // SetTrivalencyProb assigns each edge a probability drawn uniformly from
@@ -264,7 +393,8 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 			panic(fmt.Sprintf("graph: trivalency probability %v out of [0,1]", p))
 		}
 	}
-	g.dropMemos()
+	g.fp.Store(0)
+	fold := newHeadFold(g.n, g.outTo)
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			v := g.outTo[i]
@@ -272,9 +402,10 @@ func (g *Graph) SetTrivalencyProb(values []float64, seed uint64) {
 			h ^= h >> 33
 			h *= 0xff51afd7ed558ccd
 			h ^= h >> 33
-			g.outProb[i] = values[h%uint64(len(values))]
+			fold.put(values[h%uint64(len(values))])
 		}
 	}
+	g.prob = fold.column()
 }
 
 // SetUniformPhi assigns ϕ(u,v)=phi to every edge.
@@ -282,7 +413,7 @@ func (g *Graph) SetUniformPhi(phi float64) {
 	if !ValidProb(phi) {
 		panic(fmt.Sprintf("graph: interaction probability %v out of [0,1]", phi))
 	}
-	g.dropMemos()
+	g.fp.Store(0)
 	for i := range g.outPhi {
 		g.outPhi[i] = phi
 	}
@@ -290,19 +421,23 @@ func (g *Graph) SetUniformPhi(phi float64) {
 
 // SetEdgeParamsFunc assigns p and ϕ for every edge from a callback. The
 // callback receives (u, v) and returns (p, phi). Useful for data-driven
-// parameterizations such as the Twitter interaction estimates.
+// parameterizations such as the Twitter interaction estimates. The
+// callback may read the graph: p takes its new values after the last call,
+// and ϕ(u,v) after the call for (u,v).
 func (g *Graph) SetEdgeParamsFunc(f func(u, v NodeID) (p, phi float64)) {
-	g.dropMemos()
+	g.fp.Store(0)
+	fold := newHeadFold(g.n, g.outTo)
 	for u := int32(0); u < g.n; u++ {
 		for i := g.outStart[u]; i < g.outStart[u+1]; i++ {
 			p, phi := f(u, g.outTo[i])
 			if !ValidProb(p) || !ValidProb(phi) {
 				panic(fmt.Sprintf("graph: edge params (%v,%v) out of [0,1]", p, phi))
 			}
-			g.outProb[i] = p
+			fold.put(p)
 			g.outPhi[i] = phi
 		}
 	}
+	g.prob = fold.column()
 }
 
 // SetOpinions copies the given opinion vector into the graph. The slice
@@ -316,7 +451,7 @@ func (g *Graph) SetOpinions(o []float64) {
 			panic(fmt.Sprintf("graph: opinion %v at node %d out of [-1,1]", v, i))
 		}
 	}
-	g.dropMemos()
+	g.fp.Store(0)
 	copy(g.opinion, o)
 }
 
@@ -325,7 +460,7 @@ func (g *Graph) SetOpinion(v NodeID, o float64) {
 	if o < -1 || o > 1 || math.IsNaN(o) {
 		panic(fmt.Sprintf("graph: opinion %v out of [-1,1]", o))
 	}
-	g.dropMemos()
+	g.fp.Store(0)
 	g.opinion[v] = o
 }
 
@@ -335,11 +470,10 @@ func (g *Graph) SetOpinion(v NodeID, o float64) {
 func (g *Graph) Transpose() *Graph {
 	b := NewBuilder(g.n)
 	for u := int32(0); u < g.n; u++ {
-		nbrs := g.OutNeighbors(u)
-		ps := g.OutProbs(u)
-		phis := g.OutPhis(u)
-		for i, v := range nbrs {
-			b.AddEdgeFull(v, u, ps[i], phis[i], 0)
+		base := g.OutEdgeBase(u)
+		for i, v := range g.OutNeighbors(u) {
+			e := base + int64(i)
+			b.AddEdgeFull(v, u, g.ProbAt(e), g.outPhi[e], 0)
 		}
 	}
 	t := b.Build()
@@ -354,12 +488,12 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n}
 	c.outStart = append([]int64(nil), g.outStart...)
 	c.outTo = append([]NodeID(nil), g.outTo...)
-	c.outProb = append([]float64(nil), g.outProb...)
 	c.outPhi = append([]float64(nil), g.outPhi...)
-	c.outWt = append([]float64(nil), g.outWt...)
+	c.prob = column{append([]float64(nil), g.prob.v...), g.prob.perHead}
+	c.wt = column{append([]float64(nil), g.wt.v...), g.wt.perHead}
 	c.inStart = append([]int64(nil), g.inStart...)
 	c.inFrom = append([]NodeID(nil), g.inFrom...)
-	c.inEdge = append([]int64(nil), g.inEdge...)
+	c.inEdge = append([]int32(nil), g.inEdge...)
 	c.opinion = append([]float64(nil), g.opinion...)
 	return c
 }
@@ -381,12 +515,11 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, []NodeID) {
 	b := NewBuilder(int32(len(nodes)))
 	for _, u := range nodes {
 		nu := remap[u]
-		nbrs := g.OutNeighbors(u)
-		ps := g.OutProbs(u)
-		phis := g.OutPhis(u)
-		for i, v := range nbrs {
+		base := g.OutEdgeBase(u)
+		for i, v := range g.OutNeighbors(u) {
 			if nv := remap[v]; nv != -1 {
-				b.AddEdgeFull(nu, nv, ps[i], phis[i], 0)
+				e := base + int64(i)
+				b.AddEdgeFull(nu, nv, g.ProbAt(e), g.outPhi[e], 0)
 			}
 		}
 	}
@@ -401,16 +534,31 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, []NodeID) {
 // MemoryFootprint returns the approximate number of bytes held by the
 // graph's slices. Used by the experiment harness to separate "graph
 // loading" memory from algorithm "execution" memory, mirroring the stacked
-// bars in Figures 5h and 6j.
+// bars in Figures 5h and 6j. Under weighted cascade or a uniform p with the
+// default LT weights it is 20 bytes per arc (target, ϕ, in-source, in-edge
+// index) and 40 per node (two offsets, opinion, the per-head p and w).
 func (g *Graph) MemoryFootprint() int64 {
-	bytes := int64(len(g.outStart))*8 +
+	return int64(len(g.outStart))*8 +
 		int64(len(g.outTo))*4 +
-		int64(len(g.outProb))*8 +
 		int64(len(g.outPhi))*8 +
-		int64(len(g.outWt))*8 +
+		int64(len(g.prob.v))*8 +
+		int64(len(g.wt.v))*8 +
 		int64(len(g.inStart))*8 +
 		int64(len(g.inFrom))*4 +
-		int64(len(g.inEdge))*8 +
+		int64(len(g.inEdge))*4 +
 		int64(len(g.opinion))*8
-	return bytes
+}
+
+// PerArcClone returns a deep copy that holds its p and LT-weight columns
+// per arc whatever their values: the form a per-head graph's kernels must
+// agree with bit for bit, which tests compare them against. Every other
+// way of making a graph leaves each column in its canonical form.
+func (g *Graph) PerArcClone() *Graph {
+	c := g.Clone()
+	for _, col := range []*column{&c.prob, &c.wt} {
+		arc := make([]float64, len(c.outTo))
+		col.expand(c.outTo, 0, arc)
+		*col = column{v: arc}
+	}
+	return c
 }

@@ -186,7 +186,7 @@ func TestLTWeightsSumToOne(t *testing.T) {
 		}
 		sum := 0.0
 		for _, e := range g.InEdgeIndices(v) {
-			sum += g.WeightAt(e)
+			sum += g.WeightAt(int64(e))
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("LT weights of node %d sum to %v", v, sum)
@@ -199,7 +199,7 @@ func TestTrivalencyAssignment(t *testing.T) {
 	g.SetTrivalencyProb(nil, 7)
 	counts := map[float64]int{}
 	for u := NodeID(0); u < g.NumNodes(); u++ {
-		for _, p := range g.OutProbs(u) {
+		for _, p := range outProbs(g, u) {
 			counts[p]++
 		}
 	}
@@ -213,7 +213,7 @@ func TestTrivalencyAssignment(t *testing.T) {
 	g2 := ErdosRenyi(300, 3000, rng.New(41))
 	g2.SetTrivalencyProb(nil, 7)
 	for u := NodeID(0); u < g.NumNodes(); u++ {
-		a, b := g.OutProbs(u), g2.OutProbs(u)
+		a, b := outProbs(g, u), outProbs(g2, u)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatal("trivalency not deterministic")

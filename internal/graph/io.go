@@ -94,11 +94,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return err
 	}
 	for u := NodeID(0); u < g.NumNodes(); u++ {
-		nbrs := g.OutNeighbors(u)
-		ps := g.OutProbs(u)
-		phis := g.OutPhis(u)
-		for i, v := range nbrs {
-			if _, err := fmt.Fprintf(bw, "%d %d %g %g\n", u, v, ps[i], phis[i]); err != nil {
+		base := g.OutEdgeBase(u)
+		for i, v := range g.OutNeighbors(u) {
+			e := base + int64(i)
+			if _, err := fmt.Fprintf(bw, "%d %d %g %g\n", u, v, g.ProbAt(e), g.outPhi[e]); err != nil {
 				return err
 			}
 		}

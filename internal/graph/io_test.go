@@ -66,7 +66,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	for u := NodeID(0); u < g.NumNodes(); u++ {
 		nbrs := g.OutNeighbors(u)
 		for i, v := range nbrs {
-			p1 := g.OutProbs(u)[i]
+			p1 := g.ProbAt(g.OutEdgeBase(u) + int64(i))
 			p2, ok := g2.EdgeProb(u, v)
 			if !ok || p1 != p2 {
 				t.Fatalf("edge (%d,%d) p %v vs %v", u, v, p1, p2)

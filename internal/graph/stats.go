@@ -81,14 +81,15 @@ func ComputeStats(g *Graph, samples int, seed uint64) Stats {
 // that assume a single global p use this as the representative value on
 // heterogeneous graphs.
 func MeanEdgeProb(g *Graph) float64 {
-	if len(g.outProb) == 0 {
+	m := len(g.outTo)
+	if m == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, p := range g.outProb {
-		sum += p
+	for i := range m {
+		sum += g.prob.at(g.outTo, int64(i))
 	}
-	return sum / float64(len(g.outProb))
+	return sum / float64(m)
 }
 
 // BFSDistances returns the hop distance from src to every node (-1 when

@@ -69,10 +69,9 @@ func (s *StaticGreedy) sample(ctx context.Context) ([]snapshot, error) {
 		}
 		total := int32(0)
 		for u := graph.NodeID(0); u < n; u++ {
-			ps := g.OutProbs(u)
 			base := g.OutEdgeBase(u)
-			for j := range ps {
-				l := r.Float64() < ps[j]
+			for j := range g.OutNeighbors(u) {
+				l := r.Float64() < g.ProbAt(base+int64(j))
 				live[base+int64(j)] = l
 				if l {
 					deg[u+1]++

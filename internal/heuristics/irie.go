@@ -60,6 +60,8 @@ func (ir *IRIE) Select(ctx context.Context, k int) (im.Result, error) {
 	rank := make([]float64, n) // influence rank
 	next := make([]float64, n)
 	selected := make([]bool, n)
+	start, to := g.OutCSR()
+	ps, perHead := g.ProbColumn()
 
 	for len(res.Seeds) < k {
 		// --- IR: damped iteration with AP discount.
@@ -76,10 +78,13 @@ func (ir *IRIE) Select(ctx context.Context, k int) (im.Result, error) {
 					continue
 				}
 				sum := 0.0
-				nbrs := g.OutNeighbors(u)
-				ps := g.OutProbs(u)
-				for i, v := range nbrs {
-					sum += ps[i] * rank[v]
+				base := start[u]
+				for i, v := range to[base:start[u+1]] {
+					at := base + int64(i) // the arc's p: its own entry, or its head's
+					if perHead {
+						at = int64(v)
+					}
+					sum += ps[at] * rank[v]
 				}
 				next[u] = (1 - ap[u]) * (1 + ir.alpha*sum)
 			}
@@ -124,10 +129,9 @@ func (ir *IRIE) propagateAP(seed graph.NodeID, ap []float64) {
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nbrs := g.OutNeighbors(f.v)
-		ps := g.OutProbs(f.v)
-		for i, w := range nbrs {
-			m := f.mass * ps[i]
+		base := g.OutEdgeBase(f.v)
+		for i, w := range g.OutNeighbors(f.v) {
+			m := f.mass * g.ProbAt(base+int64(i))
 			if m < ir.theta {
 				continue
 			}

@@ -65,10 +65,9 @@ func (p *PageRank) Select(ctx context.Context, k int) (im.Result, error) {
 				return res, err
 			}
 		}
-		ps := g.OutProbs(u)
-		nbrs := g.OutNeighbors(u)
-		for i := range nbrs {
-			outMass[nbrs[i]] += ps[i]
+		base := g.OutEdgeBase(u)
+		for i, v := range g.OutNeighbors(u) {
+			outMass[v] += g.ProbAt(base + int64(i))
 		}
 	}
 	for it := 0; it < p.iterations; it++ {
@@ -79,11 +78,10 @@ func (p *PageRank) Select(ctx context.Context, k int) (im.Result, error) {
 			next[i] = (1 - p.damping) * inv
 		}
 		for u := graph.NodeID(0); u < n; u++ {
-			nbrs := g.OutNeighbors(u)
-			ps := g.OutProbs(u)
-			for i, v := range nbrs {
+			base := g.OutEdgeBase(u)
+			for i, v := range g.OutNeighbors(u) {
 				if outMass[v] > 0 {
-					next[u] += p.damping * rank[v] * ps[i] / outMass[v]
+					next[u] += p.damping * rank[v] * g.ProbAt(base+int64(i)) / outMass[v]
 				}
 			}
 		}

@@ -74,7 +74,7 @@ func (sp *SIMPATH) spread(u graph.NodeID, excluded []bool, through []float64) fl
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		nbrs := g.OutNeighbors(f.v)
-		ws := g.OutWeights(f.v)
+		base := g.OutEdgeBase(f.v)
 		advanced := false
 		for f.edge < len(nbrs) {
 			i := f.edge
@@ -83,7 +83,7 @@ func (sp *SIMPATH) spread(u graph.NodeID, excluded []bool, through []float64) fl
 			if onPath[w] || (excluded != nil && excluded[w]) {
 				continue
 			}
-			m := f.mass * ws[i]
+			m := f.mass * g.WeightAt(base+int64(i))
 			if m < sp.eta {
 				continue
 			}
@@ -204,14 +204,13 @@ func (sp *SIMPATH) Select(ctx context.Context, k int) (im.Result, error) {
 		// non-cover node is in the cover (cover property), so its through
 		// counters are available.
 		total := 1.0
-		nbrs := g.OutNeighbors(v)
-		ws := g.OutWeights(v)
-		for i, u := range nbrs {
+		base := g.OutEdgeBase(v)
+		for i, u := range g.OutNeighbors(v) {
 			su := sigma[u]
 			if th, ok := coverThrough[u]; ok {
 				su -= th[v]
 			}
-			total += ws[i] * su
+			total += g.WeightAt(base+int64(i)) * su
 		}
 		sigma[v] = total
 	}

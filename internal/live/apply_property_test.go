@@ -3,6 +3,7 @@ package live_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -42,9 +43,10 @@ func rebuildOracle(g *graph.Graph, ops []live.EdgeOp, opts live.ApplyOptions) *g
 	}
 	b := graph.NewBuilder(g.NumNodes())
 	for u := graph.NodeID(0); u < g.NumNodes(); u++ {
-		ps, phis, ws := g.OutProbs(u), g.OutPhis(u), g.OutWeights(u)
+		base := g.OutEdgeBase(u)
 		for i, v := range g.OutNeighbors(u) {
-			p, phi, w := ps[i], phis[i], ws[i]
+			e := base + int64(i)
+			p, phi, w := g.ProbAt(e), g.PhiAt(e), g.WeightAt(e)
 			if op, ok := edits[[2]graph.NodeID{u, v}]; ok {
 				if op.Op == live.OpRemove {
 					continue
@@ -83,9 +85,26 @@ func rebuildOracle(g *graph.Graph, ops []live.EdgeOp, opts live.ApplyOptions) *g
 	return ng
 }
 
+// arcValues is the column at reads per arc, in out-array order.
+func arcValues(g *graph.Graph, at func(int64) float64) []float64 {
+	out := make([]float64, g.NumEdges())
+	for i := range out {
+		out[i] = at(int64(i))
+	}
+	return out
+}
+
+// sameColumn compares two parameter columns, form and bits.
+func sameColumn(got, want []float64, gotHead, wantHead bool) bool {
+	return gotHead == wantHead && slices.EqualFunc(got, want, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
 // sameArrays compares two graphs array for array through the read-only
-// views: the five out-arrays and opinions whole, the in-CSR row by row
-// (equal in-degrees for every node are equal inStart arrays).
+// views: the out-arrays, the parameter columns in the form each is held
+// in and opinions whole, the in-CSR row by row (equal in-degrees for every
+// node are equal inStart arrays).
 func sameArrays(got, want *graph.Graph) error {
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 		return fmt.Errorf("%d nodes/%d arcs, want %d/%d", got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
@@ -97,12 +116,12 @@ func sameArrays(got, want *graph.Graph) error {
 		return fmt.Errorf("outStart differs")
 	case !slices.Equal(gt, wt):
 		return fmt.Errorf("outTo differs")
-	case !slices.Equal(got.Probs(), want.Probs()):
-		return fmt.Errorf("outProb differs")
+	case !slices.Equal(arcValues(got, got.ProbAt), arcValues(want, want.ProbAt)):
+		return fmt.Errorf("p differs")
 	case !slices.Equal(got.Phis(), want.Phis()):
 		return fmt.Errorf("outPhi differs")
-	case !slices.Equal(got.Weights(), want.Weights()):
-		return fmt.Errorf("outWt differs")
+	case !slices.Equal(arcValues(got, got.WeightAt), arcValues(want, want.WeightAt)):
+		return fmt.Errorf("LT weight differs")
 	case !slices.Equal(got.Opinions(), want.Opinions()):
 		return fmt.Errorf("opinion differs")
 	}
@@ -113,6 +132,16 @@ func sameArrays(got, want *graph.Graph) error {
 		if !slices.Equal(got.InEdgeIndices(v), want.InEdgeIndices(v)) {
 			return fmt.Errorf("inEdge differs at node %d", v)
 		}
+	}
+	gp, gpHead := got.ProbColumn()
+	wp, wpHead := want.ProbColumn()
+	if !sameColumn(gp, wp, gpHead, wpHead) {
+		return fmt.Errorf("p column (per head %v) differs from the Builder's (per head %v)", gpHead, wpHead)
+	}
+	gw, gwHead := got.WeightColumn()
+	ww, wwHead := want.WeightColumn()
+	if !sameColumn(gw, ww, gwHead, wwHead) {
+		return fmt.Errorf("LT weight column (per head %v) differs from the Builder's (per head %v)", gwHead, wwHead)
 	}
 	if got.Fingerprint() != want.Fingerprint() {
 		return fmt.Errorf("fingerprint %016x, want %016x", got.Fingerprint(), want.Fingerprint())
@@ -288,9 +317,13 @@ func (b *batchGen) draw() {
 
 // TestApplyEqualsBuilderRebuild is the property the derived-CSR
 // construction rests on: over seeded random (graph, batch) cases the
-// snapshot Apply installs equals, array for array and by fingerprint, the
-// one the builder rebuild produces — and so do Version, Dirty and the
-// counts it reports.
+// snapshot Apply installs equals, array for array, column form for column
+// form and by fingerprint, the one the builder rebuild produces — and so
+// do Version, Dirty and the counts it reports. The graphs hold p per arc
+// (a mix), or per head (weighted cascade, a uniform p), beside per-head LT
+// weights, so batches keep per-head rows per head (removals, reweights of
+// ϕ alone), break them (an add, a reweight of p or w) and, with
+// RebalanceLT, mend the weight rows they break.
 func TestApplyEqualsBuilderRebuild(t *testing.T) {
 	const cases = 240
 	ctx := context.Background()
@@ -311,6 +344,12 @@ func TestApplyEqualsBuilderRebuild(t *testing.T) {
 		g.SetEdgeParamsFunc(func(u, v graph.NodeID) (float64, float64) {
 			return float64((u*31+v*17)%1000) / 1000, float64((u*13+v*7)%1000) / 1000
 		})
+		switch c / 4 % 3 {
+		case 1:
+			g.SetWeightedCascadeProb()
+		case 2:
+			g.SetUniformProb(0.3)
+		}
 		g.SetDefaultLTWeights()
 		ops := make([]float64, n)
 		for i := range ops {
@@ -341,6 +380,27 @@ func TestApplyEqualsBuilderRebuild(t *testing.T) {
 			if cur.Fingerprint() != before {
 				t.Fatalf("case %d round %d: Apply changed the snapshot it started from", c, round)
 			}
+			for _, col := range []struct {
+				name     string
+				from, to bool
+			}{
+				{"p", perHead(cur.ProbColumn()), perHead(got.ProbColumn())},
+				{"w", perHead(cur.WeightColumn()), perHead(got.WeightColumn())},
+			} {
+				switch {
+				case col.from && col.to:
+					hit[col.name+" kept per head"]++
+				case col.from:
+					hit[col.name+" broken to per arc"]++
+				}
+			}
+			writesW := false // an op that leaves its row's w mixed unless rebalanced
+			for _, op := range bg.ops {
+				writesW = writesW || op.Op == live.OpAdd || op.W != nil
+			}
+			if opts.RebalanceLT && writesW && perHead(cur.WeightColumn()) && perHead(got.WeightColumn()) {
+				hit["w rows written and rebalanced"]++
+			}
 			var dirty []graph.NodeID
 			for _, op := range bg.ops {
 				dirty = append(dirty, op.To)
@@ -359,7 +419,8 @@ func TestApplyEqualsBuilderRebuild(t *testing.T) {
 		}
 	}
 	want := []string{"first row", "last row", "first arc of a row", "last arc of a row",
-		"row emptied", "row created", "in-degree to 0", "rebalance on", "rebalance off"}
+		"row emptied", "row created", "in-degree to 0", "rebalance on", "rebalance off",
+		"p kept per head", "p broken to per arc", "w kept per head", "w broken to per arc", "w rows written and rebalanced"}
 	for mask := 1; mask <= 7; mask++ {
 		want = append(want, fmt.Sprintf("reweight mask %d", mask))
 	}
@@ -370,3 +431,6 @@ func TestApplyEqualsBuilderRebuild(t *testing.T) {
 	}
 	t.Logf("corner cases over %d lineages: %v", cases, hit)
 }
+
+// perHead is the form a ProbColumn or WeightColumn call reports.
+func perHead(_ []float64, perHead bool) bool { return perHead }

@@ -31,7 +31,8 @@ func arcParams(t *testing.T, g *graph.Graph, u, v graph.NodeID) (float64, float6
 	t.Helper()
 	for i, nb := range g.OutNeighbors(u) {
 		if nb == v {
-			return g.OutProbs(u)[i], g.OutPhis(u)[i], g.OutWeights(u)[i]
+			e := g.OutEdgeBase(u) + int64(i)
+			return g.ProbAt(e), g.PhiAt(e), g.WeightAt(e)
 		}
 	}
 	t.Fatalf("arc (%d,%d) absent", u, v)

@@ -83,13 +83,12 @@ func TestAssignInteractions(t *testing.T) {
 	var count int
 	for u := graph.NodeID(0); u < g.NumNodes(); u++ {
 		phis := g.OutPhis(u)
-		ps := g.OutProbs(u)
 		for i := range phis {
 			if phis[i] < 0 || phis[i] >= 1 {
 				t.Fatalf("phi %v out of [0,1)", phis[i])
 			}
-			if ps[i] != 0.1 {
-				t.Fatalf("interaction assignment clobbered p: %v", ps[i])
+			if p := g.ProbAt(g.OutEdgeBase(u) + int64(i)); p != 0.1 {
+				t.Fatalf("interaction assignment clobbered p: %v", p)
 			}
 			sum += phis[i]
 			count++

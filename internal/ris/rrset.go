@@ -312,14 +312,12 @@ func (c *Collection) GenerateCtx(ctx context.Context, count int, seed uint64) er
 // on (graph, kind, seed, setIndex), never on which Sampler — or how
 // many — produced them.
 //
-// For IC a sampler walks the graph's in-CSR whole and reads each visited
-// node's in-row p from the graph's per-node column (graph.InRowProbs, a
-// pass over the in-edges on the graph's first sample): an arc's p lives in
-// the out-ordered column, so looking it up from an in-row is a random
-// gather, and under weighted cascade and uniform p the column's one load
-// serves the whole row. Only a mixed row (NaN in the column) gathers per
-// arc. The LT walk gathers its weight per arc: it scans one row per step,
-// not one per member, and stops at the chosen arc.
+// For IC a sampler walks the graph's in-CSR whole. On a graph that holds p
+// per head (graph.ProbColumn) — weighted cascade, a uniform p — it reads
+// each visited node's in-row p with one load; on one holding p per arc it
+// gathers each arc's p from the out-ordered column, a random load per arc.
+// The LT walk likewise reads a row's one weight with one load, or gathers
+// per arc, and stops at the chosen arc.
 type Sampler struct {
 	g       *graph.Graph
 	kind    ModelKind
@@ -354,10 +352,10 @@ func (s *Sampler) Sample(seed, setIndex uint64) []graph.NodeID {
 // (rng.RNG.Next), so its state stays in registers rather than going
 // through the sampler's RNG at every draw, and stores it back at the end;
 // the draws are the ones Float64 would make, compared the same way. The p
-// it tests is the row's column entry, one load per visited node, with the
-// row's arcs scanned by drawUniformRow — except in a mixed row, where it
-// is gathered per arc — and either way it is the value the arc's own entry
-// in the p column holds: the set is the same whichever rows are uniform.
+// it tests is the row's per-head entry, one load per visited node, with the
+// row's arcs scanned by drawUniformRow — or, on a graph holding p per arc,
+// each arc's own — and either way it is the value the arc holds: the set is
+// the same in either form.
 func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.NodeID {
 	s.rng.Reseed(rng.SplitSeed(seed, setIndex))
 	root := graph.NodeID(s.rng.Int31n(s.g.NumNodes()))
@@ -375,16 +373,17 @@ func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.
 		// as the queue. The stream, the stamps and the epoch live in
 		// locals for the whole set.
 		start, from, edge := g.InCSR()
-		prob, rowP := g.Probs(), g.InRowProbs()
+		prob, perHead := g.ProbColumn()
 		scratch, epoch, st := s.scratch, s.epoch, *r
 		for ; head < len(buf); head++ {
 			x := buf[head]
 			us := from[start[x]:start[x+1]]
-			if p := rowP[x]; !math.IsNaN(p) { // one p throughout
-				st, buf = drawUniformRow(us, p, scratch, epoch, st, buf)
+			if perHead { // one p throughout the row
+				st, buf = drawUniformRow(us, prob[x], scratch, epoch, st, buf)
 				continue
 			}
-			es := edge[start[x]:start[x+1]] // mixed: gather per arc
+			es := edge[start[x]:start[x+1]] // per arc: gather
+			es = es[:len(us)]
 			for j, u := range us {
 				if scratch[u] == epoch {
 					continue
@@ -401,21 +400,35 @@ func (s *Sampler) SampleInto(seed, setIndex uint64, buf []graph.NodeID) []graph.
 		return buf
 	}
 	// LT: random walk choosing at most one live in-edge per node.
+	start, from, edge := g.InCSR()
+	wt, perHead := g.WeightColumn()
 	x := root
 	for {
-		idxs := g.InEdgeIndices(x)
-		froms := g.InNeighbors(x)
-		if len(idxs) == 0 {
+		froms := from[start[x]:start[x+1]]
+		if len(froms) == 0 {
 			return buf
 		}
 		draw := r.Float64()
 		acc := 0.0
 		chosen := graph.NodeID(-1)
-		for j, e := range idxs {
-			acc += g.WeightAt(e)
-			if draw < acc {
-				chosen = froms[j]
-				break
+		if perHead { // one weight throughout the row, summed arc by arc as per arc
+			w := wt[x]
+			for _, u := range froms {
+				acc += w
+				if draw < acc {
+					chosen = u
+					break
+				}
+			}
+		} else {
+			idxs := edge[start[x]:start[x+1]]
+			idxs = idxs[:len(froms)]
+			for j, u := range froms {
+				acc += wt[idxs[j]]
+				if draw < acc {
+					chosen = u
+					break
+				}
 			}
 		}
 		if chosen < 0 || s.scratch[chosen] == s.epoch {

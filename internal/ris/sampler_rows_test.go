@@ -28,7 +28,7 @@ func referenceSample(g *graph.Graph, kind ModelKind, seed, setIndex uint64) []gr
 				if seen[u] {
 					continue
 				}
-				if r.Float64() < g.ProbAt(idxs[j]) {
+				if r.Float64() < g.ProbAt(int64(idxs[j])) {
 					seen[u] = true
 					set = append(set, u)
 				}
@@ -44,7 +44,7 @@ func referenceSample(g *graph.Graph, kind ModelKind, seed, setIndex uint64) []gr
 		draw, acc := r.Float64(), 0.0
 		chosen := graph.NodeID(-1)
 		for j, e := range idxs {
-			acc += g.WeightAt(e)
+			acc += g.WeightAt(int64(e))
 			if draw < acc {
 				chosen = froms[j]
 				break
@@ -79,7 +79,7 @@ func newRefSampler(g *graph.Graph) *refSampler {
 // in-edges and they all carry the same p (float ==, so a NaN equals
 // nothing, itself included).
 func uniformProbRows(g *graph.Graph) Bitset {
-	prob := g.Probs()
+	prob := arcProbs(g)
 	bits := Bitset(nil).Reset(int(g.NumNodes()))
 	for v := graph.NodeID(0); v < g.NumNodes(); v++ {
 		row := g.InEdgeIndices(v)
@@ -115,7 +115,7 @@ func (s *refSampler) referenceSampleInto(seed, setIndex uint64, buf []graph.Node
 	// Reverse BFS. Discovery order is the set, so the output doubles
 	// as the queue.
 	start, from, edge := g.InCSR()
-	prob, uniform := g.Probs(), s.uniform
+	prob, uniform := arcProbs(g), s.uniform
 	for ; head < len(buf); head++ {
 		x := buf[head]
 		us, es := from[start[x]:start[x+1]], edge[start[x]:start[x+1]]
@@ -139,8 +139,18 @@ func (s *refSampler) referenceSampleInto(seed, setIndex uint64, buf []graph.Node
 	return buf
 }
 
+// arcProbs is g's p per arc, in out-array order, whatever form g holds it in.
+func arcProbs(g *graph.Graph) []float64 {
+	prob := make([]float64, g.NumEdges())
+	for i := range prob {
+		prob[i] = g.ProbAt(int64(i))
+	}
+	return prob
+}
+
 // rowKindGraphs returns seeded graphs that between them hold every kind of
 // in-row the sampler distinguishes: all uniform (weighted cascade, one p),
+// and the weighted-cascade one again with its columns held per arc,
 // mostly mixed (trivalency), a weighted-cascade graph after a live batch,
 // and a hand-made one with rows of p = 0, p = 1, a mix of +0 and −0, and
 // no arcs at all.
@@ -184,6 +194,7 @@ func rowKindGraphs(t *testing.T) map[string]*graph.Graph {
 
 	return map[string]*graph.Graph{
 		"weighted-cascade": wc,
+		"wc-held-per-arc":  wc.PerArcClone(),
 		"uniform":          uniform,
 		"uniform-0.1":      p10,
 		"trivalency":       tri,
@@ -194,15 +205,15 @@ func rowKindGraphs(t *testing.T) map[string]*graph.Graph {
 
 // churned returns a weighted-cascade graph after one live batch of adds,
 // removals and reweights, each into a head of its own with at least two
-// in-arcs — having first checked what the batch did to the graph's
-// in-row column, which Apply's graph inherits rather than derives: a row
-// that gained or had reweighted an arc at p = 0.9 beside its 1/indeg ones
-// turned mixed (NaN), a row that lost an arc kept its p (the rest still
-// agree), and so did every row no op names.
+// in-arcs — having first checked what the batch did to the graph's rows,
+// which Apply's graph carries over rather than derives: a row that gained
+// or had reweighted an arc at p = 0.9 beside its 1/indeg ones turned
+// mixed, so p is now held per arc, a row that lost an arc kept its p (the
+// rest still agree), and so did every row no op names.
 func churned(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	g.SetWeightedCascadeProb()
-	before := slices.Clone(g.InRowProbs())
+	before, _ := g.ProbColumn()
 	r := rng.New(6)
 	var ops []live.EdgeOp
 	mixed := map[graph.NodeID]bool{} // head -> the op leaves its row mixed
@@ -226,30 +237,28 @@ func churned(t *testing.T, g *graph.Graph) *graph.Graph {
 	if _, err := lv.Apply(context.Background(), ops, live.ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	after := lv.Graph().InRowProbs()
+	after := lv.Graph()
+	if _, perHead := after.ProbColumn(); perHead {
+		t.Fatal("the batch left p per head")
+	}
 	for v := graph.NodeID(0); v < g.NumNodes(); v++ {
-		want := before[v]
-		if mixed[v] {
-			want = math.NaN()
+		values := map[float64]bool{}
+		for _, e := range after.InEdgeIndices(v) {
+			values[after.ProbAt(int64(e))] = true
 		}
-		if math.Float64bits(after[v]) != math.Float64bits(want) {
-			t.Fatalf("node %d (named by an op: %v): row p %v after the batch, want %v", v, mixed[v], after[v], want)
+		if mixed[v] != (len(values) == 2) || !mixed[v] && len(values) == 1 && !values[before[v]] {
+			t.Fatalf("node %d (named by an op: %v): row p %v after the batch, was %v", v, mixed[v], values, before[v])
 		}
 	}
-	return lv.Graph()
+	return after
 }
 
 func TestSamplerMatchesPerArcReference(t *testing.T) {
 	const seed, sets = 77, 1500
 	for name, g := range rowKindGraphs(t) {
-		// How many rows of each kind this graph really holds.
-		uniP := 0
-		for _, p := range g.InRowProbs() {
-			if !math.IsNaN(p) {
-				uniP++
-			}
-		}
-		t.Logf("%s: %d/%d rows uniform in p", name, uniP, g.NumNodes())
+		_, pHead := g.ProbColumn()
+		_, wHead := g.WeightColumn()
+		t.Logf("%s: p per head %v, LT weight per head %v", name, pHead, wHead)
 		for _, kind := range []ModelKind{ModelIC, ModelLT, ModelOC} {
 			want := make([][]graph.NodeID, sets)
 			for i := range want {

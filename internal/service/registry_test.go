@@ -138,8 +138,8 @@ func TestRegistryBuildGenerators(t *testing.T) {
 	if g.NumNodes() != 200 {
 		t.Fatalf("ba nodes = %d", g.NumNodes())
 	}
-	if p := g.OutProbs(0); len(p) > 0 && p[0] != 0.2 {
-		t.Fatalf("uniform prob not applied: %v", p[0])
+	if p, ok := g.EdgeProb(0, g.OutNeighbors(0)[0]); g.OutDegree(0) > 0 && (!ok || p != 0.2) {
+		t.Fatalf("uniform prob not applied: %v", p)
 	}
 	opinionated := false
 	for _, o := range g.Opinions() {

@@ -169,13 +169,13 @@ func GenerateDataset(opts DatasetOptions) *Dataset {
 			for head := 0; head < len(queue); head++ {
 				cur := queue[head]
 				nbrs := bg.OutNeighbors(cur.user)
-				ps := bg.OutProbs(cur.user)
+				base := bg.OutEdgeBase(cur.user)
 				phis := bg.OutPhis(cur.user)
 				for i, v := range nbrs {
 					if tweeted[v] {
 						continue
 					}
-					if r.Float64() >= ps[i] {
+					if r.Float64() >= bg.ProbAt(base+int64(i)) {
 						continue
 					}
 					tweeted[v] = true

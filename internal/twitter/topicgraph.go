@@ -267,6 +267,7 @@ func EstimateParameters(target *TopicGraph, history []TopicGraph) {
 		}
 	}
 	g := target.Graph
+	var ps, phis []float64 // per arc, in CSR order
 	for li := range target.BackNodes {
 		u := graph.NodeID(li)
 		bu := target.BackNodes[li]
@@ -284,25 +285,17 @@ func EstimateParameters(target *TopicGraph, history []TopicGraph) {
 			if appearances[bu] > 0 {
 				p = clamp(float64(followed[key])/float64(appearances[bu]), 0.02, 0.9)
 			}
-			// apply via the func-based setter to keep validation in one place
-			setEdge(g, u, v, p, phi)
+			ps, phis = append(ps, p), append(phis, phi)
 		}
 	}
+	// The func-based setter visits the arcs in the same CSR order and keeps
+	// validation in one place.
+	arc := 0
+	g.SetEdgeParamsFunc(func(_, _ graph.NodeID) (float64, float64) {
+		arc++
+		return ps[arc-1], phis[arc-1]
+	})
 	g.SetDefaultLTWeights()
-}
-
-// setEdge writes (p, ϕ) for one edge using the public API.
-func setEdge(g *graph.Graph, u, v graph.NodeID, p, phi float64) {
-	nbrs := g.OutNeighbors(u)
-	ps := g.OutProbs(u)
-	phis := g.OutPhis(u)
-	for i, w := range nbrs {
-		if w == v {
-			ps[i] = p
-			phis[i] = phi
-			return
-		}
-	}
 }
 
 func sameOrientation(a, b float64) bool {
