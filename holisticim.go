@@ -264,14 +264,19 @@ type Options struct {
 	// MCRuns is the Monte-Carlo budget for simulation-driven algorithms
 	// and estimators (default 10000, the paper's setting).
 	MCRuns int
-	// Seed drives all randomness (default 1).
+	// Seed drives all randomness (default 1). Every parallel stage draws
+	// from streams split off it by index — on a graph of ~131k arcs or
+	// more, run j of EaSyIM/OSIM's activation probe after pick i from
+	// rng.Split(rng.SplitSeed(Seed, i), j) — so no draw depends on which
+	// worker makes it.
 	Seed uint64
 	// Workers bounds the goroutines of every parallel stage — EaSyIM/OSIM
-	// sweeps, RR sampling, Monte-Carlo runs — and changes no result. One
-	// rule sizes them all: ≤ 0 means GOMAXPROCS, never more than
-	// max(16, 2·GOMAXPROCS) or the stage's chunks of work, and small work
-	// (a sweep under ~131k arcs, a batch under 512 RR sets) stays on the
-	// caller. A prebuilt sketch samples with its own SketchOptions.Workers.
+	// sweeps and their activation probe, RR sampling, Monte-Carlo runs —
+	// and changes no result. One rule sizes them all: ≤ 0 means
+	// GOMAXPROCS, never more than max(16, 2·GOMAXPROCS) or the stage's
+	// chunks of work, and small work (a sweep or a probe on a graph under
+	// ~131k arcs, a batch under 512 RR sets) stays on the caller. A
+	// prebuilt sketch samples with its own SketchOptions.Workers.
 	Workers int
 	// TIMThetaCap optionally bounds TIM+/IMM RR sets (0 = unbounded).
 	TIMThetaCap int

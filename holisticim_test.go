@@ -204,26 +204,32 @@ func TestEstimateSpreadConsistency(t *testing.T) {
 	}
 }
 
+// TestOpinionAwareBeatsObliviousOnMEO is the paper's core claim at API
+// level: OSIM seeds achieve at least the effective opinion spread of EaSyIM
+// seeds. The claim is about the expectation over probe randomness, so it is
+// asserted on the mean over Options.Seed 1..20, with no slack: one seed's
+// selections can lose (2 of seeds 1..40 do), the mean has not.
 func TestOpinionAwareBeatsObliviousOnMEO(t *testing.T) {
-	// The paper's core claim at API level: OSIM seeds achieve at least the
-	// effective opinion spread of EaSyIM seeds.
 	g := GenerateBA(500, 3, 11)
 	g.SetUniformProb(0.15)
 	AssignOpinions(g, OpinionPolarized, 12)
 	AssignInteractions(g, 13)
-	osim, err := SelectSeeds(g, 8, AlgOSIM, Options{MCRuns: 200, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
+	const seeds = 20
+	meo := func(alg Algorithm, seed uint64) float64 {
+		res, err := SelectSeeds(g, 8, alg, Options{MCRuns: 200, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustOpinionSpread(t, g, res.Seeds, Options{MCRuns: 4000, Seed: 17}).EffectiveOpinionSpread(1)
 	}
-	easy, err := SelectSeeds(g, 8, AlgEaSyIM, Options{MCRuns: 200, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
+	var osim, easy float64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		osim += meo(AlgOSIM, seed) / seeds
+		easy += meo(AlgEaSyIM, seed) / seeds
 	}
-	eo := mustOpinionSpread(t, g, osim.Seeds, Options{MCRuns: 4000, Seed: 17})
-	ee := mustOpinionSpread(t, g, easy.Seeds, Options{MCRuns: 4000, Seed: 17})
-	if eo.EffectiveOpinionSpread(1) < ee.EffectiveOpinionSpread(1)-0.5 {
-		t.Fatalf("OSIM %v below EaSyIM %v on MEO",
-			eo.EffectiveOpinionSpread(1), ee.EffectiveOpinionSpread(1))
+	t.Logf("mean MEO over %d probe seeds: OSIM %.3f, EaSyIM %.3f", seeds, osim, easy)
+	if osim < easy {
+		t.Fatalf("OSIM's mean MEO %v below EaSyIM's %v", osim, easy)
 	}
 }
 

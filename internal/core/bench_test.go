@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"github.com/holisticim/holisticim/internal/diffusion"
@@ -93,7 +95,10 @@ func BenchmarkScoreGreedySelectOSIM(b *testing.B) {
 // benchSelect times a k=50 selection as holisticim.SelectSeeds runs it and
 // reports, per seed, the rows re-summed and arcs read — a full pass per
 // seed would be l·n and l·m — and the scoring state held per node, the
-// figure behind the paper's memory claim (Fig. 6j, Table 3).
+// figure behind the paper's memory claim (Fig. 6j, Table 3). It also
+// reports the seeds' FNV-1a hash folded to 52 bits, exact in a float64, so
+// a comparison of the counts at two -cpu widths compares the seeds — and
+// with them the probe's marks, whose runs split at GOMAXPROCS — too.
 func benchSelect(b *testing.B, scorer func() LevelScorer, probe diffusion.Model) {
 	const k = 50
 	var res im.Result
@@ -106,6 +111,12 @@ func benchSelect(b *testing.B, scorer func() LevelScorer, probe diffusion.Model)
 	b.ReportMetric(res.Metrics["rows_rescored"]/k, "rows/seed")
 	b.ReportMetric(res.Metrics["arcs_rescored"]/k, "arcs/seed")
 	b.ReportMetric(res.Metrics["state_bytes_per_node"], "state_B/node")
+	h := fnv.New64a()
+	for _, v := range res.Seeds {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
+	}
+	sum := h.Sum64()
+	b.ReportMetric(float64(sum>>52^sum&(1<<52-1)), "seeds_hash")
 }
 
 func BenchmarkLiveEdgeEnsemble(b *testing.B) {

@@ -23,6 +23,9 @@ type LevelScorer interface {
 	// Work reports the rows re-summed and arcs read since the last Assign
 	// began, and the bytes of state kept, scores excluded.
 	Work() (rows, arcs, stateBytes int64)
+	// width is the worker count a sweep of every row splits over, which
+	// ScoreGreedy's activation probe splits its runs over too.
+	width() int
 }
 
 // levelKernel is the part of a level scorer that knows its recurrence.
@@ -98,17 +101,21 @@ const sweepChunk = 1024
 // the core of the request beside it for a seventh of a 0.2 ms sweep.
 const sweepGrain = 1 << 17
 
+// width is SetWorkers' count, or 1 on a graph under sweepGrain.
+func (s *levels) width() int {
+	if s.g.NumEdges() < sweepGrain {
+		return 1
+	}
+	return s.workers
+}
+
 // dense runs body over every row, sweepChunk rows at a time, through
-// par.For: on the caller alone when the graph is under sweepGrain. body
-// sums each row whole, in CSR order, into slots only that row owns, and
+// par.For at width: on the caller alone when the graph is under sweepGrain.
+// body sums each row whole, in CSR order, into slots only that row owns, and
 // reads nothing a sweep of the same level writes, so what it leaves is the
 // same bits at any worker count.
 func (s *levels) dense(body func(lo, hi int)) {
-	workers := s.workers
-	if s.g.NumEdges() < sweepGrain {
-		workers = 1
-	}
-	par.For(context.Background(), len(s.gone), sweepChunk, workers, func(_, lo, hi int) { body(lo, hi) })
+	par.For(context.Background(), len(s.gone), sweepChunk, s.width(), func(_, lo, hi int) { body(lo, hi) })
 }
 
 // Assign implements Scorer. It is the full pass — the kernel with every row

@@ -156,8 +156,9 @@ func pinnedRows(workers int) []string {
 // (testdata/parent_seeds.txt, written there with PRINT_PINNED_SEEDS=1 before
 // any code changed): scores bit for bit, seeds and the saturation point
 // exactly, whatever worker count the scorer is given. These graphs are all
-// under sweepGrain, so their sweeps stay on the caller;
-// TestSweepsEqualAtAnyWorkerCount covers the ones that fork.
+// under sweepGrain, so their sweeps and probes stay on the caller, the
+// probe on its one stream; TestSweepsEqualAtAnyWorkerCount covers the ones
+// that fork.
 func TestSeedsPinnedFromParent(t *testing.T) {
 	if os.Getenv("PRINT_PINNED_SEEDS") != "" {
 		if err := os.WriteFile(pinnedTablePath, []byte(strings.Join(pinnedRows(1), "\n")+"\n"), 0o644); err != nil {
@@ -200,7 +201,10 @@ func TestSeedsPinnedFromParent(t *testing.T) {
 // that forks — over sweepGrain arcs, its row count not a multiple of
 // sweepChunk: at 2, 3 and 8 workers a full pass, a masked pass and a
 // ScoreGreedy run, whose exclusions of hub seeds sweep every row too, leave
-// the score bits, seeds and work counts one worker leaves.
+// the score bits, seeds and work counts one worker leaves. The run selects
+// under PolicyMCMajority, whose probe splits its 7 runs at the same width
+// (LevelScorer.width), so the marks it grows V(a) by are held to one
+// worker's too.
 func TestSweepsEqualAtAnyWorkerCount(t *testing.T) {
 	g := rmatGraph(6*sweepChunk+7, 3*sweepGrain/2)
 	g.SetDefaultLTWeights()

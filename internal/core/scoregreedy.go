@@ -21,7 +21,10 @@ type ActivationPolicy int
 const (
 	// PolicyMCMajority runs ProbeRuns Monte-Carlo simulations from the new
 	// seed on the remaining graph and marks nodes activated in at least
-	// half of them. Default: matches the paper's MC-driven evaluation.
+	// half of them. Default: matches the paper's MC-driven evaluation. On a
+	// graph whose sweeps split (sweepGrain arcs or more) the runs split over
+	// the same width, each on its own stream, so the marks do not depend on
+	// it; on a smaller one they run on the caller from one stream.
 	PolicyMCMajority ActivationPolicy = iota
 	// PolicyReach marks nodes whose maximum single-path activation
 	// probability from the seed is at least ReachThreshold (Dijkstra over
@@ -58,7 +61,10 @@ type ScoreGreedyOptions struct {
 	// ReachThreshold is PolicyReach's activation-probability cutoff
 	// (default 0.5).
 	ReachThreshold float64
-	// Seed drives all probe randomness.
+	// Seed drives all probe randomness: on a graph of sweepGrain arcs or
+	// more, run j of the probe after pick i draws from
+	// rng.Split(rng.SplitSeed(Seed, i), j), the same stream at any worker
+	// count; on a smaller one every run draws from rng.New(Seed) in turn.
 	Seed uint64
 }
 
@@ -107,10 +113,9 @@ func (sg *ScoreGreedy) Select(ctx context.Context, k int) (res im.Result, err er
 
 	excluded := make([]bool, n)
 	scores := make([]float64, n)
-	p := probe{r: rng.New(sg.opts.Seed)}
-	if sg.opts.Policy == PolicyMCMajority {
-		p.scratch = diffusion.NewScratch(n)
-		p.counts = make([]int32, n)
+	var p probe
+	if g.NumEdges() < sweepGrain {
+		p.r = rng.New(sg.opts.Seed)
 	}
 	defer func() {
 		rows, arcs, state := sg.scorer.Work()
@@ -144,7 +149,7 @@ func (sg *ScoreGreedy) Select(ctx context.Context, k int) (res im.Result, err er
 			}
 			break
 		}
-		newly = sg.markActivated(pick, excluded, &p, newly[:0])
+		newly = sg.markActivated(i, pick, excluded, &p, newly[:0])
 		tr.Seed(&res, pick)
 	}
 	tr.Finish(&res)
@@ -177,44 +182,36 @@ func (sg *ScoreGreedy) fillRemaining(tr *im.Tracker, res *im.Result, k int) erro
 	return nil
 }
 
-// probe is PolicyMCMajority's reusable state. counts is all zero between
-// seeds: markActivated clears exactly the entries its runs touched.
+// probe is PolicyMCMajority's reusable state. On a graph under sweepGrain,
+// where a sweep stays on the caller, so does the probe: every run of every
+// pick draws from the one stream r in turn. On a larger graph r is nil, run
+// j of pick i draws from rng.Split(rng.SplitSeed(Seed, i), j), and the runs
+// split over the sweep width.
 type probe struct {
-	r       *rng.RNG
-	scratch *diffusion.Scratch
-	counts  []int32
-	touched []graph.NodeID
-	seed    [1]graph.NodeID
+	tally diffusion.Tally
+	r     *rng.RNG
+	seed  [1]graph.NodeID
 }
 
-// markActivated grows the excluded mask with the seed and the nodes it
-// activates under the configured policy, and appends them to newly.
-func (sg *ScoreGreedy) markActivated(seed graph.NodeID, excluded []bool, p *probe, newly []graph.NodeID) []graph.NodeID {
+// markActivated grows the excluded mask with the seed of pick i and the
+// nodes it activates under the configured policy, and appends them to newly.
+func (sg *ScoreGreedy) markActivated(i int, seed graph.NodeID, excluded []bool, p *probe, newly []graph.NodeID) []graph.NodeID {
 	switch sg.opts.Policy {
 	case PolicySeedOnly:
 		excluded[seed] = true
 		return append(newly, seed)
 	case PolicyMCMajority:
-		p.scratch.SetBlocked(excluded)
-		p.seed[0], p.touched = seed, p.touched[:0]
-		for run := 0; run < sg.opts.ProbeRuns; run++ {
-			sg.opts.ProbeModel.Simulate(p.seed[:], p.r, p.scratch)
-			for _, v := range p.scratch.Activated() {
-				if p.counts[v] == 0 {
-					p.touched = append(p.touched, v)
-				}
-				p.counts[v]++
-			}
-		}
-		p.scratch.SetBlocked(nil)
+		p.seed[0] = seed
 		// The seed is active in every run, so it is always among them.
-		half := int32((sg.opts.ProbeRuns + 1) / 2)
-		for _, v := range p.touched {
-			if p.counts[v] >= half {
-				excluded[v] = true
-				newly = append(newly, v)
-			}
-			p.counts[v] = 0
+		start, quorum := len(newly), (sg.opts.ProbeRuns+1)/2
+		if p.r != nil {
+			newly = p.tally.FrequentFrom(sg.opts.ProbeModel, p.seed[:], excluded, quorum, sg.opts.ProbeRuns, p.r, newly)
+		} else {
+			mc := diffusion.MCOptions{Runs: sg.opts.ProbeRuns, Seed: rng.SplitSeed(sg.opts.Seed, uint64(i)), Workers: sg.scorer.width()}
+			newly = p.tally.Frequent(sg.opts.ProbeModel, p.seed[:], excluded, quorum, mc, newly)
+		}
+		for _, v := range newly[start:] {
+			excluded[v] = true
 		}
 		return newly
 	case PolicyReach:

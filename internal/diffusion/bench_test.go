@@ -105,7 +105,8 @@ func probeSetup(b *testing.B) (*graph.Graph, []graph.NodeID, []bool) {
 	return g, seeds, mask
 }
 
-// benchProbe times one probe: 20 runs from one seed on one RNG stream.
+// benchProbe times one probe's simulations, 20 runs from one seed, on one
+// worker and one stream: the kernel Tally.Frequent splits over workers.
 func benchProbe(b *testing.B, newModel func(*graph.Graph) Model) {
 	g, seeds, mask := probeSetup(b)
 	m := newModel(g)

@@ -3,6 +3,7 @@ package diffusion
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -90,6 +91,62 @@ func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 	b := MonteCarlo(m, []graph.NodeID{1, 2, 3}, MCOptions{Runs: 500, Seed: 9, Workers: 8})
 	if a.Spread != b.Spread || a.OpinionSpread != b.OpinionSpread {
 		t.Fatalf("estimates differ across worker counts: %v vs %v", a.Spread, b.Spread)
+	}
+}
+
+// TestTallyFrequent: Tally.Frequent marks what counting run j on the stream
+// rng.Split(Seed, j) one run at a time marks — at 1, 2, 3 and 8 workers —
+// and FrequentFrom what counting every run on one stream marks, at every
+// quorum, under a mask and then without one, on one Tally reused across
+// all the calls.
+func TestTallyFrequent(t *testing.T) {
+	g := graph.ErdosRenyi(300, 2000, rng.New(7))
+	g.SetUniformProb(0.15)
+	m := NewIC(g)
+	seeds := []graph.NodeID{1, 2, 3}
+	blocked := make([]bool, g.NumNodes())
+	for v := range blocked {
+		blocked[v] = v%5 == 4
+	}
+	const runs = 9
+	var tally Tally
+	for _, mask := range [][]bool{blocked, nil} {
+		split, one := make([]int, g.NumNodes()), make([]int, g.NumNodes())
+		s, r := NewScratch(g.NumNodes()), rng.New(77)
+		s.SetBlocked(mask)
+		for j := 0; j < runs; j++ {
+			m.Simulate(seeds, rng.Split(77, uint64(j)), s)
+			for _, v := range s.Activated() {
+				split[v]++
+			}
+			m.Simulate(seeds, r, s)
+			for _, v := range s.Activated() {
+				one[v]++
+			}
+		}
+		for _, quorum := range []int{1, 5, runs} {
+			marked := func(counts []int) []graph.NodeID {
+				var out []graph.NodeID
+				for v, c := range counts {
+					if c >= quorum {
+						out = append(out, graph.NodeID(v))
+					}
+				}
+				return out
+			}
+			want := marked(split)
+			for _, workers := range []int{1, 2, 3, 8} {
+				got := tally.Frequent(m, seeds, mask, quorum, MCOptions{Runs: runs, Seed: 77, Workers: workers}, []graph.NodeID{99})
+				if !slices.Equal(got[1:], want) || got[0] != 99 {
+					t.Fatalf("masked=%v quorum %d, workers=%d: got %v, want 99 then %v", mask != nil, quorum, workers, got, want)
+				}
+			}
+			got := tally.FrequentFrom(m, seeds, mask, quorum, runs, rng.New(77), nil)
+			slices.Sort(got)
+			if want := marked(one); !slices.Equal(got, want) {
+				t.Fatalf("masked=%v quorum %d, one stream: got %v, want %v", mask != nil, quorum, got, want)
+			}
+		}
 	}
 }
 
