@@ -1,5 +1,6 @@
 // Benchmark harness: one testing.B target per paper table/figure (the
-// mapping lives in DESIGN.md §4). Each benchmark executes the full
+// experiments.Registry entries; `imbench -list` prints them with their
+// paper references). Each benchmark executes the full
 // experiment at quick scale; run the cmd/imbench binary (optionally
 // without -quick) for the complete reproduction with rendered tables.
 //
@@ -82,7 +83,7 @@ func BenchmarkFig7h_IRIETime(b *testing.B)      { runExperiment(b, "fig7h") }
 func BenchmarkFig7i_SimpathTime(b *testing.B)   { runExperiment(b, "fig7i") }
 func BenchmarkFig7j_LargeMemory(b *testing.B)   { runExperiment(b, "fig7j") }
 
-// --- Ablations (DESIGN.md §5) ----------------------------------------------
+// --- Ablations -------------------------------------------------------------
 
 func BenchmarkAblationActivationPolicy(b *testing.B) { runExperiment(b, "ablation-policy") }
 func BenchmarkAblationOpinionObliviousSeeds(b *testing.B) {

@@ -1,5 +1,5 @@
 // Command imbench reproduces the paper's tables and figures on the scaled
-// synthetic datasets (see DESIGN.md for the experiment index).
+// synthetic datasets (imbench -list prints the experiment index).
 //
 // Usage:
 //

@@ -126,7 +126,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	}
 	switch c.verb {
 	case "select":
-		fs.StringVar(&c.alg, "alg", "easyim", "algorithm: easyim|osim|greedy|celf++|modified-greedy|tim+|imm|irie|simpath|degree|degree-discount|pagerank")
+		fs.StringVar(&c.alg, "alg", "easyim", "algorithm: easyim|osim|greedy|celf++|modified-greedy|tim+|imm|irie|simpath|degree-discount")
 		fs.IntVar(&c.k, "k", 10, "seed budget")
 		fs.Func("ks", "comma-separated seed budgets: run a batch query over shared state (overrides -k)", func(s string) error {
 			for _, part := range strings.Split(s, ",") {

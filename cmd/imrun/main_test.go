@@ -224,6 +224,29 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestAlgHelpListsAcceptedAlgorithms: every name `select -alg`'s help
+// lists is one the query planner accepts, and the list holds all ten.
+func TestAlgHelpListsAcceptedAlgorithms(t *testing.T) {
+	var stderr bytes.Buffer
+	if _, err := parse([]string{"select", "-h"}, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("select -h: %v", err)
+	}
+	m := regexp.MustCompile(`algorithm: (\S+)`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("no algorithm list in the help:\n%s", stderr.String())
+	}
+	names := strings.Split(m[1], "|")
+	for _, name := range names {
+		q := holisticim.Query{Algorithm: holisticim.Algorithm(name), K: 1}
+		if _, err := q.Normalized(); err != nil {
+			t.Errorf("-alg %s: %v", name, err)
+		}
+	}
+	if len(names) != 10 {
+		t.Errorf("help lists %d algorithms %v, want 10", len(names), names)
+	}
+}
+
 // TestDocumentedInvocationsParse parses every imrun command line the docs,
 // scripts, compose file and repository skill notes show with the real verb
 // flag sets.

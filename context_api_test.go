@@ -15,8 +15,8 @@ func TestSelectSeedsContextCancellationAllAlgorithms(t *testing.T) {
 	g := testGraph()
 	opts := Options{MCRuns: 60, Seed: 5, TIMThetaCap: 20000, Model: ModelIC}
 	algs := []Algorithm{
-		AlgEaSyIM, AlgOSIM, AlgGreedy, AlgCELFPP, AlgModifiedGreedy, AlgStaticGreedy,
-		AlgTIMPlus, AlgIMM, AlgIRIE, AlgDegree, AlgDegreeDiscount, AlgPageRank,
+		AlgEaSyIM, AlgOSIM, AlgGreedy, AlgCELFPP, AlgModifiedGreedy,
+		AlgTIMPlus, AlgIMM, AlgIRIE, AlgDegreeDiscount,
 	}
 	for _, alg := range algs {
 		alg := alg
@@ -87,7 +87,7 @@ func TestSelectSeedsProgressOption(t *testing.T) {
 	var idxs []int
 	var seeds []NodeID
 	var lastElapsed time.Duration
-	res, err := SelectSeedsContext(context.Background(), g, 5, AlgDegree, Options{
+	res, err := SelectSeedsContext(context.Background(), g, 5, AlgDegreeDiscount, Options{
 		Progress: func(seedIdx int, seed NodeID, elapsed time.Duration) {
 			idxs = append(idxs, seedIdx)
 			seeds = append(seeds, seed)
@@ -112,7 +112,7 @@ func TestSelectSeedsProgressOption(t *testing.T) {
 		}
 	}
 	// SelectSeeds (the background wrapper) must behave identically.
-	res2, err := SelectSeeds(g, 5, AlgDegree, Options{})
+	res2, err := SelectSeeds(g, 5, AlgDegreeDiscount, Options{})
 	if err != nil || len(res2.Seeds) != 5 || res2.Partial {
 		t.Fatalf("SelectSeeds wrapper: res=%+v err=%v", res2, err)
 	}

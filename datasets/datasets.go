@@ -25,14 +25,12 @@ func Names() []string {
 	return out
 }
 
-// Load builds the named scaled stand-in dataset (see DESIGN.md §6).
+// Load builds the named scaled stand-in dataset (sizes in experiments.Datasets).
 // quick selects the reduced tier used by tests and benchmarks.
 func Load(name string, quick bool, seed uint64) (*holisticim.Graph, error) {
-	spec, ok := experiments.Datasets[name]
-	if !ok {
+	if _, ok := experiments.Datasets[name]; !ok {
 		return nil, fmt.Errorf("datasets: unknown dataset %q (have %v)", name, Names())
 	}
-	_ = spec
 	return experiments.LoadDataset(name, experiments.Config{Quick: quick, Seed: seed}), nil
 }
 

@@ -43,14 +43,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	degree, _ := holisticim.SelectSeeds(g, budget, holisticim.AlgDegree, opts)
+	dd, err := holisticim.SelectSeeds(g, budget, holisticim.AlgDegreeDiscount, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-32s %14s %14s\n", "targeting strategy", "opinion spread", "effective λ=1")
 	for _, run := range []struct {
 		name  string
 		seeds []holisticim.NodeID
 	}{
-		{"Degree (most-connected)", degree.Seeds},
+		{"DegreeDiscount (most-connected)", dd.Seeds},
 		{"EaSyIM (opinion-oblivious)", easy.Seeds},
 		{"OSIM (opinion-aware MEO)", osim.Seeds},
 	} {

@@ -73,7 +73,10 @@ func market() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	degree, _ := holisticim.SelectSeeds(g, k, holisticim.AlgDegree, opts)
+	dd, err := holisticim.SelectSeeds(g, k, holisticim.AlgDegreeDiscount, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("== Polarized market, 20K customers, budget 25 ==")
 	fmt.Printf("%-28s %12s %12s %12s\n", "strategy", "reach", "opinion", "effective λ=1")
@@ -81,7 +84,7 @@ func market() {
 		name  string
 		seeds []holisticim.NodeID
 	}{
-		{"Degree (follower count)", degree.Seeds},
+		{"DegreeDiscount (followers)", dd.Seeds},
 		{"EaSyIM (max reach)", easy.Seeds},
 		{"OSIM (max effective opinion)", osim.Seeds},
 	} {

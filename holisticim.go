@@ -10,9 +10,8 @@
 //   - the paper's scalable seed-selection algorithms EaSyIM (opinion-
 //     oblivious) and OSIM (opinion-aware MEO), running in O(k·l·(m+n))
 //     time and O(n) space;
-//   - the full baseline suite the paper evaluates against: GREEDY,
-//     CELF++, Modified-GREEDY, TIM+, IMM, IRIE, SIMPATH, Degree,
-//     DegreeDiscount and PageRank;
+//   - the baseline suite the paper evaluates against: GREEDY, CELF++,
+//     Modified-GREEDY, TIM+, IMM, IRIE, SIMPATH and DegreeDiscount;
 //   - a deterministic parallel Monte-Carlo spread estimator;
 //   - synthetic dataset generators, plus the Twitter-study and
 //     customer-churn pipelines from the paper's Section 4.
@@ -243,10 +242,7 @@ const (
 	AlgIMM            Algorithm = "imm"             // Tang et al. SIGMOD'15
 	AlgIRIE           Algorithm = "irie"            // Jung et al. ICDM'12
 	AlgSIMPATH        Algorithm = "simpath"         // Goyal et al. ICDM'11 (LT)
-	AlgStaticGreedy   Algorithm = "static-greedy"   // Cheng et al. CIKM'13 snapshot greedy
-	AlgDegree         Algorithm = "degree"
 	AlgDegreeDiscount Algorithm = "degree-discount"
-	AlgPageRank       Algorithm = "pagerank"
 )
 
 // Options tunes SelectSeeds and the estimators. The zero value picks the
@@ -413,12 +409,6 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 		obj := greedy.NewEffectiveOpinionObjective(model, o.Lambda, o.MCRuns, o.Seed)
 		obj.Workers = o.Workers
 		sel = greedy.NewModifiedGreedy(obj)
-	case AlgStaticGreedy:
-		snapshots := o.MCRuns / 50
-		if snapshots < 1 {
-			snapshots = 1
-		}
-		sel = greedy.NewStaticGreedy(g, snapshots, o.Seed)
 	case AlgTIMPlus:
 		sel = ris.NewTIMPlus(g, kind.ris, ris.TIMOptions{Epsilon: o.Epsilon, Seed: o.Seed, Workers: o.Workers, ThetaCap: o.TIMThetaCap})
 	case AlgIMM:
@@ -427,16 +417,12 @@ func newSelector(g *Graph, o Options, alg Algorithm) (im.Selector, error) {
 		sel = heuristics.NewIRIE(g, 0, 0, 0)
 	case AlgSIMPATH:
 		sel = heuristics.NewSIMPATH(g, 0, 0)
-	case AlgDegree:
-		sel = heuristics.NewDegree(g)
 	case AlgDegreeDiscount:
 		p := graph.MeanEdgeProb(g)
 		if p == 0 {
 			p = 0.1
 		}
 		sel = heuristics.NewDegreeDiscount(g, p)
-	case AlgPageRank:
-		sel = heuristics.NewPageRank(g, 0, 0)
 	default:
 		return nil, fmt.Errorf("holisticim: unknown algorithm %q", alg)
 	}

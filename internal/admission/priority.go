@@ -51,11 +51,12 @@ func ParsePriority(s string) (Priority, bool) {
 }
 
 // ForBackend derives the service class of one plan step from the
-// backend the planner routed it to: the sketch index and the degree
-// heuristic answer in milliseconds (interactive), RIS sampling and
-// score estimation in seconds (standard), cold Monte Carlo in minutes
-// (batch). Unknown backends are standard — neither trusted with the
-// fast lane nor punished to the back of it.
+// backend the planner routed it to: the sketch index and the
+// simulation-free heuristics (IRIE, SIMPATH, DegreeDiscount) are
+// interactive, RIS sampling and score estimation take seconds
+// (standard), cold Monte Carlo minutes (batch). Unknown backends are
+// standard — neither trusted with the fast lane nor punished to the back
+// of it.
 func ForBackend(backend string) Priority {
 	switch backend {
 	case "sketch", "heuristic":

@@ -3,7 +3,7 @@
 // customer table with churn-correlated attributes, attribute-similarity
 // graph induction, and Zhu–Ghahramani-style label propagation that turns
 // churn affinity into the OI model's opinion parameter. The original
-// dataset is proprietary; DESIGN.md §3 documents the substitution.
+// dataset is proprietary; GenerateCustomers stands in for it.
 package churn
 
 import (

@@ -82,7 +82,8 @@ func featureScales(customers []Customer) [7]float64 {
 // influence probability p = similarity (the paper: "attribute-value
 // similarity defines the influence-probability") and interaction
 // ϕ ~ rand(0,1) (also the paper's choice). O(n²) pairwise comparison —
-// fine at the scaled dataset sizes documented in DESIGN.md.
+// fine at the churn study's scale (datasets.ChurnOptions, 2000 customers
+// by default).
 func SimilarityGraph(customers []Customer, opts SimilarityOptions) *graph.Graph {
 	if opts.Threshold <= 0 {
 		opts.Threshold = 0.9

@@ -138,7 +138,7 @@ func randomBodies(seed int64, n int) []routedBody {
 			o.Model = "oc"
 			out[i] = routedBody{"/v2/query", marshal(service.QueryRequest{Graph: "soc", Task: "estimate", Objective: "opinion", SeedSets: sets, Options: o})}
 		case 4:
-			out[i] = routedBody{"/v2/query", marshal(service.QueryRequest{Graph: "soc", Algorithm: "degree", K: budget()})}
+			out[i] = routedBody{"/v2/query", marshal(service.QueryRequest{Graph: "soc", Algorithm: "degree-discount", K: budget()})}
 		}
 	}
 	return out
@@ -321,7 +321,7 @@ func TestRoutedColdJobRoundTrip(t *testing.T) {
 	tc := newTestCluster(t)
 	req := service.QueryRequest{
 		Graph:     "soc",
-		Algorithm: "degree",
+		Algorithm: "degree-discount",
 		K:         4,
 	}
 	code, qr, _ := postQuery(t, tc.front.URL, req)

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "ablation-policy", Title: "ScoreGREEDY V(a) activation-policy ablation", PaperRef: "DESIGN.md §5", Run: runAblationPolicy})
+	register(Experiment{ID: "ablation-policy", Title: "ScoreGREEDY V(a) activation-policy ablation", PaperRef: "Alg. 1 line 11", Run: runAblationPolicy})
 	register(Experiment{ID: "ablation-oblivious-seeds", Title: "Cost of opinion-oblivious seeds under MEO", PaperRef: "Sec. 1 motivation", Run: runAblationObliviousSeeds})
 }
 

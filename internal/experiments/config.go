@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Sec. 4 and Appendix B) on the scaled synthetic datasets of
-// DESIGN.md §6. Each experiment is a named runner producing one or more
+// Datasets. Each experiment is a named runner producing one or more
 // Tables; cmd/imbench drives them from the command line and bench_test.go
 // wraps each one in a testing.B benchmark.
 package experiments
@@ -14,7 +14,7 @@ import (
 // Config controls dataset scale and simulation effort.
 type Config struct {
 	// Quick selects the reduced dataset scale and Monte-Carlo budget used
-	// by tests and benchmarks; full scale follows DESIGN.md §6.
+	// by tests and benchmarks; full scale uses Datasets' full sizes.
 	Quick bool
 	// MCRuns overrides the Monte-Carlo evaluation budget (0 = default:
 	// 10000 full / 300 quick; the paper uses 10K).

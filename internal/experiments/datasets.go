@@ -8,8 +8,8 @@ import (
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
-// DatasetSpec describes one scaled stand-in for a paper dataset (Table 2)
-// per DESIGN.md §6.
+// DatasetSpec describes one scaled stand-in for a paper dataset (Table 2);
+// Datasets lists them with their full and quick sizes.
 type DatasetSpec struct {
 	Name     string
 	PaperN   string // paper's node count, for the notes column

@@ -7,7 +7,8 @@ import (
 )
 
 // This file contains the synthetic graph generators used as stand-ins for
-// the paper's SNAP/arXiv datasets (DESIGN.md §3 documents the substitution).
+// the paper's SNAP/arXiv datasets (experiments.Datasets maps each one to
+// its generator and sizes).
 // All generators are deterministic given their RNG.
 
 // ErdosRenyi samples a directed G(n, m) graph: m arcs chosen uniformly

@@ -86,8 +86,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 }
 
 // WriteEdgeList writes the graph as "u v p phi" lines, one arc per line,
-// readable back by ReadEdgeList. Opinions are not serialized here; use
-// WriteOpinions.
+// readable back by ReadEdgeList. Opinions are not serialized here; the
+// binary format (WriteBinary) carries them.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# nodes=%d arcs=%d\n", g.NumNodes(), g.NumEdges()); err != nil {
@@ -103,46 +103,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteOpinions writes one "node opinion" line per node.
-func WriteOpinions(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	for v := NodeID(0); v < g.NumNodes(); v++ {
-		if _, err := fmt.Fprintf(bw, "%d %g\n", v, g.Opinion(v)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadOpinions parses "node opinion" lines and applies them to g.
-func ReadOpinions(r io.Reader, g *Graph) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2 {
-			return fmt.Errorf("graph: opinions line %d: expected 2 fields", lineNo)
-		}
-		id, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil || id < 0 || NodeID(id) >= g.NumNodes() {
-			return fmt.Errorf("graph: opinions line %d: bad node id %q", lineNo, fields[0])
-		}
-		o, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || o < -1 || o > 1 {
-			return fmt.Errorf("graph: opinions line %d: bad opinion %q", lineNo, fields[1])
-		}
-		g.SetOpinion(NodeID(id), o)
-	}
-	return sc.Err()
 }

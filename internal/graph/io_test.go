@@ -79,30 +79,3 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestOpinionsRoundTrip(t *testing.T) {
-	g := Path(4, 0.1, 0.5)
-	g.SetOpinions([]float64{0.5, -0.25, 1, -1})
-	var buf bytes.Buffer
-	if err := WriteOpinions(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2 := Path(4, 0.1, 0.5)
-	if err := ReadOpinions(&buf, g2); err != nil {
-		t.Fatal(err)
-	}
-	for v := NodeID(0); v < 4; v++ {
-		if g.Opinion(v) != g2.Opinion(v) {
-			t.Fatalf("opinion %d: %v vs %v", v, g.Opinion(v), g2.Opinion(v))
-		}
-	}
-}
-
-func TestReadOpinionsErrors(t *testing.T) {
-	g := Path(2, 0.1, 0.5)
-	for _, c := range []string{"5 0.5\n", "0 2\n", "0\n"} {
-		if err := ReadOpinions(strings.NewReader(c), g); err == nil {
-			t.Fatalf("input %q: expected error", c)
-		}
-	}
-}

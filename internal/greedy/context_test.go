@@ -26,9 +26,4 @@ func TestGreedyFamilyCancellation(t *testing.T) {
 			return NewCELFPP(NewSpreadObjective(diffusion.NewIC(g), 30, 3))
 		}, g.NumNodes(), 3)
 	})
-	t.Run("static-greedy", func(t *testing.T) {
-		imtest.Conformance(t, func() im.Selector {
-			return NewStaticGreedy(g, 60, 5)
-		}, g.NumNodes(), 3)
-	})
 }

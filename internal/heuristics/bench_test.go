@@ -49,11 +49,3 @@ func BenchmarkDegreeDiscountSelect50(b *testing.B) {
 		_ = runSelect(NewDegreeDiscount(g, 0.1), 50)
 	}
 }
-
-func BenchmarkPageRankSelect(b *testing.B) {
-	g := benchGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = runSelect(NewPageRank(g, 0, 0), 10)
-	}
-}

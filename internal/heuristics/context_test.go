@@ -21,9 +21,7 @@ func TestHeuristicsCancellation(t *testing.T) {
 	}{
 		{"irie", func() im.Selector { return NewIRIE(g, 0, 0, 0) }},
 		{"simpath", func() im.Selector { return NewSIMPATH(g, 1e-3, 4) }},
-		{"degree", func() im.Selector { return NewDegree(g) }},
 		{"degree-discount", func() im.Selector { return NewDegreeDiscount(g, 0.1) }},
-		{"pagerank", func() im.Selector { return NewPageRank(g, 0, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { imtest.Conformance(t, tc.mk, g.NumNodes(), 4) })

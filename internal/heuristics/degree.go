@@ -1,8 +1,7 @@
 // Package heuristics implements the heuristic IM baselines the paper
 // benchmarks: IRIE (Jung, Heo, Chen — ICDM'12) for IC/WC, SIMPATH (Goyal,
-// Lu, Lakshmanan — ICDM'11) for LT, plus the classical Degree,
-// DegreeDiscount (Chen et al. — KDD'09) and PageRank selectors used as
-// cheap sanity baselines.
+// Lu, Lakshmanan — ICDM'11) for LT, and DegreeDiscount (Chen et al. —
+// KDD'09), the cheap degree-based baseline.
 package heuristics
 
 import (
@@ -12,37 +11,6 @@ import (
 	"github.com/holisticim/holisticim/internal/graph"
 	"github.com/holisticim/holisticim/internal/im"
 )
-
-// Degree picks the k nodes of largest out-degree — the weakest standard
-// baseline.
-type Degree struct {
-	g *graph.Graph
-}
-
-// NewDegree returns the degree selector.
-func NewDegree(g *graph.Graph) *Degree { return &Degree{g: g} }
-
-// Name implements im.Selector.
-func (d *Degree) Name() string { return "Degree" }
-
-// Select implements im.Selector. The top-k scan is effectively instant;
-// the per-seed reporting loop still honors cancellation for contract
-// uniformity.
-func (d *Degree) Select(ctx context.Context, k int) (im.Result, error) {
-	res := im.Result{Algorithm: d.Name()}
-	if err := im.CheckK(k, d.g.NumNodes()); err != nil {
-		return res, err
-	}
-	tr := im.StartTracker(ctx)
-	for _, v := range graph.TopKByOutDegree(d.g, k) {
-		if err := tr.Interrupted(&res); err != nil {
-			return res, err
-		}
-		tr.Seed(&res, v)
-	}
-	tr.Finish(&res)
-	return res, nil
-}
 
 // DegreeDiscount implements Chen et al.'s degree-discount heuristic for
 // IC with uniform propagation probability p: when a neighbor of v is
@@ -142,7 +110,4 @@ func (d *DegreeDiscount) Select(ctx context.Context, k int) (im.Result, error) {
 	return res, nil
 }
 
-var (
-	_ im.Selector = (*Degree)(nil)
-	_ im.Selector = (*DegreeDiscount)(nil)
-)
+var _ im.Selector = (*DegreeDiscount)(nil)

@@ -9,14 +9,6 @@ import (
 	"github.com/holisticim/holisticim/internal/rng"
 )
 
-func TestDegreeSelectsHubs(t *testing.T) {
-	g := graph.Star(8, 0.1, 0.5)
-	res := runSelect(NewDegree(g), 1)
-	if res.Seeds[0] != 0 {
-		t.Fatalf("degree picked %v", res.Seeds)
-	}
-}
-
 func TestDegreeDiscountAvoidsClusteredSeeds(t *testing.T) {
 	// Clique of 4 (node 0..3) plus a separate star at 4: plain degree
 	// would take two clique members; degree discount should take one
@@ -37,20 +29,6 @@ func TestDegreeDiscountAvoidsClusteredSeeds(t *testing.T) {
 	res := runSelect(NewDegreeDiscount(g, 0.1), 2)
 	if res.Seeds[1] != 4 {
 		t.Fatalf("degree discount picked %v, want the star hub second", res.Seeds)
-	}
-}
-
-func TestPageRankRanksInfluencers(t *testing.T) {
-	// Chain 0->1->2 plus heavy fan-out at 0: node 0 influences the most.
-	b := graph.NewBuilder(8)
-	for v := graph.NodeID(1); v < 8; v++ {
-		b.AddEdgeP(0, v, 1, 0.5)
-	}
-	b.AddEdgeP(1, 2, 1, 0.5)
-	g := b.Build()
-	res := runSelect(NewPageRank(g, 0, 0), 1)
-	if res.Seeds[0] != 0 {
-		t.Fatalf("pagerank picked %v", res.Seeds)
 	}
 }
 
@@ -83,7 +61,7 @@ func TestIRIEQualityVsDegreeOnRandomGraph(t *testing.T) {
 	g := graph.ErdosRenyi(300, 2400, rng.New(3))
 	g.SetWeightedCascadeProb()
 	seedsIRIE := runSelect(NewIRIE(g, 0, 0, 0), 5).Seeds
-	seedsDeg := runSelect(NewDegree(g), 5).Seeds
+	seedsDeg := graph.TopKByOutDegree(g, 5)
 	m := diffusion.NewIC(g)
 	ei := diffusion.MonteCarlo(m, seedsIRIE, diffusion.MCOptions{Runs: 4000, Seed: 7})
 	ed := diffusion.MonteCarlo(m, seedsDeg, diffusion.MCOptions{Runs: 4000, Seed: 7})
@@ -157,7 +135,7 @@ func TestSimpathSelectQuality(t *testing.T) {
 	}
 	m := diffusion.NewLT(g)
 	est := diffusion.MonteCarlo(m, res.Seeds, diffusion.MCOptions{Runs: 4000, Seed: 3})
-	deg := runSelect(NewDegree(g), 5).Seeds
+	deg := graph.TopKByOutDegree(g, 5)
 	estDeg := diffusion.MonteCarlo(m, deg, diffusion.MCOptions{Runs: 4000, Seed: 3})
 	if est.Spread < 0.85*estDeg.Spread {
 		t.Fatalf("SIMPATH spread %v below degree %v", est.Spread, estDeg.Spread)

@@ -23,8 +23,8 @@ const (
 	BackendMC Backend = "mc"
 	// BackendScore runs the paper's score-vector algorithms (EaSyIM/OSIM).
 	BackendScore Backend = "score"
-	// BackendHeuristic runs a simulation-free heuristic (degree, IRIE,
-	// SIMPATH, PageRank, ...).
+	// BackendHeuristic runs a simulation-free heuristic (IRIE, SIMPATH,
+	// DegreeDiscount).
 	BackendHeuristic Backend = "heuristic"
 )
 

@@ -45,7 +45,7 @@ func answered(t *testing.T, m *Manager, key string) (*Job, bool) {
 // is answered by that done job, 200 and inline, without a second run.
 func TestCacheHitAndMiss(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := QueryRequest{Graph: "g", Task: "select", Algorithm: "degree", K: 4}
+	req := QueryRequest{Graph: "g", Task: "select", Algorithm: "degree-discount", K: 4}
 	var first QueryResponse
 	if code := doJSON(t, "POST", ts.URL+"/v2/query", req, &first); code != http.StatusAccepted || first.Cached {
 		t.Fatalf("first query: status %d %+v", code, first)
@@ -139,7 +139,7 @@ func TestEvictedAnswerRecomputes(t *testing.T) {
 	query := func(k int) int {
 		t.Helper()
 		var resp QueryResponse
-		code := doJSON(t, "POST", ts.URL+"/v2/query", QueryRequest{Graph: "g", Task: "select", Algorithm: "degree", K: k}, &resp)
+		code := doJSON(t, "POST", ts.URL+"/v2/query", QueryRequest{Graph: "g", Task: "select", Algorithm: "degree-discount", K: k}, &resp)
 		if code == http.StatusAccepted {
 			pollQueryJob(t, ts.URL, resp.JobID)
 		}

@@ -57,10 +57,10 @@ findAbsent:
 		"POST /v1/sketches":        {SketchSpec{Graph: "g", Epsilon: 0.4, BuildK: 3}, http.StatusAccepted},
 		"GET /v1/sketches/{id}":    {nil, http.StatusNotFound}, // unknown id still exercises the route
 		"DELETE /v1/sketches/{id}": {nil, http.StatusNotFound},
-		"POST /v1/select":          {SelectRequest{Graph: "g", Algorithm: "degree", K: 2}, http.StatusAccepted},
+		"POST /v1/select":          {SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 2}, http.StatusAccepted},
 		// k differs from the /v1/select case: the two surfaces share the
 		// fingerprint cache, and a warm entry would answer 200.
-		"POST /v2/query":           {QueryRequest{Graph: "g", Algorithm: "degree", K: 3}, http.StatusAccepted},
+		"POST /v2/query":           {QueryRequest{Graph: "g", Algorithm: "degree-discount", K: 3}, http.StatusAccepted},
 		"GET /v2/jobs/{id}":        {nil, http.StatusNotFound},
 		"DELETE /v2/jobs/{id}":     {nil, http.StatusNotFound},
 		"GET /v2/jobs/{id}/events": {nil, http.StatusNotFound},

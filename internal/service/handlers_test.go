@@ -116,7 +116,7 @@ func TestHealthz(t *testing.T) {
 // answers the identical repeat request without a second computation.
 func TestSelectEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := SelectRequest{Graph: "g", Algorithm: "degree", K: 5}
+	req := SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 5}
 
 	var first SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", req, &first); code != http.StatusAccepted {
@@ -178,7 +178,7 @@ func TestSelectInflightDedup(t *testing.T) {
 		return holisticim.Result{Algorithm: "stub", Seeds: make([]int32, k)}, nil
 	})
 
-	req := SelectRequest{Graph: "g", Algorithm: "degree", K: 3}
+	req := SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 3}
 	var first SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", req, &first); code != http.StatusAccepted {
 		t.Fatalf("first POST status %d", code)
@@ -220,11 +220,11 @@ func TestSelectValidation(t *testing.T) {
 		body any
 		want int
 	}{
-		{"unknown graph", SelectRequest{Graph: "nope", Algorithm: "degree", K: 3}, http.StatusNotFound},
+		{"unknown graph", SelectRequest{Graph: "nope", Algorithm: "degree-discount", K: 3}, http.StatusNotFound},
 		{"unknown algorithm", SelectRequest{Graph: "g", Algorithm: "quantum", K: 3}, http.StatusBadRequest},
-		{"zero k", SelectRequest{Graph: "g", Algorithm: "degree", K: 0}, http.StatusBadRequest},
-		{"k too large", SelectRequest{Graph: "g", Algorithm: "degree", K: 301}, http.StatusBadRequest},
-		{"bad model", SelectRequest{Graph: "g", Algorithm: "degree", K: 3, Options: Options{Model: "warp"}}, http.StatusBadRequest},
+		{"zero k", SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 0}, http.StatusBadRequest},
+		{"k too large", SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 301}, http.StatusBadRequest},
+		{"bad model", SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 3, Options: Options{Model: "warp"}}, http.StatusBadRequest},
 		{"runs over cap", SelectRequest{Graph: "g", Algorithm: "greedy", K: 3, Options: Options{MCRuns: maxMCRuns + 1}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -272,7 +272,7 @@ func TestSelectQueueFull(t *testing.T) {
 	post := func(seed uint64) int {
 		var out map[string]any
 		return doJSON(t, "POST", ts.URL+"/v1/select",
-			SelectRequest{Graph: "g", Algorithm: "degree", K: 2, Options: Options{Seed: seed}}, &out)
+			SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 2, Options: Options{Seed: seed}}, &out)
 	}
 	if code := post(1); code != http.StatusAccepted {
 		t.Fatalf("first POST: %d", code)
@@ -290,7 +290,7 @@ func TestSelectQueueFull(t *testing.T) {
 	// Queue full is load shedding, not failure: 429 with a Retry-After
 	// hint and the uniform envelope, so routers can tell overload apart
 	// from a hard error and fail over instead of giving up.
-	body, _ := json.Marshal(SelectRequest{Graph: "g", Algorithm: "degree", K: 2, Options: Options{Seed: 3}})
+	body, _ := json.Marshal(SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 2, Options: Options{Seed: 3}})
 	resp, err := http.Post(ts.URL+"/v1/select", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestGraphEndpoints(t *testing.T) {
 	}
 	var sel SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "api-ba", Algorithm: "degree", K: 4}, &sel); code != http.StatusAccepted {
+		SelectRequest{Graph: "api-ba", Algorithm: "degree-discount", K: 4}, &sel); code != http.StatusAccepted {
 		t.Fatalf("select on created graph: %d", code)
 	}
 	if done := pollJob(t, ts.URL, sel.JobID); len(done.Result.Seeds) != 4 {
@@ -475,7 +475,7 @@ func TestConcurrentSelects(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			req := SelectRequest{Graph: "g", Algorithm: "degree", K: 2 + c%3}
+			req := SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 2 + c%3}
 			var resp SelectResponse
 			code := doJSON(t, "POST", ts.URL+"/v1/select", req, &resp)
 			switch code {
@@ -529,7 +529,7 @@ func TestCancelRunningJob(t *testing.T) {
 
 	var first SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "g", Algorithm: "degree", K: 3}, &first); code != http.StatusAccepted {
+		SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 3}, &first); code != http.StatusAccepted {
 		t.Fatalf("POST select status %d", code)
 	}
 	select {
@@ -561,7 +561,7 @@ func TestCancelRunningJob(t *testing.T) {
 	s.queryFn = holisticim.Run
 	var second SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "g", Algorithm: "degree", K: 2}, &second); code != http.StatusAccepted {
+		SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 2}, &second); code != http.StatusAccepted {
 		t.Fatalf("post-cancel POST status %d", code)
 	}
 	if res := pollJob(t, ts.URL, second.JobID); res.State != StateDone || len(res.Result.Seeds) != 2 {
@@ -590,7 +590,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 	var blockerResp SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "g", Algorithm: "degree", K: 3}, &blockerResp); code != http.StatusAccepted {
+		SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 3}, &blockerResp); code != http.StatusAccepted {
 		t.Fatalf("blocker POST status %d", code)
 	}
 	select {
@@ -600,7 +600,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	var queued SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "g", Algorithm: "degree", K: 4}, &queued); code != http.StatusAccepted {
+		SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 4}, &queued); code != http.StatusAccepted {
 		t.Fatalf("queued POST status %d", code)
 	}
 
@@ -634,7 +634,7 @@ func TestSelectTimeoutMS(t *testing.T) {
 		return holisticim.Result{Algorithm: "stub", Seeds: []int32{0, 1}, Partial: true},
 			fmt.Errorf("stub interrupted: %w", ctx.Err())
 	})
-	req := SelectRequest{Graph: "g", Algorithm: "degree", K: 5, TimeoutMS: 30}
+	req := SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 5, TimeoutMS: 30}
 	var resp SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", req, &resp); code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
@@ -659,7 +659,7 @@ func TestSelectTimeoutMS(t *testing.T) {
 	}
 
 	// Negative timeouts are rejected at admission.
-	bad := SelectRequest{Graph: "g", Algorithm: "degree", K: 2, TimeoutMS: -5}
+	bad := SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 2, TimeoutMS: -5}
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", bad, &map[string]any{}); code != http.StatusBadRequest {
 		t.Fatalf("negative timeout_ms: status %d, want 400", code)
 	}
@@ -686,7 +686,7 @@ func TestJobProgressReporting(t *testing.T) {
 	})
 	var resp SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "g", Algorithm: "degree", K: 6}, &resp); code != http.StatusAccepted {
+		SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 6}, &resp); code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
 	}
 	deadline := time.Now().Add(5 * time.Second)

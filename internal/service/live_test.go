@@ -56,7 +56,7 @@ func TestMutateEndToEnd(t *testing.T) {
 	buildTestSketch(t, ts.URL, SketchSpec{Graph: "g", Epsilon: 0.3, Seed: 5, BuildK: 10})
 
 	// Warm the query cache with a degree selection.
-	sel := SelectRequest{Graph: "g", Algorithm: "degree", K: 4}
+	sel := SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 4}
 	var first SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", sel, &first); code != http.StatusAccepted {
 		t.Fatalf("warm select status %d", code)

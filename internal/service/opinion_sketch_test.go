@@ -128,7 +128,7 @@ func TestGraphReplacementStaleness(t *testing.T) {
 	}
 
 	// Warm the result cache with a cold selection.
-	coldReq := SelectRequest{Graph: "h", Algorithm: "degree", K: 2}
+	coldReq := SelectRequest{Graph: "h", Algorithm: "degree-discount", K: 2}
 	var cold SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", coldReq, &cold); code != http.StatusAccepted {
 		t.Fatalf("cold select status %d", code)
@@ -206,7 +206,7 @@ func TestInFlightJobFencedByReplacement(t *testing.T) {
 		return holisticim.Result{Algorithm: string(alg), Seeds: []int32{1, 2}}, nil
 	})
 
-	req := SelectRequest{Graph: "f", Algorithm: "degree", K: 2}
+	req := SelectRequest{Graph: "f", Algorithm: "degree-discount", K: 2}
 	var first SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select", req, &first); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)

@@ -271,7 +271,7 @@ func TestPriorityHeaderDemotesOverWire(t *testing.T) {
 
 	// A heuristic select (interactive class) wishing "batch" queues batch.
 	resp, _ = doRawJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "g", Algorithm: "degree", K: 2},
+		SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 2},
 		map[string]string{admission.PriorityHeader: "batch"})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("heuristic select status %d, want 202", resp.StatusCode)

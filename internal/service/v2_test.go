@@ -37,7 +37,7 @@ func pollQueryJob(t *testing.T, base, id string) QueryResponse {
 // and the same fingerprint serves the v1 surface.
 func TestQuerySelectSingle(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := QueryRequest{Graph: "g", Algorithm: "degree", K: 5}
+	req := QueryRequest{Graph: "g", Algorithm: "degree-discount", K: 5}
 
 	var first QueryResponse
 	if code := doJSON(t, "POST", ts.URL+"/v2/query", req, &first); code != http.StatusAccepted {
@@ -77,7 +77,7 @@ func TestQuerySelectSingle(t *testing.T) {
 	// answered without a new job or computation.
 	var v1 SelectResponse
 	if code := doJSON(t, "POST", ts.URL+"/v1/select",
-		SelectRequest{Graph: "g", Algorithm: "degree", K: 5}, &v1); code != http.StatusOK || !v1.Cached {
+		SelectRequest{Graph: "g", Algorithm: "degree-discount", K: 5}, &v1); code != http.StatusOK || !v1.Cached {
 		t.Fatalf("v1 request missed the shared cache: status %d %+v", code, v1)
 	}
 	if fmt.Sprint(v1.Result.Seeds) != fmt.Sprint(m.Result.Seeds) {
@@ -92,7 +92,7 @@ func TestQuerySelectSingle(t *testing.T) {
 // members keep the memoized-greedy prefix invariant, in request order.
 func TestQueryBatchSelect(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := QueryRequest{Graph: "g", Algorithm: "degree", Ks: []int{8, 3, 5}}
+	req := QueryRequest{Graph: "g", Algorithm: "degree-discount", Ks: []int{8, 3, 5}}
 	var resp QueryResponse
 	if code := doJSON(t, "POST", ts.URL+"/v2/query", req, &resp); code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
@@ -161,7 +161,7 @@ func TestQueryEstimateBatch(t *testing.T) {
 // fingerprint-hygiene contract at the service boundary.
 func TestQueryCacheIgnoresLifecycleFields(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	first := QueryRequest{Graph: "g", Algorithm: "degree", Ks: []int{2, 4}}
+	first := QueryRequest{Graph: "g", Algorithm: "degree-discount", Ks: []int{2, 4}}
 	var resp QueryResponse
 	if code := doJSON(t, "POST", ts.URL+"/v2/query", first, &resp); code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
@@ -193,16 +193,17 @@ func TestQueryValidation(t *testing.T) {
 		want int
 		code string
 	}{
-		{"unknown graph", QueryRequest{Graph: "nope", Algorithm: "degree", K: 2}, http.StatusNotFound, "not_found"},
+		{"unknown graph", QueryRequest{Graph: "nope", Algorithm: "degree-discount", K: 2}, http.StatusNotFound, "not_found"},
 		{"unknown algorithm", QueryRequest{Graph: "g", Algorithm: "quantum", K: 2}, http.StatusBadRequest, "bad_request"},
-		{"zero k", QueryRequest{Graph: "g", Algorithm: "degree"}, http.StatusBadRequest, "bad_request"},
-		{"bad batch member", QueryRequest{Graph: "g", Algorithm: "degree", Ks: []int{2, 0}}, http.StatusBadRequest, "bad_request"},
-		{"oversized batch", QueryRequest{Graph: "g", Algorithm: "degree", Ks: oversized}, http.StatusBadRequest, "bad_request"},
-		{"bad task", QueryRequest{Graph: "g", Task: "transmogrify", Algorithm: "degree", K: 2}, http.StatusBadRequest, "bad_request"},
-		{"bad model", QueryRequest{Graph: "g", Algorithm: "degree", K: 2, Options: Options{Model: "warp"}}, http.StatusBadRequest, "bad_request"},
+		{"removed algorithm", QueryRequest{Graph: "g", Algorithm: "pagerank", K: 2}, http.StatusBadRequest, "bad_request"},
+		{"zero k", QueryRequest{Graph: "g", Algorithm: "degree-discount"}, http.StatusBadRequest, "bad_request"},
+		{"bad batch member", QueryRequest{Graph: "g", Algorithm: "degree-discount", Ks: []int{2, 0}}, http.StatusBadRequest, "bad_request"},
+		{"oversized batch", QueryRequest{Graph: "g", Algorithm: "degree-discount", Ks: oversized}, http.StatusBadRequest, "bad_request"},
+		{"bad task", QueryRequest{Graph: "g", Task: "transmogrify", Algorithm: "degree-discount", K: 2}, http.StatusBadRequest, "bad_request"},
+		{"bad model", QueryRequest{Graph: "g", Algorithm: "degree-discount", K: 2, Options: Options{Model: "warp"}}, http.StatusBadRequest, "bad_request"},
 		{"empty seed set", QueryRequest{Graph: "g", Task: "estimate", SeedSets: [][]int32{{}}}, http.StatusBadRequest, "bad_request"},
 		{"seed out of range", QueryRequest{Graph: "g", SeedSets: [][]int32{{999}}}, http.StatusBadRequest, "bad_request"},
-		{"negative timeout", QueryRequest{Graph: "g", Algorithm: "degree", K: 2, TimeoutMS: -1}, http.StatusBadRequest, "bad_request"},
+		{"negative timeout", QueryRequest{Graph: "g", Algorithm: "degree-discount", K: 2, TimeoutMS: -1}, http.StatusBadRequest, "bad_request"},
 		{"runs over cap", QueryRequest{Graph: "g", Algorithm: "greedy", K: 2, Options: Options{MCRuns: maxMCRuns + 1}}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
@@ -285,7 +286,7 @@ func TestQueryEventsStream(t *testing.T) {
 
 	var resp QueryResponse
 	if code := doJSON(t, "POST", ts.URL+"/v2/query",
-		QueryRequest{Graph: "g", Algorithm: "degree", K: 3}, &resp); code != http.StatusAccepted {
+		QueryRequest{Graph: "g", Algorithm: "degree-discount", K: 3}, &resp); code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
 	}
 
@@ -415,7 +416,7 @@ func TestQueryJobCancel(t *testing.T) {
 	}
 	var resp QueryResponse
 	if code := doJSON(t, "POST", ts.URL+"/v2/query",
-		QueryRequest{Graph: "g", Algorithm: "degree", K: 3}, &resp); code != http.StatusAccepted {
+		QueryRequest{Graph: "g", Algorithm: "degree-discount", K: 3}, &resp); code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -4,8 +4,7 @@
 // in for the commercial APIs the paper used, topic-focused subgraph
 // extraction with a learned inter-arrival threshold, opinion/interaction
 // parameter estimation from history, and ground-truth opinion-spread
-// replay. DESIGN.md §3 documents why this substitution preserves the
-// experiments' behaviour.
+// replay.
 package twitter
 
 import (

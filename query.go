@@ -173,11 +173,11 @@ func backendClass(alg Algorithm) (Backend, bool) {
 	switch alg {
 	case AlgTIMPlus, AlgIMM:
 		return BackendRIS, true
-	case AlgGreedy, AlgCELFPP, AlgModifiedGreedy, AlgStaticGreedy:
+	case AlgGreedy, AlgCELFPP, AlgModifiedGreedy:
 		return BackendMC, true
 	case AlgEaSyIM, AlgOSIM:
 		return BackendScore, true
-	case AlgIRIE, AlgSIMPATH, AlgDegree, AlgDegreeDiscount, AlgPageRank:
+	case AlgIRIE, AlgSIMPATH, AlgDegreeDiscount:
 		return BackendHeuristic, true
 	}
 	return "", false

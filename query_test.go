@@ -54,7 +54,7 @@ func TestRunBatchPrefixInvariant(t *testing.T) {
 		opts Options
 		want Backend
 	}{
-		{AlgDegree, Options{}, BackendHeuristic},
+		{AlgDegreeDiscount, Options{}, BackendHeuristic},
 		{AlgEaSyIM, Options{}, BackendScore},
 		{AlgGreedy, Options{MCRuns: 60}, BackendMC},
 		{AlgIMM, Options{Epsilon: 0.3}, BackendRIS},
@@ -176,7 +176,7 @@ func TestRunOnMember(t *testing.T) {
 	g := queryTestGraph(300)
 	var got []int
 	ans, err := Run(context.Background(), g, Query{
-		Algorithm: AlgDegree, Ks: []int{3, 6},
+		Algorithm: AlgDegreeDiscount, Ks: []int{3, 6},
 		OnMember: func(member int, m Member) {
 			got = append(got, member)
 			if m.Result == nil {
@@ -305,22 +305,24 @@ func TestPlanExplain(t *testing.T) {
 	}
 
 	// Validation errors surface from the planner.
-	if _, err := PlanQuery(g, Query{Algorithm: "quantum", K: 5}); err == nil {
-		t.Fatal("unknown algorithm not rejected")
+	for _, alg := range []Algorithm{"quantum", "static-greedy", "pagerank", "degree"} {
+		if _, err := PlanQuery(g, Query{Algorithm: alg, K: 5}); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+			t.Fatalf("algorithm %q: err %v, want unknown algorithm", alg, err)
+		}
 	}
-	if _, err := PlanQuery(g, Query{Algorithm: AlgDegree, K: 0}); err == nil {
+	if _, err := PlanQuery(g, Query{Algorithm: AlgDegreeDiscount, K: 0}); err == nil {
 		t.Fatal("zero k not rejected")
 	}
-	if _, err := PlanQuery(g, Query{Algorithm: AlgDegree, Ks: []int{2, 9000}}); err == nil {
+	if _, err := PlanQuery(g, Query{Algorithm: AlgDegreeDiscount, Ks: []int{2, 9000}}); err == nil {
 		t.Fatal("oversized batch member not rejected")
 	}
 	if _, err := PlanQuery(g, Query{Task: TaskEstimate}); err == nil {
 		t.Fatal("estimate without seed sets not rejected")
 	}
-	if _, err := PlanQuery(g, Query{Task: "transmogrify", K: 1, Algorithm: AlgDegree}); err == nil {
+	if _, err := PlanQuery(g, Query{Task: "transmogrify", K: 1, Algorithm: AlgDegreeDiscount}); err == nil {
 		t.Fatal("unknown task not rejected")
 	}
-	if _, err := PlanQuery(nil, Query{Algorithm: AlgDegree, K: 1}); err == nil {
+	if _, err := PlanQuery(nil, Query{Algorithm: AlgDegreeDiscount, K: 1}); err == nil {
 		t.Fatal("nil graph not rejected")
 	}
 }
@@ -329,7 +331,7 @@ func TestPlanExplain(t *testing.T) {
 // returns exactly what a direct one-member Run does.
 func TestRunSelectMatchesEntrypoint(t *testing.T) {
 	g := queryTestGraph(300)
-	for _, alg := range []Algorithm{AlgDegree, AlgEaSyIM} {
+	for _, alg := range []Algorithm{AlgDegreeDiscount, AlgEaSyIM} {
 		direct, err := SelectSeeds(g, 5, alg, Options{})
 		if err != nil {
 			t.Fatal(err)
