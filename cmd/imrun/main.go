@@ -182,8 +182,8 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 		bad = errors.New("pass exactly one graph source: -graph FILE, -dataset NAME or -type ba|rmat")
 	case gen && c.typ != "ba" && c.typ != "rmat":
 		bad = fmt.Errorf("-type %q: want ba or rmat", c.typ)
-	case gen && (c.n <= 0 || c.n > math.MaxInt32):
-		bad = fmt.Errorf("-n %d: want 1 to %d nodes", c.n, math.MaxInt32)
+	case gen && (c.n < 2 || c.n > math.MaxInt32):
+		bad = fmt.Errorf("-n %d: want 2 to %d nodes", c.n, math.MaxInt32)
 	case gen && c.deg <= 0:
 		bad = fmt.Errorf("-deg %d: want at least 1 edge per node", c.deg)
 	case gen && c.m < 0:

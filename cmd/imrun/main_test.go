@@ -189,6 +189,8 @@ func TestParameterRecipe(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct{ line, want string }{
 		{"gen -type ba -n 0", "-n 0"},
+		{"gen -type ba -n 1", "-n 1"},
+		{"gen -type rmat -n 1", "-n 1"},
 		{"gen -type ba -n -5", "-n -5"},
 		{"gen -type rmat -n 2147483648", "-n 2147483648"},
 		{"gen -type ba -n 3000000000", "-n 3000000000"},
@@ -217,9 +219,25 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("parse(%q) = %v, stderr %q; want an error naming %q", tc.line, err, stderr.String(), tc.want)
 		}
 	}
-	for _, line := range []string{"gen -type rmat -n 2147483647", "gen -type ba -n 1 -deg 1", "gen -type rmat -m 0"} {
+	for _, line := range []string{"gen -type rmat -n 2147483647", "gen -type ba -n 2 -deg 1", "gen -type rmat -m 0"} {
 		if _, err := parse(strings.Fields(line), io.Discard); err != nil {
 			t.Errorf("parse(%q) = %v, want it accepted", line, err)
+		}
+	}
+}
+
+// TestSelectRefusesInvalidParameters: parameters that parse but that the
+// library refuses exit 1 with the library's message — no panic, and no
+// selection printed.
+func TestSelectRefusesInvalidParameters(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"select -type ba -n 200 -alg osim -lambda -1 -runs 20", "lambda -1"},
+		{"select -type ba -n 200 -alg imm -eps 1e9", "epsilon 1e+09 out of (0,1]"},
+		{"build -type ba -n 200 -eps -0.5 -out " + filepath.Join(t.TempDir(), "s"), "epsilon -0.5 out of (0,1]"},
+	} {
+		code, stdout, stderr := imrun(t, tc.line)
+		if code != 1 || !strings.Contains(stderr, "imrun: holisticim: "+tc.want) || stdout != "" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 naming %q", tc.line, code, stdout, stderr, tc.want)
 		}
 	}
 }
@@ -297,7 +315,8 @@ var (
 // a document: compose-array commands, and shell lines (with backslash
 // continuations joined) whose first argument is a verb or a flag and that
 // pass at least one flag — prose naming a verb, such as "imrun build", is
-// not a command line.
+// not a command line. A shell variable reads as 2, which every numeric
+// flag accepts (a generator needs two nodes).
 func invocations(doc string) [][]string {
 	var out [][]string
 	for _, m := range composeCommand.FindAllStringSubmatch(doc, -1) {
@@ -309,7 +328,7 @@ func invocations(doc string) [][]string {
 	}
 	for _, line := range strings.Split(strings.ReplaceAll(doc, "\\\n", " "), "\n") {
 		for _, m := range shellCommand.FindAllStringSubmatch(line, -1) {
-			args := strings.Fields(shellVar.ReplaceAllString(m[1], "1"))
+			args := strings.Fields(shellVar.ReplaceAllString(m[1], "2"))
 			for i, a := range args {
 				args[i] = strings.Trim(a, `"'`)
 			}

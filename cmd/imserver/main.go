@@ -70,8 +70,10 @@
 //	POST /v2/query           the unified typed query: task "select" or
 //	                         "estimate", one OR many k values/seed sets,
 //	                         executed by the backend planner against
-//	                         shared state (one RR collection or sketch
-//	                         order serves every k <= max(ks)); the
+//	                         shared state (a matching sketch's order or
+//	                         one run at max(ks) serves every k; the
+//	                         max(ks) member equals the single query,
+//	                         smaller ones are its prefixes); the
 //	                         response always carries the execution plan.
 //	                         Sketch-served plans (an "oc" opinion
 //	                         estimate matching a weighted sketch

@@ -128,7 +128,7 @@ func TestEstimateRejectsBadSeedSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := Options{Model: ModelOC, MCRuns: 20, Seed: 1, Sketch: sk}
-	if !SketchServedEstimate(g, served) {
+	if !servesEstimate(t, g, served) {
 		t.Fatal("the oc sketch does not serve its own graph")
 	}
 	for name, seeds := range map[string][]NodeID{

@@ -457,22 +457,10 @@ func EstimateSpreadContext(ctx context.Context, g *Graph, seeds []NodeID, opts O
 // sketch over the same graph content, the estimate is answered from the
 // weighted RR sample instead of Monte Carlo — typically orders of
 // magnitude faster. A sketch-served Estimate reports the RR-set count as
-// Runs and zero variances; SketchServedEstimate reports whether a given
-// call would take the fast path.
+// Runs and zero variances; PlanQuery's plan for the estimate reports
+// whether a given call would take the fast path (Plan.SketchOnly).
 func EstimateOpinionSpreadContext(ctx context.Context, g *Graph, seeds []NodeID, opts Options) (Estimate, error) {
 	return estimateQuery(ctx, g, seeds, opts, ObjectiveOpinion)
-}
-
-// SketchServedEstimate reports whether EstimateOpinionSpreadContext with
-// these options would be answered from opts.Sketch instead of running
-// Monte Carlo: the resolved model must be ModelOC and the sketch must be
-// an opinion-weighted index over the same graph content.
-func SketchServedEstimate(g *Graph, opts Options) bool {
-	if opts.Sketch == nil {
-		return false
-	}
-	o := opts.withDefaults(true)
-	return o.Model == ModelOC && opts.Sketch.Matches(g, ris.ModelOC)
 }
 
 // Sketch is a reusable RR-sketch index: RR sets sampled once per
@@ -529,6 +517,9 @@ func BuildSketch(ctx context.Context, g *Graph, o SketchOptions) (*Sketch, error
 	if g == nil {
 		return nil, fmt.Errorf("holisticim: nil graph")
 	}
+	if err := ris.CheckEpsilon(o.Epsilon); err != nil {
+		return nil, fmt.Errorf("holisticim: %w", err)
+	}
 	if o.Model != "" {
 		if _, err := NewModel(g, o.Model); err != nil {
 			return nil, err
@@ -563,4 +554,12 @@ func ReadSketchHeader(r io.Reader) (SketchHeader, error) { return sketch.ReadHea
 // changes TIM+/IMM sampling in ways the index does not model).
 func sketchServesSelect(g *Graph, o Options) bool {
 	return o.Sketch != nil && o.TIMThetaCap == 0 && o.Sketch.Matches(g, modelKinds[o.Model].ris)
+}
+
+// sketchServesEstimate reports whether an opinion estimate under resolved
+// options o is answered from o.Sketch instead of Monte Carlo: the model
+// must be ModelOC and the sketch an opinion-weighted index over the same
+// graph content.
+func sketchServesEstimate(g *Graph, o Options) bool {
+	return o.Sketch != nil && o.Model == ModelOC && o.Sketch.Matches(g, ris.ModelOC)
 }

@@ -41,8 +41,8 @@ type PlanStep struct {
 	// Backend is the execution strategy chosen for this member.
 	Backend Backend `json:"backend"`
 	// Shared, when set, keys the state this member shares with every
-	// other step carrying the same value — one RR collection, one
-	// memoized greedy order, or one diffusion model serving them all.
+	// other step carrying the same value — one memoized sketch order, one
+	// selector run at max(Ks), or one diffusion model serving them all.
 	Shared string `json:"shared,omitempty"`
 	// Reason says why the planner chose this backend.
 	Reason string `json:"reason"`

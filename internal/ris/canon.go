@@ -1,5 +1,7 @@
 package ris
 
+import "fmt"
+
 // Canonical defaults for the two parameters that key every RIS-family
 // sample: the IMM/TIM+ approximation slack ε and the master sampling
 // seed. They are spelled in exactly one place because at least four
@@ -16,6 +18,16 @@ func CanonicalEpsilon(eps float64) float64 {
 		return 0.1
 	}
 	return eps
+}
+
+// CheckEpsilon refuses an approximation slack outside (0,1] — negative,
+// NaN or above 1 — before CanonicalEpsilon would quietly default it or
+// IMM's θ bound collapse to a handful of sets. Zero, the default, passes.
+func CheckEpsilon(eps float64) error {
+	if eps >= 0 && eps <= 1 {
+		return nil
+	}
+	return fmt.Errorf("epsilon %v out of (0,1]", eps)
 }
 
 // CanonicalSeed resolves the master sampling seed: zero means the

@@ -12,6 +12,7 @@ import (
 	"github.com/holisticim/holisticim"
 	"github.com/holisticim/holisticim/internal/admission"
 	"github.com/holisticim/holisticim/internal/obs"
+	"github.com/holisticim/holisticim/internal/ris"
 )
 
 const maxBodyBytes = 1 << 20 // JSON request bodies are tiny; cap at 1 MiB
@@ -283,6 +284,10 @@ func (s *Server) prepareQuery(req QueryRequest) (*preparedQuery, *apiError) {
 			return nil, errf(http.StatusBadRequest,
 				"mc_runs %d exceeds the selection cap %d", o.MCRuns, maxMCRuns)
 		}
+		if o.PathLength > maxPathLength {
+			return nil, errf(http.StatusBadRequest,
+				"path_length %d exceeds the cap %d", o.PathLength, maxPathLength)
+		}
 	case holisticim.TaskEstimate:
 		if !plan.SketchOnly() && o.MCRuns > maxMCRuns {
 			return nil, errf(http.StatusBadRequest,
@@ -398,8 +403,8 @@ func (s *Server) handleBuildSketch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if spec.Epsilon < 0 || spec.Epsilon > 1 {
-		writeError(w, http.StatusBadRequest, "epsilon %v out of (0,1]", spec.Epsilon)
+	if err := ris.CheckEpsilon(spec.Epsilon); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if spec.BuildK < 0 || int64(spec.BuildK) > int64(g.NumNodes()) {

@@ -428,6 +428,17 @@ func TestGraphEndpoints(t *testing.T) {
 		&map[string]any{}); code != http.StatusBadRequest {
 		t.Fatalf("oversized undirected rmat spec status %d, want 400", code)
 	}
+	// The generators need two nodes; a one-node spec is the error envelope,
+	// not a handler panic.
+	for _, spec := range []GraphSpec{
+		{Name: "tiny-ba", Generator: "ba", Nodes: 1, EdgesPerNode: 1},
+		{Name: "tiny-rm", Generator: "rmat", Nodes: 1, Arcs: 4},
+	} {
+		var out ErrorResponse
+		if code := doJSON(t, "POST", ts.URL+"/v1/graphs", spec, &out); code != http.StatusBadRequest || out.Error.Code != "bad_request" {
+			t.Fatalf("one-node %s spec: status %d %+v, want 400", spec.Generator, code, out)
+		}
+	}
 }
 
 // TestMCRunsCap: one Monte-Carlo budget cap, maxMCRuns, bounds a select
@@ -446,6 +457,37 @@ func TestMCRunsCap(t *testing.T) {
 	}
 	if est := runEstimate(t, ts.URL, estimateQuery("g", []int32{0}, Options{MCRuns: 500}), http.StatusAccepted); est.Runs != 500 {
 		t.Fatalf("within-cap estimate ran %d runs, want 500", est.Runs)
+	}
+}
+
+// TestQueryOptionsRefused: option values no selector can run — a negative
+// λ (OSIM's scorer panics on one), a path length past the cap (EaSyIM and
+// OSIM allocate l rows of n floats), an ε outside (0,1] — answer 400
+// before a job is queued, and the server still answers a valid query.
+func TestQueryOptionsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, req := range []QueryRequest{
+		{Graph: "g", Algorithm: "osim", K: 2, Options: Options{Lambda: -1, MCRuns: 50}},
+		{Graph: "g", Algorithm: "easyim", K: 2, Options: Options{PathLength: maxPathLength + 1, MCRuns: 50}},
+		{Graph: "g", Algorithm: "imm", K: 2, Options: Options{Epsilon: 5}},
+	} {
+		var out ErrorResponse
+		if code := doJSON(t, "POST", ts.URL+"/v2/query", req, &out); code != http.StatusBadRequest || out.Error.Code != "bad_request" {
+			t.Fatalf("%+v: status %d %+v, want 400", req, code, out)
+		}
+	}
+	var out ErrorResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/select",
+		SelectRequest{Graph: "g", Algorithm: "osim", K: 2, Options: Options{Lambda: -1, MCRuns: 50}}, &out); code != http.StatusBadRequest {
+		t.Fatalf("v1 select with λ=-1: status %d %+v, want 400", code, out)
+	}
+	var sel SelectResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/select",
+		SelectRequest{Graph: "g", Algorithm: "osim", K: 2, Options: Options{PathLength: maxPathLength, MCRuns: 50}}, &sel); code != http.StatusAccepted {
+		t.Fatalf("valid select: status %d", code)
+	}
+	if done := pollJob(t, ts.URL, sel.JobID); len(done.Result.Seeds) != 2 {
+		t.Fatalf("valid select after the refusals: %+v", done)
 	}
 }
 

@@ -315,13 +315,13 @@ func (r *Registry) Build(spec GraphSpec, allowPaths bool) error {
 			return err
 		}
 	case spec.Generator == "ba":
-		if spec.Nodes <= 0 {
-			return errors.New("service: ba generator needs nodes > 0")
+		if spec.Nodes < 2 {
+			return errors.New("service: ba generator needs nodes ≥ 2")
 		}
 		g = holisticim.GenerateBA(spec.Nodes, spec.effectiveEdgesPerNode(), seedOr1(spec.Seed))
 	case spec.Generator == "rmat":
-		if spec.Nodes <= 0 || spec.Arcs <= 0 {
-			return errors.New("service: rmat generator needs nodes > 0 and arcs > 0")
+		if spec.Nodes < 2 || spec.Arcs <= 0 {
+			return errors.New("service: rmat generator needs nodes ≥ 2 and arcs > 0")
 		}
 		g = holisticim.GenerateRMAT(spec.Nodes, spec.Arcs, spec.Undirected, seedOr1(spec.Seed))
 	case spec.Generator != "":

@@ -20,6 +20,7 @@ import (
 const (
 	statsSamples    = 16         // BFS samples behind GET /v1/graphs/{name}
 	maxMCRuns       = 1_000_000  // mc_runs of a select, or of an estimate a sketch does not serve
+	maxPathLength   = 10         // path_length of a select: EaSyIM/OSIM hold l rows of n floats (Fig. 6(a–c) sweeps l ≤ 10)
 	maxGraphs       = 64         // registered graphs; POST /v1/graphs never rebinds a name
 	maxGraphNodes   = 5_000_000  // nodes of a POST /v1/graphs generator spec
 	maxGraphArcs    = 50_000_000 // arcs of a POST /v1/graphs generator spec

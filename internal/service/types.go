@@ -134,7 +134,9 @@ type EstimateResult struct {
 // ("select" | "estimate", inferred when omitted), an algorithm or
 // objective, one (K / Seeds) or many (Ks / SeedSets) members, Options
 // and an optional per-job timeout. Batch members execute against shared
-// state — one RR collection or sketch order serves every k ≤ max(ks).
+// state — a matching sketch's order or one run at max(ks) serves every k;
+// the max(ks) member equals the single query, smaller ones are its
+// prefixes (for TIM+/IMM not the smaller single queries, θ depends on k).
 type QueryRequest struct {
 	Graph     string    `json:"graph"`
 	Task      string    `json:"task,omitempty"`

@@ -353,11 +353,13 @@ func (x *Index) addPrefixMetricsLocked(res *im.Result, k, covered int) {
 // the sample, so a batch costs one kmax selection plus O(k) slicing per
 // member. The whole batch runs under one critical section: a concurrent
 // Select cannot extend the sample (and reset the order) between members.
-// Results align with ks, which may repeat and come in any order.
+// Results align with ks, which may repeat and come in any order. A member
+// at the largest budget is exactly what Select(ctx, kmax) returns, so a
+// batch of one k is that Select.
 //
-// When the kmax selection is interrupted, every member that can be
-// served from the prefix chosen so far is returned with Partial set (the
-// sample was never θ-validated for it) alongside the error.
+// When the kmax selection is interrupted, every smaller member is served
+// from the prefix chosen so far with Partial set (the sample was never
+// θ-validated for it) alongside the error.
 func (x *Index) SelectPrefixes(ctx context.Context, ks []int) ([]im.Result, error) {
 	if len(ks) == 0 {
 		return nil, errors.New("sketch: empty batch")
@@ -377,36 +379,27 @@ func (x *Index) SelectPrefixes(ctx context.Context, ks []int) ([]im.Result, erro
 		}
 	}
 	full, err := x.selectLocked(ctx, kmax)
-	if err != nil {
-		// Salvage what the interrupted kmax run selected: complete
-		// prefixes are not certified (θ unmet), so every member is partial.
-		out := make([]im.Result, len(ks))
-		//lint:ignore imlint/ctxpoll O(batch members), bounded by the request's ks list, not the graph
-		for i, k := range ks {
-			end := k
-			if end > len(full.Seeds) {
-				end = len(full.Seeds)
-			}
-			out[i] = im.Result{
-				Algorithm: AlgorithmName,
-				Seeds:     append([]graph.NodeID(nil), full.Seeds[:end]...),
-				Took:      full.Took,
-				Partial:   true,
-			}
-		}
-		return out, err
-	}
 	out := make([]im.Result, len(ks))
 	//lint:ignore imlint/ctxpoll O(batch members), bounded by the request's ks list, not the graph
 	for i, k := range ks {
-		if k == kmax {
+		switch {
+		case k == kmax:
 			out[i] = full
-			continue
+		case err != nil:
+			// Salvage what the interrupted kmax run selected: complete
+			// prefixes are not certified (θ unmet), so every member is partial.
+			out[i] = im.Result{
+				Algorithm: AlgorithmName,
+				Seeds:     append([]graph.NodeID(nil), full.Seeds[:min(k, len(full.Seeds))]...),
+				Took:      full.Took,
+				Partial:   true,
+			}
+		default:
+			out[i] = x.prefixResultLocked(k)
+			x.selects.Add(1)
 		}
-		out[i] = x.prefixResultLocked(k)
-		x.selects.Add(1)
 	}
-	return out, nil
+	return out, err
 }
 
 // prefixResultLocked materializes the memoized k-prefix of the greedy

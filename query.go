@@ -10,7 +10,7 @@ import (
 
 	"github.com/holisticim/holisticim/internal/diffusion"
 	"github.com/holisticim/holisticim/internal/im"
-	"github.com/holisticim/holisticim/internal/sketch"
+	"github.com/holisticim/holisticim/internal/ris"
 )
 
 // Task names what a Query asks for.
@@ -61,9 +61,12 @@ const (
 // Query is the one typed request the whole system serves: a task, an
 // algorithm (select) or objective (estimate), one or many k values or
 // seed sets, and Options. Batch members execute against shared state —
-// one RR collection or sketch order serves every k ≤ max(Ks), one
-// diffusion model serves every estimated seed set — so a batch costs
-// little more than its largest member.
+// a matching sketch's greedy order or one selector run at max(Ks) serves
+// every k, one diffusion model every estimated seed set — so a batch
+// costs little more than its largest member. The max(Ks) member equals
+// the single query for that k; smaller members are prefixes of it, which
+// equal the smaller single queries for every cold backend but TIM+/IMM,
+// whose θ depends on k.
 //
 // The zero values infer sensibly: an empty Task means select unless
 // SeedSets is set; an empty Objective follows Options.Model (opinion for
@@ -120,8 +123,9 @@ type Answer struct {
 // of that inference — the planner, Fingerprint, the bundled service and
 // the cluster router all read the task, objective, model, ε and seed a
 // query will run under from its result instead of re-deriving them. It
-// does not validate budgets or seed ids (those need the graph; planQuery
-// does) and is idempotent. On error the query comes back as far as it was resolved.
+// refuses an ε outside (0,1] and a negative or NaN λ, not budgets or seed
+// ids (those need the graph; planQuery does), and is idempotent. On error
+// the query comes back as far as it was resolved.
 func (q Query) Normalized() (Query, error) {
 	switch q.Task {
 	case "":
@@ -133,6 +137,12 @@ func (q Query) Normalized() (Query, error) {
 	case TaskSelect, TaskEstimate:
 	default:
 		return q, fmt.Errorf("holisticim: unknown task %q", q.Task)
+	}
+	if err := ris.CheckEpsilon(q.Options.Epsilon); err != nil {
+		return q, fmt.Errorf("holisticim: %w", err)
+	}
+	if !(q.Options.Lambda >= 0) { // NaN too
+		return q, fmt.Errorf("holisticim: lambda %v must be ≥ 0", q.Options.Lambda)
 	}
 	switch q.Task {
 	case TaskSelect:
@@ -282,19 +292,14 @@ func planQuery(g *Graph, q Query) (Query, Plan, error) {
 }
 
 // planSelect chooses the backend serving a (validated) select query.
-// All members of a select batch share one backend: the sketch order, RR
-// collection or selector run at max(Ks) serves every smaller budget as a
-// greedy prefix.
+// All members of a select batch share one backend: the sketch order or
+// one selector run at max(Ks) serves every smaller budget as a prefix.
 func planSelect(g *Graph, q Query) Plan {
 	o := q.Options
 	alg := string(q.Algorithm)
 	cold, _ := backendClass(q.Algorithm)
-	kmax := maxInts(q.Ks)
-	batch := len(q.Ks) > 1
-
 	backend := cold
-	shared := ""
-	var reason string
+	var shared, reason string
 	switch {
 	case cold == BackendRIS && sketchServesSelect(g, o):
 		backend = BackendSketch
@@ -303,10 +308,6 @@ func planSelect(g *Graph, q Query) Plan {
 			o.Model.RRSemantics(), o.Epsilon, o.Seed)
 	case cold == BackendRIS:
 		reason = fmt.Sprintf("cold %s run: RR sets sampled on demand", alg)
-		if batch {
-			shared = fmt.Sprintf("rr-collection(kmax=%d)", kmax)
-			reason = fmt.Sprintf("batch of %d budgets amortizes one RR collection sized for kmax=%d; smaller budgets are greedy prefixes", len(q.Ks), kmax)
-		}
 		if o.Sketch != nil && o.TIMThetaCap != 0 {
 			reason += fmt.Sprintf(" (θ cap %d opts out of the attached sketch)", o.TIMThetaCap)
 		} else if o.Sketch != nil {
@@ -319,7 +320,8 @@ func planSelect(g *Graph, q Query) Plan {
 	default:
 		reason = "simulation-free heuristic"
 	}
-	if batch && backend != BackendSketch && cold != BackendRIS {
+	if len(q.Ks) > 1 && backend != BackendSketch {
+		kmax := maxInts(q.Ks)
 		shared = fmt.Sprintf("selector(kmax=%d)", kmax)
 		reason += fmt.Sprintf("; one run at kmax=%d serves every smaller budget as a greedy prefix", kmax)
 	}
@@ -336,7 +338,7 @@ func planSelect(g *Graph, q Query) Plan {
 // planEstimate chooses the backend serving a (validated) estimate query.
 func planEstimate(g *Graph, q Query) Plan {
 	o := q.Options
-	sketchServed := q.Objective == ObjectiveOpinion && SketchServedEstimate(g, o)
+	sketchServed := q.Objective == ObjectiveOpinion && sketchServesEstimate(g, o)
 	backend := BackendMC
 	shared := ""
 	var reason string
@@ -373,7 +375,7 @@ func maxInts(ks []int) int {
 }
 
 // Run plans and executes q against g: every batch member runs against
-// shared state (one sketch order or RR collection serves each k ≤
+// shared state (one sketch order or selector run serves each k ≤
 // max(Ks); estimates share one diffusion model), per-seed progress
 // streams through Options.Progress and per-member completion through
 // q.OnMember, and the returned Answer carries the executed Plan. On
@@ -416,70 +418,34 @@ func emitSelect(q Query, ans *Answer, i int, res Result) {
 	}
 }
 
-// runSelect executes a planned select query.
+// runSelect executes a planned select query. A matched sketch answers
+// every member from one settled sample and its memoized greedy order;
+// otherwise the algorithm's own selector runs once, at max(Ks), and each
+// member is the k-prefix of that run. Either way the max(Ks) member is
+// exactly the single query for that k.
 func runSelect(ctx context.Context, g *Graph, q Query, ans *Answer) error {
-	o := q.Options
-	ks := q.Ks
-	backend := ans.Plan.Steps[0].Backend
-
-	// Sketch backend: the index's memoized order serves any k; a batch
-	// rides SelectPrefixes so every member comes from one settled sample.
-	if backend == BackendSketch {
-		if len(ks) == 1 {
-			res, err := o.Sketch.Select(ctx, ks[0])
-			emitSelect(q, ans, 0, res)
-			return err
-		}
-		results, err := o.Sketch.SelectPrefixes(ctx, ks)
+	if ans.Plan.Steps[0].Backend == BackendSketch {
+		results, err := q.Options.Sketch.SelectPrefixes(ctx, q.Ks)
 		for i, r := range results {
 			emitSelect(q, ans, i, r)
 		}
 		return err
 	}
-
-	// Cold RIS batch: build one ephemeral index sized for kmax — the
-	// IMM sampling phases run once — and serve every budget from it.
-	if backend == BackendRIS && len(ks) > 1 {
-		idx, err := sketch.Build(ctx, g, sketch.Params{
-			Kind:    modelKinds[o.Model].ris,
-			Epsilon: o.Epsilon,
-			Seed:    o.Seed,
-			BuildK:  maxInts(ks),
-			Workers: o.Workers,
-			MaxSets: o.TIMThetaCap,
-		})
-		if err != nil {
-			return err
-		}
-		results, err := idx.SelectPrefixes(ctx, ks)
-		for i, r := range results {
-			emitSelect(q, ans, i, r)
-		}
-		return err
-	}
-
-	// Everything else runs the algorithm's own selector once, at kmax for
-	// a batch: all remaining selectors are incrementally greedy (or
-	// score-ranked), so the k-prefix of a kmax run is exactly the k-run.
-	sel, err := newSelector(g, o, q.Algorithm)
+	sel, err := newSelector(g, q.Options, q.Algorithm)
 	if err != nil {
 		return err
 	}
-	full, err := sel.Select(ctx, maxInts(ks))
-	if len(ks) == 1 {
-		emitSelect(q, ans, 0, full)
-		return err
-	}
-	for i, k := range ks {
+	full, err := sel.Select(ctx, maxInts(q.Ks))
+	for i, k := range q.Ks {
 		emitSelect(q, ans, i, prefixOf(full, k))
 	}
 	return err
 }
 
 // prefixOf slices the k-prefix of a full selection run. A prefix within
-// the selected seeds is a complete result in its own right (the shared
-// selectors are incrementally greedy); a budget beyond what the —
-// possibly interrupted — run selected comes back Partial. Each member
+// the selected seeds is a complete result in its own right (every
+// selector is greedy in k); a budget at or beyond what the — possibly
+// interrupted — run selected is the run itself. Each smaller member
 // gets its own copy of the run's Metrics, tagged "batch_prefix": the
 // counters describe the shared kmax run (an algorithm's spread estimate
 // or objective value cannot be recomputed per prefix without paying for

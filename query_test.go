@@ -3,6 +3,7 @@ package holisticim
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -121,8 +122,8 @@ func TestRunBatchSharedSketch(t *testing.T) {
 	}
 }
 
-// TestRunBatchColdRIS: without a sketch, a RIS batch shares one RR
-// collection (the plan says so) and keeps the prefix invariant.
+// TestRunBatchColdRIS: without a sketch, a RIS batch shares one selector
+// run at max(Ks) (the plan says so) and keeps the prefix invariant.
 func TestRunBatchColdRIS(t *testing.T) {
 	g := queryTestGraph(400)
 	ans, err := Run(context.Background(), g, Query{
@@ -325,23 +326,55 @@ func TestPlanExplain(t *testing.T) {
 	if _, err := PlanQuery(nil, Query{Algorithm: AlgDegreeDiscount, K: 1}); err == nil {
 		t.Fatal("nil graph not rejected")
 	}
+	// ε outside (0,1] and a negative or NaN λ are refused for every task,
+	// not defaulted or handed to a selector; zero still means the default.
+	for _, o := range []Options{{Epsilon: -0.5}, {Epsilon: 5}, {Epsilon: math.NaN()}, {Lambda: -1}, {Lambda: math.NaN()}} {
+		for _, q := range []Query{{Algorithm: AlgOSIM, K: 5, Options: o}, {SeedSets: [][]NodeID{{1}}, Options: o}} {
+			if _, err := PlanQuery(g, q); err == nil {
+				t.Errorf("%d seed sets: ε=%v λ=%v not rejected", len(q.SeedSets), o.Epsilon, o.Lambda)
+			}
+		}
+	}
+	if _, err := PlanQuery(g, Query{Algorithm: AlgIMM, K: 5, Options: Options{Epsilon: 1, Lambda: 0}}); err != nil {
+		t.Fatalf("ε=1, λ=0: %v", err)
+	}
 }
 
-// TestRunSelectMatchesEntrypoint: the rebuilt SelectSeedsContext wrapper
-// returns exactly what a direct one-member Run does.
+// TestRunSelectMatchesEntrypoint: a batch member at max(Ks) is the single
+// query for that k — same seeds, same algorithm — for every algorithm, and
+// for TIM+/IMM under each RR semantics: a cold batch runs the algorithm it
+// names once, at max(Ks).
 func TestRunSelectMatchesEntrypoint(t *testing.T) {
-	g := queryTestGraph(300)
-	for _, alg := range []Algorithm{AlgDegreeDiscount, AlgEaSyIM} {
-		direct, err := SelectSeeds(g, 5, alg, Options{})
+	g := queryTestGraph(2000)
+	g.SetUniformProb(0.05)
+	type row struct {
+		alg   Algorithm
+		model ModelKind
+	}
+	var rows []row
+	for _, alg := range []Algorithm{AlgTIMPlus, AlgIMM} {
+		for _, model := range []ModelKind{ModelIC, ModelLT, ModelOC} {
+			rows = append(rows, row{alg, model})
+		}
+	}
+	for _, alg := range []Algorithm{AlgGreedy, AlgCELFPP, AlgModifiedGreedy, AlgEaSyIM, AlgOSIM, AlgIRIE, AlgSIMPATH, AlgDegreeDiscount} {
+		rows = append(rows, row{alg, ""})
+	}
+	for _, tc := range rows {
+		opts := Options{Model: tc.model, Epsilon: 0.3, Seed: 5, MCRuns: 10}
+		direct, err := SelectSeeds(g, 10, tc.alg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, err := Run(context.Background(), g, Query{Algorithm: alg, K: 5})
+		ans, err := Run(context.Background(), g, Query{Algorithm: tc.alg, Ks: []int{5, 10}, Options: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(direct.Seeds) != fmt.Sprint(ans.Members[0].Result.Seeds) {
-			t.Fatalf("%s: wrapper seeds %v != Run seeds %v", alg, direct.Seeds, ans.Members[0].Result.Seeds)
+		assertPrefixes(t, ans.Members)
+		got := ans.Members[1].Result
+		if fmt.Sprint(got.Seeds) != fmt.Sprint(direct.Seeds) || got.Algorithm != direct.Algorithm {
+			t.Errorf("%s/%s: batch member k=10 is %s %v, the k=10 query %s %v",
+				tc.alg, tc.model, got.Algorithm, got.Seeds, direct.Algorithm, direct.Seeds)
 		}
 	}
 }
@@ -349,8 +382,8 @@ func TestRunSelectMatchesEntrypoint(t *testing.T) {
 // TestSketchBackendIffSketchAnswered: the planner is the only place an
 // attached sketch is matched, so what the returned Plan reports is what
 // ran — a single-budget TIM+/IMM answer comes from the index ("RR-sketch")
-// exactly when its plan step says BackendSketch. (A cold RIS batch reports
-// BackendRIS and runs on an ephemeral index of its own, see runSelect.)
+// exactly when its plan step says BackendSketch, for one budget and for a
+// batch alike.
 func TestSketchBackendIffSketchAnswered(t *testing.T) {
 	ctx := context.Background()
 	g := queryTestGraph(400)
@@ -374,15 +407,19 @@ func TestSketchBackendIffSketchAnswered(t *testing.T) {
 		{"other RR semantics", g, Options{Model: ModelLT, Epsilon: 0.3, Seed: 5, Sketch: sk}, false},
 	} {
 		for _, alg := range []Algorithm{AlgIMM, AlgTIMPlus} {
-			ans, err := Run(ctx, tc.g, Query{Algorithm: alg, K: 5, Options: tc.opts})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, alg, err)
-			}
-			planned := ans.Plan.Steps[0].Backend == BackendSketch
-			answered := ans.Members[0].Result.Algorithm == "RR-sketch"
-			if planned != tc.sketch || answered != planned {
-				t.Fatalf("%s/%s: plan backend %q, answered by %q, want sketch-served = %v",
-					tc.name, alg, ans.Plan.Steps[0].Backend, ans.Members[0].Result.Algorithm, tc.sketch)
+			for _, ks := range [][]int{{5}, {3, 5}} {
+				ans, err := Run(ctx, tc.g, Query{Algorithm: alg, Ks: ks, Options: tc.opts})
+				if err != nil {
+					t.Fatalf("%s/%s/ks=%v: %v", tc.name, alg, ks, err)
+				}
+				for i, step := range ans.Plan.Steps {
+					planned := step.Backend == BackendSketch
+					answered := ans.Members[i].Result.Algorithm == "RR-sketch"
+					if planned != tc.sketch || answered != planned {
+						t.Fatalf("%s/%s/ks=%v member %d: plan backend %q, answered by %q, want sketch-served = %v",
+							tc.name, alg, ks, i, step.Backend, ans.Members[i].Result.Algorithm, tc.sketch)
+					}
+				}
 			}
 		}
 	}

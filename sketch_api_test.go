@@ -141,7 +141,7 @@ func TestOpinionSketchFastPath(t *testing.T) {
 	// The opinion estimate is served from the sketch: it must equal the
 	// index's own estimator, not a Monte-Carlo average.
 	opts := Options{Model: ModelOC, Epsilon: 0.3, Seed: 5, Sketch: sk}
-	if !SketchServedEstimate(g, opts) {
+	if !servesEstimate(t, g, opts) {
 		t.Fatal("matching oc sketch not recognized for the estimate fast path")
 	}
 	est, err := EstimateOpinionSpreadContext(context.Background(), g, res.Seeds, opts)
@@ -163,7 +163,7 @@ func TestOpinionSketchFastPath(t *testing.T) {
 	// Non-OC models never take the opinion fast path, nor do foreign
 	// graphs (few MC runs keep the fallback cheap).
 	mcOpts := Options{Model: ModelOIIC, MCRuns: 50, Sketch: sk}
-	if SketchServedEstimate(g, mcOpts) {
+	if servesEstimate(t, g, mcOpts) {
 		t.Fatal("oi-ic estimate claimed the oc sketch")
 	}
 	est, err = EstimateOpinionSpreadContext(context.Background(), g, res.Seeds, mcOpts)
@@ -175,9 +175,20 @@ func TestOpinionSketchFastPath(t *testing.T) {
 	}
 	other := sketchTestGraph()
 	AssignOpinions(other, OpinionUniform, 9)
-	if SketchServedEstimate(other, Options{Model: ModelOC, MCRuns: 50, Sketch: sk}) {
+	if servesEstimate(t, other, Options{Model: ModelOC, MCRuns: 50, Sketch: sk}) {
 		t.Fatal("foreign graph claimed the oc sketch")
 	}
+}
+
+// servesEstimate asks the planner whether an opinion estimate under opts
+// is answered from opts.Sketch instead of Monte Carlo.
+func servesEstimate(t *testing.T, g *Graph, opts Options) bool {
+	t.Helper()
+	plan, err := PlanQuery(g, Query{Objective: ObjectiveOpinion, SeedSets: [][]NodeID{{0}}, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.SketchOnly()
 }
 
 func TestRRSemantics(t *testing.T) {
